@@ -27,29 +27,22 @@ or h_pm/(rho_p rho_m) according to the state pair of the passive partner and
 the flip-driving third particle.
 
 The fixed-step RK4 loop exists twice.  ``_integrate_loop_py`` is the
-pure-python reference.  ``_closure_loop.c`` is its C port, compiled with the
-system ``cc`` the first time the module is imported, cached next to the
-source (in ``_cbuild/``, or under the temp dir when that is read-only) and
-loaded through ctypes.  The two loops are bitwise equal.  Without a working
-compiler the module logs a warning and runs the python loop, several hundred
-times slower.
+pure-python reference.  ``coevnet_closure_loop`` in ``_kernels.c`` is its C
+port, built and loaded by ``_native``.  The two loops are bitwise equal.
+Without a working compiler the package logs a warning and runs the python
+loop, several hundred times slower.
 """
 
 from __future__ import annotations
 
 import ctypes
-import hashlib
 import logging
-import os
-import shutil
-import stat
-import subprocess
-import tempfile
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
+from . import _native
 from .errors import (
     ConsensusBoundary,
     ContinuationFailed,
@@ -185,85 +178,13 @@ def _integrate_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
 
 # -- compiled loop -------------------------------------------------------------
 
-_C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_closure_loop.c")
-# No fused multiply-adds and no fast-math: the C loop must round every
-# operation as numpy does, so that it stays bitwise equal to the reference.
-_C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
-_PKG_CACHE = os.path.join(os.path.dirname(_C_SOURCE), "_cbuild")
 
-
-def _cache_dirs() -> list[str]:
-    """Directories for the compiled loop: next to its source, else (for a
-    read-only install) a per-user directory under the temp dir."""
-    dirs = [_PKG_CACHE]
-    if hasattr(os, "getuid"):
-        dirs.append(os.path.join(tempfile.gettempdir(), f"coevnet-cbuild-{os.getuid()}"))
-    return dirs
-
-
-def _trusted(d: str) -> bool:
-    """The package's own directory, or a real directory of this user that
-    nobody else can write to (a library found there is loaded and run)."""
-    if d == _PKG_CACHE:
-        return True
-    try:
-        st = os.lstat(d)
-    except OSError:
-        return False
-    return stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
-
-
-def _build_library(cc: str) -> str:
-    """Path of the compiled closure loop, built with compiler ``cc`` unless cached.
-
-    The file name carries a hash of the source, the compiler and the flags,
-    so an edited source is rebuilt and later processes only load the file.
-    The library is compiled to a temporary name and moved into place with
-    os.replace, so no process ever loads a half-written file.
-    """
-    with open(_C_SOURCE, "rb") as f:
-        key = hashlib.sha256(b"\0".join(
-            [f.read(), cc.encode(), *(flag.encode() for flag in _C_FLAGS)])).hexdigest()
-    name = f"_closure_loop-{key[:16]}.so"
-    dirs = _cache_dirs()
-    for d in dirs:
-        if os.path.isfile(os.path.join(d, name)) and _trusted(d):
-            return os.path.join(d, name)
-    compiler = shutil.which(cc)
-    if compiler is None:
-        raise OSError(f"C compiler {cc!r} not found on PATH")
-    for d in dirs:
-        try:
-            os.makedirs(d, mode=0o700, exist_ok=True)
-            if not _trusted(d):
-                continue
-            fd, tmp = tempfile.mkstemp(prefix=".tmp-", suffix=".so", dir=d)
-        except OSError:
-            continue    # read-only directory: try the next one
-        os.close(fd)
-        try:
-            proc = subprocess.run([compiler, *_C_FLAGS, "-o", tmp, _C_SOURCE],
-                                  capture_output=True, text=True, timeout=120)
-            if proc.returncode != 0:
-                raise OSError(f"{cc} exited with status {proc.returncode}: "
-                              f"{proc.stderr.strip()[:500]}")
-            os.replace(tmp, os.path.join(d, name))
-        finally:
-            if os.path.exists(tmp):
-                os.remove(tmp)
-        return os.path.join(d, name)
-    raise OSError(f"no writable build directory among {dirs}")
-
-
-def _load_c_loop(cc: str = "cc"):
-    """The C closure loop, or _integrate_loop_py with one warning naming the
-    cause when the library cannot be built or loaded."""
-    try:
-        fn = ctypes.CDLL(_build_library(cc)).coevnet_closure_loop
-    except (OSError, subprocess.SubprocessError) as exc:
-        log.warning("C closure loop unavailable (%s): closure integration falls back "
-                    "to the pure-python loop, several hundred times slower", exc)
+def _bind_loop(lib):
+    """The C closure loop of the compiled kernels ``lib``, or
+    _integrate_loop_py when there is no library."""
+    if lib is None:
         return _integrate_loop_py
+    fn = lib.coevnet_closure_loop
     f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
     i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
     fn.argtypes = [f64, f64, ctypes.c_int, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
@@ -288,7 +209,7 @@ def _load_c_loop(cc: str = "cc"):
     return _integrate_loop_c
 
 
-_integrate_loop = _load_c_loop()
+_integrate_loop = _bind_loop(_native.LIB)
 
 
 def closure_rhs_array(y, p: MinimalParams, kind, delta: float = DELTA_CONSENSUS) -> np.ndarray:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import logging
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .closures import ClosureKind, integrate_closure
-from .errors import ModelError
+from .errors import IntegrationError, ModelError
 from .jumpsim import DiscreteConfiguration, _sample_grid, simulate_minimal
 from .microsim import AgentConfiguration, integrate_micro, integrate_reduced
 from .models import MinimalParams, SmoothModel
@@ -165,7 +166,8 @@ def run_comparison(
             with ProcessPoolExecutor(max_workers=workers) as pool:
                 for k, res in enumerate(pool.map(_replica_moments, arg_list)):
                     results[k] = res
-        except Exception as exc:  # pool failures fall back to serial
+        except (BrokenProcessPool, OSError) as exc:
+            # the pool itself failed; errors raised by a replica propagate
             log.warning("worker pool failed (%s); running replicas serially", exc)
             results = [None] * runs
     if results[0] is None:
@@ -175,7 +177,8 @@ def run_comparison(
     stack = np.stack(results)                       # (runs, n, 6)
     n_grid = stack.shape[1]
     times = _sample_grid(T, dt)
-    assert times.size == n_grid
+    if times.size != n_grid:
+        raise IntegrationError(f"replicas sampled {n_grid} times, the grid has {times.size}")
     mean = stack.mean(axis=0)
     stderr = stack.std(axis=0, ddof=1) / np.sqrt(runs)
     rho_stack = stack[:, :, 0] + stack[:, :, 1] + stack[:, :, 4] + stack[:, :, 5]

@@ -4,9 +4,16 @@ The minimal model (binary states, binary links) is simulated exactly with a
 Gillespie event loop over aggregated channels: two state-flip channels and a
 creation/removal channel per unordered pair type.  Channel totals depend only
 on the plus-agent count and the per-type link counts, so each event costs
-O(1) bookkeeping (O(N) for the rare state flips).  A tau-leap mode draws
-Poisson event counts per channel per step and applies them sequentially in
-random order, dropping events that are no longer applicable.
+O(1) bookkeeping (O(N) for the rare state flips).  The loop exists twice.
+``_MinimalEngine`` and the "gillespie" branch of ``simulate_minimal`` are
+the pure-python reference.  ``_CMinimalEngine`` runs the same loop in the
+compiled kernels (``_kernels.c``, built and loaded by ``_native``), drawing
+its uniforms from the same numpy generator; for a fixed seed both give the
+same events, samples and final generator state, bit for bit.  Without a
+working compiler the python loop runs, about 50 times slower.  A tau-leap
+mode draws Poisson event counts per channel per step and applies them
+sequentially in random order, dropping events that are no longer
+applicable; it always runs in python.
 
 The co-evolving voter model runs on unit-rate per-agent clocks; the hybrid
 bounded-confidence model alternates deterministic RK4 state steps with
@@ -24,12 +31,14 @@ gain and loss channels.
 
 from __future__ import annotations
 
+import ctypes
 import warnings
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from . import _native
 from .errors import InvariantViolation, ModelError
 from .models import MinimalParams
 
@@ -117,12 +126,6 @@ class MinimalRateTable:
         return float(self.flip_rates.sum() + self.create_rates.sum() + self.remove_rates.sum())
 
 
-def _pair_rate_lookup(p: MinimalParams):
-    beta = {_PP: p.beta_pp, _MM: p.beta_mm, _PM: p.beta_pm}
-    gamma = {_PP: p.gamma_pp, _MM: p.gamma_mm, _PM: p.gamma_pm}
-    return beta, gamma
-
-
 def minimal_rates(cfg: DiscreteConfiguration, p: MinimalParams) -> MinimalRateTable:
     """Event rates of the minimal model at a configuration.
 
@@ -151,8 +154,33 @@ def minimal_rates(cfg: DiscreteConfiguration, p: MinimalParams) -> MinimalRateTa
     return MinimalRateTable(flip_rates=flip, create_rates=create, remove_rates=remove)
 
 
+def _pair_counts(N: int, n_plus: int):
+    """Unordered (pp, mm, pm) pair counts with n_plus plus agents."""
+    nm = N - n_plus
+    return (n_plus * (n_plus - 1)) // 2, (nm * (nm - 1)) // 2, n_plus * nm
+
+
+def _minimal_moments(N: int, n_plus: int, L) -> np.ndarray:
+    """The six moments from the plus count and the link counts per pair type."""
+    P = _pair_counts(N, n_plus)
+    denom = N * (N - 1)
+    return np.array([
+        2.0 * L[_PP] / denom,
+        2.0 * (P[_PP] - L[_PP]) / denom,
+        2.0 * L[_MM] / denom,
+        2.0 * (P[_MM] - L[_MM]) / denom,
+        1.0 * L[_PM] / denom,
+        1.0 * (P[_PM] - L[_PM]) / denom,
+    ])
+
+
 class _MinimalEngine:
-    """Mutable minimal-model state with O(1) aggregate channel rates."""
+    """Mutable minimal-model state with O(1) aggregate channel rates.
+
+    Its Gillespie loop in ``simulate_minimal`` is the pure-python reference
+    of the compiled engine (``_CMinimalEngine``) and its fallback; the
+    tau-leap mode always runs on it.
+    """
 
     def __init__(self, cfg: DiscreteConfiguration, p: MinimalParams):
         self.N = cfg.N
@@ -190,9 +218,7 @@ class _MinimalEngine:
         return len(self.plus_list)
 
     def pair_counts(self):
-        np_ = len(self.plus_list)
-        nm = self.N - np_
-        return (np_ * (np_ - 1)) // 2, (nm * (nm - 1)) // 2, np_ * nm
+        return _pair_counts(self.N, len(self.plus_list))
 
     def channel_rates(self):
         """[flip+, flip-, create_pp, create_mm, create_pm, remove_pp, remove_mm, remove_pm]"""
@@ -213,17 +239,7 @@ class _MinimalEngine:
         return rates, L, U
 
     def moments(self) -> np.ndarray:
-        L = [len(self.links[k]) for k in range(3)]
-        P = self.pair_counts()
-        denom = self.N * (self.N - 1)
-        return np.array([
-            2.0 * L[_PP] / denom,
-            2.0 * (P[_PP] - L[_PP]) / denom,
-            2.0 * L[_MM] / denom,
-            2.0 * (P[_MM] - L[_MM]) / denom,
-            1.0 * L[_PM] / denom,
-            1.0 * (P[_PM] - L[_PM]) / denom,
-        ])
+        return _minimal_moments(self.N, len(self.plus_list), [len(lst) for lst in self.links])
 
     def snapshot(self, t: float) -> DiscreteConfiguration:
         states = np.where(self.s == 1, 1, -1).astype(np.int8)
@@ -335,6 +351,144 @@ class _MinimalEngine:
         return divmod(code, self.N)
 
 
+# -- compiled Gillespie engine -------------------------------------------------
+
+_EVENT_KINDS = ("flip", "create", "remove")
+# events held by the compiled engine before it hands them to python
+_EVENT_BUFFER = 4096
+# pair codes i N + j are int32 in the compiled engine
+_C_ENGINE_MAX_N = 46340
+# return codes of coevnet_minimal_run
+_RUN_DONE, _RUN_END, _RUN_SAMPLE, _RUN_FULL, _RUN_EMPTY = range(5)
+
+
+class _EngineState(ctypes.Structure):
+    """The ``minimal_engine`` struct of ``_kernels.c``, field by field."""
+
+    _fields_ = [
+        ("N", ctypes.c_int64),
+        ("rates", ctypes.c_double * 8),
+        ("s", ctypes.c_void_p),
+        ("W", ctypes.c_void_p),
+        ("members", ctypes.c_void_p * 2),
+        ("member_pos", ctypes.c_void_p),
+        ("links", ctypes.c_void_p * 3),
+        ("link_pos", ctypes.c_void_p),
+        ("scratch", ctypes.c_void_p),
+        ("ev_t", ctypes.c_void_p),
+        ("ev_kij", ctypes.c_void_p),
+        ("ev_cap", ctypes.c_int64),
+        ("n_members", ctypes.c_int64 * 2),
+        ("n_links", ctypes.c_int64 * 3),
+        ("n_ev", ctypes.c_int64),
+        ("t", ctypes.c_double),
+        ("t_next", ctypes.c_double),
+        ("pending", ctypes.c_int64),
+    ]
+
+
+class _CMinimalEngine:
+    """The minimal model's Gillespie loop in the compiled kernels.
+
+    The state of ``_MinimalEngine`` lives in numpy arrays that this object
+    owns and ``coevnet_minimal_run`` mutates: ``s`` and ``W`` as in the
+    python engine, member and per-type link lists with position indexes
+    (a code-indexed array in place of the dicts), all int32, so N is at most
+    ``_C_ENGINE_MAX_N``.  ``run`` draws the same uniforms in the same order
+    as the python loop, so events, samples and the final generator state are
+    bitwise equal.
+    """
+
+    def __init__(self, kernels, cfg: DiscreteConfiguration, p: MinimalParams,
+                 record_events: bool):
+        self._run_kernel = kernels[1]
+        N = self.N = cfg.N
+        self.s = (cfg.states == 1).astype(np.int8)
+        self.W = cfg.weights.astype(np.int8).copy()
+        # np.empty leaves untouched capacity unallocated by the OS
+        self._members = np.empty((2, N), dtype=np.int32)
+        self._member_pos = np.empty(N, dtype=np.int32)
+        self._links = np.empty((3, N * (N - 1) // 2), dtype=np.int32)
+        self._link_pos = np.empty(N * N, dtype=np.int32)
+        self._scratch = np.empty(N, dtype=np.int32)
+        cap = _EVENT_BUFFER if record_events else 0
+        self._ev_t = np.empty(cap)
+        self._ev_kij = np.empty((3, cap), dtype=np.int64)
+        st = self._st = _EngineState()
+        st.N = N
+        st.rates[:] = [float(x) for x in p.as_array()]
+        st.s, st.W = self.s.ctypes.data, self.W.ctypes.data
+        st.members[:] = [row.ctypes.data for row in self._members]
+        st.member_pos = self._member_pos.ctypes.data
+        st.links[:] = [row.ctypes.data for row in self._links]
+        st.link_pos = self._link_pos.ctypes.data
+        st.scratch = self._scratch.ctypes.data
+        st.ev_t, st.ev_kij, st.ev_cap = self._ev_t.ctypes.data, self._ev_kij.ctypes.data, cap
+        kernels[0](ctypes.byref(st))
+
+    def moments(self) -> np.ndarray:
+        return _minimal_moments(self.N, self._st.n_members[1], self._st.n_links)
+
+    # the same s and W arrays as the python engine's
+    snapshot = _MinimalEngine.snapshot
+
+    def run(self, T: float, rng, record_until, events: list | None):
+        """The "gillespie" branch of ``simulate_minimal`` from t = 0.
+
+        The kernel returns at each sample-grid crossing, before applying the
+        event that crossed it, so ``record_until`` snapshots the same states
+        as in the python loop; it returns the next grid time.
+        """
+        st = self._st
+        bitgen = rng.bit_generator
+        t_sample = record_until(0.0)
+        while True:
+            with bitgen.lock:
+                status = self._run_kernel(ctypes.byref(st), bitgen.ctypes.bit_generator,
+                                          T, t_sample)
+            n = st.n_ev
+            if n:
+                kinds, ii, jj = self._ev_kij[:, :n].tolist()
+                events.extend(zip(self._ev_t[:n].tolist(),
+                                  [_EVENT_KINDS[k] for k in kinds], ii, jj))
+            if status == _RUN_SAMPLE:
+                t_sample = record_until(st.t_next)
+            elif status == _RUN_EMPTY:
+                raise IndexError("removal drawn for a pair type without links")
+            elif status != _RUN_FULL:
+                break
+        if status == _RUN_END:
+            record_until(min(st.t_next, T))
+        record_until(T)
+
+
+def _python_engine(cfg: DiscreteConfiguration, p: MinimalParams, record_events: bool):
+    return _MinimalEngine(cfg, p)
+
+
+def _bind_engine(lib):
+    """The engine factory of the "gillespie" mode: the compiled engine of the
+    kernels ``lib`` for N up to _C_ENGINE_MAX_N, else the python engine."""
+    if lib is None:
+        return _python_engine
+    kernels = lib.coevnet_minimal_init, lib.coevnet_minimal_run
+    kernels[0].argtypes = [ctypes.POINTER(_EngineState)]
+    kernels[0].restype = None
+    kernels[1].argtypes = [ctypes.POINTER(_EngineState), ctypes.c_void_p, ctypes.c_double,
+                           ctypes.c_double]
+    kernels[1].restype = ctypes.c_int
+
+    def engine(cfg: DiscreteConfiguration, p: MinimalParams, record_events: bool):
+        if cfg.N > _C_ENGINE_MAX_N:
+            return _MinimalEngine(cfg, p)
+        return _CMinimalEngine(kernels, cfg, p, record_events)
+
+    return engine
+
+
+_gillespie_engine = _bind_engine(_native.LIB)
+
+
 def _sample_grid(T: float, sample_dt: float | None) -> np.ndarray:
     if sample_dt is None:
         return np.array([0.0, T]) if T > 0 else np.array([0.0])
@@ -372,7 +526,10 @@ def simulate_minimal(
     if mode == "tau-leap" and (tau_dt is None or tau_dt <= 0):
         raise ModelError("tau-leap mode requires a positive tau_dt")
     rng = np.random.default_rng(seed)
-    eng = _MinimalEngine(cfg, p)
+    if mode == "gillespie":
+        eng = _gillespie_engine(cfg, p, record_events)
+    else:
+        eng = _MinimalEngine(cfg, p)
     grid = _sample_grid(T, sample_dt)
     traj = JumpTrajectory()
     mom = [] if record_moments else None
@@ -387,12 +544,16 @@ def simulate_minimal(
     next_idx = 0
 
     def record_until(t_limit):
+        """Record every grid time up to t_limit; returns the next one."""
         nonlocal next_idx
         while next_idx < len(grid) and grid[next_idx] <= t_limit + 1e-12:
             record(float(grid[next_idx]))
             next_idx += 1
+        return float(grid[next_idx]) if next_idx < len(grid) else np.inf
 
-    if mode == "gillespie":
+    if isinstance(eng, _CMinimalEngine):
+        eng.run(T, rng, record_until, traj.events if record_events else None)
+    elif mode == "gillespie":
         from math import log
 
         t = 0.0

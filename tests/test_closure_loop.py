@@ -11,7 +11,7 @@ import shutil
 import numpy as np
 import pytest
 
-from coevnet import closures
+from coevnet import _native, closures
 from coevnet.closures import DELTA_CONSENSUS, NEG_CLAMP_TOL
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
@@ -108,8 +108,8 @@ def test_compiled_loop_rejects_bad_shapes():
 
 def test_missing_compiler_falls_back_with_warning(tmp_path, caplog):
     missing = str(tmp_path / "no-such-cc")
-    with caplog.at_level(logging.WARNING, logger="coevnet.closures"):
-        loop = closures._load_c_loop(missing)
+    with caplog.at_level(logging.WARNING, logger="coevnet._native"):
+        loop = closures._bind_loop(_native.load_library(missing))
     assert loop is closures._integrate_loop_py
     warnings = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
     assert len(warnings) == 1
@@ -121,9 +121,9 @@ def test_unwritable_build_dir_falls_back_to_next(tmp_path, monkeypatch):
     blocker = tmp_path / "blocker"
     blocker.write_text("")      # a file, so no directory can be made below it
     cache = tmp_path / "cache"
-    monkeypatch.setattr(closures, "_cache_dirs",
+    monkeypatch.setattr(_native, "_cache_dirs",
                         lambda: [str(blocker / "cbuild"), str(cache)])
-    path = closures._build_library("cc")
+    path = _native._build_library("cc")
     assert path.startswith(str(cache))
     assert [p.name for p in cache.iterdir()] == [os.path.basename(path)]
-    assert closures._build_library("cc") == path
+    assert _native._build_library("cc") == path

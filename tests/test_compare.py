@@ -1,12 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 
+from coevnet import compare
 from coevnet.compare import (
     polarized_link_config,
     run_comparison,
     run_epsilon_sweep,
 )
-from coevnet.errors import ModelError
+from coevnet.errors import IntegrationError, ModelError
 from coevnet.microsim import AgentConfiguration, integrate_reduced, solve_weight_nullcline
 from coevnet.models import MinimalParams, catalog
 from coevnet.moments import minimal_moments
@@ -75,6 +78,20 @@ class TestRunComparison:
             run_comparison(self.P_EQUAL, N=5, runs=3, T=1.0, dt=0.25, seed=0)
         with pytest.raises(ModelError):
             run_comparison(self.P_EQUAL, N=20, runs=1, T=1.0, dt=0.25, seed=0)
+
+    def test_replica_error_propagates_from_the_pool(self, caplog):
+        # rho_p is checked inside each replica: the error is raised once,
+        # without a serial rerun of every replica
+        with caplog.at_level(logging.WARNING, logger="coevnet.compare"):
+            with pytest.raises(ModelError, match="rho_p"):
+                run_comparison(self.P_EQUAL, N=20, runs=2, T=0.5, dt=0.25, seed=0,
+                               init={"rho_p": 1.5}, workers=2)
+        assert not caplog.records
+
+    def test_sample_count_mismatch_raises(self, monkeypatch):
+        monkeypatch.setattr(compare, "_sample_grid", lambda T, dt: np.zeros(1))
+        with pytest.raises(IntegrationError):
+            run_comparison(self.P_EQUAL, N=20, runs=2, T=0.5, dt=0.25, seed=0)
 
     def test_json_dict_fields(self):
         rep = run_comparison(self.P_EQUAL, N=20, runs=2, T=0.5, dt=0.25, seed=3)
