@@ -29,6 +29,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, InvariantViolation, ModelError
+from .microsim import _pair_forces, _pair_grids
 from .models import PotentialModel, SmoothModel
 
 log = logging.getLogger(__name__)
@@ -84,8 +85,7 @@ def make_wc_ensemble(anchors, W0: Callable, masses=None, t: float = 0.0) -> Char
     M = anchors.shape[0]
     if masses is None:
         masses = uniform_masses(M)
-    si = np.broadcast_to(anchors[:, None, :], (M, M, anchors.shape[1]))
-    sj = np.broadcast_to(anchors[None, :, :], (M, M, anchors.shape[1]))
+    si, sj = _pair_grids(anchors)
     W = np.asarray(W0(si, sj), dtype=float).copy()
     np.fill_diagonal(W, 0.0)
     return CharacteristicEnsemble(anchors=anchors, pair_weights=W, masses=masses, t=t)
@@ -102,20 +102,7 @@ class CharTrajectory:
 
 
 def _char_rhs(anchors, weights, masses, model: SmoothModel):
-    M, m = anchors.shape
-    si = np.broadcast_to(anchors[:, None, :], (M, M, m))
-    sj = np.broadcast_to(anchors[None, :, :], (M, M, m))
-    U = np.asarray(model.U(si, sj, weights), dtype=float)
-    if not U.flags.writeable:
-        U = U.copy()
-    V = np.asarray(model.V(si, sj, weights), dtype=float)
-    if not V.flags.writeable:
-        V = V.copy()
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
-        raise IntegrationError("non-finite characteristic force evaluation")
-    idx = np.arange(M)
-    U[idx, idx, :] = 0.0
-    V[idx, idx] = 0.0
+    U, V = _pair_forces(anchors, weights, model)
     dS = np.einsum("j,ijk->ik", masses, U)
     return dS, V
 
@@ -195,9 +182,7 @@ def integrate_characteristics_wc(
     anchor_j); the weight matrix then stays the characteristic trace of the
     transported surface.
     """
-    M, m = ens0.anchors.shape
-    si = np.broadcast_to(ens0.anchors[:, None, :], (M, M, m))
-    sj = np.broadcast_to(ens0.anchors[None, :, :], (M, M, m))
+    si, sj = _pair_grids(ens0.anchors)
     expected = np.asarray(W0(si, sj), dtype=float).copy()
     np.fill_diagonal(expected, 0.0)
     if not np.array_equal(expected, ens0.pair_weights):
@@ -269,9 +254,8 @@ def pair_energy_dissipation(ens: CharacteristicEnsemble, pot: PotentialModel) ->
     if ens.m != pot.m:
         raise ModelError("ensemble and potential dimensions differ")
     anchors, weights, masses = ens.anchors, ens.pair_weights, ens.masses
-    M, m = anchors.shape
-    si = np.broadcast_to(anchors[:, None, :], (M, M, m))
-    sj = np.broadcast_to(anchors[None, :, :], (M, M, m))
+    M = anchors.shape[0]
+    si, sj = _pair_grids(anchors)
     F = np.asarray(pot.F(si, sj, weights), dtype=float).copy()
     gs = np.asarray(pot.eval_grad_s(si, sj, weights), dtype=float).copy()
     dw = np.asarray(pot.eval_d_w(si, sj, weights), dtype=float).copy()

@@ -1,13 +1,21 @@
 """Experiment driver: JSON configs in, CSV/JSON artifacts plus a manifest out.
 
-One experiment per invocation (a top-level ``sweep`` list expands into
-indexed subdirectories).  ``validate`` runs the full schema and range check
-without executing; ``run`` executes and writes artifacts atomically together
-with a manifest recording the config hash, seed, tool version and wall time.
+Each experiment kind is one ``Kind`` record in ``SPECS``: its typed required
+and optional fields, a ``build`` and a ``run``.  ``build`` parses and
+range-checks the config, seeds ``default_rng(seed)`` and draws all initial
+data (model and kernels, states, weights including the nullcline solve,
+discrete configurations, closure initial moments).  ``run`` integrates the
+built experiment and writes its artifacts.
+
+``validate`` builds every config (each leg of a top-level ``sweep`` list)
+without running it, so it exits with the code ``run`` would give for any
+config that fails to build.  ``run`` builds every leg once, up front, runs
+no leg if one fails to build, and writes a manifest recording the config
+hash, seeds, tool version and wall time.
 
 Exit codes: 0 success, 2 config error, 3 runtime model error, 4 invariant
-violation.  Failures emit a machine-readable error JSON on stdout (and an
-``error.json`` artifact when the output directory is writable).
+violation.  Failures emit a machine-readable error JSON on stdout; a leg
+that fails while running also gets an ``error.json`` in its output directory.
 """
 
 from __future__ import annotations
@@ -18,6 +26,9 @@ import json
 import os
 import sys
 import time
+from dataclasses import dataclass
+from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -30,6 +41,7 @@ from .characteristics import (
     uniform_masses,
 )
 from .closures import (
+    closure_rhs,
     continue_small_epsilon,
     integrate_closure,
     linearized_jacobian,
@@ -39,64 +51,71 @@ from .closures import (
 from .compare import polarized_link_config, run_comparison, run_epsilon_sweep
 from .errors import CoevnetError, ConfigError, InvariantViolation
 from .jumpsim import DiscreteConfiguration, HybridConfiguration, simulate_hybrid_bc, simulate_minimal, simulate_voter
-from .microsim import AgentConfiguration, integrate_micro, simulate_diffusive, solve_weight_nullcline
+from .microsim import AgentConfiguration, _pair_grids, integrate_micro, simulate_diffusive, solve_weight_nullcline
 from .models import MinimalParams, catalog
+from .moments import MinimalMoments
 
 ENV_OUT = "COEVNET_OUT"
-
-KINDS = ("micro", "diffusive", "minimal", "voter", "hybrid-bc", "closure",
-         "stationary", "continuation", "characteristics", "compare", "epsilon-sweep")
 
 RATE_KEYS = ("alpha_pm", "alpha_mp", "beta_pp", "beta_mm", "beta_pm",
              "gamma_pp", "gamma_mm", "gamma_pm")
 
-# kind -> {field: (required, default)}
-_FIELDS: dict[str, dict[str, tuple[bool, object]]] = {
-    "micro": {"model": (True, None), "N": (True, None), "T": (True, None),
-              "dt": (True, None), "init": (True, None), "eps_w": (False, 1.0),
-              "eps_s": (False, 1.0), "method": (False, "rk4"),
-              "sample_stride": (False, 1)},
-    "diffusive": {"model": (True, None), "N": (True, None), "T": (True, None),
-                  "dt": (True, None), "init": (True, None), "sample_stride": (False, 1)},
-    "minimal": {"rates": (True, None), "N": (True, None), "T": (True, None),
-                "init": (True, None), "mode": (False, "gillespie"),
-                "tau_dt": (False, None), "sample_dt": (False, None),
-                "record_events": (False, True)},
-    "voter": {"N": (True, None), "T": (True, None), "p": (True, None),
-              "q": (False, 0.5), "variant": (False, "pq"), "init": (True, None),
-              "sample_dt": (False, None), "record_events": (False, True)},
-    "hybrid-bc": {"N": (True, None), "T": (True, None), "dt": (True, None),
-                  "tau": (True, None), "F": (True, None), "r": (True, None),
-                  "init": (True, None), "sample_stride": (False, 1)},
-    "closure": {"rates": (True, None), "kind_closure": (True, None),
-                "T": (True, None), "dt": (True, None), "init": (True, None),
-                "sample_stride": (False, 1)},
-    "stationary": {"rates": (True, None), "rho_p": (True, None), "g_pm": (True, None)},
-    "continuation": {"rates": (True, None), "rho_p": (True, None),
-                     "kind_closure": (True, None), "eps_list": (True, None)},
-    "characteristics": {"model": (True, None), "variant": (True, None),
-                        "M": (True, None), "T": (True, None), "dt": (True, None),
-                        "init": (True, None), "sample_stride": (False, 1)},
-    "compare": {"rates": (True, None), "N": (True, None), "runs": (True, None),
-                "T": (True, None), "dt": (True, None), "init": (True, None),
-                "mode": (False, "gillespie"), "tau_dt": (False, None),
-                "closure_dt": (False, 1e-3)},
-    "epsilon-sweep": {"model": (True, None), "N": (True, None),
-                      "eps_list": (True, None), "T": (True, None),
-                      "dt": (True, None), "init": (True, None),
-                      "reduced_dt": (False, None)},
-}
 
-_COMMON_FIELDS = {"kind", "seed", "out", "workers", "label"}
+# -- typed values ----------------------------------------------------------------
 
 
-# -- kernels and model construction -------------------------------------------
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
-def _check_subkeys(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _is_number(v) -> bool:
+    """A finite JSON number; bools are not numbers."""
+    return (_is_int(v) or isinstance(v, float)) and abs(v) <= sys.float_info.max
+
+
+def _typed(ok: Callable, must: str) -> Callable:
+    """A field parser: (value, field name) -> the value unchanged if ok(value)."""
+    def parse(v, name):
+        if not ok(v):
+            raise ConfigError(f"{name} must {must}, got {v!r}", field=name)
+        return v
+    return parse
+
+
+def _choice(*options) -> Callable:
+    return _typed(lambda v: v in options, "be " + " or ".join(f"'{o}'" for o in options))
+
+
+_number = _typed(_is_number, "be a finite number")
+_count = _typed(lambda v: _is_int(v) and v >= 1, "be a positive integer")
+_positive = _typed(lambda v: _is_number(v) and v > 0, "be a positive number")
+_horizon = _typed(lambda v: _is_number(v) and v >= 0, "be a nonnegative number")
+_unit = _typed(lambda v: _is_number(v) and 0 <= v <= 1, "lie in [0, 1]")
+_seed = _typed(lambda v: _is_int(v) and v >= 0, "be a nonnegative integer")
+_flag = _typed(lambda v: isinstance(v, bool), "be true or false")
+_text = _typed(lambda v: isinstance(v, str), "be a string")
+_map = _typed(lambda v: isinstance(v, dict), "be a map")
+_eps_list = _typed(lambda v: isinstance(v, list) and v and all(map(_is_number, v)),
+                   "be a non-empty list of numbers")
+
+
+def _param(spec: dict, key: str, default, where: str) -> float:
+    return float(_number(spec.get(key, default), f"{where}.{key}"))
+
+
+def _check_subkeys(d: dict, allowed, where: str):
+    unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}", field=where)
+
+
+# -- kernels, models and initial data -----------------------------------------
+
+# kernel form -> its numeric parameters with their defaults
+_KERNEL_PARAMS = {"identity": {}, "linear": {"slope": 1.0},
+                  "gaussian": {"amplitude": 1.0, "length": 1.0}, "constant": {"value": 1.0},
+                  "sigmoid": {}, "tanh": {"gain": 1.0, "scale": 1.0},
+                  "indicator": {"threshold": 1.0}}
 
 
 def kernel_from_spec(spec, role: str):
@@ -104,138 +123,112 @@ def kernel_from_spec(spec, role: str):
     if not isinstance(spec, dict) or "form" not in spec:
         raise ConfigError(f"kernel spec for {role!r} needs a 'form' key", field=role)
     form = spec["form"]
+    if not isinstance(form, str) or form not in _KERNEL_PARAMS:
+        raise ConfigError(f"unknown kernel form {form!r} for {role!r}", field=role)
+    _check_subkeys(spec, {"form", *_KERNEL_PARAMS[form]}, role)
+    p = {key: _param(spec, key, d, role) for key, d in _KERNEL_PARAMS[form].items()}
+    on_states = role in ("eta", "W0")   # (..., m) -> (...) rather than elementwise
     if form == "identity":
-        _check_subkeys(spec, {"form"}, role)
         return lambda x: np.asarray(x, dtype=float)
     if form == "linear":
-        _check_subkeys(spec, {"form", "slope"}, role)
-        slope = float(spec.get("slope", 1.0))
-        return lambda x: slope * np.asarray(x, dtype=float)
+        return lambda x: p["slope"] * np.asarray(x, dtype=float)
     if form == "gaussian":
-        _check_subkeys(spec, {"form", "amplitude", "length"}, role)
-        a = float(spec.get("amplitude", 1.0))
-        ell = float(spec.get("length", 1.0))
-        if role in ("eta", "W0"):
+        a, ell = p["amplitude"], p["length"]
+        if on_states:
             return lambda x: a * np.exp(-np.sum(np.square(np.asarray(x, dtype=float)), axis=-1) / ell ** 2)
         return lambda d: a * np.exp(-np.square(np.asarray(d, dtype=float)) / ell ** 2)
     if form == "constant":
-        _check_subkeys(spec, {"form", "value"}, role)
-        v = float(spec.get("value", 1.0))
-        if role in ("eta", "W0"):
-            return lambda x: np.full(np.asarray(x).shape[:-1], v)
-        return lambda x: np.full(np.shape(x), v)
+        if on_states:
+            return lambda x: np.full(np.asarray(x).shape[:-1], p["value"])
+        return lambda x: np.full(np.shape(x), p["value"])
     if form == "sigmoid":
-        _check_subkeys(spec, {"form"}, role)
         return lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
     if form == "tanh":
-        _check_subkeys(spec, {"form", "gain", "scale"}, role)
-        gain = float(spec.get("gain", 1.0))
-        scale = float(spec.get("scale", 1.0))
-        return lambda x: gain * np.tanh(scale * np.asarray(x, dtype=float))
-    if form == "indicator":
-        _check_subkeys(spec, {"form", "threshold"}, role)
-        thr = float(spec.get("threshold", 1.0))
-        return lambda d: (np.asarray(d, dtype=float) < thr).astype(float)
-    raise ConfigError(f"unknown kernel form {form!r} for {role!r}", field=role)
+        return lambda x: p["gain"] * np.tanh(p["scale"] * np.asarray(x, dtype=float))
+    return lambda d: (np.asarray(d, dtype=float) < p["threshold"]).astype(float)
 
 
-def model_from_spec(spec) -> "SmoothModel":
+# model name -> (kernel params, numeric params with defaults; None marks a required one)
+_MODEL_PARAMS = {"kernel-relaxation": (("K", "eta"), {"kappa": None}),
+                 "boschi": (("g",), {"J0": None, "gamma": None, "sigma_noise": 0.0}),
+                 "quadratic-potential": ((), {"kappa": 1.0, "c": 1.0})}
+
+
+def model_from_spec(spec, field: str = "model") -> "SmoothModel":
     if not isinstance(spec, dict) or "name" not in spec:
-        raise ConfigError("model spec needs a 'name' key", field="model")
-    _check_subkeys(spec, {"name", "params"}, "model")
+        raise ConfigError("model spec needs a 'name' key", field=field)
+    _check_subkeys(spec, {"name", "params"}, field)
+    name = spec["name"]
+    if not isinstance(name, str) or name not in _MODEL_PARAMS:
+        raise ConfigError(f"unknown model name {name!r}", field="model.name")
+    params = _map(spec.get("params", {}), "model.params")
+    kernels, numbers = _MODEL_PARAMS[name]
+    _check_subkeys(params, {*kernels, *numbers, "m"}, "model.params")
+    for req in (*kernels, *(k for k, d in numbers.items() if d is None)):
+        if req not in params:
+            raise ConfigError(f"{name} requires model.params.{req}", field=f"model.params.{req}")
+    args = {k: kernel_from_spec(params[k], k) for k in kernels}
+    args.update({k: _param(params, k, d, "model.params") for k, d in numbers.items()})
+    args["m"] = _count(params.get("m", 1), "model.params.m")
     try:
-        return _model_from_spec_inner(spec)
-    except ConfigError:
-        raise
+        return catalog(name, args)
     except CoevnetError as exc:
         # a model that fails its own construction checks is a config problem
-        raise ConfigError(f"invalid model spec: {exc}", field="model") from exc
+        raise ConfigError(f"invalid model spec: {exc}", field=field) from exc
 
 
-def _model_from_spec_inner(spec) -> "SmoothModel":
-    name = spec["name"]
-    params = dict(spec.get("params", {}))
-    if name == "kernel-relaxation":
-        _check_subkeys(params, {"K", "eta", "kappa", "m"}, "model.params")
-        for req in ("K", "eta", "kappa"):
-            if req not in params:
-                raise ConfigError(f"kernel-relaxation requires model.params.{req}",
-                                  field=f"model.params.{req}")
-        return catalog(name, {"K": kernel_from_spec(params["K"], "K"),
-                              "eta": kernel_from_spec(params["eta"], "eta"),
-                              "kappa": float(params["kappa"]),
-                              "m": int(params.get("m", 1))})
-    if name == "boschi":
-        _check_subkeys(params, {"g", "J0", "gamma", "sigma_noise", "m"}, "model.params")
-        for req in ("g", "J0", "gamma"):
-            if req not in params:
-                raise ConfigError(f"boschi requires model.params.{req}",
-                                  field=f"model.params.{req}")
-        return catalog(name, {"g": kernel_from_spec(params["g"], "g"),
-                              "J0": float(params["J0"]),
-                              "gamma": float(params["gamma"]),
-                              "sigma_noise": float(params.get("sigma_noise", 0.0)),
-                              "m": int(params.get("m", 1))})
-    if name == "quadratic-potential":
-        _check_subkeys(params, {"kappa", "c", "m"}, "model.params")
-        return catalog(name, {"kappa": float(params.get("kappa", 1.0)),
-                              "c": float(params.get("c", 1.0)),
-                              "m": int(params.get("m", 1))})
-    raise ConfigError(f"unknown model name {name!r}", field="model.name")
-
-
-def _rates_from_config(raw) -> MinimalParams:
+def _rates_from_config(raw, name: str = "rates") -> MinimalParams:
     if not isinstance(raw, dict):
-        raise ConfigError("rates must be a map of rate names to values", field="rates")
-    _check_subkeys(raw, set(RATE_KEYS), "rates")
-    vals = {}
-    for key in RATE_KEYS:
-        v = float(raw.get(key, 0.0))
-        if not np.isfinite(v) or v < 0:
+        raise ConfigError("rates must be a map of rate names to values", field=name)
+    _check_subkeys(raw, RATE_KEYS, name)
+    vals = {key: _param(raw, key, 0.0, name) for key in RATE_KEYS}
+    for key, v in vals.items():
+        if v < 0:
             raise ConfigError(f"rate {key} must be finite and nonnegative, got {v}",
-                              field=f"rates.{key}")
-        vals[key] = v
+                              field=f"{name}.{key}")
     return MinimalParams(**vals)
 
 
-def _states_from_spec(spec, N: int, m: int, rng) -> np.ndarray:
-    if not isinstance(spec, dict):
-        raise ConfigError("states spec must be a map", field="init.states")
-    if "values" in spec:
-        _check_subkeys(spec, {"values"}, "init.states")
+def _values(spec, shape: tuple, where: str) -> np.ndarray:
+    _check_subkeys(spec, {"values"}, where)
+    try:
         arr = np.asarray(spec["values"], dtype=float)
-        if arr.ndim == 1:
-            arr = arr[:, None]
-        if arr.shape != (N, m):
-            raise ConfigError(f"init.states.values must have shape ({N}, {m})",
-                              field="init.states.values")
-        return arr
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{where}.values must be numbers: {exc}", field=f"{where}.values") from None
+    if arr.ndim == 1 and shape[1] == 1:   # a list of scalar states
+        arr = arr[:, None]
+    if arr.shape != shape:
+        raise ConfigError(f"{where}.values must have shape {shape}", field=f"{where}.values")
+    return arr
+
+
+def _states_from_spec(spec, N: int, m: int, rng) -> np.ndarray:
+    where = "init.states"
+    if not isinstance(spec, dict):
+        raise ConfigError("states spec must be a map", field=where)
+    if "values" in spec:
+        return _values(spec, (N, m), where)
     dist = spec.get("dist")
     if dist == "uniform":
-        _check_subkeys(spec, {"dist", "low", "high"}, "init.states")
-        return rng.uniform(float(spec.get("low", -1.0)), float(spec.get("high", 1.0)),
+        _check_subkeys(spec, {"dist", "low", "high"}, where)
+        return rng.uniform(_param(spec, "low", -1.0, where), _param(spec, "high", 1.0, where),
                            size=(N, m))
     if dist == "normal":
-        _check_subkeys(spec, {"dist", "mean", "std"}, "init.states")
-        return rng.normal(float(spec.get("mean", 0.0)), float(spec.get("std", 1.0)),
+        _check_subkeys(spec, {"dist", "mean", "std"}, where)
+        return rng.normal(_param(spec, "mean", 0.0, where), _param(spec, "std", 1.0, where),
                           size=(N, m))
-    raise ConfigError("init.states needs 'values' or dist in {uniform, normal}",
-                      field="init.states")
+    raise ConfigError("init.states needs 'values' or dist in {uniform, normal}", field=where)
 
 
-def _weights_from_spec(spec, N: int, rng, model=None, states=None) -> np.ndarray:
+def _weights_from_spec(spec, N: int, rng, model, states) -> np.ndarray:
+    where = "init.weights"
     if not isinstance(spec, dict):
-        raise ConfigError("weights spec must be a map", field="init.weights")
+        raise ConfigError("weights spec must be a map", field=where)
     if "values" in spec:
-        _check_subkeys(spec, {"values"}, "init.weights")
-        W = np.asarray(spec["values"], dtype=float)
-        if W.shape != (N, N):
-            raise ConfigError(f"init.weights.values must have shape ({N}, {N})",
-                              field="init.weights.values")
-        return W
+        return _values(spec, (N, N), where)
     if spec.get("nullcline"):
-        _check_subkeys(spec, {"nullcline", "offset"}, "init.weights")
-        offset = float(spec.get("offset", 0.0))
+        _check_subkeys(spec, {"nullcline", "offset"}, where)
+        offset = _param(spec, "offset", 0.0, where)
         W = np.zeros((N, N))
         for i in range(N):
             for j in range(i + 1, N):
@@ -243,491 +236,430 @@ def _weights_from_spec(spec, N: int, rng, model=None, states=None) -> np.ndarray
         return W
     dist = spec.get("dist")
     if dist == "uniform":
-        _check_subkeys(spec, {"dist", "low", "high"}, "init.weights")
-        W = rng.uniform(float(spec.get("low", 0.0)), float(spec.get("high", 1.0)),
+        _check_subkeys(spec, {"dist", "low", "high"}, where)
+        W = rng.uniform(_param(spec, "low", 0.0, where), _param(spec, "high", 1.0, where),
                         size=(N, N))
         W = np.triu(W, 1)
         return W + W.T
     if dist == "constant":
-        _check_subkeys(spec, {"dist", "value"}, "init.weights")
-        W = np.full((N, N), float(spec.get("value", 0.0)))
+        _check_subkeys(spec, {"dist", "value"}, where)
+        W = np.full((N, N), _param(spec, "value", 0.0, where))
         np.fill_diagonal(W, 0.0)
         return W
     raise ConfigError("init.weights needs 'values', 'nullcline' or dist in {uniform, constant}",
-                      field="init.weights")
+                      field=where)
 
 
-def _discrete_init(init, N, rng) -> DiscreteConfiguration:
-    _check_subkeys(init, {"rho_p", "p_pp", "p_mm", "p_pm"}, "init")
-    for key in ("rho_p", "p_pp", "p_mm", "p_pm"):
+def _required(init: dict, keys, allowed=None):
+    _check_subkeys(init, allowed or keys, "init")
+    for key in keys:
         if key not in init:
             raise ConfigError(f"init.{key} is required", field=f"init.{key}")
-        v = float(init[key])
-        if not 0.0 <= v <= 1.0:
-            raise ConfigError(f"init.{key} must lie in [0, 1]", field=f"init.{key}")
-    return polarized_link_config(N, float(init["rho_p"]), float(init["p_pp"]),
-                                 float(init["p_mm"]), float(init["p_pm"]), rng)
 
 
-# -- validation ----------------------------------------------------------------
+def _link_densities(init: dict) -> list[float]:
+    keys = ("rho_p", "p_pp", "p_mm", "p_pm")
+    _required(init, keys)
+    return [float(_unit(init[key], f"init.{key}")) for key in keys]
 
 
-def _positive(cfg, key, strict=True):
-    v = cfg.get(key)
-    if v is None:
-        return
-    v = float(v)
-    if strict and not v > 0:
-        raise ConfigError(f"{key} must be positive, got {v}", field=key)
-    if not strict and v < 0:
-        raise ConfigError(f"{key} must be nonnegative, got {v}", field=key)
+def _random_links(rng, N: int, link_prob: float) -> np.ndarray:
+    W = (rng.random((N, N)) < link_prob).astype(np.int8)
+    W = np.triu(W, 1)
+    return W + W.T
 
 
-def validate_config(cfg: dict) -> tuple[str, list[str]]:
-    """Full schema and range check; returns (plan summary, warnings)."""
-    if not isinstance(cfg, dict):
-        raise ConfigError("config must be a JSON object")
-    if "sweep" in cfg:
-        _check_subkeys(cfg, {"sweep"}, "config")
-        if not isinstance(cfg["sweep"], list) or not cfg["sweep"]:
-            raise ConfigError("sweep must be a non-empty list of configs", field="sweep")
-        plans = []
-        warnings = []
-        for k, sub in enumerate(cfg["sweep"]):
-            plan, warn = validate_config(sub)
-            plans.append(f"[{k}] {plan}")
-            warnings.extend(warn)
-        return "sweep of " + "; ".join(plans), warnings
+# -- builds: add the initial data to the parsed fields ---------------------------
 
-    kind = cfg.get("kind")
-    if kind not in KINDS:
-        raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}", field="kind")
-    fields = _FIELDS[kind]
-    allowed = _COMMON_FIELDS | set(fields)
-    unknown = set(cfg) - allowed
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} for kind {kind!r}",
-                          field=sorted(unknown)[0])
-    for name, (required, _default) in fields.items():
-        if required and name not in cfg:
-            raise ConfigError(f"missing required field {name!r} for kind {kind!r}",
-                              field=name)
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        raise ConfigError("seed must be an integer", field="seed")
-    if "workers" in cfg and (not isinstance(cfg["workers"], int) or cfg["workers"] < 1):
-        raise ConfigError("workers must be a positive integer", field="workers")
 
-    warnings: list[str] = []
-    for key in ("T",):
-        if key in fields and cfg.get(key) is not None and float(cfg[key]) < 0:
-            raise ConfigError("T must be nonnegative", field="T")
-    for key in ("dt", "tau", "closure_dt", "reduced_dt", "tau_dt"):
-        if key in cfg and cfg[key] is not None:
-            _positive(cfg, key)
-    for key in ("N", "M", "runs", "sample_stride"):
-        if key in cfg and (not isinstance(cfg[key], int) or cfg[key] < 1):
-            raise ConfigError(f"{key} must be a positive integer", field=key)
+def _build_agents(x):
+    _check_subkeys(x.init, {"states", "weights"}, "init")
+    if "states" not in x.init or "weights" not in x.init:
+        raise ConfigError("init needs 'states' and 'weights'", field="init")
+    rng = np.random.default_rng(x.seed)
+    states = _states_from_spec(x.init["states"], x.N, x.model.m, rng)
+    weights = _weights_from_spec(x.init["weights"], x.N, rng, x.model, states)
+    x.agents = AgentConfiguration(states=states, weights=weights)
 
-    if "rates" in fields:
-        _rates_from_config(cfg["rates"])
-    model = None
-    if "model" in fields:
-        model = model_from_spec(cfg["model"])
-    if kind in ("micro", "diffusive", "epsilon-sweep"):
-        init = cfg["init"]
-        _check_subkeys(init, {"states", "weights"}, "init")
-        if "states" not in init or "weights" not in init:
-            raise ConfigError("init needs 'states' and 'weights'", field="init")
-        # dry-run the builders so run() cannot fail config-side after validate
-        try:
-            rng_probe = np.random.default_rng(0)
-            states = _states_from_spec(init["states"], int(cfg["N"]), model.m, rng_probe)
-            if "nullcline" not in init["weights"]:
-                _weights_from_spec(init["weights"], int(cfg["N"]), rng_probe)
-        except ConfigError:
-            raise
-        except CoevnetError:
-            pass
-    if kind in ("minimal", "compare"):
-        rng_probe = np.random.default_rng(0)
-        _discrete_init(cfg["init"], max(int(cfg["N"]), 10), rng_probe)
-    if kind == "voter":
-        _check_subkeys(cfg["init"], {"rho_p", "link_prob"}, "init")
-        for key in ("rho_p", "link_prob"):
-            if key not in cfg["init"]:
-                raise ConfigError(f"init.{key} is required", field=f"init.{key}")
-        for key in ("p", "q"):
-            if key in cfg and not 0.0 <= float(cfg[key]) <= 1.0:
-                raise ConfigError(f"{key} must lie in [0, 1]", field=key)
-        if cfg.get("variant", "pq") not in ("pq", "original"):
-            raise ConfigError("variant must be 'pq' or 'original'", field="variant")
-    if kind == "hybrid-bc":
-        kernel_from_spec(cfg["F"], "F")
-        kernel_from_spec(cfg["r"], "r")
-        _check_subkeys(cfg["init"], {"states", "link_prob"}, "init")
-        if "states" not in cfg["init"]:
-            raise ConfigError("init.states is required", field="init.states")
-        try:
-            _states_from_spec(cfg["init"]["states"], int(cfg["N"]), 1,
-                              np.random.default_rng(0))
-        except ConfigError:
-            raise
-        except CoevnetError:
-            pass
-    if kind == "minimal" and cfg.get("mode", "gillespie") == "tau-leap" and not cfg.get("tau_dt"):
+
+def _check_tau_leap(x):
+    if x.mode == "tau-leap" and not x.tau_dt:
         raise ConfigError("tau-leap mode requires tau_dt", field="tau_dt")
-    if kind == "closure":
-        if cfg["kind_closure"] not in ("conditional", "kirkwood"):
-            raise ConfigError("kind_closure must be 'conditional' or 'kirkwood'",
-                              field="kind_closure")
-        init = cfg["init"]
-        _check_subkeys(init, {"moments", "stationary"}, "init")
-        if ("moments" in init) == ("stationary" in init):
-            raise ConfigError("closure init needs exactly one of 'moments' or 'stationary'",
-                              field="init")
-        if "stationary" in init:
-            _check_subkeys(init["stationary"], {"rho_p", "g_pm"}, "init.stationary")
-        try:
-            _closure_initial(cfg)
-        except ConfigError:
-            raise
-        except CoevnetError:
-            pass
-    if kind == "stationary":
-        rho = float(cfg["rho_p"])
-        if not 0.0 <= rho <= 1.0:
-            raise ConfigError("rho_p must lie in [0, 1]", field="rho_p")
-        if not 0.0 <= float(cfg["g_pm"]) <= min(rho, 1.0 - rho) + 1e-15:
-            raise ConfigError("g_pm must lie in [0, min(rho_p, 1 - rho_p)]", field="g_pm")
-        if float(cfg["rates"].get("beta_pm", 0.0)) != 0.0:
-            warnings.append("stationary family requires beta_pm = 0; the run will fail")
-    if kind == "continuation":
-        if cfg["kind_closure"] not in ("conditional", "kirkwood"):
-            raise ConfigError("kind_closure must be 'conditional' or 'kirkwood'",
-                              field="kind_closure")
-        p = _rates_from_config(cfg["rates"])
-        if not 0.0 < float(cfg["rho_p"]) < 1.0:
-            raise ConfigError("rho_p must lie in (0, 1)", field="rho_p")
-        if not isinstance(cfg["eps_list"], list) or not cfg["eps_list"]:
-            raise ConfigError("eps_list must be a non-empty list", field="eps_list")
-        alpha_sum = p.alpha_pm + p.alpha_mp
-        if cfg["kind_closure"] == "conditional" and not 2 * p.gamma_pm > alpha_sum:
-            warnings.append("continuation hypothesis violated: 2 gamma_pm <= alpha_pm + "
-                            "alpha_mp; the Newton branch may fail")
-        if cfg["kind_closure"] == "kirkwood" and not p.gamma_pm > alpha_sum:
-            warnings.append("continuation hypothesis violated: gamma_pm <= alpha_pm + "
-                            "alpha_mp; the Newton branch may fail")
-    if kind == "characteristics":
-        if cfg["variant"] not in ("wc", "conditional"):
-            raise ConfigError("variant must be 'wc' or 'conditional'", field="variant")
-        init = cfg["init"]
-        _check_subkeys(init, {"anchors", "W0", "weights"}, "init")
-        if "anchors" not in init:
-            raise ConfigError("init.anchors is required", field="init.anchors")
-        if cfg["variant"] == "wc" and "W0" not in init:
-            raise ConfigError("wc variant requires init.W0", field="init.W0")
-        if cfg["variant"] == "conditional" and "weights" not in init and "W0" not in init:
-            raise ConfigError("conditional variant requires init.weights or init.W0",
-                              field="init.weights")
-        if "W0" in init:
-            kernel_from_spec(init["W0"], "W0")
-        try:
-            _states_from_spec(init["anchors"], int(cfg["M"]), model.m,
-                              np.random.default_rng(0))
-            if "weights" in init:
-                _weights_from_spec(init["weights"], int(cfg["M"]),
-                                   np.random.default_rng(0))
-        except ConfigError:
-            raise
-        except CoevnetError:
-            pass
-    if kind == "epsilon-sweep":
-        if not isinstance(cfg["eps_list"], list) or not cfg["eps_list"]:
-            raise ConfigError("eps_list must be a non-empty list", field="eps_list")
-        if any(float(e) <= 0 for e in cfg["eps_list"]):
-            raise ConfigError("eps values must be positive", field="eps_list")
-
-    label = cfg.get("label", "")
-    plan = f"kind={kind} seed={cfg.get('seed', 0)}"
-    if label:
-        plan += f" label={label}"
-    for key in ("N", "M", "runs", "T", "dt"):
-        if key in cfg:
-            plan += f" {key}={cfg[key]}"
-    return plan, warnings
 
 
-# -- experiment handlers -------------------------------------------------------
+def _build_minimal(x):
+    x.disc = polarized_link_config(x.N, *_link_densities(x.init), np.random.default_rng(x.seed))
+    _check_tau_leap(x)
 
 
-def _handle_micro(cfg, out_dir, diffusive=False):
-    seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
-    model = model_from_spec(cfg["model"])
-    N = cfg["N"]
-    states = _states_from_spec(cfg["init"]["states"], N, model.m, rng)
-    weights = _weights_from_spec(cfg["init"]["weights"], N, rng, model=model, states=states)
-    agent_cfg = AgentConfiguration(states=states, weights=weights)
-    stride = cfg.get("sample_stride", 1)
-    if diffusive:
-        traj = simulate_diffusive(agent_cfg, model, dt=cfg["dt"], T=cfg["T"], seed=seed)
-    else:
-        traj = integrate_micro(agent_cfg, model, dt=cfg["dt"], T=cfg["T"],
-                               eps_w=cfg.get("eps_w", 1.0), eps_s=cfg.get("eps_s", 1.0),
-                               method=cfg.get("method", "rk4"))
-    times = traj.times[::stride]
-    confs = traj.configs[::stride]
-    if traj.times and (len(traj.times) - 1) % stride != 0:
-        times = list(times) + [traj.times[-1]]
-        confs = list(confs) + [traj.configs[-1]]
-    io.write_states_csv(os.path.join(out_dir, "states.csv"), times,
-                        [c.states for c in confs])
-    io.write_weights_csv(os.path.join(out_dir, "weights.csv"), times,
-                         [c.weights for c in confs])
-    return ["states.csv", "weights.csv"]
+def _build_voter(x):
+    _required(x.init, ("rho_p", "link_prob"))
+    rng = np.random.default_rng(x.seed)
+    states = np.where(rng.random(x.N) < _param(x.init, "rho_p", None, "init"), 1, -1)
+    W = _random_links(rng, x.N, _param(x.init, "link_prob", None, "init"))
+    x.disc = DiscreteConfiguration(states=states.astype(np.int8), weights=W)
 
 
-def _handle_minimal(cfg, out_dir):
-    seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
-    p = _rates_from_config(cfg["rates"])
-    disc = _discrete_init(cfg["init"], cfg["N"], rng)
-    traj = simulate_minimal(disc, p, T=cfg["T"], seed=seed,
-                            mode=cfg.get("mode", "gillespie"),
-                            tau_dt=cfg.get("tau_dt"),
-                            sample_dt=cfg.get("sample_dt"),
-                            record_events=cfg.get("record_events", True),
-                            record_moments=True)
-    io.write_states_csv(os.path.join(out_dir, "states.csv"), traj.times,
-                        [c.states for c in traj.configs])
-    io.write_weights_csv(os.path.join(out_dir, "weights.csv"), traj.times,
-                         [c.weights for c in traj.configs])
-    io.write_events_csv(os.path.join(out_dir, "events.csv"), traj.events)
-    io.write_moments_csv(os.path.join(out_dir, "moments.csv"),
-                         traj.moment_times, traj.moments)
-    return ["states.csv", "weights.csv", "events.csv", "moments.csv"]
+def _build_hybrid(x):
+    _required(x.init, ("states",), ("states", "link_prob"))
+    rng = np.random.default_rng(x.seed)
+    states = _states_from_spec(x.init["states"], x.N, 1, rng)
+    W = _random_links(rng, x.N, _param(x.init, "link_prob", 0.0, "init"))
+    x.hybrid = HybridConfiguration(states=states, weights=W)
 
 
-def _handle_voter(cfg, out_dir):
-    seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
-    N = cfg["N"]
-    init = cfg["init"]
-    rho = float(init["rho_p"])
-    link_prob = float(init["link_prob"])
-    states = np.where(rng.random(N) < rho, 1, -1).astype(np.int8)
-    W = (rng.random((N, N)) < link_prob).astype(np.int8)
-    W = np.triu(W, 1)
-    W = W + W.T
-    disc = DiscreteConfiguration(states=states, weights=W)
-    traj = simulate_voter(disc, prob_p=float(cfg["p"]), prob_q=float(cfg.get("q", 0.5)),
-                          T=cfg["T"], seed=seed, variant=cfg.get("variant", "pq"),
-                          sample_dt=cfg.get("sample_dt"),
-                          record_events=cfg.get("record_events", True))
-    io.write_states_csv(os.path.join(out_dir, "states.csv"), traj.times,
-                        [c.states for c in traj.configs])
-    io.write_weights_csv(os.path.join(out_dir, "weights.csv"), traj.times,
-                         [c.weights for c in traj.configs])
-    io.write_events_csv(os.path.join(out_dir, "events.csv"), traj.events)
-    return ["states.csv", "weights.csv", "events.csv"]
-
-
-def _handle_hybrid(cfg, out_dir):
-    seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
-    N = cfg["N"]
-    init = cfg["init"]
-    states = _states_from_spec(init["states"], N, 1, rng)
-    link_prob = float(init.get("link_prob", 0.0))
-    W = (rng.random((N, N)) < link_prob).astype(np.int8)
-    W = np.triu(W, 1)
-    W = W + W.T
-    hybrid_cfg = HybridConfiguration(states=states, weights=W)
-    F = kernel_from_spec(cfg["F"], "F")
-    r = kernel_from_spec(cfg["r"], "r")
-    traj = simulate_hybrid_bc(hybrid_cfg, F=F, r=r, tau=cfg["tau"], dt=cfg["dt"],
-                              T=cfg["T"], seed=seed,
-                              sample_stride=cfg.get("sample_stride", 1))
-    io.write_states_csv(os.path.join(out_dir, "states.csv"), traj.times,
-                        [c.states for c in traj.configs])
-    io.write_weights_csv(os.path.join(out_dir, "weights.csv"), traj.times,
-                         [c.weights for c in traj.configs])
-    return ["states.csv", "weights.csv"]
-
-
-def _closure_initial(cfg):
-    from .moments import MinimalMoments
-    init = cfg["init"]
-    p = _rates_from_config(cfg["rates"])
-    if "stationary" in init:
-        st = init["stationary"]
-        return p, stationary_polarized(p, float(st["rho_p"]), float(st["g_pm"]))
-    vals = init["moments"]
-    if len(vals) != 6:
-        raise ConfigError("init.moments must list the six moment values",
-                          field="init.moments")
+def _build_closure(x):
+    _check_subkeys(x.init, {"moments", "stationary"}, "init")
+    if ("moments" in x.init) == ("stationary" in x.init):
+        raise ConfigError("closure init needs exactly one of 'moments' or 'stationary'",
+                          field="init")
+    if "stationary" in x.init:
+        st = _map(x.init["stationary"], "init.stationary")
+        _check_subkeys(st, {"rho_p", "g_pm"}, "init.stationary")
+        x.m0 = stationary_polarized(x.rates, _param(st, "rho_p", None, "init.stationary"),
+                                    _param(st, "g_pm", None, "init.stationary"))
+        return
+    vals = x.init["moments"]
+    if not isinstance(vals, list) or len(vals) != 6:
+        raise ConfigError("init.moments must list the six moment values", field="init.moments")
     try:
-        return p, MinimalMoments(*[float(v) for v in vals])
+        x.m0 = MinimalMoments(*[float(_number(v, "init.moments")) for v in vals])
     except InvariantViolation as exc:
         raise ConfigError(f"init.moments is not a valid moment vector: {exc}",
                           field="init.moments") from exc
 
 
-def _handle_closure(cfg, out_dir):
-    p, m0 = _closure_initial(cfg)
-    traj = integrate_closure(m0, p, cfg["kind_closure"], dt=cfg["dt"], T=cfg["T"],
-                             sample_stride=cfg.get("sample_stride", 1))
+def _build_stationary(x):
+    if not 0.0 <= x.g_pm <= min(x.rho_p, 1.0 - x.rho_p) + 1e-15:
+        raise ConfigError("g_pm must lie in [0, min(rho_p, 1 - rho_p)]", field="g_pm")
+    if x.rates.beta_pm != 0.0:
+        x.warnings.append("stationary family requires beta_pm = 0; the run will fail")
+
+
+def _build_continuation(x):
+    if not 0.0 < x.rho_p < 1.0:
+        raise ConfigError("rho_p must lie in (0, 1)", field="rho_p")
+    alpha_sum = x.rates.alpha_pm + x.rates.alpha_mp
+    if x.kind_closure == "conditional" and not 2 * x.rates.gamma_pm > alpha_sum:
+        x.warnings.append("continuation hypothesis violated: 2 gamma_pm <= alpha_pm + "
+                          "alpha_mp; the Newton branch may fail")
+    if x.kind_closure == "kirkwood" and not x.rates.gamma_pm > alpha_sum:
+        x.warnings.append("continuation hypothesis violated: gamma_pm <= alpha_pm + "
+                          "alpha_mp; the Newton branch may fail")
+
+
+def _build_characteristics(x):
+    init = x.init
+    _required(init, ("anchors",), ("anchors", "W0", "weights"))
+    if x.variant == "wc" and "W0" not in init:
+        raise ConfigError("wc variant requires init.W0", field="init.W0")
+    if x.variant == "conditional" and "weights" not in init and "W0" not in init:
+        raise ConfigError("conditional variant requires init.weights or init.W0",
+                          field="init.weights")
+    W0 = kernel_from_spec(init["W0"], "W0") if "W0" in init else None
+    rng = np.random.default_rng(x.seed)
+    anchors = _states_from_spec(init["anchors"], x.M, x.model.m, rng)
+    if x.variant == "wc":
+        x.surface = lambda s, sig: W0(np.asarray(s, dtype=float) - np.asarray(sig, dtype=float))
+        x.ensemble = make_wc_ensemble(anchors, x.surface)
+        return
+    if "weights" in init:
+        W = _weights_from_spec(init["weights"], x.M, rng, x.model, anchors)
+    else:
+        si, sj = _pair_grids(anchors)
+        W = np.asarray(W0(si - sj), dtype=float).copy()
+    np.fill_diagonal(W, 0.0)
+    x.ensemble = CharacteristicEnsemble(anchors=anchors, pair_weights=W,
+                                        masses=uniform_masses(x.M))
+
+
+def _build_compare(x):
+    _link_densities(x.init)   # each replica draws its own configuration when run
+    _check_tau_leap(x)
+
+
+def _build_epsilon_sweep(x):
+    if any(e <= 0 for e in x.eps_list):
+        raise ConfigError("eps values must be positive", field="eps_list")
+    _build_agents(x)
+
+
+# -- runs: integrate a built experiment, write its artifacts ---------------------
+
+
+def _write_configs(out_dir, times, configs) -> list[str]:
+    io.write_states_csv(os.path.join(out_dir, "states.csv"), times, [c.states for c in configs])
+    io.write_weights_csv(os.path.join(out_dir, "weights.csv"), times, [c.weights for c in configs])
+    return ["states.csv", "weights.csv"]
+
+
+def _run_micro(x, out_dir, workers):
+    """The micro and diffusive kinds: every sample_stride-th sample plus the last."""
+    if x.kind == "diffusive":
+        traj = simulate_diffusive(x.agents, x.model, dt=x.dt, T=x.T, seed=x.seed)
+    else:
+        traj = integrate_micro(x.agents, x.model, dt=x.dt, T=x.T, eps_w=x.eps_w, eps_s=x.eps_s,
+                               method=x.method)
+    stride = x.sample_stride
+    times, confs = traj.times[::stride], traj.configs[::stride]
+    if traj.times and (len(traj.times) - 1) % stride != 0:
+        times = list(times) + [traj.times[-1]]
+        confs = list(confs) + [traj.configs[-1]]
+    return _write_configs(out_dir, times, confs)
+
+
+def _run_minimal(x, out_dir, workers):
+    traj = simulate_minimal(x.disc, x.rates, T=x.T, seed=x.seed, mode=x.mode, tau_dt=x.tau_dt,
+                            sample_dt=x.sample_dt, record_events=x.record_events,
+                            record_moments=True)
+    io.write_events_csv(os.path.join(out_dir, "events.csv"), traj.events)
+    io.write_moments_csv(os.path.join(out_dir, "moments.csv"), traj.moment_times, traj.moments)
+    return _write_configs(out_dir, traj.times, traj.configs) + ["events.csv", "moments.csv"]
+
+
+def _run_voter(x, out_dir, workers):
+    traj = simulate_voter(x.disc, prob_p=float(x.p), prob_q=float(x.q), T=x.T, seed=x.seed,
+                          variant=x.variant, sample_dt=x.sample_dt,
+                          record_events=x.record_events)
+    io.write_events_csv(os.path.join(out_dir, "events.csv"), traj.events)
+    return _write_configs(out_dir, traj.times, traj.configs) + ["events.csv"]
+
+
+def _run_hybrid(x, out_dir, workers):
+    traj = simulate_hybrid_bc(x.hybrid, F=x.F, r=x.r, tau=x.tau, dt=x.dt, T=x.T, seed=x.seed,
+                              sample_stride=x.sample_stride)
+    return _write_configs(out_dir, traj.times, traj.configs)
+
+
+def _run_closure(x, out_dir, workers):
+    traj = integrate_closure(x.m0, x.rates, x.kind_closure, dt=x.dt, T=x.T,
+                             sample_stride=x.sample_stride)
     io.write_closure_csv(os.path.join(out_dir, "trajectory.csv"), traj)
     io.write_json(os.path.join(out_dir, "summary.json"), {
-        "status": traj.status,
-        "clamp_events": traj.clamp_events,
+        "status": traj.status, "clamp_events": traj.clamp_events,
         "kirkwood_artifact": traj.kirkwood_artifact,
-        "final": traj.moments[-1],
-        "t_final": traj.times[-1],
-    })
+        "final": traj.moments[-1], "t_final": traj.times[-1]})
     return ["trajectory.csv", "summary.json"]
 
 
-def _handle_stationary(cfg, out_dir):
-    p = _rates_from_config(cfg["rates"])
-    m = stationary_polarized(p, float(cfg["rho_p"]), float(cfg["g_pm"]))
-    from .closures import closure_rhs
+def _run_stationary(x, out_dir, workers):
+    p, rho_p = x.rates, float(x.rho_p)
+    m = stationary_polarized(p, rho_p, float(x.g_pm))
+    stable, margin = polarization_stable(p, rho_p)
     report = {
         "moments": m.as_array(),
         "rho_p": m.rho_p,
         "residual_conditional": float(np.max(np.abs(closure_rhs(m, p, "conditional")))),
         "residual_kirkwood": float(np.max(np.abs(closure_rhs(m, p, "kirkwood")))),
+        "stability_condition_holds": bool(stable),
+        "stability_margin": margin,
     }
-    stable, margin = polarization_stable(p, float(cfg["rho_p"]))
-    report["stability_condition_holds"] = bool(stable)
-    report["stability_margin"] = margin
     for kind in ("conditional", "kirkwood"):
         jac = linearized_jacobian(p, m, kind)
-        report[f"eigenvalues_{kind}"] = {
-            "re": np.real(jac.eigenvalues), "im": np.imag(jac.eigenvalues)}
+        report[f"eigenvalues_{kind}"] = {"re": np.real(jac.eigenvalues),
+                                         "im": np.imag(jac.eigenvalues)}
         report[f"lambda_pm_{kind}"] = jac.lambda_pm
     io.write_json(os.path.join(out_dir, "stationary.json"), report)
     return ["stationary.json"]
 
 
-def _handle_continuation(cfg, out_dir):
-    p = _rates_from_config(cfg["rates"])
-    rho_p = float(cfg["rho_p"])
-    kind = cfg["kind_closure"]
-    branch_points = []
-    for eps in cfg["eps_list"]:
+def _run_continuation(x, out_dir, workers):
+    p, rho_p = x.rates, float(x.rho_p)
+    points = []
+    for eps in x.eps_list:
         p_eps = MinimalParams(p.alpha_pm, p.alpha_mp, p.beta_pp, p.beta_mm,
                               float(eps), p.gamma_pp, p.gamma_mm, p.gamma_pm)
-        branch = continue_small_epsilon(p_eps, rho_p, kind)
-        branch_points.append({
-            "eps": branch.eps,
-            "moments": branch.moments.as_array(),
-            "f_pm": branch.moments.f_pm,
-            "dfdeps": branch.dfdeps,
-            "residual": branch.residual,
-            "newton_iterations": branch.newton_iterations,
-        })
+        branch = continue_small_epsilon(p_eps, rho_p, x.kind_closure)
+        points.append({"eps": branch.eps, "moments": branch.moments.as_array(),
+                       "f_pm": branch.moments.f_pm, "dfdeps": branch.dfdeps,
+                       "residual": branch.residual,
+                       "newton_iterations": branch.newton_iterations})
     io.write_json(os.path.join(out_dir, "branch.json"),
-                  {"kind": kind, "rho_p": rho_p, "points": branch_points})
+                  {"kind": x.kind_closure, "rho_p": rho_p, "points": points})
     return ["branch.json"]
 
 
-def _handle_characteristics(cfg, out_dir):
-    seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
-    model = model_from_spec(cfg["model"])
-    M = cfg["M"]
-    init = cfg["init"]
-    anchors = _states_from_spec(init["anchors"], M, model.m, rng)
-    if cfg["variant"] == "wc":
-        W0 = kernel_from_spec(init["W0"], "W0")
-
-        def surface(s, sig, _W0=W0):
-            return _W0(np.asarray(s, dtype=float) - np.asarray(sig, dtype=float))
-
-        ens = make_wc_ensemble(anchors, surface)
-        traj = integrate_characteristics_wc(ens, model, surface, dt=cfg["dt"], T=cfg["T"],
-                                            sample_stride=cfg.get("sample_stride", 1))
+def _run_characteristics(x, out_dir, workers):
+    if x.variant == "wc":
+        traj = integrate_characteristics_wc(x.ensemble, x.model, x.surface, dt=x.dt, T=x.T,
+                                            sample_stride=x.sample_stride)
     else:
-        if "weights" in init:
-            W = _weights_from_spec(init["weights"], M, rng)
-            np.fill_diagonal(W, 0.0)
-        else:
-            W0 = kernel_from_spec(init["W0"], "W0")
-            si = np.broadcast_to(anchors[:, None, :], (M, M, model.m))
-            sj = np.broadcast_to(anchors[None, :, :], (M, M, model.m))
-            W = np.asarray(W0(si - sj), dtype=float).copy()
-            np.fill_diagonal(W, 0.0)
-        ens = CharacteristicEnsemble(anchors=anchors, pair_weights=W,
-                                     masses=uniform_masses(M))
-        traj = integrate_characteristics_conditional(ens, model, dt=cfg["dt"], T=cfg["T"],
-                                                     sample_stride=cfg.get("sample_stride", 1))
+        traj = integrate_characteristics_conditional(x.ensemble, x.model, dt=x.dt, T=x.T,
+                                                     sample_stride=x.sample_stride)
     io.write_states_csv(os.path.join(out_dir, "anchors.csv"), traj.times,
-                        [e.anchors for e in traj.ensembles],
-                        masses=traj.ensembles[0].masses)
+                        [e.anchors for e in traj.ensembles], masses=traj.ensembles[0].masses)
     io.write_weights_csv(os.path.join(out_dir, "pair_weights.csv"), traj.times,
                          [e.pair_weights for e in traj.ensembles])
-    io.write_json(os.path.join(out_dir, "injectivity.json"), {
-        "times": traj.times, "min_pair_distance": traj.min_pair_distance})
+    io.write_json(os.path.join(out_dir, "injectivity.json"),
+                  {"times": traj.times, "min_pair_distance": traj.min_pair_distance})
     return ["anchors.csv", "pair_weights.csv", "injectivity.json"]
 
 
-def _handle_compare(cfg, out_dir, workers):
-    p = _rates_from_config(cfg["rates"])
-    rep = run_comparison(p, N=cfg["N"], runs=cfg["runs"], T=cfg["T"], dt=cfg["dt"],
-                         seed=cfg.get("seed", 0), init=cfg["init"],
-                         mode=cfg.get("mode", "gillespie"), tau_dt=cfg.get("tau_dt"),
-                         closure_dt=cfg.get("closure_dt", 1e-3), workers=workers)
+def _run_compare(x, out_dir, workers):
+    rep = run_comparison(x.rates, N=x.N, runs=x.runs, T=x.T, dt=x.dt, seed=x.seed, init=x.init,
+                         mode=x.mode, tau_dt=x.tau_dt, closure_dt=x.closure_dt, workers=workers)
     io.write_json(os.path.join(out_dir, "report.json"), rep.to_json_dict())
     io.write_error_curves_csv(os.path.join(out_dir, "error_curves.csv"), rep)
-    io.write_moments_csv(os.path.join(out_dir, "mean_moments.csv"), rep.times,
-                         rep.mean_moments)
+    io.write_moments_csv(os.path.join(out_dir, "mean_moments.csv"), rep.times, rep.mean_moments)
     return ["report.json", "error_curves.csv", "mean_moments.csv"]
 
 
-def _handle_epsilon_sweep(cfg, out_dir):
-    seed = cfg.get("seed", 0)
-    rng = np.random.default_rng(seed)
-    model = model_from_spec(cfg["model"])
-    N = cfg["N"]
-    states = _states_from_spec(cfg["init"]["states"], N, model.m, rng)
-    weights = _weights_from_spec(cfg["init"]["weights"], N, rng, model=model, states=states)
-    agent_cfg = AgentConfiguration(states=states, weights=weights)
-    rep = run_epsilon_sweep(model, agent_cfg, eps_list=cfg["eps_list"], dt=cfg["dt"],
-                            T=cfg["T"], reduced_dt=cfg.get("reduced_dt"))
+def _run_epsilon_sweep(x, out_dir, workers):
+    rep = run_epsilon_sweep(x.model, x.agents, eps_list=x.eps_list, dt=x.dt, T=x.T,
+                            reduced_dt=x.reduced_dt)
     io.write_json(os.path.join(out_dir, "sweep.json"), rep.to_json_dict())
-    io.write_csv(os.path.join(out_dir, "gaps.csv"), ["eps", "gap"],
-                 list(zip(rep.eps, rep.gaps)))
+    io.write_csv(os.path.join(out_dir, "gaps.csv"), ["eps", "gap"], list(zip(rep.eps, rep.gaps)))
     return ["sweep.json", "gaps.csv"]
 
 
-def run_experiment(cfg: dict, out_dir: str, workers: int = 1) -> list[str]:
-    """Execute a validated single-experiment config into out_dir."""
-    kind = cfg["kind"]
+# -- one record per kind -------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kind:
+    """The fields of one experiment kind, how to build it and how to run it.
+
+    ``required`` maps field names to parsers, ``optional`` to (parser,
+    default); both keep the order of the README's per-kind table.  A JSON
+    null in an optional field whose default is None means that default.
+    """
+
+    required: dict
+    optional: dict
+    build: Callable      # (Experiment) -> None: checks ranges, adds the initial data
+    run: Callable        # (Experiment, out_dir, workers) -> artifact names
+
+
+_STRIDE = {"sample_stride": (_count, 1)}
+_MODE = (_choice("gillespie", "tau-leap"), "gillespie")
+_CLOSURE_KIND = _choice("conditional", "kirkwood")
+
+SPECS: dict[str, Kind] = {
+    "micro": Kind(
+        {"model": model_from_spec, "N": _count, "T": _horizon, "dt": _positive, "init": _map},
+        {"eps_w": (_positive, 1.0), "eps_s": (_positive, 1.0),
+         "method": (_choice("rk4", "euler", "rkf45"), "rk4"), **_STRIDE},
+        _build_agents, _run_micro),
+    "diffusive": Kind(
+        {"model": model_from_spec, "N": _count, "T": _horizon, "dt": _positive, "init": _map},
+        _STRIDE, _build_agents, _run_micro),
+    "minimal": Kind(
+        {"rates": _rates_from_config, "N": _count, "T": _horizon, "init": _map},
+        {"mode": _MODE, "tau_dt": (_positive, None), "sample_dt": (_positive, None),
+         "record_events": (_flag, True)},
+        _build_minimal, _run_minimal),
+    "voter": Kind(
+        {"N": _count, "T": _horizon, "p": _unit, "init": _map},
+        {"q": (_unit, 0.5), "variant": (_choice("pq", "original"), "pq"),
+         "sample_dt": (_positive, None), "record_events": (_flag, True)},
+        _build_voter, _run_voter),
+    "hybrid-bc": Kind(
+        {"N": _count, "T": _horizon, "dt": _positive, "tau": _positive, "F": kernel_from_spec,
+         "r": kernel_from_spec, "init": _map},
+        _STRIDE, _build_hybrid, _run_hybrid),
+    "closure": Kind(
+        {"rates": _rates_from_config, "kind_closure": _CLOSURE_KIND, "T": _horizon,
+         "dt": _positive, "init": _map},
+        _STRIDE, _build_closure, _run_closure),
+    "stationary": Kind(
+        {"rates": _rates_from_config, "rho_p": _unit, "g_pm": _number},
+        {}, _build_stationary, _run_stationary),
+    "continuation": Kind(
+        {"rates": _rates_from_config, "rho_p": _number, "kind_closure": _CLOSURE_KIND,
+         "eps_list": _eps_list},
+        {}, _build_continuation, _run_continuation),
+    "characteristics": Kind(
+        {"model": model_from_spec, "variant": _choice("wc", "conditional"), "M": _count,
+         "T": _horizon, "dt": _positive, "init": _map},
+        _STRIDE, _build_characteristics, _run_characteristics),
+    "compare": Kind(
+        {"rates": _rates_from_config, "N": _count, "runs": _count, "T": _horizon,
+         "dt": _positive, "init": _map},
+        {"mode": _MODE, "tau_dt": (_positive, None), "closure_dt": (_positive, 1e-3)},
+        _build_compare, _run_compare),
+    "epsilon-sweep": Kind(
+        {"model": model_from_spec, "N": _count, "eps_list": _eps_list, "T": _horizon,
+         "dt": _positive, "init": _map},
+        {"reduced_dt": (_positive, None)}, _build_epsilon_sweep, _run_epsilon_sweep),
+}
+
+KINDS = tuple(SPECS)
+
+# optional keys every kind accepts
+_COMMON = {"seed": (_seed, 0), "out": (_text, None), "workers": (_count, 1), "label": (_text, "")}
+
+
+class Experiment(SimpleNamespace):
+    """A built config: ``kind``, every field parsed (defaults filled in),
+    ``warnings``, the one-line ``summary`` and the initial data of its kind."""
+
+
+class Plan(list):
+    """The built experiments of one config file: one, or one per sweep leg."""
+
+    sweep = False
+
+    def __str__(self):
+        if not self.sweep:
+            return self[0].summary
+        return "sweep of " + "; ".join(f"[{k}] {x.summary}" for k, x in enumerate(self))
+
+
+def build(cfg) -> Experiment:
+    """Parse, range-check and draw the initial data of one experiment config."""
+    if not isinstance(cfg, dict):
+        raise ConfigError("config must be a JSON object")
+    kind = cfg.get("kind")
+    if kind not in KINDS:
+        raise ConfigError(f"kind must be one of {KINDS}, got {kind!r}", field="kind")
+    spec = SPECS[kind]
+    optional = {**_COMMON, **spec.optional}
+    unknown = set(cfg) - {"kind", *spec.required, *optional}
+    if unknown:
+        raise ConfigError(f"unknown key(s) {sorted(unknown)} for kind {kind!r}",
+                          field=sorted(unknown)[0])
+    for name in spec.required:
+        if name not in cfg:
+            raise ConfigError(f"missing required field {name!r} for kind {kind!r}", field=name)
+    x = Experiment(kind=kind, warnings=[])
+    for name, parse in spec.required.items():
+        setattr(x, name, parse(cfg[name], name))
+    for name, (parse, default) in optional.items():
+        absent = name not in cfg or (cfg[name] is None and default is None)
+        setattr(x, name, default if absent else parse(cfg[name], name))
+    spec.build(x)
+    x.summary = f"kind={kind} seed={x.seed}" + (f" label={x.label}" if x.label else "")
+    x.summary += "".join(f" {key}={cfg[key]}" for key in ("N", "M", "runs", "T", "dt") if key in cfg)
+    return x
+
+
+def validate_config(cfg) -> tuple[Plan, list[str]]:
+    """Build every experiment of a config (each sweep leg) without running any.
+
+    Returns the plan, whose ``str`` is the one-line summary, and the
+    warnings; raises the CoevnetError that ``run`` would raise while building.
+    """
+    plan = Plan()
+    if isinstance(cfg, dict) and "sweep" in cfg:
+        _check_subkeys(cfg, {"sweep"}, "config")
+        if not isinstance(cfg["sweep"], list) or not cfg["sweep"]:
+            raise ConfigError("sweep must be a non-empty list of configs", field="sweep")
+        plan.sweep = True
+        plan.extend(build(sub) for sub in cfg["sweep"])
+    else:
+        plan.append(build(cfg))
+    return plan, [w for x in plan for w in x.warnings]
+
+
+def run_experiment(cfg, out_dir: str, workers: int = 1) -> list[str]:
+    """Run one experiment into out_dir and return its artifact names.
+
+    ``cfg`` is a single-experiment config, or an Experiment already built
+    from one (a leg of the plan ``validate_config`` returns).
+    """
+    x = cfg if isinstance(cfg, Experiment) else build(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    if kind == "micro":
-        return _handle_micro(cfg, out_dir, diffusive=False)
-    if kind == "diffusive":
-        return _handle_micro(cfg, out_dir, diffusive=True)
-    if kind == "minimal":
-        return _handle_minimal(cfg, out_dir)
-    if kind == "voter":
-        return _handle_voter(cfg, out_dir)
-    if kind == "hybrid-bc":
-        return _handle_hybrid(cfg, out_dir)
-    if kind == "closure":
-        return _handle_closure(cfg, out_dir)
-    if kind == "stationary":
-        return _handle_stationary(cfg, out_dir)
-    if kind == "continuation":
-        return _handle_continuation(cfg, out_dir)
-    if kind == "characteristics":
-        return _handle_characteristics(cfg, out_dir)
-    if kind == "compare":
-        return _handle_compare(cfg, out_dir, workers)
-    if kind == "epsilon-sweep":
-        return _handle_epsilon_sweep(cfg, out_dir)
-    raise ConfigError(f"unhandled kind {kind!r}", field="kind")
+    return SPECS[x.kind].run(x, out_dir, workers)
 
 
 # -- entry points ---------------------------------------------------------------
@@ -746,27 +678,11 @@ def _load_config(path: str) -> tuple[dict, str]:
     return cfg, hashlib.sha256(raw).hexdigest()
 
 
-def _resolve_out(cfg: dict, cli_out: str | None) -> str:
-    if cli_out:
-        return cli_out
-    if cfg.get("out"):
-        return cfg["out"]
-    env = os.environ.get(ENV_OUT)
-    if env:
-        return env
-    return os.path.join(os.getcwd(), "coevnet-out")
-
-
-def _error_payload(exc: Exception, code: int) -> dict:
+def _emit_error(exc: CoevnetError, out_dir: str | None) -> int:
+    code = 2 if isinstance(exc, ConfigError) else 4 if isinstance(exc, InvariantViolation) else 3
     payload = {"error": type(exc).__name__, "message": str(exc), "exit_code": code}
-    field = getattr(exc, "field", None)
-    if field:
-        payload["field"] = field
-    return payload
-
-
-def _emit_error(exc: Exception, code: int, out_dir: str | None) -> int:
-    payload = _error_payload(exc, code)
+    if getattr(exc, "field", None):
+        payload["field"] = exc.field
     print(json.dumps(payload, sort_keys=True))
     if out_dir:
         try:
@@ -778,10 +694,9 @@ def _emit_error(exc: Exception, code: int, out_dir: str | None) -> int:
 
 def cmd_validate(config_path: str) -> int:
     try:
-        cfg, _ = _load_config(config_path)
-        plan, warnings = validate_config(cfg)
-    except ConfigError as exc:
-        return _emit_error(exc, 2, None)
+        plan, warnings = validate_config(_load_config(config_path)[0])
+    except CoevnetError as exc:
+        return _emit_error(exc, None)
     print(f"ok: {plan}")
     for w in warnings:
         print(f"warning: {w}")
@@ -789,45 +704,33 @@ def cmd_validate(config_path: str) -> int:
 
 
 def cmd_run(config_path: str, cli_out: str | None, cli_workers: int | None) -> int:
+    t0 = time.monotonic()
     try:
         cfg, cfg_hash = _load_config(config_path)
-        _, warnings = validate_config(cfg)
-    except ConfigError as exc:
-        return _emit_error(exc, 2, None)
+        plan, warnings = validate_config(cfg)
+    except CoevnetError as exc:
+        return _emit_error(exc, None)
     for w in warnings:
         print(f"warning: {w}")
-    out_root = _resolve_out(cfg if isinstance(cfg, dict) else {}, cli_out)
-
-    sub_configs = cfg["sweep"] if "sweep" in cfg else [cfg]
-    sweep = "sweep" in cfg
-    t0 = time.monotonic()
+    out_root = (cli_out or cfg.get("out") or os.environ.get(ENV_OUT)
+                or os.path.join(os.getcwd(), "coevnet-out"))
     manifest_entries = []
-    for k, sub in enumerate(sub_configs):
-        out_dir = os.path.join(out_root, f"sweep-{k:04d}") if sweep else out_root
-        workers = cli_workers or sub.get("workers", 1)
+    for k, x in enumerate(plan):
+        out_dir = os.path.join(out_root, f"sweep-{k:04d}") if plan.sweep else out_root
         try:
-            artifacts = run_experiment(sub, out_dir, workers=workers)
-        except ConfigError as exc:
-            return _emit_error(exc, 2, out_dir)
-        except InvariantViolation as exc:
-            return _emit_error(exc, 4, out_dir)
+            artifacts = run_experiment(x, out_dir, workers=cli_workers or x.workers)
         except CoevnetError as exc:
-            return _emit_error(exc, 3, out_dir)
-        manifest_entries.append({
-            "out_dir": out_dir,
-            "kind": sub["kind"],
-            "seed": sub.get("seed", 0),
-            "artifacts": artifacts,
-        })
-    manifest = {
+            return _emit_error(exc, out_dir)
+        manifest_entries.append({"out_dir": out_dir, "kind": x.kind, "seed": x.seed,
+                                 "artifacts": artifacts})
+    io.write_json(os.path.join(out_root, "manifest.json"), {
         "config_path": os.path.abspath(config_path),
         "config_sha256": cfg_hash,
         "resolved_config": cfg,
         "tool_version": __version__,
         "wall_time_s": time.monotonic() - t0,
         "experiments": manifest_entries,
-    }
-    io.write_json(os.path.join(out_root, "manifest.json"), manifest)
+    })
     print(f"wrote {sum(len(e['artifacts']) for e in manifest_entries)} artifact(s) "
           f"to {out_root}")
     return 0
@@ -843,7 +746,7 @@ def main(argv=None) -> int:
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", help="output directory (overrides config and env)")
     p_run.add_argument("--workers", type=int, help="intra-experiment worker count")
-    p_val = sub.add_parser("validate", help="check a config without running it")
+    p_val = sub.add_parser("validate", help="build a config's initial data without running it")
     p_val.add_argument("config")
     args = parser.parse_args(argv)
     if args.command == "validate":

@@ -122,20 +122,6 @@ def write_closure_csv(path: str, traj) -> None:
     _atomic_write(path, "\n".join(lines) + "\n")
 
 
-def write_histogram_csv(path: str, hist) -> None:
-    """Pair histogram rows (bin1_low, bin2_low, w_bin_low, mass)."""
-    lines = ["bin1_low,bin2_low,w_bin_low,mass"]
-    masses = hist.masses
-    se = hist.state_edges
-    we = hist.weight_edges
-    for a in range(masses.shape[0]):
-        for b in range(masses.shape[1]):
-            for w in range(masses.shape[2]):
-                lines.append(",".join([fmt(se[a]), fmt(se[b]), fmt(we[w]),
-                                       fmt(masses[a, b, w])]))
-    _atomic_write(path, "\n".join(lines) + "\n")
-
-
 def write_error_curves_csv(path: str, report) -> None:
     names = ["f_pp", "g_pp", "f_mm", "g_mm", "f_pm", "g_pm"]
     header = ["t"] + [f"err_cond_{n}" for n in names] + [f"err_kirk_{n}" for n in names] \

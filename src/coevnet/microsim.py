@@ -105,6 +105,25 @@ def _writable(a: np.ndarray) -> np.ndarray:
     return a if a.flags.writeable else a.copy()
 
 
+def _pair_forces(states: np.ndarray, weights: np.ndarray, model: SmoothModel,
+                 t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """U (N, N, m) and V (N, N) on every ordered pair, zero on the diagonal.
+
+    Both are writable arrays; a non-finite entry raises IntegrationError
+    (naming t when given).
+    """
+    si, sj = _pair_grids(states)
+    U = _writable(model.U(si, sj, weights))
+    V = _writable(model.V(si, sj, weights))
+    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+        at = "" if t is None else f" at t={t:.6g}"
+        raise IntegrationError(f"non-finite force evaluation{at}")
+    idx = np.arange(states.shape[0])
+    U[idx, idx, :] = 0.0
+    V[idx, idx] = 0.0
+    return U, V
+
+
 def micro_rhs(
     cfg: AgentConfiguration,
     model: SmoothModel,
@@ -118,16 +137,9 @@ def micro_rhs(
     """
     if not (eps_w > 0 and eps_s > 0):
         raise ModelError("eps_w and eps_s must be positive")
-    states, weights = cfg.states, cfg.weights
+    states = cfg.states
     N = states.shape[0]
-    si, sj = _pair_grids(states)
-    U = _writable(model.U(si, sj, weights))
-    V = _writable(model.V(si, sj, weights))
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
-        raise IntegrationError(f"non-finite force evaluation at t={cfg.t:.6g}")
-    idx = np.arange(N)
-    U[idx, idx, :] = 0.0
-    V[idx, idx] = 0.0
+    U, V = _pair_forces(states, cfg.weights, model, cfg.t)
     ds = U.sum(axis=1) / (N * eps_s)
     if model.U0 is not None:
         ds = ds + model.U0(states)

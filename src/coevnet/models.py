@@ -51,7 +51,6 @@ class SmoothModel:
     U0: Callable | None = None
     Q: Callable | None = None
     R: Callable | None = None
-    lipschitz_hint: float | None = None
     symmetric_V: bool = False
     potential: "PotentialModel | None" = None
     name: str = "custom"
@@ -59,8 +58,6 @@ class SmoothModel:
     def __post_init__(self):
         if self.m < 1:
             raise ModelError("state dimension m must be >= 1")
-        if self.lipschitz_hint is not None and not self.lipschitz_hint > 0:
-            raise ModelError("lipschitz_hint must be positive")
         s, sig, w = _probe_points(self.m, 64)
         u = np.asarray(self.U(s, sig, w), dtype=float)
         v = np.asarray(self.V(s, sig, w), dtype=float)

@@ -17,10 +17,6 @@ from .errors import IntegrationError
 Rhs = Callable[[np.ndarray], np.ndarray]
 
 
-def euler_step(f: Rhs, y: np.ndarray, h: float) -> np.ndarray:
-    return y + h * f(y)
-
-
 def rk4_step(f: Rhs, y: np.ndarray, h: float) -> np.ndarray:
     k1 = f(y)
     k2 = f(y + 0.5 * h * k1)

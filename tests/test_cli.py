@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -283,3 +284,125 @@ class TestRun:
             assert main(["run", path, "--out", str(out_dir)]) == 0
             assert (out_dir / "states.csv").exists()
             assert (out_dir / "weights.csv").exists()
+
+
+def micro_config(**overrides):
+    cfg = {
+        "kind": "micro", "seed": 4, "N": 2, "T": 0.1, "dt": 1e-2,
+        "model": {"name": "quadratic-potential", "params": {"kappa": 1.0, "c": 1.0}},
+        "init": {"states": {"dist": "uniform", "low": -0.3, "high": 0.3},
+                 "weights": {"dist": "uniform", "low": 0, "high": 0.2}},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def epsilon_sweep_config(**overrides):
+    cfg = {
+        "kind": "epsilon-sweep", "seed": 0, "N": 4, "T": 0.5, "dt": 1e-3,
+        "eps_list": [0.1, 0.01],
+        "model": {"name": "kernel-relaxation",
+                  "params": {"K": {"form": "identity"},
+                             "eta": {"form": "gaussian"}, "kappa": 1.0}},
+        "init": {"states": {"dist": "uniform", "low": -1, "high": 1},
+                 "weights": {"nullcline": True, "offset": 0.3}},
+    }
+    cfg.update(overrides)
+    return cfg
+
+
+def validate_and_run(tmp_path, capsys, cfg):
+    """Exit code and error JSON of `validate`, then of `run`, on one config."""
+    path = write_config(tmp_path, cfg)
+    results = []
+    for argv in (["validate", path], ["run", path, "--out", str(tmp_path / "out")]):
+        code = main(argv)
+        out = capsys.readouterr().out
+        results.append((code, json.loads(out) if code else out))
+    return results
+
+
+class TestBuildOnce:
+    @pytest.mark.parametrize("cfg, field", [
+        (minimal_config(T="abc"), "T"),
+        (micro_config(init=5), "init"),
+        (epsilon_sweep_config(eps_list=["x"]), "eps_list"),
+        (minimal_config(N=True), "N"),
+        ({"kind": "compare", "N": 20, "runs": 2, "T": 1.0, "dt": 0.5, "mode": "tau-leap",
+          "rates": minimal_config()["rates"], "init": minimal_config()["init"]}, "tau_dt"),
+    ], ids=["T-string", "init-int", "eps_list-string", "N-bool", "compare-tau-leap-no-tau_dt"])
+    def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, cfg, field):
+        (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == r_code == 2
+        assert v_err == r_err
+        assert r_err["error"] == "ConfigError"
+        assert r_err["field"] == field
+        assert not (tmp_path / "out").exists()
+
+    def test_asymmetric_weights_fail_validate_as_run(self, tmp_path, capsys):
+        cfg = micro_config(init={"states": {"values": [0.0, 0.5]},
+                                 "weights": {"values": [[0, 1], [0.5, 0]]}})
+        (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == r_code == 4
+        assert v_err == r_err
+        assert r_err["error"] == "InvariantViolation"
+
+    def test_unsolvable_nullcline_init_fails_validate_as_run(self, tmp_path, capsys):
+        # the weight root eta(s - sigma) / kappa lies far beyond the nullcline bracket
+        cfg = epsilon_sweep_config()
+        cfg["model"]["params"]["eta"] = {"form": "gaussian", "amplitude": 1e9}
+        (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == r_code == 3
+        assert v_err == r_err
+        assert r_err["error"] == "NullclineNotFound"
+
+    def test_invalid_later_leg_stops_the_sweep_before_any_run(self, tmp_path, capsys):
+        bad = micro_config(init={"states": {"values": [0.0, 0.5]},
+                                 "weights": {"values": [[0, 1], [0.5, 0]]}})
+        cfg = {"sweep": [closure_stationary_config(), bad]}
+        (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == r_code == 4
+        assert v_err == r_err
+        assert not (tmp_path / "out").exists()
+
+    def test_run_builds_each_leg_once(self, tmp_path, monkeypatch):
+        from coevnet import cli
+        built = []
+        real_build = cli.build
+
+        def counting_build(cfg):
+            built.append(cfg["seed"])
+            return real_build(cfg)
+        monkeypatch.setattr(cli, "build", counting_build)
+        cfg = {"sweep": [closure_stationary_config(seed=5), minimal_config(seed=6)]}
+        path = write_config(tmp_path, cfg)
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 0
+        assert built == [5, 6]
+
+    def test_run_experiment_takes_a_config_or_its_build(self, tmp_path):
+        from coevnet.cli import build, run_experiment
+        cfg = closure_stationary_config()
+        run_experiment(cfg, str(tmp_path / "a"))
+        run_experiment(build(cfg), str(tmp_path / "b"))
+        assert ((tmp_path / "a" / "trajectory.csv").read_bytes()
+                == (tmp_path / "b" / "trajectory.csv").read_bytes())
+
+    def test_validate_plan_line(self, tmp_path, capsys):
+        path = write_config(tmp_path, {"sweep": [minimal_config(label="a"),
+                                                 closure_stationary_config()]})
+        assert main(["validate", path]) == 0
+        assert capsys.readouterr().out == (
+            "ok: sweep of [0] kind=minimal seed=3 label=a N=20 T=1.0; "
+            "[1] kind=closure seed=1 T=5.0 dt=0.01\n")
+
+    def test_readme_kind_table_matches_the_kind_records(self):
+        from coevnet.cli import SPECS
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config schema", 1)[1].split("\n* ", 1)[0]
+        rows = {}
+        for line in section.splitlines():
+            cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+            if line.startswith("| `"):
+                rows[cells[0]] = (cells[1].split(), cells[2].split())
+        assert rows == {kind: (list(spec.required), list(spec.optional))
+                        for kind, spec in SPECS.items()}
