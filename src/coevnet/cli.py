@@ -41,6 +41,7 @@ from .characteristics import (
     uniform_masses,
 )
 from .closures import (
+    check_initial_moments,
     closure_rhs,
     continue_small_epsilon,
     integrate_closure,
@@ -48,10 +49,17 @@ from .closures import (
     polarization_stable,
     stationary_polarized,
 )
-from .compare import polarized_link_config, run_comparison, run_epsilon_sweep
+from .compare import check_comparison_grid, polarized_link_config, run_comparison, run_epsilon_sweep
 from .errors import CoevnetError, ConfigError, InvariantViolation
 from .jumpsim import DiscreteConfiguration, HybridConfiguration, simulate_hybrid_bc, simulate_minimal, simulate_voter
-from .microsim import AgentConfiguration, _pair_grids, integrate_micro, simulate_diffusive, solve_weight_nullcline
+from .microsim import (
+    AgentConfiguration,
+    _pair_grids,
+    check_diffusive_model,
+    integrate_micro,
+    simulate_diffusive,
+    solve_weight_nullcline,
+)
 from .models import MinimalParams, catalog
 from .moments import MinimalMoments
 
@@ -202,8 +210,7 @@ def _values(spec, shape: tuple, where: str) -> np.ndarray:
     return arr
 
 
-def _states_from_spec(spec, N: int, m: int, rng) -> np.ndarray:
-    where = "init.states"
+def _states_from_spec(spec, N: int, m: int, rng, where: str) -> np.ndarray:
     if not isinstance(spec, dict):
         raise ConfigError("states spec must be a map", field=where)
     if "values" in spec:
@@ -217,7 +224,7 @@ def _states_from_spec(spec, N: int, m: int, rng) -> np.ndarray:
         _check_subkeys(spec, {"dist", "mean", "std"}, where)
         return rng.normal(_param(spec, "mean", 0.0, where), _param(spec, "std", 1.0, where),
                           size=(N, m))
-    raise ConfigError("init.states needs 'values' or dist in {uniform, normal}", field=where)
+    raise ConfigError(f"{where} needs 'values' or dist in {{uniform, normal}}", field=where)
 
 
 def _weights_from_spec(spec, N: int, rng, model, states) -> np.ndarray:
@@ -277,9 +284,14 @@ def _build_agents(x):
     if "states" not in x.init or "weights" not in x.init:
         raise ConfigError("init needs 'states' and 'weights'", field="init")
     rng = np.random.default_rng(x.seed)
-    states = _states_from_spec(x.init["states"], x.N, x.model.m, rng)
+    states = _states_from_spec(x.init["states"], x.N, x.model.m, rng, "init.states")
     weights = _weights_from_spec(x.init["weights"], x.N, rng, x.model, states)
     x.agents = AgentConfiguration(states=states, weights=weights)
+
+
+def _build_diffusive(x):
+    _build_agents(x)
+    check_diffusive_model(x.model)
 
 
 def _check_tau_leap(x):
@@ -303,7 +315,7 @@ def _build_voter(x):
 def _build_hybrid(x):
     _required(x.init, ("states",), ("states", "link_prob"))
     rng = np.random.default_rng(x.seed)
-    states = _states_from_spec(x.init["states"], x.N, 1, rng)
+    states = _states_from_spec(x.init["states"], x.N, 1, rng, "init.states")
     W = _random_links(rng, x.N, _param(x.init, "link_prob", 0.0, "init"))
     x.hybrid = HybridConfiguration(states=states, weights=W)
 
@@ -318,15 +330,16 @@ def _build_closure(x):
         _check_subkeys(st, {"rho_p", "g_pm"}, "init.stationary")
         x.m0 = stationary_polarized(x.rates, _param(st, "rho_p", None, "init.stationary"),
                                     _param(st, "g_pm", None, "init.stationary"))
-        return
-    vals = x.init["moments"]
-    if not isinstance(vals, list) or len(vals) != 6:
-        raise ConfigError("init.moments must list the six moment values", field="init.moments")
-    try:
-        x.m0 = MinimalMoments(*[float(_number(v, "init.moments")) for v in vals])
-    except InvariantViolation as exc:
-        raise ConfigError(f"init.moments is not a valid moment vector: {exc}",
-                          field="init.moments") from exc
+    else:
+        vals = x.init["moments"]
+        if not isinstance(vals, list) or len(vals) != 6:
+            raise ConfigError("init.moments must list the six moment values", field="init.moments")
+        try:
+            x.m0 = MinimalMoments(*[float(_number(v, "init.moments")) for v in vals])
+        except InvariantViolation as exc:
+            raise ConfigError(f"init.moments is not a valid moment vector: {exc}",
+                              field="init.moments") from exc
+    check_initial_moments(x.m0)
 
 
 def _build_stationary(x):
@@ -358,7 +371,7 @@ def _build_characteristics(x):
                           field="init.weights")
     W0 = kernel_from_spec(init["W0"], "W0") if "W0" in init else None
     rng = np.random.default_rng(x.seed)
-    anchors = _states_from_spec(init["anchors"], x.M, x.model.m, rng)
+    anchors = _states_from_spec(init["anchors"], x.M, x.model.m, rng, "init.anchors")
     if x.variant == "wc":
         x.surface = lambda s, sig: W0(np.asarray(s, dtype=float) - np.asarray(sig, dtype=float))
         x.ensemble = make_wc_ensemble(anchors, x.surface)
@@ -376,6 +389,7 @@ def _build_characteristics(x):
 def _build_compare(x):
     _link_densities(x.init)   # each replica draws its own configuration when run
     _check_tau_leap(x)
+    check_comparison_grid(x.N, x.runs, x.T, x.dt)
 
 
 def _build_epsilon_sweep(x):
@@ -542,7 +556,7 @@ SPECS: dict[str, Kind] = {
         _build_agents, _run_micro),
     "diffusive": Kind(
         {"model": model_from_spec, "N": _count, "T": _horizon, "dt": _positive, "init": _map},
-        _STRIDE, _build_agents, _run_micro),
+        _STRIDE, _build_diffusive, _run_micro),
     "minimal": Kind(
         {"rates": _rates_from_config, "N": _count, "T": _horizon, "init": _map},
         {"mode": _MODE, "tau_dt": (_positive, None), "sample_dt": (_positive, None),

@@ -314,6 +314,12 @@ class ClosureTrajectory:
         return self.moment_at(-1)
 
 
+def check_initial_moments(m0: MinimalMoments) -> None:
+    """Raise ModelError unless integrate_closure can start from m0."""
+    if not 0.0 < m0.rho_p < 1.0:
+        raise ModelError("initial rho_+ must lie in (0, 1)")
+
+
 def integrate_closure(
     m0: MinimalMoments,
     p: MinimalParams,
@@ -337,10 +343,9 @@ def integrate_closure(
         raise ModelError("T must be nonnegative")
     if sample_stride < 1:
         raise ModelError("sample_stride must be >= 1")
+    check_initial_moments(m0)
     y0 = m0.as_array()
     rho_p0 = m0.rho_p
-    if not 0.0 < rho_p0 < 1.0:
-        raise ModelError("initial rho_+ must lie in (0, 1)")
     kirk = _kind_flag(kind)
     n_steps = int(round(T / dt)) if T > 0 else 0
     recs, rec_steps, n_rec, status, clamped, steps_done = _integrate_loop(

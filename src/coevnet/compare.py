@@ -123,6 +123,16 @@ def _replica_moments(args) -> np.ndarray:
     return traj.moments
 
 
+def check_comparison_grid(N: int, runs: int, T: float, dt: float) -> None:
+    """Raise ModelError unless run_comparison accepts these sizes."""
+    if N < 10:
+        raise ModelError("comparison needs N >= 10")
+    if runs < 2:
+        raise ModelError("comparison needs runs >= 2")
+    if abs(round(T / dt) * dt - T) > 1e-9:
+        raise ModelError("T must be a multiple of the sampling dt")
+
+
 def run_comparison(
     p: MinimalParams,
     N: int,
@@ -144,12 +154,7 @@ def run_comparison(
     same dt grid.  The report carries per-component error curves, their
     time-sup, and the Monte-Carlo standard error.
     """
-    if N < 10:
-        raise ModelError("comparison needs N >= 10")
-    if runs < 2:
-        raise ModelError("comparison needs runs >= 2")
-    if abs(round(T / dt) * dt - T) > 1e-9:
-        raise ModelError("T must be a multiple of the sampling dt")
+    check_comparison_grid(N, runs, T, dt)
     init = dict(init or {})
     rho_p = float(init.get("rho_p", 0.5))
     p_pp = float(init.get("p_pp", 0.5))

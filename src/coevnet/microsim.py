@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -25,6 +26,7 @@ from .stepping import rkf45_advance
 log = logging.getLogger(__name__)
 
 NULLCLINE_TOL = 1e-12
+_NULLCLINE_MAX_STEPS = 100
 
 
 @dataclass
@@ -100,6 +102,14 @@ def _pair_grids(states: np.ndarray):
     return si, sj
 
 
+@lru_cache(maxsize=8)
+def _strict_upper(N: int) -> np.ndarray:
+    """Read-only N x N mask of the strict upper triangle, the mask np.triu(., 1) builds."""
+    mask = np.triu(np.ones((N, N), dtype=bool), 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def _writable(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     return a if a.flags.writeable else a.copy()
@@ -115,7 +125,7 @@ def _pair_forces(states: np.ndarray, weights: np.ndarray, model: SmoothModel,
     si, sj = _pair_grids(states)
     U = _writable(model.U(si, sj, weights))
     V = _writable(model.V(si, sj, weights))
-    if not (np.all(np.isfinite(U)) and np.all(np.isfinite(V))):
+    if not (np.isfinite(U).all() and np.isfinite(V).all()):
         at = "" if t is None else f" at t={t:.6g}"
         raise IntegrationError(f"non-finite force evaluation{at}")
     idx = np.arange(states.shape[0])
@@ -144,7 +154,7 @@ def micro_rhs(
     if model.U0 is not None:
         ds = ds + model.U0(states)
     if cfg.symmetric and model.symmetric_V:
-        V = np.triu(V, 1)
+        V = np.where(_strict_upper(N), V, 0.0)   # np.triu(V, 1) without rebuilding the mask
         V = V + V.T
     dw = V / eps_w
     return ds, dw
@@ -169,7 +179,8 @@ def integrate_micro(
     """Integrate the microscopic system, sampling at multiples of dt.
 
     method is one of "rk4", "euler" (fixed step) or "rkf45" (adaptive
-    substeps between samples, abs/rel tolerances 1e-8/1e-6).  On NaN/Inf the
+    substeps between samples, abs/rel tolerances 1e-8/1e-6).  On NaN/Inf, or
+    an RKF45 step that misses its tolerance at the minimum step size, the
     trajectory is truncated at the last valid sample and flagged as aborted.
     """
     if dt <= 0:
@@ -239,6 +250,12 @@ def integrate_micro(
     return traj
 
 
+def check_diffusive_model(model: SmoothModel) -> None:
+    """Raise ModelError unless simulate_diffusive can run the model."""
+    if model.Q is None:
+        raise ModelError("simulate_diffusive requires a model with a state diffusion coefficient Q")
+
+
 def simulate_diffusive(
     cfg: AgentConfiguration,
     model: SmoothModel,
@@ -254,8 +271,7 @@ def simulate_diffusive(
     per component; weights take a deterministic Euler step of V.  Fixed seed
     gives a reproducible path.
     """
-    if model.Q is None:
-        raise ModelError("simulate_diffusive requires a model with a state diffusion coefficient Q")
+    check_diffusive_model(model)
     if dt <= 0:
         raise ModelError("dt must be positive")
     rng = np.random.default_rng(seed)
@@ -334,7 +350,18 @@ def energy_report(cfg: AgentConfiguration, pot: PotentialModel) -> EnergyReport:
 
 def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray,
                      max_bracket: float = 1e6) -> np.ndarray:
-    """Roots of w -> V(s, sigma, w) for broadcast state grids, elementwise."""
+    """Roots of w -> V(s, sigma, w) for broadcast state grids, elementwise.
+
+    Each element is bracketed in [-b, b], b = 1, 4, 16, ... up to
+    max_bracket; no sign change raises NullclineNotFound.  A root on a
+    bracket endpoint is returned as is.  Otherwise the Illinois variant of
+    regula falsi (Dowell & Jarratt 1971) shrinks the bracket, with a
+    bisection step wherever an endpoint value is not finite or the secant
+    point leaves the bracket.  An element stops at an exact zero of V or
+    when its iterate moves by at most 2 ulps; an affine V (every catalog
+    model) stops after two to four steps.  The last residual must be at
+    most NULLCLINE_TOL (a NaN residual fails too).
+    """
     shape = np.broadcast_shapes(si.shape[:-1], sj.shape[:-1])
 
     def V_at(w):
@@ -356,30 +383,46 @@ def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray,
     if np.any(unbracketed & (flo != 0.0) & (fhi != 0.0)):
         raise NullclineNotFound(
             f"V has no sign change in |w| <= {max_bracket:g} for some state pair")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        fm = V_at(mid)
-        take_lo = np.sign(fm) == np.sign(flo)
-        lo = np.where(take_lo, mid, lo)
-        flo = np.where(take_lo, fm, flo)
-        hi = np.where(take_lo, hi, mid)
-    w = 0.5 * (lo + hi)
-    # Newton polish with a small central-difference slope.
-    h = 1e-7
-    for _ in range(3):
-        f = V_at(w)
-        slope = (V_at(w + h) - V_at(w - h)) / (2.0 * h)
-        step = np.where(slope != 0.0, f / np.where(slope == 0.0, 1.0, slope), 0.0)
-        w = w - np.clip(step, -1.0, 1.0)
-    resid = np.abs(V_at(w))
-    if np.any(resid > NULLCLINE_TOL):
+    on_lo = flo == 0.0
+    done = on_lo | (fhi == 0.0)
+    w = np.where(on_lo, lo, np.where(done, hi, np.nan))   # NaN: no iterate yet
+    fw = np.where(on_lo, flo, fhi)
+    side = np.zeros(shape, dtype=int)   # -1 (+1): the last step replaced lo (hi)
+    steps = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        while not done.all():
+            if steps == _NULLCLINE_MAX_STEPS:
+                raise NullclineNotFound(
+                    f"nullcline iteration did not converge in {steps} steps")
+            steps += 1
+            # the secant point, as a correction to the endpoint with the smaller |V|
+            near_lo = np.abs(flo) < np.abs(fhi)
+            a, fa = np.where(near_lo, lo, hi), np.where(near_lo, flo, fhi)
+            b, fb = np.where(near_lo, hi, lo), np.where(near_lo, fhi, flo)
+            new = a - fa * (b - a) / (fb - fa)
+            secant = np.isfinite(fb - fa) & (new >= lo) & (new <= hi)
+            new = np.where(secant, new, 0.5 * (lo + hi))
+            fnew = V_at(new)
+            active = ~done
+            done = done | (fnew == 0.0) | (np.abs(new - w) <= 2.0 * np.spacing(np.abs(new)))
+            w = np.where(active, new, w)
+            fw = np.where(active, fnew, fw)
+            to_lo = np.sign(fnew) == np.sign(flo)
+            # Illinois: halve the kept endpoint's value when one side is replaced twice
+            fhi = np.where(to_lo & (side == -1), 0.5 * fhi, fhi)
+            flo = np.where(~to_lo & (side == 1), 0.5 * flo, flo)
+            lo, flo = np.where(to_lo, new, lo), np.where(to_lo, fnew, flo)
+            hi, fhi = np.where(to_lo, hi, new), np.where(to_lo, fhi, fnew)
+            side = np.where(to_lo, -1, 1)
+    resid = np.abs(fw)
+    if not np.all(resid <= NULLCLINE_TOL):
         raise NullclineNotFound(
             f"nullcline residual {float(resid.max()):.3e} above {NULLCLINE_TOL:g}")
     return w
 
 
 def solve_weight_nullcline(model: SmoothModel, s, sigma) -> float:
-    """Solve V(s, sigma, w) = 0 for w by bracketing, bisection and Newton polish."""
+    """Solve V(s, sigma, w) = 0 for w (see ``_nullcline_array``)."""
     si = np.asarray(s, dtype=float).reshape(1, model.m)
     sj = np.asarray(sigma, dtype=float).reshape(1, model.m)
     return float(_nullcline_array(model, si, sj)[0])

@@ -58,7 +58,11 @@ def rkf45_advance(
     rtol: float = 1e-6,
     h0: float | None = None,
 ) -> np.ndarray:
-    """Advance y over one output interval with adaptive Fehlberg substeps."""
+    """Advance y over one output interval with adaptive Fehlberg substeps.
+
+    A step that misses the tolerance at h <= 1e-14 * span raises
+    IntegrationError instead of being accepted.
+    """
     if span <= 0.0:
         return y
     t = 0.0
@@ -67,7 +71,12 @@ def rkf45_advance(
         h = min(h, span - t)
         y_new, err = rkf45_step(f, y, h)
         scale = atol + rtol * float(np.max(np.abs(y))) if np.size(y) else atol
-        if err <= scale or h <= 1e-14 * span:
+        accept = err <= scale     # False for a NaN error too
+        if not accept and h <= 1e-14 * span:
+            raise IntegrationError(
+                f"adaptive step missed its tolerance (error {err:.3e} > {scale:.3e}) "
+                f"at the minimum step {h:.3e}")
+        if accept:
             t += h
             y = y_new
             if err > 0.0:

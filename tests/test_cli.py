@@ -406,3 +406,44 @@ class TestBuildOnce:
                 rows[cells[0]] = (cells[1].split(), cells[2].split())
         assert rows == {kind: (list(spec.required), list(spec.optional))
                         for kind, spec in SPECS.items()}
+
+    @pytest.mark.parametrize("cfg, message", [
+        ({"kind": "compare", "N": 5, "runs": 2, "T": 1.0, "dt": 0.5,
+          "rates": minimal_config()["rates"], "init": minimal_config()["init"]},
+         "comparison needs N >= 10"),
+        ({"kind": "compare", "N": 20, "runs": 1, "T": 1.0, "dt": 0.5,
+          "rates": minimal_config()["rates"], "init": minimal_config()["init"]},
+         "comparison needs runs >= 2"),
+        ({"kind": "compare", "N": 20, "runs": 2, "T": 1.0, "dt": 0.3,
+          "rates": minimal_config()["rates"], "init": minimal_config()["init"]},
+         "T must be a multiple of the sampling dt"),
+        (dict(micro_config(), kind="diffusive"),
+         "simulate_diffusive requires a model with a state diffusion coefficient Q"),
+        (closure_stationary_config(init={"moments": [0.0, 0.0, 0.5, 0.5, 0.0, 0.0]}),
+         "initial rho_+ must lie in (0, 1)"),
+        (closure_stationary_config(init={"moments": [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]}),
+         "initial rho_+ must lie in (0, 1)"),
+    ], ids=["compare-N-5", "compare-runs-1", "compare-T-off-grid", "diffusive-without-Q",
+            "closure-rho_p-0", "closure-rho_p-1"])
+    def test_run_time_precondition_fails_validate_as_run(self, tmp_path, capsys, cfg, message):
+        (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == r_code == 3
+        assert v_err == r_err
+        assert r_err["error"] == "ModelError"
+        assert r_err["message"] == message
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_anchors_spec_names_init_anchors(self, tmp_path, capsys):
+        cfg = {
+            "kind": "characteristics", "seed": 1, "variant": "wc", "M": 6,
+            "T": 0.5, "dt": 1e-2,
+            "model": {"name": "kernel-relaxation",
+                      "params": {"K": {"form": "identity"},
+                                 "eta": {"form": "gaussian"}, "kappa": 1.0}},
+            "init": {"anchors": {"dist": "bogus"}, "W0": {"form": "gaussian"}},
+        }
+        (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == r_code == 2
+        assert v_err == r_err
+        assert r_err["field"] == "init.anchors"
+        assert r_err["message"].startswith("init.anchors needs")

@@ -1,18 +1,21 @@
 import numpy as np
 import pytest
 
+from coevnet import microsim
 from coevnet.errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
 from coevnet.microsim import (
     AgentConfiguration,
     energy_report,
     integrate_micro,
     integrate_reduced,
+    _nullcline_array,
+    _pair_grids,
     micro_rhs,
     simulate_diffusive,
     solve_weight_nullcline,
 )
 from coevnet.models import SmoothModel, catalog, quadratic_potential
-from coevnet.stepping import rk4_step
+from coevnet.stepping import rk4_step, rkf45_advance
 
 
 def null_model(m=1):
@@ -39,6 +42,18 @@ def weight_decay_model():
         V=lambda s, sig, w: -np.asarray(w, dtype=float),
         symmetric_V=True,
     )
+
+
+def counting_V(model):
+    """The model with a V that appends each call to the returned list."""
+    calls = []
+
+    def V(s, sig, w):
+        calls.append(1)
+        return model.V(s, sig, w)
+    counted = SmoothModel(U=model.U, V=V, m=model.m, symmetric_V=model.symmetric_V)
+    calls.clear()
+    return counted, calls
 
 
 def small_config(states, weights, symmetric=True):
@@ -102,6 +117,27 @@ class TestMicroRhs:
         with pytest.raises(IntegrationError):
             micro_rhs(cfg, bad)
 
+    @pytest.mark.parametrize("N", [7, 200])
+    def test_symmetric_weight_drift_is_the_mirrored_upper_triangle_bitwise(self, N):
+        # V = -w exp(-|s - sigma|^2) is -0.0 wherever w is 0.0
+        model = SmoothModel(
+            U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
+            V=lambda s, sig, w: -np.asarray(w, dtype=float)
+            * np.exp(-np.sum(np.square(np.asarray(s, dtype=float) - sig), axis=-1)),
+            symmetric_V=True,
+        )
+        rng = np.random.default_rng(N)
+        cfg = random_config(N, rng)
+        planted = np.triu(rng.random((N, N)) < 0.2, 1)
+        cfg.weights[planted | planted.T] = 0.0
+        V = model.V(*_pair_grids(cfg.states), cfg.weights)
+        np.fill_diagonal(V, 0.0)
+        assert np.signbit(V[planted]).all()
+        upper = np.triu(V, 1)
+        for eps_w in (1.0, 0.3):
+            _, dw = micro_rhs(cfg, model, eps_w=eps_w)
+            assert dw.tobytes() == ((upper + upper.T) / eps_w).tobytes()
+
 
 class TestIntegrateMicro:
     def test_zero_horizon(self):
@@ -136,6 +172,24 @@ class TestIntegrateMicro:
         cfg = small_config([[0.0], [1.0]], [[0, 1], [1, 0]])
         traj = integrate_micro(cfg, weight_decay_model(), dt=0.25, T=1.0, method="rkf45")
         assert traj.final().weights[0, 1] == pytest.approx(np.exp(-1.0), abs=1e-6)
+
+    def test_rkf45_step_missing_tolerance_at_minimum_step_raises(self):
+        # the error estimate of this stiff RHS stays far above 0 down to h = 1e-14 * span
+        with pytest.raises(IntegrationError, match="missed its tolerance"):
+            rkf45_advance(lambda y: 1e20 * np.sin(y), np.array([0.5, 1.0]), 0.5,
+                          atol=0.0, rtol=0.0)
+
+    def test_rkf45_tolerance_failure_aborts_the_trajectory(self):
+        model = SmoothModel(
+            U=lambda s, sig, w: 1e20 * np.sin(np.asarray(sig, dtype=float) - s),
+            V=lambda s, sig, w: np.zeros(np.shape(w)),
+            symmetric_V=True,
+        )
+        cfg = small_config([[0.0], [1.0]], [[0, 1.0], [1.0, 0]])
+        traj = integrate_micro(cfg, model, dt=0.1, T=0.3, method="rkf45")
+        assert traj.aborted
+        assert "missed its tolerance" in traj.diagnostic
+        assert traj.times == [0.0]
 
     def test_abort_on_blowup(self):
         # dw/dt = w^2 from w close to the blowup time: finite-time escape
@@ -286,6 +340,97 @@ class TestNullcline:
             symmetric_V=True,
         )
         with pytest.raises(NullclineNotFound):
+            solve_weight_nullcline(model, np.array([0.0]), np.array([0.0]))
+
+    @pytest.mark.parametrize("name, params, low, high, omega", [
+        ("kernel-relaxation",
+         {"K": lambda x: x, "eta": lambda x: np.exp(-np.sum(x * x, axis=-1)), "kappa": 1.3},
+         -1.0, 1.5, lambda s, t: np.exp(-np.sum((s - t) ** 2, axis=-1)) / 1.3),
+        ("boschi", {"g": np.tanh, "J0": 2.0, "gamma": 0.8},
+         -0.6, 0.6, lambda s, t: 2.0 * np.tanh(s[..., 0]) * np.tanh(t[..., 0])),
+        ("quadratic-potential", {"kappa": 0.9, "c": 1.4},
+         -0.35, 0.35, lambda s, t: -1.4 * np.sum((s - t) ** 2, axis=-1) / 0.9),
+    ], ids=["kernel-relaxation", "boschi", "quadratic-potential"])
+    def test_affine_V_solves_in_few_calls_to_the_closed_form(self, name, params, low, high, omega):
+        # states in [low, high] keep every root inside the first bracket [-1, 1]
+        model, calls = counting_V(catalog(name, params))
+        rng = np.random.default_rng(3)
+        for _ in range(20):
+            si, sj = _pair_grids(rng.uniform(low, high, size=(7, 1)))
+            calls.clear()
+            w = _nullcline_array(model, si, sj)
+            assert len(calls) <= 8
+            ref = omega(si, sj)
+            assert np.all(np.abs(w - ref) <= 2 * np.spacing(np.abs(ref)))
+
+    def test_nonlinear_V_converges(self):
+        model, calls = counting_V(SmoothModel(
+            U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
+            V=lambda s, sig, w: np.exp(-np.sum(np.square(np.asarray(s, dtype=float) - sig), axis=-1))
+            - w - w ** 3,
+            symmetric_V=True,
+        ))
+        si, sj = _pair_grids(np.random.default_rng(5).uniform(-1.0, 1.5, size=(7, 1)))
+        w = _nullcline_array(model, si, sj)
+        assert np.max(np.abs(model.V(si, sj, w))) <= 1e-12
+        assert len(calls) < 20
+
+    def test_root_on_a_bracket_endpoint(self):
+        for root in (1.0, -1.0, 4.0):
+            model, calls = counting_V(SmoothModel(
+                U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
+                V=lambda s, sig, w, r=root: r - np.asarray(w, dtype=float),
+                symmetric_V=True,
+            ))
+            calls.clear()
+            assert solve_weight_nullcline(model, np.array([0.0]), np.array([0.3])) == root
+            assert len(calls) == (2 if abs(root) == 1.0 else 4)
+
+    def test_root_beyond_the_first_bracket(self):
+        model = catalog("kernel-relaxation", {
+            "K": lambda x: x, "eta": lambda x: np.full(np.asarray(x).shape[:-1], 50.0), "kappa": 1.0,
+        })
+        w = solve_weight_nullcline(model, np.array([0.2]), np.array([-0.4]))
+        assert abs(w - 50.0) <= 2 * np.spacing(50.0)
+
+    def test_infinite_endpoint_value_bisects(self):
+        # V is +inf at the lower end of the grown bracket [-16, 16]
+        model = SmoothModel(
+            U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
+            V=lambda s, sig, w: np.where(np.asarray(w) < -3.0, np.inf,
+                                         10.0 - np.asarray(w, dtype=float)),
+            symmetric_V=True,
+        )
+        assert solve_weight_nullcline(model, np.array([0.0]), np.array([0.0])) == 10.0
+
+    def test_sign_change_without_a_root(self):
+        model = SmoothModel(
+            U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
+            V=lambda s, sig, w: np.where(np.asarray(w) < 0.3, 1.0, -1.0),
+            symmetric_V=True,
+        )
+        with pytest.raises(NullclineNotFound, match="residual"):
+            solve_weight_nullcline(model, np.array([0.0]), np.array([0.0]))
+
+    def test_nan_is_not_a_root(self):
+        # finite on the construction probes (|w| <= 2); NaN at the grown bracket [-4, 4]
+        model = SmoothModel(
+            U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
+            V=lambda s, sig, w: np.where(np.abs(np.asarray(w)) > 3.0, np.nan,
+                                         10.0 - np.asarray(w, dtype=float)),
+            symmetric_V=True,
+        )
+        with np.errstate(invalid="ignore"), pytest.raises(NullclineNotFound):
+            solve_weight_nullcline(model, np.array([0.0]), np.array([0.0]))
+
+    def test_step_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(microsim, "_NULLCLINE_MAX_STEPS", 1)
+        model = SmoothModel(
+            U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
+            V=lambda s, sig, w: 0.5 - w - w ** 3,
+            symmetric_V=True,
+        )
+        with pytest.raises(NullclineNotFound, match="did not converge"):
             solve_weight_nullcline(model, np.array([0.0]), np.array([0.0]))
 
 
