@@ -16,13 +16,12 @@ a special solution of the conditional dynamics.
 
 Injectivity of the anchor flow is monitored, not enforced: the minimum
 pairwise anchor distance (over pairs distinct at t = 0) is recorded at each
-sample and an exact collision aborts with a diagnostic.
+sample and an exact collision raises IntegrationError.
 """
 
 from __future__ import annotations
 
 import inspect
-import logging
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -31,8 +30,7 @@ import numpy as np
 from .errors import IntegrationError, InvariantViolation, ModelError
 from .microsim import _pair_forces, _pair_grids
 from .models import PotentialModel, SmoothModel
-
-log = logging.getLogger(__name__)
+from .stepping import rk4_step, run_grid
 
 
 @dataclass
@@ -101,16 +99,14 @@ class CharTrajectory:
         return self.ensembles[-1]
 
 
-def _char_rhs(anchors, weights, masses, model: SmoothModel):
-    U, V = _pair_forces(anchors, weights, model)
+def _char_rhs(anchors, weights, masses, model: SmoothModel, t: float):
+    U, V = _pair_forces(anchors, weights, model, t)
     dS = np.einsum("j,ijk->ik", masses, U)
     return dS, V
 
 
 def _integrate_characteristics(ens0: CharacteristicEnsemble, model: SmoothModel,
                                dt: float, T: float, sample_stride: int = 1) -> CharTrajectory:
-    if dt <= 0:
-        raise ModelError("dt must be positive")
     if ens0.m != model.m:
         raise ModelError("ensemble and model dimensions differ")
     M, m = ens0.anchors.shape
@@ -131,40 +127,31 @@ def _integrate_characteristics(ens0: CharacteristicEnsemble, model: SmoothModel,
 
     traj = CharTrajectory()
 
-    def record(anchors, weights, t):
+    def split(y):
+        return y[:M * m].reshape(M, m), y[M * m:].reshape(M, M)
+
+    def sample(y, t):   # CharacteristicEnsemble copies y
+        anchors, weights = split(y)
         d = min_distance(anchors)
         traj.times.append(t)
         traj.ensembles.append(CharacteristicEnsemble(
-            anchors=anchors.copy(), pair_weights=weights.copy(), masses=masses, t=t))
+            anchors=anchors, pair_weights=weights, masses=masses, t=t))
         traj.min_pair_distance.append(d)
         if monitor and d == 0.0:
             raise IntegrationError(
                 f"anchor collision at t = {t:.6g}: characteristic flow lost injectivity")
 
-    n_state = M * m
+    def step(y, t):
+        def f(z):
+            dS, dW = _char_rhs(*split(z), masses, model, t)
+            if sym:
+                dW = np.triu(dW, 1)
+                dW = dW + dW.T
+            return np.concatenate([dS.ravel(), dW.ravel()])
+        return rk4_step(f, y, dt)
 
-    def rhs_flat(y):
-        anchors = y[:n_state].reshape(M, m)
-        weights = y[n_state:].reshape(M, M)
-        dS, dW = _char_rhs(anchors, weights, masses, model)
-        if sym:
-            dW = np.triu(dW, 1)
-            dW = dW + dW.T
-        return np.concatenate([dS.ravel(), dW.ravel()])
-
-    y = np.concatenate([ens0.anchors.ravel(), ens0.pair_weights.ravel()])
-    record(ens0.anchors, ens0.pair_weights, ens0.t)
-    n_steps = int(round(T / dt)) if T > 0 else 0
-    for k in range(1, n_steps + 1):
-        k1 = rhs_flat(y)
-        k2 = rhs_flat(y + 0.5 * dt * k1)
-        k3 = rhs_flat(y + 0.5 * dt * k2)
-        k4 = rhs_flat(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite characteristic state at step {k}")
-        if k % sample_stride == 0 or k == n_steps:
-            record(y[:n_state].reshape(M, m), y[n_state:].reshape(M, M), ens0.t + k * dt)
+    y0 = np.concatenate([ens0.anchors.ravel(), ens0.pair_weights.ravel()])
+    run_grid(step, y0, ens0.t, dt, T, sample_stride, sample)
     return traj
 
 

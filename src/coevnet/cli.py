@@ -410,16 +410,12 @@ def _write_configs(out_dir, times, configs) -> list[str]:
 def _run_micro(x, out_dir, workers):
     """The micro and diffusive kinds: every sample_stride-th sample plus the last."""
     if x.kind == "diffusive":
-        traj = simulate_diffusive(x.agents, x.model, dt=x.dt, T=x.T, seed=x.seed)
+        traj = simulate_diffusive(x.agents, x.model, dt=x.dt, T=x.T, seed=x.seed,
+                                  sample_stride=x.sample_stride)
     else:
         traj = integrate_micro(x.agents, x.model, dt=x.dt, T=x.T, eps_w=x.eps_w, eps_s=x.eps_s,
-                               method=x.method)
-    stride = x.sample_stride
-    times, confs = traj.times[::stride], traj.configs[::stride]
-    if traj.times and (len(traj.times) - 1) % stride != 0:
-        times = list(times) + [traj.times[-1]]
-        confs = list(confs) + [traj.configs[-1]]
-    return _write_configs(out_dir, times, confs)
+                               method=x.method, sample_stride=x.sample_stride)
+    return _write_configs(out_dir, traj.times, traj.configs)
 
 
 def _run_minimal(x, out_dir, workers):

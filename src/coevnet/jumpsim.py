@@ -41,6 +41,7 @@ import numpy as np
 from . import _native
 from .errors import InvariantViolation, ModelError
 from .models import MinimalParams
+from .stepping import rk4_step, run_grid
 
 _PP, _MM, _PM = 0, 1, 2
 
@@ -792,26 +793,20 @@ def simulate_hybrid_bc(
     With r valued in [0, 1] the stationary link probability is exactly r, so
     tau -> 0 recovers bounded-confidence dynamics with w_ij = r(|s_i - s_j|);
     out-of-confidence links (r = 0) are removed at the full rate 1/tau.
+    A non-finite state raises IntegrationError.
     """
     if tau <= 0 or dt <= 0:
         raise ModelError("tau and dt must be positive")
     if dt >= tau:
         warnings.warn("dt >= tau: splitting accuracy degraded", stacklevel=2)
     rng = np.random.default_rng(seed)
-    states = cfg.states.copy()
     W = cfg.weights.astype(float).copy()
     N = cfg.N
-    n_steps = int(round(T / dt)) if T > 0 else 0
     traj = JumpTrajectory()
 
-    def record(k):
-        t = k * dt
+    def sample(y, t):   # HybridConfiguration copies y and W
         traj.times.append(t)
-        traj.configs.append(HybridConfiguration(states=states.copy(),
-                                                weights=W.astype(np.int8),
-                                                t=t))
-
-    record(0)
+        traj.configs.append(HybridConfiguration(states=y.reshape(N, -1), weights=W, t=t))
 
     def drift(flat):
         s = flat.reshape(N, -1)
@@ -820,14 +815,10 @@ def simulate_hybrid_bc(
         return ((W @ fs - deg[:, None] * s) / N).ravel()
 
     iu = np.triu_indices(N, 1)
-    for k in range(1, n_steps + 1):
-        y = states.ravel()
-        k1 = drift(y)
-        k2 = drift(y + 0.5 * dt * k1)
-        k3 = drift(y + 0.5 * dt * k2)
-        k4 = drift(y + dt * k3)
-        states = (y + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)).reshape(N, -1)
 
+    def step(y, t):
+        y = rk4_step(drift, y, dt)
+        states = y.reshape(N, -1)
         diff = states[:, None, :] - states[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
         rvals = np.asarray(r(dist), dtype=float)
@@ -839,6 +830,7 @@ def simulate_hybrid_bc(
         new_upper = np.where(fire, 1.0 - wi, wi)
         W[iu] = new_upper
         W[(iu[1], iu[0])] = new_upper
-        if k % sample_stride == 0 or k == n_steps:
-            record(k)
+        return y
+
+    run_grid(step, cfg.states.ravel(), cfg.t, dt, T, sample_stride, sample)
     return traj

@@ -12,7 +12,6 @@ upper triangle and mirrored, which keeps trajectories bitwise symmetric.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -20,10 +19,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
-from .models import PotentialModel, SmoothModel
-from .stepping import rkf45_advance
-
-log = logging.getLogger(__name__)
+from .models import PotentialModel, SmoothModel, _probe_points
+from .stepping import rk4_step, rkf45_advance, run_grid
 
 NULLCLINE_TOL = 1e-12
 _NULLCLINE_MAX_STEPS = 100
@@ -88,8 +85,9 @@ class EnergyReport:
 class MicroTrajectory:
     times: list[float] = field(default_factory=list)
     configs: list[AgentConfiguration] = field(default_factory=list)
+    # Always False: integrators raise IntegrationError instead of returning a
+    # truncated trajectory.  Kept because perfbench/workloads.py still reads it.
     aborted: bool = False
-    diagnostic: str | None = None
 
     def final(self) -> AgentConfiguration:
         return self.configs[-1]
@@ -116,18 +114,17 @@ def _writable(a: np.ndarray) -> np.ndarray:
 
 
 def _pair_forces(states: np.ndarray, weights: np.ndarray, model: SmoothModel,
-                 t: float | None = None) -> tuple[np.ndarray, np.ndarray]:
+                 t: float) -> tuple[np.ndarray, np.ndarray]:
     """U (N, N, m) and V (N, N) on every ordered pair, zero on the diagonal.
 
     Both are writable arrays; a non-finite entry raises IntegrationError
-    (naming t when given).
+    naming t.
     """
     si, sj = _pair_grids(states)
     U = _writable(model.U(si, sj, weights))
     V = _writable(model.V(si, sj, weights))
     if not (np.isfinite(U).all() and np.isfinite(V).all()):
-        at = "" if t is None else f" at t={t:.6g}"
-        raise IntegrationError(f"non-finite force evaluation{at}")
+        raise IntegrationError(f"non-finite force evaluation at t={t:.6g}")
     idx = np.arange(states.shape[0])
     U[idx, idx, :] = 0.0
     V[idx, idx] = 0.0
@@ -160,9 +157,15 @@ def micro_rhs(
     return ds, dw
 
 
-def _check_finite(states, weights, t):
-    if not (np.all(np.isfinite(states)) and np.all(np.isfinite(weights))):
-        raise IntegrationError(f"non-finite state during stepping at t={t:.6g}")
+def _flatten(cfg: AgentConfiguration) -> np.ndarray:
+    """States then weights, in one flat vector: the state run_grid advances."""
+    return np.concatenate([cfg.states.ravel(), cfg.weights.ravel()])
+
+
+def _unflatten(cfg: AgentConfiguration, y: np.ndarray, t: float) -> AgentConfiguration:
+    """The configuration at time t whose states and weights are views of y."""
+    N, m = cfg.states.shape
+    return cfg.replace(y[:N * m].reshape(N, m), y[N * m:].reshape(N, N), t)
 
 
 def integrate_micro(
@@ -175,85 +178,71 @@ def integrate_micro(
     method: str = "rk4",
     callback: Callable[[AgentConfiguration], None] | None = None,
     store: bool = True,
+    sample_stride: int = 1,
 ) -> MicroTrajectory:
-    """Integrate the microscopic system, sampling at multiples of dt.
+    """Integrate the microscopic system on the grid cfg.t + k dt.
 
     method is one of "rk4", "euler" (fixed step) or "rkf45" (adaptive
-    substeps between samples, abs/rel tolerances 1e-8/1e-6).  On NaN/Inf, or
-    an RKF45 step that misses its tolerance at the minimum step size, the
-    trajectory is truncated at the last valid sample and flagged as aborted.
+    substeps between grid points, abs/rel tolerances 1e-8/1e-6).  Samples
+    are taken at k = 0, every sample_stride-th step and the last step; each
+    is stored (or, with store=False, kept only as the latest) and passed to
+    callback.  A non-finite force or state raises IntegrationError naming
+    the time the failing step started from; so does, without the time, an
+    RKF45 step that misses its tolerance at the minimum step size.
     """
-    if dt <= 0:
-        raise ModelError("dt must be positive")
-    if T < 0:
-        raise ModelError("T must be nonnegative")
     if method not in ("rk4", "euler", "rkf45"):
         raise ModelError(f"unknown method {method!r}")
     if cfg.m != model.m:
         raise ModelError(f"configuration dimension m={cfg.m} does not match model m={model.m}")
 
     sym = cfg.symmetric and model.symmetric_V
-    n_steps = int(round(T / dt)) if T > 0 else 0
-
     traj = MicroTrajectory()
 
-    def record(c: AgentConfiguration):
+    def step(y: np.ndarray, t: float) -> np.ndarray:
+        def f(z):
+            ds, dw = micro_rhs(_unflatten(cfg, z, t), model, eps_w=eps_w, eps_s=eps_s)
+            return np.concatenate([ds.ravel(), dw.ravel()])
+        if method == "rk4":
+            y = rk4_step(f, y, dt)
+        elif method == "euler":
+            y = y + dt * f(y)
+        else:
+            y = rkf45_advance(f, y, dt)
+        W = _unflatten(cfg, y, t).weights
+        # a non-finite W is left to run_grid's IntegrationError
+        if sym and not np.array_equal(W, W.T) and np.isfinite(W).all():
+            raise InvariantViolation("weight symmetry lost during integration")
+        return y
+
+    def sample(y: np.ndarray, t: float) -> None:
+        c = _unflatten(cfg, y.copy(), t)
         if store:
-            traj.times.append(c.t)
+            traj.times.append(t)
             traj.configs.append(c)
         else:
-            traj.times = [c.t]
+            traj.times = [t]
             traj.configs = [c]
         if callback is not None:
             callback(c)
 
-    states = cfg.states.copy()
-    weights = cfg.weights.copy()
-    current = cfg.replace(states, weights, cfg.t)
-    record(current)
-
-    N, m = states.shape
-    n_state = N * m
-
-    def rhs_flat(y: np.ndarray) -> np.ndarray:
-        c = cfg.replace(y[:n_state].reshape(N, m), y[n_state:].reshape(N, N), 0.0)
-        ds, dw = micro_rhs(c, model, eps_w=eps_w, eps_s=eps_s)
-        return np.concatenate([ds.ravel(), dw.ravel()])
-
-    y = np.concatenate([states.ravel(), weights.ravel()])
-    for k in range(1, n_steps + 1):
-        t_k = cfg.t + k * dt
-        try:
-            if method == "rk4":
-                k1 = rhs_flat(y)
-                k2 = rhs_flat(y + 0.5 * dt * k1)
-                k3 = rhs_flat(y + 0.5 * dt * k2)
-                k4 = rhs_flat(y + dt * k3)
-                y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            elif method == "euler":
-                y = y + dt * rhs_flat(y)
-            else:
-                y = rkf45_advance(rhs_flat, y, dt)
-            if not np.all(np.isfinite(y)):
-                raise IntegrationError(f"non-finite state during stepping at t={t_k:.6g}")
-        except IntegrationError as exc:
-            traj.aborted = True
-            traj.diagnostic = str(exc)
-            log.warning("integration aborted: %s", exc)
-            return traj
-        new_states = y[:n_state].reshape(N, m).copy()
-        new_weights = y[n_state:].reshape(N, N).copy()
-        current = cfg.replace(new_states, new_weights, t_k)
-        if sym and not np.array_equal(new_weights, new_weights.T):
-            raise InvariantViolation("weight symmetry lost during integration")
-        record(current)
+    run_grid(step, _flatten(cfg), cfg.t, dt, T, sample_stride, sample)
     return traj
 
 
 def check_diffusive_model(model: SmoothModel) -> None:
-    """Raise ModelError unless simulate_diffusive can run the model."""
+    """Raise ModelError unless simulate_diffusive can run the model.
+
+    It needs a state diffusion coefficient Q, and it has no weight noise, so
+    a weight diffusion coefficient R that is nonzero on the probe grid is
+    rejected rather than ignored.
+    """
     if model.Q is None:
         raise ModelError("simulate_diffusive requires a model with a state diffusion coefficient Q")
+    if model.R is not None:
+        s, sig, w = _probe_points(model.m, 64)
+        if np.any(np.asarray(model.R(s, sig, w), dtype=float) != 0.0):
+            raise ModelError("simulate_diffusive has no weight noise: the weight diffusion "
+                             "coefficient R must be zero")
 
 
 def simulate_diffusive(
@@ -262,51 +251,37 @@ def simulate_diffusive(
     dt: float,
     T: float,
     seed: int,
-    callback: Callable[[AgentConfiguration], None] | None = None,
-    store: bool = True,
+    sample_stride: int = 1,
 ) -> MicroTrajectory:
     """Euler-Maruyama for state diffusion with deterministic weight drift.
 
     States advance by drift*dt + sqrt(2 Q(s_i) dt) xi with xi standard normal
     per component; weights take a deterministic Euler step of V.  Fixed seed
-    gives a reproducible path.
+    gives a reproducible path.  Sampling and failures are as in
+    integrate_micro.
     """
     check_diffusive_model(model)
-    if dt <= 0:
-        raise ModelError("dt must be positive")
     rng = np.random.default_rng(seed)
     sym = cfg.symmetric and model.symmetric_V
-    n_steps = int(round(T / dt)) if T > 0 else 0
-
     traj = MicroTrajectory()
 
-    def record(c):
-        if store:
-            traj.times.append(c.t)
-            traj.configs.append(c)
-        else:
-            traj.times = [c.t]
-            traj.configs = [c]
-        if callback is not None:
-            callback(c)
-
-    states = cfg.states.copy()
-    weights = cfg.weights.copy()
-    record(cfg.replace(states.copy(), weights.copy(), cfg.t))
-    N, m = states.shape
-    for k in range(1, n_steps + 1):
-        c = cfg.replace(states, weights, cfg.t + (k - 1) * dt)
+    def step(y: np.ndarray, t: float) -> np.ndarray:
+        c = _unflatten(cfg, y, t)
         ds, dw = micro_rhs(c, model, eps_w=1.0, eps_s=1.0)
-        q = np.asarray(model.Q(states), dtype=float)
-        xi = rng.standard_normal(size=(N, m))
-        states = states + ds * dt + np.sqrt(2.0 * q * dt)[:, None] * xi
-        weights = weights + dw * dt
+        q = np.asarray(model.Q(c.states), dtype=float)
+        xi = rng.standard_normal(size=ds.shape)
+        states = c.states + ds * dt + np.sqrt(2.0 * q * dt)[:, None] * xi
+        weights = c.weights + dw * dt
         if sym:
             weights = np.triu(weights, 1)
             weights = weights + weights.T
-        t_k = cfg.t + k * dt
-        _check_finite(states, weights, t_k)
-        record(cfg.replace(states.copy(), weights.copy(), t_k))
+        return np.concatenate([states.ravel(), weights.ravel()])
+
+    def sample(y: np.ndarray, t: float) -> None:
+        traj.times.append(t)
+        traj.configs.append(_unflatten(cfg, y.copy(), t))
+
+    run_grid(step, _flatten(cfg), cfg.t, dt, T, sample_stride, sample)
     return traj
 
 
@@ -443,13 +418,11 @@ def integrate_reduced(
     dt: float,
     T: float,
 ) -> StateTrajectory:
-    """Integrate the instantaneous-network-formation limit.
+    """Integrate the instantaneous-network-formation limit by RK4.
 
     Each pair's weight is slaved to the nullcline w = omega(s_i, s_j) and the
     states follow ds_i/dt = (1/N) sum_{j != i} U(s_i, s_j, omega(s_i, s_j)).
     """
-    if dt <= 0:
-        raise ModelError("dt must be positive")
     states = np.array(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
@@ -464,17 +437,11 @@ def integrate_reduced(
         U[idx, idx, :] = 0.0
         return (U.sum(axis=1) / N).ravel()
 
-    traj = StateTrajectory(times=[0.0], states=[states.copy()])
-    n_steps = int(round(T / dt)) if T > 0 else 0
-    y = states.ravel()
-    for k in range(1, n_steps + 1):
-        k1 = rhs(y)
-        k2 = rhs(y + 0.5 * dt * k1)
-        k3 = rhs(y + 0.5 * dt * k2)
-        k4 = rhs(y + dt * k3)
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
-            raise IntegrationError(f"non-finite state in reduced dynamics at step {k}")
-        traj.times.append(k * dt)
+    traj = StateTrajectory()
+
+    def sample(y: np.ndarray, t: float) -> None:
+        traj.times.append(t)
         traj.states.append(y.reshape(N, m).copy())
+
+    run_grid(lambda y, t: rk4_step(rhs, y, dt), states.ravel(), 0.0, dt, T, 1, sample)
     return traj

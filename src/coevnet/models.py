@@ -301,7 +301,8 @@ def catalog(name: str, params: Mapping | None = None) -> SmoothModel:
         def V(s, sig, w, _g=g, _J0=J0, _gam=gam):
             gs = np.asarray(_g(np.asarray(s, dtype=float)[..., 0]), dtype=float)
             gsig = np.asarray(_g(np.asarray(sig, dtype=float)[..., 0]), dtype=float)
-            return _gam * (_J0 * gs * gsig - np.asarray(w, dtype=float))
+            # J0 (g(s) g(sigma)) is bitwise exchange-symmetric; (J0 g(s)) g(sigma) is not
+            return _gam * (_J0 * (gs * gsig) - np.asarray(w, dtype=float))
 
         def U0(s):
             return -np.asarray(s, dtype=float)

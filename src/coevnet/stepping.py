@@ -1,9 +1,11 @@
-"""Fixed-step and embedded Runge-Kutta steppers on numpy state vectors.
+"""The fixed-grid stepper and the one-step updates it runs.
 
-All solvers in the package step on a fixed output grid (multiples of dt) so
-that trajectories are reproducible and directly comparable across runs.  The
-adaptive RKF45 path subdivides between grid points but still reports on the
-grid.
+Every Python integrator in the package advances on the grid t0 + k dt
+through ``run_grid``, which owns the grid, the finiteness check and the
+sampling rule.  The integrator passes only its one-step function, built on
+``rk4_step``, an Euler update or ``rkf45_advance`` (adaptive substeps between
+grid points).  A failed step raises IntegrationError; no integrator returns
+a truncated trajectory.
 """
 
 from __future__ import annotations
@@ -12,9 +14,43 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import IntegrationError
+from .errors import IntegrationError, ModelError
 
 Rhs = Callable[[np.ndarray], np.ndarray]
+
+
+def run_grid(
+    step: Callable[[np.ndarray, float], np.ndarray],
+    y0: np.ndarray,
+    t0: float,
+    dt: float,
+    T: float,
+    stride: int,
+    sample: Callable[[np.ndarray, float], None],
+) -> None:
+    """Advance y0 over round(T / dt) steps of the grid t0 + k dt.
+
+    ``step(y, t)`` returns the state at t + dt from the state y at t; a
+    result with a NaN or Inf entry raises IntegrationError naming t.
+    ``sample(y, t)`` sees the state at k = 0 and at every k with
+    k % stride == 0 or k == n_steps; a sample that keeps y copies it.
+    """
+    if dt <= 0:
+        raise ModelError("dt must be positive")
+    if T < 0:
+        raise ModelError("T must be nonnegative")
+    if stride < 1:
+        raise ModelError("sample_stride must be >= 1")
+    n_steps = int(round(T / dt)) if T > 0 else 0
+    y = y0
+    sample(y, t0)
+    for k in range(1, n_steps + 1):
+        t = t0 + (k - 1) * dt
+        y = step(y, t)
+        if not np.all(np.isfinite(y)):
+            raise IntegrationError(f"non-finite state in the step from t={t:.6g}")
+        if k % stride == 0 or k == n_steps:
+            sample(y, t0 + k * dt)
 
 
 def rk4_step(f: Rhs, y: np.ndarray, h: float) -> np.ndarray:

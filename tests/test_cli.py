@@ -433,6 +433,42 @@ class TestBuildOnce:
         assert r_err["message"] == message
         assert not (tmp_path / "out").exists()
 
+    def test_micro_blowup_exits_3_with_error_json_and_no_manifest(self, tmp_path, capsys):
+        # RK4 at dt = 1 on a weight relaxation rate of 1000 overflows; samples
+        # t = 0..3 are finite and the force overflows in the step from t = 3
+        cfg = micro_config(N=5, T=200, dt=1, seed=0, model={
+            "name": "kernel-relaxation",
+            "params": {"K": {"form": "identity"}, "eta": {"form": "gaussian"}, "kappa": 1000}},
+            init={"states": {"dist": "uniform", "low": -1, "high": 1},
+                  "weights": {"dist": "uniform", "low": 0, "high": 1}})
+        with np.errstate(over="ignore", invalid="ignore"):
+            (v_code, v_out), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == 0 and v_out.startswith("ok:")
+        assert r_code == 3
+        assert r_err == {"error": "IntegrationError", "exit_code": 3,
+                         "message": "non-finite force evaluation at t=3"}
+        assert json.loads((tmp_path / "out" / "error.json").read_text()) == r_err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_diffusive_with_weight_noise_fails_validate_as_run(self, tmp_path, capsys,
+                                                                monkeypatch):
+        import dataclasses
+        from coevnet import cli
+
+        def noisy_catalog(name, params):
+            return dataclasses.replace(catalog(name, params),
+                                       R=lambda s, sig, w: np.ones(np.shape(w)))
+        catalog = cli.catalog
+        monkeypatch.setattr(cli, "catalog", noisy_catalog)
+        cfg = dict(micro_config(), kind="diffusive", model={
+            "name": "boschi", "params": {"g": {"form": "sigmoid"}, "J0": 2.0, "gamma": 1.0,
+                                         "sigma_noise": 0.2}})
+        (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == r_code == 3
+        assert v_err == r_err
+        assert r_err["error"] == "ModelError"
+        assert "coefficient R" in r_err["message"]
+
     def test_bad_anchors_spec_names_init_anchors(self, tmp_path, capsys):
         cfg = {
             "kind": "characteristics", "seed": 1, "variant": "wc", "M": 6,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coevnet.errors import InvariantViolation, ModelError
+from coevnet.errors import IntegrationError, InvariantViolation, ModelError
 from coevnet.jumpsim import (
     DiscreteConfiguration,
     HybridConfiguration,
@@ -289,6 +289,21 @@ class TestHybridBC:
         iu = np.triu_indices(N, 1)
         agreement = np.mean(final.weights[iu] == expect[iu])
         assert agreement >= 0.99
+
+    def test_grid_starts_at_the_configuration_time(self):
+        cfg = HybridConfiguration(states=np.array([[0.0], [1.0]]), weights=complete_graph(2),
+                                  t=5.0)
+        traj = simulate_hybrid_bc(cfg, F=lambda s: s, r=lambda d: np.ones_like(d),
+                                  tau=1.0, dt=0.25, T=0.5, seed=0)
+        assert traj.times == [5.0, 5.25, 5.5]
+        assert [c.t for c in traj.configs] == traj.times
+
+    def test_non_finite_state_raises(self):
+        cfg = HybridConfiguration(states=np.array([[0.0], [1.0]]), weights=complete_graph(2))
+        with np.errstate(invalid="ignore"), \
+                pytest.raises(IntegrationError, match="non-finite state in the step from t=0$"):
+            simulate_hybrid_bc(cfg, F=lambda s: np.full(np.shape(s), np.inf),
+                               r=lambda d: np.ones_like(d), tau=1.0, dt=0.1, T=1.0, seed=0)
 
     def test_dt_above_tau_warns(self):
         cfg = HybridConfiguration(states=np.array([[0.0], [1.0]]),

@@ -186,24 +186,21 @@ class TestIntegrateMicro:
             symmetric_V=True,
         )
         cfg = small_config([[0.0], [1.0]], [[0, 1.0], [1.0, 0]])
-        traj = integrate_micro(cfg, model, dt=0.1, T=0.3, method="rkf45")
-        assert traj.aborted
-        assert "missed its tolerance" in traj.diagnostic
-        assert traj.times == [0.0]
+        with pytest.raises(IntegrationError, match="missed its tolerance"):
+            integrate_micro(cfg, model, dt=0.1, T=0.3, method="rkf45")
 
     def test_abort_on_blowup(self):
-        # dw/dt = w^2 from w close to the blowup time: finite-time escape
+        # dw/dt = w^2 from w close to the blowup time: finite-time escape in
+        # the step from t = 0.03, the last finite sample
         model = SmoothModel(
             U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
             V=lambda s, sig, w: np.square(np.asarray(w, dtype=float)),
             symmetric_V=True,
         )
         cfg = small_config([[0.0], [1.0]], [[0, 100.0], [100.0, 0]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            traj = integrate_micro(cfg, model, dt=0.01, T=2.0)
-        assert traj.aborted
-        assert traj.diagnostic
-        assert np.all(np.isfinite(traj.final().weights))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IntegrationError, match=r"non-finite force evaluation at t=0\.03$"):
+            integrate_micro(cfg, model, dt=0.01, T=2.0)
 
     def test_dimension_mismatch_rejected(self):
         cfg = small_config([[0.0], [1.0]], np.zeros((2, 2)))
@@ -257,6 +254,18 @@ class TestDiffusive:
         cfg = small_config([[0.0], [1.0]], np.zeros((2, 2)))
         with pytest.raises(ModelError):
             simulate_diffusive(cfg, null_model(), dt=0.01, T=0.1, seed=0)
+
+    def test_nonzero_weight_noise_rejected(self):
+        model = SmoothModel(
+            U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
+            V=lambda s, sig, w: np.zeros(np.shape(w)),
+            Q=lambda s: np.full(np.asarray(s).shape[:-1], 0.5),
+            R=lambda s, sig, w: np.full(np.shape(w), 0.1),
+            symmetric_V=True,
+        )
+        cfg = small_config([[0.0], [1.0]], np.zeros((2, 2)))
+        with pytest.raises(ModelError, match="coefficient R must be zero"):
+            simulate_diffusive(cfg, model, dt=0.01, T=0.1, seed=0)
 
     def test_deterministic_for_fixed_seed(self):
         model = catalog("boschi", {

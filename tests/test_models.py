@@ -100,6 +100,13 @@ class TestCatalog:
         assert model.U0(s) == pytest.approx(0.0)
         assert model.Q(s) == pytest.approx(0.0)
 
+    @pytest.mark.parametrize("J0", [0.3, 1.5, 1.7, 3.0])
+    def test_boschi_builds_for_any_J0(self, J0):
+        model = catalog("boschi", {
+            "g": lambda x: 1.0 / (1.0 + np.exp(-x)), "J0": J0, "gamma": 1.0,
+        })
+        assert probe_symmetry_gap(model) == 0.0
+
     def test_quadratic_potential_catalog(self):
         model = catalog("quadratic-potential", {"kappa": 1.0, "c": 1.0})
         s, sig, w = _s(1.0), _s(0.0), np.array(2.0)
