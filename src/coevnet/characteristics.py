@@ -2,17 +2,21 @@
 systems of weighted pair interactions.
 
 An ensemble of M anchor states with masses summing to one carries an M x M
-matrix of pairwise weights.  Anchors drift under the mass-weighted
-interaction force and each pairwise weight follows its own weight ODE:
+matrix of pairwise weights.  Anchors drift under the external force and the
+mass-weighted interaction force, and each pairwise weight follows its own
+weight ODE:
 
-    dS_i/dt = sum_{j != i} mass_j U(S_i, S_j, W_ij)
+    dS_i/dt = U0(S_i) + sum_{j != i} mass_j U(S_i, S_j, W_ij)
     dW_ij/dt = V(S_i, S_j, W_ij)
 
-The weight-concentration solver initializes W from a weight surface
-W0(s, s') and the conditional-distribution solver accepts free initial pair
-weights (each row i is an empirical partner ensemble for anchor i).  Both
-share this single flow, which is exactly why weight-concentrated data remain
-a special solution of the conditional dynamics.
+This is the microscopic flow with the anchor masses in place of the equal
+masses 1/N, and it is integrated as such: ``integrate_micro`` with
+``masses`` (fixed-step RK4, eps_w = eps_s = 1).  The weight-concentration
+solver initializes W from a weight surface W0(s, s') and the
+conditional-distribution solver accepts free initial pair weights (each row
+i is an empirical partner ensemble for anchor i).  Both share this single
+flow, which is exactly why weight-concentrated data remain a special
+solution of the conditional dynamics.
 
 Injectivity of the anchor flow is monitored, not enforced: the minimum
 pairwise anchor distance (over pairs distinct at t = 0) is recorded at each
@@ -28,9 +32,8 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, InvariantViolation, ModelError
-from .microsim import _pair_forces, _pair_grids
+from .microsim import AgentConfiguration, _pair_grids, integrate_micro
 from .models import PotentialModel, SmoothModel
-from .stepping import rk4_step, run_grid
 
 
 @dataclass
@@ -99,19 +102,11 @@ class CharTrajectory:
         return self.ensembles[-1]
 
 
-def _char_rhs(anchors, weights, masses, model: SmoothModel, t: float):
-    U, V = _pair_forces(anchors, weights, model, t)
-    dS = np.einsum("j,ijk->ik", masses, U)
-    return dS, V
-
-
 def _integrate_characteristics(ens0: CharacteristicEnsemble, model: SmoothModel,
                                dt: float, T: float, sample_stride: int = 1) -> CharTrajectory:
     if ens0.m != model.m:
         raise ModelError("ensemble and model dimensions differ")
-    M, m = ens0.anchors.shape
     masses = ens0.masses
-    sym = model.symmetric_V and np.array_equal(ens0.pair_weights, ens0.pair_weights.T)
 
     diff0 = ens0.anchors[:, None, :] - ens0.anchors[None, :, :]
     dist0 = np.sqrt(np.sum(diff0 * diff0, axis=-1))
@@ -127,31 +122,20 @@ def _integrate_characteristics(ens0: CharacteristicEnsemble, model: SmoothModel,
 
     traj = CharTrajectory()
 
-    def split(y):
-        return y[:M * m].reshape(M, m), y[M * m:].reshape(M, M)
-
-    def sample(y, t):   # CharacteristicEnsemble copies y
-        anchors, weights = split(y)
-        d = min_distance(anchors)
-        traj.times.append(t)
+    def record(c: AgentConfiguration) -> None:
+        d = min_distance(c.states)
+        traj.times.append(c.t)
         traj.ensembles.append(CharacteristicEnsemble(
-            anchors=anchors, pair_weights=weights, masses=masses, t=t))
+            anchors=c.states, pair_weights=c.weights, masses=masses, t=c.t))
         traj.min_pair_distance.append(d)
         if monitor and d == 0.0:
             raise IntegrationError(
-                f"anchor collision at t = {t:.6g}: characteristic flow lost injectivity")
+                f"anchor collision at t = {c.t:.6g}: characteristic flow lost injectivity")
 
-    def step(y, t):
-        def f(z):
-            dS, dW = _char_rhs(*split(z), masses, model, t)
-            if sym:
-                dW = np.triu(dW, 1)
-                dW = dW + dW.T
-            return np.concatenate([dS.ravel(), dW.ravel()])
-        return rk4_step(f, y, dt)
-
-    y0 = np.concatenate([ens0.anchors.ravel(), ens0.pair_weights.ravel()])
-    run_grid(step, y0, ens0.t, dt, T, sample_stride, sample)
+    W = ens0.pair_weights
+    cfg = AgentConfiguration(ens0.anchors, W, symmetric=np.array_equal(W, W.T), t=ens0.t)
+    integrate_micro(cfg, model, dt, T, callback=record, store=False,
+                    sample_stride=sample_stride, masses=masses)
     return traj
 
 
@@ -169,10 +153,7 @@ def integrate_characteristics_wc(
     anchor_j); the weight matrix then stays the characteristic trace of the
     transported surface.
     """
-    si, sj = _pair_grids(ens0.anchors)
-    expected = np.asarray(W0(si, sj), dtype=float).copy()
-    np.fill_diagonal(expected, 0.0)
-    if not np.array_equal(expected, ens0.pair_weights):
+    if not np.array_equal(make_wc_ensemble(ens0.anchors, W0).pair_weights, ens0.pair_weights):
         raise ModelError("weight-concentration solver requires pair_weights = W0(anchors)")
     return _integrate_characteristics(ens0, model, dt, T, sample_stride)
 

@@ -54,7 +54,6 @@ from .errors import CoevnetError, ConfigError, InvariantViolation
 from .jumpsim import DiscreteConfiguration, HybridConfiguration, simulate_hybrid_bc, simulate_minimal, simulate_voter
 from .microsim import (
     AgentConfiguration,
-    _pair_grids,
     check_diffusive_model,
     integrate_micro,
     simulate_diffusive,
@@ -369,18 +368,15 @@ def _build_characteristics(x):
     if x.variant == "conditional" and "weights" not in init and "W0" not in init:
         raise ConfigError("conditional variant requires init.weights or init.W0",
                           field="init.weights")
-    W0 = kernel_from_spec(init["W0"], "W0") if "W0" in init else None
+    if "W0" in init:
+        W0 = kernel_from_spec(init["W0"], "W0")
+        x.surface = lambda s, sig: W0(np.asarray(s, dtype=float) - np.asarray(sig, dtype=float))
     rng = np.random.default_rng(x.seed)
     anchors = _states_from_spec(init["anchors"], x.M, x.model.m, rng, "init.anchors")
-    if x.variant == "wc":
-        x.surface = lambda s, sig: W0(np.asarray(s, dtype=float) - np.asarray(sig, dtype=float))
+    if x.variant == "wc" or "weights" not in init:
         x.ensemble = make_wc_ensemble(anchors, x.surface)
         return
-    if "weights" in init:
-        W = _weights_from_spec(init["weights"], x.M, rng, x.model, anchors)
-    else:
-        si, sj = _pair_grids(anchors)
-        W = np.asarray(W0(si - sj), dtype=float).copy()
+    W = _weights_from_spec(init["weights"], x.M, rng, x.model, anchors)
     np.fill_diagonal(W, 0.0)
     x.ensemble = CharacteristicEnsemble(anchors=anchors, pair_weights=W,
                                         masses=uniform_masses(x.M))

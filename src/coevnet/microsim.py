@@ -3,7 +3,9 @@
 States follow the mean-field interaction drift (1/N) sum_j U(s_i, s_j, w_ij)
 plus an optional external force; weights follow dw_ij/dt = V(s_i, s_j, w_ij).
 Both right-hand sides carry independent 1/eps prefactors so the fast-network
-and fast-state regimes are reachable without reparameterizing time.
+and fast-state regimes are reachable without reparameterizing time.  With
+a vector of anchor masses in place of the equal masses 1/N the same flow is
+the characteristics flow of ``characteristics.py``.
 
 Weight symmetry: when the model's V is exchange-symmetric and the initial
 weight matrix is symmetric, the weight derivative matrix is built from its
@@ -113,41 +115,39 @@ def _writable(a: np.ndarray) -> np.ndarray:
     return a if a.flags.writeable else a.copy()
 
 
-def _pair_forces(states: np.ndarray, weights: np.ndarray, model: SmoothModel,
-                 t: float) -> tuple[np.ndarray, np.ndarray]:
-    """U (N, N, m) and V (N, N) on every ordered pair, zero on the diagonal.
-
-    Both are writable arrays; a non-finite entry raises IntegrationError
-    naming t.
-    """
-    si, sj = _pair_grids(states)
-    U = _writable(model.U(si, sj, weights))
-    V = _writable(model.V(si, sj, weights))
-    if not (np.isfinite(U).all() and np.isfinite(V).all()):
-        raise IntegrationError(f"non-finite force evaluation at t={t:.6g}")
-    idx = np.arange(states.shape[0])
-    U[idx, idx, :] = 0.0
-    V[idx, idx] = 0.0
-    return U, V
-
-
 def micro_rhs(
     cfg: AgentConfiguration,
     model: SmoothModel,
     eps_w: float = 1.0,
     eps_s: float = 1.0,
+    masses: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Drift of states and weights.
 
     ds_i/dt = (1/eps_s) (1/N) sum_{j != i} U(s_i, s_j, w_ij) + U0(s_i)
     dw_ij/dt = (1/eps_w) V(s_i, s_j, w_ij), zero diagonal.
+
+    With a mass vector the interaction term is instead
+    (1/eps_s) sum_{j != i} masses_j U(s_i, s_j, w_ij): the characteristics
+    flow of the pair-closed kinetic equation, whose anchors carry unequal
+    masses.  A non-finite U or V raises IntegrationError naming cfg.t.
     """
     if not (eps_w > 0 and eps_s > 0):
         raise ModelError("eps_w and eps_s must be positive")
     states = cfg.states
     N = states.shape[0]
-    U, V = _pair_forces(states, cfg.weights, model, cfg.t)
-    ds = U.sum(axis=1) / (N * eps_s)
+    si, sj = _pair_grids(states)
+    U = _writable(model.U(si, sj, cfg.weights))
+    V = _writable(model.V(si, sj, cfg.weights))
+    if not (np.isfinite(U).all() and np.isfinite(V).all()):
+        raise IntegrationError(f"non-finite force evaluation at t={cfg.t:.6g}")
+    idx = np.arange(N)
+    U[idx, idx, :] = 0.0
+    V[idx, idx] = 0.0
+    if masses is None:
+        ds = U.sum(axis=1) / (N * eps_s)
+    else:
+        ds = np.einsum("j,ijk->ik", masses, U) / eps_s
     if model.U0 is not None:
         ds = ds + model.U0(states)
     if cfg.symmetric and model.symmetric_V:
@@ -179,6 +179,7 @@ def integrate_micro(
     callback: Callable[[AgentConfiguration], None] | None = None,
     store: bool = True,
     sample_stride: int = 1,
+    masses: np.ndarray | None = None,
 ) -> MicroTrajectory:
     """Integrate the microscopic system on the grid cfg.t + k dt.
 
@@ -186,9 +187,10 @@ def integrate_micro(
     substeps between grid points, abs/rel tolerances 1e-8/1e-6).  Samples
     are taken at k = 0, every sample_stride-th step and the last step; each
     is stored (or, with store=False, kept only as the latest) and passed to
-    callback.  A non-finite force or state raises IntegrationError naming
-    the time the failing step started from; so does, without the time, an
-    RKF45 step that misses its tolerance at the minimum step size.
+    callback.  masses, if given, replaces the equal masses 1/N of the
+    interaction drift (see micro_rhs).  A non-finite force or state, or an
+    RKF45 substep that misses its tolerance at the minimum step size, raises
+    IntegrationError naming the time the failing step started from.
     """
     if method not in ("rk4", "euler", "rkf45"):
         raise ModelError(f"unknown method {method!r}")
@@ -200,14 +202,15 @@ def integrate_micro(
 
     def step(y: np.ndarray, t: float) -> np.ndarray:
         def f(z):
-            ds, dw = micro_rhs(_unflatten(cfg, z, t), model, eps_w=eps_w, eps_s=eps_s)
+            ds, dw = micro_rhs(_unflatten(cfg, z, t), model, eps_w=eps_w, eps_s=eps_s,
+                               masses=masses)
             return np.concatenate([ds.ravel(), dw.ravel()])
         if method == "rk4":
             y = rk4_step(f, y, dt)
         elif method == "euler":
             y = y + dt * f(y)
         else:
-            y = rkf45_advance(f, y, dt)
+            y = rkf45_advance(f, y, dt, t0=t)
         W = _unflatten(cfg, y, t).weights
         # a non-finite W is left to run_grid's IntegrationError
         if sym and not np.array_equal(W, W.T) and np.isfinite(W).all():

@@ -73,6 +73,16 @@ class TestFlow:
         traj = integrate_characteristics_conditional(ens, linear_attraction(), dt=1e-3, T=1.0)
         assert traj.final().anchors[0, 0] == pytest.approx(1 - np.exp(-1.0), abs=1e-8)
 
+    def test_two_anchor_consensus_with_unequal_masses(self):
+        # dS_0/dt = 0.75 (S_1 - S_0), dS_1/dt = 0.25 (S_0 - S_1): the gap decays
+        # as e^{-t} about the conserved mass-weighted mean 1.5
+        W = np.array([[0.0, 1.0], [1.0, 0.0]])
+        ens = CharacteristicEnsemble(anchors=np.array([[0.0], [2.0]]),
+                                     pair_weights=W, masses=np.array([0.25, 0.75]))
+        traj = integrate_characteristics_conditional(ens, linear_attraction(), dt=1e-3, T=1.0)
+        assert traj.final().anchors[:, 0] == pytest.approx(
+            [1.5 - 1.5 * np.exp(-1.0), 1.5 + 0.5 * np.exp(-1.0)], abs=1e-8)
+
     def test_conditional_weight_decay(self):
         ens = CharacteristicEnsemble(anchors=np.array([[0.0], [1.0]]),
                                      pair_weights=np.array([[0.0, 3.0], [3.0, 0.0]]),
@@ -105,6 +115,20 @@ class TestFlow:
                     for a, b in zip(t_wc.ensembles, t_cond.ensembles))
         assert gap_s <= 1e-12
         assert gap_w <= 1e-12
+
+    def test_external_force_drives_the_anchors(self):
+        # U = V = 0 and U0(s) = -s: each anchor decays as S(0) e^{-t}
+        model = SmoothModel(
+            U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
+            V=lambda s, sig, w: np.zeros(np.shape(w)),
+            U0=lambda s: -np.asarray(s, dtype=float),
+            symmetric_V=True,
+        )
+        ens = random_ensemble(5, np.random.default_rng(6))
+        traj = integrate_characteristics_conditional(ens, model, dt=1e-2, T=1.0)
+        for e in traj.ensembles:
+            assert np.allclose(e.anchors, ens.anchors * np.exp(-e.t), rtol=0.0, atol=1e-10)
+        assert np.array_equal(traj.final().pair_weights, ens.pair_weights)
 
     def test_mass_weighted_mean_conserved_for_antisymmetric_force(self):
         rng = np.random.default_rng(3)

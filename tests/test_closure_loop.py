@@ -10,6 +10,7 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from coevnet import _native, closures
 from coevnet.closures import DELTA_CONSENSUS, NEG_CLAMP_TOL
@@ -95,6 +96,38 @@ def test_bitwise_equal_on_stop_and_clamp_cases(name, kirk):
     assert (steps_done == n_steps) == (expected == 0)
     if name in ("clamped", "negative-after-clamp"):
         assert clamped > 0
+
+
+@st.composite
+def closure_runs(draw):
+    """Valid initial moments, random rates and a short horizon; about half
+    the runs have equal flip rates."""
+    raw = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)))
+    assume(raw.sum() > 0.0)
+    y0 = normalized(raw)
+    rho_p = y0[0] + y0[1] + y0[4] + y0[5]
+    assume(0.0 < rho_p < 1.0)
+    r = np.array(draw(st.lists(st.floats(0.0, 20.0), min_size=8, max_size=8)))
+    if draw(st.booleans()):
+        r[1] = r[0]
+    return (y0, r, draw(st.sampled_from([0, 1])), draw(st.sampled_from([0.01, 0.1, 0.3])),
+            draw(st.integers(0, 60)), draw(st.integers(1, 7)), DELTA_CONSENSUS, NEG_CLAMP_TOL)
+
+
+@settings(max_examples=150)
+@given(closure_runs())
+def test_loops_agree_and_keep_the_invariants(run):
+    r, neg_tol = run[1], run[7]
+    n_rec, _, clamped, _ = assert_same_run(run)
+    recs = closures._integrate_loop_py(*run)[0][:n_rec]
+    assert np.all(recs >= 0.0)
+    # each clamp adds at most neg_tol to the conserved sums
+    tol = 1e-12 + clamped * neg_tol
+    totals = recs[:, :4].sum(axis=1) + 2.0 * recs[:, 4:].sum(axis=1)
+    assert np.all(np.abs(totals - 1.0) <= tol)
+    if r[0] == r[1]:
+        rho_p = recs[:, 0] + recs[:, 1] + recs[:, 4] + recs[:, 5]
+        assert np.all(np.abs(rho_p - rho_p[0]) <= tol)
 
 
 @needs_cc

@@ -189,6 +189,21 @@ class TestIntegrateMicro:
         with pytest.raises(IntegrationError, match="missed its tolerance"):
             integrate_micro(cfg, model, dt=0.1, T=0.3, method="rkf45")
 
+    def test_rkf45_tolerance_failure_names_the_step_it_starts_from(self):
+        # both agents drift at rate 1 under U0; U switches on, stiff, once a
+        # state passes 0.15, which the agent from 0 does at t = 0.15
+        model = SmoothModel(
+            U=lambda s, sig, w: np.where(np.asarray(s) > 0.15,
+                                         1e20 * np.sin(np.asarray(sig, dtype=float) - s), 0.0),
+            V=lambda s, sig, w: np.zeros(np.shape(w)),
+            U0=lambda s: np.ones_like(s),
+            symmetric_V=True,
+        )
+        cfg = small_config([[-0.5], [0.0]], [[0, 1.0], [1.0, 0]])
+        with pytest.raises(IntegrationError,
+                           match=r"missed its tolerance in the step from t=0\.1 "):
+            integrate_micro(cfg, model, dt=0.1, T=0.5, method="rkf45")
+
     def test_abort_on_blowup(self):
         # dw/dt = w^2 from w close to the blowup time: finite-time escape in
         # the step from t = 0.03, the last finite sample

@@ -12,8 +12,6 @@ from coevnet.microsim import AgentConfiguration, integrate_micro
 from coevnet.models import SmoothModel, catalog
 from coevnet.stepping import run_grid
 
-PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
-
 
 class TestRunGrid:
     def test_grid_and_sampling_rule(self):
@@ -75,7 +73,7 @@ def assert_symmetric(mats):
         assert W.tobytes() == W.T.copy().tobytes()
 
 
-@PROPERTY
+@settings(max_examples=50)
 @given(symmetric_systems(), st.sampled_from(["rk4", "euler", "rkf45"]))
 def test_integrate_micro_keeps_weights_bitwise_symmetric(system, method):
     model, states, W = system
@@ -85,7 +83,7 @@ def test_integrate_micro_keeps_weights_bitwise_symmetric(system, method):
     assert_symmetric(c.weights for c in traj.configs)
 
 
-@PROPERTY
+@settings(max_examples=50)
 @given(symmetric_systems())
 def test_conditional_characteristics_keep_weights_bitwise_symmetric(system):
     model, states, W = system
@@ -96,7 +94,7 @@ def test_conditional_characteristics_keep_weights_bitwise_symmetric(system):
     assert_symmetric(e.pair_weights for e in traj.ensembles)
 
 
-@PROPERTY
+@settings(max_examples=50)
 @given(st.integers(1, 5), st.integers(0, 12), st.sampled_from(["rk4", "euler", "rkf45"]))
 def test_strided_micro_run_is_the_full_run_subsampled(stride, n_steps, method):
     model = catalog("kernel-relaxation", {
