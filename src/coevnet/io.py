@@ -1,8 +1,8 @@
 """Artifact writers: CSV/JSON with atomic replace and full-precision floats.
 
-All floats are serialized with 17 significant digits so acceptance
-tolerances are never masked by formatting; files are written to a temporary
-sibling and renamed into place.
+All floats are serialized with 17 significant digits so acceptance tolerances
+are never masked by formatting. Every CSV goes through one table writer,
+`_write_table`; files are streamed to a temporary sibling and renamed into place.
 """
 
 from __future__ import annotations
@@ -10,22 +10,24 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from itertools import islice, repeat
 from typing import Iterable
 
 import numpy as np
 
+_FLOAT = "%.17g".__mod__
+_MOMENTS = ["f_pp", "g_pp", "f_mm", "g_mm", "f_pm", "g_pm"]
+_EVENTS_PER_CHUNK = 1 << 16
 
-def fmt(x) -> str:
-    return f"{float(x):.17g}"
 
-
-def _atomic_write(path: str, text: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     d = os.path.dirname(os.path.abspath(path))
     os.makedirs(d, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "w") as f:
-            f.write(text)
+            for chunk in chunks:
+                f.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -33,103 +35,100 @@ def _atomic_write(path: str, text: str) -> None:
         raise
 
 
+def _formatted(values) -> list[str]:
+    """17-digit strings of float values, each distinct bit pattern formatted once."""
+    bits, inverse = np.unique(np.asarray(values, dtype=float).ravel().view(np.int64),
+                              return_inverse=True)
+    text = np.array(list(map(_FLOAT, bits.view(np.float64).tolist())), dtype=object)
+    return text[inverse].tolist()
+
+
+def _write_table(path: str, header: list[str], chunks: Iterable[list]) -> None:
+    """CSV with a header line and, per chunk, one row per entry of its columns.
+
+    A column is a list of strings, a float shared by every row of the chunk
+    (a chunk needs one other column), or an array of floats, whose distinct
+    values (by bit pattern) are formatted once. Each chunk is written as it
+    is made; callers build a row's fixed parts (a sample's time, the ``i,j``
+    pair keys) once per call.
+    """
+    def text():
+        yield ",".join(header) + "\n"
+        for columns in chunks:
+            cells = [repeat(_FLOAT(c)) if isinstance(c, float) else c if isinstance(c, list)
+                     else _formatted(c) for c in columns]
+            if len({len(c) for c in cells if not isinstance(c, repeat)}) > 1:
+                raise ValueError(f"{path}: columns of unequal length")
+            rows = "\n".join(map(",".join, zip(*cells)))
+            yield rows + "\n" if rows else ""
+    _atomic_write(path, text())
+
+
 def write_csv(path: str, header: list[str], rows: Iterable[Iterable]) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(v) if isinstance(v, (float, np.floating)) else str(v)
-                              for v in row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    _write_table(path, header, ([[_FLOAT(float(v)) if isinstance(v, (float, np.floating))
+                                  else str(v)] for v in row] for row in rows))
 
 
 def _json_default(obj):
-    if isinstance(obj, (np.integer,)):
-        return int(obj)
-    if isinstance(obj, (np.floating,)):
+    if isinstance(obj, np.floating):
         return float(obj)
-    if isinstance(obj, np.ndarray):
+    if isinstance(obj, (np.integer, np.ndarray)):
         return obj.tolist()
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
 def write_json(path: str, obj) -> None:
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n")
+    _atomic_write(path, [json.dumps(obj, indent=2, sort_keys=True, default=_json_default) + "\n"])
 
 
 def write_states_csv(path: str, times, configs, masses=None) -> None:
     """Rows (t, i, s components [, mass]) for each sampled configuration."""
-    first = np.asarray(configs[0], dtype=float)
-    if first.ndim == 1:
-        first = first[:, None]
-    m = first.shape[1]
-    header = ["t", "i"] + [f"s{k}" for k in range(m)]
-    if masses is not None:
-        header.append("mass")
-
-    def rows():
-        for t, snap in zip(times, configs):
-            arr = np.asarray(snap, dtype=float)
-            if arr.ndim == 1:
-                arr = arr[:, None]
-            for i in range(arr.shape[0]):
-                row = [fmt(t), str(i)] + [fmt(v) for v in arr[i]]
-                if masses is not None:
-                    row.append(fmt(masses[i]))
-                yield row
-
-    lines = [",".join(header)]
-    for row in rows():
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    arrays = [np.column_stack([np.asarray(snap, dtype=float)]) for snap in configs]
+    header = ["t", "i"] + [f"s{k}" for k in range(arrays[0].shape[1])]
+    extra = [] if masses is None else [_formatted(masses)]
+    header += ["mass"] * len(extra)
+    index = list(map(str, range(max(map(len, arrays)))))
+    _write_table(path, header, ([t, index[:len(a)], *a.T, *(c[:len(a)] for c in extra)]
+                                for t, a in zip(map(float, times), arrays)))
 
 
 def write_weights_csv(path: str, times, weight_mats) -> None:
     """Rows (t, i, j, w_ij) over all ordered pairs i != j."""
-    lines = ["t,i,j,w"]
-    for t, W in zip(times, weight_mats):
-        W = np.asarray(W, dtype=float)
-        N = W.shape[0]
-        for i in range(N):
-            for j in range(N):
-                if i != j:
-                    lines.append(f"{fmt(t)},{i},{j},{fmt(W[i, j])}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    keys = {}  # N -> "i,j" of the off-diagonal entries in row-major order
+
+    def chunk(t, W):
+        N = len(W)
+        keys[N] = keys.get(N) or [f"{i},{j}" for i in range(N) for j in range(N) if i != j]
+        return [t, keys[N], np.asarray(W, dtype=float)[~np.eye(N, dtype=bool)]]
+    _write_table(path, ["t", "i", "j", "w"],
+                 (chunk(t, W) for t, W in zip(map(float, times), weight_mats)))
 
 
 def write_events_csv(path: str, events) -> None:
-    lines = ["t,event,i,j"]
-    for t, kind, i, j in events:
-        lines.append(f"{fmt(t)},{kind},{i},{j}")
-    _atomic_write(path, "\n".join(lines) + "\n")
+    """Rows (t, event, i, j), streamed `_EVENTS_PER_CHUNK` events at a time."""
+    it = iter(events)
+    batches = iter(lambda: list(islice(it, _EVENTS_PER_CHUNK)), [])  # until exhausted
+    _write_table(path, ["t", "event", "i", "j"], ([t] + [list(map(str, c)) for c in labels]
+                                                 for t, *labels in (zip(*b) for b in batches)))
 
 
 def write_moments_csv(path: str, times, moments) -> None:
-    header = ["t", "f_pp", "g_pp", "f_mm", "g_mm", "f_pm", "g_pm"]
-    lines = [",".join(header)]
-    for t, row in zip(times, np.asarray(moments, dtype=float)):
-        lines.append(",".join([fmt(t)] + [fmt(v) for v in row]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    y = np.asarray(moments, dtype=float)
+    n = min(len(times), len(y))
+    _write_table(path, ["t"] + _MOMENTS, [[np.asarray(times, dtype=float)[:n], *y[:n].T]])
 
 
 def write_closure_csv(path: str, traj) -> None:
-    header = ["t", "f_pp", "g_pp", "f_mm", "g_mm", "f_pm", "g_pm",
-              "rho_p", "h_pp", "h_mm", "h_pm"]
-    lines = [",".join(header)]
-    y = traj.moments
-    rho_p = traj.rho_p
-    for k, t in enumerate(traj.times):
-        extra = [rho_p[k], y[k, 0] + y[k, 1], y[k, 2] + y[k, 3], y[k, 4] + y[k, 5]]
-        lines.append(",".join([fmt(t)] + [fmt(v) for v in y[k]] + [fmt(v) for v in extra]))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    t = np.asarray(traj.times, dtype=float)
+    y = traj.moments[:len(t)]
+    h = y[:, 0::2] + y[:, 1::2]  # f + g for pp, mm and pm
+    _write_table(path, ["t"] + _MOMENTS + ["rho_p", "h_pp", "h_mm", "h_pm"],
+                 [[t, *y.T, traj.rho_p[:len(t)], *h.T]])
 
 
 def write_error_curves_csv(path: str, report) -> None:
-    names = ["f_pp", "g_pp", "f_mm", "g_mm", "f_pm", "g_pm"]
-    header = ["t"] + [f"err_cond_{n}" for n in names] + [f"err_kirk_{n}" for n in names] \
-        + [f"stderr_{n}" for n in names]
-    lines = [",".join(header)]
+    header = ["t"] + [f"{k}_{m}" for k in ("err_cond", "err_kirk", "stderr") for m in _MOMENTS]
     n = min(report.err_conditional.shape[0], report.err_kirkwood.shape[0])
-    for k in range(n):
-        vals = ([report.times[k]] + list(report.err_conditional[k])
-                + list(report.err_kirkwood[k]) + list(report.stderr_moments[k]))
-        lines.append(",".join(fmt(v) for v in vals))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    errors = np.hstack([report.err_conditional[:n], report.err_kirkwood[:n],
+                        report.stderr_moments[:n]])
+    _write_table(path, header, [[np.asarray(report.times, dtype=float)[:n], *errors.T]])

@@ -276,7 +276,7 @@ def simulate_diffusive(
         states = c.states + ds * dt + np.sqrt(2.0 * q * dt)[:, None] * xi
         weights = c.weights + dw * dt
         if sym:
-            weights = np.triu(weights, 1)
+            weights = np.where(_strict_upper(len(weights)), weights, 0.0)
             weights = weights + weights.T
         return np.concatenate([states.ravel(), weights.ravel()])
 
