@@ -13,14 +13,14 @@ from __future__ import annotations
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .closures import ClosureKind, integrate_closure
 from .errors import IntegrationError, ModelError
 from .jumpsim import DiscreteConfiguration, _sample_grid, simulate_minimal
-from .microsim import AgentConfiguration, integrate_micro, integrate_reduced
+from .microsim import AgentConfiguration, _run_legs, integrate_reduced
 from .models import MinimalParams, SmoothModel
 from .moments import MinimalMoments
 
@@ -94,22 +94,10 @@ class ComparisonReport:
     stderr_rho_p: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_json_dict(self) -> dict:
-        return {
-            "params": {k: getattr(self.params, k) for k in
-                       ("alpha_pm", "alpha_mp", "beta_pp", "beta_mm", "beta_pm",
-                        "gamma_pp", "gamma_mm", "gamma_pm")},
-            "N": self.N,
-            "runs": self.runs,
-            "T": self.T,
-            "dt": self.dt,
-            "seed": self.seed,
-            "mode": self.mode,
-            "sup_error_conditional": self.sup_error_conditional,
-            "sup_error_kirkwood": self.sup_error_kirkwood,
-            "monte_carlo_stderr": self.monte_carlo_stderr,
-            "closure_status": self.closure_status,
-            "n_samples": int(self.times.size),
-        }
+        keys = ("N", "runs", "T", "dt", "seed", "mode", "sup_error_conditional",
+                "sup_error_kirkwood", "monte_carlo_stderr", "closure_status")
+        return {"params": asdict(self.params), **{k: getattr(self, k) for k in keys},
+                "n_samples": int(self.times.size)}
 
 
 def _replica_moments(args) -> np.ndarray:
@@ -155,29 +143,23 @@ def run_comparison(
     time-sup, and the Monte-Carlo standard error.
     """
     check_comparison_grid(N, runs, T, dt)
-    init = dict(init or {})
-    rho_p = float(init.get("rho_p", 0.5))
-    p_pp = float(init.get("p_pp", 0.5))
-    p_mm = float(init.get("p_mm", 0.5))
-    p_pm = float(init.get("p_pm", 0.25))
+    init = {"rho_p": 0.5, "p_pp": 0.5, "p_mm": 0.5, "p_pm": 0.25, **(init or {})}
+    rho_p, p_pp, p_mm, p_pm = (float(init[k]) for k in ("rho_p", "p_pp", "p_mm", "p_pm"))
 
     arg_list = [
         (tuple(p.as_array()), N, rho_p, p_pp, p_mm, p_pm, T, dt, seed, k, mode, tau_dt)
         for k in range(runs)
     ]
-    results: list[np.ndarray | None] = [None] * runs
+    results = None
     if workers > 1:
         try:
             with ProcessPoolExecutor(max_workers=workers) as pool:
-                for k, res in enumerate(pool.map(_replica_moments, arg_list)):
-                    results[k] = res
+                results = list(pool.map(_replica_moments, arg_list))
         except (BrokenProcessPool, OSError) as exc:
             # the pool itself failed; errors raised by a replica propagate
             log.warning("worker pool failed (%s); running replicas serially", exc)
-            results = [None] * runs
-    if results[0] is None:
-        for k, args in enumerate(arg_list):
-            results[k] = _replica_moments(args)
+    if results is None:
+        results = [_replica_moments(args) for args in arg_list]
 
     stack = np.stack(results)                       # (runs, n, 6)
     n_grid = stack.shape[1]
@@ -193,16 +175,13 @@ def run_comparison(
     m0 = MinimalMoments.from_array(mean[0])
     stride = max(1, int(round(dt / closure_dt)))
     dt_int = dt / stride
-    closures = {}
-    errors = {}
-    status = {}
-    sups = {}
-    for kind in (ClosureKind.CONDITIONAL, ClosureKind.KIRKWOOD):
+    closures, errors, status, sups = {}, {}, {}, {}
+    C, K = ClosureKind.CONDITIONAL, ClosureKind.KIRKWOOD
+    for kind in (C, K):
         traj = integrate_closure(m0, p, kind, dt=dt_int, T=T, sample_stride=stride)
         n_common = min(len(traj.times), n_grid)
         closures[kind] = traj.moments[:n_common]
-        err = np.abs(mean[:n_common] - traj.moments[:n_common])
-        errors[kind] = err
+        errors[kind] = err = np.abs(mean[:n_common] - traj.moments[:n_common])
         sups[kind] = float(err.max()) if err.size else 0.0
         status[kind.value] = traj.status
 
@@ -210,12 +189,9 @@ def run_comparison(
         params=p, N=N, runs=runs, T=T, dt=dt, seed=seed, mode=mode,
         times=times, mean_moments=mean, stderr_moments=stderr,
         mean_rho_p=mean_rho_p, stderr_rho_p=stderr_rho_p,
-        closure_conditional=closures[ClosureKind.CONDITIONAL],
-        closure_kirkwood=closures[ClosureKind.KIRKWOOD],
-        err_conditional=errors[ClosureKind.CONDITIONAL],
-        err_kirkwood=errors[ClosureKind.KIRKWOOD],
-        sup_error_conditional=sups[ClosureKind.CONDITIONAL],
-        sup_error_kirkwood=sups[ClosureKind.KIRKWOOD],
+        closure_conditional=closures[C], closure_kirkwood=closures[K],
+        err_conditional=errors[C], err_kirkwood=errors[K],
+        sup_error_conditional=sups[C], sup_error_kirkwood=sups[K],
         monte_carlo_stderr=float(stderr.max()),
         closure_status=status,
     )
@@ -230,8 +206,7 @@ class EpsilonSweepReport:
     dt: float
 
     def to_json_dict(self) -> dict:
-        return {"eps": self.eps, "gaps": self.gaps, "monotone": self.monotone,
-                "T": self.T, "dt": self.dt}
+        return asdict(self)
 
 
 def run_epsilon_sweep(
@@ -246,24 +221,21 @@ def run_epsilon_sweep(
 
     For each eps the microscopic system runs with the weight equation sped up
     by 1/eps; the limit dynamics slave each pair weight to the nullcline.
-    The gap is the sup-norm state difference at T.  The table is expected to
-    be non-increasing in eps; a violation is reported via ``monotone`` and a
-    warning, not an exception.
+    The gap is the sup-norm state difference at T.  All legs advance as one
+    stacked RK4 run; a leg that overflows raises IntegrationError naming the
+    step and its eps.  The table is expected to be non-increasing in eps; a
+    violation is reported via ``monotone`` and a warning, not an exception.
     """
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list):
         raise ModelError("eps values must be positive")
-    red = integrate_reduced(cfg0.states, model,
-                            dt=reduced_dt if reduced_dt is not None else dt, T=T)
-    target = red.final()
-    gaps = []
-    for eps in eps_list:
-        traj = integrate_micro(cfg0, model, dt=dt, T=T, eps_w=eps, store=False)
-        gaps.append(float(np.max(np.abs(traj.final().states - target))))
-    order = np.argsort(eps_list)[::-1]
-    sorted_gaps = [gaps[i] for i in order]
-    monotone = all(sorted_gaps[i + 1] <= sorted_gaps[i] + 1e-15
-                   for i in range(len(sorted_gaps) - 1))
+    if not eps_list:
+        return EpsilonSweepReport(eps=[], gaps=[], monotone=True, T=T, dt=dt)
+    target = integrate_reduced(cfg0.states, model,
+                               dt=reduced_dt if reduced_dt is not None else dt, T=T).final()
+    gaps = [float(np.max(np.abs(s - target))) for s in _run_legs(cfg0, model, dt, T, eps_list)]
+    by_eps = [g for _, g in sorted(zip(eps_list, gaps), reverse=True)]   # eps descending
+    monotone = all(b <= a + 1e-15 for a, b in zip(by_eps, by_eps[1:]))
     if not monotone:
         log.warning("epsilon sweep gap table is not monotone: %s", dict(zip(eps_list, gaps)))
     return EpsilonSweepReport(eps=eps_list, gaps=gaps, monotone=monotone, T=T, dt=dt)

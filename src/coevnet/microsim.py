@@ -7,6 +7,10 @@ and fast-state regimes are reachable without reparameterizing time.  With
 a vector of anchor masses in place of the equal masses 1/N the same flow is
 the characteristics flow of ``characteristics.py``.
 
+Every integrator runs one private flow over stacked legs, one row of states
+and weights per eps_w, so the epsilon sweep runs all its legs at once.  Kernels
+see broadcastable grid views with a leading legs axis; results are broadcast.
+
 Weight symmetry: when the model's V is exchange-symmetric and the initial
 weight matrix is symmetric, the weight derivative matrix is built from its
 upper triangle and mirrored, which keeps trajectories bitwise symmetric.
@@ -14,8 +18,8 @@ upper triangle and mirrored, which keeps trajectories bitwise symmetric.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -102,17 +106,83 @@ def _pair_grids(states: np.ndarray):
     return si, sj
 
 
-@lru_cache(maxsize=8)
-def _strict_upper(N: int) -> np.ndarray:
-    """Read-only N x N mask of the strict upper triangle, the mask np.triu(., 1) builds."""
-    mask = np.triu(np.ones((N, N), dtype=bool), 1)
-    mask.flags.writeable = False
-    return mask
-
-
-def _writable(a: np.ndarray) -> np.ndarray:
+def _on_grid(a, grid: tuple, name: str) -> np.ndarray:
+    """A writable float array of shape grid from a kernel result that broadcasts to it."""
     a = np.asarray(a, dtype=float)
-    return a if a.flags.writeable else a.copy()
+    try:
+        return a if a.shape == grid and a.flags.writeable else np.broadcast_to(a, grid).copy()
+    except ValueError:
+        raise ModelError(f"{name} returned shape {a.shape}, which does not broadcast to "
+                         f"the pair grid {grid}") from None
+
+
+def _failed(what: str, t: float, eps_w: np.ndarray, ok: np.ndarray) -> IntegrationError:
+    """The error of a failed step; with several legs it names the eps of those not ok."""
+    legs = "" if eps_w.size == 1 else " for eps=" + ", ".join(f"{e:g}" for e in eps_w[~ok])
+    return IntegrationError(f"{what} t={t:.6g}{legs}")
+
+
+def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
+                masses: np.ndarray | None = None):
+    """The drift f(z, t) of stacked legs started from cfg, and the one step function.
+
+    Row l of z holds leg l's states then its weights and runs with eps_w[l].
+    step(y, t, dt, method, rng) takes one rk4, euler or rkf45 step (euler
+    with an rng adds simulate_diffusive's state noise) and checks each leg
+    for non-finite entries and a symmetric flow for weight symmetry.
+    """
+    eps_w = np.asarray(eps_w, dtype=float)
+    if not (np.all(eps_w > 0) and eps_s > 0):
+        raise ModelError("eps_w and eps_s must be positive")
+    if cfg.m != model.m:
+        raise ModelError(f"configuration dimension m={cfg.m} does not match model m={model.m}")
+    L, N, m = eps_w.size, cfg.N, cfg.m
+    n, idx, sym = N * m, np.arange(N), cfg.symmetric and model.symmetric_V
+    upper = np.triu(np.ones((N, N), dtype=bool), 1)
+
+    def f(z: np.ndarray, t: float) -> np.ndarray:
+        states, W = z[:, :n].reshape(L, N, m), z[:, n:].reshape(L, N, N)
+        si, sj = states[:, :, None, :], states[:, None, :, :]
+        U = _on_grid(model.U(si, sj, W), (L, N, N, m), "U")
+        V = _on_grid(model.V(si, sj, W), (L, N, N), "V")
+        if not (np.isfinite(U).all() and np.isfinite(V).all()):
+            ok = np.isfinite(U).all(axis=(1, 2, 3)) & np.isfinite(V).all(axis=(1, 2))
+            raise _failed("non-finite force evaluation at", t, eps_w, ok)
+        U[:, idx, idx, :] = 0.0
+        V[:, idx, idx] = 0.0
+        out = np.empty(z.shape)
+        ds, dw = out[:, :n].reshape(L, N, m), out[:, n:].reshape(L, N, N)
+        if masses is None:
+            np.divide(U.sum(axis=2), N * eps_s, out=ds)
+        else:
+            np.divide(np.einsum("j,lijk->lik", masses, U), eps_s, out=ds)
+        if model.U0 is not None:
+            ds += model.U0(states)
+        if sym:
+            V = np.where(upper, V, 0.0)   # the strict upper triangle, mirrored
+            V = V + V.swapaxes(1, 2)
+        np.divide(V, eps_w.reshape(L, 1, 1), out=dw)
+        return out
+
+    def step(y: np.ndarray, t: float, dt: float, method: str, rng=None) -> np.ndarray:
+        if method == "rk4":
+            y_new = rk4_step(lambda z: f(z, t), y, dt)
+        elif method == "rkf45":
+            y_new = rkf45_advance(lambda z: f(z, t), y, dt, t0=t)
+        else:
+            y_new = y + dt * f(y, t)
+            if rng is not None:
+                q = np.asarray(model.Q(y[:, :n].reshape(L, N, m)), dtype=float)
+                noise = np.sqrt(2.0 * q * dt)[..., None] * rng.standard_normal((L, N, m))
+                y_new[:, :n] += noise.reshape(L, n)
+        if not np.isfinite(y_new).all():
+            raise _failed("non-finite state in the step from", t, eps_w, np.isfinite(y_new).all(1))
+        W = y_new[:, n:].reshape(L, N, N)
+        if sym and not np.array_equal(W, W.swapaxes(1, 2)):
+            raise InvariantViolation("weight symmetry lost during integration")
+        return y_new
+
+    return f, step
 
 
 def micro_rhs(
@@ -132,40 +202,34 @@ def micro_rhs(
     flow of the pair-closed kinetic equation, whose anchors carry unequal
     masses.  A non-finite U or V raises IntegrationError naming cfg.t.
     """
-    if not (eps_w > 0 and eps_s > 0):
-        raise ModelError("eps_w and eps_s must be positive")
-    states = cfg.states
-    N = states.shape[0]
-    si, sj = _pair_grids(states)
-    U = _writable(model.U(si, sj, cfg.weights))
-    V = _writable(model.V(si, sj, cfg.weights))
-    if not (np.isfinite(U).all() and np.isfinite(V).all()):
-        raise IntegrationError(f"non-finite force evaluation at t={cfg.t:.6g}")
-    idx = np.arange(N)
-    U[idx, idx, :] = 0.0
-    V[idx, idx] = 0.0
-    if masses is None:
-        ds = U.sum(axis=1) / (N * eps_s)
-    else:
-        ds = np.einsum("j,ijk->ik", masses, U) / eps_s
-    if model.U0 is not None:
-        ds = ds + model.U0(states)
-    if cfg.symmetric and model.symmetric_V:
-        V = np.where(_strict_upper(N), V, 0.0)   # np.triu(V, 1) without rebuilding the mask
-        V = V + V.T
-    dw = V / eps_w
-    return ds, dw
+    f, _ = _micro_flow(cfg, model, [eps_w], eps_s, masses)
+    ds, dw = np.split(f(_stack(cfg, 1), cfg.t)[0], [cfg.states.size])
+    return ds.reshape(cfg.states.shape), dw.reshape(cfg.N, cfg.N)
 
 
-def _flatten(cfg: AgentConfiguration) -> np.ndarray:
-    """States then weights, in one flat vector: the state run_grid advances."""
-    return np.concatenate([cfg.states.ravel(), cfg.weights.ravel()])
+def _stack(cfg: AgentConfiguration, legs: int) -> np.ndarray:
+    """One row per leg, each the states then the weights of cfg."""
+    return np.tile(np.concatenate([cfg.states.ravel(), cfg.weights.ravel()]), (legs, 1))
 
 
-def _unflatten(cfg: AgentConfiguration, y: np.ndarray, t: float) -> AgentConfiguration:
-    """The configuration at time t whose states and weights are views of y."""
-    N, m = cfg.states.shape
-    return cfg.replace(y[:N * m].reshape(N, m), y[N * m:].reshape(N, N), t)
+def _leg_config(cfg: AgentConfiguration, y: np.ndarray, t: float) -> AgentConfiguration:
+    """A copy of the first leg of the stacked state y, as the configuration at time t."""
+    s, w = np.split(y[0].copy(), [cfg.states.size])
+    return cfg.replace(s.reshape(cfg.states.shape), w.reshape(cfg.N, cfg.N), t)
+
+
+def _run_legs(cfg: AgentConfiguration, model: SmoothModel, dt: float, T: float, eps_w,
+              stride: int = sys.maxsize, sample=lambda y, t: None, eps_s: float = 1.0,
+              method: str = "rk4", masses: np.ndarray | None = None, rng=None) -> np.ndarray:
+    """Run one leg from cfg per eps_w as one stacked integration through run_grid.
+
+    sample(y, t) sees the stacked state (with the default stride, at the
+    start and the end only).  Returns the final states, (len(eps_w), N, m).
+    """
+    _, step = _micro_flow(cfg, model, eps_w, eps_s, masses)
+    y = run_grid(lambda y, t: step(y, t, dt, method, rng), _stack(cfg, len(eps_w)), cfg.t, dt,
+                 T, stride, sample)
+    return y[:, :cfg.states.size].reshape(len(eps_w), cfg.N, cfg.m)
 
 
 def integrate_micro(
@@ -194,41 +258,18 @@ def integrate_micro(
     """
     if method not in ("rk4", "euler", "rkf45"):
         raise ModelError(f"unknown method {method!r}")
-    if cfg.m != model.m:
-        raise ModelError(f"configuration dimension m={cfg.m} does not match model m={model.m}")
-
-    sym = cfg.symmetric and model.symmetric_V
     traj = MicroTrajectory()
 
-    def step(y: np.ndarray, t: float) -> np.ndarray:
-        def f(z):
-            ds, dw = micro_rhs(_unflatten(cfg, z, t), model, eps_w=eps_w, eps_s=eps_s,
-                               masses=masses)
-            return np.concatenate([ds.ravel(), dw.ravel()])
-        if method == "rk4":
-            y = rk4_step(f, y, dt)
-        elif method == "euler":
-            y = y + dt * f(y)
-        else:
-            y = rkf45_advance(f, y, dt, t0=t)
-        W = _unflatten(cfg, y, t).weights
-        # a non-finite W is left to run_grid's IntegrationError
-        if sym and not np.array_equal(W, W.T) and np.isfinite(W).all():
-            raise InvariantViolation("weight symmetry lost during integration")
-        return y
-
     def sample(y: np.ndarray, t: float) -> None:
-        c = _unflatten(cfg, y.copy(), t)
-        if store:
-            traj.times.append(t)
-            traj.configs.append(c)
-        else:
-            traj.times = [t]
-            traj.configs = [c]
+        c = _leg_config(cfg, y, t)
+        if not store:
+            traj.times, traj.configs = [], []
+        traj.times.append(t)
+        traj.configs.append(c)
         if callback is not None:
             callback(c)
 
-    run_grid(step, _flatten(cfg), cfg.t, dt, T, sample_stride, sample)
+    _run_legs(cfg, model, dt, T, [eps_w], sample_stride, sample, eps_s, method, masses)
     return traj
 
 
@@ -264,27 +305,14 @@ def simulate_diffusive(
     integrate_micro.
     """
     check_diffusive_model(model)
-    rng = np.random.default_rng(seed)
-    sym = cfg.symmetric and model.symmetric_V
     traj = MicroTrajectory()
-
-    def step(y: np.ndarray, t: float) -> np.ndarray:
-        c = _unflatten(cfg, y, t)
-        ds, dw = micro_rhs(c, model, eps_w=1.0, eps_s=1.0)
-        q = np.asarray(model.Q(c.states), dtype=float)
-        xi = rng.standard_normal(size=ds.shape)
-        states = c.states + ds * dt + np.sqrt(2.0 * q * dt)[:, None] * xi
-        weights = c.weights + dw * dt
-        if sym:
-            weights = np.where(_strict_upper(len(weights)), weights, 0.0)
-            weights = weights + weights.T
-        return np.concatenate([states.ravel(), weights.ravel()])
 
     def sample(y: np.ndarray, t: float) -> None:
         traj.times.append(t)
-        traj.configs.append(_unflatten(cfg, y.copy(), t))
+        traj.configs.append(_leg_config(cfg, y, t))
 
-    run_grid(step, _flatten(cfg), cfg.t, dt, T, sample_stride, sample)
+    _run_legs(cfg, model, dt, T, [1.0], sample_stride, sample, method="euler",
+              rng=np.random.default_rng(seed))
     return traj
 
 
@@ -307,9 +335,9 @@ def energy_report(cfg: AgentConfiguration, pot: PotentialModel) -> EnergyReport:
     states, weights = cfg.states, cfg.weights
     N = states.shape[0]
     si, sj = _pair_grids(states)
-    F = _writable(pot.F(si, sj, weights))
-    gs = _writable(pot.eval_grad_s(si, sj, weights))
-    dw = _writable(pot.eval_d_w(si, sj, weights))
+    F = _on_grid(pot.F(si, sj, weights), (N, N), "F")
+    gs = _on_grid(pot.eval_grad_s(si, sj, weights), si.shape, "grad_s")
+    dw = _on_grid(pot.eval_d_w(si, sj, weights), (N, N), "d_w")
     if not (np.all(np.isfinite(F)) and np.all(np.isfinite(gs)) and np.all(np.isfinite(dw))):
         raise IntegrationError("non-finite potential evaluation in energy report")
     idx = np.arange(N)
@@ -436,7 +464,7 @@ def integrate_reduced(
         s = flat.reshape(N, m)
         si, sj = _pair_grids(s)
         omega = _nullcline_array(model, si, sj)
-        U = _writable(model.U(si, sj, omega))
+        U = _on_grid(model.U(si, sj, omega), si.shape, "U")
         U[idx, idx, :] = 0.0
         return (U.sum(axis=1) / N).ravel()
 

@@ -14,6 +14,12 @@ All callables are numpy-vectorized and broadcast:
 * ``Q(s) -> (...)`` and ``R(s, sigma, w) -> (...)`` are optional nonnegative
   diffusion coefficients for states and weights.
 
+The micro flow passes broadcastable views, not full grids: ``s`` has shape
+``(L, N, 1, m)``, ``sigma`` ``(L, 1, N, m)`` and ``w`` ``(L, N, N)``, with a
+leading axis of L stacked legs.  A U or V result smaller than the pair grid
+(say ``np.zeros(np.shape(s))``) is broadcast to it; one that does not
+broadcast raises ModelError.
+
 Pair potentials generate forces via ``U = -grad_s F`` and ``V = -c d_w F``;
 catalog potentials carry closed-form derivatives so production runs never
 fall back to finite differences.

@@ -27,13 +27,14 @@ def run_grid(
     T: float,
     stride: int,
     sample: Callable[[np.ndarray, float], None],
-) -> None:
+) -> np.ndarray:
     """Advance y0 over round(T / dt) steps of the grid t0 + k dt.
 
     ``step(y, t)`` returns the state at t + dt from the state y at t; a
     result with a NaN or Inf entry raises IntegrationError naming t.
     ``sample(y, t)`` sees the state at k = 0 and at every k with
     k % stride == 0 or k == n_steps; a sample that keeps y copies it.
+    Returns the state at the last grid point.
     """
     if dt <= 0:
         raise ModelError("dt must be positive")
@@ -51,6 +52,7 @@ def run_grid(
             raise IntegrationError(f"non-finite state in the step from t={t:.6g}")
         if k % stride == 0 or k == n_steps:
             sample(y, t0 + k * dt)
+    return y
 
 
 def rk4_step(f: Rhs, y: np.ndarray, h: float) -> np.ndarray:

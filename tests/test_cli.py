@@ -1,5 +1,6 @@
 import json
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -447,6 +448,20 @@ class TestBuildOnce:
         assert r_code == 3
         assert r_err == {"error": "IntegrationError", "exit_code": 3,
                          "message": "non-finite force evaluation at t=3"}
+        assert json.loads((tmp_path / "out" / "error.json").read_text()) == r_err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_epsilon_sweep_blowup_exits_3_naming_the_failed_leg(self, tmp_path, capsys):
+        # RK4 at dt * kappa / eps = 100 overflows the eps = 1e-4 leg; the eps = 0.1
+        # leg of the same stacked run stays finite
+        cfg = epsilon_sweep_config(eps_list=[0.1, 1e-4], dt=1e-2, T=2.0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (v_code, v_out), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == 0 and v_out.startswith("ok:")
+        assert r_code == 3
+        assert r_err["error"] == "IntegrationError" and r_err["exit_code"] == 3
+        assert re.fullmatch(r"non-finite (force evaluation at|state in the step from) "
+                            r"t=[0-9.e-]+ for eps=0\.0001", r_err["message"])
         assert json.loads((tmp_path / "out" / "error.json").read_text()) == r_err
         assert not (tmp_path / "out" / "manifest.json").exists()
 

@@ -2,6 +2,7 @@ import logging
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from coevnet import compare
 from coevnet.compare import (
@@ -10,8 +11,14 @@ from coevnet.compare import (
     run_epsilon_sweep,
 )
 from coevnet.errors import IntegrationError, ModelError
-from coevnet.microsim import AgentConfiguration, integrate_reduced, solve_weight_nullcline
-from coevnet.models import MinimalParams, catalog
+from coevnet.microsim import (
+    AgentConfiguration,
+    _run_legs,
+    integrate_micro,
+    integrate_reduced,
+    solve_weight_nullcline,
+)
+from coevnet.models import MinimalParams, SmoothModel, catalog
 from coevnet.moments import minimal_moments
 
 
@@ -161,3 +168,69 @@ class TestEpsilonSweep:
                                 dt=1e-4, T=1.0, reduced_dt=1e-3)
         assert rep.gaps[0] > rep.gaps[1] > rep.gaps[2]
         assert rep.monotone
+
+    @settings(max_examples=40)
+    @given(N=st.integers(2, 6),
+           eps=st.lists(st.sampled_from([0.5, 0.1, 0.02, 0.005]), min_size=1, max_size=4),
+           steps=st.integers(0, 12), seed=st.integers(0, 2 ** 16), symmetric=st.booleans())
+    @example(N=3, eps=[0.02, 0.5, 0.02], steps=0, seed=1, symmetric=True)
+    def test_stacked_legs_equal_legs_run_one_by_one(self, N, eps, steps, seed, symmetric):
+        rng = np.random.default_rng(seed)
+        model = relaxation_model()
+        w = rng.uniform(0.0, 1.0, size=(N, N))
+        if symmetric:
+            w = np.triu(w, 1) + np.triu(w, 1).T
+        np.fill_diagonal(w, 0.0)
+        cfg = AgentConfiguration(states=rng.uniform(-1.0, 1.5, size=(N, 1)), weights=w,
+                                 symmetric=symmetric)
+        dt, T = 1e-2, steps * 1e-2
+        stacked = _run_legs(cfg, model, dt, T, eps)
+        rep = run_epsilon_sweep(model, cfg, eps_list=eps, dt=dt, T=T)
+        target = integrate_reduced(cfg.states, model, dt=dt, T=T).final()
+        assert stacked.shape == (len(eps), N, 1)
+        for leg, e in enumerate(eps):
+            alone = integrate_micro(cfg, model, dt=dt, T=T, eps_w=e, store=False).final()
+            assert stacked[leg].tobytes() == alone.states.tobytes()
+            assert rep.gaps[leg] == float(np.max(np.abs(alone.states - target)))
+
+    def test_empty_eps_list_integrates_nothing(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("an empty sweep must not integrate")
+        monkeypatch.setattr(compare, "integrate_reduced", never)
+        monkeypatch.setattr(compare, "_run_legs", never)
+        cfg = AgentConfiguration(states=[[0.0], [1.0]], weights=np.zeros((2, 2)))
+        rep = run_epsilon_sweep(relaxation_model(), cfg, eps_list=[], dt=1e-3, T=1.0)
+        assert (rep.eps, rep.gaps, rep.monotone) == ([], [], True)
+
+    def test_overflowing_force_names_the_step_and_the_failed_legs(self):
+        # RK4 at dt * kappa / eps = 100 is unstable: the eps = 1e-4 legs
+        # overflow, the eps = 0.1 leg does not
+        states = np.array([[0.0], [0.7], [1.5], [-0.6]])
+        model = relaxation_model()
+        w = np.zeros((4, 4))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                w[i, j] = w[j, i] = solve_weight_nullcline(model, states[i], states[j]) + 0.5
+        cfg = AgentConfiguration(states=states, weights=w)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError) as alone:
+                integrate_micro(cfg, model, dt=1e-2, T=2.0, eps_w=1e-4)
+            assert str(alone.value) == "non-finite force evaluation at t=0.05"
+            with pytest.raises(IntegrationError, match=r"^non-finite force evaluation at "
+                               r"t=0\.05 for eps=0\.0001$"):
+                run_epsilon_sweep(model, cfg, eps_list=[0.1, 1e-4], dt=1e-2, T=2.0)
+            with pytest.raises(IntegrationError, match=r"^non-finite force evaluation at "
+                               r"t=0\.05 for eps=0\.0001, 0\.0001$"):
+                run_epsilon_sweep(model, cfg, eps_list=[1e-4, 0.1, 1e-4], dt=1e-2, T=2.0)
+
+    def test_overflowing_state_names_the_step_and_the_failed_leg(self):
+        # |V| <= 1e300 stays finite, but V / eps overflows the weights of the
+        # eps = 1e-10 leg in its first step; the eps = 1 leg stays finite
+        model = SmoothModel(U=lambda s, sig, w: np.zeros(np.shape(s)),
+                            V=lambda s, sig, w: 1e300 * np.tanh(1.0 - np.asarray(w)),
+                            symmetric_V=True)
+        cfg = AgentConfiguration(states=[[0.0], [1.0], [2.0]], weights=np.zeros((3, 3)))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IntegrationError,
+                              match=r"^non-finite state in the step from t=0 for eps=1e-10$"):
+            run_epsilon_sweep(model, cfg, eps_list=[1.0, 1e-10], dt=1e-3, T=0.01)

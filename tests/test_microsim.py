@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coevnet import microsim
+from coevnet.compare import run_epsilon_sweep
 from coevnet.errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
 from coevnet.microsim import (
     AgentConfiguration,
@@ -137,6 +138,45 @@ class TestMicroRhs:
         for eps_w in (1.0, 0.3):
             _, dw = micro_rhs(cfg, model, eps_w=eps_w)
             assert dw.tobytes() == ((upper + upper.T) / eps_w).tobytes()
+
+
+class TestShapeContract:
+    def test_smaller_results_are_broadcast_to_the_pair_grid(self):
+        # U and V depend on s only: the kernels return (..., N, 1, m) and (..., N, 1)
+        model = SmoothModel(U=lambda s, sig, w: np.full(np.shape(s), 0.5),
+                            V=lambda s, sig, w: -np.ones(np.shape(s)[:-1]), symmetric_V=True)
+        cfg = small_config([[0.0], [1.0], [3.0]], np.zeros((3, 3)))
+        ds, dw = micro_rhs(cfg, model, eps_w=0.5)
+        assert np.array_equal(ds, np.full((3, 1), 0.5 * 2 / 3))
+        assert np.array_equal(dw, np.where(np.eye(3, dtype=bool), 0.0, -2.0))
+        traj = integrate_micro(cfg, model, dt=0.1, T=0.2)
+        assert traj.final().weights[0, 1] == pytest.approx(-0.2, abs=1e-15)
+
+    def test_zeros_shaped_like_s_still_run(self):
+        model = SmoothModel(U=lambda s, sig, w: np.zeros(np.shape(s)),
+                            V=lambda s, sig, w: np.zeros(np.shape(s)[:-1]), symmetric_V=True)
+        cfg = random_config(4, np.random.default_rng(1))
+        final = integrate_micro(cfg, model, dt=0.1, T=0.3).final()
+        assert np.array_equal(final.states, cfg.states)
+        assert np.array_equal(final.weights, cfg.weights)
+        rep = run_epsilon_sweep(model, cfg, eps_list=[0.1, 0.01], dt=0.1, T=0.3)
+        assert rep.gaps == [0.0, 0.0]
+
+    @pytest.mark.parametrize("name", ["U", "V"])
+    def test_result_that_does_not_broadcast_raises_model_error(self, name):
+        # right on the construction probes, (N*N, ...) instead of (1, N, N, ...) on the grid
+        flat = {"U": lambda s, sig, w: np.zeros((np.size(w), 1)),
+                "V": lambda s, sig, w: np.zeros(np.size(w))}
+        kernels = {"U": null_model().U, "V": null_model().V, name: flat[name]}
+        model = SmoothModel(U=kernels["U"], V=kernels["V"], symmetric_V=True)
+        cfg = small_config([[0.0], [1.0]], [[0, 1], [1, 0]])
+        grid = "(1, 2, 2, 1)" if name == "U" else "(1, 2, 2)"
+        shape = "(4, 1)" if name == "U" else "(4,)"
+        message = f"{name} returned shape {shape}, which does not broadcast to the pair grid {grid}"
+        for run in (lambda: micro_rhs(cfg, model), lambda: integrate_micro(cfg, model, 0.1, 0.1)):
+            with pytest.raises(ModelError) as err:
+                run()
+            assert str(err.value) == message
 
 
 class TestIntegrateMicro:
