@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from types import SimpleNamespace
 from typing import Callable
 
@@ -49,15 +49,16 @@ from .closures import (
     polarization_stable,
     stationary_polarized,
 )
-from .compare import check_comparison_grid, polarized_link_config, run_comparison, run_epsilon_sweep
+from .compare import (_check_sweep_grid, check_comparison_grid, polarized_link_config,
+                      run_comparison, run_epsilon_sweep)
 from .errors import CoevnetError, ConfigError, InvariantViolation
 from .jumpsim import DiscreteConfiguration, HybridConfiguration, simulate_hybrid_bc, simulate_minimal, simulate_voter
 from .microsim import (
     AgentConfiguration,
+    _nullcline_array,
     check_diffusive_model,
     integrate_micro,
     simulate_diffusive,
-    solve_weight_nullcline,
 )
 from .models import MinimalParams, catalog
 from .moments import MinimalMoments
@@ -235,10 +236,9 @@ def _weights_from_spec(spec, N: int, rng, model, states) -> np.ndarray:
     if spec.get("nullcline"):
         _check_subkeys(spec, {"nullcline", "offset"}, where)
         offset = _param(spec, "offset", 0.0, where)
+        i, j = np.triu_indices(N, 1)
         W = np.zeros((N, N))
-        for i in range(N):
-            for j in range(i + 1, N):
-                W[i, j] = W[j, i] = solve_weight_nullcline(model, states[i], states[j]) + offset
+        W[i, j] = W[j, i] = _nullcline_array(model, states[i], states[j]) + offset
         return W
     dist = spec.get("dist")
     if dist == "uniform":
@@ -392,6 +392,7 @@ def _build_epsilon_sweep(x):
     if any(e <= 0 for e in x.eps_list):
         raise ConfigError("eps values must be positive", field="eps_list")
     _build_agents(x)
+    _check_sweep_grid(x.T, x.dt, x.reduced_dt)
 
 
 # -- runs: integrate a built experiment, write its artifacts ---------------------
@@ -473,9 +474,7 @@ def _run_continuation(x, out_dir, workers):
     p, rho_p = x.rates, float(x.rho_p)
     points = []
     for eps in x.eps_list:
-        p_eps = MinimalParams(p.alpha_pm, p.alpha_mp, p.beta_pp, p.beta_mm,
-                              float(eps), p.gamma_pp, p.gamma_mm, p.gamma_pm)
-        branch = continue_small_epsilon(p_eps, rho_p, x.kind_closure)
+        branch = continue_small_epsilon(replace(p, beta_pm=float(eps)), rho_p, x.kind_closure)
         points.append({"eps": branch.eps, "moments": branch.moments.as_array(),
                        "f_pm": branch.moments.f_pm, "dfdeps": branch.dfdeps,
                        "residual": branch.residual,

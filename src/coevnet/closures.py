@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -670,13 +670,10 @@ def continue_small_epsilon(
             f"seed g_pm = {g_star:.4g} falls outside [0, min(rho_p, 1 - rho_p)]; "
             "no admissible branch for these flip rates and densities")
 
+    seed_m = stationary_polarized(replace(p, beta_pm=0.0), rho_p, min(g_star, min(rho_p, rho_m)))
+
     def solve_at(eps_val: float):
-        p_eps = MinimalParams(p.alpha_pm, p.alpha_mp, p.beta_pp, p.beta_mm,
-                              eps_val, p.gamma_pp, p.gamma_mm, p.gamma_pm)
-        seed_m = stationary_polarized(
-            MinimalParams(p.alpha_pm, p.alpha_mp, p.beta_pp, p.beta_mm, 0.0,
-                          p.gamma_pp, p.gamma_mm, p.gamma_pm),
-            rho_p, min(g_star, min(rho_p, rho_m)))
+        p_eps = replace(p, beta_pm=eps_val)
         x = np.array([seed_m.f_pp, seed_m.f_mm, 0.0, seed_m.g_pm])
         use_phi = kirk_flag == 0
         h = 1e-7
@@ -714,8 +711,7 @@ def continue_small_epsilon(
         if np.any(y < -1e-12):
             raise ContinuationFailed(
                 f"branch at eps = {eps_val:g} left the admissible region: {y}")
-        p_eps = MinimalParams(p.alpha_pm, p.alpha_mp, p.beta_pp, p.beta_mm,
-                              eps_val, p.gamma_pp, p.gamma_mm, p.gamma_pm)
+        p_eps = replace(p, beta_pm=eps_val)
         resid = float(np.max(np.abs(closure_rhs_array(np.maximum(y, 0.0), p_eps, kind))))
         return np.maximum(y, 0.0), resid
 

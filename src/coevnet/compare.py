@@ -111,14 +111,25 @@ def _replica_moments(args) -> np.ndarray:
     return traj.moments
 
 
+def _check_on_grid(T: float, dt: float, name: str) -> None:
+    """Raise ModelError unless T is a multiple of dt, to within 1e-9."""
+    if abs(round(T / dt) * dt - T) > 1e-9:
+        raise ModelError(f"T must be a multiple of {name}")
+
+
 def check_comparison_grid(N: int, runs: int, T: float, dt: float) -> None:
     """Raise ModelError unless run_comparison accepts these sizes."""
     if N < 10:
         raise ModelError("comparison needs N >= 10")
     if runs < 2:
         raise ModelError("comparison needs runs >= 2")
-    if abs(round(T / dt) * dt - T) > 1e-9:
-        raise ModelError("T must be a multiple of the sampling dt")
+    _check_on_grid(T, dt, "the sampling dt")
+
+
+def _check_sweep_grid(T: float, dt: float, reduced_dt: float | None) -> None:
+    """Raise ModelError unless T is on the grids of both the legs and the reduced run."""
+    _check_on_grid(T, dt, "dt")
+    _check_on_grid(T, dt if reduced_dt is None else reduced_dt, "reduced_dt")
 
 
 def run_comparison(
@@ -221,7 +232,8 @@ def run_epsilon_sweep(
 
     For each eps the microscopic system runs with the weight equation sped up
     by 1/eps; the limit dynamics slave each pair weight to the nullcline.
-    The gap is the sup-norm state difference at T.  All legs advance as one
+    The gap is the sup-norm state difference at T, so T must be a multiple of
+    both dt and reduced_dt (ModelError otherwise).  All legs advance as one
     stacked RK4 run; a leg that overflows raises IntegrationError naming the
     step and its eps.  The table is expected to be non-increasing in eps; a
     violation is reported via ``monotone`` and a warning, not an exception.
@@ -229,6 +241,7 @@ def run_epsilon_sweep(
     eps_list = [float(e) for e in eps_list]
     if any(e <= 0 for e in eps_list):
         raise ModelError("eps values must be positive")
+    _check_sweep_grid(T, dt, reduced_dt)
     if not eps_list:
         return EpsilonSweepReport(eps=[], gaps=[], monotone=True, T=T, dt=dt)
     target = integrate_reduced(cfg0.states, model,

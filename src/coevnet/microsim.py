@@ -122,6 +122,38 @@ def _failed(what: str, t: float, eps_w: np.ndarray, ok: np.ndarray) -> Integrati
     return IntegrationError(f"{what} t={t:.6g}{legs}")
 
 
+def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s: float = 1.0,
+                    masses: np.ndarray | None = None):
+    """drift(states, W, t, V=None, out=None): ds/dt of stacked legs (see micro_rhs).
+
+    states (L, N, m) and weights (L, N, N) give the (L, N, m) drift, written
+    into out if given; this is the one place a particle flow evaluates U.  A
+    leg with a non-finite U, or a non-finite entry of the caller's weight
+    drift V, raises IntegrationError naming t (see _failed).
+    """
+    if m != model.m:
+        raise ModelError(f"configuration dimension m={m} does not match model m={model.m}")
+    idx = np.arange(N)
+
+    def drift(states: np.ndarray, W: np.ndarray, t: float, V=None, out=None) -> np.ndarray:
+        U = _on_grid(model.U(states[:, :, None, :], states[:, None, :, :], W), W.shape + (m,), "U")
+        if not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
+            ok = np.isfinite(U).all(axis=(1, 2, 3))
+            if V is not None:
+                ok &= np.isfinite(V).all(axis=(1, 2))
+            raise _failed("non-finite force evaluation at", t, eps_w, ok)
+        U[:, idx, idx, :] = 0.0
+        if masses is None:
+            ds = np.divide(U.sum(axis=2), N * eps_s, out=out)
+        else:
+            ds = np.divide(np.einsum("j,lijk->lik", masses, U), eps_s, out=out)
+        if model.U0 is not None:
+            ds += model.U0(states)
+        return ds
+
+    return drift
+
+
 def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
                 masses: np.ndarray | None = None):
     """The drift f(z, t) of stacked legs started from cfg, and the one step function.
@@ -134,34 +166,21 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
     eps_w = np.asarray(eps_w, dtype=float)
     if not (np.all(eps_w > 0) and eps_s > 0):
         raise ModelError("eps_w and eps_s must be positive")
-    if cfg.m != model.m:
-        raise ModelError(f"configuration dimension m={cfg.m} does not match model m={model.m}")
     L, N, m = eps_w.size, cfg.N, cfg.m
+    drift = _particle_drift(model, N, m, eps_w, eps_s, masses)
     n, idx, sym = N * m, np.arange(N), cfg.symmetric and model.symmetric_V
     upper = np.triu(np.ones((N, N), dtype=bool), 1)
 
     def f(z: np.ndarray, t: float) -> np.ndarray:
         states, W = z[:, :n].reshape(L, N, m), z[:, n:].reshape(L, N, N)
-        si, sj = states[:, :, None, :], states[:, None, :, :]
-        U = _on_grid(model.U(si, sj, W), (L, N, N, m), "U")
-        V = _on_grid(model.V(si, sj, W), (L, N, N), "V")
-        if not (np.isfinite(U).all() and np.isfinite(V).all()):
-            ok = np.isfinite(U).all(axis=(1, 2, 3)) & np.isfinite(V).all(axis=(1, 2))
-            raise _failed("non-finite force evaluation at", t, eps_w, ok)
-        U[:, idx, idx, :] = 0.0
-        V[:, idx, idx] = 0.0
+        V = _on_grid(model.V(states[:, :, None, :], states[:, None, :, :], W), (L, N, N), "V")
         out = np.empty(z.shape)
-        ds, dw = out[:, :n].reshape(L, N, m), out[:, n:].reshape(L, N, N)
-        if masses is None:
-            np.divide(U.sum(axis=2), N * eps_s, out=ds)
-        else:
-            np.divide(np.einsum("j,lijk->lik", masses, U), eps_s, out=ds)
-        if model.U0 is not None:
-            ds += model.U0(states)
+        drift(states, W, t, V, out=out[:, :n].reshape(L, N, m))
+        V[:, idx, idx] = 0.0
         if sym:
             V = np.where(upper, V, 0.0)   # the strict upper triangle, mirrored
             V = V + V.swapaxes(1, 2)
-        np.divide(V, eps_w.reshape(L, 1, 1), out=dw)
+        np.divide(V, eps_w.reshape(L, 1, 1), out=out[:, n:].reshape(L, N, N))
         return out
 
     def step(y: np.ndarray, t: float, dt: float, method: str, rng=None) -> np.ndarray:
@@ -452,21 +471,21 @@ def integrate_reduced(
     """Integrate the instantaneous-network-formation limit by RK4.
 
     Each pair's weight is slaved to the nullcline w = omega(s_i, s_j) and the
-    states follow ds_i/dt = (1/N) sum_{j != i} U(s_i, s_j, omega(s_i, s_j)).
+    states follow the micro state drift with those weights, external force
+    included: ds_i/dt = (1/N) sum_{j != i} U(s_i, s_j, omega(s_i, s_j)) + U0(s_i).
+    A non-finite force raises IntegrationError naming the time of the step.
+    run_epsilon_sweep compares this with the micro legs at T, so T must lie on
+    the grids of both.
     """
     states = np.array(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
     N, m = states.shape
-    idx = np.arange(N)
+    drift = _particle_drift(model, N, m, np.ones(1))
 
-    def rhs(flat: np.ndarray) -> np.ndarray:
-        s = flat.reshape(N, m)
-        si, sj = _pair_grids(s)
-        omega = _nullcline_array(model, si, sj)
-        U = _on_grid(model.U(si, sj, omega), si.shape, "U")
-        U[idx, idx, :] = 0.0
-        return (U.sum(axis=1) / N).ravel()
+    def on_nullcline(y: np.ndarray, t: float) -> np.ndarray:
+        s = y.reshape(1, N, m)
+        return drift(s, _nullcline_array(model, s[:, :, None, :], s[:, None, :, :]), t).reshape(y.shape)
 
     traj = StateTrajectory()
 
@@ -474,5 +493,6 @@ def integrate_reduced(
         traj.times.append(t)
         traj.states.append(y.reshape(N, m).copy())
 
-    run_grid(lambda y, t: rk4_step(rhs, y, dt), states.ravel(), 0.0, dt, T, 1, sample)
+    run_grid(lambda y, t: rk4_step(lambda z: on_nullcline(z, t), y, dt), states.ravel(), 0.0,
+             dt, T, 1, sample)
     return traj

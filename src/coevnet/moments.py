@@ -20,7 +20,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import ClosureSingular, InvariantViolation, ModelError
-from .jumpsim import DiscreteConfiguration
+from .jumpsim import DiscreteConfiguration, _minimal_moments
 from .microsim import AgentConfiguration
 
 log = logging.getLogger(__name__)
@@ -221,31 +221,12 @@ def empirical_marginal1(cfg, bins=None) -> StateHistogram:
 
 def minimal_moments(cfg: DiscreteConfiguration) -> MinimalMoments:
     """Extract the six ordered-pair moments from a discrete configuration."""
-    s = cfg.states
-    W = cfg.weights
-    N = cfg.N
-    plus = s == 1
-    n_p = int(plus.sum())
-    n_m = N - n_p
-    upper = np.triu(np.ones((N, N), dtype=bool), 1)
-    linked = W == 1
+    plus = cfg.states == 1
+    linked = np.triu(cfg.weights == 1, 1)
     both_p = plus[:, None] & plus[None, :]
     both_m = ~plus[:, None] & ~plus[None, :]
-    L_pp = int(np.count_nonzero(linked & both_p & upper))
-    L_mm = int(np.count_nonzero(linked & both_m & upper))
-    L_pm = int(np.count_nonzero(linked & ~both_p & ~both_m & upper))
-    P_pp = n_p * (n_p - 1) // 2
-    P_mm = n_m * (n_m - 1) // 2
-    P_pm = n_p * n_m
-    denom = N * (N - 1)
-    return MinimalMoments(
-        f_pp=2 * L_pp / denom,
-        g_pp=2 * (P_pp - L_pp) / denom,
-        f_mm=2 * L_mm / denom,
-        g_mm=2 * (P_mm - L_mm) / denom,
-        f_pm=L_pm / denom,
-        g_pm=(P_pm - L_pm) / denom,
-    )
+    L = [int(np.count_nonzero(linked & both)) for both in (both_p, both_m, ~both_p & ~both_m)]
+    return MinimalMoments.from_array(_minimal_moments(cfg.N, int(plus.sum()), L))
 
 
 def _pair_table(mu2) -> np.ndarray:

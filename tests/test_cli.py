@@ -420,12 +420,13 @@ class TestBuildOnce:
          "T must be a multiple of the sampling dt"),
         (dict(micro_config(), kind="diffusive"),
          "simulate_diffusive requires a model with a state diffusion coefficient Q"),
+        (epsilon_sweep_config(reduced_dt=0.3), "T must be a multiple of reduced_dt"),
         (closure_stationary_config(init={"moments": [0.0, 0.0, 0.5, 0.5, 0.0, 0.0]}),
          "initial rho_+ must lie in (0, 1)"),
         (closure_stationary_config(init={"moments": [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]}),
          "initial rho_+ must lie in (0, 1)"),
     ], ids=["compare-N-5", "compare-runs-1", "compare-T-off-grid", "diffusive-without-Q",
-            "closure-rho_p-0", "closure-rho_p-1"])
+            "epsilon-sweep-T-off-reduced-grid", "closure-rho_p-0", "closure-rho_p-1"])
     def test_run_time_precondition_fails_validate_as_run(self, tmp_path, capsys, cfg, message):
         (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
         assert v_code == r_code == 3

@@ -169,6 +169,32 @@ class TestEpsilonSweep:
         assert rep.gaps[0] > rep.gaps[1] > rep.gaps[2]
         assert rep.monotone
 
+    def test_boschi_gaps_shrink_towards_the_limit_with_its_external_force(self):
+        # boschi has U0 = -s; a limit without it leaves gaps near 0.68 that grow
+        model = catalog("boschi", {"g": np.tanh, "J0": 2.0, "gamma": 1.0})
+        states = np.array([[0.0], [0.7], [1.5], [-0.6]])
+        w = np.zeros((4, 4))
+        for i in range(4):
+            for j in range(i + 1, 4):
+                w[i, j] = w[j, i] = solve_weight_nullcline(model, states[i], states[j]) + 0.5
+        rep = run_epsilon_sweep(model, AgentConfiguration(states=states, weights=w),
+                                eps_list=[0.1, 0.01, 0.001], dt=1e-3, T=0.5)
+        assert rep.gaps[0] > rep.gaps[1] > rep.gaps[2]
+        assert rep.monotone
+
+    @pytest.mark.parametrize("dt, reduced_dt, name", [
+        (1e-3, 0.3, "reduced_dt"), (0.3, None, "dt"), (0.3, 1e-3, "dt")])
+    def test_horizon_off_either_grid_raises(self, monkeypatch, dt, reduced_dt, name):
+        # with reduced_dt 0.3 the target would be taken at t = 0.6, not at T = 0.5
+        def never(*args, **kwargs):
+            raise AssertionError("an off-grid sweep must not integrate")
+        monkeypatch.setattr(compare, "integrate_reduced", never)
+        monkeypatch.setattr(compare, "_run_legs", never)
+        cfg = AgentConfiguration(states=[[0.0], [1.0]], weights=np.zeros((2, 2)))
+        with pytest.raises(ModelError, match=f"^T must be a multiple of {name}$"):
+            run_epsilon_sweep(relaxation_model(), cfg, eps_list=[0.1], dt=dt, T=0.5,
+                              reduced_dt=reduced_dt)
+
     @settings(max_examples=40)
     @given(N=st.integers(2, 6),
            eps=st.lists(st.sampled_from([0.5, 0.1, 0.02, 0.005]), min_size=1, max_size=4),

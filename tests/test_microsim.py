@@ -524,16 +524,32 @@ class TestReduced:
         N = states.shape[0]
         si = np.broadcast_to(states[:, None, :], (N, N, 1))
         sj = np.broadcast_to(states[None, :, :], (N, N, 1))
-        from coevnet.microsim import _nullcline_array
         w0 = _nullcline_array(model, si, sj)
         np.fill_diagonal(w0, 0.0)
-        red = integrate_reduced(states, model, dt=1e-3, T=1.0).final()
-        gaps = []
-        for eps in (0.1, 0.01, 0.001):
-            cfg = AgentConfiguration(states=states, weights=w0)
-            mic = integrate_micro(cfg, model, dt=1e-4, T=1.0, eps_w=eps, store=False).final()
-            gaps.append(float(np.max(np.abs(mic.states - red))))
+        # the stacked legs equal legs run one by one (test_compare), so one sweep
+        # gives the gaps of three integrate_micro runs
+        gaps = run_epsilon_sweep(model, AgentConfiguration(states=states, weights=w0),
+                                 eps_list=[0.1, 0.01, 0.001], dt=1e-4, T=1.0,
+                                 reduced_dt=1e-3).gaps
         assert gaps[0] > gaps[1] > gaps[2]
+
+    def test_external_force_is_part_of_the_reduced_flow(self):
+        # U = 0 and U0(s) = -s: the limit is ds/dt = -s whatever the weights
+        model = SmoothModel(U=lambda s, sig, w: np.zeros(np.shape(s)),
+                            V=lambda s, sig, w: -np.asarray(w, dtype=float),
+                            U0=lambda s: -np.asarray(s, dtype=float), symmetric_V=True)
+        s0 = np.array([[0.5], [-1.0], [2.0]])
+        final = integrate_reduced(s0, model, dt=1e-3, T=1.0).final()
+        assert np.max(np.abs(final - s0 * np.exp(-1.0))) <= 1e-10
+
+    def test_overflowing_force_names_the_step(self):
+        # U0 = 1 carries the second agent to s = 2, where U = exp(1000 (s - 2)) overflows
+        model = SmoothModel(U=lambda s, sig, w: np.exp(1000.0 * (np.asarray(s, dtype=float) - 2.0)),
+                            V=lambda s, sig, w: -np.asarray(w, dtype=float),
+                            U0=lambda s: np.ones(np.shape(s)), symmetric_V=True)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IntegrationError, match=r"^non-finite force evaluation at t=1$"):
+            integrate_reduced(np.array([[0.0], [1.0]]), model, dt=0.1, T=2.0)
 
 
 class TestConfigurationInvariants:
