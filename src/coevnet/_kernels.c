@@ -4,9 +4,8 @@
  *    system, a line-by-line port of closures._rhs_arrays_py and
  *    closures._integrate_loop_py.
  * 2. coevnet_minimal_init / coevnet_minimal_run: the exact Gillespie loop of
- *    the binary minimal model, a port of the "gillespie" branch of
- *    jumpsim.simulate_minimal and the _MinimalEngine mutations and samplers
- *    it calls.
+ *    the binary minimal model, a port of jumpsim._MinimalEngine.run and
+ *    the mutations and samplers it calls.
  *
  * Every expression keeps the evaluation order of its python or numpy
  * counterpart, and the library is built without floating-point contraction

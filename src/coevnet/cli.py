@@ -293,14 +293,8 @@ def _build_diffusive(x):
     check_diffusive_model(x.model)
 
 
-def _check_tau_leap(x):
-    if x.mode == "tau-leap" and not x.tau_dt:
-        raise ConfigError("tau-leap mode requires tau_dt", field="tau_dt")
-
-
 def _build_minimal(x):
     x.disc = polarized_link_config(x.N, *_link_densities(x.init), np.random.default_rng(x.seed))
-    _check_tau_leap(x)
 
 
 def _build_voter(x):
@@ -384,7 +378,6 @@ def _build_characteristics(x):
 
 def _build_compare(x):
     _link_densities(x.init)   # each replica draws its own configuration when run
-    _check_tau_leap(x)
     check_comparison_grid(x.N, x.runs, x.T, x.dt)
 
 
@@ -416,9 +409,8 @@ def _run_micro(x, out_dir, workers):
 
 
 def _run_minimal(x, out_dir, workers):
-    traj = simulate_minimal(x.disc, x.rates, T=x.T, seed=x.seed, mode=x.mode, tau_dt=x.tau_dt,
-                            sample_dt=x.sample_dt, record_events=x.record_events,
-                            record_moments=True)
+    traj = simulate_minimal(x.disc, x.rates, T=x.T, seed=x.seed, sample_dt=x.sample_dt,
+                            record_events=x.record_events, record_moments=True)
     io.write_events_csv(os.path.join(out_dir, "events.csv"), traj.events)
     io.write_moments_csv(os.path.join(out_dir, "moments.csv"), traj.moment_times, traj.moments)
     return _write_configs(out_dir, traj.times, traj.configs) + ["events.csv", "moments.csv"]
@@ -502,7 +494,7 @@ def _run_characteristics(x, out_dir, workers):
 
 def _run_compare(x, out_dir, workers):
     rep = run_comparison(x.rates, N=x.N, runs=x.runs, T=x.T, dt=x.dt, seed=x.seed, init=x.init,
-                         mode=x.mode, tau_dt=x.tau_dt, closure_dt=x.closure_dt, workers=workers)
+                         closure_dt=x.closure_dt, workers=workers)
     io.write_json(os.path.join(out_dir, "report.json"), rep.to_json_dict())
     io.write_error_curves_csv(os.path.join(out_dir, "error_curves.csv"), rep)
     io.write_moments_csv(os.path.join(out_dir, "mean_moments.csv"), rep.times, rep.mean_moments)
@@ -536,7 +528,6 @@ class Kind:
 
 
 _STRIDE = {"sample_stride": (_count, 1)}
-_MODE = (_choice("gillespie", "tau-leap"), "gillespie")
 _CLOSURE_KIND = _choice("conditional", "kirkwood")
 
 SPECS: dict[str, Kind] = {
@@ -550,8 +541,7 @@ SPECS: dict[str, Kind] = {
         _STRIDE, _build_diffusive, _run_micro),
     "minimal": Kind(
         {"rates": _rates_from_config, "N": _count, "T": _horizon, "init": _map},
-        {"mode": _MODE, "tau_dt": (_positive, None), "sample_dt": (_positive, None),
-         "record_events": (_flag, True)},
+        {"sample_dt": (_positive, None), "record_events": (_flag, True)},
         _build_minimal, _run_minimal),
     "voter": Kind(
         {"N": _count, "T": _horizon, "p": _unit, "init": _map},
@@ -580,7 +570,7 @@ SPECS: dict[str, Kind] = {
     "compare": Kind(
         {"rates": _rates_from_config, "N": _count, "runs": _count, "T": _horizon,
          "dt": _positive, "init": _map},
-        {"mode": _MODE, "tau_dt": (_positive, None), "closure_dt": (_positive, 1e-3)},
+        {"closure_dt": (_positive, 1e-3)},
         _build_compare, _run_compare),
     "epsilon-sweep": Kind(
         {"model": model_from_spec, "N": _count, "eps_list": _eps_list, "T": _horizon,

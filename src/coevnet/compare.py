@@ -78,7 +78,6 @@ class ComparisonReport:
     T: float
     dt: float
     seed: int
-    mode: str
     times: np.ndarray
     mean_moments: np.ndarray             # (n, 6) ensemble mean
     stderr_moments: np.ndarray           # (n, 6) standard error of the mean
@@ -94,19 +93,18 @@ class ComparisonReport:
     stderr_rho_p: np.ndarray = field(default_factory=lambda: np.empty(0))
 
     def to_json_dict(self) -> dict:
-        keys = ("N", "runs", "T", "dt", "seed", "mode", "sup_error_conditional",
+        keys = ("N", "runs", "T", "dt", "seed", "sup_error_conditional",
                 "sup_error_kirkwood", "monte_carlo_stderr", "closure_status")
         return {"params": asdict(self.params), **{k: getattr(self, k) for k in keys},
                 "n_samples": int(self.times.size)}
 
 
 def _replica_moments(args) -> np.ndarray:
-    (p_arr, N, rho_p, p_pp, p_mm, p_pm, T, dt, seed, replica, mode, tau_dt) = args
+    (p_arr, N, rho_p, p_pp, p_mm, p_pm, T, dt, seed, replica) = args
     rng = np.random.default_rng((seed, replica))
     cfg = polarized_link_config(N, rho_p, p_pp, p_mm, p_pm, rng)
     p = MinimalParams(*p_arr)
-    traj = simulate_minimal(cfg, p, T=T, seed=(seed, replica, 1), mode=mode,
-                            tau_dt=tau_dt, sample_dt=dt,
+    traj = simulate_minimal(cfg, p, T=T, seed=(seed, replica, 1), sample_dt=dt,
                             record_configs=False, record_moments=True)
     return traj.moments
 
@@ -140,8 +138,6 @@ def run_comparison(
     dt: float,
     seed: int,
     init: dict | None = None,
-    mode: str = "gillespie",
-    tau_dt: float | None = None,
     closure_dt: float = 1e-3,
     workers: int = 1,
 ) -> ComparisonReport:
@@ -158,8 +154,7 @@ def run_comparison(
     rho_p, p_pp, p_mm, p_pm = (float(init[k]) for k in ("rho_p", "p_pp", "p_mm", "p_pm"))
 
     arg_list = [
-        (tuple(p.as_array()), N, rho_p, p_pp, p_mm, p_pm, T, dt, seed, k, mode, tau_dt)
-        for k in range(runs)
+        (tuple(p.as_array()), N, rho_p, p_pp, p_mm, p_pm, T, dt, seed, k) for k in range(runs)
     ]
     results = None
     if workers > 1:
@@ -197,7 +192,7 @@ def run_comparison(
         status[kind.value] = traj.status
 
     return ComparisonReport(
-        params=p, N=N, runs=runs, T=T, dt=dt, seed=seed, mode=mode,
+        params=p, N=N, runs=runs, T=T, dt=dt, seed=seed,
         times=times, mean_moments=mean, stderr_moments=stderr,
         mean_rho_p=mean_rho_p, stderr_rho_p=stderr_rho_p,
         closure_conditional=closures[C], closure_kirkwood=closures[K],

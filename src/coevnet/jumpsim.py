@@ -4,16 +4,13 @@ The minimal model (binary states, binary links) is simulated exactly with a
 Gillespie event loop over aggregated channels: two state-flip channels and a
 creation/removal channel per unordered pair type.  Channel totals depend only
 on the plus-agent count and the per-type link counts, so each event costs
-O(1) bookkeeping (O(N) for the rare state flips).  The loop exists twice.
-``_MinimalEngine`` and the "gillespie" branch of ``simulate_minimal`` are
-the pure-python reference.  ``_CMinimalEngine`` runs the same loop in the
+O(1) bookkeeping (O(N) for the rare state flips).  Both engines expose one
+``run(T, rng, record_until, events)``: ``_MinimalEngine`` is the
+pure-python reference, ``_CMinimalEngine`` runs the same loop in the
 compiled kernels (``_kernels.c``, built and loaded by ``_native``), drawing
 its uniforms from the same numpy generator; for a fixed seed both give the
 same events, samples and final generator state, bit for bit.  Without a
-working compiler the python loop runs, about 50 times slower.  A tau-leap
-mode draws Poisson event counts per channel per step and applies them
-sequentially in random order, dropping events that are no longer
-applicable; it always runs in python.
+working compiler the python engine runs, about 50 times slower.
 
 The co-evolving voter model runs on unit-rate per-agent clocks; the hybrid
 bounded-confidence model alternates deterministic RK4 state steps with
@@ -34,6 +31,7 @@ from __future__ import annotations
 import ctypes
 import warnings
 from dataclasses import dataclass, field
+from math import log
 from typing import Callable
 
 import numpy as np
@@ -178,9 +176,8 @@ def _minimal_moments(N: int, n_plus: int, L) -> np.ndarray:
 class _MinimalEngine:
     """Mutable minimal-model state with O(1) aggregate channel rates.
 
-    Its Gillespie loop in ``simulate_minimal`` is the pure-python reference
-    of the compiled engine (``_CMinimalEngine``) and its fallback; the
-    tau-leap mode always runs on it.
+    Its ``run`` is the pure-python reference of the compiled engine
+    (``_CMinimalEngine``) and its fallback.
     """
 
     def __init__(self, cfg: DiscreteConfiguration, p: MinimalParams):
@@ -188,8 +185,6 @@ class _MinimalEngine:
         self.s = (cfg.states == 1).astype(np.int8)       # 1 for +, 0 for -
         self.W = cfg.weights.astype(np.int8).copy()
         self.p = p
-        self.beta = [p.beta_pp, p.beta_mm, p.beta_pm]
-        self.gamma = [p.gamma_pp, p.gamma_mm, p.gamma_pm]
         N = self.N
         self.plus_list = [i for i in range(N) if self.s[i] == 1]
         self.minus_list = [i for i in range(N) if self.s[i] == 0]
@@ -214,30 +209,6 @@ class _MinimalEngine:
         if not si and not sj:
             return _MM
         return _PM
-
-    def n_plus(self) -> int:
-        return len(self.plus_list)
-
-    def pair_counts(self):
-        return _pair_counts(self.N, len(self.plus_list))
-
-    def channel_rates(self):
-        """[flip+, flip-, create_pp, create_mm, create_pm, remove_pp, remove_mm, remove_pm]"""
-        L = [len(self.links[_PP]), len(self.links[_MM]), len(self.links[_PM])]
-        P = self.pair_counts()
-        U = [P[k] - L[k] for k in range(3)]
-        lpm = L[_PM]
-        rates = [
-            self.p.alpha_pm * lpm / self.N,
-            self.p.alpha_mp * lpm / self.N,
-            self.beta[_PP] * U[_PP],
-            self.beta[_MM] * U[_MM],
-            self.beta[_PM] * U[_PM],
-            self.gamma[_PP] * L[_PP],
-            self.gamma[_MM] * L[_MM],
-            self.gamma[_PM] * L[_PM],
-        ]
-        return rates, L, U
 
     def moments(self) -> np.ndarray:
         return _minimal_moments(self.N, len(self.plus_list), [len(lst) for lst in self.links])
@@ -297,12 +268,6 @@ class _MinimalEngine:
         for nb in neighbors:
             self._link_add(a, nb)
 
-    def create(self, i: int, j: int):
-        self._link_add(i, j)
-
-    def remove(self, i: int, j: int):
-        self._link_drop(i, j)
-
     # -- sampling helpers --------------------------------------------------
 
     def sample_cross_link_endpoint(self, rng, want_plus: bool) -> int:
@@ -315,7 +280,7 @@ class _MinimalEngine:
 
     def sample_unlinked_pair(self, rng, tau: int) -> tuple[int, int] | None:
         """Uniform unlinked pair of the given type; None if none exists."""
-        P = self.pair_counts()
+        P = _pair_counts(self.N, len(self.plus_list))
         U = P[tau] - len(self.links[tau])
         if U <= 0:
             return None
@@ -350,6 +315,73 @@ class _MinimalEngine:
         lst = self.links[tau]
         code = lst[int(rng.random() * len(lst))]
         return divmod(code, self.N)
+
+    # -- the Gillespie loop ------------------------------------------------
+
+    def run(self, T: float, rng, record_until, events: list | None):
+        """Simulate from t = 0 to T, appending events unless ``events`` is None.
+
+        ``record_until(t)`` records every sample-grid time up to t and
+        returns the next one; a grid time is recorded before the event that
+        crosses it is applied.
+        """
+        # hot loop: bind lookups once and compute channel rates inline
+        N = self.N
+        p = self.p
+        a_pm, a_mp = p.alpha_pm, p.alpha_mp
+        b_pp, b_mm, b_pm = p.beta_pp, p.beta_mm, p.beta_pm
+        c_pp, c_mm, c_pm = p.gamma_pp, p.gamma_mm, p.gamma_pm
+        links_pp, links_mm, links_pm = self.links
+        uniform = rng.random
+        t = 0.0
+        t_sample = record_until(0.0)
+        while t < T:
+            n_p = len(self.plus_list)
+            n_m = N - n_p
+            L0, L1, L2 = len(links_pp), len(links_mm), len(links_pm)
+            U0 = n_p * (n_p - 1) // 2 - L0
+            U1 = n_m * (n_m - 1) // 2 - L1
+            U2 = n_p * n_m - L2
+            r_fp = a_pm * L2 / N
+            r_fm = a_mp * L2 / N
+            r_c0 = b_pp * U0
+            r_c1 = b_mm * U1
+            r_c2 = b_pm * U2
+            r_r0 = c_pp * L0
+            r_r1 = c_mm * L1
+            r_r2 = c_pm * L2
+            total = r_fp + r_fm + r_c0 + r_c1 + r_c2 + r_r0 + r_r1 + r_r2
+            if total <= 0.0:
+                break
+            t_next = t - log(1.0 - uniform()) / total
+            if t_next >= T:
+                break
+            if t_sample <= t_next:
+                t_sample = record_until(t_next)
+            u = uniform() * total
+            if u < r_fp + r_fm:
+                a = self.sample_cross_link_endpoint(rng, want_plus=u < r_fp)
+                self.flip(a)
+                event = (t_next, "flip", a, -1)
+            else:
+                u -= r_fp + r_fm
+                if u < r_c0 + r_c1 + r_c2:
+                    tau = 0 if u < r_c0 else (1 if u < r_c0 + r_c1 else 2)
+                    pair = self.sample_unlinked_pair(rng, tau)
+                    event = None
+                    if pair is not None:
+                        self._link_add(*pair)
+                        event = (t_next, "create", *pair)
+                else:
+                    u -= r_c0 + r_c1 + r_c2
+                    tau = 0 if u < r_r0 else (1 if u < r_r0 + r_r1 else 2)
+                    i, j = self.sample_linked_pair(rng, tau)
+                    self._link_drop(i, j)
+                    event = (t_next, "remove", i, j)
+            if events is not None and event is not None:
+                events.append(event)
+            t = t_next
+        record_until(T)
 
 
 # -- compiled Gillespie engine -------------------------------------------------
@@ -434,11 +466,11 @@ class _CMinimalEngine:
     snapshot = _MinimalEngine.snapshot
 
     def run(self, T: float, rng, record_until, events: list | None):
-        """The "gillespie" branch of ``simulate_minimal`` from t = 0.
+        """``_MinimalEngine.run`` in the kernel.
 
         The kernel returns at each sample-grid crossing, before applying the
         event that crossed it, so ``record_until`` snapshots the same states
-        as in the python loop; it returns the next grid time.
+        as the python loop.
         """
         st = self._st
         bitgen = rng.bit_generator
@@ -458,8 +490,6 @@ class _CMinimalEngine:
                 raise IndexError("removal drawn for a pair type without links")
             elif status != _RUN_FULL:
                 break
-        if status == _RUN_END:
-            record_until(min(st.t_next, T))
         record_until(T)
 
 
@@ -468,7 +498,7 @@ def _python_engine(cfg: DiscreteConfiguration, p: MinimalParams, record_events: 
 
 
 def _bind_engine(lib):
-    """The engine factory of the "gillespie" mode: the compiled engine of the
+    """The engine factory of ``simulate_minimal``: the compiled engine of the
     kernels ``lib`` for N up to _C_ENGINE_MAX_N, else the python engine."""
     if lib is None:
         return _python_engine
@@ -505,32 +535,21 @@ def simulate_minimal(
     p: MinimalParams,
     T: float,
     seed: int,
-    mode: str = "gillespie",
-    tau_dt: float | None = None,
     sample_dt: float | None = None,
     record_events: bool = False,
     record_moments: bool = False,
     record_configs: bool = True,
 ) -> JumpTrajectory:
-    """Simulate the minimal model up to time T.
+    """Simulate the minimal model's exact continuous-time Markov chain up to T.
 
-    mode "gillespie" is the exact continuous-time Markov chain; "tau-leap"
-    draws Poisson event counts per channel per tau_dt and applies them
-    sequentially in random order, dropping inapplicable events.  When the
-    total rate hits zero the state is absorbing and time fast-forwards to T.
-    Deterministic for a fixed seed.
+    When the total rate hits zero the state is absorbing and time
+    fast-forwards to T.  Deterministic for a fixed seed, whichever engine
+    runs it.
     """
     if T < 0:
         raise ModelError("T must be nonnegative")
-    if mode not in ("gillespie", "tau-leap"):
-        raise ModelError(f"unknown mode {mode!r}")
-    if mode == "tau-leap" and (tau_dt is None or tau_dt <= 0):
-        raise ModelError("tau-leap mode requires a positive tau_dt")
     rng = np.random.default_rng(seed)
-    if mode == "gillespie":
-        eng = _gillespie_engine(cfg, p, record_events)
-    else:
-        eng = _MinimalEngine(cfg, p)
+    eng = _gillespie_engine(cfg, p, record_events)
     grid = _sample_grid(T, sample_dt)
     traj = JumpTrajectory()
     mom = [] if record_moments else None
@@ -552,113 +571,7 @@ def simulate_minimal(
             next_idx += 1
         return float(grid[next_idx]) if next_idx < len(grid) else np.inf
 
-    if isinstance(eng, _CMinimalEngine):
-        eng.run(T, rng, record_until, traj.events if record_events else None)
-    elif mode == "gillespie":
-        from math import log
-
-        t = 0.0
-        record_until(0.0)
-        # hot loop: bind lookups once and compute channel rates inline
-        N = eng.N
-        a_pm, a_mp = p.alpha_pm, p.alpha_mp
-        b_pp, b_mm, b_pm = eng.beta
-        c_pp, c_mm, c_pm = eng.gamma
-        links_pp, links_mm, links_pm = eng.links
-        uniform = rng.random
-        events = traj.events
-        while t < T:
-            n_p = len(eng.plus_list)
-            n_m = N - n_p
-            L0, L1, L2 = len(links_pp), len(links_mm), len(links_pm)
-            U0 = n_p * (n_p - 1) // 2 - L0
-            U1 = n_m * (n_m - 1) // 2 - L1
-            U2 = n_p * n_m - L2
-            r_fp = a_pm * L2 / N
-            r_fm = a_mp * L2 / N
-            r_c0 = b_pp * U0
-            r_c1 = b_mm * U1
-            r_c2 = b_pm * U2
-            r_r0 = c_pp * L0
-            r_r1 = c_mm * L1
-            r_r2 = c_pm * L2
-            total = r_fp + r_fm + r_c0 + r_c1 + r_c2 + r_r0 + r_r1 + r_r2
-            if total <= 0.0:
-                break
-            t_next = t - log(1.0 - uniform()) / total
-            if t_next >= T:
-                record_until(min(t_next, T))
-                t = T
-                break
-            if next_idx < len(grid) and grid[next_idx] <= t_next:
-                record_until(t_next)
-            u = uniform() * total
-            if u < r_fp + r_fm:
-                a = eng.sample_cross_link_endpoint(rng, want_plus=u < r_fp)
-                eng.flip(a)
-                if record_events:
-                    events.append((t_next, "flip", a, -1))
-            else:
-                u -= r_fp + r_fm
-                if u < r_c0 + r_c1 + r_c2:
-                    tau = 0 if u < r_c0 else (1 if u < r_c0 + r_c1 else 2)
-                    pair = eng.sample_unlinked_pair(rng, tau)
-                    if pair is not None:
-                        eng.create(*pair)
-                        if record_events:
-                            events.append((t_next, "create", pair[0], pair[1]))
-                else:
-                    u -= r_c0 + r_c1 + r_c2
-                    tau = 0 if u < r_r0 else (1 if u < r_r0 + r_r1 else 2)
-                    i, j = eng.sample_linked_pair(rng, tau)
-                    eng.remove(i, j)
-                    if record_events:
-                        events.append((t_next, "remove", i, j))
-            t = t_next
-        record_until(T)
-    else:
-        t = 0.0
-        record_until(0.0)
-        n_steps = int(np.ceil(T / tau_dt - 1e-9))
-        for step in range(n_steps):
-            dt = min(tau_dt, T - t)
-            rates, L, U = eng.channel_rates()
-            counts = [rng.poisson(r * dt) if r > 0 else 0 for r in rates]
-            events = []
-            for _ in range(counts[0]):
-                events.append(("flip", eng.sample_cross_link_endpoint(rng, True), -1))
-            for _ in range(counts[1]):
-                events.append(("flip", eng.sample_cross_link_endpoint(rng, False), -1))
-            for tau in range(3):
-                for _ in range(counts[2 + tau]):
-                    pair = eng.sample_unlinked_pair(rng, tau)
-                    if pair is not None:
-                        events.append(("create", pair[0], pair[1]))
-                for _ in range(counts[5 + tau]):
-                    i, j = eng.sample_linked_pair(rng, tau)
-                    events.append(("remove", i, j))
-            order = rng.permutation(len(events))
-            t_evt = t + dt
-            for idx in order:
-                kind, i, j = events[idx]
-                if kind == "flip":
-                    eng.flip(i)
-                elif kind == "create":
-                    if eng.W[i, j] == 0:
-                        eng.create(i, j)
-                    else:
-                        continue
-                else:
-                    if eng.W[i, j] == 1:
-                        eng.remove(i, j)
-                    else:
-                        continue
-                if record_events:
-                    traj.events.append((t_evt, kind, i, j))
-            t = t + dt
-            record_until(t if step < n_steps - 1 else T)
-        record_until(T)
-
+    eng.run(T, rng, record_until, traj.events if record_events else None)
     if mom is not None:
         traj.moment_times = grid.copy()
         traj.moments = np.asarray(mom)

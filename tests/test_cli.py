@@ -329,9 +329,11 @@ class TestBuildOnce:
         (micro_config(init=5), "init"),
         (epsilon_sweep_config(eps_list=["x"]), "eps_list"),
         (minimal_config(N=True), "N"),
-        ({"kind": "compare", "N": 20, "runs": 2, "T": 1.0, "dt": 0.5, "mode": "tau-leap",
-          "rates": minimal_config()["rates"], "init": minimal_config()["init"]}, "tau_dt"),
-    ], ids=["T-string", "init-int", "eps_list-string", "N-bool", "compare-tau-leap-no-tau_dt"])
+        ({"kind": "compare", "N": 20, "runs": 2, "T": 1.0, "dt": 0.5, "mode": "gillespie",
+          "rates": minimal_config()["rates"], "init": minimal_config()["init"]}, "mode"),
+        (minimal_config(tau_dt=0.01), "tau_dt"),
+    ], ids=["T-string", "init-int", "eps_list-string", "N-bool", "compare-mode",
+            "minimal-tau_dt"])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, cfg, field):
         (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
         assert v_code == r_code == 2

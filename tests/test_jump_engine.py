@@ -1,8 +1,8 @@
 """The compiled Gillespie engine against its pure-python reference loop.
 
-For a fixed seed, the "gillespie" mode of ``simulate_minimal`` must give the
-same events, sample times, moments and snapshots, and leave the generator in
-the same state, whichever engine runs it.
+For a fixed seed, ``simulate_minimal`` must give the same events, sample
+times, moments and snapshots, and leave the generator in the same state,
+whether ``_CMinimalEngine.run`` or ``_MinimalEngine.run`` runs it.
 """
 
 import logging

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coevnet.errors import IntegrationError, InvariantViolation, ModelError
+from coevnet.errors import IntegrationError, InvariantViolation
 from coevnet.jumpsim import (
     DiscreteConfiguration,
     HybridConfiguration,
@@ -111,22 +111,6 @@ class TestSimulateMinimal:
         stderr = np.std(counts) / np.sqrt(len(counts))
         assert abs(np.mean(counts) - expected) <= 3 * stderr
 
-    def test_tau_leap_matches_gillespie_event_counts(self):
-        cfg = disc([1, 1, -1, -1], np.zeros((4, 4)))
-        p = MinimalParams(alpha_pm=1, alpha_mp=1, beta_pp=1, beta_mm=1, beta_pm=0.5,
-                          gamma_pp=1, gamma_mm=1, gamma_pm=2)
-        T = 2.0
-        g_counts, t_counts = [], []
-        for seed in range(2000):
-            g = simulate_minimal(cfg, p, T=T, seed=seed, record_events=True,
-                                 record_configs=False)
-            tl = simulate_minimal(cfg, p, T=T, seed=seed + 500_000, mode="tau-leap",
-                                  tau_dt=0.01, record_events=True, record_configs=False)
-            g_counts.append(len(g.events))
-            t_counts.append(len(tl.events))
-        gm, tm = np.mean(g_counts), np.mean(t_counts)
-        assert abs(tm - gm) / gm < 0.05
-
     def test_magnetization_balance_with_equal_alpha(self):
         rng = np.random.default_rng(0)
         N = 40
@@ -154,10 +138,9 @@ class TestSimulateMinimal:
         states = np.where(rng.random(N) < 0.6, 1, -1)
         cfg = DiscreteConfiguration(states=states, weights=W)
         p = MinimalParams(1, 0.5, 1, 1, 0.5, 1, 1, 2)
-        for mode, kw in (("gillespie", {}), ("tau-leap", {"tau_dt": 0.05})):
-            traj = simulate_minimal(cfg, p, T=3.0, seed=9, mode=mode, sample_dt=0.5, **kw)
-            for c in traj.configs:
-                check_valid(c)
+        traj = simulate_minimal(cfg, p, T=3.0, seed=9, sample_dt=0.5)
+        for c in traj.configs:
+            check_valid(c)
 
     def test_moment_recording_matches_estimator(self):
         from coevnet.moments import minimal_moments
@@ -322,8 +305,3 @@ class TestConfigValidation:
         with pytest.raises(InvariantViolation):
             DiscreteConfiguration(states=np.array([1, -1]),
                                   weights=np.array([[0, 1], [0, 0]]))
-
-    def test_unknown_mode(self):
-        cfg = disc([1, -1], np.zeros((2, 2)))
-        with pytest.raises(ModelError):
-            simulate_minimal(cfg, MinimalParams(), T=1.0, seed=0, mode="exact")
