@@ -126,6 +126,21 @@ _KERNEL_PARAMS = {"identity": {}, "linear": {"slope": 1.0},
                   "indicator": {"threshold": 1.0}}
 
 
+def _gaussian(a: float, ell2: float, on_states: bool):
+    """x -> a exp(-x^2 / ell2), x^2 summed over the state axis if on_states; bitwise
+    so, in place on its own temporaries, with (-x) / ell2 as x / (-ell2), a
+    length-1 state axis read, not summed, and a unit a or ell2 folded away."""
+    def gaussian(x):
+        e = np.square(np.asarray(x, dtype=float))
+        if on_states:
+            e = e[..., 0] if e.shape[-1] == 1 else np.sum(e, axis=-1)
+        out = e if e.ndim else None   # a 0-d result is a numpy scalar, not an array
+        e = np.negative(e, out=out) if ell2 == 1.0 else np.divide(e, -ell2, out=out)
+        e = np.exp(e, out=out)
+        return e if a == 1.0 else np.multiply(a, e, out=out)
+    return gaussian
+
+
 def kernel_from_spec(spec, role: str):
     """Build a named kernel callable from a {"form": ..., ...} map."""
     if not isinstance(spec, dict) or "form" not in spec:
@@ -141,10 +156,7 @@ def kernel_from_spec(spec, role: str):
     if form == "linear":
         return lambda x: p["slope"] * np.asarray(x, dtype=float)
     if form == "gaussian":
-        a, ell = p["amplitude"], p["length"]
-        if on_states:
-            return lambda x: a * np.exp(-np.sum(np.square(np.asarray(x, dtype=float)), axis=-1) / ell ** 2)
-        return lambda d: a * np.exp(-np.square(np.asarray(d, dtype=float)) / ell ** 2)
+        return _gaussian(p["amplitude"], p["length"] ** 2, on_states)
     if form == "constant":
         if on_states:
             return lambda x: np.full(np.asarray(x).shape[:-1], p["value"])

@@ -106,11 +106,15 @@ def _pair_grids(states: np.ndarray):
     return si, sj
 
 
-def _on_grid(a, grid: tuple, name: str) -> np.ndarray:
-    """A writable float array of shape grid from a kernel result that broadcasts to it."""
+def _on_grid(a, grid: tuple, name: str, state: np.ndarray) -> np.ndarray:
+    """A C-contiguous writable float array of shape grid, sharing no memory
+    with the caller's state, from a kernel result that broadcasts to grid."""
     a = np.asarray(a, dtype=float)
+    if (a.shape == grid and a.flags.writeable and a.flags.c_contiguous
+            and (a.base is None or not np.may_share_memory(a, state))):
+        return a
     try:
-        return a if a.shape == grid and a.flags.writeable else np.broadcast_to(a, grid).copy()
+        return np.broadcast_to(a, grid).copy()
     except ValueError:
         raise ModelError(f"{name} returned shape {a.shape}, which does not broadcast to "
                          f"the pair grid {grid}") from None
@@ -124,25 +128,26 @@ def _failed(what: str, t: float, eps_w: np.ndarray, ok: np.ndarray) -> Integrati
 
 def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s: float = 1.0,
                     masses: np.ndarray | None = None):
-    """drift(states, W, t, V=None, out=None): ds/dt of stacked legs (see micro_rhs).
+    """drift(states, views, W, t, V=None, out=None): ds/dt of stacked legs (see micro_rhs).
 
-    states (L, N, m) and weights (L, N, N) give the (L, N, m) drift, written
-    into out if given; this is the one place a particle flow evaluates U.  A
-    leg with a non-finite U, or a non-finite entry of the caller's weight
-    drift V, raises IntegrationError naming t (see _failed).
+    states (L, N, m), their pair views (s_i, s_j) and weights (L, N, N)
+    give the (L, N, m) drift, written into out if given; this is the one
+    place a particle flow evaluates U.  A leg with a non-finite U, or a
+    non-finite entry of the caller's weight drift V, raises IntegrationError
+    naming t (see _failed).
     """
     if m != model.m:
         raise ModelError(f"configuration dimension m={m} does not match model m={model.m}")
-    idx = np.arange(N)
 
-    def drift(states: np.ndarray, W: np.ndarray, t: float, V=None, out=None) -> np.ndarray:
-        U = _on_grid(model.U(states[:, :, None, :], states[:, None, :, :], W), W.shape + (m,), "U")
+    def drift(states: np.ndarray, views: tuple, W: np.ndarray, t: float, V=None,
+              out=None) -> np.ndarray:
+        U = _on_grid(model.U(*views, W), W.shape + (m,), "U", W)
         if not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
             ok = np.isfinite(U).all(axis=(1, 2, 3))
             if V is not None:
                 ok &= np.isfinite(V).all(axis=(1, 2))
             raise _failed("non-finite force evaluation at", t, eps_w, ok)
-        U[:, idx, idx, :] = 0.0
+        U.reshape(len(U), N * N, m)[:, ::N + 1] = 0.0   # the diagonal
         if masses is None:
             ds = np.divide(U.sum(axis=2), N * eps_s, out=out)
         else:
@@ -168,19 +173,26 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
         raise ModelError("eps_w and eps_s must be positive")
     L, N, m = eps_w.size, cfg.N, cfg.m
     drift = _particle_drift(model, N, m, eps_w, eps_s, masses)
-    n, idx, sym = N * m, np.arange(N), cfg.symmetric and model.symmetric_V
-    upper = np.triu(np.ones((N, N), dtype=bool), 1)
+    n, sym = N * m, cfg.symmetric and model.symmetric_V
+    lower = np.tril(np.ones((N, N), dtype=bool))   # the diagonal and below
+    eps_col = None if np.all(eps_w == 1.0) else eps_w.reshape(L, 1, 1)   # x / 1.0 is x
 
     def f(z: np.ndarray, t: float) -> np.ndarray:
         states, W = z[:, :n].reshape(L, N, m), z[:, n:].reshape(L, N, N)
-        V = _on_grid(model.V(states[:, :, None, :], states[:, None, :, :], W), (L, N, N), "V")
+        views = states[:, :, None, :], states[:, None, :, :]
+        V = _on_grid(model.V(*views, W), (L, N, N), "V", z)
         out = np.empty(z.shape)
-        drift(states, W, t, V, out=out[:, :n].reshape(L, N, m))
-        V[:, idx, idx] = 0.0
-        if sym:
-            V = np.where(upper, V, 0.0)   # the strict upper triangle, mirrored
-            V = V + V.swapaxes(1, 2)
-        np.divide(V, eps_w.reshape(L, 1, 1), out=out[:, n:].reshape(L, N, N))
+        drift(states, views, W, t, V, out=out[:, :n].reshape(L, N, m))
+        dw = out[:, n:].reshape(L, N, N)
+        if sym:   # the strict upper triangle, mirrored straight into out
+            np.copyto(V, 0.0, where=lower)
+            V = np.add(V, V.swapaxes(1, 2), out=dw)
+        else:
+            V.reshape(L, N * N)[:, ::N + 1] = 0.0   # the diagonal
+        if eps_col is not None:
+            np.divide(V, eps_col, out=dw)
+        elif V is not dw:
+            dw[...] = V
         return out
 
     def step(y: np.ndarray, t: float, dt: float, method: str, rng=None) -> np.ndarray:
@@ -197,7 +209,7 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
         if not np.isfinite(y_new).all():
             raise _failed("non-finite state in the step from", t, eps_w, np.isfinite(y_new).all(1))
         W = y_new[:, n:].reshape(L, N, N)
-        if sym and not np.array_equal(W, W.swapaxes(1, 2)):
+        if sym and not (W == W.swapaxes(1, 2)).all():
             raise InvariantViolation("weight symmetry lost during integration")
         return y_new
 
@@ -348,27 +360,27 @@ def energy_report(cfg: AgentConfiguration, pot: PotentialModel) -> EnergyReport:
     which makes dE/dt = -dissipation an exact identity along trajectories.
     ``dissipation_pairwise`` reports the alternative non-averaged form
     sum_{i != j} (|grad_s F|^2 + c (d_w F)^2).
+    A non-finite off-diagonal F, grad_s F or d_w F (or an overflowing sum)
+    raises IntegrationError.
     """
     if cfg.m != pot.m:
         raise ModelError("configuration and potential dimensions differ")
     states, weights = cfg.states, cfg.weights
     N = states.shape[0]
-    si, sj = _pair_grids(states)
-    F = _on_grid(pot.F(si, sj, weights), (N, N), "F")
-    gs = _on_grid(pot.eval_grad_s(si, sj, weights), si.shape, "grad_s")
-    dw = _on_grid(pot.eval_d_w(si, sj, weights), (N, N), "d_w")
-    if not (np.all(np.isfinite(F)) and np.all(np.isfinite(gs)) and np.all(np.isfinite(dw))):
-        raise IntegrationError("non-finite potential evaluation in energy report")
-    idx = np.arange(N)
-    F[idx, idx] = 0.0
-    gs[idx, idx, :] = 0.0
-    dw[idx, idx] = 0.0
+    si, sj = states[:, None, :], states[None, :, :]
+    F = _on_grid(pot.F(si, sj, weights), (N, N), "F", weights)
+    gs = _on_grid(pot.eval_grad_s(si, sj, weights), (N, N, cfg.m), "grad_s", weights)
+    dw = _on_grid(pot.eval_d_w(si, sj, weights), (N, N), "d_w", weights)
+    for a in (F, gs, dw):
+        a.reshape(N * N, -1)[::N + 1] = 0.0   # the diagonal
     energy = float(F.sum()) / (2.0 * N)
     mean_grad = gs.sum(axis=1) / N                      # (N, m)
     state_term = float(np.sum(mean_grad * mean_grad))
     weight_sq = float(np.sum(dw * dw))
     dissipation = state_term + pot.c * weight_sq / (2.0 * N)
     pairwise = float(np.sum(gs * gs)) + pot.c * weight_sq
+    if not np.isfinite((energy, dissipation, pairwise)).all():
+        raise IntegrationError("non-finite potential evaluation in energy report")
     return EnergyReport(energy=energy, dissipation=dissipation, t=cfg.t,
                         dissipation_pairwise=pairwise)
 
@@ -485,7 +497,8 @@ def integrate_reduced(
 
     def on_nullcline(y: np.ndarray, t: float) -> np.ndarray:
         s = y.reshape(1, N, m)
-        return drift(s, _nullcline_array(model, s[:, :, None, :], s[:, None, :, :]), t).reshape(y.shape)
+        views = s[:, :, None, :], s[:, None, :, :]
+        return drift(s, views, _nullcline_array(model, *views), t).reshape(y.shape)
 
     traj = StateTrajectory()
 

@@ -23,6 +23,10 @@ broadcast raises ModelError.
 Pair potentials generate forces via ``U = -grad_s F`` and ``V = -c d_w F``;
 catalog potentials carry closed-form derivatives so production runs never
 fall back to finite differences.
+
+The catalog kernels are bitwise their formulas but skip known results: a
+parameter of 1.0 is folded away when built (``1.0 * x`` is ``x`` in IEEE
+arithmetic), a length-1 state axis is read, not summed, and U negates in place.
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ class PotentialModel:
 
     def fd_grad_s(self, s, sig, w):
         s = np.asarray(s, dtype=float)
-        out = np.empty_like(s)
+        out = np.empty(np.broadcast_shapes(s.shape, np.shape(sig), np.shape(w) + (self.m,)))
         for k in range(self.m):
             e = np.zeros(self.m)
             e[k] = _FD_STEP
@@ -143,6 +147,11 @@ class PotentialModel:
         if self.d_w is not None:
             return np.asarray(self.d_w(s, sig, w), dtype=float)
         return self.fd_d_w(s, sig, w)
+
+
+def _times(k: float) -> Callable:
+    """x -> k * x, folded to the identity when k is 1.0 (exact: 1.0 * x is x)."""
+    return (lambda x: x) if k == 1.0 else (lambda x: k * x)
 
 
 def _rel_close(a: np.ndarray, b: np.ndarray, rtol: float) -> bool:
@@ -204,8 +213,8 @@ def kernel_potential(
             return np.asarray(w, dtype=float)[..., None] * np.asarray(
                 grad_G(np.asarray(s, dtype=float) - sig), dtype=float)
 
-    def d_w(s, sig, w):
-        return G(np.asarray(s, dtype=float) - sig) + (kappa / c) * np.asarray(w, dtype=float)
+    def d_w(s, sig, w, _relax=_times(kappa / c)):
+        return G(np.asarray(s, dtype=float) - sig) + _relax(np.asarray(w, dtype=float))
 
     return PotentialModel(F=F, c=c, m=m, grad_s=grad_s, d_w=d_w, name=name)
 
@@ -214,7 +223,8 @@ def quadratic_potential(kappa: float = 1.0, c: float = 1.0, m: int = 1) -> Poten
     """F = w |s - sigma|^2 + kappa w^2 / (2c), with closed-form derivatives."""
 
     def G(x):
-        return np.sum(np.square(np.asarray(x, dtype=float)), axis=-1)
+        sq = np.square(np.asarray(x, dtype=float))
+        return sq[..., 0] if sq.shape[-1] == 1 else np.sum(sq, axis=-1)
 
     def grad_G(x):
         return 2.0 * np.asarray(x, dtype=float)
@@ -281,10 +291,11 @@ def catalog(name: str, params: Mapping | None = None) -> SmoothModel:
         m = int(params.get("m", 1))
 
         def U(s, sig, w, _K=K):
-            return -np.asarray(w, dtype=float)[..., None] * np.asarray(_K(np.asarray(s, dtype=float) - sig), dtype=float)
+            u = np.asarray(w, dtype=float)[..., None] * np.asarray(_K(np.asarray(s, dtype=float) - sig), dtype=float)
+            return np.negative(u, out=u)   # -(w K) is (-w) K: negation is exact
 
-        def V(s, sig, w, _eta=eta, _kappa=kappa):
-            return np.asarray(_eta(np.asarray(s, dtype=float) - sig), dtype=float) - _kappa * np.asarray(w, dtype=float)
+        def V(s, sig, w, _eta=eta, _relax=_times(kappa)):
+            return np.asarray(_eta(np.asarray(s, dtype=float) - sig), dtype=float) - _relax(np.asarray(w, dtype=float))
 
         return SmoothModel(U=U, V=V, m=m, symmetric_V=True, name="kernel-relaxation")
 

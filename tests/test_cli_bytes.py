@@ -1,10 +1,13 @@
 """Pinned bytes of CLI runs.
 
 Criterion 13 compares a run with its own rerun; this test compares every
-CSV of 13 fixed CLI configurations with the sha256s recorded in
+CSV of 14 fixed CLI configurations with the sha256s recorded in
 ``cli_bytes.json``.  The configurations are the 11 of criterion 13 plus an
-RKF45 ``micro`` leg and a five-leg ``epsilon-sweep`` whose eps list is
-unsorted and holds a duplicate.
+RKF45 ``micro`` leg, a five-leg ``epsilon-sweep`` whose eps list is
+unsorted and holds a duplicate, and a ``sweep`` of m=2 models whose kernel
+parameters differ from 1 (gaussian amplitude 0.7 and length 1.3, kappa 0.5,
+quadratic c 1.3), so the kernels run every multiply and divide that a
+parameter of 1 folds away.
 
 The hashes depend on numpy's SIMD ``exp`` and friends, so they hold for the
 numpy version and CPU features named in the file; on another numpy build
@@ -33,6 +36,11 @@ _MICRO_INIT = {"states": {"dist": "uniform", "low": -0.3, "high": 0.3},
                "weights": {"dist": "uniform", "low": 0, "high": 0.2}}
 _SWEEP_INIT = {"states": {"dist": "uniform", "low": -1, "high": 1},
                "weights": {"nullcline": True, "offset": 0.3}}
+
+_MODEL_KR2 = {"name": "kernel-relaxation",
+              "params": {"K": {"form": "identity"},
+                         "eta": {"form": "gaussian", "amplitude": 0.7, "length": 1.3},
+                         "kappa": 0.5, "m": 2}}
 
 CONFIGS = {
     "micro": {"kind": "micro", "seed": 11, "N": 6, "T": 0.2, "dt": 1e-2,
@@ -75,19 +83,30 @@ CONFIGS = {
     "epsilon-sweep-5": {"kind": "epsilon-sweep", "seed": 21, "N": 6, "T": 0.2,
                         "dt": 1e-3, "eps_list": [0.01, 0.2, 0.05, 0.2, 0.003],
                         "reduced_dt": 1e-2, "model": _MODEL_KR, "init": _SWEEP_INIT},
+    "unfolded": {"sweep": [
+        {"kind": "micro", "seed": 22, "N": 5, "T": 0.2, "dt": 1e-2, "model": _MODEL_KR2,
+         "init": _MICRO_INIT},
+        {"kind": "characteristics", "seed": 23, "variant": "wc", "M": 5, "T": 0.3,
+         "dt": 1e-2, "model": _MODEL_KR2,
+         "init": {"anchors": {"dist": "uniform", "low": -1, "high": 1},
+                  "W0": {"form": "gaussian", "amplitude": 0.7, "length": 1.3}}},
+        {"kind": "micro", "seed": 24, "N": 5, "T": 0.2, "dt": 1e-2,
+         "model": {"name": "quadratic-potential", "params": {"kappa": 0.5, "c": 1.3, "m": 2}},
+         "init": _MICRO_INIT}]},
 }
 
 
 def _hash_runs(tmp_path: Path) -> dict:
-    """sha256 of every CSV each configuration writes, keyed "<config>/<file>"."""
+    """sha256 of every CSV each configuration writes, keyed "<config>/<file>"
+    (a sweep leg's files under "<config>/sweep-<k>/<file>")."""
     hashes = {}
     for name, cfg in CONFIGS.items():
         cfg_path = tmp_path / f"{name}.json"
         cfg_path.write_text(json.dumps(cfg))
         out = tmp_path / name
         assert main(["run", str(cfg_path), "--out", str(out)]) == 0, name
-        for csv in sorted(out.glob("*.csv")):
-            hashes[f"{name}/{csv.name}"] = hashlib.sha256(csv.read_bytes()).hexdigest()
+        for csv in sorted(out.rglob("*.csv")):
+            hashes[f"{name}/{csv.relative_to(out).as_posix()}"] = hashlib.sha256(csv.read_bytes()).hexdigest()
     return hashes
 
 

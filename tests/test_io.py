@@ -176,6 +176,30 @@ def test_weights_stop_at_the_shorter_of_times_and_matrices(tmp_path):
     assert _read(tmp_path / "b.csv") == oracle_weights([0.0, 1.0, 2.0], mats)
 
 
+def test_chunks_longer_than_a_write_block_and_two_sizes_in_one_process(tmp_path):
+    # a weights chunk at N=70 has 4830 rows, more than one block of rows; the
+    # N=3 file between the two N=70 files checks that nothing of one size's
+    # row keys leaks into the other's
+    assert 70 * 69 > io._BLOCK_ROWS
+    rng = np.random.default_rng(11)
+    for name, N in (("a.csv", 70), ("b.csv", 3), ("c.csv", 70)):
+        times = [0.0, -0.0, 0.75]
+        mats = [_random_matrix(rng, N, symmetric=k != 1, plant=k == 2) for k in range(3)]
+        io.write_weights_csv(tmp_path / name, times, mats)
+        assert _read(tmp_path / name) == oracle_weights(times, mats)
+
+    n = 2 * io._BLOCK_ROWS + 5
+    configs = [rng.standard_normal((n, 2)), rng.standard_normal((n, 2))]
+    configs[1][io._BLOCK_ROWS - 1:io._BLOCK_ROWS + len(SPECIAL) - 1, 0] = SPECIAL
+    masses = rng.dirichlet(np.ones(n))
+    io.write_states_csv(tmp_path / "s.csv", [0.5, 1.0], configs, masses=masses)
+    assert _read(tmp_path / "s.csv") == oracle_states([0.5, 1.0], configs, masses)
+
+    times, moments = np.linspace(0.0, 1.0, n), rng.random((n, 6))
+    io.write_moments_csv(tmp_path / "m.csv", times, moments)
+    assert _read(tmp_path / "m.csv") == oracle_moments(times, moments)
+
+
 # ----------------------------------------------------------------- states
 
 @pytest.mark.parametrize("m", [None, 1, 2])

@@ -15,7 +15,7 @@ from coevnet.microsim import (
     simulate_diffusive,
     solve_weight_nullcline,
 )
-from coevnet.models import SmoothModel, catalog, quadratic_potential
+from coevnet.models import PotentialModel, SmoothModel, catalog, derive_forces, quadratic_potential
 from coevnet.stepping import rk4_step, rkf45_advance
 
 
@@ -177,6 +177,27 @@ class TestShapeContract:
             with pytest.raises(ModelError) as err:
                 run()
             assert str(err.value) == message
+
+    def test_a_kernel_result_that_is_its_weight_argument_is_copied(self):
+        # V returns the caller's w, a view of the integrator's state: mirroring
+        # the weight drift must not write into it
+        grow = SmoothModel(U=null_model().U, V=lambda s, sig, w: w, symmetric_V=True)
+        fresh = SmoothModel(U=null_model().U, V=lambda s, sig, w: np.array(w), symmetric_V=True)
+        cfg = random_config(5, np.random.default_rng(3))
+        got = integrate_micro(cfg, grow, dt=0.1, T=0.3).final().weights
+        assert np.array_equal(got, integrate_micro(cfg, fresh, dt=0.1, T=0.3).final().weights)
+        assert np.allclose(got, cfg.weights * np.exp(0.3), rtol=1e-5)
+
+    def test_finite_difference_potentials_run_on_the_pair_views(self):
+        exact = quadratic_potential(kappa=1.0, c=1.0)
+        fd = PotentialModel(F=exact.F, c=1.0)   # no closed-form derivatives
+        cfg = random_config(5, np.random.default_rng(4), scale=0.5)
+        got = integrate_micro(cfg, derive_forces(fd), dt=1e-2, T=0.1).final()
+        want = integrate_micro(cfg, derive_forces(exact), dt=1e-2, T=0.1).final()
+        assert np.allclose(got.states, want.states, rtol=0, atol=1e-9)
+        assert np.allclose(got.weights, want.weights, rtol=0, atol=1e-9)
+        assert energy_report(cfg, fd).dissipation == pytest.approx(
+            energy_report(cfg, exact).dissipation, rel=1e-8)
 
 
 class TestIntegrateMicro:

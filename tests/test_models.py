@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from coevnet.cli import kernel_from_spec
 from coevnet.errors import ModelError
 from coevnet.models import (
     MinimalParams,
@@ -177,3 +180,65 @@ class TestMinimalParams:
     def test_array_roundtrip(self):
         p = MinimalParams(1, 2, 3, 4, 5, 6, 7, 8)
         assert np.array_equal(p.as_array(), np.arange(1.0, 9.0))
+
+
+# ----------------------------------------------------------------- folded kernels
+#
+# The catalog kernels fold away unit parameters, read a length-1 state axis
+# instead of summing it and negate in place.  Each must stay bitwise equal
+# to its literal formula, -0.0 and +0.0 kept apart.
+
+_unit_or_not = st.sampled_from([1.0, 0.5, 0.7, 1.3, 2.0])
+_entries = st.one_of(st.floats(-30.0, 30.0), st.sampled_from([0.0, -0.0]))
+
+
+@st.composite
+def pair_views(draw):
+    """(m, s, sigma, w): broadcastable pair views of n states, as the micro flow passes them."""
+    m = draw(st.sampled_from([1, 2, 3]))
+    n = draw(st.integers(1, 4))
+    states = np.array(draw(st.lists(_entries, min_size=n * m, max_size=n * m))).reshape(n, m)
+    w = np.array(draw(st.lists(_entries, min_size=n * n, max_size=n * n))).reshape(n, n)
+    return m, states[:, None, :], states[None, :, :], w
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def _literal_gaussian(a, ell, on_states):
+    if on_states:
+        return lambda x: a * np.exp(-np.sum(np.square(np.asarray(x, dtype=float)), axis=-1) / ell ** 2)
+    return lambda d: a * np.exp(-np.square(np.asarray(d, dtype=float)) / ell ** 2)
+
+
+class TestFoldedKernels:
+    @given(pair_views(), _unit_or_not, _unit_or_not, st.sampled_from(["eta", "W0", "K"]))
+    def test_gaussian_is_its_formula(self, views, a, ell, role):
+        _, s, sig, _ = views
+        kernel = kernel_from_spec({"form": "gaussian", "amplitude": a, "length": ell}, role)
+        literal = _literal_gaussian(a, ell, role in ("eta", "W0"))
+        x = s - sig
+        assert _same_bits(kernel(x), literal(x))
+        assert _same_bits(kernel(x[0, 0]), literal(x[0, 0]))   # one pair: a scalar on states
+
+    @given(pair_views(), _unit_or_not, _unit_or_not, _unit_or_not)
+    def test_kernel_relaxation_is_its_formula(self, views, a, ell, kappa):
+        m, s, sig, w = views
+        eta = kernel_from_spec({"form": "gaussian", "amplitude": a, "length": ell}, "eta")
+        model = catalog("kernel-relaxation", {"K": lambda x: x, "eta": eta, "kappa": kappa, "m": m})
+        d = s - sig
+        assert _same_bits(model.V(s, sig, w), _literal_gaussian(a, ell, True)(d) - kappa * w)
+        assert _same_bits(model.U(s, sig, w), -w[..., None] * d)
+
+    @given(pair_views(), _unit_or_not, _unit_or_not)
+    def test_quadratic_potential_is_its_formula(self, views, kappa, c):
+        m, s, sig, w = views
+        pot = quadratic_potential(kappa=kappa, c=c, m=m)
+        G = np.sum(np.square(s - sig), axis=-1)
+        d_w = G + (kappa / c) * w
+        assert _same_bits(pot.d_w(s, sig, w), d_w)
+        assert _same_bits(pot.F(s, sig, w), w * G + kappa * np.square(w) / (2.0 * c))
+        model = catalog("quadratic-potential", {"kappa": kappa, "c": c, "m": m})
+        assert _same_bits(model.V(s, sig, w), -c * d_w)
