@@ -6,6 +6,8 @@
  * 2. coevnet_minimal_init / coevnet_minimal_run: the exact Gillespie loop of
  *    the binary minimal model, a port of jumpsim._MinimalEngine.run and
  *    the mutations and samplers it calls.
+ * 3. coevnet_format_rows: the CSV row renderer of io._write_table, which
+ *    prints each float64 as python's "%.17g" % x, byte for byte.
  *
  * Every expression keeps the evaluation order of its python or numpy
  * counterpart, and the library is built without floating-point contraction
@@ -17,6 +19,8 @@
 
 #include <math.h>
 #include <stdint.h>
+#include <stdio.h>
+#include <string.h>
 
 /* -- closure RK4 loop ---------------------------------------------------------
  *
@@ -454,4 +458,198 @@ int coevnet_minimal_run(minimal_engine *e, bitgen_t *bg, double T, double t_samp
         }
         e->t = t_next;
     }
+}
+
+/* -- CSV rows ------------------------------------------------------------------
+ *
+ * Python prints "%.17g" % x with the correctly rounded 17 significant digits
+ * of x.  Write |x| = m 2^q (m < 2^53) and k = 16 - floor(log10 |x|): the
+ * digits are the integer D = round(m 5^k 2^(q + k)), 10^16 <= D < 10^17.
+ * When 0 <= k <= 27, 5^k fits in 64 bits, so D is one 128-bit product and
+ * one shift, rounded half to even on the exact remainder (the exact-integer
+ * idea of Gay 1990 and of Ryu printf).  That covers 1e-11 <= |x| < 1e17.
+ * Integers below 2^53 (index columns) print as their digits, and every
+ * other finite value goes through snprintf, exact as well but several times
+ * slower.  The text follows python's layout: positional from exponent
+ * -4 to 16, else d.ddde-XX with at least two exponent digits, trailing
+ * zeros dropped, "-0" for negative zero, and "nan" for every NaN (glibc
+ * prints "-nan" for a NaN with its sign bit set).
+ */
+
+__extension__ typedef unsigned __int128 u128;
+
+/* The longest "%.17g" text, e.g. -2.2250738585072014e-308. */
+#define G17_MAX 24
+#define TEN17 100000000000000000ull
+
+static const uint64_t POW5[28] = {
+    1ull, 5ull, 25ull, 125ull, 625ull, 3125ull, 15625ull, 78125ull, 390625ull,
+    1953125ull, 9765625ull, 48828125ull, 244140625ull, 1220703125ull,
+    6103515625ull, 30517578125ull, 152587890625ull, 762939453125ull,
+    3814697265625ull, 19073486328125ull, 95367431640625ull, 476837158203125ull,
+    2384185791015625ull, 11920928955078125ull, 59604644775390625ull,
+    298023223876953125ull, 1490116119384765625ull, 7450580596923828125ull};
+
+static const char DIGIT_PAIRS[201] =
+    "00010203040506070809101112131415161718192021222324"
+    "25262728293031323334353637383940414243444546474849"
+    "50515253545556575859606162636465666768697071727374"
+    "75767778798081828384858687888990919293949596979899";
+
+static int format_g17_libc(double x, char *out)
+{
+    char tmp[32];
+    int n = snprintf(tmp, sizeof tmp, "%.17g", x);
+    memcpy(out, tmp, (size_t)n);
+    return n;
+}
+
+/* The 17 significant digits of |x| into dig, with the decimal exponent in
+ * *e10; 0 when |x| is outside the fast range (or zero, or not finite). */
+static int digits_g17(double x, char *dig, int *e10)
+{
+    uint64_t bits, m, d;
+    uint32_t hi, lo;
+    int be, q, k, e, i;
+    u128 p, r, rem = 0, half = 0;
+    memcpy(&bits, &x, sizeof bits);
+    be = (int)(bits >> 52 & 0x7ff);
+    if (be == 0 || be == 0x7ff)
+        return 0;
+    m = (bits & 0xfffffffffffffull) | 1ull << 52;
+    q = be - 1075;
+    /* From 2^(q + 52) <= |x|: e starts at floor((q + 52) log10 2) (exact
+     * for |q + 52| < 1100), which is floor(log10 |x|) or one less, so r is at
+     * least 10^16 and at most one step up is needed. */
+    for (e = ((q + 52) * 78913) >> 18;; e++) {
+        k = 16 - e;
+        if (k < 0 || k > 27)
+            return 0;
+        p = (u128)m * POW5[k];
+        if (q + k >= 0) {
+            r = p << (q + k);   /* below 10^18: no bits are lost */
+        } else {
+            int sh = -(q + k);  /* below 128: m 5^k < 2^116 and r >= 1 */
+            r = p >> sh;
+            rem = p - (r << sh);
+            half = (u128)1 << (sh - 1);
+        }
+        if (r < TEN17)
+            break;
+    }
+    /* No rounding carries into an 18th digit: that needs a double less
+     * than 5e-18 (relative) below a power of ten, and the doubles below
+     * 1e-10 .. 1e17 are farther from it than that. */
+    d = (uint64_t)r;
+    if (rem > half || (rem == half && half != 0 && (d & 1)))
+        d++;
+    *e10 = e;
+    /* digit 0, then digits 1 to 8 and 9 to 16 in two interleaved pair loops */
+    hi = (uint32_t)(d / 100000000u);
+    lo = (uint32_t)(d % 100000000u);
+    dig[0] = (char)('0' + hi / 100000000u);
+    hi %= 100000000u;
+    for (i = 7; i > 0; i -= 2) {
+        memcpy(dig + i, DIGIT_PAIRS + 2 * (hi % 100), 2);
+        memcpy(dig + i + 8, DIGIT_PAIRS + 2 * (lo % 100), 2);
+        hi /= 100;
+        lo /= 100;
+    }
+    return 1;
+}
+
+/* x as python's "%.17g" % x into out (G17_MAX bytes); returns the length. */
+static int format_g17(double x, char *out)
+{
+    char dig[17], *p = out;
+    int e, n, a;
+    if (isnan(x)) {
+        memcpy(out, "nan", 3);
+        return 3;
+    }
+    if (fabs(x) < 9007199254740992.0 && x == (double)(int64_t)x && x != 0.0) {
+        /* an integer below 2^53 (an index column): its digits alone */
+        uint64_t v = (uint64_t)fabs(x);
+        char tmp[16];
+        n = 16;
+        for (; v >= 10; v /= 100) {
+            n -= 2;
+            memcpy(tmp + n, DIGIT_PAIRS + 2 * (v % 100), 2);
+        }
+        if (v > 0)
+            tmp[--n] = (char)('0' + v);
+        if (x < 0.0)
+            *p++ = '-';
+        memcpy(p, tmp + n, (size_t)(16 - n));
+        return (int)(p - out) + 16 - n;
+    }
+    if (!digits_g17(x, dig, &e)) {
+        if (x == 0.0) {
+            if (signbit(x))
+                *p++ = '-';
+            *p++ = '0';
+            return (int)(p - out);
+        }
+        return format_g17_libc(x, out);
+    }
+    for (n = 17; n > 1 && dig[n - 1] == '0'; n--)
+        ;
+    if (signbit(x))
+        *p++ = '-';
+    if (e < -4) {   /* the fast range has e >= -11 */
+        *p++ = dig[0];
+        if (n > 1) {
+            *p++ = '.';
+            memcpy(p, dig + 1, (size_t)(n - 1));
+            p += n - 1;
+        }
+        a = -e;
+        *p++ = 'e';
+        *p++ = '-';
+        memcpy(p, DIGIT_PAIRS + 2 * a, 2);
+        p += 2;
+    } else if (e >= 0) {    /* and e <= 16 */
+        memcpy(p, dig, (size_t)(e + 1));
+        p += e + 1;
+        if (n > e + 1) {
+            *p++ = '.';
+            memcpy(p, dig + e + 1, (size_t)(n - e - 1));
+            p += n - e - 1;
+        }
+    } else {
+        *p++ = '0';
+        *p++ = '.';
+        memset(p, '0', (size_t)(-e - 1));
+        p += -e - 1;
+        memcpy(p, dig, (size_t)n);
+        p += n;
+    }
+    return (int)(p - out);
+}
+
+/* Render rows row0 .. row0 + n_rows - 1 of n_cols float64 columns between
+ * n_cols + 1 pieces of constant text: a row is piece 0, the value of column
+ * 0, piece 1, ..., the value of column n_cols - 1, piece n_cols.  Piece c is
+ * text[off[c] .. off[c + 1]); the value of column c in row r is the double
+ * at byte address cols[c] + r strides[c].  out must hold
+ * n_rows (off[n_cols + 1] + G17_MAX n_cols) bytes.  Returns the number of
+ * bytes written. */
+int64_t coevnet_format_rows(const char *text, const int64_t *off, int64_t n_cols,
+                            const uintptr_t *cols, const int64_t *strides, int64_t row0,
+                            int64_t n_rows, char *out)
+{
+    char *p = out;
+    int64_t r, c;
+    double x;
+    for (r = row0; r < row0 + n_rows; r++) {
+        for (c = 0; c < n_cols; c++) {
+            memcpy(p, text + off[c], (size_t)(off[c + 1] - off[c]));
+            p += off[c + 1] - off[c];
+            memcpy(&x, (const char *)cols[c] + r * strides[c], sizeof x);
+            p += format_g17(x, p);
+        }
+        memcpy(p, text + off[n_cols], (size_t)(off[n_cols + 1] - off[n_cols]));
+        p += off[n_cols + 1] - off[n_cols];
+    }
+    return p - out;
 }

@@ -1,12 +1,12 @@
 """Build and load the compiled kernels.
 
-``_kernels.c`` holds the closure RK4 loop (bound by ``closures``) and the
-minimal-model Gillespie engine (bound by ``jumpsim``).  It is compiled with
-the system ``cc`` the first time the package is imported, cached next to the
-source (in ``_cbuild/``, or under the temp dir when that is read-only) and
-loaded through ctypes.  ``LIB`` is the loaded library, or None with one
-warning naming the cause, in which case both modules run their pure-python
-reference loops.
+``_kernels.c`` holds the closure RK4 loop (bound by ``closures``), the
+minimal-model Gillespie engine (bound by ``jumpsim``) and the CSV row
+renderer (bound by ``io``).  It is compiled with the system ``cc`` the first
+time the package is imported, cached next to the source (in ``_cbuild/``, or
+under the temp dir when that is read-only) and loaded through ctypes.
+``LIB`` is the loaded library, or None with one warning naming the cause, in
+which case all three modules run their pure-python reference code.
 """
 
 from __future__ import annotations
@@ -101,7 +101,8 @@ def load_library(cc: str = "cc") -> ctypes.CDLL | None:
     except (OSError, subprocess.SubprocessError) as exc:
         log.warning("compiled kernels unavailable (%s): closure integration and the "
                     "Gillespie engine fall back to pure python, 50 to several hundred "
-                    "times slower", exc)
+                    "times slower, and CSV rows to python formatting, 4 to 5 times "
+                    "slower", exc)
         return None
 
 

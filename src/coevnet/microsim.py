@@ -259,7 +259,7 @@ def _run_legs(cfg: AgentConfiguration, model: SmoothModel, dt: float, T: float, 
     """
     _, step = _micro_flow(cfg, model, eps_w, eps_s, masses)
     y = run_grid(lambda y, t: step(y, t, dt, method, rng), _stack(cfg, len(eps_w)), cfg.t, dt,
-                 T, stride, sample)
+                 T, stride, sample, step_checks_finite=True)
     return y[:, :cfg.states.size].reshape(len(eps_w), cfg.N, cfg.m)
 
 

@@ -1,11 +1,11 @@
 """The fixed-grid stepper and the one-step updates it runs.
 
 Every Python integrator in the package advances on the grid t0 + k dt
-through ``run_grid``, which owns the grid, the finiteness check and the
-sampling rule.  The integrator passes only its one-step function, built on
-``rk4_step``, an Euler update or ``rkf45_advance`` (adaptive substeps between
-grid points).  A failed step raises IntegrationError; no integrator returns
-a truncated trajectory.
+through ``run_grid``, which owns the grid, the finiteness check (or leaves
+it to a step that makes it) and the sampling rule.  The integrator passes
+only its one-step function, built on ``rk4_step``, an Euler update or
+``rkf45_advance`` (adaptive substeps between grid points).  A failed step
+raises IntegrationError; no integrator returns a truncated trajectory.
 """
 
 from __future__ import annotations
@@ -27,13 +27,16 @@ def run_grid(
     T: float,
     stride: int,
     sample: Callable[[np.ndarray, float], None],
+    step_checks_finite: bool = False,
 ) -> np.ndarray:
     """Advance y0 over round(T / dt) steps of the grid t0 + k dt.
 
     ``step(y, t)`` returns the state at t + dt from the state y at t; a
-    result with a NaN or Inf entry raises IntegrationError naming t.
-    ``sample(y, t)`` sees the state at k = 0 and at every k with
-    k % stride == 0 or k == n_steps; a sample that keeps y copies it.
+    result with a NaN or Inf entry raises IntegrationError naming t, unless
+    ``step_checks_finite`` says that step raises on one itself (the micro
+    flow's step does, naming the failed legs), so that no step's state is
+    scanned twice.  ``sample(y, t)`` sees the state at k = 0 and at every k
+    with k % stride == 0 or k == n_steps; a sample that keeps y copies it.
     Returns the state at the last grid point.
     """
     if dt <= 0:
@@ -48,7 +51,7 @@ def run_grid(
     for k in range(1, n_steps + 1):
         t = t0 + (k - 1) * dt
         y = step(y, t)
-        if not np.all(np.isfinite(y)):
+        if not (step_checks_finite or np.isfinite(y).all()):
             raise IntegrationError(f"non-finite state in the step from t={t:.6g}")
         if k % stride == 0 or k == n_steps:
             sample(y, t0 + k * dt)

@@ -33,6 +33,20 @@ class TestRunGrid:
                      lambda y, t: samples.append(t))
         assert samples == [0.0, 0.1, 0.2]
 
+    def test_a_step_that_checks_finiteness_is_not_checked_again(self, monkeypatch):
+        # the micro flow's step scans its result and names the failed legs;
+        # run_grid then makes no second pass over the same state
+        scans = []
+        isfinite = np.isfinite
+        monkeypatch.setattr(np, "isfinite", lambda y: scans.append(np.shape(y)) or isfinite(y))
+        y = run_grid(lambda y, t: y * np.inf, np.ones(1), 0.0, 0.1, 0.3, 1, lambda y, t: None,
+                     step_checks_finite=True)
+        assert scans == [] and np.isinf(y).all()
+        cfg = AgentConfiguration(states=[[0.0], [1.0]], weights=np.zeros((2, 2)))
+        integrate_micro(cfg, catalog("quadratic-potential"), dt=0.1, T=0.3, store=False)
+        # one scan of the stacked state (one leg: 2 states, 4 weights) per step
+        assert scans.count((1, 6)) == 3
+
     @pytest.mark.parametrize("dt, T, stride, message", [
         (0.0, 1.0, 1, "dt must be positive"),
         (0.1, -1.0, 1, "T must be nonnegative"),
