@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import IntegrationError, InvariantViolation, ModelError
-from .microsim import AgentConfiguration, _pair_grids, integrate_micro
+from .microsim import AgentConfiguration, _on_grid, _pair_potential, integrate_micro
 from .models import PotentialModel, SmoothModel
 
 
@@ -80,16 +80,12 @@ def uniform_masses(M: int) -> np.ndarray:
 
 def make_wc_ensemble(anchors, W0: Callable, masses=None, t: float = 0.0) -> CharacteristicEnsemble:
     """Build an ensemble with pair weights slaved to the surface W0(s, s')."""
-    anchors = np.array(anchors, dtype=float)
-    if anchors.ndim == 1:
-        anchors = anchors[:, None]
-    M = anchors.shape[0]
-    if masses is None:
-        masses = uniform_masses(M)
-    si, sj = _pair_grids(anchors)
-    W = np.asarray(W0(si, sj), dtype=float).copy()
-    np.fill_diagonal(W, 0.0)
-    return CharacteristicEnsemble(anchors=anchors, pair_weights=W, masses=masses, t=t)
+    anchors = np.array(anchors, dtype=float).reshape(len(anchors), -1)   # (M,) -> (M, 1)
+    M = len(anchors)
+    W = _on_grid(W0(anchors[:, None, :], anchors[None, :, :]), (M, M), "W0", anchors)
+    W.reshape(M * M)[::M + 1] = 0.0   # the diagonal
+    return CharacteristicEnsemble(anchors=anchors, pair_weights=W, t=t,
+                                  masses=uniform_masses(M) if masses is None else masses)
 
 
 @dataclass
@@ -218,19 +214,12 @@ def pair_energy_dissipation(ens: CharacteristicEnsemble, pot: PotentialModel) ->
 
     (the factor 2 collects the two symmetric state slots), so that
     dE/dt = -dissipation holds along conditional-closure characteristics.
+    A non-finite off-diagonal F, grad_s F or d_w F raises IntegrationError.
     """
     if ens.m != pot.m:
         raise ModelError("ensemble and potential dimensions differ")
-    anchors, weights, masses = ens.anchors, ens.pair_weights, ens.masses
-    M = anchors.shape[0]
-    si, sj = _pair_grids(anchors)
-    F = np.asarray(pot.F(si, sj, weights), dtype=float).copy()
-    gs = np.asarray(pot.eval_grad_s(si, sj, weights), dtype=float).copy()
-    dw = np.asarray(pot.eval_d_w(si, sj, weights), dtype=float).copy()
-    idx = np.arange(M)
-    F[idx, idx] = 0.0
-    gs[idx, idx, :] = 0.0
-    dw[idx, idx] = 0.0
+    F, gs, dw = _pair_potential(ens.anchors, ens.pair_weights, pot, "pair energy")
+    masses = ens.masses
     mm = masses[:, None] * masses[None, :]
     np.fill_diagonal(mm, 0.0)
     energy = float(np.sum(mm * F))

@@ -26,7 +26,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Callable
 
@@ -41,6 +41,7 @@ from .characteristics import (
     uniform_masses,
 )
 from .closures import (
+    check_continuation,
     check_initial_moments,
     closure_rhs,
     continue_small_epsilon,
@@ -48,6 +49,7 @@ from .closures import (
     linearized_jacobian,
     polarization_stable,
     stationary_polarized,
+    with_cross_creation,
 )
 from .compare import (_check_sweep_grid, check_comparison_grid, polarized_link_config,
                       run_comparison, run_epsilon_sweep)
@@ -60,13 +62,10 @@ from .microsim import (
     integrate_micro,
     simulate_diffusive,
 )
-from .models import MinimalParams, catalog
+from .models import MODEL_SCHEMA, MinimalParams, catalog
 from .moments import MinimalMoments
 
 ENV_OUT = "COEVNET_OUT"
-
-RATE_KEYS = ("alpha_pm", "alpha_mp", "beta_pp", "beta_mm", "beta_pm",
-             "gamma_pp", "gamma_mm", "gamma_pm")
 
 
 # -- typed values ----------------------------------------------------------------
@@ -99,6 +98,7 @@ _count = _typed(lambda v: _is_int(v) and v >= 1, "be a positive integer")
 _positive = _typed(lambda v: _is_number(v) and v > 0, "be a positive number")
 _horizon = _typed(lambda v: _is_number(v) and v >= 0, "be a nonnegative number")
 _unit = _typed(lambda v: _is_number(v) and 0 <= v <= 1, "lie in [0, 1]")
+_rate = _typed(lambda v: _is_number(v) and v >= 0, "be a finite nonnegative number")
 _seed = _typed(lambda v: _is_int(v) and v >= 0, "be a nonnegative integer")
 _flag = _typed(lambda v: isinstance(v, bool), "be true or false")
 _text = _typed(lambda v: isinstance(v, str), "be a string")
@@ -150,7 +150,9 @@ def kernel_from_spec(spec, role: str):
         raise ConfigError(f"unknown kernel form {form!r} for {role!r}", field=role)
     _check_subkeys(spec, {"form", *_KERNEL_PARAMS[form]}, role)
     p = {key: _param(spec, key, d, role) for key, d in _KERNEL_PARAMS[form].items()}
-    on_states = role in ("eta", "W0")   # (..., m) -> (...) rather than elementwise
+    # (..., m) -> (...) rather than elementwise: the weight surface W0 and the
+    # model kernels the schema marks so
+    on_states = role == "W0" or any(kernels.get(role) for kernels, _ in MODEL_SCHEMA.values())
     if form == "identity":
         return lambda x: np.asarray(x, dtype=float)
     if form == "linear":
@@ -168,28 +170,23 @@ def kernel_from_spec(spec, role: str):
     return lambda d: (np.asarray(d, dtype=float) < p["threshold"]).astype(float)
 
 
-# model name -> (kernel params, numeric params with defaults; None marks a required one)
-_MODEL_PARAMS = {"kernel-relaxation": (("K", "eta"), {"kappa": None}),
-                 "boschi": (("g",), {"J0": None, "gamma": None, "sigma_noise": 0.0}),
-                 "quadratic-potential": ((), {"kappa": 1.0, "c": 1.0})}
-
-
 def model_from_spec(spec, field: str = "model") -> "SmoothModel":
     if not isinstance(spec, dict) or "name" not in spec:
         raise ConfigError("model spec needs a 'name' key", field=field)
     _check_subkeys(spec, {"name", "params"}, field)
     name = spec["name"]
-    if not isinstance(name, str) or name not in _MODEL_PARAMS:
+    if not isinstance(name, str) or name not in MODEL_SCHEMA:
         raise ConfigError(f"unknown model name {name!r}", field="model.name")
     params = _map(spec.get("params", {}), "model.params")
-    kernels, numbers = _MODEL_PARAMS[name]
-    _check_subkeys(params, {*kernels, *numbers, "m"}, "model.params")
+    kernels, numbers = MODEL_SCHEMA[name]
+    _check_subkeys(params, {*kernels, *numbers}, "model.params")
     for req in (*kernels, *(k for k, d in numbers.items() if d is None)):
         if req not in params:
             raise ConfigError(f"{name} requires model.params.{req}", field=f"model.params.{req}")
     args = {k: kernel_from_spec(params[k], k) for k in kernels}
-    args.update({k: _param(params, k, d, "model.params") for k, d in numbers.items()})
-    args["m"] = _count(params.get("m", 1), "model.params.m")
+    for k, d in numbers.items():   # an int default marks a count
+        args[k] = (_count(params.get(k, d), f"model.params.{k}") if isinstance(d, int)
+                   else _param(params, k, d, "model.params"))
     try:
         return catalog(name, args)
     except CoevnetError as exc:
@@ -200,13 +197,9 @@ def model_from_spec(spec, field: str = "model") -> "SmoothModel":
 def _rates_from_config(raw, name: str = "rates") -> MinimalParams:
     if not isinstance(raw, dict):
         raise ConfigError("rates must be a map of rate names to values", field=name)
-    _check_subkeys(raw, RATE_KEYS, name)
-    vals = {key: _param(raw, key, 0.0, name) for key in RATE_KEYS}
-    for key, v in vals.items():
-        if v < 0:
-            raise ConfigError(f"rate {key} must be finite and nonnegative, got {v}",
-                              field=f"{name}.{key}")
-    return MinimalParams(**vals)
+    keys = [rate.name for rate in fields(MinimalParams)]
+    _check_subkeys(raw, keys, name)
+    return MinimalParams(**{key: float(_rate(raw.get(key, 0.0), f"{name}.{key}")) for key in keys})
 
 
 def _values(spec, shape: tuple, where: str) -> np.ndarray:
@@ -348,22 +341,13 @@ def _build_closure(x):
 
 
 def _build_stationary(x):
-    if not 0.0 <= x.g_pm <= min(x.rho_p, 1.0 - x.rho_p) + 1e-15:
-        raise ConfigError("g_pm must lie in [0, min(rho_p, 1 - rho_p)]", field="g_pm")
-    if x.rates.beta_pm != 0.0:
-        x.warnings.append("stationary family requires beta_pm = 0; the run will fail")
+    x.point = stationary_polarized(x.rates, float(x.rho_p), float(x.g_pm))
 
 
 def _build_continuation(x):
-    if not 0.0 < x.rho_p < 1.0:
-        raise ConfigError("rho_p must lie in (0, 1)", field="rho_p")
-    alpha_sum = x.rates.alpha_pm + x.rates.alpha_mp
-    if x.kind_closure == "conditional" and not 2 * x.rates.gamma_pm > alpha_sum:
-        x.warnings.append("continuation hypothesis violated: 2 gamma_pm <= alpha_pm + "
-                          "alpha_mp; the Newton branch may fail")
-    if x.kind_closure == "kirkwood" and not x.rates.gamma_pm > alpha_sum:
-        x.warnings.append("continuation hypothesis violated: gamma_pm <= alpha_pm + "
-                          "alpha_mp; the Newton branch may fail")
+    x.branch_rates = [with_cross_creation(x.rates, float(eps)) for eps in x.eps_list]
+    for p in x.branch_rates:
+        check_continuation(p, float(x.rho_p), x.kind_closure)
 
 
 def _build_characteristics(x):
@@ -454,8 +438,7 @@ def _run_closure(x, out_dir, workers):
 
 
 def _run_stationary(x, out_dir, workers):
-    p, rho_p = x.rates, float(x.rho_p)
-    m = stationary_polarized(p, rho_p, float(x.g_pm))
+    p, rho_p, m = x.rates, float(x.rho_p), x.point
     stable, margin = polarization_stable(p, rho_p)
     report = {
         "moments": m.as_array(),
@@ -475,10 +458,10 @@ def _run_stationary(x, out_dir, workers):
 
 
 def _run_continuation(x, out_dir, workers):
-    p, rho_p = x.rates, float(x.rho_p)
+    rho_p = float(x.rho_p)
     points = []
-    for eps in x.eps_list:
-        branch = continue_small_epsilon(replace(p, beta_pm=float(eps)), rho_p, x.kind_closure)
+    for p in x.branch_rates:
+        branch = continue_small_epsilon(p, rho_p, x.kind_closure)
         points.append({"eps": branch.eps, "moments": branch.moments.as_array(),
                        "f_pm": branch.moments.f_pm, "dfdeps": branch.dfdeps,
                        "residual": branch.residual,
@@ -597,8 +580,8 @@ _COMMON = {"seed": (_seed, 0), "out": (_text, None), "workers": (_count, 1), "la
 
 
 class Experiment(SimpleNamespace):
-    """A built config: ``kind``, every field parsed (defaults filled in),
-    ``warnings``, the one-line ``summary`` and the initial data of its kind."""
+    """A built config: ``kind``, every field parsed (defaults filled in), the
+    one-line ``summary`` and the initial data of its kind."""
 
 
 class Plan(list):
@@ -628,7 +611,7 @@ def build(cfg) -> Experiment:
     for name in spec.required:
         if name not in cfg:
             raise ConfigError(f"missing required field {name!r} for kind {kind!r}", field=name)
-    x = Experiment(kind=kind, warnings=[])
+    x = Experiment(kind=kind)
     for name, parse in spec.required.items():
         setattr(x, name, parse(cfg[name], name))
     for name, (parse, default) in optional.items():
@@ -640,11 +623,11 @@ def build(cfg) -> Experiment:
     return x
 
 
-def validate_config(cfg) -> tuple[Plan, list[str]]:
+def validate_config(cfg) -> Plan:
     """Build every experiment of a config (each sweep leg) without running any.
 
-    Returns the plan, whose ``str`` is the one-line summary, and the
-    warnings; raises the CoevnetError that ``run`` would raise while building.
+    Returns the plan, whose ``str`` is the one-line summary; raises the
+    CoevnetError that ``run`` would raise while building.
     """
     plan = Plan()
     if isinstance(cfg, dict) and "sweep" in cfg:
@@ -655,7 +638,7 @@ def validate_config(cfg) -> tuple[Plan, list[str]]:
         plan.extend(build(sub) for sub in cfg["sweep"])
     else:
         plan.append(build(cfg))
-    return plan, [w for x in plan for w in x.warnings]
+    return plan
 
 
 def run_experiment(cfg, out_dir: str, workers: int = 1) -> list[str]:
@@ -701,12 +684,10 @@ def _emit_error(exc: CoevnetError, out_dir: str | None) -> int:
 
 def cmd_validate(config_path: str) -> int:
     try:
-        plan, warnings = validate_config(_load_config(config_path)[0])
+        plan = validate_config(_load_config(config_path)[0])
     except CoevnetError as exc:
         return _emit_error(exc, None)
     print(f"ok: {plan}")
-    for w in warnings:
-        print(f"warning: {w}")
     return 0
 
 
@@ -714,11 +695,9 @@ def cmd_run(config_path: str, cli_out: str | None, cli_workers: int | None) -> i
     t0 = time.monotonic()
     try:
         cfg, cfg_hash = _load_config(config_path)
-        plan, warnings = validate_config(cfg)
+        plan = validate_config(cfg)
     except CoevnetError as exc:
         return _emit_error(exc, None)
-    for w in warnings:
-        print(f"warning: {w}")
     out_root = (cli_out or cfg.get("out") or os.environ.get(ENV_OUT)
                 or os.path.join(os.getcwd(), "coevnet-out"))
     manifest_entries = []

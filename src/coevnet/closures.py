@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import ctypes
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from enum import Enum
 
 import numpy as np
@@ -57,6 +57,8 @@ log = logging.getLogger(__name__)
 
 DELTA_CONSENSUS = 1e-10
 NEG_CLAMP_TOL = 1e-9
+_STATIONARY_TOL = 1e-10     # the residual linearized_jacobian accepts as stationary
+_NEWTON_MAX_ITER = 50       # Newton iterations of continue_small_epsilon per eps
 
 
 class ClosureKind(str, Enum):
@@ -212,14 +214,14 @@ def _bind_loop(lib):
 _integrate_loop = _bind_loop(_native.LIB)
 
 
-def closure_rhs_array(y, p: MinimalParams, kind, delta: float = DELTA_CONSENSUS) -> np.ndarray:
+def closure_rhs_array(y, p: MinimalParams, kind) -> np.ndarray:
     """Six-component derivative for a raw moment vector (no invariant checks)."""
     y = np.asarray(y, dtype=float)
     rho_p = y[0] + y[1] + y[4] + y[5]
     rho_m = y[2] + y[3] + y[4] + y[5]
-    if rho_p * rho_m <= delta:
-        raise ConsensusBoundary(
-            f"rho_+ rho_- = {rho_p * rho_m:.3e} at or below the consensus threshold {delta:g}")
+    if rho_p * rho_m <= DELTA_CONSENSUS:
+        raise ConsensusBoundary(f"rho_+ rho_- = {rho_p * rho_m:.3e} at or below the "
+                                f"consensus threshold {DELTA_CONSENSUS:g}")
     return _rhs_arrays_py(y, p.as_array(), _kind_flag(kind))
 
 
@@ -327,7 +329,6 @@ def integrate_closure(
     dt: float,
     T: float,
     sample_stride: int = 1,
-    delta_consensus: float = DELTA_CONSENSUS,
 ) -> ClosureTrajectory:
     """RK4 trajectory of the closure system, sampled every sample_stride steps.
 
@@ -350,7 +351,7 @@ def integrate_closure(
     n_steps = int(round(T / dt)) if T > 0 else 0
     recs, rec_steps, n_rec, status, clamped, steps_done = _integrate_loop(
         y0, p.as_array(), kirk, dt, n_steps, sample_stride,
-        delta_consensus, NEG_CLAMP_TOL)
+        DELTA_CONSENSUS, NEG_CLAMP_TOL)
     if status == 2:
         raise IntegrationError(
             "closure integration produced a negative component beyond tolerance "
@@ -451,20 +452,19 @@ class JacobianReport:
     kind: ClosureKind
 
 
-def linearized_jacobian(p: MinimalParams, m_star: MinimalMoments, kind,
-                        residual_tol: float = 1e-10) -> JacobianReport:
+def linearized_jacobian(p: MinimalParams, m_star: MinimalMoments, kind) -> JacobianReport:
     """Analytic linearization around a polarized stationary point (f_pm = 0).
 
     All flip terms vanish with f_pm at the base point, so only derivatives
     with respect to f_pm survive in the flip part; the link part contributes
     the familiar two-level exchange blocks.  The input must be stationary to
-    residual_tol and have f_pm = 0.
+    _STATIONARY_TOL and have f_pm = 0.
     """
     if m_star.f_pm != 0.0:
         raise ModelError("linearized_jacobian expects a polarized point with f_pm = 0")
     resid = float(np.max(np.abs(closure_rhs(m_star, p, kind))))
-    if resid > residual_tol:
-        raise ModelError(f"input is not stationary: residual {resid:.3e} > {residual_tol:g}")
+    if resid > _STATIONARY_TOL:
+        raise ModelError(f"input is not stationary: residual {resid:.3e} > {_STATIONARY_TOL:g}")
     kirk = _kind_flag(kind) == 1
     rho_p, rho_m = m_star.rho_p, m_star.rho_m
     f_pp, g_pp = m_star.f_pp, m_star.g_pp
@@ -555,9 +555,8 @@ class EnvelopeReport:
     first_violation_t: float | None = None
 
 
-def decay_envelope_check(traj: ClosureTrajectory, p: MinimalParams, kind,
-                         slack: float = 1e-9) -> EnvelopeReport:
-    """Check f_pm(t) <= exp(-rate t) f_pm(0) (1 + slack) at every sample.
+def decay_envelope_check(traj: ClosureTrajectory, p: MinimalParams, kind) -> EnvelopeReport:
+    """Check f_pm(t) <= exp(-rate t) f_pm(0) (1 + 1e-9) at every sample.
 
     rate = gamma_pm - (alpha_pm + alpha_mp)/2 under the conditional closure
     and gamma_pm - (alpha_pm + alpha_mp) under Kirkwood.  The bounds assume
@@ -570,7 +569,7 @@ def decay_envelope_check(traj: ClosureTrajectory, p: MinimalParams, kind,
         raise ModelError("decay envelope requires a positive decay rate")
     t = traj.times - traj.times[0]
     f = traj.f_pm
-    envelope = np.exp(-rate * t) * f[0] * (1.0 + slack)
+    envelope = np.exp(-rate * t) * f[0] * (1.0 + 1e-9)
     if f[0] == 0.0:
         ok = bool(np.all(f == 0.0))
         return EnvelopeReport(holds=ok, rate=rate, max_excess=float(np.max(f)))
@@ -626,13 +625,35 @@ def _reduced_residual(x, p_eps: MinimalParams, rho_p: float, rho_m: float, kirk_
     return out
 
 
-def continue_small_epsilon(
-    p: MinimalParams,
-    rho_p: float,
-    kind,
-    max_iter: int = 50,
-    tol: float = 1e-13,
-) -> StationaryBranch:
+def with_cross_creation(p: MinimalParams, eps: float) -> MinimalParams:
+    """p with the cross-link creation rate beta_pm, the continuation's eps, set to eps."""
+    return replace(p, beta_pm=eps)
+
+
+def check_continuation(p: MinimalParams, rho_p: float, kind) -> None:
+    """Raise unless continue_small_epsilon can start Newton at eps = p.beta_pm:
+    rho_p in (0, 1), positive rates but beta_pm, the closure's hypothesis on
+    gamma_pm (ModelError otherwise) and an admissible seed g_pm (else
+    ContinuationFailed)."""
+    if not 0.0 < rho_p < 1.0:
+        raise ModelError("rho_p must lie in (0, 1) for the continuation")
+    for rate in fields(p):
+        if rate.name != "beta_pm" and not getattr(p, rate.name) > 0:
+            raise ModelError(f"continuation requires positive rate {rate.name}")
+    alpha_sum = p.alpha_pm + p.alpha_mp
+    if _kind_flag(kind):
+        if not p.gamma_pm > alpha_sum:
+            raise ModelError("kirkwood continuation requires gamma_pm > alpha_pm + alpha_mp")
+    elif not 2 * p.gamma_pm > alpha_sum:
+        raise ModelError("conditional continuation requires 2 gamma_pm > alpha_pm + alpha_mp")
+    g_star = _phi_root_gpm(p, rho_p, 1.0 - rho_p)
+    if g_star > min(rho_p, 1.0 - rho_p) + 1e-12:
+        raise ContinuationFailed(
+            f"seed g_pm = {g_star:.4g} falls outside [0, min(rho_p, 1 - rho_p)]; "
+            "no admissible branch for these flip rates and densities")
+
+
+def continue_small_epsilon(p: MinimalParams, rho_p: float, kind) -> StationaryBranch:
     """Continue the polarized stationary family into small cross-link creation.
 
     The cross-creation rate eps = p.beta_pm perturbs the family; Newton
@@ -643,43 +664,28 @@ def continue_small_epsilon(
     the branch is seeded at the polarized point whose g_pm solves Phi = 0.
     The Kirkwood reduced system is rank-deficient at equal flip rates (a
     curve of stationary points), so Newton steps use least squares there.
+    The preconditions are those of check_continuation.
 
     Returns the branch point, its residual against the full six-component
     right-hand side, and the branch slope df_pm/d eps at 0 (one-sided
     difference).  Note exact full-system stationarity with f_pm > 0 requires
     equal flip rates; otherwise rho_+ drifts at order eps.
     """
+    check_continuation(p, rho_p, kind)
     eps = p.beta_pm
-    if not 0.0 < rho_p < 1.0:
-        raise ModelError("rho_p must lie in (0, 1) for the continuation")
-    for name in ("alpha_pm", "alpha_mp", "beta_pp", "beta_mm",
-                 "gamma_pp", "gamma_mm", "gamma_pm"):
-        if not getattr(p, name) > 0:
-            raise ModelError(f"continuation requires positive rate {name}")
     kirk_flag = _kind_flag(kind)
-    alpha_sum = p.alpha_pm + p.alpha_mp
-    if kirk_flag and not p.gamma_pm > alpha_sum:
-        raise ModelError("kirkwood continuation requires gamma_pm > alpha_pm + alpha_mp")
-    if not kirk_flag and not 2 * p.gamma_pm > alpha_sum:
-        raise ModelError("conditional continuation requires 2 gamma_pm > alpha_pm + alpha_mp")
-
     rho_m = 1.0 - rho_p
-    g_star = _phi_root_gpm(p, rho_p, rho_m)
-    if g_star > min(rho_p, rho_m) + 1e-12:
-        raise ContinuationFailed(
-            f"seed g_pm = {g_star:.4g} falls outside [0, min(rho_p, 1 - rho_p)]; "
-            "no admissible branch for these flip rates and densities")
-
-    seed_m = stationary_polarized(replace(p, beta_pm=0.0), rho_p, min(g_star, min(rho_p, rho_m)))
+    seed_g = min(_phi_root_gpm(p, rho_p, rho_m), rho_p, rho_m)
+    seed_m = stationary_polarized(with_cross_creation(p, 0.0), rho_p, seed_g)
 
     def solve_at(eps_val: float):
-        p_eps = replace(p, beta_pm=eps_val)
+        p_eps = with_cross_creation(p, eps_val)
         x = np.array([seed_m.f_pp, seed_m.f_mm, 0.0, seed_m.g_pm])
         use_phi = kirk_flag == 0
         h = 1e-7
-        for it in range(1, max_iter + 1):
+        for it in range(1, _NEWTON_MAX_ITER + 1):
             G = _reduced_residual(x, p_eps, rho_p, rho_m, kirk_flag, use_phi)
-            if np.max(np.abs(G)) < tol:
+            if np.max(np.abs(G)) < 1e-13:
                 return x, it
             J = np.empty((4, 4))
             for j in range(4):
@@ -697,9 +703,9 @@ def continue_small_epsilon(
             x = x - step
         G = _reduced_residual(x, p_eps, rho_p, rho_m, kirk_flag, use_phi)
         if np.max(np.abs(G)) < 1e-10:
-            return x, max_iter
+            return x, _NEWTON_MAX_ITER
         raise ContinuationFailed(
-            f"Newton did not converge in {max_iter} iterations at eps = {eps_val:g} "
+            f"Newton did not converge in {_NEWTON_MAX_ITER} iterations at eps = {eps_val:g} "
             f"(residual {np.max(np.abs(G)):.3e})")
 
     def assemble(x, eps_val):
@@ -711,7 +717,7 @@ def continue_small_epsilon(
         if np.any(y < -1e-12):
             raise ContinuationFailed(
                 f"branch at eps = {eps_val:g} left the admissible region: {y}")
-        p_eps = replace(p, beta_pm=eps_val)
+        p_eps = with_cross_creation(p, eps_val)
         resid = float(np.max(np.abs(closure_rhs_array(np.maximum(y, 0.0), p_eps, kind))))
         return np.maximum(y, 0.0), resid
 

@@ -520,6 +520,21 @@ def _bind_engine(lib):
 _gillespie_engine = _bind_engine(_native.LIB)
 
 
+def _grid_recorder(grid: np.ndarray, record: Callable[[float], None]) -> Callable[[float], float]:
+    """record_until(t): record(g) for every grid time g up to t not yet recorded,
+    in order; returns the next grid time, or inf past the last one."""
+    next_idx = 0
+
+    def record_until(t_limit):
+        nonlocal next_idx
+        while next_idx < len(grid) and grid[next_idx] <= t_limit + 1e-12:
+            record(float(grid[next_idx]))
+            next_idx += 1
+        return float(grid[next_idx]) if next_idx < len(grid) else np.inf
+
+    return record_until
+
+
 def _sample_grid(T: float, sample_dt: float | None) -> np.ndarray:
     if sample_dt is None:
         return np.array([0.0, T]) if T > 0 else np.array([0.0])
@@ -561,17 +576,7 @@ def simulate_minimal(
         if mom is not None:
             mom.append(eng.moments())
 
-    next_idx = 0
-
-    def record_until(t_limit):
-        """Record every grid time up to t_limit; returns the next one."""
-        nonlocal next_idx
-        while next_idx < len(grid) and grid[next_idx] <= t_limit + 1e-12:
-            record(float(grid[next_idx]))
-            next_idx += 1
-        return float(grid[next_idx]) if next_idx < len(grid) else np.inf
-
-    eng.run(T, rng, record_until, traj.events if record_events else None)
+    eng.run(T, rng, _grid_recorder(grid, record), traj.events if record_events else None)
     if mom is not None:
         traj.moment_times = grid.copy()
         traj.moments = np.asarray(mom)
@@ -650,19 +655,13 @@ def simulate_voter(
     states = cfg.states.copy()
     weights = cfg.weights.copy()
     N = cfg.N
-    grid = _sample_grid(T, sample_dt)
     traj = JumpTrajectory()
-    next_idx = 0
 
-    def record_until(t_limit):
-        nonlocal next_idx
-        while next_idx < len(grid) and grid[next_idx] <= t_limit + 1e-12:
-            traj.times.append(float(grid[next_idx]))
-            traj.configs.append(DiscreteConfiguration(states=states.copy(),
-                                                      weights=weights.copy(),
-                                                      t=float(grid[next_idx])))
-            next_idx += 1
+    def record(t):
+        traj.times.append(t)
+        traj.configs.append(DiscreteConfiguration(states=states.copy(), weights=weights.copy(), t=t))
 
+    record_until = _grid_recorder(_sample_grid(T, sample_dt), record)
     t = 0.0
     record_until(0.0)
     while t < T:

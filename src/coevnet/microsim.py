@@ -30,6 +30,7 @@ from .stepping import rk4_step, rkf45_advance, run_grid
 
 NULLCLINE_TOL = 1e-12
 _NULLCLINE_MAX_STEPS = 100
+_NULLCLINE_MAX_BRACKET = 1e6
 
 
 @dataclass
@@ -97,13 +98,6 @@ class MicroTrajectory:
 
     def final(self) -> AgentConfiguration:
         return self.configs[-1]
-
-
-def _pair_grids(states: np.ndarray):
-    N, m = states.shape
-    si = np.broadcast_to(states[:, None, :], (N, N, m))
-    sj = np.broadcast_to(states[None, :, :], (N, N, m))
-    return si, sj
 
 
 def _on_grid(a, grid: tuple, name: str, state: np.ndarray) -> np.ndarray:
@@ -347,6 +341,22 @@ def simulate_diffusive(
     return traj
 
 
+def _pair_potential(states: np.ndarray, weights: np.ndarray, pot: PotentialModel, what: str):
+    """F, grad_s F and d_w F of pot on every pair (s_i, s_j, w_ij), each a fresh
+    array with a zero diagonal; a non-finite entry raises IntegrationError
+    naming what."""
+    N, m = states.shape
+    views = states[:, None, :], states[None, :, :]
+    terms = (_on_grid(pot.F(*views, weights), (N, N), "F", weights),
+             _on_grid(pot.eval_grad_s(*views, weights), (N, N, m), "grad_s", weights),
+             _on_grid(pot.eval_d_w(*views, weights), (N, N), "d_w", weights))
+    for a in terms:
+        a.reshape(N * N, -1)[::N + 1] = 0.0   # the diagonal
+    if not all(np.isfinite(a).all() for a in terms):
+        raise IntegrationError(f"non-finite potential evaluation in {what}")
+    return terms
+
+
 def energy_report(cfg: AgentConfiguration, pot: PotentialModel) -> EnergyReport:
     """Energy and dissipation of a configuration under a pair potential.
 
@@ -365,14 +375,8 @@ def energy_report(cfg: AgentConfiguration, pot: PotentialModel) -> EnergyReport:
     """
     if cfg.m != pot.m:
         raise ModelError("configuration and potential dimensions differ")
-    states, weights = cfg.states, cfg.weights
-    N = states.shape[0]
-    si, sj = states[:, None, :], states[None, :, :]
-    F = _on_grid(pot.F(si, sj, weights), (N, N), "F", weights)
-    gs = _on_grid(pot.eval_grad_s(si, sj, weights), (N, N, cfg.m), "grad_s", weights)
-    dw = _on_grid(pot.eval_d_w(si, sj, weights), (N, N), "d_w", weights)
-    for a in (F, gs, dw):
-        a.reshape(N * N, -1)[::N + 1] = 0.0   # the diagonal
+    F, gs, dw = _pair_potential(cfg.states, cfg.weights, pot, "energy report")
+    N = cfg.N
     energy = float(F.sum()) / (2.0 * N)
     mean_grad = gs.sum(axis=1) / N                      # (N, m)
     state_term = float(np.sum(mean_grad * mean_grad))
@@ -380,17 +384,16 @@ def energy_report(cfg: AgentConfiguration, pot: PotentialModel) -> EnergyReport:
     dissipation = state_term + pot.c * weight_sq / (2.0 * N)
     pairwise = float(np.sum(gs * gs)) + pot.c * weight_sq
     if not np.isfinite((energy, dissipation, pairwise)).all():
-        raise IntegrationError("non-finite potential evaluation in energy report")
+        raise IntegrationError("non-finite sum in energy report")
     return EnergyReport(energy=energy, dissipation=dissipation, t=cfg.t,
                         dissipation_pairwise=pairwise)
 
 
-def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray,
-                     max_bracket: float = 1e6) -> np.ndarray:
+def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
     """Roots of w -> V(s, sigma, w) for broadcast state grids, elementwise.
 
     Each element is bracketed in [-b, b], b = 1, 4, 16, ... up to
-    max_bracket; no sign change raises NullclineNotFound.  A root on a
+    _NULLCLINE_MAX_BRACKET; no sign change raises NullclineNotFound.  A root on a
     bracket endpoint is returned as is.  Otherwise the Illinois variant of
     regula falsi (Dowell & Jarratt 1971) shrinks the bracket, with a
     bisection step wherever an endpoint value is not finite or the secant
@@ -410,7 +413,7 @@ def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray,
     flo = V_at(lo)
     fhi = V_at(hi)
     unbracketed = np.sign(flo) == np.sign(fhi)
-    while np.any(unbracketed) and bound < max_bracket:
+    while np.any(unbracketed) and bound < _NULLCLINE_MAX_BRACKET:
         bound *= 4.0
         lo = np.where(unbracketed, -bound, lo)
         hi = np.where(unbracketed, bound, hi)
@@ -419,7 +422,7 @@ def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray,
         unbracketed = np.sign(flo) == np.sign(fhi)
     if np.any(unbracketed & (flo != 0.0) & (fhi != 0.0)):
         raise NullclineNotFound(
-            f"V has no sign change in |w| <= {max_bracket:g} for some state pair")
+            f"V has no sign change in |w| <= {_NULLCLINE_MAX_BRACKET:g} for some state pair")
     on_lo = flo == 0.0
     done = on_lo | (fhi == 0.0)
     w = np.where(on_lo, lo, np.where(done, hi, np.nan))   # NaN: no iterate yet

@@ -31,7 +31,7 @@ arithmetic), a length-1 state axis is read, not summed, and U negates in place.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
@@ -252,92 +252,83 @@ class MinimalParams:
     gamma_pm: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha_pm", "alpha_mp", "beta_pp", "beta_mm", "beta_pm",
-                     "gamma_pp", "gamma_mm", "gamma_pm"):
-            v = getattr(self, name)
+        for rate in fields(self):
+            v = getattr(self, rate.name)
             if not np.isfinite(v) or v < 0:
-                raise ModelError(f"rate {name} must be finite and nonnegative, got {v}")
+                raise ModelError(f"rate {rate.name} must be finite and nonnegative, got {v}")
 
     def as_array(self) -> np.ndarray:
         return np.array([self.alpha_pm, self.alpha_mp, self.beta_pp, self.beta_mm,
                          self.beta_pm, self.gamma_pp, self.gamma_mm, self.gamma_pm])
 
 
+# catalog model name -> (its kernel parameters, each mapped to whether it takes
+# a state vector to a scalar, (..., m) -> (...), rather than acting elementwise;
+# its numeric parameters with their defaults, where None marks a required
+# parameter and an int default an integer one)
+MODEL_SCHEMA = {
+    "kernel-relaxation": ({"K": False, "eta": True}, {"kappa": None, "m": 1}),
+    "boschi": ({"g": False}, {"J0": None, "gamma": None, "sigma_noise": 0.0, "m": 1}),
+    "quadratic-potential": ({}, {"kappa": 1.0, "c": 1.0, "m": 1}),
+}
+
+
 def catalog(name: str, params: Mapping | None = None) -> SmoothModel:
-    """Construct a named catalog model.
+    """Construct a named catalog model from the parameters MODEL_SCHEMA lists.
 
-    Known names:
-
-    * ``kernel-relaxation``: U = -w K(s - sigma), V = eta(s - sigma) - kappa w.
-      Parameters: ``K`` (odd kernel, (..., m) -> (..., m)), ``eta`` (even
-      nonnegative kernel, (..., m) -> (...)), ``kappa`` > 0, optional ``m``.
+    * ``kernel-relaxation``: U = -w K(s - sigma), V = eta(s - sigma) - kappa w;
+      K odd, (..., m) -> (..., m), eta even and nonnegative, (..., m) -> (...).
     * ``boschi``: U = w g(sigma), U0 = -s, V = gamma (J0 g(s) g(sigma) - w),
-      Q = sigma_noise^2 / 2, R = 0.  Parameters: ``g`` (scalar kernel on
-      states), ``J0``, ``gamma``, ``sigma_noise``, optional ``m``.
-    * ``quadratic-potential``: the quadratic pair potential run through
-      ``derive_forces``.  Parameters: ``kappa``, ``c``, optional ``m``.
+      Q = sigma_noise^2 / 2, R = 0; g a scalar kernel on states, m = 1 only.
+    * ``quadratic-potential``: the quadratic pair potential through derive_forces.
     """
-    params = dict(params or {})
-
-    def need(key):
+    if name not in MODEL_SCHEMA:
+        raise ModelError(f"unknown catalog model {name!r}")
+    kernels, numbers = MODEL_SCHEMA[name]
+    params = params or {}
+    for key in (*kernels, *(k for k, d in numbers.items() if d is None)):
         if key not in params:
             raise ModelError(f"catalog model {name!r} requires parameter {key!r}")
-        return params[key]
+    args = {k: params[k] for k in kernels}
+    args.update({k: (int if isinstance(d, int) else float)(params.get(k, d))
+                 for k, d in numbers.items()})
+
+    if name == "quadratic-potential":
+        return derive_forces(quadratic_potential(**args))
 
     if name == "kernel-relaxation":
-        K = need("K")
-        eta = need("eta")
-        kappa = float(need("kappa"))
-        m = int(params.get("m", 1))
-
-        def U(s, sig, w, _K=K):
+        def U(s, sig, w, _K=args["K"]):
             u = np.asarray(w, dtype=float)[..., None] * np.asarray(_K(np.asarray(s, dtype=float) - sig), dtype=float)
             return np.negative(u, out=u)   # -(w K) is (-w) K: negation is exact
 
-        def V(s, sig, w, _eta=eta, _relax=_times(kappa)):
+        def V(s, sig, w, _eta=args["eta"], _relax=_times(args["kappa"])):
             return np.asarray(_eta(np.asarray(s, dtype=float) - sig), dtype=float) - _relax(np.asarray(w, dtype=float))
 
-        return SmoothModel(U=U, V=V, m=m, symmetric_V=True, name="kernel-relaxation")
+        return SmoothModel(U=U, V=V, m=args["m"], symmetric_V=True, name=name)
 
-    if name == "boschi":
-        # Scalar-opinion model; g is an elementwise function of the opinion.
-        g = need("g")
-        J0 = float(need("J0"))
-        gam = float(need("gamma"))
-        sigma_noise = float(params.get("sigma_noise", 0.0))
-        m = int(params.get("m", 1))
-        if m != 1:
-            raise ModelError("the boschi catalog model is scalar (m = 1)")
-        if gam < 0:
-            raise ModelError("boschi relaxation rate gamma must be nonnegative")
+    # boschi: a scalar-opinion model; g is an elementwise function of the opinion
+    if args["m"] != 1:
+        raise ModelError("the boschi catalog model is scalar (m = 1)")
+    if args["gamma"] < 0:
+        raise ModelError("boschi relaxation rate gamma must be nonnegative")
 
-        def U(s, sig, w, _g=g):
-            gval = np.asarray(_g(np.asarray(sig, dtype=float)[..., 0]), dtype=float)
-            return (np.asarray(w, dtype=float) * gval)[..., None]
+    def U(s, sig, w, _g=args["g"]):
+        gval = np.asarray(_g(np.asarray(sig, dtype=float)[..., 0]), dtype=float)
+        return (np.asarray(w, dtype=float) * gval)[..., None]
 
-        def V(s, sig, w, _g=g, _J0=J0, _gam=gam):
-            gs = np.asarray(_g(np.asarray(s, dtype=float)[..., 0]), dtype=float)
-            gsig = np.asarray(_g(np.asarray(sig, dtype=float)[..., 0]), dtype=float)
-            # J0 (g(s) g(sigma)) is bitwise exchange-symmetric; (J0 g(s)) g(sigma) is not
-            return _gam * (_J0 * (gs * gsig) - np.asarray(w, dtype=float))
+    def V(s, sig, w, _g=args["g"], _J0=args["J0"], _gam=args["gamma"]):
+        gs = np.asarray(_g(np.asarray(s, dtype=float)[..., 0]), dtype=float)
+        gsig = np.asarray(_g(np.asarray(sig, dtype=float)[..., 0]), dtype=float)
+        # J0 (g(s) g(sigma)) is bitwise exchange-symmetric; (J0 g(s)) g(sigma) is not
+        return _gam * (_J0 * (gs * gsig) - np.asarray(w, dtype=float))
 
-        def U0(s):
-            return -np.asarray(s, dtype=float)
+    def U0(s):
+        return -np.asarray(s, dtype=float)
 
-        q_const = 0.5 * sigma_noise ** 2
+    def Q(s, _q=0.5 * args["sigma_noise"] ** 2):
+        return np.full(np.asarray(s).shape[:-1], _q)
 
-        def Q(s, _q=q_const):
-            return np.full(np.asarray(s).shape[:-1], _q)
+    def R(s, sig, w):
+        return np.zeros(np.asarray(w).shape)
 
-        def R(s, sig, w):
-            return np.zeros(np.asarray(w).shape)
-
-        return SmoothModel(U=U, V=V, m=m, U0=U0, Q=Q, R=R, symmetric_V=True, name="boschi")
-
-    if name == "quadratic-potential":
-        kappa = float(params.get("kappa", 1.0))
-        c = float(params.get("c", 1.0))
-        m = int(params.get("m", 1))
-        return derive_forces(quadratic_potential(kappa=kappa, c=c, m=m))
-
-    raise ModelError(f"unknown catalog model {name!r}")
+    return SmoothModel(U=U, V=V, m=1, U0=U0, Q=Q, R=R, symmetric_V=True, name=name)

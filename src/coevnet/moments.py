@@ -92,10 +92,6 @@ class StateHistogram:
     def masses(self) -> np.ndarray:
         return self.counts / self.n_samples
 
-    @property
-    def overflow_mass(self) -> float:
-        return self.overflow / self.n_samples
-
 
 @dataclass
 class PairHistogram:
@@ -110,10 +106,6 @@ class PairHistogram:
     @property
     def masses(self) -> np.ndarray:
         return self.counts / self.n_pairs
-
-    @property
-    def overflow_mass(self) -> float:
-        return self.overflow / self.n_pairs
 
     def total_mass(self) -> float:
         return float(self.counts.sum() + self.overflow) / self.n_pairs

@@ -78,18 +78,6 @@ class TestValidate:
             validate_config(cfg)
         assert err.value.field == "M"
 
-    def test_continuation_hypothesis_warning(self):
-        cfg = {
-            "kind": "continuation",
-            "kind_closure": "conditional",
-            "rho_p": 0.5,
-            "eps_list": [1e-3],
-            "rates": {"alpha_pm": 2.0, "alpha_mp": 2.0, "beta_pp": 1.0, "beta_mm": 1.0,
-                      "gamma_pp": 1.0, "gamma_mm": 1.0, "gamma_pm": 1.0},
-        }
-        plan, warnings = validate_config(cfg)
-        assert any("hypothesis" in w for w in warnings)
-
     def test_unknown_key_rejected(self):
         cfg = minimal_config(extra_knob=1)
         with pytest.raises(ConfigError):
@@ -287,6 +275,21 @@ class TestRun:
             assert (out_dir / "weights.csv").exists()
 
 
+def stationary_config(**overrides):
+    cfg = {"kind": "stationary", "rho_p": 0.6, "g_pm": 0.1,
+           "rates": {"alpha_pm": 1.0, "alpha_mp": 1.0, "beta_pp": 1.0, "beta_mm": 1.0,
+                     "gamma_pp": 1.0, "gamma_mm": 1.0, "gamma_pm": 2.0}}
+    cfg.update(overrides)
+    return cfg
+
+
+def continuation_config(**overrides):
+    cfg = {"kind": "continuation", "rho_p": 0.5, "kind_closure": "conditional",
+           "eps_list": [1e-3], "rates": stationary_config()["rates"]}
+    cfg.update(overrides)
+    return cfg
+
+
 def micro_config(**overrides):
     cfg = {
         "kind": "micro", "seed": 4, "N": 2, "T": 0.1, "dt": 1e-2,
@@ -410,6 +413,15 @@ class TestBuildOnce:
         assert rows == {kind: (list(spec.required), list(spec.optional))
                         for kind, spec in SPECS.items()}
 
+    def test_readme_model_line_matches_the_model_schema(self):
+        from coevnet.models import MODEL_SCHEMA
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullet = readme.split("\n* `model`:", 1)[1].split("\n* ", 1)[0]
+        named = {name: re.findall(r"`(\w+)`", params)
+                 for name, params in re.findall(r"`([\w-]+)`\s+\(params ([^)]*)\)", bullet)}
+        assert named == {name: [*kernels, *numbers]
+                         for name, (kernels, numbers) in MODEL_SCHEMA.items()}
+
     @pytest.mark.parametrize("cfg, message", [
         ({"kind": "compare", "N": 5, "runs": 2, "T": 1.0, "dt": 0.5,
           "rates": minimal_config()["rates"], "init": minimal_config()["init"]},
@@ -427,8 +439,25 @@ class TestBuildOnce:
          "initial rho_+ must lie in (0, 1)"),
         (closure_stationary_config(init={"moments": [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]}),
          "initial rho_+ must lie in (0, 1)"),
+        (stationary_config(rates=dict(stationary_config()["rates"], beta_pm=0.5)),
+         "the polarized stationary family requires beta_pm = 0"),
+        (stationary_config(rates={"alpha_pm": 1.0, "alpha_mp": 1.0}),
+         "beta_pp + gamma_pp and beta_mm + gamma_mm must be positive"),
+        (stationary_config(g_pm=0.5), "g_pm must lie in [0, min(rho_p, 1 - rho_p)]"),
+        (continuation_config(rates={"alpha_pm": 2.0, "alpha_mp": 2.0, "beta_pp": 1.0,
+                                    "beta_mm": 1.0, "gamma_pp": 1.0, "gamma_mm": 1.0,
+                                    "gamma_pm": 1.0}),
+         "conditional continuation requires 2 gamma_pm > alpha_pm + alpha_mp"),
+        (continuation_config(rates=dict(stationary_config()["rates"], beta_pp=0.0)),
+         "continuation requires positive rate beta_pp"),
+        (continuation_config(eps_list=[-1e-3]),
+         "rate beta_pm must be finite and nonnegative, got -0.001"),
+        (continuation_config(rho_p=1.5), "rho_p must lie in (0, 1) for the continuation"),
     ], ids=["compare-N-5", "compare-runs-1", "compare-T-off-grid", "diffusive-without-Q",
-            "epsilon-sweep-T-off-reduced-grid", "closure-rho_p-0", "closure-rho_p-1"])
+            "epsilon-sweep-T-off-reduced-grid", "closure-rho_p-0", "closure-rho_p-1",
+            "stationary-beta_pm", "stationary-flip-rates-only", "stationary-g_pm",
+            "continuation-hypothesis", "continuation-zero-link-rate",
+            "continuation-negative-eps", "continuation-rho_p"])
     def test_run_time_precondition_fails_validate_as_run(self, tmp_path, capsys, cfg, message):
         (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
         assert v_code == r_code == 3

@@ -152,23 +152,6 @@ class TestEpsilonSweep:
         rep = run_epsilon_sweep(model, cfg, eps_list=[0.1, 0.01], dt=1e-3, T=0.0)
         assert rep.gaps[0] == rep.gaps[1] == 0.0
 
-    def test_strictly_decreasing_gaps_off_nullcline(self):
-        model = relaxation_model()
-        states = np.array([[0.0], [0.7], [1.5], [-0.6]])
-        N = states.shape[0]
-        w = np.empty((N, N))
-        for i in range(N):
-            for j in range(N):
-                if i == j:
-                    w[i, j] = 0.0
-                else:
-                    w[i, j] = solve_weight_nullcline(model, states[i], states[j]) + 0.5
-        cfg = AgentConfiguration(states=states, weights=w)
-        rep = run_epsilon_sweep(model, cfg, eps_list=[0.1, 0.01, 0.001],
-                                dt=1e-4, T=1.0, reduced_dt=1e-3)
-        assert rep.gaps[0] > rep.gaps[1] > rep.gaps[2]
-        assert rep.monotone
-
     def test_boschi_gaps_shrink_towards_the_limit_with_its_external_force(self):
         # boschi has U0 = -s; a limit without it leaves gaps near 0.68 that grow
         model = catalog("boschi", {"g": np.tanh, "J0": 2.0, "gamma": 1.0})

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from coevnet import microsim
+from coevnet.characteristics import CharacteristicEnsemble, pair_energy_dissipation, uniform_masses
 from coevnet.compare import run_epsilon_sweep
 from coevnet.errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
 from coevnet.microsim import (
@@ -10,7 +11,6 @@ from coevnet.microsim import (
     integrate_micro,
     integrate_reduced,
     _nullcline_array,
-    _pair_grids,
     micro_rhs,
     simulate_diffusive,
     solve_weight_nullcline,
@@ -131,7 +131,7 @@ class TestMicroRhs:
         cfg = random_config(N, rng)
         planted = np.triu(rng.random((N, N)) < 0.2, 1)
         cfg.weights[planted | planted.T] = 0.0
-        V = model.V(*_pair_grids(cfg.states), cfg.weights)
+        V = model.V(cfg.states[:, None], cfg.states[None], cfg.weights)
         np.fill_diagonal(V, 0.0)
         assert np.signbit(V[planted]).all()
         upper = np.triu(V, 1)
@@ -405,6 +405,24 @@ class TestEnergy:
         assert np.all(np.isfinite(E))
         assert np.all(E[1:] <= E[:-1] + 1e-9)
 
+    @pytest.mark.parametrize("report", [
+        lambda states, W, pot: energy_report(AgentConfiguration(states, W), pot),
+        lambda states, W, pot: pair_energy_dissipation(
+            CharacteristicEnsemble(states, W, uniform_masses(len(states))), pot),
+    ], ids=["energy_report", "pair_energy_dissipation"])
+    def test_an_overflowing_potential_raises(self, report):
+        # F = w exp(|s - sigma|^2) overflows on the pair (0, 30)
+        def grow(s, sig):
+            return np.exp(np.sum(np.square(np.asarray(s) - sig), axis=-1))
+        pot = PotentialModel(F=lambda s, sig, w: np.asarray(w) * grow(s, sig),
+                             grad_s=lambda s, sig, w: (2.0 * np.asarray(w) * grow(s, sig))[..., None]
+                             * (np.asarray(s) - sig),
+                             d_w=lambda s, sig, w: grow(s, sig) + 0.0 * np.asarray(w))
+        W = np.ones((3, 3)) - np.eye(3)
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(IntegrationError, match="non-finite potential evaluation"):
+            report(np.array([[0.0], [30.0], [1.0]]), W, pot)
+
 
 class TestNullcline:
     def test_linear_relaxation(self):
@@ -441,7 +459,8 @@ class TestNullcline:
         model, calls = counting_V(catalog(name, params))
         rng = np.random.default_rng(3)
         for _ in range(20):
-            si, sj = _pair_grids(rng.uniform(low, high, size=(7, 1)))
+            x = rng.uniform(low, high, size=(7, 1))
+            si, sj = x[:, None], x[None]
             calls.clear()
             w = _nullcline_array(model, si, sj)
             assert len(calls) <= 8
@@ -455,7 +474,8 @@ class TestNullcline:
             - w - w ** 3,
             symmetric_V=True,
         ))
-        si, sj = _pair_grids(np.random.default_rng(5).uniform(-1.0, 1.5, size=(7, 1)))
+        x = np.random.default_rng(5).uniform(-1.0, 1.5, size=(7, 1))
+        si, sj = x[:, None], x[None]
         w = _nullcline_array(model, si, sj)
         assert np.max(np.abs(model.V(si, sj, w))) <= 1e-12
         assert len(calls) < 20
