@@ -10,12 +10,15 @@ built experiment and writes its artifacts.
 ``validate`` builds every config (each leg of a top-level ``sweep`` list)
 without running it, so it exits with the code ``run`` would give for any
 config that fails to build.  ``run`` builds every leg once, up front, runs
-no leg if one fails to build, and writes a manifest recording the config
-hash, seeds, tool version and wall time.
+no leg if one fails to build, runs the legs concurrently in forked worker
+processes (one per usable CPU), and writes a manifest recording the config
+hash, seeds, tool version and the wall time of the run and of each leg.
 
 Exit codes: 0 success, 2 config error, 3 runtime model error, 4 invariant
 violation.  Failures emit a machine-readable error JSON on stdout; a leg
 that fails while running also gets an ``error.json`` in its output directory.
+In a sweep the first leg to fail, in sweep order, decides the exit code and
+the error JSON, and no manifest is written.
 """
 
 from __future__ import annotations
@@ -23,9 +26,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import logging
+import multiprocessing
 import os
 import sys
 import time
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Callable
@@ -66,6 +73,8 @@ from .models import MODEL_SCHEMA, MinimalParams, catalog
 from .moments import MinimalMoments
 
 ENV_OUT = "COEVNET_OUT"
+
+log = logging.getLogger(__name__)
 
 
 # -- typed values ----------------------------------------------------------------
@@ -342,6 +351,8 @@ def _build_closure(x):
 
 def _build_stationary(x):
     x.point = stationary_polarized(x.rates, float(x.rho_p), float(x.g_pm))
+    x.residuals = {kind: float(np.max(np.abs(closure_rhs(x.point, x.rates, kind))))
+                   for kind in ("conditional", "kirkwood")}
 
 
 def _build_continuation(x):
@@ -443,8 +454,8 @@ def _run_stationary(x, out_dir, workers):
     report = {
         "moments": m.as_array(),
         "rho_p": m.rho_p,
-        "residual_conditional": float(np.max(np.abs(closure_rhs(m, p, "conditional")))),
-        "residual_kirkwood": float(np.max(np.abs(closure_rhs(m, p, "kirkwood")))),
+        "residual_conditional": x.residuals["conditional"],
+        "residual_kirkwood": x.residuals["kirkwood"],
         "stability_condition_holds": bool(stable),
         "stability_margin": margin,
     }
@@ -691,6 +702,68 @@ def cmd_validate(config_path: str) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _run_leg(x: Experiment, out_dir: str, cli_workers: int | None) -> tuple[list[str], float]:
+    """Run one built leg into out_dir: its artifact names and its wall time in seconds."""
+    t0 = time.monotonic()
+    artifacts = run_experiment(x, out_dir, workers=cli_workers or x.workers)
+    return artifacts, time.monotonic() - t0
+
+
+_inherited = None   # (plan, --workers) in a forked leg worker; set by its initializer
+
+
+def _inherit(plan: Plan, cli_workers: int | None) -> None:
+    global _inherited
+    _inherited = plan, cli_workers
+
+
+def _run_inherited_leg(k: int, out_dir: str) -> tuple[list[str], float]:
+    plan, cli_workers = _inherited
+    return _run_leg(plan[k], out_dir, cli_workers)
+
+
+def _leg_results(plan: Plan, out_dirs: list[str], cli_workers: int | None):
+    """Run every leg of a plan, yielding (artifacts, wall_s) per leg in sweep order.
+
+    Legs run concurrently in forked worker processes, one per usable CPU and
+    at most one per leg.  The workers inherit the built plan through the
+    fork, since legs hold kernel closures that do not pickle: only a leg
+    index and its out_dir go to a worker, and only the leg's result comes
+    back.  A leg's error is raised in its turn in sweep order; legs not
+    started by then are cancelled, and legs already running finish.  One
+    leg or one usable CPU runs serially in this process, and so do the legs
+    not yet yielded, with one warning, when the fork start method is
+    missing or the pool itself fails.
+    """
+    done = 0
+    n = min(len(plan), _usable_cpus())
+    if n > 1 and "fork" not in multiprocessing.get_all_start_methods():
+        log.warning("no fork start method; running the %d legs serially", len(plan))
+    elif n > 1:
+        pool = None
+        try:
+            pool = ProcessPoolExecutor(n, multiprocessing.get_context("fork"), _inherit,
+                                       (plan, cli_workers))
+            futures = [pool.submit(_run_inherited_leg, k, d) for k, d in enumerate(out_dirs)]
+            for fut in futures:
+                yield fut.result()
+                done += 1
+        except (BrokenProcessPool, OSError) as exc:
+            # an OSError a leg raises itself is raised again by its serial run
+            log.warning("leg worker pool failed (%s); running the remaining legs serially", exc)
+        finally:
+            if pool is not None:
+                pool.shutdown(cancel_futures=True)
+    for k in range(done, len(plan)):
+        yield _run_leg(plan[k], out_dirs[k], cli_workers)
+
+
 def cmd_run(config_path: str, cli_out: str | None, cli_workers: int | None) -> int:
     t0 = time.monotonic()
     try:
@@ -700,15 +773,17 @@ def cmd_run(config_path: str, cli_out: str | None, cli_workers: int | None) -> i
         return _emit_error(exc, None)
     out_root = (cli_out or cfg.get("out") or os.environ.get(ENV_OUT)
                 or os.path.join(os.getcwd(), "coevnet-out"))
+    out_dirs = [os.path.join(out_root, f"sweep-{k:04d}") if plan.sweep else out_root
+                for k in range(len(plan))]
+    results = _leg_results(plan, out_dirs, cli_workers)
     manifest_entries = []
-    for k, x in enumerate(plan):
-        out_dir = os.path.join(out_root, f"sweep-{k:04d}") if plan.sweep else out_root
+    for x, out_dir in zip(plan, out_dirs):
         try:
-            artifacts = run_experiment(x, out_dir, workers=cli_workers or x.workers)
+            artifacts, wall_s = next(results)
         except CoevnetError as exc:
             return _emit_error(exc, out_dir)
         manifest_entries.append({"out_dir": out_dir, "kind": x.kind, "seed": x.seed,
-                                 "artifacts": artifacts})
+                                 "artifacts": artifacts, "wall_s": wall_s})
     io.write_json(os.path.join(out_root, "manifest.json"), {
         "config_path": os.path.abspath(config_path),
         "config_sha256": cfg_hash,

@@ -1,6 +1,9 @@
 import json
+import logging
+import multiprocessing
 import os
 import re
+from concurrent.futures.process import BrokenProcessPool
 from pathlib import Path
 
 import numpy as np
@@ -301,6 +304,17 @@ def micro_config(**overrides):
     return cfg
 
 
+def blowup_config():
+    """A micro config that builds but fails at run time: RK4 at dt = 1 on a
+    weight relaxation rate of 1000 overflows; samples t = 0..3 are finite and
+    the force overflows in the step from t = 3."""
+    return micro_config(N=5, T=200, dt=1, seed=0, model={
+        "name": "kernel-relaxation",
+        "params": {"K": {"form": "identity"}, "eta": {"form": "gaussian"}, "kappa": 1000}},
+        init={"states": {"dist": "uniform", "low": -1, "high": 1},
+              "weights": {"dist": "uniform", "low": 0, "high": 1}})
+
+
 def epsilon_sweep_config(**overrides):
     cfg = {
         "kind": "epsilon-sweep", "seed": 0, "N": 4, "T": 0.5, "dt": 1e-3,
@@ -466,14 +480,19 @@ class TestBuildOnce:
         assert r_err["message"] == message
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("rho_p", [0.0, 1.0])
+    def test_stationary_at_consensus_fails_validate_as_run(self, tmp_path, capsys, rho_p):
+        # the closure residuals the run reports are evaluated by the build
+        cfg = stationary_config(rho_p=rho_p, g_pm=0.0)
+        (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == r_code == 3
+        assert v_err == r_err == {
+            "error": "ConsensusBoundary", "exit_code": 3,
+            "message": "rho_+ rho_- = 0.000e+00 at or below the consensus threshold 1e-10"}
+        assert not (tmp_path / "out").exists()
+
     def test_micro_blowup_exits_3_with_error_json_and_no_manifest(self, tmp_path, capsys):
-        # RK4 at dt = 1 on a weight relaxation rate of 1000 overflows; samples
-        # t = 0..3 are finite and the force overflows in the step from t = 3
-        cfg = micro_config(N=5, T=200, dt=1, seed=0, model={
-            "name": "kernel-relaxation",
-            "params": {"K": {"form": "identity"}, "eta": {"form": "gaussian"}, "kappa": 1000}},
-            init={"states": {"dist": "uniform", "low": -1, "high": 1},
-                  "weights": {"dist": "uniform", "low": 0, "high": 1}})
+        cfg = blowup_config()
         with np.errstate(over="ignore", invalid="ignore"):
             (v_code, v_out), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
         assert v_code == 0 and v_out.startswith("ok:")
@@ -530,3 +549,204 @@ class TestBuildOnce:
         assert v_err == r_err
         assert r_err["field"] == "init.anchors"
         assert r_err["message"].startswith("init.anchors needs")
+
+
+def four_kind_sweep():
+    """A micro, a characteristics, a minimal and a closure leg."""
+    characteristics = {
+        "kind": "characteristics", "seed": 1, "variant": "conditional", "M": 8,
+        "T": 0.5, "dt": 1e-2, "sample_stride": 10,
+        "model": {"name": "kernel-relaxation",
+                  "params": {"K": {"form": "identity"}, "eta": {"form": "gaussian"},
+                             "kappa": 1.0}},
+        "init": {"anchors": {"dist": "uniform", "low": -1, "high": 1},
+                 "W0": {"form": "gaussian"}}}
+    return {"sweep": [micro_config(N=8, T=0.5, sample_stride=10), characteristics,
+                      minimal_config(), closure_stationary_config()]}
+
+
+def csv_bytes(out_dir):
+    return {str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*.csv"))}
+
+
+class TestConcurrentSweep:
+    """`run` runs a sweep's legs in forked workers, one per usable CPU."""
+
+    @pytest.fixture
+    def cpus(self, monkeypatch):
+        """Set the usable CPU count `run` sees; 1 runs the legs serially."""
+        from coevnet import cli
+        return lambda n: monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+
+    @pytest.fixture
+    def leg_pids(self, tmp_path, monkeypatch):
+        """The ids of the processes that ran each leg, in the order they ran."""
+        from coevnet import cli
+        log = tmp_path / "pids"
+        real_run_experiment = cli.run_experiment
+
+        def logging_run_experiment(x, out_dir, workers=1):
+            with open(log, "a") as f:
+                f.write(f"{os.getpid()}\n")
+            return real_run_experiment(x, out_dir, workers)
+        monkeypatch.setattr(cli, "run_experiment", logging_run_experiment)
+
+        def read():
+            pids = [int(v) for v in log.read_text().split()] if log.exists() else []
+            log.unlink(missing_ok=True)
+            return pids
+        return read
+
+    def run_sweep(self, tmp_path, capsys, cfg, name):
+        path = write_config(tmp_path, cfg, name=f"{name}.json")
+        out = tmp_path / name
+        code = main(["run", path, "--out", str(out)])
+        stdout = capsys.readouterr().out
+        assert multiprocessing.active_children() == []
+        return code, (json.loads(stdout) if code else stdout), out
+
+    def test_pool_and_serial_runs_write_the_same_bytes(self, tmp_path, capsys, cpus, leg_pids):
+        cfg = four_kind_sweep()
+        cpus(2)
+        code, _, pooled = self.run_sweep(tmp_path, capsys, cfg, "pooled")
+        assert code == 0
+        pids = leg_pids()
+        assert len(pids) == 4 and os.getpid() not in pids
+        cpus(1)
+        code, _, serial = self.run_sweep(tmp_path, capsys, cfg, "serial")
+        assert code == 0
+        assert leg_pids() == [os.getpid()] * 4
+        assert len(csv_bytes(pooled)) == 9
+        assert csv_bytes(pooled) == csv_bytes(serial)
+        for out in (pooled, serial):
+            manifest = json.loads((out / "manifest.json").read_text())
+            walls = [e["wall_s"] for e in manifest["experiments"]]
+            assert [e["kind"] for e in manifest["experiments"]] == [
+                "micro", "characteristics", "minimal", "closure"]
+            assert all(isinstance(w, float) and w >= 0 for w in walls)
+
+    def test_a_single_leg_runs_in_this_process(self, tmp_path, capsys, cpus, leg_pids):
+        cpus(2)
+        code, _, _ = self.run_sweep(tmp_path, capsys, closure_stationary_config(), "one")
+        assert code == 0
+        assert leg_pids() == [os.getpid()]
+
+    @pytest.mark.parametrize("failing", [0, 1])
+    def test_a_failing_leg_decides_the_exit(self, tmp_path, capsys, cpus, failing):
+        legs = [closure_stationary_config(), minimal_config()]
+        legs[failing] = blowup_config()
+        expected = {"error": "IntegrationError", "exit_code": 3,
+                    "message": "non-finite force evaluation at t=3"}
+        for n in (2, 1):
+            cpus(n)
+            with np.errstate(over="ignore", invalid="ignore"):
+                code, err, out = self.run_sweep(tmp_path, capsys, {"sweep": legs}, f"cpus{n}")
+            assert (code, err) == (3, expected)
+            error_json = out / f"sweep-{failing:04d}" / "error.json"
+            assert json.loads(error_json.read_text()) == expected
+            assert not (out / "manifest.json").exists()
+
+    def test_the_first_failing_leg_in_sweep_order_wins(self, tmp_path, capsys, cpus,
+                                                        monkeypatch):
+        import dataclasses
+        import time
+        from coevnet import cli
+        from coevnet.errors import ModelError
+
+        def failing_run(x, out_dir, workers):
+            if x.seed == 0:   # leg 0 fails last
+                time.sleep(0.3)
+                raise ModelError("leg 0 failed")
+            raise ConfigError("leg 1 failed", field="leg1.field")
+        monkeypatch.setitem(cli.SPECS, "closure",
+                            dataclasses.replace(cli.SPECS["closure"], run=failing_run))
+        cpus(2)
+        legs = [closure_stationary_config(seed=0), closure_stationary_config(seed=1)]
+        code, err, out = self.run_sweep(tmp_path, capsys, {"sweep": legs}, "both")
+        assert (code, err) == (3, {"error": "ModelError", "exit_code": 3,
+                                   "message": "leg 0 failed"})
+        assert not (out / "sweep-0001" / "error.json").exists()
+        # a ConfigError keeps its field on its way back from the worker
+        code, err, out = self.run_sweep(tmp_path, capsys,
+                                        {"sweep": [minimal_config(), legs[1]]}, "field")
+        assert (code, err) == (2, {"error": "ConfigError", "exit_code": 2,
+                                   "field": "leg1.field", "message": "leg 1 failed"})
+        assert json.loads((out / "sweep-0001" / "error.json").read_text()) == err
+        assert not (out / "manifest.json").exists()
+
+    def test_a_compare_leg_with_its_own_workers_runs_in_a_sweep(self, tmp_path, capsys, cpus):
+        compare = {"kind": "compare", "seed": 2, "N": 12, "runs": 2, "T": 0.5, "dt": 0.25,
+                   "workers": 2, "rates": minimal_config()["rates"],
+                   "init": minimal_config()["init"]}
+        cfg = {"sweep": [compare, closure_stationary_config()]}
+        outs = {}
+        for n in (2, 1):
+            cpus(n)
+            code, _, outs[n] = self.run_sweep(tmp_path, capsys, cfg, f"cpus{n}")
+            assert code == 0
+            assert (outs[n] / "sweep-0000" / "report.json").exists()
+        assert csv_bytes(outs[2]) == csv_bytes(outs[1]) != {}
+
+    @pytest.mark.parametrize("exc", [BrokenProcessPool("pool broke"), OSError("no fork")],
+                             ids=["BrokenProcessPool", "OSError"])
+    def test_a_pool_failing_on_submit_falls_back_to_serial(self, tmp_path, capsys, caplog, cpus,
+                                                           monkeypatch, leg_pids, exc):
+        from coevnet import cli
+
+        class FailingPool(cli.ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                raise exc
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", FailingPool)
+        cfg = four_kind_sweep()
+        cpus(1)
+        assert self.run_sweep(tmp_path, capsys, cfg, "serial")[0] == 0
+        cpus(2)
+        caplog.clear()
+        code, _, out = self.run_sweep(tmp_path, capsys, cfg, "fallback")
+        assert code == 0
+        assert leg_pids() == [os.getpid()] * 8
+        warnings = [r for r in caplog.records if r.levelno >= logging.WARNING]
+        assert len(warnings) == 1 and "running the remaining legs serially" in warnings[0].message
+        assert csv_bytes(out) == csv_bytes(tmp_path / "serial")
+
+    def test_without_fork_the_legs_run_serially(self, tmp_path, capsys, caplog, cpus,
+                                                 monkeypatch, leg_pids):
+        from coevnet import cli
+        monkeypatch.setattr(cli.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        cpus(2)
+        code, _, _ = self.run_sweep(tmp_path, capsys, four_kind_sweep(), "spawn")
+        assert code == 0
+        assert leg_pids() == [os.getpid()] * 4
+        assert [r.message for r in caplog.records if r.levelno >= logging.WARNING] == [
+            "no fork start method; running the 4 legs serially"]
+
+    def test_a_worker_that_dies_leaves_the_remaining_legs_to_run_serially(
+            self, tmp_path, capsys, caplog, cpus, monkeypatch):
+        import dataclasses
+        import time
+        from coevnet import cli
+        parent = os.getpid()
+        real_run = cli.SPECS["closure"].run
+
+        def dying_run(x, out_dir, workers):
+            if x.seed == 1 and os.getpid() != parent:
+                # die once leg 0 has written its artifacts: the pool then stops
+                # the other worker, which would leave a half-written temp file
+                leg0 = Path(out_dir).parent / "sweep-0000" / "summary.json"
+                deadline = time.monotonic() + 30
+                while not leg0.exists() and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                os._exit(1)
+            return real_run(x, out_dir, workers)
+        cfg = {"sweep": [closure_stationary_config(seed=0), closure_stationary_config(seed=1)]}
+        cpus(1)
+        assert self.run_sweep(tmp_path, capsys, cfg, "serial")[0] == 0
+        monkeypatch.setitem(cli.SPECS, "closure",
+                            dataclasses.replace(cli.SPECS["closure"], run=dying_run))
+        cpus(2)
+        caplog.clear()
+        code, _, out = self.run_sweep(tmp_path, capsys, cfg, "died")
+        assert code == 0
+        assert [r.levelno for r in caplog.records if r.levelno >= logging.WARNING] == [
+            logging.WARNING]
+        assert csv_bytes(out) == csv_bytes(tmp_path / "serial")
