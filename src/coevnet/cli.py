@@ -10,9 +10,9 @@ built experiment and writes its artifacts.
 ``validate`` builds every config (each leg of a top-level ``sweep`` list)
 without running it, so it exits with the code ``run`` would give for any
 config that fails to build.  ``run`` builds every leg once, up front, runs
-no leg if one fails to build, runs the legs concurrently in forked worker
-processes (one per usable CPU), and writes a manifest recording the config
-hash, seeds, tool version and the wall time of the run and of each leg.
+no leg if one fails to build, runs the legs on ``_pool``'s forked workers (one
+per usable CPU), and writes a manifest recording the config hash, seeds, tool
+version and the wall time of the run and of each leg.
 
 Exit codes: 0 success, 2 config error, 3 runtime model error, 4 invariant
 violation.  Failures emit a machine-readable error JSON on stdout; a leg
@@ -27,19 +27,16 @@ import argparse
 import hashlib
 import json
 import logging
-import multiprocessing
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, fields
 from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
 
-from . import __version__, io
+from . import __version__, _pool, io
 from .characteristics import (
     CharacteristicEnsemble,
     integrate_characteristics_conditional,
@@ -404,7 +401,7 @@ def _write_configs(out_dir, times, configs) -> list[str]:
     return ["states.csv", "weights.csv"]
 
 
-def _run_micro(x, out_dir, workers):
+def _run_micro(x, out_dir):
     """The micro and diffusive kinds: every sample_stride-th sample plus the last."""
     if x.kind == "diffusive":
         traj = simulate_diffusive(x.agents, x.model, dt=x.dt, T=x.T, seed=x.seed,
@@ -415,7 +412,7 @@ def _run_micro(x, out_dir, workers):
     return _write_configs(out_dir, traj.times, traj.configs)
 
 
-def _run_minimal(x, out_dir, workers):
+def _run_minimal(x, out_dir):
     traj = simulate_minimal(x.disc, x.rates, T=x.T, seed=x.seed, sample_dt=x.sample_dt,
                             record_events=x.record_events, record_moments=True)
     io.write_events_csv(os.path.join(out_dir, "events.csv"), traj.events)
@@ -423,7 +420,7 @@ def _run_minimal(x, out_dir, workers):
     return _write_configs(out_dir, traj.times, traj.configs) + ["events.csv", "moments.csv"]
 
 
-def _run_voter(x, out_dir, workers):
+def _run_voter(x, out_dir):
     traj = simulate_voter(x.disc, prob_p=float(x.p), prob_q=float(x.q), T=x.T, seed=x.seed,
                           variant=x.variant, sample_dt=x.sample_dt,
                           record_events=x.record_events)
@@ -431,13 +428,13 @@ def _run_voter(x, out_dir, workers):
     return _write_configs(out_dir, traj.times, traj.configs) + ["events.csv"]
 
 
-def _run_hybrid(x, out_dir, workers):
+def _run_hybrid(x, out_dir):
     traj = simulate_hybrid_bc(x.hybrid, F=x.F, r=x.r, tau=x.tau, dt=x.dt, T=x.T, seed=x.seed,
                               sample_stride=x.sample_stride)
     return _write_configs(out_dir, traj.times, traj.configs)
 
 
-def _run_closure(x, out_dir, workers):
+def _run_closure(x, out_dir):
     traj = integrate_closure(x.m0, x.rates, x.kind_closure, dt=x.dt, T=x.T,
                              sample_stride=x.sample_stride)
     io.write_closure_csv(os.path.join(out_dir, "trajectory.csv"), traj)
@@ -448,7 +445,7 @@ def _run_closure(x, out_dir, workers):
     return ["trajectory.csv", "summary.json"]
 
 
-def _run_stationary(x, out_dir, workers):
+def _run_stationary(x, out_dir):
     p, rho_p, m = x.rates, float(x.rho_p), x.point
     stable, margin = polarization_stable(p, rho_p)
     report = {
@@ -468,7 +465,7 @@ def _run_stationary(x, out_dir, workers):
     return ["stationary.json"]
 
 
-def _run_continuation(x, out_dir, workers):
+def _run_continuation(x, out_dir):
     rho_p = float(x.rho_p)
     points = []
     for p in x.branch_rates:
@@ -482,7 +479,7 @@ def _run_continuation(x, out_dir, workers):
     return ["branch.json"]
 
 
-def _run_characteristics(x, out_dir, workers):
+def _run_characteristics(x, out_dir):
     if x.variant == "wc":
         traj = integrate_characteristics_wc(x.ensemble, x.model, x.surface, dt=x.dt, T=x.T,
                                             sample_stride=x.sample_stride)
@@ -498,16 +495,16 @@ def _run_characteristics(x, out_dir, workers):
     return ["anchors.csv", "pair_weights.csv", "injectivity.json"]
 
 
-def _run_compare(x, out_dir, workers):
+def _run_compare(x, out_dir):
     rep = run_comparison(x.rates, N=x.N, runs=x.runs, T=x.T, dt=x.dt, seed=x.seed, init=x.init,
-                         closure_dt=x.closure_dt, workers=workers)
+                         closure_dt=x.closure_dt, workers=x.workers)
     io.write_json(os.path.join(out_dir, "report.json"), rep.to_json_dict())
     io.write_error_curves_csv(os.path.join(out_dir, "error_curves.csv"), rep)
     io.write_moments_csv(os.path.join(out_dir, "mean_moments.csv"), rep.times, rep.mean_moments)
     return ["report.json", "error_curves.csv", "mean_moments.csv"]
 
 
-def _run_epsilon_sweep(x, out_dir, workers):
+def _run_epsilon_sweep(x, out_dir):
     rep = run_epsilon_sweep(x.model, x.agents, eps_list=x.eps_list, dt=x.dt, T=x.T,
                             reduced_dt=x.reduced_dt)
     io.write_json(os.path.join(out_dir, "sweep.json"), rep.to_json_dict())
@@ -530,7 +527,7 @@ class Kind:
     required: dict
     optional: dict
     build: Callable      # (Experiment) -> None: checks ranges, adds the initial data
-    run: Callable        # (Experiment, out_dir, workers) -> artifact names
+    run: Callable        # (Experiment, out_dir) -> artifact names
 
 
 _STRIDE = {"sample_stride": (_count, 1)}
@@ -652,7 +649,7 @@ def validate_config(cfg) -> Plan:
     return plan
 
 
-def run_experiment(cfg, out_dir: str, workers: int = 1) -> list[str]:
+def run_experiment(cfg, out_dir: str) -> list[str]:
     """Run one experiment into out_dir and return its artifact names.
 
     ``cfg`` is a single-experiment config, or an Experiment already built
@@ -660,7 +657,7 @@ def run_experiment(cfg, out_dir: str, workers: int = 1) -> list[str]:
     """
     x = cfg if isinstance(cfg, Experiment) else build(cfg)
     os.makedirs(out_dir, exist_ok=True)
-    return SPECS[x.kind].run(x, out_dir, workers)
+    return SPECS[x.kind].run(x, out_dir)
 
 
 # -- entry points ---------------------------------------------------------------
@@ -708,74 +705,25 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _run_leg(x: Experiment, out_dir: str, cli_workers: int | None) -> tuple[list[str], float]:
-    """Run one built leg into out_dir: its artifact names and its wall time in seconds."""
-    t0 = time.monotonic()
-    artifacts = run_experiment(x, out_dir, workers=cli_workers or x.workers)
-    return artifacts, time.monotonic() - t0
-
-
-_inherited = None   # (plan, --workers) in a forked leg worker; set by its initializer
-
-
-def _inherit(plan: Plan, cli_workers: int | None) -> None:
-    global _inherited
-    _inherited = plan, cli_workers
-
-
-def _run_inherited_leg(k: int, out_dir: str) -> tuple[list[str], float]:
-    plan, cli_workers = _inherited
-    return _run_leg(plan[k], out_dir, cli_workers)
-
-
-def _leg_results(plan: Plan, out_dirs: list[str], cli_workers: int | None):
-    """Run every leg of a plan, yielding (artifacts, wall_s) per leg in sweep order.
-
-    Legs run concurrently in forked worker processes, one per usable CPU and
-    at most one per leg.  The workers inherit the built plan through the
-    fork, since legs hold kernel closures that do not pickle: only a leg
-    index and its out_dir go to a worker, and only the leg's result comes
-    back.  A leg's error is raised in its turn in sweep order; legs not
-    started by then are cancelled, and legs already running finish.  One
-    leg or one usable CPU runs serially in this process, and so do the legs
-    not yet yielded, with one warning, when the fork start method is
-    missing or the pool itself fails.
-    """
-    done = 0
-    n = min(len(plan), _usable_cpus())
-    if n > 1 and "fork" not in multiprocessing.get_all_start_methods():
-        log.warning("no fork start method; running the %d legs serially", len(plan))
-    elif n > 1:
-        pool = None
-        try:
-            pool = ProcessPoolExecutor(n, multiprocessing.get_context("fork"), _inherit,
-                                       (plan, cli_workers))
-            futures = [pool.submit(_run_inherited_leg, k, d) for k, d in enumerate(out_dirs)]
-            for fut in futures:
-                yield fut.result()
-                done += 1
-        except (BrokenProcessPool, OSError) as exc:
-            # an OSError a leg raises itself is raised again by its serial run
-            log.warning("leg worker pool failed (%s); running the remaining legs serially", exc)
-        finally:
-            if pool is not None:
-                pool.shutdown(cancel_futures=True)
-    for k in range(done, len(plan)):
-        yield _run_leg(plan[k], out_dirs[k], cli_workers)
-
-
 def cmd_run(config_path: str, cli_out: str | None, cli_workers: int | None) -> int:
     t0 = time.monotonic()
     try:
         cfg, cfg_hash = _load_config(config_path)
         plan = validate_config(cfg)
+        for x in plan:   # --workers overrides the key, under the key's own rule
+            x.workers = x.workers if cli_workers is None else _count(cli_workers, "workers")
     except CoevnetError as exc:
         return _emit_error(exc, None)
     out_root = (cli_out or cfg.get("out") or os.environ.get(ENV_OUT)
                 or os.path.join(os.getcwd(), "coevnet-out"))
     out_dirs = [os.path.join(out_root, f"sweep-{k:04d}") if plan.sweep else out_root
                 for k in range(len(plan))]
-    results = _leg_results(plan, out_dirs, cli_workers)
+
+    def leg(k: int) -> tuple[list[str], float]:   # its artifact names and wall time in s
+        t1 = time.monotonic()
+        return run_experiment(plan[k], out_dirs[k]), time.monotonic() - t1
+
+    results = _pool.ordered(leg, len(plan), _usable_cpus(), "legs")
     manifest_entries = []
     for x, out_dir in zip(plan, out_dirs):
         try:

@@ -11,12 +11,11 @@ identically zero at t = 0.
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
+from . import _pool
 from .closures import ClosureKind, integrate_closure
 from .errors import IntegrationError, ModelError
 from .jumpsim import DiscreteConfiguration, _sample_grid, simulate_minimal
@@ -99,16 +98,6 @@ class ComparisonReport:
                 "n_samples": int(self.times.size)}
 
 
-def _replica_moments(args) -> np.ndarray:
-    (p_arr, N, rho_p, p_pp, p_mm, p_pm, T, dt, seed, replica) = args
-    rng = np.random.default_rng((seed, replica))
-    cfg = polarized_link_config(N, rho_p, p_pp, p_mm, p_pm, rng)
-    p = MinimalParams(*p_arr)
-    traj = simulate_minimal(cfg, p, T=T, seed=(seed, replica, 1), sample_dt=dt,
-                            record_configs=False, record_moments=True)
-    return traj.moments
-
-
 def _check_on_grid(T: float, dt: float, name: str) -> None:
     """Raise ModelError unless T is a multiple of dt, to within 1e-9."""
     if abs(round(T / dt) * dt - T) > 1e-9:
@@ -144,7 +133,8 @@ def run_comparison(
     """Score ensemble-mean minimal-model moments against both closures.
 
     ``init`` prescribes the generator (rho_p and per-type link densities);
-    replica k uses the seed stream (seed, k).  Closure trajectories start
+    replica k uses the seed stream (seed, k), and the replicas run on the
+    ``_pool`` of ``workers`` forked processes.  Closure trajectories start
     from the realized ensemble-mean moments at t = 0 and are sampled on the
     same dt grid.  The report carries per-component error curves, their
     time-sup, and the Monte-Carlo standard error.
@@ -153,21 +143,13 @@ def run_comparison(
     init = {"rho_p": 0.5, "p_pp": 0.5, "p_mm": 0.5, "p_pm": 0.25, **(init or {})}
     rho_p, p_pp, p_mm, p_pm = (float(init[k]) for k in ("rho_p", "p_pp", "p_mm", "p_pm"))
 
-    arg_list = [
-        (tuple(p.as_array()), N, rho_p, p_pp, p_mm, p_pm, T, dt, seed, k) for k in range(runs)
-    ]
-    results = None
-    if workers > 1:
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                results = list(pool.map(_replica_moments, arg_list))
-        except (BrokenProcessPool, OSError) as exc:
-            # the pool itself failed; errors raised by a replica propagate
-            log.warning("worker pool failed (%s); running replicas serially", exc)
-    if results is None:
-        results = [_replica_moments(args) for args in arg_list]
+    def replica(k: int) -> np.ndarray:
+        rng = np.random.default_rng((seed, k))
+        cfg = polarized_link_config(N, rho_p, p_pp, p_mm, p_pm, rng)
+        return simulate_minimal(cfg, p, T=T, seed=(seed, k, 1), sample_dt=dt,
+                                record_configs=False, record_moments=True).moments
 
-    stack = np.stack(results)                       # (runs, n, 6)
+    stack = np.stack(list(_pool.ordered(replica, runs, workers, "replicas")))   # (runs, n, 6)
     n_grid = stack.shape[1]
     times = _sample_grid(T, dt)
     if times.size != n_grid:

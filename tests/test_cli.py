@@ -1,6 +1,5 @@
 import json
 import logging
-import multiprocessing
 import os
 import re
 from concurrent.futures.process import BrokenProcessPool
@@ -115,6 +114,35 @@ class TestRun:
         payload = json.loads(capsys.readouterr().out)
         assert payload["error"] == "ConfigError"
         assert payload["field"] == "rates.gamma_pm"
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_flag_is_checked_like_the_workers_key(self, tmp_path, capsys, workers):
+        out = tmp_path / "out"
+        key = write_config(tmp_path, minimal_config(workers=workers), name="key.json")
+        assert main(["run", key, "--out", str(out)]) == 2
+        key_err = json.loads(capsys.readouterr().out)
+        flag = write_config(tmp_path, minimal_config())
+        assert main(["run", flag, "--out", str(out), "--workers", str(workers)]) == 2
+        assert json.loads(capsys.readouterr().out) == key_err == {
+            "error": "ConfigError", "exit_code": 2, "field": "workers",
+            "message": f"workers must be a positive integer, got {workers}"}
+        assert not out.exists()
+
+    def test_workers_flag_overrides_the_workers_key(self, tmp_path, capsys, monkeypatch):
+        from coevnet import cli
+        from coevnet.errors import ModelError
+        seen = []
+
+        def stopped_comparison(*args, workers, **kwargs):
+            seen.append(workers)
+            raise ModelError("stopped")
+        monkeypatch.setattr(cli, "run_comparison", stopped_comparison)
+        cfg = {"kind": "compare", "N": 12, "runs": 2, "T": 0.5, "dt": 0.25, "workers": 2,
+               "rates": minimal_config()["rates"], "init": minimal_config()["init"]}
+        path = write_config(tmp_path, cfg)
+        for argv in ([], ["--workers", "3"]):
+            assert main(["run", path, "--out", str(tmp_path / "out"), *argv]) == 3
+        assert seen == [2, 3]
 
     def test_compare_smoke_report_fields(self, tmp_path):
         cfg = {
@@ -585,10 +613,10 @@ class TestConcurrentSweep:
         log = tmp_path / "pids"
         real_run_experiment = cli.run_experiment
 
-        def logging_run_experiment(x, out_dir, workers=1):
+        def logging_run_experiment(x, out_dir):
             with open(log, "a") as f:
                 f.write(f"{os.getpid()}\n")
-            return real_run_experiment(x, out_dir, workers)
+            return real_run_experiment(x, out_dir)
         monkeypatch.setattr(cli, "run_experiment", logging_run_experiment)
 
         def read():
@@ -602,7 +630,6 @@ class TestConcurrentSweep:
         out = tmp_path / name
         code = main(["run", path, "--out", str(out)])
         stdout = capsys.readouterr().out
-        assert multiprocessing.active_children() == []
         return code, (json.loads(stdout) if code else stdout), out
 
     def test_pool_and_serial_runs_write_the_same_bytes(self, tmp_path, capsys, cpus, leg_pids):
@@ -653,7 +680,7 @@ class TestConcurrentSweep:
         from coevnet import cli
         from coevnet.errors import ModelError
 
-        def failing_run(x, out_dir, workers):
+        def failing_run(x, out_dir):
             if x.seed == 0:   # leg 0 fails last
                 time.sleep(0.3)
                 raise ModelError("leg 0 failed")
@@ -691,12 +718,12 @@ class TestConcurrentSweep:
                              ids=["BrokenProcessPool", "OSError"])
     def test_a_pool_failing_on_submit_falls_back_to_serial(self, tmp_path, capsys, caplog, cpus,
                                                            monkeypatch, leg_pids, exc):
-        from coevnet import cli
+        from coevnet import _pool
 
-        class FailingPool(cli.ProcessPoolExecutor):
+        class FailingPool(_pool.ProcessPoolExecutor):
             def submit(self, *args, **kwargs):
                 raise exc
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", FailingPool)
+        monkeypatch.setattr(_pool, "ProcessPoolExecutor", FailingPool)
         cfg = four_kind_sweep()
         cpus(1)
         assert self.run_sweep(tmp_path, capsys, cfg, "serial")[0] == 0
@@ -711,8 +738,8 @@ class TestConcurrentSweep:
 
     def test_without_fork_the_legs_run_serially(self, tmp_path, capsys, caplog, cpus,
                                                  monkeypatch, leg_pids):
-        from coevnet import cli
-        monkeypatch.setattr(cli.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+        from coevnet import _pool
+        monkeypatch.setattr(_pool.multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         cpus(2)
         code, _, _ = self.run_sweep(tmp_path, capsys, four_kind_sweep(), "spawn")
         assert code == 0
@@ -728,7 +755,7 @@ class TestConcurrentSweep:
         parent = os.getpid()
         real_run = cli.SPECS["closure"].run
 
-        def dying_run(x, out_dir, workers):
+        def dying_run(x, out_dir):
             if x.seed == 1 and os.getpid() != parent:
                 # die once leg 0 has written its artifacts: the pool then stops
                 # the other worker, which would leave a half-written temp file
@@ -737,7 +764,7 @@ class TestConcurrentSweep:
                 while not leg0.exists() and time.monotonic() < deadline:
                     time.sleep(0.01)
                 os._exit(1)
-            return real_run(x, out_dir, workers)
+            return real_run(x, out_dir)
         cfg = {"sweep": [closure_stationary_config(seed=0), closure_stationary_config(seed=1)]}
         cpus(1)
         assert self.run_sweep(tmp_path, capsys, cfg, "serial")[0] == 0
@@ -750,3 +777,38 @@ class TestConcurrentSweep:
         assert [r.levelno for r in caplog.records if r.levelno >= logging.WARNING] == [
             logging.WARNING]
         assert csv_bytes(out) == csv_bytes(tmp_path / "serial")
+
+    def test_a_worker_stopped_inside_a_write_leaves_no_temp_file(
+            self, tmp_path, capsys, caplog, cpus, monkeypatch):
+        import dataclasses
+        import time
+        from coevnet import cli, io
+        parent = os.getpid()
+        real_run = cli.SPECS["closure"].run
+
+        def wait_for(done):
+            deadline = time.monotonic() + 30
+            while not done() and time.monotonic() < deadline:
+                time.sleep(0.01)
+
+        def blocked_chunks():
+            yield "first chunk\n"
+            wait_for(lambda: False)   # until the pool stops this worker
+
+        def stopped_run(x, out_dir):
+            if os.getpid() != parent and x.seed == 0:
+                io._atomic_write(os.path.join(out_dir, "blocked.csv"), blocked_chunks())
+            elif os.getpid() != parent:
+                # die once leg 0 is inside its write: the pool then stops leg 0's worker
+                wait_for(lambda: any((Path(out_dir).parent / "sweep-0000").glob(".tmp-*")))
+                os._exit(1)
+            return real_run(x, out_dir)
+        monkeypatch.setitem(cli.SPECS, "closure",
+                            dataclasses.replace(cli.SPECS["closure"], run=stopped_run))
+        cpus(2)
+        cfg = {"sweep": [closure_stationary_config(seed=0), closure_stationary_config(seed=1)]}
+        code, _, out = self.run_sweep(tmp_path, capsys, cfg, "stopped")
+        assert code == 0
+        assert len([r for r in caplog.records if r.levelno >= logging.WARNING]) == 1
+        assert list(out.rglob(".tmp-*")) == []
+        assert (out / "sweep-0001" / "summary.json").exists()

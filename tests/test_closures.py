@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from coevnet.closures import (
     ClosureKind,
@@ -254,6 +255,37 @@ class TestIntegrate:
         p = MinimalParams(1, 1, 0.5, 0.5, 0.5, 0.5, 0.5, 0.5)
         traj = integrate_closure(m0, p, ClosureKind.KIRKWOOD, dt=1e-3, T=0.1)
         assert traj.kirkwood_artifact
+
+
+_unit = st.floats(0.0, 1.0)
+_rates = st.lists(st.floats(0.0, 2.0), min_size=8, max_size=8).map(lambda v: MinimalParams(*v))
+
+
+@st.composite
+def on_product_manifold(draw):
+    """Moments with h_pp = rho_+^2, h_mm = rho_-^2, h_pm = rho_+ rho_- and any
+    link fractions, where the three Kirkwood factors are 1."""
+    rho = draw(st.floats(0.05, 0.95))
+    h = (rho * rho, (1.0 - rho) ** 2, rho * (1.0 - rho))
+    links = [draw(_unit) for _ in h]
+    return MinimalMoments(*[v for hk, lk in zip(h, links) for v in (lk * hk, (1.0 - lk) * hk)])
+
+
+class TestProductManifold:
+    """Kirkwood equals conditional on the product manifold, which the flow keeps."""
+
+    @settings(max_examples=150)
+    @given(on_product_manifold(), _rates)
+    def test_closure_rhs_agrees_to_rounding(self, m, p):
+        gap = closure_rhs(m, p, ClosureKind.KIRKWOOD) - closure_rhs(m, p, ClosureKind.CONDITIONAL)
+        assert np.max(np.abs(gap)) <= 1e-15
+
+    @settings(max_examples=20)
+    @given(on_product_manifold(), _rates)
+    def test_trajectories_agree_to_rounding(self, m, p):
+        a, b = (integrate_closure(m, p, kind, dt=1e-3, T=2.0) for kind in KINDS)
+        assert a.status == b.status and np.array_equal(a.times, b.times)
+        assert np.max(np.abs(a.moments - b.moments)) <= 1e-14
 
 
 class TestStationaryPolarized:

@@ -1,10 +1,11 @@
 import logging
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from coevnet import compare
+from coevnet import _pool, compare
 from coevnet.compare import (
     polarized_link_config,
     run_comparison,
@@ -41,6 +42,11 @@ class TestGenerator:
         m2 = minimal_moments(polarized_link_config(30, 0.4, 0.3, 0.3, 0.2,
                                                    np.random.default_rng(2)))
         assert np.array_equal(m1.as_array(), m2.as_array())
+
+
+class FailingPool(_pool.ProcessPoolExecutor):
+    def submit(self, *args, **kwargs):
+        raise BrokenProcessPool("pool broke")
 
 
 class TestRunComparison:
@@ -89,11 +95,26 @@ class TestRunComparison:
     def test_replica_error_propagates_from_the_pool(self, caplog):
         # rho_p is checked inside each replica: the error is raised once,
         # without a serial rerun of every replica
-        with caplog.at_level(logging.WARNING, logger="coevnet.compare"):
+        with caplog.at_level(logging.WARNING, logger="coevnet._pool"):
             with pytest.raises(ModelError, match="rho_p"):
                 run_comparison(self.P_EQUAL, N=20, runs=2, T=0.5, dt=0.25, seed=0,
                                init={"rho_p": 1.5}, workers=2)
         assert not caplog.records
+
+    @pytest.mark.parametrize("target, name, value, warning", [
+        (_pool, "ProcessPoolExecutor", FailingPool,
+         "worker pool failed (pool broke); running the remaining replicas serially"),
+        (_pool.multiprocessing, "get_all_start_methods", lambda: ["spawn"],
+         "no fork start method; running the 4 replicas serially"),
+    ], ids=["pool-fails-on-submit", "no-fork"])
+    def test_replicas_run_serially_when_the_pool_cannot(self, caplog, monkeypatch, target, name,
+                                                        value, warning):
+        a = run_comparison(self.P_EQUAL, N=20, runs=4, T=0.5, dt=0.25, seed=9, workers=1)
+        monkeypatch.setattr(target, name, value)
+        with caplog.at_level(logging.WARNING, logger="coevnet._pool"):
+            b = run_comparison(self.P_EQUAL, N=20, runs=4, T=0.5, dt=0.25, seed=9, workers=2)
+        assert np.array_equal(a.mean_moments, b.mean_moments)
+        assert [r.message for r in caplog.records] == [warning]
 
     def test_sample_count_mismatch_raises(self, monkeypatch):
         monkeypatch.setattr(compare, "_sample_grid", lambda T, dt: np.zeros(1))
