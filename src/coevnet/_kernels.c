@@ -1,8 +1,9 @@
 /* The compiled kernels of coevnet, loaded through ctypes by _native.py.
  *
  * 1. coevnet_closure_loop: the fixed-step RK4 loop of the six-moment closure
- *    system, a line-by-line port of closures._rhs_arrays_py and
- *    closures._integrate_loop_py.
+ *    system, a port of closures._rhs_arrays_py and of the reference loop
+ *    closures._integrate_loop_py, which runs on stepping.run_grid and
+ *    follows its rules for records and failures.
  * 2. coevnet_minimal_init / coevnet_minimal_run: the exact Gillespie loop of
  *    the binary minimal model, a port of jumpsim._MinimalEngine.run and
  *    the mutations and samplers it calls.
@@ -55,10 +56,12 @@ static void rhs(const double *y, const double *r, int kirk, double *out)
         - b_pm * g_pm + c_pm * f_pm;
 }
 
-/* recs holds n_steps / stride + 1 rows of 6, rec_steps as many entries;
- * counts receives (n_rec, clamp_count, steps_done).  Returns the status:
- * 0 = completed, 1 = consensus boundary or non-finite step, 2 = negativity
- * beyond neg_tol. */
+/* Records step 0, every stride-th step and the last step, as run_grid
+ * samples, so recs holds n_steps / stride + 2 rows of 6 and rec_steps as
+ * many entries; a stop records nothing more.  counts receives (n_rec,
+ * clamp_count, steps_done).  Returns the status: 0 = completed,
+ * 1 = consensus boundary, 2 = negativity beyond neg_tol, 3 = non-finite
+ * step. */
 int coevnet_closure_loop(const double *y0, const double *r, int kirk, double dt,
                          int64_t n_steps, int64_t stride, double delta, double neg_tol,
                          double *recs, int64_t *rec_steps, int64_t *counts)
@@ -98,11 +101,11 @@ int coevnet_closure_loop(const double *y0, const double *r, int kirk, double dt,
             if (!isfinite(y_new[i]))
                 bad = 1;
         if (bad) {
-            status = 1;
+            status = 3;
             break;
         }
         /* keep scanning after a component beyond tolerance: the reference
-         * loop clamps (and counts) the later ones of the same step too */
+         * step counts every undershoot within it, the later ones too */
         for (i = 0; i < 6; i++) {
             if (y_new[i] < 0.0) {
                 if (y_new[i] < -neg_tol) {
@@ -119,7 +122,7 @@ int coevnet_closure_loop(const double *y0, const double *r, int kirk, double dt,
         for (i = 0; i < 6; i++)
             y[i] = y_new[i];
         steps_done = step;
-        if (step % stride == 0) {
+        if (step % stride == 0 || step == n_steps) {
             for (i = 0; i < 6; i++)
                 recs[6 * n_rec + i] = y[i];
             rec_steps[n_rec] = step;

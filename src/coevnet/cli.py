@@ -55,7 +55,7 @@ from .closures import (
     stationary_polarized,
     with_cross_creation,
 )
-from .compare import (_check_sweep_grid, check_comparison_grid, polarized_link_config,
+from .compare import (check_comparison_grid, check_epsilon_sweep, polarized_link_config,
                       run_comparison, run_epsilon_sweep)
 from .errors import CoevnetError, ConfigError, InvariantViolation
 from .jumpsim import DiscreteConfiguration, HybridConfiguration, simulate_hybrid_bc, simulate_minimal, simulate_voter
@@ -386,10 +386,8 @@ def _build_compare(x):
 
 
 def _build_epsilon_sweep(x):
-    if any(e <= 0 for e in x.eps_list):
-        raise ConfigError("eps values must be positive", field="eps_list")
     _build_agents(x)
-    _check_sweep_grid(x.T, x.dt, x.reduced_dt)
+    check_epsilon_sweep(x.eps_list, x.T, x.dt, x.reduced_dt)
 
 
 # -- runs: integrate a built experiment, write its artifacts ---------------------
@@ -705,13 +703,22 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def cmd_run(config_path: str, cli_out: str | None, cli_workers: int | None) -> int:
+def _flag_value(text: str):
+    """A flag's text read as the JSON value it spells, else the text itself."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        return text
+
+
+def cmd_run(config_path: str, cli_out: str | None, cli_workers: str | None) -> int:
     t0 = time.monotonic()
     try:
         cfg, cfg_hash = _load_config(config_path)
         plan = validate_config(cfg)
         for x in plan:   # --workers overrides the key, under the key's own rule
-            x.workers = x.workers if cli_workers is None else _count(cli_workers, "workers")
+            x.workers = (x.workers if cli_workers is None
+                         else _count(_flag_value(cli_workers), "workers"))
     except CoevnetError as exc:
         return _emit_error(exc, None)
     out_root = (cli_out or cfg.get("out") or os.environ.get(ENV_OUT)
@@ -754,7 +761,7 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", help="output directory (overrides config and env)")
-    p_run.add_argument("--workers", type=int, help="intra-experiment worker count")
+    p_run.add_argument("--workers", help="intra-experiment worker count")
     p_val = sub.add_parser("validate", help="build a config's initial data without running it")
     p_val.add_argument("config")
     args = parser.parse_args(argv)

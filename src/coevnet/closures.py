@@ -26,11 +26,13 @@ The Kirkwood variant multiplies each flip term by h_pp/rho_p^2, h_mm/rho_m^2
 or h_pm/(rho_p rho_m) according to the state pair of the passive partner and
 the flip-driving third particle.
 
-The fixed-step RK4 loop exists twice.  ``_integrate_loop_py`` is the
-pure-python reference.  ``coevnet_closure_loop`` in ``_kernels.c`` is its C
-port, built and loaded by ``_native``.  The two loops are bitwise equal.
+The closure trajectory runs in ``coevnet_closure_loop`` of ``_kernels.c``,
+built and loaded by ``_native``.  Its pure-python reference
+``_integrate_loop_py`` is ``stepping.rk4_step`` on ``stepping.run_grid``, and
+the C loop follows run_grid's rules: it records step 0, every stride-th and
+the last step, and a non-finite step fails.  The two are bitwise equal.
 Without a working compiler the package logs a warning and runs the python
-loop, several hundred times slower.
+reference, several hundred times slower.
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ from .errors import (
 )
 from .models import MinimalParams
 from .moments import MinimalMoments
+from .stepping import grid_steps, rk4_step, run_grid
 
 log = logging.getLogger(__name__)
 
@@ -65,15 +68,18 @@ class ClosureKind(str, Enum):
     CONDITIONAL = "conditional"
     KIRKWOOD = "kirkwood"
 
+    @classmethod
+    def _missing_(cls, value):
+        raise ModelError(f"unknown closure kind {value!r}")
 
-def _kind_flag(kind) -> int:
-    if isinstance(kind, ClosureKind):
-        return 1 if kind is ClosureKind.KIRKWOOD else 0
-    if kind in ("conditional", "cond"):
-        return 0
-    if kind in ("kirkwood", "kirk"):
-        return 1
-    raise ModelError(f"unknown closure kind {kind!r}")
+
+def _flip_factors(kirk, h_pp, h_mm, h_pm, rho_p, rho_m):
+    """(kpp, kmm, kpm), the factors of the flip terms: h over the product of
+    the densities under Kirkwood (``kirk`` true), 1 under the conditional
+    closure."""
+    if not kirk:
+        return 1.0, 1.0, 1.0
+    return h_pp / (rho_p * rho_p), h_mm / (rho_m * rho_m), h_pm / (rho_p * rho_m)
 
 
 # -- reference loop (pure python; the compiled loop must match it bitwise) ---
@@ -88,17 +94,7 @@ def _rhs_arrays_py(y, r, kirk):
     g_pm = y[5]
     rho_p = f_pp + g_pp + f_pm + g_pm
     rho_m = f_mm + g_mm + f_pm + g_pm
-    if kirk == 1:
-        h_pp = f_pp + g_pp
-        h_mm = f_mm + g_mm
-        h_pm = f_pm + g_pm
-        kpp = h_pp / (rho_p * rho_p)
-        kmm = h_mm / (rho_m * rho_m)
-        kpm = h_pm / (rho_p * rho_m)
-    else:
-        kpp = 1.0
-        kmm = 1.0
-        kpm = 1.0
+    kpp, kmm, kpm = _flip_factors(kirk, f_pp + g_pp, f_mm + g_mm, f_pm + g_pm, rho_p, rho_m)
     a_pm = r[0]
     a_mp = r[1]
     b_pp = r[2]
@@ -124,58 +120,57 @@ def _rhs_arrays_py(y, r, kirk):
     return out
 
 
+class _Stop(Exception):
+    """Carries a loop status out of run_grid, after ``steps_done`` steps."""
+
+    def __init__(self, status: int, steps_done: float):
+        super().__init__(status)
+        self.status, self.steps_done = status, int(steps_done)
+
+
 def _integrate_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
     """Fixed-step RK4 with consensus stop, negativity clamping and striding.
 
-    Returns (records, record_steps, n_records, status, clamp_count, steps_done)
-    with status 0 = completed, 1 = consensus boundary, 2 = negativity beyond
-    tolerance.
+    run_grid walks the grid of step indices (t0 = 0, dt = 1), so its t is
+    the number of steps done; it records step 0, every stride-th step and
+    the last.  Returns (records, record_steps, n_records, status,
+    clamp_count, steps_done) with status 0 = completed, 1 = consensus
+    boundary, 2 = negativity beyond tolerance, 3 = non-finite step; a stop
+    records nothing more.
     """
-    n_rec_max = n_steps // stride + 1
+    n_rec_max = n_steps // stride + 2
     recs = np.empty((n_rec_max, 6))
     rec_steps = np.empty(n_rec_max, dtype=np.int64)
-    recs[0, :] = y0
-    rec_steps[0] = 0
-    y = y0.copy()
-    n_rec = 1
-    clamped = 0
-    status = 0
-    steps_done = 0
-    for step in range(1, n_steps + 1):
+    n_rec = clamped = 0
+
+    def step(y, k):
+        nonlocal clamped
         rho_p = y[0] + y[1] + y[4] + y[5]
         rho_m = y[2] + y[3] + y[4] + y[5]
         if rho_p * rho_m <= delta:
-            status = 1
-            break
-        k1 = _rhs_arrays_py(y, r, kirk)
-        k2 = _rhs_arrays_py(y + (0.5 * dt) * k1, r, kirk)
-        k3 = _rhs_arrays_py(y + (0.5 * dt) * k2, r, kirk)
-        k4 = _rhs_arrays_py(y + dt * k3, r, kirk)
-        y_new = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        bad = False
-        for i in range(6):
-            if not np.isfinite(y_new[i]):
-                bad = True
-        if bad:
-            status = 1
-            break
-        for i in range(6):
-            if y_new[i] < 0.0:
-                if y_new[i] < -neg_tol:
-                    status = 2
-                    bad = True
-                else:
-                    y_new[i] = 0.0
-                    clamped += 1
-        if bad:
-            break
-        y = y_new
-        steps_done = step
-        if step % stride == 0:
-            recs[n_rec, :] = y
-            rec_steps[n_rec] = step
-            n_rec += 1
-    return recs, rec_steps, n_rec, status, clamped, steps_done
+            raise _Stop(1, k)
+        y_new = rk4_step(lambda z: _rhs_arrays_py(z, r, kirk), y, dt)
+        if not np.isfinite(y_new).all():
+            raise _Stop(3, k)
+        below = y_new < 0.0
+        beyond = y_new < -neg_tol
+        clamped += int(np.count_nonzero(below & ~beyond))
+        if beyond.any():
+            raise _Stop(2, k)
+        y_new[below] = 0.0
+        return y_new
+
+    def sample(y, k):
+        nonlocal n_rec
+        recs[n_rec] = y
+        rec_steps[n_rec] = k
+        n_rec += 1
+
+    try:
+        run_grid(step, y0, 0.0, 1.0, float(n_steps), stride, sample, step_checks_finite=True)
+    except _Stop as stop:
+        return recs, rec_steps, n_rec, stop.status, clamped, stop.steps_done
+    return recs, rec_steps, n_rec, 0, clamped, n_steps
 
 
 # -- compiled loop -------------------------------------------------------------
@@ -200,7 +195,7 @@ def _bind_loop(lib):
             raise ValueError("the closure loop takes 6 moments and 8 rates")
         if n_steps < 0 or stride < 1:
             raise ValueError("the closure loop needs n_steps >= 0 and stride >= 1")
-        n_rec_max = n_steps // stride + 1
+        n_rec_max = n_steps // stride + 2
         recs = np.empty((n_rec_max, 6))
         rec_steps = np.empty(n_rec_max, dtype=np.int64)
         counts = np.empty(3, dtype=np.int64)
@@ -222,7 +217,7 @@ def closure_rhs_array(y, p: MinimalParams, kind) -> np.ndarray:
     if rho_p * rho_m <= DELTA_CONSENSUS:
         raise ConsensusBoundary(f"rho_+ rho_- = {rho_p * rho_m:.3e} at or below the "
                                 f"consensus threshold {DELTA_CONSENSUS:g}")
-    return _rhs_arrays_py(y, p.as_array(), _kind_flag(kind))
+    return _rhs_arrays_py(y, p.as_array(), ClosureKind(kind) is ClosureKind.KIRKWOOD)
 
 
 def closure_rhs(m: MinimalMoments, p: MinimalParams, kind) -> np.ndarray:
@@ -257,13 +252,8 @@ def weight_averaged_rhs(m, p: MinimalParams, kind,
         rho_p, rho_m = rho_override
     if rho_p * rho_m <= DELTA_CONSENSUS:
         raise ConsensusBoundary("consensus boundary in weight-averaged equations")
-    kirk = _kind_flag(kind) == 1
-    if kirk:
-        kpp = h_pp / (rho_p * rho_p)
-        kmm = h_mm / (rho_m * rho_m)
-        kpm = h_pm / (rho_p * rho_m)
-    else:
-        kpp = kmm = kpm = 1.0
+    kpp, kmm, kpm = _flip_factors(ClosureKind(kind) is ClosureKind.KIRKWOOD,
+                                  h_pp, h_mm, h_pm, rho_p, rho_m)
     dh_pp = p.alpha_mp * h_pm * f_pm / rho_m * kpp - p.alpha_pm * h_pp * f_pm / rho_p * kpm
     dh_mm = p.alpha_pm * h_pm * f_pm / rho_p * kmm - p.alpha_mp * h_mm * f_pm / rho_m * kpm
     dh_pm = -0.5 * (dh_pp + dh_mm)
@@ -330,32 +320,30 @@ def integrate_closure(
     T: float,
     sample_stride: int = 1,
 ) -> ClosureTrajectory:
-    """RK4 trajectory of the closure system, sampled every sample_stride steps.
+    """RK4 trajectory of the closure system, sampled at t = 0, every
+    sample_stride steps and at T.
 
     Stops early (status "consensus_boundary") when rho_+ rho_- falls to the
     consensus threshold; tiny negative undershoots in (-1e-9, 0) are clamped
-    to zero and counted, larger ones raise IntegrationError.  Conservation of
-    rho_+ + rho_- (and of rho_+ itself for equal flip rates) is asserted on
-    every sample.
+    to zero and counted, larger ones raise IntegrationError, and so does a
+    non-finite step.  Conservation of rho_+ + rho_- (and of rho_+ itself for
+    equal flip rates) is asserted on every sample.
     """
-    if dt <= 0:
-        raise ModelError("dt must be positive")
-    if T < 0:
-        raise ModelError("T must be nonnegative")
-    if sample_stride < 1:
-        raise ModelError("sample_stride must be >= 1")
+    n_steps = grid_steps(dt, T, sample_stride)
     check_initial_moments(m0)
     y0 = m0.as_array()
     rho_p0 = m0.rho_p
-    kirk = _kind_flag(kind)
-    n_steps = int(round(T / dt)) if T > 0 else 0
+    kind = ClosureKind(kind)
+    kirk = kind is ClosureKind.KIRKWOOD
     recs, rec_steps, n_rec, status, clamped, steps_done = _integrate_loop(
-        y0, p.as_array(), kirk, dt, n_steps, sample_stride,
+        y0, p.as_array(), int(kirk), dt, n_steps, sample_stride,
         DELTA_CONSENSUS, NEG_CLAMP_TOL)
     if status == 2:
         raise IntegrationError(
             "closure integration produced a negative component beyond tolerance "
             f"after {steps_done} steps; reduce dt")
+    if status == 3:
+        raise IntegrationError(f"non-finite state in the step from t={steps_done * dt:.6g}")
     moments = recs[:n_rec].copy()
     times = rec_steps[:n_rec] * dt
     if clamped:
@@ -374,9 +362,7 @@ def integrate_closure(
     if artifact:
         log.warning("kirkwood trajectory entered the h_pp + h_mm ~ 0 artifact regime")
     return ClosureTrajectory(
-        times=times, moments=moments,
-        kind=ClosureKind.KIRKWOOD if kirk else ClosureKind.CONDITIONAL,
-        params=p,
+        times=times, moments=moments, kind=kind, params=p,
         status="consensus_boundary" if status == 1 else "completed",
         clamp_events=int(clamped),
         kirkwood_artifact=artifact,
@@ -465,7 +451,7 @@ def linearized_jacobian(p: MinimalParams, m_star: MinimalMoments, kind) -> Jacob
     resid = float(np.max(np.abs(closure_rhs(m_star, p, kind))))
     if resid > _STATIONARY_TOL:
         raise ModelError(f"input is not stationary: residual {resid:.3e} > {_STATIONARY_TOL:g}")
-    kirk = _kind_flag(kind) == 1
+    kind = ClosureKind(kind)
     rho_p, rho_m = m_star.rho_p, m_star.rho_m
     f_pp, g_pp = m_star.f_pp, m_star.g_pp
     f_mm, g_mm = m_star.f_mm, m_star.g_mm
@@ -473,12 +459,8 @@ def linearized_jacobian(p: MinimalParams, m_star: MinimalMoments, kind) -> Jacob
     a_pm, a_mp = p.alpha_pm, p.alpha_mp
     b_pp, b_mm, b_pm = p.beta_pp, p.beta_mm, p.beta_pm
     c_pp, c_mm, c_pm = p.gamma_pp, p.gamma_mm, p.gamma_pm
-    if kirk:
-        kpp = m_star.h_pp / (rho_p * rho_p)
-        kmm = m_star.h_mm / (rho_m * rho_m)
-        kpm = m_star.h_pm / (rho_p * rho_m)
-    else:
-        kpp = kmm = kpm = 1.0
+    kpp, kmm, kpm = _flip_factors(kind is ClosureKind.KIRKWOOD,
+                                  m_star.h_pp, m_star.h_mm, m_star.h_pm, rho_p, rho_m)
 
     J = np.zeros((6, 6))
     J[0, 0] = -c_pp
@@ -500,8 +482,7 @@ def linearized_jacobian(p: MinimalParams, m_star: MinimalMoments, kind) -> Jacob
                + c_pm)
     J[5, 5] = -b_pm
     eig = np.linalg.eigvals(J)
-    return JacobianReport(matrix=J, eigenvalues=eig, lambda_pm=float(J[4, 4]),
-                          kind=ClosureKind.KIRKWOOD if kirk else ClosureKind.CONDITIONAL)
+    return JacobianReport(matrix=J, eigenvalues=eig, lambda_pm=float(J[4, 4]), kind=kind)
 
 
 def finite_difference_jacobian(y, p: MinimalParams, kind, h: float = 1e-6) -> np.ndarray:
@@ -562,7 +543,7 @@ def decay_envelope_check(traj: ClosureTrajectory, p: MinimalParams, kind) -> Env
     and gamma_pm - (alpha_pm + alpha_mp) under Kirkwood.  The bounds assume
     no cross-link creation (beta_pm = 0); a failure is reported, not raised.
     """
-    kirk = _kind_flag(kind) == 1
+    kirk = ClosureKind(kind) is ClosureKind.KIRKWOOD
     alpha_sum = p.alpha_pm + p.alpha_mp
     rate = p.gamma_pm - (alpha_sum if kirk else 0.5 * alpha_sum)
     if rate <= 0:
@@ -608,13 +589,13 @@ def _phi_root_gpm(p: MinimalParams, rho_p: float, rho_m: float) -> float:
     return 0.5 * (p.alpha_pm + p.alpha_mp) / (p.alpha_pm / rho_p + p.alpha_mp / rho_m)
 
 
-def _reduced_residual(x, p_eps: MinimalParams, rho_p: float, rho_m: float, kirk_flag: int,
+def _reduced_residual(x, p_eps: MinimalParams, rho_p: float, rho_m: float, kirk: bool,
                       use_phi: bool) -> np.ndarray:
     f_pp, f_mm, f_pm, g_pm = x
     g_pp = rho_p - f_pm - g_pm - f_pp
     g_mm = rho_m - f_pm - g_pm - f_mm
     y = np.array([f_pp, g_pp, f_mm, g_mm, f_pm, g_pm])
-    rhs = _rhs_arrays_py(y, p_eps.as_array(), kirk_flag)
+    rhs = _rhs_arrays_py(y, p_eps.as_array(), kirk)
     out = np.array([rhs[0], rhs[2], rhs[4], rhs[5]])
     if use_phi:
         # (df_pm + dg_pm) factors as f_pm * Phi; use Phi to desingularize
@@ -641,7 +622,7 @@ def check_continuation(p: MinimalParams, rho_p: float, kind) -> None:
         if rate.name != "beta_pm" and not getattr(p, rate.name) > 0:
             raise ModelError(f"continuation requires positive rate {rate.name}")
     alpha_sum = p.alpha_pm + p.alpha_mp
-    if _kind_flag(kind):
+    if ClosureKind(kind) is ClosureKind.KIRKWOOD:
         if not p.gamma_pm > alpha_sum:
             raise ModelError("kirkwood continuation requires gamma_pm > alpha_pm + alpha_mp")
     elif not 2 * p.gamma_pm > alpha_sum:
@@ -673,7 +654,8 @@ def continue_small_epsilon(p: MinimalParams, rho_p: float, kind) -> StationaryBr
     """
     check_continuation(p, rho_p, kind)
     eps = p.beta_pm
-    kirk_flag = _kind_flag(kind)
+    kind = ClosureKind(kind)
+    kirk = kind is ClosureKind.KIRKWOOD
     rho_m = 1.0 - rho_p
     seed_g = min(_phi_root_gpm(p, rho_p, rho_m), rho_p, rho_m)
     seed_m = stationary_polarized(with_cross_creation(p, 0.0), rho_p, seed_g)
@@ -681,18 +663,18 @@ def continue_small_epsilon(p: MinimalParams, rho_p: float, kind) -> StationaryBr
     def solve_at(eps_val: float):
         p_eps = with_cross_creation(p, eps_val)
         x = np.array([seed_m.f_pp, seed_m.f_mm, 0.0, seed_m.g_pm])
-        use_phi = kirk_flag == 0
+        use_phi = not kirk
         h = 1e-7
         for it in range(1, _NEWTON_MAX_ITER + 1):
-            G = _reduced_residual(x, p_eps, rho_p, rho_m, kirk_flag, use_phi)
+            G = _reduced_residual(x, p_eps, rho_p, rho_m, kirk, use_phi)
             if np.max(np.abs(G)) < 1e-13:
                 return x, it
             J = np.empty((4, 4))
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = h
-                J[:, j] = (_reduced_residual(x + e, p_eps, rho_p, rho_m, kirk_flag, use_phi)
-                           - _reduced_residual(x - e, p_eps, rho_p, rho_m, kirk_flag, use_phi)) / (2 * h)
+                J[:, j] = (_reduced_residual(x + e, p_eps, rho_p, rho_m, kirk, use_phi)
+                           - _reduced_residual(x - e, p_eps, rho_p, rho_m, kirk, use_phi)) / (2 * h)
             if use_phi:
                 try:
                     step = np.linalg.solve(J, G)
@@ -701,7 +683,7 @@ def continue_small_epsilon(p: MinimalParams, rho_p: float, kind) -> StationaryBr
             else:
                 step, *_ = np.linalg.lstsq(J, G, rcond=None)
             x = x - step
-        G = _reduced_residual(x, p_eps, rho_p, rho_m, kirk_flag, use_phi)
+        G = _reduced_residual(x, p_eps, rho_p, rho_m, kirk, use_phi)
         if np.max(np.abs(G)) < 1e-10:
             return x, _NEWTON_MAX_ITER
         raise ContinuationFailed(
@@ -740,6 +722,6 @@ def continue_small_epsilon(p: MinimalParams, rho_p: float, kind) -> StationaryBr
         moments=MinimalMoments.from_array(y),
         dfdeps=float(dfdeps),
         residual=resid,
-        kind=ClosureKind.KIRKWOOD if kirk_flag else ClosureKind.CONDITIONAL,
+        kind=kind,
         newton_iterations=iters,
     )

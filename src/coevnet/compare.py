@@ -113,8 +113,11 @@ def check_comparison_grid(N: int, runs: int, T: float, dt: float) -> None:
     _check_on_grid(T, dt, "the sampling dt")
 
 
-def _check_sweep_grid(T: float, dt: float, reduced_dt: float | None) -> None:
-    """Raise ModelError unless T is on the grids of both the legs and the reduced run."""
+def check_epsilon_sweep(eps_list, T: float, dt: float, reduced_dt: float | None) -> None:
+    """Raise ModelError unless every eps is positive and T is on the grids of
+    both the legs and the reduced run."""
+    if any(e <= 0 for e in eps_list):
+        raise ModelError("eps values must be positive")
     _check_on_grid(T, dt, "dt")
     _check_on_grid(T, dt if reduced_dt is None else reduced_dt, "reduced_dt")
 
@@ -216,9 +219,7 @@ def run_epsilon_sweep(
     violation is reported via ``monotone`` and a warning, not an exception.
     """
     eps_list = [float(e) for e in eps_list]
-    if any(e <= 0 for e in eps_list):
-        raise ModelError("eps values must be positive")
-    _check_sweep_grid(T, dt, reduced_dt)
+    check_epsilon_sweep(eps_list, T, dt, reduced_dt)
     if not eps_list:
         return EpsilonSweepReport(eps=[], gaps=[], monotone=True, T=T, dt=dt)
     target = integrate_reduced(cfg0.states, model,

@@ -5,7 +5,9 @@ through ``run_grid``, which owns the grid, the finiteness check (or leaves
 it to a step that makes it) and the sampling rule.  The integrator passes
 only its one-step function, built on ``rk4_step``, an Euler update or
 ``rkf45_advance`` (adaptive substeps between grid points).  A failed step
-raises IntegrationError; no integrator returns a truncated trajectory.
+raises IntegrationError; no integrator returns a truncated trajectory.  The
+compiled closure loop of ``_kernels.c`` keeps the same grid, sampling rule
+and failure on a non-finite state.
 """
 
 from __future__ import annotations
@@ -17,6 +19,18 @@ import numpy as np
 from .errors import IntegrationError, ModelError
 
 Rhs = Callable[[np.ndarray], np.ndarray]
+
+
+def grid_steps(dt: float, T: float, stride: int) -> int:
+    """round(T / dt), the steps of a grid run; ModelError unless dt > 0,
+    T >= 0 and the sample stride is >= 1."""
+    if dt <= 0:
+        raise ModelError("dt must be positive")
+    if T < 0:
+        raise ModelError("T must be nonnegative")
+    if stride < 1:
+        raise ModelError("sample_stride must be >= 1")
+    return int(round(T / dt)) if T > 0 else 0
 
 
 def run_grid(
@@ -39,13 +53,7 @@ def run_grid(
     with k % stride == 0 or k == n_steps; a sample that keeps y copies it.
     Returns the state at the last grid point.
     """
-    if dt <= 0:
-        raise ModelError("dt must be positive")
-    if T < 0:
-        raise ModelError("T must be nonnegative")
-    if stride < 1:
-        raise ModelError("sample_stride must be >= 1")
-    n_steps = int(round(T / dt)) if T > 0 else 0
+    n_steps = grid_steps(dt, T, stride)
     y = y0
     sample(y, t0)
     for k in range(1, n_steps + 1):

@@ -115,7 +115,7 @@ class TestRun:
         assert payload["error"] == "ConfigError"
         assert payload["field"] == "rates.gamma_pm"
 
-    @pytest.mark.parametrize("workers", [0, -3])
+    @pytest.mark.parametrize("workers", [0, -3, "abc", 1.5])
     def test_workers_flag_is_checked_like_the_workers_key(self, tmp_path, capsys, workers):
         out = tmp_path / "out"
         key = write_config(tmp_path, minimal_config(workers=workers), name="key.json")
@@ -125,8 +125,19 @@ class TestRun:
         assert main(["run", flag, "--out", str(out), "--workers", str(workers)]) == 2
         assert json.loads(capsys.readouterr().out) == key_err == {
             "error": "ConfigError", "exit_code": 2, "field": "workers",
-            "message": f"workers must be a positive integer, got {workers}"}
+            "message": f"workers must be a positive integer, got {workers!r}"}
         assert not out.exists()
+
+    def test_closure_run_off_the_stride_ends_at_T(self, tmp_path, capsys):
+        cfg = closure_stationary_config(T=1.0, dt=0.1, sample_stride=3)
+        out = tmp_path / "out"
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["status"] == "completed"
+        assert summary["t_final"] == 1.0
+        rows = (out / "trajectory.csv").read_text().splitlines()[1:]
+        times = np.array([float(row.split(",")[0]) for row in rows])
+        assert np.array_equal(times, np.array([0, 3, 6, 9, 10]) * 0.1)
 
     def test_workers_flag_overrides_the_workers_key(self, tmp_path, capsys, monkeypatch):
         from coevnet import cli
@@ -477,6 +488,8 @@ class TestBuildOnce:
         (dict(micro_config(), kind="diffusive"),
          "simulate_diffusive requires a model with a state diffusion coefficient Q"),
         (epsilon_sweep_config(reduced_dt=0.3), "T must be a multiple of reduced_dt"),
+        (epsilon_sweep_config(eps_list=[0.1, 0.0]), "eps values must be positive"),
+        (epsilon_sweep_config(eps_list=[-0.1]), "eps values must be positive"),
         (closure_stationary_config(init={"moments": [0.0, 0.0, 0.5, 0.5, 0.0, 0.0]}),
          "initial rho_+ must lie in (0, 1)"),
         (closure_stationary_config(init={"moments": [0.5, 0.5, 0.0, 0.0, 0.0, 0.0]}),
@@ -496,7 +509,8 @@ class TestBuildOnce:
          "rate beta_pm must be finite and nonnegative, got -0.001"),
         (continuation_config(rho_p=1.5), "rho_p must lie in (0, 1) for the continuation"),
     ], ids=["compare-N-5", "compare-runs-1", "compare-T-off-grid", "diffusive-without-Q",
-            "epsilon-sweep-T-off-reduced-grid", "closure-rho_p-0", "closure-rho_p-1",
+            "epsilon-sweep-T-off-reduced-grid", "epsilon-sweep-eps-0",
+            "epsilon-sweep-eps-negative", "closure-rho_p-0", "closure-rho_p-1",
             "stationary-beta_pm", "stationary-flip-rates-only", "stationary-g_pm",
             "continuation-hypothesis", "continuation-zero-link-rate",
             "continuation-negative-eps", "continuation-rho_p"])
@@ -541,6 +555,20 @@ class TestBuildOnce:
         assert r_err["error"] == "IntegrationError" and r_err["exit_code"] == 3
         assert re.fullmatch(r"non-finite (force evaluation at|state in the step from) "
                             r"t=[0-9.e-]+ for eps=0\.0001", r_err["message"])
+        assert json.loads((tmp_path / "out" / "error.json").read_text()) == r_err
+        assert not (tmp_path / "out" / "manifest.json").exists()
+
+    def test_closure_overflow_exits_3_with_error_json_and_no_manifest(self, tmp_path, capsys):
+        # rates of 1e308 overflow the first RK4 step from rho_+ rho_- = 0.25
+        rates = dict(closure_stationary_config()["rates"], beta_pp=1e308, gamma_pp=1e308)
+        cfg = closure_stationary_config(
+            rates=rates, init={"moments": [0.15, 0.05, 0.1, 0.1, 0.15, 0.15]})
+        with np.errstate(all="ignore"):
+            (v_code, v_out), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == 0 and v_out.startswith("ok:")
+        assert r_code == 3
+        assert r_err == {"error": "IntegrationError", "exit_code": 3,
+                         "message": "non-finite state in the step from t=0"}
         assert json.loads((tmp_path / "out" / "error.json").read_text()) == r_err
         assert not (tmp_path / "out" / "manifest.json").exists()
 

@@ -71,7 +71,7 @@ EDGE_CASES = {
                   DELTA_CONSENSUS, NEG_CLAMP_TOL, 1),
     # no minus mass: 0/0 in the flip terms gives a non-finite step
     "non-finite": ([0.3, 0.2, 0.0, 0.0, 0.0, 0.0], [1.0] * 8, 1e-2, 10,
-                   -1.0, NEG_CLAMP_TOL, 1),
+                   -1.0, NEG_CLAMP_TOL, 3),
     # steps too large for the flip rates undershoot zero, within the tolerance
     "clamped": (normalized([0.2, 0.1, 0.2, 0.1, 0.1, 0.1]),
                 [16.0, 8.0] + [10.0] * 6, 0.1, 100, DELTA_CONSENSUS, 1e-2, 0),

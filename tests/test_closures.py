@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coevnet import closures
 from coevnet.closures import (
     ClosureKind,
     ClosureTrajectory,
@@ -17,7 +18,7 @@ from coevnet.closures import (
     stationary_polarized,
     weight_averaged_rhs,
 )
-from coevnet.errors import ConsensusBoundary, ContinuationFailed, ModelError
+from coevnet.errors import ConsensusBoundary, ContinuationFailed, IntegrationError, ModelError
 from coevnet.models import MinimalParams
 from coevnet.moments import MinimalMoments
 
@@ -158,7 +159,38 @@ class TestWeightAveraged:
             assert weight_averaged_rhs(m, p, kind) == (0.0, 0.0, -0.0)
 
 
+@pytest.fixture(params=["compiled", "reference"])
+def loop(request, monkeypatch):
+    """integrate_closure on the loop the package bound, then on the python reference."""
+    if request.param == "reference":
+        monkeypatch.setattr(closures, "_integrate_loop", closures._integrate_loop_py)
+
+
 class TestIntegrate:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_a_run_off_the_stride_samples_its_last_step(self, loop, kind):
+        rng = np.random.default_rng(11)
+        m0, p = random_moments(rng), random_params(rng)
+        traj = integrate_closure(m0, p, kind, dt=0.1, T=1.0, sample_stride=3)
+        assert traj.times[-1] == 1.0
+        assert np.array_equal(traj.times, np.array([0, 3, 6, 9, 10]) * 0.1)
+        every = integrate_closure(m0, p, kind, dt=0.1, T=1.0)
+        assert np.array_equal(traj.moments, every.moments[[0, 3, 6, 9, 10]])
+
+    def test_a_non_finite_step_raises(self, loop):
+        # rates of 1e308 overflow the first step from rho_+ = rho_- = 0.5
+        m0 = MinimalMoments(0.15, 0.05, 0.1, 0.1, 0.15, 0.15)
+        p = MinimalParams(alpha_pm=1, alpha_mp=1, beta_pp=1e308, beta_mm=1, beta_pm=0,
+                          gamma_pp=1e308, gamma_mm=1, gamma_pm=1)
+        with np.errstate(all="ignore"), pytest.raises(
+                IntegrationError, match=r"^non-finite state in the step from t=0$"):
+            integrate_closure(m0, p, ClosureKind.CONDITIONAL, dt=1e-2, T=1.0)
+
+    def test_an_unknown_kind_is_a_model_error(self):
+        m0 = MinimalMoments(0.1, 0.1, 0.1, 0.1, 0.15, 0.15)
+        with pytest.raises(ModelError, match="unknown closure kind 'kirk'"):
+            integrate_closure(m0, MinimalParams(*[1.0] * 8), "kirk", dt=0.1, T=1.0)
+
     def test_stationary_trajectory_constant(self):
         p = MinimalParams(alpha_pm=1, alpha_mp=1, beta_pp=1, beta_mm=1, beta_pm=0,
                           gamma_pp=1, gamma_mm=1, gamma_pm=2)
