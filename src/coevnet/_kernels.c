@@ -83,6 +83,12 @@ int coevnet_closure_loop(const double *y0, const double *r, int kirk, double dt,
         int bad = 0;
         if (rho_p * rho_m <= delta) {
             status = 1;
+            if (rec_steps[n_rec - 1] != steps_done) {   /* record where it stopped */
+                for (i = 0; i < 6; i++)
+                    recs[6 * n_rec + i] = y[i];
+                rec_steps[n_rec] = steps_done;
+                n_rec++;
+            }
             break;
         }
         rhs(y, r, kirk, k1);

@@ -1,12 +1,13 @@
 """One process pool for independent tasks: a sweep's legs and a comparison's replicas.
 
 ``ordered(task, n, workers, what)`` yields ``task(0), ..., task(n - 1)`` in order,
-computed on ``min(n, workers)`` forked workers.  The workers inherit ``task`` through
-the fork as the initializer's argument, so it is never pickled; only an index goes to
-a worker and only a result comes back.  A task's error is raised in its turn, tasks
-not started by then are cancelled, and running ones finish.  One task or one worker
-runs here, and so do the tasks not yet yielded, after one warning, when the fork
-start method is missing or the pool fails.  A worker stopped by SIGTERM (the pool
+computed on ``min(n, workers)`` forked workers, ``workers`` being ``usable_cpus()`` in
+the CLI.  The workers inherit ``task`` through the fork as the initializer's argument,
+so it is never pickled; only an index goes to a worker and only a result comes back.
+A task's error is raised in its turn, tasks not started by then are cancelled, and
+running ones finish.  One task, one worker or a call inside a worker (no worker forks
+a pool) runs here, and so do the tasks not yet yielded, after one warning, when the
+fork start method is missing or the pool fails.  A worker stopped by SIGTERM (the pool
 stops the others when one dies) unwinds its task, so the task's cleanup runs.
 """
 
@@ -25,9 +26,15 @@ log = logging.getLogger(__name__)
 _task, _busy = None, False   # in a worker: its task, and whether the task is running
 
 
+def usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _start(task: Callable) -> None:
-    global _task, _busy
-    _task, _busy = task, False   # a worker forked by a busy worker inherits its _busy
+    global _task
+    _task = task
     signal.signal(signal.SIGTERM, _stop)
 
 
@@ -49,7 +56,7 @@ def _call(k: int):
 
 
 def ordered(task: Callable, n: int, workers: int, what: str) -> Iterator:
-    done, procs = 0, min(n, workers)
+    done, procs = 0, min(n, workers) if _task is None else 1
     if procs > 1 and "fork" not in multiprocessing.get_all_start_methods():
         log.warning("no fork start method; running the %d %s serially", n, what)
     elif procs > 1:

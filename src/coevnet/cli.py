@@ -10,9 +10,9 @@ built experiment and writes its artifacts.
 ``validate`` builds every config (each leg of a top-level ``sweep`` list)
 without running it, so it exits with the code ``run`` would give for any
 config that fails to build.  ``run`` builds every leg once, up front, runs
-no leg if one fails to build, runs the legs on ``_pool``'s forked workers (one
-per usable CPU), and writes a manifest recording the config hash, seeds, tool
-version and the wall time of the run and of each leg.
+no leg if one fails to build, runs the legs (and a ``compare`` run's replicas)
+on ``_pool``'s forked workers, one per usable CPU, and writes a manifest
+recording the config hash, seeds, tool version and the wall times.
 
 Exit codes: 0 success, 2 config error, 3 runtime model error, 4 invariant
 violation.  Failures emit a machine-readable error JSON on stdout; a leg
@@ -274,8 +274,7 @@ def _required(init: dict, keys, allowed=None):
             raise ConfigError(f"init.{key} is required", field=f"init.{key}")
 
 
-def _link_densities(init: dict) -> list[float]:
-    keys = ("rho_p", "p_pp", "p_mm", "p_pm")
+def _link_densities(init: dict, keys=("rho_p", "p_pp", "p_mm", "p_pm")) -> list[float]:
     _required(init, keys)
     return [float(_unit(init[key], f"init.{key}")) for key in keys]
 
@@ -309,10 +308,10 @@ def _build_minimal(x):
 
 
 def _build_voter(x):
-    _required(x.init, ("rho_p", "link_prob"))
+    rho_p, link_prob = _link_densities(x.init, ("rho_p", "link_prob"))
     rng = np.random.default_rng(x.seed)
-    states = np.where(rng.random(x.N) < _param(x.init, "rho_p", None, "init"), 1, -1)
-    W = _random_links(rng, x.N, _param(x.init, "link_prob", None, "init"))
+    states = np.where(rng.random(x.N) < rho_p, 1, -1)
+    W = _random_links(rng, x.N, link_prob)
     x.disc = DiscreteConfiguration(states=states.astype(np.int8), weights=W)
 
 
@@ -320,7 +319,7 @@ def _build_hybrid(x):
     _required(x.init, ("states",), ("states", "link_prob"))
     rng = np.random.default_rng(x.seed)
     states = _states_from_spec(x.init["states"], x.N, 1, rng, "init.states")
-    W = _random_links(rng, x.N, _param(x.init, "link_prob", 0.0, "init"))
+    W = _random_links(rng, x.N, float(_unit(x.init.get("link_prob", 0.0), "init.link_prob")))
     x.hybrid = HybridConfiguration(states=states, weights=W)
 
 
@@ -495,7 +494,7 @@ def _run_characteristics(x, out_dir):
 
 def _run_compare(x, out_dir):
     rep = run_comparison(x.rates, N=x.N, runs=x.runs, T=x.T, dt=x.dt, seed=x.seed, init=x.init,
-                         closure_dt=x.closure_dt, workers=x.workers)
+                         closure_dt=x.closure_dt, workers=_pool.usable_cpus())
     io.write_json(os.path.join(out_dir, "report.json"), rep.to_json_dict())
     io.write_error_curves_csv(os.path.join(out_dir, "error_curves.csv"), rep)
     io.write_moments_csv(os.path.join(out_dir, "mean_moments.csv"), rep.times, rep.mean_moments)
@@ -582,7 +581,7 @@ SPECS: dict[str, Kind] = {
 KINDS = tuple(SPECS)
 
 # optional keys every kind accepts
-_COMMON = {"seed": (_seed, 0), "out": (_text, None), "workers": (_count, 1), "label": (_text, "")}
+_COMMON = {"seed": (_seed, 0), "out": (_text, None), "label": (_text, "")}
 
 
 class Experiment(SimpleNamespace):
@@ -641,7 +640,10 @@ def validate_config(cfg) -> Plan:
         if not isinstance(cfg["sweep"], list) or not cfg["sweep"]:
             raise ConfigError("sweep must be a non-empty list of configs", field="sweep")
         plan.sweep = True
-        plan.extend(build(sub) for sub in cfg["sweep"])
+        for sub in cfg["sweep"]:
+            if isinstance(sub, dict) and "out" in sub:   # the legs write under the run's out
+                raise ConfigError("out cannot be set in a sweep leg", field="out")
+            plan.append(build(sub))
     else:
         plan.append(build(cfg))
     return plan
@@ -697,28 +699,11 @@ def cmd_validate(config_path: str) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _flag_value(text: str):
-    """A flag's text read as the JSON value it spells, else the text itself."""
-    try:
-        return json.loads(text)
-    except ValueError:
-        return text
-
-
-def cmd_run(config_path: str, cli_out: str | None, cli_workers: str | None) -> int:
+def cmd_run(config_path: str, cli_out: str | None) -> int:
     t0 = time.monotonic()
     try:
         cfg, cfg_hash = _load_config(config_path)
         plan = validate_config(cfg)
-        for x in plan:   # --workers overrides the key, under the key's own rule
-            x.workers = (x.workers if cli_workers is None
-                         else _count(_flag_value(cli_workers), "workers"))
     except CoevnetError as exc:
         return _emit_error(exc, None)
     out_root = (cli_out or cfg.get("out") or os.environ.get(ENV_OUT)
@@ -730,7 +715,7 @@ def cmd_run(config_path: str, cli_out: str | None, cli_workers: str | None) -> i
         t1 = time.monotonic()
         return run_experiment(plan[k], out_dirs[k]), time.monotonic() - t1
 
-    results = _pool.ordered(leg, len(plan), _usable_cpus(), "legs")
+    results = _pool.ordered(leg, len(plan), _pool.usable_cpus(), "legs")
     manifest_entries = []
     for x, out_dir in zip(plan, out_dirs):
         try:
@@ -761,13 +746,12 @@ def main(argv=None) -> int:
     p_run = sub.add_parser("run", help="execute an experiment config")
     p_run.add_argument("config", help="path to a JSON experiment config")
     p_run.add_argument("--out", help="output directory (overrides config and env)")
-    p_run.add_argument("--workers", help="intra-experiment worker count")
     p_val = sub.add_parser("validate", help="build a config's initial data without running it")
     p_val.add_argument("config")
     args = parser.parse_args(argv)
     if args.command == "validate":
         return cmd_validate(args.config)
-    return cmd_run(args.config, args.out, args.workers)
+    return cmd_run(args.config, args.out)
 
 
 if __name__ == "__main__":

@@ -30,7 +30,8 @@ The closure trajectory runs in ``coevnet_closure_loop`` of ``_kernels.c``,
 built and loaded by ``_native``.  Its pure-python reference
 ``_integrate_loop_py`` is ``stepping.rk4_step`` on ``stepping.run_grid``, and
 the C loop follows run_grid's rules: it records step 0, every stride-th and
-the last step, and a non-finite step fails.  The two are bitwise equal.
+the last step (or the step of a consensus stop), and a non-finite step
+fails.  The two are bitwise equal.
 Without a working compiler the package logs a warning and runs the python
 reference, several hundred times slower.
 """
@@ -135,8 +136,8 @@ def _integrate_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
     the number of steps done; it records step 0, every stride-th step and
     the last.  Returns (records, record_steps, n_records, status,
     clamp_count, steps_done) with status 0 = completed, 1 = consensus
-    boundary, 2 = negativity beyond tolerance, 3 = non-finite step; a stop
-    records nothing more.
+    boundary (its step is recorded too), 2 = negativity beyond tolerance,
+    3 = non-finite step.
     """
     n_rec_max = n_steps // stride + 2
     recs = np.empty((n_rec_max, 6))
@@ -148,6 +149,8 @@ def _integrate_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
         rho_p = y[0] + y[1] + y[4] + y[5]
         rho_m = y[2] + y[3] + y[4] + y[5]
         if rho_p * rho_m <= delta:
+            if rec_steps[n_rec - 1] != k:
+                sample(y, k)
             raise _Stop(1, k)
         y_new = rk4_step(lambda z: _rhs_arrays_py(z, r, kirk), y, dt)
         if not np.isfinite(y_new).all():
@@ -321,7 +324,7 @@ def integrate_closure(
     sample_stride: int = 1,
 ) -> ClosureTrajectory:
     """RK4 trajectory of the closure system, sampled at t = 0, every
-    sample_stride steps and at T.
+    sample_stride steps and at T, or at the step where it stops.
 
     Stops early (status "consensus_boundary") when rho_+ rho_- falls to the
     consensus threshold; tiny negative undershoots in (-1e-9, 0) are clamped

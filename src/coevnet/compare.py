@@ -137,10 +137,12 @@ def run_comparison(
 
     ``init`` prescribes the generator (rho_p and per-type link densities);
     replica k uses the seed stream (seed, k), and the replicas run on the
-    ``_pool`` of ``workers`` forked processes.  Closure trajectories start
-    from the realized ensemble-mean moments at t = 0 and are sampled on the
-    same dt grid.  The report carries per-component error curves, their
-    time-sup, and the Monte-Carlo standard error.
+    ``_pool`` of ``workers`` forked processes (the CLI's usable CPUs; 1, or a
+    call inside a pool's worker, keeps them here), with the same report for
+    any ``workers``.  Closure trajectories start from the realized
+    ensemble-mean moments at t = 0 and are sampled on the same dt grid.  The
+    report carries per-component error curves, their time-sup, and the
+    Monte-Carlo standard error.
     """
     check_comparison_grid(N, runs, T, dt)
     init = {"rho_p": 0.5, "p_pp": 0.5, "p_mm": 0.5, "p_pm": 0.25, **(init or {})}

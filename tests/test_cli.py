@@ -115,19 +115,6 @@ class TestRun:
         assert payload["error"] == "ConfigError"
         assert payload["field"] == "rates.gamma_pm"
 
-    @pytest.mark.parametrize("workers", [0, -3, "abc", 1.5])
-    def test_workers_flag_is_checked_like_the_workers_key(self, tmp_path, capsys, workers):
-        out = tmp_path / "out"
-        key = write_config(tmp_path, minimal_config(workers=workers), name="key.json")
-        assert main(["run", key, "--out", str(out)]) == 2
-        key_err = json.loads(capsys.readouterr().out)
-        flag = write_config(tmp_path, minimal_config())
-        assert main(["run", flag, "--out", str(out), "--workers", str(workers)]) == 2
-        assert json.loads(capsys.readouterr().out) == key_err == {
-            "error": "ConfigError", "exit_code": 2, "field": "workers",
-            "message": f"workers must be a positive integer, got {workers!r}"}
-        assert not out.exists()
-
     def test_closure_run_off_the_stride_ends_at_T(self, tmp_path, capsys):
         cfg = closure_stationary_config(T=1.0, dt=0.1, sample_stride=3)
         out = tmp_path / "out"
@@ -138,22 +125,6 @@ class TestRun:
         rows = (out / "trajectory.csv").read_text().splitlines()[1:]
         times = np.array([float(row.split(",")[0]) for row in rows])
         assert np.array_equal(times, np.array([0, 3, 6, 9, 10]) * 0.1)
-
-    def test_workers_flag_overrides_the_workers_key(self, tmp_path, capsys, monkeypatch):
-        from coevnet import cli
-        from coevnet.errors import ModelError
-        seen = []
-
-        def stopped_comparison(*args, workers, **kwargs):
-            seen.append(workers)
-            raise ModelError("stopped")
-        monkeypatch.setattr(cli, "run_comparison", stopped_comparison)
-        cfg = {"kind": "compare", "N": 12, "runs": 2, "T": 0.5, "dt": 0.25, "workers": 2,
-               "rates": minimal_config()["rates"], "init": minimal_config()["init"]}
-        path = write_config(tmp_path, cfg)
-        for argv in ([], ["--workers", "3"]):
-            assert main(["run", path, "--out", str(tmp_path / "out"), *argv]) == 3
-        assert seen == [2, 3]
 
     def test_compare_smoke_report_fields(self, tmp_path):
         cfg = {
@@ -259,19 +230,7 @@ class TestRun:
         assert sweep["gaps"][0] > sweep["gaps"][1]
 
     def test_voter_and_hybrid_runs(self, tmp_path):
-        voter = {
-            "kind": "voter", "seed": 2, "N": 12, "T": 1.0, "p": 0.3, "q": 0.5,
-            "variant": "pq", "sample_dt": 0.5,
-            "init": {"rho_p": 0.5, "link_prob": 0.4},
-        }
-        hybrid = {
-            "kind": "hybrid-bc", "seed": 2, "N": 8, "T": 0.2, "dt": 1e-3, "tau": 0.01,
-            "F": {"form": "identity"}, "r": {"form": "indicator", "threshold": 1.0},
-            "init": {"states": {"dist": "uniform", "low": 0, "high": 2},
-                     "link_prob": 0.3},
-            "sample_stride": 100,
-        }
-        for name, cfg in (("voter", voter), ("hybrid", hybrid)):
+        for name, cfg in (("voter", voter_config()), ("hybrid", hybrid_config())):
             path = write_config(tmp_path, cfg, name=f"{name}.json")
             out_dir = tmp_path / name
             assert main(["run", path, "--out", str(out_dir)]) == 0
@@ -368,6 +327,29 @@ def epsilon_sweep_config(**overrides):
     return cfg
 
 
+def compare_config(**overrides):
+    cfg = {"kind": "compare", "seed": 2, "N": 12, "runs": 2, "T": 0.5, "dt": 0.25,
+           "rates": minimal_config()["rates"], "init": minimal_config()["init"]}
+    cfg.update(overrides)
+    return cfg
+
+
+def voter_config(**overrides):
+    cfg = {"kind": "voter", "seed": 2, "N": 12, "T": 1.0, "p": 0.3, "q": 0.5,
+           "variant": "pq", "sample_dt": 0.5, "init": {"rho_p": 0.5, "link_prob": 0.4}}
+    cfg.update(overrides)
+    return cfg
+
+
+def hybrid_config(**overrides):
+    cfg = {"kind": "hybrid-bc", "seed": 2, "N": 8, "T": 0.2, "dt": 1e-3, "tau": 0.01,
+           "F": {"form": "identity"}, "r": {"form": "indicator", "threshold": 1.0},
+           "init": {"states": {"dist": "uniform", "low": 0, "high": 2}, "link_prob": 0.3},
+           "sample_stride": 100}
+    cfg.update(overrides)
+    return cfg
+
+
 def validate_and_run(tmp_path, capsys, cfg):
     """Exit code and error JSON of `validate`, then of `run`, on one config."""
     path = write_config(tmp_path, cfg)
@@ -388,8 +370,14 @@ class TestBuildOnce:
         ({"kind": "compare", "N": 20, "runs": 2, "T": 1.0, "dt": 0.5, "mode": "gillespie",
           "rates": minimal_config()["rates"], "init": minimal_config()["init"]}, "mode"),
         (minimal_config(tau_dt=0.01), "tau_dt"),
+        (compare_config(workers=2), "workers"),
+        (voter_config(init={"rho_p": 1.7, "link_prob": 0.4}), "init.rho_p"),
+        (voter_config(init={"rho_p": 0.5, "link_prob": -2}), "init.link_prob"),
+        (hybrid_config(init={"states": {"dist": "uniform"}, "link_prob": 1.5}),
+         "init.link_prob"),
     ], ids=["T-string", "init-int", "eps_list-string", "N-bool", "compare-mode",
-            "minimal-tau_dt"])
+            "minimal-tau_dt", "compare-workers", "voter-rho_p", "voter-link_prob",
+            "hybrid-link_prob"])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, cfg, field):
         (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
         assert v_code == r_code == 2
@@ -397,6 +385,15 @@ class TestBuildOnce:
         assert r_err["error"] == "ConfigError"
         assert r_err["field"] == field
         assert not (tmp_path / "out").exists()
+
+    def test_an_out_key_in_a_sweep_leg_exits_2_before_any_leg_runs(self, tmp_path, capsys):
+        legout = tmp_path / "legout"
+        cfg = {"sweep": [closure_stationary_config(), closure_stationary_config(out=str(legout))]}
+        (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == r_code == 2
+        assert v_err == r_err
+        assert r_err["error"] == "ConfigError" and r_err["field"] == "out"
+        assert not (tmp_path / "out").exists() and not legout.exists()
 
     def test_asymmetric_weights_fail_validate_as_run(self, tmp_path, capsys):
         cfg = micro_config(init={"states": {"values": [0.0, 0.5]},
@@ -465,6 +462,13 @@ class TestBuildOnce:
                 rows[cells[0]] = (cells[1].split(), cells[2].split())
         assert rows == {kind: (list(spec.required), list(spec.optional))
                         for kind, spec in SPECS.items()}
+
+    def test_readme_common_keys_match_COMMON(self):
+        from coevnet.cli import _COMMON
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        section = readme.split("### Config schema", 1)[1]
+        sentence = section.split("common optional keys", 1)[1].split(".", 1)[0]
+        assert re.findall(r"`(\w+)`", sentence) == list(_COMMON)
 
     def test_readme_model_line_matches_the_model_schema(self):
         from coevnet.models import MODEL_SCHEMA
@@ -625,33 +629,45 @@ def csv_bytes(out_dir):
     return {str(p.relative_to(out_dir)): p.read_bytes() for p in sorted(out_dir.rglob("*.csv"))}
 
 
+def log_pids(monkeypatch, module, name, log):
+    """Patch module.name to log the id of each process that calls it to the file
+    log; returns a reader of the ids, in call order, that empties the log."""
+    real = getattr(module, name)
+
+    def logging_call(*args, **kwargs):
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(*args, **kwargs)
+    monkeypatch.setattr(module, name, logging_call)
+
+    def read():
+        pids = [int(v) for v in log.read_text().split()] if log.exists() else []
+        log.unlink(missing_ok=True)
+        return pids
+    return read
+
+
 class TestConcurrentSweep:
-    """`run` runs a sweep's legs in forked workers, one per usable CPU."""
+    """`run` sizes both its pools, a sweep's legs and a comparison's replicas, from
+    the usable CPUs; a comparison inside a sweep's worker runs its replicas there."""
 
     @pytest.fixture
     def cpus(self, monkeypatch):
         """Set the usable CPU count `run` sees; 1 runs the legs serially."""
-        from coevnet import cli
-        return lambda n: monkeypatch.setattr(cli, "_usable_cpus", lambda: n)
+        from coevnet import _pool
+        return lambda n: monkeypatch.setattr(_pool, "usable_cpus", lambda: n)
 
     @pytest.fixture
     def leg_pids(self, tmp_path, monkeypatch):
         """The ids of the processes that ran each leg, in the order they ran."""
         from coevnet import cli
-        log = tmp_path / "pids"
-        real_run_experiment = cli.run_experiment
+        return log_pids(monkeypatch, cli, "run_experiment", tmp_path / "leg-pids")
 
-        def logging_run_experiment(x, out_dir):
-            with open(log, "a") as f:
-                f.write(f"{os.getpid()}\n")
-            return real_run_experiment(x, out_dir)
-        monkeypatch.setattr(cli, "run_experiment", logging_run_experiment)
-
-        def read():
-            pids = [int(v) for v in log.read_text().split()] if log.exists() else []
-            log.unlink(missing_ok=True)
-            return pids
-        return read
+    @pytest.fixture
+    def replica_pids(self, tmp_path, monkeypatch):
+        """The ids of the processes that ran each compare replica."""
+        from coevnet import compare
+        return log_pids(monkeypatch, compare, "simulate_minimal", tmp_path / "replica-pids")
 
     def run_sweep(self, tmp_path, capsys, cfg, name):
         path = write_config(tmp_path, cfg, name=f"{name}.json")
@@ -729,17 +745,31 @@ class TestConcurrentSweep:
         assert json.loads((out / "sweep-0001" / "error.json").read_text()) == err
         assert not (out / "manifest.json").exists()
 
-    def test_a_compare_leg_with_its_own_workers_runs_in_a_sweep(self, tmp_path, capsys, cpus):
-        compare = {"kind": "compare", "seed": 2, "N": 12, "runs": 2, "T": 0.5, "dt": 0.25,
-                   "workers": 2, "rates": minimal_config()["rates"],
-                   "init": minimal_config()["init"]}
-        cfg = {"sweep": [compare, closure_stationary_config()]}
+    def test_a_compare_run_runs_its_replicas_on_the_usable_cpus(self, tmp_path, capsys, cpus,
+                                                               replica_pids):
+        outs = {}
+        for n in (2, 1):
+            cpus(n)
+            code, _, outs[n] = self.run_sweep(tmp_path, capsys, compare_config(), f"cpus{n}")
+            assert code == 0
+            pids = replica_pids()
+            assert len(pids) == 2
+            assert (os.getpid() in pids) == (n == 1)
+        assert csv_bytes(outs[2]) == csv_bytes(outs[1]) != {}
+
+    def test_a_compare_leg_with_its_own_workers_runs_in_a_sweep(
+            self, tmp_path, capsys, cpus, leg_pids, replica_pids):
+        # its own workers are its leg's worker: the replicas run there, serially
+        cfg = {"sweep": [compare_config(), closure_stationary_config()]}
         outs = {}
         for n in (2, 1):
             cpus(n)
             code, _, outs[n] = self.run_sweep(tmp_path, capsys, cfg, f"cpus{n}")
             assert code == 0
             assert (outs[n] / "sweep-0000" / "report.json").exists()
+            workers, pids = set(leg_pids()), replica_pids()
+            assert len(pids) == 2 and set(pids) <= workers
+            assert (pids == [os.getpid()] * 2) == (n == 1)
         assert csv_bytes(outs[2]) == csv_bytes(outs[1]) != {}
 
     @pytest.mark.parametrize("exc", [BrokenProcessPool("pool broke"), OSError("no fork")],

@@ -272,15 +272,27 @@ class TestIntegrate:
         integral = np.trapezoid(traj.f_pm, traj.times)
         assert 0.5 * (p.alpha_mp - p.alpha_pm) * integral <= 1.0 + 1e-6
 
+    # strong bias toward plus drives rho_- to zero in finite time
+    CONSENSUS_M0 = MinimalMoments(0.05, 0.05, 0.05, 0.05, 0.38, 0.02)
+    CONSENSUS_P = MinimalParams(alpha_pm=0.0, alpha_mp=8.0, beta_pp=1, beta_mm=1,
+                                beta_pm=1, gamma_pp=1, gamma_mm=1, gamma_pm=0.1)
+
     def test_consensus_stop(self):
-        # strong bias toward plus drives rho_- to zero in finite time
-        m0 = MinimalMoments(0.05, 0.05, 0.05, 0.05, 0.38, 0.02)
-        p = MinimalParams(alpha_pm=0.0, alpha_mp=8.0, beta_pp=1, beta_mm=1,
-                          beta_pm=1, gamma_pp=1, gamma_mm=1, gamma_pm=0.1)
-        traj = integrate_closure(m0, p, ClosureKind.CONDITIONAL, dt=1e-3, T=200.0,
-                                 sample_stride=10)
+        traj = integrate_closure(self.CONSENSUS_M0, self.CONSENSUS_P, ClosureKind.CONDITIONAL,
+                                 dt=1e-3, T=200.0, sample_stride=10)
         assert traj.status == "consensus_boundary"
         assert traj.times[-1] < 200.0
+
+    def test_a_consensus_stop_records_where_it_stopped(self, loop):
+        trajs = [integrate_closure(self.CONSENSUS_M0, self.CONSENSUS_P, ClosureKind.CONDITIONAL,
+                                   dt=1e-3, T=200.0, sample_stride=stride)
+                 for stride in (1, 10, 1000)]
+        assert trajs[0].times[-1] == 6253 * 1e-3
+        for traj in trajs:
+            assert traj.status == "consensus_boundary"
+            assert np.all(np.diff(traj.times) > 0)   # the stop's step is recorded once
+            assert traj.times[-1] == trajs[0].times[-1]
+            assert np.array_equal(traj.moments[-1], trajs[0].moments[-1])
 
     def test_kirkwood_artifact_flag(self):
         m0 = MinimalMoments(1e-4, 1e-4, 1e-4, 1e-4, 0.2498, 0.25)
