@@ -78,14 +78,13 @@ def uniform_masses(M: int) -> np.ndarray:
     return np.full(M, 1.0 / M)
 
 
-def make_wc_ensemble(anchors, W0: Callable, masses=None, t: float = 0.0) -> CharacteristicEnsemble:
-    """Build an ensemble with pair weights slaved to the surface W0(s, s')."""
+def make_wc_ensemble(anchors, W0: Callable) -> CharacteristicEnsemble:
+    """Build an equal-mass ensemble with pair weights slaved to the surface W0(s, s')."""
     anchors = np.array(anchors, dtype=float).reshape(len(anchors), -1)   # (M,) -> (M, 1)
     M = len(anchors)
     W = _on_grid(W0(anchors[:, None, :], anchors[None, :, :]), (M, M), "W0", anchors)
     W.reshape(M * M)[::M + 1] = 0.0   # the diagonal
-    return CharacteristicEnsemble(anchors=anchors, pair_weights=W, t=t,
-                                  masses=uniform_masses(M) if masses is None else masses)
+    return CharacteristicEnsemble(anchors=anchors, pair_weights=W, masses=uniform_masses(M))
 
 
 @dataclass

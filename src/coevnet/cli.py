@@ -68,6 +68,7 @@ from .microsim import (
 )
 from .models import MODEL_SCHEMA, MinimalParams, catalog
 from .moments import MinimalMoments
+from .stepping import grid_steps
 
 ENV_OUT = "COEVNET_OUT"
 
@@ -101,6 +102,7 @@ def _choice(*options) -> Callable:
 
 _number = _typed(_is_number, "be a finite number")
 _count = _typed(lambda v: _is_int(v) and v >= 1, "be a positive integer")
+_population = _typed(lambda v: _is_int(v) and v >= 2, "be an integer >= 2")
 _positive = _typed(lambda v: _is_number(v) and v > 0, "be a positive number")
 _horizon = _typed(lambda v: _is_number(v) and v >= 0, "be a nonnegative number")
 _unit = _typed(lambda v: _is_number(v) and 0 <= v <= 1, "lie in [0, 1]")
@@ -157,8 +159,11 @@ def kernel_from_spec(spec, role: str):
     _check_subkeys(spec, {"form", *_KERNEL_PARAMS[form]}, role)
     p = {key: _param(spec, key, d, role) for key, d in _KERNEL_PARAMS[form].items()}
     # (..., m) -> (...) rather than elementwise: the weight surface W0 and the
-    # model kernels the schema marks so
+    # model kernels the schema marks so, which only three forms can fill
     on_states = role == "W0" or any(kernels.get(role) for kernels, _ in MODEL_SCHEMA.values())
+    if on_states and form not in ("gaussian", "constant", "indicator"):
+        raise ConfigError(f"kernel form {form!r} for {role!r} maps each state component; "
+                          f"{role!r} needs a scalar of the state", field=role)
     if form == "identity":
         return lambda x: np.asarray(x, dtype=float)
     if form == "linear":
@@ -173,6 +178,9 @@ def kernel_from_spec(spec, role: str):
         return lambda x: 1.0 / (1.0 + np.exp(-np.asarray(x, dtype=float)))
     if form == "tanh":
         return lambda x: p["gain"] * np.tanh(p["scale"] * np.asarray(x, dtype=float))
+    if on_states:   # the bounded-confidence kernel: 1 where the norm |x| < threshold
+        return lambda x: (np.linalg.norm(np.asarray(x, dtype=float), axis=-1)
+                          < p["threshold"]).astype(float)
     return lambda d: (np.asarray(d, dtype=float) < p["threshold"]).astype(float)
 
 
@@ -411,9 +419,9 @@ def _run_micro(x, out_dir):
 
 def _run_minimal(x, out_dir):
     traj = simulate_minimal(x.disc, x.rates, T=x.T, seed=x.seed, sample_dt=x.sample_dt,
-                            record_events=x.record_events, record_moments=True)
+                            record_events=x.record_events)
     io.write_events_csv(os.path.join(out_dir, "events.csv"), traj.events)
-    io.write_moments_csv(os.path.join(out_dir, "moments.csv"), traj.moment_times, traj.moments)
+    io.write_moments_csv(os.path.join(out_dir, "moments.csv"), traj.times, traj.moments)
     return _write_configs(out_dir, traj.times, traj.configs) + ["events.csv", "moments.csv"]
 
 
@@ -532,24 +540,24 @@ _CLOSURE_KIND = _choice("conditional", "kirkwood")
 
 SPECS: dict[str, Kind] = {
     "micro": Kind(
-        {"model": model_from_spec, "N": _count, "T": _horizon, "dt": _positive, "init": _map},
+        {"model": model_from_spec, "N": _population, "T": _horizon, "dt": _positive, "init": _map},
         {"eps_w": (_positive, 1.0), "eps_s": (_positive, 1.0),
          "method": (_choice("rk4", "euler", "rkf45"), "rk4"), **_STRIDE},
         _build_agents, _run_micro),
     "diffusive": Kind(
-        {"model": model_from_spec, "N": _count, "T": _horizon, "dt": _positive, "init": _map},
+        {"model": model_from_spec, "N": _population, "T": _horizon, "dt": _positive, "init": _map},
         _STRIDE, _build_diffusive, _run_micro),
     "minimal": Kind(
-        {"rates": _rates_from_config, "N": _count, "T": _horizon, "init": _map},
+        {"rates": _rates_from_config, "N": _population, "T": _horizon, "init": _map},
         {"sample_dt": (_positive, None), "record_events": (_flag, True)},
         _build_minimal, _run_minimal),
     "voter": Kind(
-        {"N": _count, "T": _horizon, "p": _unit, "init": _map},
+        {"N": _population, "T": _horizon, "p": _unit, "init": _map},
         {"q": (_unit, 0.5), "variant": (_choice("pq", "original"), "pq"),
          "sample_dt": (_positive, None), "record_events": (_flag, True)},
         _build_voter, _run_voter),
     "hybrid-bc": Kind(
-        {"N": _count, "T": _horizon, "dt": _positive, "tau": _positive, "F": kernel_from_spec,
+        {"N": _population, "T": _horizon, "dt": _positive, "tau": _positive, "F": kernel_from_spec,
          "r": kernel_from_spec, "init": _map},
         _STRIDE, _build_hybrid, _run_hybrid),
     "closure": Kind(
@@ -564,16 +572,16 @@ SPECS: dict[str, Kind] = {
          "eps_list": _eps_list},
         {}, _build_continuation, _run_continuation),
     "characteristics": Kind(
-        {"model": model_from_spec, "variant": _choice("wc", "conditional"), "M": _count,
+        {"model": model_from_spec, "variant": _choice("wc", "conditional"), "M": _population,
          "T": _horizon, "dt": _positive, "init": _map},
         _STRIDE, _build_characteristics, _run_characteristics),
     "compare": Kind(
-        {"rates": _rates_from_config, "N": _count, "runs": _count, "T": _horizon,
+        {"rates": _rates_from_config, "N": _population, "runs": _count, "T": _horizon,
          "dt": _positive, "init": _map},
         {"closure_dt": (_positive, 1e-3)},
         _build_compare, _run_compare),
     "epsilon-sweep": Kind(
-        {"model": model_from_spec, "N": _count, "eps_list": _eps_list, "T": _horizon,
+        {"model": model_from_spec, "N": _population, "eps_list": _eps_list, "T": _horizon,
          "dt": _positive, "init": _map},
         {"reduced_dt": (_positive, None)}, _build_epsilon_sweep, _run_epsilon_sweep),
 }
@@ -623,6 +631,8 @@ def build(cfg) -> Experiment:
         absent = name not in cfg or (cfg[name] is None and default is None)
         setattr(x, name, default if absent else parse(cfg[name], name))
     spec.build(x)
+    if "sample_stride" in spec.optional:   # the fixed-step kinds
+        grid_steps(x.dt, x.T, x.sample_stride)
     x.summary = f"kind={kind} seed={x.seed}" + (f" label={x.label}" if x.label else "")
     x.summary += "".join(f" {key}={cfg[key]}" for key in ("N", "M", "runs", "T", "dt") if key in cfg)
     return x

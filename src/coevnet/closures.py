@@ -287,26 +287,11 @@ class ClosureTrajectory:
         return y[:, 2] + y[:, 3] + y[:, 4] + y[:, 5]
 
     @property
-    def h_pp(self) -> np.ndarray:
-        return self.moments[:, 0] + self.moments[:, 1]
-
-    @property
-    def h_mm(self) -> np.ndarray:
-        return self.moments[:, 2] + self.moments[:, 3]
-
-    @property
-    def h_pm(self) -> np.ndarray:
-        return self.moments[:, 4] + self.moments[:, 5]
-
-    @property
     def f_pm(self) -> np.ndarray:
         return self.moments[:, 4]
 
-    def moment_at(self, i: int) -> MinimalMoments:
-        return MinimalMoments.from_array(self.moments[i])
-
     def final(self) -> MinimalMoments:
-        return self.moment_at(-1)
+        return MinimalMoments.from_array(self.moments[-1])
 
 
 def check_initial_moments(m0: MinimalMoments) -> None:
@@ -324,7 +309,8 @@ def integrate_closure(
     sample_stride: int = 1,
 ) -> ClosureTrajectory:
     """RK4 trajectory of the closure system, sampled at t = 0, every
-    sample_stride steps and at T, or at the step where it stops.
+    sample_stride steps and at T, or at the step where it stops; T off the
+    dt grid raises ModelError (``stepping.grid_steps``).
 
     Stops early (status "consensus_boundary") when rho_+ rho_- falls to the
     consensus threshold; tiny negative undershoots in (-1e-9, 0) are clamped
@@ -488,8 +474,9 @@ def linearized_jacobian(p: MinimalParams, m_star: MinimalMoments, kind) -> Jacob
     return JacobianReport(matrix=J, eigenvalues=eig, lambda_pm=float(J[4, 4]), kind=kind)
 
 
-def finite_difference_jacobian(y, p: MinimalParams, kind, h: float = 1e-6) -> np.ndarray:
-    """Central-difference Jacobian of the closure right-hand side."""
+def finite_difference_jacobian(y, p: MinimalParams, kind) -> np.ndarray:
+    """Central-difference Jacobian of the closure right-hand side, step 1e-6."""
+    h = 1e-6
     y = np.asarray(y, dtype=float)
     J = np.empty((6, 6))
     for j in range(6):

@@ -18,10 +18,11 @@ import numpy as np
 from . import _pool
 from .closures import ClosureKind, integrate_closure
 from .errors import IntegrationError, ModelError
-from .jumpsim import DiscreteConfiguration, _sample_grid, simulate_minimal
+from .jumpsim import DiscreteConfiguration, simulate_minimal
 from .microsim import AgentConfiguration, _run_legs, integrate_reduced
 from .models import MinimalParams, SmoothModel
 from .moments import MinimalMoments
+from .stepping import grid_steps, sample_times
 
 log = logging.getLogger(__name__)
 
@@ -98,19 +99,13 @@ class ComparisonReport:
                 "n_samples": int(self.times.size)}
 
 
-def _check_on_grid(T: float, dt: float, name: str) -> None:
-    """Raise ModelError unless T is a multiple of dt, to within 1e-9."""
-    if abs(round(T / dt) * dt - T) > 1e-9:
-        raise ModelError(f"T must be a multiple of {name}")
-
-
 def check_comparison_grid(N: int, runs: int, T: float, dt: float) -> None:
     """Raise ModelError unless run_comparison accepts these sizes."""
     if N < 10:
         raise ModelError("comparison needs N >= 10")
     if runs < 2:
         raise ModelError("comparison needs runs >= 2")
-    _check_on_grid(T, dt, "the sampling dt")
+    grid_steps(dt, T, 1, "the sampling dt")
 
 
 def check_epsilon_sweep(eps_list, T: float, dt: float, reduced_dt: float | None) -> None:
@@ -118,8 +113,8 @@ def check_epsilon_sweep(eps_list, T: float, dt: float, reduced_dt: float | None)
     both the legs and the reduced run."""
     if any(e <= 0 for e in eps_list):
         raise ModelError("eps values must be positive")
-    _check_on_grid(T, dt, "dt")
-    _check_on_grid(T, dt if reduced_dt is None else reduced_dt, "reduced_dt")
+    grid_steps(dt, T, 1)
+    grid_steps(dt if reduced_dt is None else reduced_dt, T, 1, "reduced_dt")
 
 
 def run_comparison(
@@ -152,11 +147,11 @@ def run_comparison(
         rng = np.random.default_rng((seed, k))
         cfg = polarized_link_config(N, rho_p, p_pp, p_mm, p_pm, rng)
         return simulate_minimal(cfg, p, T=T, seed=(seed, k, 1), sample_dt=dt,
-                                record_configs=False, record_moments=True).moments
+                                record_configs=False).moments
 
     stack = np.stack(list(_pool.ordered(replica, runs, workers, "replicas")))   # (runs, n, 6)
     n_grid = stack.shape[1]
-    times = _sample_grid(T, dt)
+    times = sample_times(T, dt)
     if times.size != n_grid:
         raise IntegrationError(f"replicas sampled {n_grid} times, the grid has {times.size}")
     mean = stack.mean(axis=0)
@@ -214,10 +209,10 @@ def run_epsilon_sweep(
 
     For each eps the microscopic system runs with the weight equation sped up
     by 1/eps; the limit dynamics slave each pair weight to the nullcline.
-    The gap is the sup-norm state difference at T, so T must be a multiple of
-    both dt and reduced_dt (ModelError otherwise).  All legs advance as one
-    stacked RK4 run; a leg that overflows raises IntegrationError naming the
-    step and its eps.  The table is expected to be non-increasing in eps; a
+    The gap is the sup-norm state difference at T, where both runs end: T
+    must be a multiple of both dt and reduced_dt (``stepping.grid_steps``).
+    All legs advance as one stacked RK4 run; a leg that overflows raises
+    IntegrationError naming the step and its eps.  The table is expected to be non-increasing in eps; a
     violation is reported via ``monotone`` and a warning, not an exception.
     """
     eps_list = [float(e) for e in eps_list]

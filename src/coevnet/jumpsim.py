@@ -39,7 +39,7 @@ import numpy as np
 from . import _native
 from .errors import InvariantViolation, ModelError
 from .models import MinimalParams
-from .stepping import rk4_step, run_grid
+from .stepping import rk4_step, run_grid, sample_times
 
 _PP, _MM, _PM = 0, 1, 2
 
@@ -107,7 +107,6 @@ class JumpTrajectory:
     times: list[float] = field(default_factory=list)
     configs: list = field(default_factory=list)
     events: list[tuple] = field(default_factory=list)      # (t, kind, i, j)
-    moment_times: np.ndarray | None = None
     moments: np.ndarray | None = None                      # (n, 6) minimal-model moments
 
     def final(self):
@@ -535,16 +534,6 @@ def _grid_recorder(grid: np.ndarray, record: Callable[[float], None]) -> Callabl
     return record_until
 
 
-def _sample_grid(T: float, sample_dt: float | None) -> np.ndarray:
-    if sample_dt is None:
-        return np.array([0.0, T]) if T > 0 else np.array([0.0])
-    n = int(np.floor(T / sample_dt + 1e-9))
-    grid = np.arange(n + 1) * sample_dt
-    if grid[-1] < T - 1e-12 * max(1.0, T):
-        grid = np.append(grid, T)
-    return grid
-
-
 def simulate_minimal(
     cfg: DiscreteConfiguration,
     p: MinimalParams,
@@ -552,11 +541,12 @@ def simulate_minimal(
     seed: int,
     sample_dt: float | None = None,
     record_events: bool = False,
-    record_moments: bool = False,
     record_configs: bool = True,
 ) -> JumpTrajectory:
     """Simulate the minimal model's exact continuous-time Markov chain up to T.
 
+    Samples at ``stepping.sample_times(T, sample_dt)``: each records its time
+    and moments (O(1) each), and its configuration if ``record_configs``.
     When the total rate hits zero the state is absorbing and time
     fast-forwards to T.  Deterministic for a fixed seed, whichever engine
     runs it.
@@ -565,21 +555,18 @@ def simulate_minimal(
         raise ModelError("T must be nonnegative")
     rng = np.random.default_rng(seed)
     eng = _gillespie_engine(cfg, p, record_events)
-    grid = _sample_grid(T, sample_dt)
     traj = JumpTrajectory()
-    mom = [] if record_moments else None
+    mom = []
 
     def record(t):
         traj.times.append(t)
         if record_configs:
             traj.configs.append(eng.snapshot(t))
-        if mom is not None:
-            mom.append(eng.moments())
+        mom.append(eng.moments())
 
-    eng.run(T, rng, _grid_recorder(grid, record), traj.events if record_events else None)
-    if mom is not None:
-        traj.moment_times = grid.copy()
-        traj.moments = np.asarray(mom)
+    eng.run(T, rng, _grid_recorder(sample_times(T, sample_dt), record),
+            traj.events if record_events else None)
+    traj.moments = np.asarray(mom)
     return traj
 
 
@@ -661,7 +648,7 @@ def simulate_voter(
         traj.times.append(t)
         traj.configs.append(DiscreteConfiguration(states=states.copy(), weights=weights.copy(), t=t))
 
-    record_until = _grid_recorder(_sample_grid(T, sample_dt), record)
+    record_until = _grid_recorder(sample_times(T, sample_dt), record)
     t = 0.0
     record_until(0.0)
     while t < T:

@@ -488,9 +488,9 @@ def integrate_reduced(
     Each pair's weight is slaved to the nullcline w = omega(s_i, s_j) and the
     states follow the micro state drift with those weights, external force
     included: ds_i/dt = (1/N) sum_{j != i} U(s_i, s_j, omega(s_i, s_j)) + U0(s_i).
-    A non-finite force raises IntegrationError naming the time of the step.
-    run_epsilon_sweep compares this with the micro legs at T, so T must lie on
-    the grids of both.
+    A non-finite force raises IntegrationError naming the time of the step,
+    and T off the dt grid raises ModelError (``stepping.grid_steps``), so the
+    run ends at T, where run_epsilon_sweep compares it with the micro legs.
     """
     states = np.array(states, dtype=float)
     if states.ndim == 1:

@@ -1,13 +1,16 @@
-"""The fixed-grid stepper and the one-step updates it runs.
+"""The time grids, the fixed-grid stepper and the one-step updates it runs.
 
-Every Python integrator in the package advances on the grid t0 + k dt
-through ``run_grid``, which owns the grid, the finiteness check (or leaves
-it to a step that makes it) and the sampling rule.  The integrator passes
-only its one-step function, built on ``rk4_step``, an Euler update or
-``rkf45_advance`` (adaptive substeps between grid points).  A failed step
-raises IntegrationError; no integrator returns a truncated trajectory.  The
-compiled closure loop of ``_kernels.c`` keeps the same grid, sampling rule
-and failure on a non-finite state.
+``grid_steps`` states the one grid rule, T a whole number of dt steps, which
+every fixed-step run (the compiled closure loop too) and every grid check
+obeys; ``sample_times`` gives the jump models' sample times.  Every Python
+integrator advances on the grid t0 + k dt through ``run_grid``, which owns
+the stepping, the finiteness check (or leaves it to a step that makes it)
+and the sampling rule.  The integrator passes only its one-step function,
+built on ``rk4_step``, an Euler update or ``rkf45_advance`` (adaptive
+substeps between grid points).  A failed step raises IntegrationError; no
+integrator returns a truncated trajectory.  The compiled closure loop of
+``_kernels.c`` keeps the same grid, sampling rule and failure on a
+non-finite state.
 """
 
 from __future__ import annotations
@@ -21,16 +24,35 @@ from .errors import IntegrationError, ModelError
 Rhs = Callable[[np.ndarray], np.ndarray]
 
 
-def grid_steps(dt: float, T: float, stride: int) -> int:
-    """round(T / dt), the steps of a grid run; ModelError unless dt > 0,
-    T >= 0 and the sample stride is >= 1."""
+def grid_steps(dt: float, T: float, stride: int, name: str = "dt") -> int:
+    """n = T / dt, the steps of a grid run; ModelError unless dt > 0, T >= 0,
+    the sample stride is >= 1 and |n dt - T| <= 1e-9 max(1, T), that is T is
+    a multiple of dt (``name`` labels dt in that error)."""
     if dt <= 0:
         raise ModelError("dt must be positive")
     if T < 0:
         raise ModelError("T must be nonnegative")
     if stride < 1:
         raise ModelError("sample_stride must be >= 1")
-    return int(round(T / dt)) if T > 0 else 0
+    n = int(round(T / dt))
+    if abs(n * dt - T) > 1e-9 * max(1.0, T):
+        raise ModelError(f"T must be a multiple of {name}")
+    return n
+
+
+def sample_times(T: float, sample_dt: float | None) -> np.ndarray:
+    """The sample times of a jump-model run: 0 and T without a sample_dt;
+    else the multiples of sample_dt up to T, then T unless T is on that grid
+    by grid_steps' rule, with a last multiple past T moved to T."""
+    if sample_dt is None:
+        return np.array([0.0, T]) if T > 0 else np.array([0.0])
+    tol = 1e-9 * max(1.0, T)
+    grid = np.arange(int(np.floor((T + tol) / sample_dt)) + 1) * sample_dt
+    if grid[-1] < T - tol:
+        return np.append(grid, T)
+    if grid[-1] > T + 1e-12:   # the jump models record no time past T
+        grid[-1] = T
+    return grid
 
 
 def run_grid(
@@ -43,7 +65,7 @@ def run_grid(
     sample: Callable[[np.ndarray, float], None],
     step_checks_finite: bool = False,
 ) -> np.ndarray:
-    """Advance y0 over round(T / dt) steps of the grid t0 + k dt.
+    """Advance y0 over the grid_steps(dt, T, stride) steps of the grid t0 + k dt.
 
     ``step(y, t)`` returns the state at t + dt from the state y at t; a
     result with a NaN or Inf entry raises IntegrationError naming t, unless

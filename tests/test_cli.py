@@ -252,6 +252,31 @@ class TestRun:
         assert (out_dir / "anchors.csv").exists()
         assert (out_dir / "pair_weights.csv").exists()
 
+    @pytest.mark.parametrize("m", [1, 2])
+    def test_micro_run_with_an_indicator_eta(self, tmp_path, capsys, m):
+        # eta maps a state difference to 1 inside the confidence radius, |x| < threshold
+        from coevnet.cli import build
+        from coevnet.microsim import micro_rhs
+        cfg = micro_config(N=6, model=relaxation_model({"form": "indicator", "threshold": 0.5}, m))
+        x = build(cfg)
+        s = x.agents.states
+        inside = np.linalg.norm(s[:, None, :] - s[None, :, :], axis=-1) < 0.5
+        np.fill_diagonal(inside, False)
+        _, dw = micro_rhs(x.agents, x.model)
+        assert np.array_equal(dw, inside - x.agents.weights * (1 - np.eye(6)))
+        assert main(["run", write_config(tmp_path, cfg), "--out", str(tmp_path / "out")]) == 0
+        assert (tmp_path / "out" / "weights.csv").exists()
+
+    def test_characteristics_build_with_an_indicator_W0(self):
+        from coevnet.cli import build
+        x = build(characteristics_config(model=relaxation_model(m=2), init={
+            "anchors": {"dist": "uniform", "low": -1, "high": 1},
+            "W0": {"form": "indicator", "threshold": 0.8}}))
+        a = x.ensemble.anchors
+        inside = np.linalg.norm(a[:, None, :] - a[None, :, :], axis=-1) < 0.8
+        np.fill_diagonal(inside, False)
+        assert a.shape == (6, 2) and np.array_equal(x.ensemble.pair_weights, inside)
+
     def test_micro_and_diffusive_runs(self, tmp_path):
         micro = {
             "kind": "micro", "seed": 4, "N": 6, "T": 0.2, "dt": 1e-2,
@@ -350,6 +375,22 @@ def hybrid_config(**overrides):
     return cfg
 
 
+def characteristics_config(**overrides):
+    cfg = {"kind": "characteristics", "seed": 1, "variant": "wc", "M": 6, "T": 0.5, "dt": 1e-2,
+           "model": relaxation_model(),
+           "init": {"anchors": {"dist": "uniform", "low": -1, "high": 1},
+                    "W0": {"form": "gaussian"}}}
+    cfg.update(overrides)
+    return cfg
+
+
+def relaxation_model(eta=None, m=1):
+    """A kernel-relaxation model spec, with a gaussian eta unless given."""
+    return {"name": "kernel-relaxation",
+            "params": {"K": {"form": "identity"}, "eta": eta or {"form": "gaussian"},
+                       "kappa": 1.0, "m": m}}
+
+
 def validate_and_run(tmp_path, capsys, cfg):
     """Exit code and error JSON of `validate`, then of `run`, on one config."""
     path = write_config(tmp_path, cfg)
@@ -375,9 +416,23 @@ class TestBuildOnce:
         (voter_config(init={"rho_p": 0.5, "link_prob": -2}), "init.link_prob"),
         (hybrid_config(init={"states": {"dist": "uniform"}, "link_prob": 1.5}),
          "init.link_prob"),
+        (micro_config(N=1), "N"),
+        (dict(micro_config(N=1), kind="diffusive"), "N"),
+        (minimal_config(N=1), "N"),
+        (voter_config(N=1), "N"),
+        (hybrid_config(N=1), "N"),
+        (compare_config(N=1), "N"),
+        (epsilon_sweep_config(N=1), "N"),
+        (characteristics_config(M=1), "M"),
+        *((micro_config(model=relaxation_model({"form": form})), "eta")
+          for form in ("identity", "linear", "sigmoid", "tanh")),
+        (characteristics_config(init={"anchors": {"dist": "uniform"}, "W0": {"form": "tanh"}}),
+         "W0"),
     ], ids=["T-string", "init-int", "eps_list-string", "N-bool", "compare-mode",
             "minimal-tau_dt", "compare-workers", "voter-rho_p", "voter-link_prob",
-            "hybrid-link_prob"])
+            "hybrid-link_prob", "micro-N-1", "diffusive-N-1", "minimal-N-1", "voter-N-1",
+            "hybrid-N-1", "compare-N-1", "epsilon-sweep-N-1", "characteristics-M-1",
+            "eta-identity", "eta-linear", "eta-sigmoid", "eta-tanh", "W0-tanh"])
     def test_bad_value_exits_2_naming_field(self, tmp_path, capsys, cfg, field):
         (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
         assert v_code == r_code == 2
@@ -479,6 +534,14 @@ class TestBuildOnce:
         assert named == {name: [*kernels, *numbers]
                          for name, (kernels, numbers) in MODEL_SCHEMA.items()}
 
+    def test_readme_kernel_forms_match_KERNEL_PARAMS(self):
+        from coevnet.cli import _KERNEL_PARAMS
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        bullet = readme.split("\n* Kernels are named forms:", 1)[1].split("\n* ", 1)[0]
+        named = {form: re.findall(r'"(\w+)":', params)
+                 for form, params in re.findall(r'\{"form": "(\w+)"([^}]*)\}', bullet)}
+        assert named == {form: list(params) for form, params in _KERNEL_PARAMS.items()}
+
     @pytest.mark.parametrize("cfg, message", [
         ({"kind": "compare", "N": 5, "runs": 2, "T": 1.0, "dt": 0.5,
           "rates": minimal_config()["rates"], "init": minimal_config()["init"]},
@@ -512,12 +575,16 @@ class TestBuildOnce:
         (continuation_config(eps_list=[-1e-3]),
          "rate beta_pm must be finite and nonnegative, got -0.001"),
         (continuation_config(rho_p=1.5), "rho_p must lie in (0, 1) for the continuation"),
+        (closure_stationary_config(T=1.0, dt=0.6), "T must be a multiple of dt"),
+        (closure_stationary_config(T=1.0, dt=0.3), "T must be a multiple of dt"),
+        (micro_config(T=1.0, dt=0.4), "T must be a multiple of dt"),
     ], ids=["compare-N-5", "compare-runs-1", "compare-T-off-grid", "diffusive-without-Q",
             "epsilon-sweep-T-off-reduced-grid", "epsilon-sweep-eps-0",
             "epsilon-sweep-eps-negative", "closure-rho_p-0", "closure-rho_p-1",
             "stationary-beta_pm", "stationary-flip-rates-only", "stationary-g_pm",
             "continuation-hypothesis", "continuation-zero-link-rate",
-            "continuation-negative-eps", "continuation-rho_p"])
+            "continuation-negative-eps", "continuation-rho_p", "closure-T-off-grid-0.6",
+            "closure-T-off-grid-0.3", "micro-T-off-grid"])
     def test_run_time_precondition_fails_validate_as_run(self, tmp_path, capsys, cfg, message):
         (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)
         assert v_code == r_code == 3

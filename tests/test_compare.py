@@ -117,9 +117,17 @@ class TestRunComparison:
         assert [r.message for r in caplog.records] == [warning]
 
     def test_sample_count_mismatch_raises(self, monkeypatch):
-        monkeypatch.setattr(compare, "_sample_grid", lambda T, dt: np.zeros(1))
+        monkeypatch.setattr(compare, "sample_times", lambda T, dt: np.zeros(1))
         with pytest.raises(IntegrationError):
             run_comparison(self.P_EQUAL, N=20, runs=2, T=0.5, dt=0.25, seed=0)
+
+    @pytest.mark.parametrize("T, last", [(2.0 - 5e-10, 2.0 - 5e-10), (2.0 + 5e-10, 2.0)])
+    def test_a_horizon_on_the_grid_to_rounding_samples_the_grid_once(self, T, last):
+        # T within grid_steps' tolerance of 2.0: no extra sample at T, and
+        # none past it that the replicas would not record
+        rep = run_comparison(self.P_EQUAL, N=20, runs=2, T=T, dt=0.5, seed=0)
+        assert rep.times.tolist() == [0.0, 0.5, 1.0, 1.5, last]
+        assert rep.mean_moments.shape == rep.err_conditional.shape == (5, 6)
 
     def test_json_dict_fields(self):
         rep = run_comparison(self.P_EQUAL, N=20, runs=2, T=0.5, dt=0.25, seed=3)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from coevnet import _native, closures, jumpsim
-from coevnet.jumpsim import DiscreteConfiguration, simulate_minimal
+from coevnet.jumpsim import DiscreteConfiguration, minimal_rates, simulate_minimal
 from coevnet.models import MinimalParams
 
 needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
@@ -52,11 +52,7 @@ def assert_same(monkeypatch, cfg, p, T, seed, **kw):
         assert a.t == b.t
         assert np.array_equal(a.states, b.states)
         assert np.array_equal(a.weights, b.weights)
-    if py.moments is None:
-        assert c.moments is None
-    else:
-        assert np.array_equal(c.moments, py.moments)
-        assert np.array_equal(c.moment_times, py.moment_times)
+    assert np.array_equal(c.moments, py.moments)
     assert c_state == py_state
     return py
 
@@ -95,13 +91,10 @@ def test_compiled_engine_is_in_use():
 @needs_cc
 @pytest.mark.parametrize("record_events", [True, False])
 @pytest.mark.parametrize("record_configs", [True, False])
-@pytest.mark.parametrize("record_moments", [True, False])
-def test_equal_with_and_without_recording(monkeypatch, record_events, record_configs,
-                                          record_moments):
+def test_equal_with_and_without_recording(monkeypatch, record_events, record_configs):
     cfg = random_config(np.random.default_rng(3), 40, 0.5, 0.3)
     py = assert_same(monkeypatch, cfg, RATES, 2.0, 11, sample_dt=0.25,
-                     record_events=record_events, record_configs=record_configs,
-                     record_moments=record_moments)
+                     record_events=record_events, record_configs=record_configs)
     assert len(py.times) == 9
     kinds = {e[1] for e in py.events}
     assert kinds == ({"flip", "create", "remove"} if record_events else set())
@@ -121,7 +114,7 @@ def test_equal_on_random_small_cases(monkeypatch):
         T = float(rng.choice([0.3, 1.0, 3.0]))
         sample_dt = None if case % 4 == 0 else float(rng.choice([0.1, 0.25, 0.7]))
         assert_same(monkeypatch, cfg, MinimalParams(*vals.tolist()), T, case,
-                    sample_dt=sample_dt, record_events=True, record_moments=True)
+                    sample_dt=sample_dt, record_events=True)
 
 
 @needs_cc
@@ -129,8 +122,7 @@ def test_equal_through_zero_rate_channels(monkeypatch):
     # no flips and no cross creation; the other channels are live
     p = MinimalParams(beta_pp=1.0, beta_mm=2.0, gamma_pp=0.5, gamma_pm=1.5)
     cfg = random_config(np.random.default_rng(5), 30, 0.5, 0.4)
-    py = assert_same(monkeypatch, cfg, p, 3.0, 2, sample_dt=0.5, record_events=True,
-                     record_moments=True)
+    py = assert_same(monkeypatch, cfg, p, 3.0, 2, sample_dt=0.5, record_events=True)
     assert py.events and all(e[1] != "flip" for e in py.events)
 
 
@@ -140,8 +132,7 @@ def test_equal_into_absorbing_state(monkeypatch):
     # is zero and time fast-forwards to T
     p = MinimalParams(alpha_pm=0.5, gamma_pm=2.0)
     cfg = config([1, -1, 1, -1, 1], [(0, 1), (1, 2), (2, 3), (0, 2)])
-    py = assert_same(monkeypatch, cfg, p, 50.0, 4, sample_dt=5.0, record_events=True,
-                     record_moments=True)
+    py = assert_same(monkeypatch, cfg, p, 50.0, 4, sample_dt=5.0, record_events=True)
     assert py.times[-1] == 50.0
     final = py.configs[-1].weights
     states = py.configs[-1].states
@@ -151,12 +142,11 @@ def test_equal_into_absorbing_state(monkeypatch):
 @needs_cc
 def test_equal_without_grid_and_at_zero_horizon(monkeypatch):
     cfg = random_config(np.random.default_rng(9), 20, 0.5, 0.3)
-    py = assert_same(monkeypatch, cfg, RATES, 1.5, 3, sample_dt=None, record_events=True,
-                     record_moments=True)
+    py = assert_same(monkeypatch, cfg, RATES, 1.5, 3, sample_dt=None, record_events=True)
     assert py.times == [0.0, 1.5]
     for sample_dt in (None, 0.5):
         py = assert_same(monkeypatch, cfg, RATES, 0.0, 3, sample_dt=sample_dt,
-                         record_events=True, record_moments=True)
+                         record_events=True)
         assert py.times == [0.0] and py.events == []
 
 
@@ -164,8 +154,7 @@ def test_equal_without_grid_and_at_zero_horizon(monkeypatch):
 def test_equal_with_event_buffer_refills(monkeypatch):
     monkeypatch.setattr(jumpsim, "_EVENT_BUFFER", 3)
     cfg = random_config(np.random.default_rng(1), 25, 0.5, 0.3)
-    py = assert_same(monkeypatch, cfg, RATES, 1.0, 8, sample_dt=0.1, record_events=True,
-                     record_moments=True)
+    py = assert_same(monkeypatch, cfg, RATES, 1.0, 8, sample_dt=0.1, record_events=True)
     assert len(py.events) > 10 * 3
 
 
@@ -180,7 +169,7 @@ def test_equal_through_dense_type_enumeration(monkeypatch, count_enumerations):
     del edges[::21]
     assert len(edges) == 435 - 21
     py = assert_same(monkeypatch, config([1] * 30, edges), p, 40.0, 6, sample_dt=4.0,
-                     record_events=True, record_moments=True)
+                     record_events=True)
     assert count_enumerations
     assert sum(e[1] == "create" for e in py.events) >= 5
 
@@ -194,9 +183,46 @@ def test_equal_when_rejection_sampling_gives_up(monkeypatch, count_enumerations)
     p = MinimalParams(beta_pp=50.0, gamma_pp=1.0)
     members = list(range(9))
     py = assert_same(monkeypatch, config([1] * 9 + [-1] * 3, complete_edges(members)), p,
-                     20.0, 12, sample_dt=1.0, record_events=True, record_moments=True)
+                     20.0, 12, sample_dt=1.0, record_events=True)
     assert count_enumerations
     assert sum(e[1] == "create" for e in py.events) > 100
+
+
+@pytest.mark.parametrize("engine", ["compiled", "python"])
+def test_first_event_follows_the_per_agent_rate_table(monkeypatch, engine):
+    """The engines' aggregated channels against ``minimal_rates``, the
+    per-agent statement of the rates: the first event time gives the total
+    rate, -log(1 - u1) / t1, and the channel the second draw picks, u2 total
+    against the table's flip, create and remove sums, is the first event's
+    kind.  Every pair type that has pairs has an open one, so the create
+    channel always finds a pair."""
+    if engine == "python":
+        monkeypatch.setattr(jumpsim, "_gillespie_engine", jumpsim._python_engine)
+    rng = np.random.default_rng(13)
+    checked = 0
+    while checked < 100:
+        N = int(rng.integers(2, 12))
+        cfg = random_config(rng, N, rng.random(), rng.random())
+        plus = cfg.states == 1
+        pair_type = np.where(plus[:, None] != plus[None, :], 2, np.where(plus, 0, 1)[:, None])
+        pair_type[np.tril_indices(N)] = -1   # each unordered pair once
+        open_type = np.where(cfg.weights == 0, pair_type, -1)
+        if set(np.unique(open_type)) != set(np.unique(pair_type)):
+            continue
+        p = MinimalParams(*rng.uniform(0.1, 3.0, 8).tolist())
+        table = minimal_rates(cfg, p)
+        seed = int(rng.integers(2**32))
+        u1, u2 = np.random.default_rng(seed).random(2)
+        t1 = -np.log(1.0 - u1) / table.total
+        traj = simulate_minimal(cfg, p, T=2.0 * t1, seed=seed, record_events=True,
+                                record_configs=False)
+        t, kind = traj.events[0][:2]
+        assert -np.log(1.0 - u1) / t == pytest.approx(table.total, rel=1e-14)
+        sums = np.cumsum([table.flip_rates.sum(), table.create_rates.sum(),
+                          table.remove_rates.sum()])
+        assert kind == ("flip", "create", "remove")[int(np.searchsorted(sums, u2 * table.total,
+                                                                        side="right"))]
+        checked += 1
 
 
 def test_missing_compiler_gives_one_warning_and_python_paths(tmp_path, caplog):

@@ -152,8 +152,7 @@ class TestSimulateMinimal:
         states = np.where(rng.random(N) < 0.5, 1, -1)
         cfg = DiscreteConfiguration(states=states, weights=W)
         p = MinimalParams(1, 1, 1, 1, 1, 1, 1, 1)
-        traj = simulate_minimal(cfg, p, T=1.0, seed=4, sample_dt=0.25,
-                                record_moments=True, record_configs=True)
+        traj = simulate_minimal(cfg, p, T=1.0, seed=4, sample_dt=0.25, record_configs=True)
         assert traj.moments is not None
         for k, c in enumerate(traj.configs):
             m = minimal_moments(c)

@@ -2,15 +2,21 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from coevnet import closures
 from coevnet.characteristics import (
     CharacteristicEnsemble,
     integrate_characteristics_conditional,
+    integrate_characteristics_wc,
+    make_wc_ensemble,
     uniform_masses,
 )
+from coevnet.closures import ClosureKind, integrate_closure, stationary_polarized
 from coevnet.errors import IntegrationError, ModelError
-from coevnet.microsim import AgentConfiguration, integrate_micro
-from coevnet.models import SmoothModel, catalog
-from coevnet.stepping import run_grid
+from coevnet.jumpsim import HybridConfiguration, simulate_hybrid_bc
+from coevnet.microsim import (AgentConfiguration, integrate_micro, integrate_reduced,
+                              simulate_diffusive)
+from coevnet.models import MinimalParams, SmoothModel, catalog
+from coevnet.stepping import grid_steps, run_grid
 
 
 class TestRunGrid:
@@ -51,10 +57,79 @@ class TestRunGrid:
         (0.0, 1.0, 1, "dt must be positive"),
         (0.1, -1.0, 1, "T must be nonnegative"),
         (0.1, 1.0, 0, "sample_stride must be >= 1"),
+        (0.4, 1.0, 1, "T must be a multiple of dt"),
     ])
     def test_bad_grid_rejected(self, dt, T, stride, message):
         with pytest.raises(ModelError, match=message):
             run_grid(lambda y, t: y, np.zeros(1), 0.0, dt, T, stride, lambda y, t: None)
+
+
+def counted_model(calls):
+    """The quadratic-potential forces with a state noise Q; each kernel call
+    after the model's construction is appended to calls."""
+    base = catalog("quadratic-potential")
+
+    def counted(name, fn):
+        return lambda *args: calls.append(name) or fn(*args)
+
+    model = SmoothModel(U=counted("U", base.U), V=counted("V", base.V), symmetric_V=True,
+                        Q=counted("Q", lambda s: np.full(np.shape(s)[:-1], 0.01)))
+    calls.clear()
+    return model
+
+
+class TestGridRule:
+    """T off the dt grid raises ModelError before a fixed-step run takes a step."""
+
+    CFG = AgentConfiguration(states=[[0.0], [0.5], [1.0]], weights=0.2 * (1 - np.eye(3)))
+
+    @pytest.mark.parametrize("dt", [0.6, 0.3])
+    @pytest.mark.parametrize("loop", ["compiled", "python"])
+    def test_closure(self, monkeypatch, loop, dt):
+        ran = []
+        inner = closures._integrate_loop if loop == "compiled" else closures._integrate_loop_py
+        monkeypatch.setattr(closures, "_integrate_loop", lambda *a: ran.append(a) or inner(*a))
+        p = MinimalParams(1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0)
+        m0 = stationary_polarized(p, 0.6, 0.1)
+        with pytest.raises(ModelError, match="^T must be a multiple of dt$"):
+            integrate_closure(m0, p, ClosureKind.CONDITIONAL, dt=dt, T=1.0)
+        assert ran == []
+        assert integrate_closure(m0, p, ClosureKind.CONDITIONAL, dt=0.2, T=1.0).times[-1] == 1.0
+
+    @pytest.mark.parametrize("method", ["rk4", "euler", "rkf45"])
+    def test_micro(self, method):
+        calls = []
+        with pytest.raises(ModelError, match="^T must be a multiple of dt$"):
+            integrate_micro(self.CFG, counted_model(calls), dt=0.4, T=1.0, method=method,
+                            callback=calls.append)
+        assert calls == []
+
+    @pytest.mark.parametrize("run", ["diffusive", "reduced", "hybrid-bc", "wc", "conditional"])
+    def test_other_fixed_step_runs(self, run):
+        calls = []
+        model = counted_model(calls)
+        ens = make_wc_ensemble(self.CFG.states, lambda s, sig: np.zeros(np.shape(s)[:-1]))
+        kernel = lambda x: calls.append("kernel") or np.asarray(x, dtype=float)
+        start = {
+            "diffusive": lambda: simulate_diffusive(self.CFG, model, dt=0.4, T=1.0, seed=0),
+            "reduced": lambda: integrate_reduced(self.CFG.states, model, dt=0.4, T=1.0),
+            "hybrid-bc": lambda: simulate_hybrid_bc(
+                HybridConfiguration(states=self.CFG.states, weights=np.zeros((3, 3))),
+                F=kernel, r=kernel, tau=1.0, dt=0.4, T=1.0, seed=0),
+            "wc": lambda: integrate_characteristics_wc(
+                ens, model, lambda s, sig: np.zeros(np.shape(s)[:-1]), dt=0.4, T=1.0),
+            "conditional": lambda: integrate_characteristics_conditional(ens, model, dt=0.4, T=1.0),
+        }[run]
+        with pytest.raises(ModelError, match="^T must be a multiple of dt$"):
+            start()
+        assert calls == []
+
+    def test_a_long_run_on_the_grid_is_not_refused(self):
+        assert grid_steps(0.1, 3000.0, 1) == 30000
+        p = MinimalParams(1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0)
+        traj = integrate_closure(stationary_polarized(p, 0.6, 0.1), p, ClosureKind.CONDITIONAL,
+                                 dt=0.1, T=3000.0, sample_stride=10000)
+        assert traj.times[-1] == 3000.0 and traj.status == "completed"
 
 
 def affine_V_model(a, b, c, kappa):
