@@ -353,24 +353,35 @@ static void record(minimal_engine *e, double t, int64_t kind, int64_t i, int64_t
 }
 
 /* Member lists, positions and per-type link lists from s and W, in the
- * order _MinimalEngine builds them (ascending agents, row-major links). */
+ * order _MinimalEngine builds them (ascending agents, row-major links), as
+ * removals index into the lists.  The pair scan has no data-dependent branch
+ * (at half density one would mispredict every other pair): it writes each
+ * code at the tail of row i's same-state list and of the PM list, and the
+ * link bit (W is over {0, 1}) advances the tail that the cross bit selects. */
 void coevnet_minimal_init(minimal_engine *e)
 {
-    int64_t N = e->N, i, j;
-    int tau;
+    int64_t N = e->N, i, j, k, tau;
     e->n_members[0] = e->n_members[1] = 0;
     for (i = 0; i < N; i++) {
         e->member_pos[i] = (idx_t)e->n_members[e->s[i]];
         e->members[e->s[i]][e->n_members[e->s[i]]++] = (idx_t)i;
     }
     e->n_links[PP] = e->n_links[MM] = e->n_links[PM] = 0;
-    for (i = 0; i < N; i++)
-        for (j = i + 1; j < N; j++)
-            if (e->W[i * N + j]) {
-                tau = pair_type(e->s, i, j);
-                e->link_pos[i * N + j] = (idx_t)e->n_links[tau];
-                e->links[tau][e->n_links[tau]++] = (idx_t)(i * N + j);
-            }
+    for (i = 0; i < N; i++) {
+        const int8_t *row = e->W + i * N, *s = e->s, si = s[i];
+        int64_t same = si ? PP : MM, n_same = e->n_links[same], n_cross = e->n_links[PM];
+        for (j = i + 1; j < N; j++) {
+            int64_t cross = s[j] ^ si;
+            e->links[same][n_same] = e->links[PM][n_cross] = (idx_t)(i * N + j);
+            n_same += row[j] & (cross ^ 1);
+            n_cross += row[j] & cross;
+        }
+        e->n_links[same] = n_same;
+        e->n_links[PM] = n_cross;
+    }
+    for (tau = 0; tau < 3; tau++)
+        for (k = 0; k < e->n_links[tau]; k++)
+            e->link_pos[e->links[tau][k]] = (idx_t)k;
     e->n_ev = 0;
     e->t = 0.0;
     e->t_next = 0.0;

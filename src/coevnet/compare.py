@@ -33,7 +33,11 @@ def polarized_link_config(N: int, rho_p: float, p_pp: float, p_mm: float,
 
     round(N rho_p) agents are plus; within each unordered pair type exactly
     round(p * #pairs) links are placed uniformly at random, so the realized
-    minimal moments coincide with their ensemble expectation.
+    minimal moments coincide with their ensemble expectation.  A type's
+    pairs are numbered in row-major order over its member lists and only the
+    drawn numbers are decoded to agents (row from a per-row count table,
+    column from the row's first number), so no pair list is built; the
+    ``permutation`` and ``choice`` draws are those of listing every pair.
     """
     if N < 2:
         raise ModelError("need at least two agents")
@@ -47,22 +51,22 @@ def polarized_link_config(N: int, rho_p: float, p_pp: float, p_mm: float,
     plus_idx = np.nonzero(states == 1)[0]
     minus_idx = np.nonzero(states == -1)[0]
     W = np.zeros((N, N), dtype=np.int8)
+    W_flat = W.reshape(-1)
 
     def place(members_a, members_b, prob, same):
-        if same:
-            ii, jj = np.triu_indices(len(members_a), 1)
-            pairs_i = members_a[ii]
-            pairs_j = members_a[jj]
-        else:
-            pairs_i = np.repeat(members_a, len(members_b))
-            pairs_j = np.tile(members_b, len(members_a))
-        n_pairs = pairs_i.size
+        rows = np.arange(members_a.size)
+        # row x pairs a[x] with a[x+1:] (same type) or with all of b
+        per_row = members_a.size - 1 - rows if same else np.full(rows.size, members_b.size)
+        n_pairs = int(per_row.sum())
         n_links = int(round(prob * n_pairs))
         if n_links == 0 or n_pairs == 0:
             return
         chosen = rng.choice(n_pairs, size=n_links, replace=False)
-        W[pairs_i[chosen], pairs_j[chosen]] = 1
-        W[pairs_j[chosen], pairs_i[chosen]] = 1
+        x = np.repeat(rows, per_row)[chosen]
+        y = chosen - (np.cumsum(per_row) - per_row)[x] + (x + 1 if same else 0)
+        pi, pj = members_a[x], members_b[y]
+        W_flat[pi * N + pj] = 1
+        W_flat[pj * N + pi] = 1
 
     place(plus_idx, plus_idx, p_pp, same=True)
     place(minus_idx, minus_idx, p_mm, same=True)

@@ -44,30 +44,42 @@ from .stepping import rk4_step, run_grid, sample_times
 _PP, _MM, _PM = 0, 1, 2
 
 
+def _link_matrix(weights, N: int) -> np.ndarray:
+    """An int8 copy of ``weights``, an (N, N) matrix over {0, 1} (bool
+    accepted), symmetric with zero diagonal; values are checked before the
+    cast, so 0.5, 1.9 or 257 is refused, not cast to 0 or 1."""
+    W = np.asarray(weights)
+    if W.shape != (N, N):
+        raise InvariantViolation("weight matrix shape mismatch")
+    if not ((W == 0) | (W == 1)).all():
+        raise InvariantViolation("weights must be 0 or 1")
+    W = W.astype(np.int8)
+    if np.any(np.diagonal(W) != 0):
+        raise InvariantViolation("weight matrix must have zero diagonal")
+    if not (W == W.T).all():
+        raise InvariantViolation("weight matrix must be symmetric")
+    return W
+
+
 @dataclass
 class DiscreteConfiguration:
-    """Binary states (+1/-1) with a symmetric binary link matrix."""
+    """Binary states (+1/-1) with a symmetric binary link matrix, held as
+    int8 copies; the given values are checked before the cast, so a state
+    1.9 or a weight 0.5 (``_link_matrix``) is refused rather than truncated."""
 
     states: np.ndarray       # (N,) over {-1, +1}
     weights: np.ndarray      # (N, N) over {0, 1}, symmetric, zero diagonal
     t: float = 0.0
 
     def __post_init__(self):
-        self.states = np.asarray(self.states, dtype=np.int8).copy()
-        self.weights = np.asarray(self.weights, dtype=np.int8).copy()
-        N = self.states.shape[0]
+        states = np.asarray(self.states)
+        N = states.shape[0]
         if N < 2:
             raise InvariantViolation("need at least two agents")
-        if not np.all(np.isin(self.states, (-1, 1))):
+        if not ((states == -1) | (states == 1)).all():
             raise InvariantViolation("states must be -1 or +1")
-        if self.weights.shape != (N, N):
-            raise InvariantViolation("weight matrix shape mismatch")
-        if not np.all(np.isin(self.weights, (0, 1))):
-            raise InvariantViolation("weights must be 0 or 1")
-        if np.any(np.diagonal(self.weights) != 0):
-            raise InvariantViolation("weight matrix must have zero diagonal")
-        if not np.array_equal(self.weights, self.weights.T):
-            raise InvariantViolation("weight matrix must be symmetric")
+        self.states = states.astype(np.int8)
+        self.weights = _link_matrix(self.weights, N)
 
     @property
     def N(self) -> int:
@@ -86,16 +98,12 @@ class HybridConfiguration:
         self.states = np.asarray(self.states, dtype=float).copy()
         if self.states.ndim == 1:
             self.states = self.states[:, None]
-        self.weights = np.asarray(self.weights, dtype=np.int8).copy()
         N = self.states.shape[0]
         if N < 2:
             raise InvariantViolation("need at least two agents")
         if not np.all(np.isfinite(self.states)):
             raise InvariantViolation("non-finite states")
-        if self.weights.shape != (N, N) or not np.all(np.isin(self.weights, (0, 1))):
-            raise InvariantViolation("weights must be a binary (N, N) matrix")
-        if np.any(np.diagonal(self.weights) != 0) or not np.array_equal(self.weights, self.weights.T):
-            raise InvariantViolation("weights must be symmetric with zero diagonal")
+        self.weights = _link_matrix(self.weights, N)
 
     @property
     def N(self) -> int:
@@ -182,7 +190,7 @@ class _MinimalEngine:
     def __init__(self, cfg: DiscreteConfiguration, p: MinimalParams):
         self.N = cfg.N
         self.s = (cfg.states == 1).astype(np.int8)       # 1 for +, 0 for -
-        self.W = cfg.weights.astype(np.int8).copy()
+        self.W = cfg.weights.astype(np.int8)
         self.p = p
         N = self.N
         self.plus_list = [i for i in range(N) if self.s[i] == 1]
@@ -214,7 +222,7 @@ class _MinimalEngine:
 
     def snapshot(self, t: float) -> DiscreteConfiguration:
         states = np.where(self.s == 1, 1, -1).astype(np.int8)
-        return DiscreteConfiguration(states=states, weights=self.W.copy(), t=t)
+        return DiscreteConfiguration(states=states, weights=self.W, t=t)   # which copies W
 
     # -- mutations ---------------------------------------------------------
 
@@ -436,7 +444,7 @@ class _CMinimalEngine:
         self._run_kernel = kernels[1]
         N = self.N = cfg.N
         self.s = (cfg.states == 1).astype(np.int8)
-        self.W = cfg.weights.astype(np.int8).copy()
+        self.W = cfg.weights.astype(np.int8)
         # np.empty leaves untouched capacity unallocated by the OS
         self._members = np.empty((2, N), dtype=np.int32)
         self._member_pos = np.empty(N, dtype=np.int32)
@@ -646,7 +654,7 @@ def simulate_voter(
 
     def record(t):
         traj.times.append(t)
-        traj.configs.append(DiscreteConfiguration(states=states.copy(), weights=weights.copy(), t=t))
+        traj.configs.append(DiscreteConfiguration(states=states, weights=weights, t=t))
 
     record_until = _grid_recorder(sample_times(T, sample_dt), record)
     t = 0.0

@@ -43,6 +43,51 @@ class TestGenerator:
                                                    np.random.default_rng(2)))
         assert np.array_equal(m1.as_array(), m2.as_array())
 
+    @staticmethod
+    def listed_pairs_config(N, rho_p, p_pp, p_mm, p_pm, rng):
+        """The generator by listing every pair of a type before the draw."""
+        n_plus = int(round(N * rho_p))
+        states = np.full(N, -1, dtype=np.int8)
+        states[rng.permutation(N)[:n_plus]] = 1
+        plus_idx = np.nonzero(states == 1)[0]
+        minus_idx = np.nonzero(states == -1)[0]
+        W = np.zeros((N, N), dtype=np.int8)
+
+        def place(members_a, members_b, prob, same):
+            if same:
+                ii, jj = np.triu_indices(len(members_a), 1)
+                pairs_i, pairs_j = members_a[ii], members_a[jj]
+            else:
+                pairs_i = np.repeat(members_a, len(members_b))
+                pairs_j = np.tile(members_b, len(members_a))
+            n_pairs = pairs_i.size
+            n_links = int(round(prob * n_pairs))
+            if n_links == 0 or n_pairs == 0:
+                return
+            chosen = rng.choice(n_pairs, size=n_links, replace=False)
+            W[pairs_i[chosen], pairs_j[chosen]] = 1
+            W[pairs_j[chosen], pairs_i[chosen]] = 1
+
+        place(plus_idx, plus_idx, p_pp, same=True)
+        place(minus_idx, minus_idx, p_mm, same=True)
+        place(plus_idx, minus_idx, p_pm, same=False)
+        return states, W
+
+    @pytest.mark.parametrize("N", [2, 3, 10, 37, 400])
+    def test_decoded_placement_equals_listing_every_pair(self, N):
+        # rho_p 0 and 1 leave a type empty; N = 2 and 3 give one-member
+        # types (no pairs); 1 / N gives one plus agent at every N
+        for rho_p in (0.0, 0.5, 1.0, 1.0 / N):
+            for p in (0.0, 0.3, 1.0):
+                for k, (p_pp, p_mm, p_pm) in enumerate([(p, p, p), (p, 1 - p, 0.5 * p)]):
+                    seed = (N, int(10 * rho_p), int(10 * p), k)
+                    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                    cfg = polarized_link_config(N, rho_p, p_pp, p_mm, p_pm, rng)
+                    states, W = self.listed_pairs_config(N, rho_p, p_pp, p_mm, p_pm, ref_rng)
+                    assert np.array_equal(cfg.states, states)
+                    assert np.array_equal(cfg.weights, W)
+                    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
 
 class FailingPool(_pool.ProcessPoolExecutor):
     def submit(self, *args, **kwargs):

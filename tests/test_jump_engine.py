@@ -89,6 +89,30 @@ def test_compiled_engine_is_in_use():
 
 
 @needs_cc
+def test_compiled_init_keeps_the_python_bookkeeping():
+    """After init the compiled engine's member lists, the live part of its
+    link lists and its link positions at every present code equal the python
+    engine's lists and dicts, order included (removals index into them)."""
+    rng = np.random.default_rng(17)
+    cases = [random_config(rng, int(rng.integers(2, 41)), rng.random(), rng.random())
+             for _ in range(40)]
+    for N in (2, 3, 17, 40):
+        for side in ([1] * N, [-1] * N, [1, -1] * (N // 2) + [1] * (N % 2)):
+            cases += [config(side, []), config(side, complete_edges(list(range(N))))]
+    for cfg in cases:
+        py = jumpsim._MinimalEngine(cfg, RATES)
+        c = jumpsim._gillespie_engine(cfg, RATES, False)
+        for side, members in ((0, py.minus_list), (1, py.plus_list)):
+            assert c._st.n_members[side] == len(members)
+            assert c._members[side, :len(members)].tolist() == members
+            assert c._member_pos[members].tolist() == py.member_pos[members].tolist()
+        for tau in range(3):
+            assert c._st.n_links[tau] == len(py.links[tau])
+            assert c._links[tau, :len(py.links[tau])].tolist() == py.links[tau]
+            assert {code: int(c._link_pos[code]) for code in py.links[tau]} == py.link_pos[tau]
+
+
+@needs_cc
 @pytest.mark.parametrize("record_events", [True, False])
 @pytest.mark.parametrize("record_configs", [True, False])
 def test_equal_with_and_without_recording(monkeypatch, record_events, record_configs):

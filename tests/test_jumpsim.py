@@ -300,6 +300,35 @@ class TestConfigValidation:
         with pytest.raises(InvariantViolation):
             DiscreteConfiguration(states=np.array([1, 2]), weights=np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("value", [1.9, -1.2])
+    def test_state_values_are_checked_before_the_cast(self, value):
+        with pytest.raises(InvariantViolation, match="states must be -1 or \\+1"):
+            DiscreteConfiguration(states=np.array([1.0, value]), weights=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("value", [0.5, 1.9, 257.0, 257, -255, np.nan])
+    @pytest.mark.parametrize("kind", ["discrete", "hybrid"])
+    def test_weight_values_are_checked_before_the_cast(self, kind, value):
+        W = np.array([[0, value], [value, 0]])
+        with pytest.raises(InvariantViolation, match="weights must be 0 or 1"):
+            if kind == "discrete":
+                DiscreteConfiguration(states=np.array([1, -1]), weights=W)
+            else:
+                HybridConfiguration(states=np.array([0.0, 1.0]), weights=W)
+
+    def test_exact_values_of_any_dtype_are_accepted(self):
+        for W in (np.array([[0, 1], [1, 0]], dtype=bool), np.array([[0.0, 1.0], [1.0, 0.0]])):
+            cfg = DiscreteConfiguration(states=np.array([1.0, -1.0]), weights=W)
+            assert cfg.states.dtype == cfg.weights.dtype == np.int8
+            assert cfg.weights.tolist() == [[0, 1], [1, 0]]
+            hyb = HybridConfiguration(states=np.array([0.0, 1.0]), weights=W)
+            assert hyb.weights.dtype == np.int8
+
+    def test_inputs_are_copied(self):
+        states, W = np.array([1, -1], dtype=np.int8), np.array([[0, 1], [1, 0]], dtype=np.int8)
+        cfg = DiscreteConfiguration(states=states, weights=W)
+        states[0], W[0, 1] = -1, 0
+        assert cfg.states.tolist() == [1, -1] and cfg.weights[0, 1] == 1
+
     def test_asymmetric_weights(self):
         with pytest.raises(InvariantViolation):
             DiscreteConfiguration(states=np.array([1, -1]),
