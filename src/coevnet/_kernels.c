@@ -9,6 +9,11 @@
  *    the mutations and samplers it calls.
  * 3. coevnet_format_rows: the CSV row renderer of io._write_table, which
  *    prints each float64 as python's "%.17g" % x, byte for byte.
+ * 4. coevnet_flow_pairs / coevnet_rk4_combine: the elementwise bookkeeping
+ *    of one micro flow evaluation and the RK4 stage and final sums of
+ *    microsim's compiled flow; microsim._micro_flow_py is the reference.
+ * 5. coevnet_illinois: one Illinois iteration over every element of the
+ *    weight nullcline solve; microsim._nullcline_array_py is the reference.
  *
  * Every expression keeps the evaluation order of its python or numpy
  * counterpart, and the library is built without floating-point contraction
@@ -672,4 +677,173 @@ int64_t coevnet_format_rows(const char *text, const int64_t *off, int64_t n_cols
         p += off[n_cols + 1] - off[n_cols];
     }
     return p - out;
+}
+
+/* -- micro flow bookkeeping ---------------------------------------------------
+ *
+ * L stacked legs of N agents in m dimensions.  U is the (L, N, N, m) pair
+ * force and V the (L, N, N) weight drift, both C-contiguous; leg l's
+ * (N, N) weight part of the flow's output starts at dw + l * dw_row.
+ */
+
+/* Whether x[0 .. n) is all finite: x * 0.0 is a zero for finite x and NaN
+ * otherwise, and four independent sums keep the scan pipelined. */
+static int all_finite(const double *x, int64_t n)
+{
+    double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
+    int64_t k = 0;
+    for (; k + 4 <= n; k += 4) {
+        a0 += x[k] * 0.0;
+        a1 += x[k + 1] * 0.0;
+        a2 += x[k + 2] * 0.0;
+        a3 += x[k + 3] * 0.0;
+    }
+    for (; k < n; k++)
+        a0 += x[k] * 0.0;
+    return (a0 + a1) + (a2 + a3) == 0.0;
+}
+
+/* ok[l] = whether leg l's U and V are all finite, checked before anything
+ * is written; when a leg is not, returns 1 and writes nothing else.
+ * Otherwise zeroes U's diagonal and, unless V is NULL, writes the weight
+ * drift: with sym, the strict upper triangle of V plus 0.0 (so -0.0 turns
+ * into +0.0) mirrored, as V + V^T after zeroing V on and below the
+ * diagonal; without, V with a zero diagonal.  With eps (not NULL) leg l's
+ * weight drift is divided by eps[l].  Returns 0. */
+int coevnet_flow_pairs(double *U, const double *V, double *dw, const double *eps, uint8_t *ok,
+                       int64_t L, int64_t N, int64_t m, int64_t dw_row, int sym)
+{
+    int64_t nn = N * N, l, i, j, k;
+    int bad = 0;
+    for (l = 0; l < L; l++) {
+        int fin = all_finite(U + l * nn * m, nn * m) && (!V || all_finite(V + l * nn, nn));
+        ok[l] = (uint8_t)fin;
+        bad |= !fin;
+    }
+    if (bad)
+        return 1;
+    for (l = 0; l < L; l++) {
+        double *u = U + l * nn * m, *d;
+        const double *v;
+        for (i = 0; i < N; i++)
+            for (k = 0; k < m; k++)
+                u[(i * N + i) * m + k] = 0.0;
+        if (!V)
+            continue;
+        v = V + l * nn;
+        d = dw + l * dw_row;
+        for (i = 0; i < N; i++) {
+            if (sym) {
+                for (j = i + 1; j < N; j++) {
+                    double x = v[i * N + j] + 0.0;
+                    d[i * N + j] = d[j * N + i] = eps ? x / eps[l] : x;
+                }
+            } else {
+                for (j = 0; j < N; j++)
+                    d[i * N + j] = eps ? v[i * N + j] / eps[l] : v[i * N + j];
+            }
+            d[i * N + i] = 0.0;
+        }
+    }
+    return 0;
+}
+
+/* out = y + c k1 (an RK4 stage, k2 NULL), or the final RK4 sum
+ * out = y + c (((k1 + 2 k2) + 2 k3) + k4), over n elements. */
+void coevnet_rk4_combine(const double *y, const double *k1, const double *k2, const double *k3,
+                         const double *k4, double *out, double c, int64_t n)
+{
+    int64_t i;
+    if (!k2) {
+        for (i = 0; i < n; i++)
+            out[i] = y[i] + c * k1[i];
+        return;
+    }
+    for (i = 0; i < n; i++)
+        out[i] = y[i] + c * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i]);
+}
+
+/* -- weight nullcline ----------------------------------------------------------
+ *
+ * The rows of the (10, n) buffer of one solve; side and done hold
+ * -1/0/+1 and 0/1 as doubles.
+ */
+
+enum { IL_LO, IL_HI, IL_FLO, IL_FHI, IL_W, IL_FW, IL_SIDE, IL_DONE, IL_NEW, IL_FNEW };
+
+/* np.sign: NaN for NaN, and a zero compares equal to zero. */
+static double sign_of(double x)
+{
+    return x > 0.0 ? 1.0 : x < 0.0 ? -1.0 : x;
+}
+
+/* np.spacing(x) for x >= 0 or NaN, from the bit pattern: NaN for NaN and
+ * inf, inf for the largest finite double. */
+static double spacing_of(double x)
+{
+    uint64_t bits;
+    double next;
+    if (!(x < INFINITY))
+        return NAN;
+    memcpy(&bits, &x, sizeof bits);
+    bits++;
+    memcpy(&next, &bits, sizeof next);
+    return next - x;
+}
+
+/* With first, sets w, fw, side and done from the bracket (lo, hi, flo,
+ * fhi): an element with a zero endpoint value is done at that endpoint.
+ * Otherwise takes one iteration's update from fnew = V(new): done, w and fw
+ * of the elements not yet done, the Illinois halving and the bracket side.
+ * Then proposes the next point new of every element, the secant point as a
+ * correction to the endpoint with the smaller |V|, or the midpoint where
+ * that leaves the bracket or the endpoint values differ by a non-finite
+ * amount.  Returns the number of elements not done. */
+int64_t coevnet_illinois(double *buf, int64_t n, int first)
+{
+    double *lo = buf + IL_LO * n, *hi = buf + IL_HI * n, *flo = buf + IL_FLO * n;
+    double *fhi = buf + IL_FHI * n, *w = buf + IL_W * n, *fw = buf + IL_FW * n;
+    double *side = buf + IL_SIDE * n, *done = buf + IL_DONE * n;
+    double *nw = buf + IL_NEW * n, *fnew = buf + IL_FNEW * n;
+    int64_t i, active = 0;
+    for (i = 0; i < n; i++) {
+        double a, fa, b, fb, x;
+        if (first) {
+            int on_lo = flo[i] == 0.0;
+            done[i] = on_lo || fhi[i] == 0.0;
+            w[i] = on_lo ? lo[i] : done[i] != 0.0 ? hi[i] : NAN;
+            fw[i] = on_lo ? flo[i] : fhi[i];
+            side[i] = 0.0;
+        } else {
+            double fn = fnew[i];
+            int to_lo = sign_of(fn) == sign_of(flo[i]);
+            if (done[i] == 0.0) {
+                done[i] = fn == 0.0 || fabs(nw[i] - w[i]) <= 2.0 * spacing_of(fabs(nw[i]));
+                w[i] = nw[i];
+                fw[i] = fn;
+            }
+            /* Illinois: halve the kept endpoint's value when one side is replaced twice */
+            if (to_lo && side[i] == -1.0)
+                fhi[i] = 0.5 * fhi[i];
+            if (!to_lo && side[i] == 1.0)
+                flo[i] = 0.5 * flo[i];
+            if (to_lo) {
+                lo[i] = nw[i];
+                flo[i] = fn;
+            } else {
+                hi[i] = nw[i];
+                fhi[i] = fn;
+            }
+            side[i] = to_lo ? -1.0 : 1.0;
+        }
+        active += done[i] == 0.0;
+        if (fabs(flo[i]) < fabs(fhi[i])) {
+            a = lo[i], fa = flo[i], b = hi[i], fb = fhi[i];
+        } else {
+            a = hi[i], fa = fhi[i], b = lo[i], fb = flo[i];
+        }
+        x = a - fa * (b - a) / (fb - fa);
+        nw[i] = isfinite(fb - fa) && x >= lo[i] && x <= hi[i] ? x : 0.5 * (lo[i] + hi[i]);
+    }
+    return active;
 }

@@ -1,12 +1,14 @@
 """Build and load the compiled kernels.
 
-``_kernels.c`` holds the closure RK4 loop (bound by ``closures``), the
-minimal-model Gillespie engine (bound by ``jumpsim``) and the CSV row
-renderer (bound by ``io``).  It is compiled with the system ``cc`` the first
-time the package is imported, cached next to the source (in ``_cbuild/``, or
-under the temp dir when that is read-only) and loaded through ctypes.
-``LIB`` is the loaded library, or None with one warning naming the cause, in
-which case all three modules run their pure-python reference code.
+``_kernels.c`` holds five kernels: the closure RK4 loop (bound by
+``closures``), the minimal-model Gillespie engine (bound by ``jumpsim``), the
+CSV row renderer (bound by ``io``), and the micro flow's pair bookkeeping
+with its RK4 sums and the weight nullcline's Illinois iteration (both bound
+by ``microsim``).  It is compiled with the system ``cc`` the first time the
+package is imported, cached next to the source (in ``_cbuild/``, or under
+the temp dir when that is read-only) and loaded through ctypes.  ``LIB`` is
+the loaded library, or None with one warning naming the cause, in which
+case all four modules run their pure-python or numpy reference code.
 """
 
 from __future__ import annotations
@@ -101,8 +103,9 @@ def load_library(cc: str = "cc") -> ctypes.CDLL | None:
     except (OSError, subprocess.SubprocessError) as exc:
         log.warning("compiled kernels unavailable (%s): closure integration and the "
                     "Gillespie engine fall back to pure python, 50 to several hundred "
-                    "times slower, and CSV rows to python formatting, 4 to 5 times "
-                    "slower", exc)
+                    "times slower, CSV rows to python formatting, 4 to 5 times slower, "
+                    "and the micro flow and weight nullcline to numpy alone, about 1.3 "
+                    "times slower at N=4", exc)
         return None
 
 

@@ -113,9 +113,9 @@ def check_comparison_grid(N: int, runs: int, T: float, dt: float) -> None:
 
 
 def check_epsilon_sweep(eps_list, T: float, dt: float, reduced_dt: float | None) -> None:
-    """Raise ModelError unless every eps is positive and T is on the grids of
-    both the legs and the reduced run."""
-    if any(e <= 0 for e in eps_list):
+    """Raise ModelError unless every eps is positive (NaN is not) and T is on
+    the grids of both the legs and the reduced run."""
+    if any(not e > 0 for e in eps_list):
         raise ModelError("eps values must be positive")
     grid_steps(dt, T, 1)
     grid_steps(dt if reduced_dt is None else reduced_dt, T, 1, "reduced_dt")

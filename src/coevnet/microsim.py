@@ -14,23 +14,36 @@ see broadcastable grid views with a leading legs axis; results are broadcast.
 Weight symmetry: when the model's V is exchange-symmetric and the initial
 weight matrix is symmetric, the weight derivative matrix is built from its
 upper triangle and mirrored, which keeps trajectories bitwise symmetric.
+
+Compiled bookkeeping: with the kernels of ``_native`` each flow evaluation
+makes one C call for its finiteness checks, U's zero diagonal and the
+weight drift, and an rk4 step sums its stages in C on a workspace of the run
+(k1 to k4, a stage buffer and two states used in turn, with their views and
+addresses built once); each Illinois iteration of the nullcline solve is one
+C call over every element.  U, V, U0, the row sum (``np.add.reduce``, for
+numpy's pairwise summation order) and the mass-weighted ``einsum`` stay in
+numpy, so results are bitwise those of the numpy references
+``_micro_flow_py`` and ``_nullcline_array_py``, which run when there is no
+library.
 """
 
 from __future__ import annotations
 
+import ctypes
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
+from . import _native
 from .errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
 from .models import PotentialModel, SmoothModel, _probe_points
 from .stepping import rk4_step, rkf45_advance, run_grid
 
 NULLCLINE_TOL = 1e-12
 _NULLCLINE_MAX_STEPS = 100
-_NULLCLINE_MAX_BRACKET = 1e6
+_NULLCLINE_MAX_BRACKET = 4.0 ** 10   # the last bracket half-width tried, 1048576
 
 
 @dataclass
@@ -121,29 +134,36 @@ def _failed(what: str, t: float, eps_w: np.ndarray, ok: np.ndarray) -> Integrati
 
 
 def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s: float = 1.0,
-                    masses: np.ndarray | None = None):
-    """drift(states, views, W, t, V=None, out=None): ds/dt of stacked legs (see micro_rhs).
+                    masses: np.ndarray | None = None, pairs=None):
+    """drift(states, views, W, t, V=None, out=None, dw=0): ds/dt of stacked legs (see micro_rhs).
 
     states (L, N, m), their pair views (s_i, s_j) and weights (L, N, N)
     give the (L, N, m) drift, written into out if given; this is the one
     place a particle flow evaluates U.  A leg with a non-finite U, or a
     non-finite entry of the caller's weight drift V, raises IntegrationError
-    naming t (see _failed).
+    naming t (see _failed).  pairs, a compiled pair step of _bind_pairs,
+    also writes V's weight drift to the address dw; without it the numpy
+    reference zeroes U's diagonal and the caller builds the weight drift.
     """
     if m != model.m:
         raise ModelError(f"configuration dimension m={m} does not match model m={model.m}")
 
     def drift(states: np.ndarray, views: tuple, W: np.ndarray, t: float, V=None,
-              out=None) -> np.ndarray:
+              out=None, dw: int = 0) -> np.ndarray:
         U = _on_grid(model.U(*views, W), W.shape + (m,), "U", W)
-        if not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
+        if pairs is not None:
+            ok = pairs(U, V, dw)
+            if ok is not None:
+                raise _failed("non-finite force evaluation at", t, eps_w, ok)
+        elif not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
             ok = np.isfinite(U).all(axis=(1, 2, 3))
             if V is not None:
                 ok &= np.isfinite(V).all(axis=(1, 2))
             raise _failed("non-finite force evaluation at", t, eps_w, ok)
-        U.reshape(len(U), N * N, m)[:, ::N + 1] = 0.0   # the diagonal
+        else:
+            U.reshape(len(U), N * N, m)[:, ::N + 1] = 0.0   # the diagonal
         if masses is None:
-            ds = np.divide(U.sum(axis=2), N * eps_s, out=out)
+            ds = np.divide(np.add.reduce(U, axis=2), N * eps_s, out=out)
         else:
             ds = np.divide(np.einsum("j,lijk->lik", masses, U), eps_s, out=out)
         if model.U0 is not None:
@@ -153,21 +173,27 @@ def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s
     return drift
 
 
-def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
-                masses: np.ndarray | None = None):
+def _flow_legs(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float):
+    """eps_w as an array, L, N, m and whether the flow keeps weight symmetry."""
+    eps_w = np.asarray(eps_w, dtype=float)
+    if not (np.all(eps_w > 0) and eps_s > 0):
+        raise ModelError("eps_w and eps_s must be positive")
+    return eps_w, eps_w.size, cfg.N, cfg.m, cfg.symmetric and model.symmetric_V
+
+
+def _micro_flow_py(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
+                   masses: np.ndarray | None = None):
     """The drift f(z, t) of stacked legs started from cfg, and the one step function.
 
     Row l of z holds leg l's states then its weights and runs with eps_w[l].
     step(y, t, dt, method, rng) takes one rk4, euler or rkf45 step (euler
     with an rng adds simulate_diffusive's state noise) and checks each leg
-    for non-finite entries and a symmetric flow for weight symmetry.
+    for non-finite entries and a symmetric flow for weight symmetry.  This
+    is the numpy reference of the compiled flow of _bind_flow.
     """
-    eps_w = np.asarray(eps_w, dtype=float)
-    if not (np.all(eps_w > 0) and eps_s > 0):
-        raise ModelError("eps_w and eps_s must be positive")
-    L, N, m = eps_w.size, cfg.N, cfg.m
+    eps_w, L, N, m, sym = _flow_legs(cfg, model, eps_w, eps_s)
     drift = _particle_drift(model, N, m, eps_w, eps_s, masses)
-    n, sym = N * m, cfg.symmetric and model.symmetric_V
+    n = N * m
     lower = np.tril(np.ones((N, N), dtype=bool))   # the diagonal and below
     eps_col = None if np.all(eps_w == 1.0) else eps_w.reshape(L, 1, 1)   # x / 1.0 is x
 
@@ -189,9 +215,17 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
             dw[...] = V
         return out
 
+    return f, _flow_step(f, lambda y, t, h: rk4_step(lambda z: f(z, t), y, h), model, eps_w, N,
+                         m, sym)
+
+
+def _flow_step(f, rk4, model: SmoothModel, eps_w: np.ndarray, N: int, m: int, sym: bool):
+    """The step function of a flow f(z, t) whose rk4 step is rk4(y, t, h)."""
+    L, n = eps_w.size, N * m
+
     def step(y: np.ndarray, t: float, dt: float, method: str, rng=None) -> np.ndarray:
         if method == "rk4":
-            y_new = rk4_step(lambda z: f(z, t), y, dt)
+            y_new = rk4(y, t, dt)
         elif method == "rkf45":
             y_new = rkf45_advance(lambda z: f(z, t), y, dt, t0=t)
         else:
@@ -207,7 +241,110 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
             raise InvariantViolation("weight symmetry lost during integration")
         return y_new
 
-    return f, step
+    return step
+
+
+def _bind_pairs(lib):
+    """The compiled pair step of the kernels lib, or None when there is no library.
+
+    pair_step(L, N, m, eps_w=None, sym=False, dw_row=0) gives pairs(U, V,
+    dw) for _particle_drift: one coevnet_flow_pairs call that returns the
+    per-leg finiteness flags of U and V when an entry is not finite, else
+    None after zeroing U's diagonal and, given V, writing the weight drift
+    of _micro_flow_py to the address dw, leg l dw_row doubles further on.
+    """
+    if lib is None:
+        return None
+    fn = lib.coevnet_flow_pairs
+    fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_int]
+    fn.restype = ctypes.c_int
+
+    def pair_step(L: int, N: int, m: int, eps_w=None, sym: bool = False, dw_row: int = 0):
+        ok = np.empty(L, dtype=bool)
+        eps = None if eps_w is None or np.all(eps_w == 1.0) else np.array(eps_w)   # x / 1.0 is x
+        const = (None if eps is None else eps.ctypes.data, ok.ctypes.data, L, N, m, dw_row, sym)
+
+        def pairs(U: np.ndarray, V, dw: int):
+            bad = fn(U.ctypes.data, None if V is None else V.ctypes.data, dw or None, *const)
+            return ok if bad else None
+
+        pairs.buffers = ok, eps   # keeps alive what C reads and writes through const
+        return pairs
+
+    return pair_step
+
+
+def _bind_flow(lib):
+    """The micro flow factory: _micro_flow_py when there is no library, else
+    its compiled counterpart on the kernels lib, bitwise equal to it.
+
+    The compiled f(z, t, out=None) writes into out; it does the pair
+    bookkeeping in one coevnet_flow_pairs call, while U, V and the row sum
+    stay in numpy.  Its rk4 step runs on a workspace made by the first step
+    (k1 to k4, one stage buffer and two states used in turn, so a step's
+    result is overwritten two steps later), the views and addresses of each
+    buffer built once, and sums the stages with coevnet_rk4_combine.
+    """
+    pair_step = _bind_pairs(lib)
+    if pair_step is None:
+        return _micro_flow_py
+    combine = lib.coevnet_rk4_combine
+    combine.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_double, ctypes.c_int64]
+    combine.restype = None
+
+    def flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
+             masses: np.ndarray | None = None):
+        eps_w, L, N, m, sym = _flow_legs(cfg, model, eps_w, eps_s)
+        n, row = N * m, N * m + N * N
+        drift = _particle_drift(model, N, m, eps_w, eps_s, masses,
+                                pair_step(L, N, m, eps_w, sym, row))
+        # views and addresses of the workspace buffers, by id
+        reads, writes, at = {}, {}, {}
+
+        def split(z: np.ndarray) -> tuple:
+            """z's states, weights and pair views."""
+            states = z[:, :n].reshape(L, N, m)
+            return states, z[:, n:].reshape(L, N, N), (states[:, :, None, :], states[:, None, :, :])
+
+        def targets(out: np.ndarray) -> tuple:
+            """out's state part and the address of its weight part."""
+            return out[:, :n].reshape(L, N, m), out.ctypes.data + 8 * n
+
+        def f(z: np.ndarray, t: float, out=None) -> np.ndarray:
+            states, W, views = reads.get(id(z)) or split(z)
+            V = _on_grid(model.V(*views, W), (L, N, N), "V", z)
+            out = np.empty(z.shape) if out is None else out
+            drift(states, views, W, t, V, *(writes.get(id(out)) or targets(out)))
+            return out
+
+        ws = []   # k1 to k4, the stage and two states, made by the first rk4 step
+
+        def rk4(y: np.ndarray, t: float, h: float) -> np.ndarray:
+            if not ws:
+                ws.extend(np.empty(y.shape) for _ in range(7))
+                for buf in ws:
+                    reads[id(buf)], writes[id(buf)], at[id(buf)] = \
+                        split(buf), targets(buf), buf.ctypes.data
+            k1, k2, k3, k4, stage, a, b = ws
+            y_new = b if y is a else a
+            if id(y) not in at:   # the first step's state, which C reads too
+                y = np.ascontiguousarray(y, dtype=np.float64)
+            py, ps = at.get(id(y)) or y.ctypes.data, at[id(stage)]
+            for k, c in ((k1, 0.5 * h), (k2, 0.5 * h), (k3, h)):
+                f(y if k is k1 else stage, t, k)
+                combine(py, at[id(k)], None, None, None, ps, c, y.size)
+            f(stage, t, k4)
+            combine(py, at[id(k1)], at[id(k2)], at[id(k3)], at[id(k4)], at[id(y_new)], h / 6.0,
+                    y.size)
+            return y_new
+
+        return f, _flow_step(f, rk4, model, eps_w, N, m, sym)
+
+    return flow
+
+
+_flow_pairs = _bind_pairs(_native.LIB)
+_micro_flow = _bind_flow(_native.LIB)
 
 
 def micro_rhs(
@@ -389,40 +526,23 @@ def energy_report(cfg: AgentConfiguration, pot: PotentialModel) -> EnergyReport:
                         dissipation_pairwise=pairwise)
 
 
-def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
+def _nullcline_array_py(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
     """Roots of w -> V(s, sigma, w) for broadcast state grids, elementwise.
 
     Each element is bracketed in [-b, b], b = 1, 4, 16, ... up to
-    _NULLCLINE_MAX_BRACKET; no sign change raises NullclineNotFound.  A root on a
-    bracket endpoint is returned as is.  Otherwise the Illinois variant of
+    _NULLCLINE_MAX_BRACKET = 4**10 = 1048576; no sign change within it raises
+    NullclineNotFound naming that bound.  A root on a bracket endpoint is
+    returned as is.  Otherwise the Illinois variant of
     regula falsi (Dowell & Jarratt 1971) shrinks the bracket, with a
     bisection step wherever an endpoint value is not finite or the secant
     point leaves the bracket.  An element stops at an exact zero of V or
     when its iterate moves by at most 2 ulps; an affine V (every catalog
     model) stops after two to four steps.  The last residual must be at
-    most NULLCLINE_TOL (a NaN residual fails too).
+    most NULLCLINE_TOL (a NaN residual fails too).  This is the numpy
+    reference of the compiled solve of _bind_nullcline.
     """
-    shape = np.broadcast_shapes(si.shape[:-1], sj.shape[:-1])
-
-    def V_at(w):
-        return np.asarray(model.V(si, sj, w), dtype=float)
-
-    bound = 1.0
-    lo = np.full(shape, -1.0)
-    hi = np.full(shape, 1.0)
-    flo = V_at(lo)
-    fhi = V_at(hi)
-    unbracketed = np.sign(flo) == np.sign(fhi)
-    while np.any(unbracketed) and bound < _NULLCLINE_MAX_BRACKET:
-        bound *= 4.0
-        lo = np.where(unbracketed, -bound, lo)
-        hi = np.where(unbracketed, bound, hi)
-        flo = np.where(unbracketed, V_at(lo), flo)
-        fhi = np.where(unbracketed, V_at(hi), fhi)
-        unbracketed = np.sign(flo) == np.sign(fhi)
-    if np.any(unbracketed & (flo != 0.0) & (fhi != 0.0)):
-        raise NullclineNotFound(
-            f"V has no sign change in |w| <= {_NULLCLINE_MAX_BRACKET:g} for some state pair")
+    V_at, lo, hi, flo, fhi = _nullcline_bracket(model, si, sj)
+    shape = lo.shape
     on_lo = flo == 0.0
     done = on_lo | (fhi == 0.0)
     w = np.where(on_lo, lo, np.where(done, hi, np.nan))   # NaN: no iterate yet
@@ -454,11 +574,80 @@ def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.n
             lo, flo = np.where(to_lo, new, lo), np.where(to_lo, fnew, flo)
             hi, fhi = np.where(to_lo, hi, new), np.where(to_lo, fhi, fnew)
             side = np.where(to_lo, -1, 1)
+    return _nullcline_checked(w, fw)
+
+
+def _nullcline_bracket(model: SmoothModel, si: np.ndarray, sj: np.ndarray):
+    """V_at(w), the values of V on si, sj, and the bracket lo, hi with the
+    values flo, fhi of V there, found as _nullcline_array_py states."""
+    shape = np.broadcast_shapes(si.shape[:-1], sj.shape[:-1])
+
+    def V_at(w):
+        return np.asarray(model.V(si, sj, w), dtype=float)
+
+    bound = 1.0
+    lo = np.full(shape, -1.0)
+    hi = np.full(shape, 1.0)
+    flo = V_at(lo)
+    fhi = V_at(hi)
+    unbracketed = np.sign(flo) == np.sign(fhi)
+    while np.any(unbracketed) and bound < _NULLCLINE_MAX_BRACKET:
+        bound *= 4.0
+        lo = np.where(unbracketed, -bound, lo)
+        hi = np.where(unbracketed, bound, hi)
+        flo = np.where(unbracketed, V_at(lo), flo)
+        fhi = np.where(unbracketed, V_at(hi), fhi)
+        unbracketed = np.sign(flo) == np.sign(fhi)
+    if np.any(unbracketed & (flo != 0.0) & (fhi != 0.0)):
+        raise NullclineNotFound(f"V has no sign change in |w| <= {bound:g} for some state pair")
+    return V_at, lo, hi, flo, fhi
+
+
+def _nullcline_checked(w: np.ndarray, fw: np.ndarray) -> np.ndarray:
+    """w, unless a residual |fw| is above NULLCLINE_TOL (or NaN)."""
     resid = np.abs(fw)
     if not np.all(resid <= NULLCLINE_TOL):
         raise NullclineNotFound(
             f"nullcline residual {float(resid.max()):.3e} above {NULLCLINE_TOL:g}")
     return w
+
+
+def _bind_nullcline(lib):
+    """The nullcline solve: _nullcline_array_py when there is no library,
+    else its compiled counterpart on the kernels lib, bitwise equal to it.
+
+    The bracket search, the step limit and the residual check stay in numpy,
+    as does every call of V; each Illinois iteration is one
+    coevnet_illinois call over every element of one (10, n) buffer.
+    """
+    if lib is None:
+        return _nullcline_array_py
+    fn = lib.coevnet_illinois
+    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int]
+    fn.restype = ctypes.c_int64
+
+    def nullcline(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
+        V_at, *bracket = _nullcline_bracket(model, si, sj)
+        # rows lo, hi, flo, fhi, w, fw, side, done, new, fnew, as coevnet_illinois reads them
+        buf = np.empty((10,) + bracket[0].shape)
+        buf[0], buf[1], buf[2], buf[3] = bracket
+        new, fnew, at, size = buf[8], buf[9], buf.ctypes.data, buf[0].size
+        steps = 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            active = fn(at, size, 1)
+            while active:
+                if steps == _NULLCLINE_MAX_STEPS:
+                    raise NullclineNotFound(
+                        f"nullcline iteration did not converge in {steps} steps")
+                steps += 1
+                np.copyto(fnew, V_at(new))
+                active = fn(at, size, 0)
+        return _nullcline_checked(buf[4], buf[5])
+
+    return nullcline
+
+
+_nullcline_array = _bind_nullcline(_native.LIB)
 
 
 def solve_weight_nullcline(model: SmoothModel, s, sigma) -> float:
@@ -496,7 +685,8 @@ def integrate_reduced(
     if states.ndim == 1:
         states = states[:, None]
     N, m = states.shape
-    drift = _particle_drift(model, N, m, np.ones(1))
+    drift = _particle_drift(model, N, m, np.ones(1),
+                            pairs=None if _flow_pairs is None else _flow_pairs(1, N, m))
 
     def on_nullcline(y: np.ndarray, t: float) -> np.ndarray:
         s = y.reshape(1, N, m)

@@ -6,9 +6,10 @@ obeys; ``sample_times`` gives the jump models' sample times.  Every Python
 integrator advances on the grid t0 + k dt through ``run_grid``, which owns
 the stepping, the finiteness check (or leaves it to a step that makes it)
 and the sampling rule.  The integrator passes only its one-step function,
-built on ``rk4_step``, an Euler update or ``rkf45_advance`` (adaptive
-substeps between grid points).  A failed step raises IntegrationError; no
-integrator returns a truncated trajectory.  The compiled closure loop of
+built on ``rk4_step`` (or the micro flow's compiled RK4, which sums the
+same stages in the same order), an Euler update or ``rkf45_advance``
+(adaptive substeps between grid points).  A failed step raises
+IntegrationError; no integrator returns a truncated trajectory.  The compiled closure loop of
 ``_kernels.c`` keeps the same grid, sampling rule and failure on a
 non-finite state.
 """

@@ -6,7 +6,6 @@ same records, record steps, status, clamp count and steps done.
 
 import logging
 import os
-import shutil
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ from hypothesis import assume, given, settings, strategies as st
 
 from coevnet import _native, closures
 from coevnet.closures import DELTA_CONSENSUS, NEG_CLAMP_TOL
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
 
 
 def criterion_01_cases():
@@ -48,12 +45,12 @@ def assert_same_run(args):
     return py[2:]
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_compiled_loop_is_in_use():
     assert closures._integrate_loop is not closures._integrate_loop_py
 
 
-@needs_cc
+@pytest.mark.needs_cc
 @pytest.mark.parametrize("kirk", [0, 1])
 def test_bitwise_equal_on_criterion_01_cases(kirk):
     for y0, r in criterion_01_cases():
@@ -84,7 +81,7 @@ EDGE_CASES = {
 }
 
 
-@needs_cc
+@pytest.mark.needs_cc
 @pytest.mark.parametrize("kirk", [0, 1])
 @pytest.mark.parametrize("name", sorted(EDGE_CASES))
 def test_bitwise_equal_on_stop_and_clamp_cases(name, kirk):
@@ -130,7 +127,7 @@ def test_loops_agree_and_keep_the_invariants(run):
         assert np.all(np.abs(rho_p - rho_p[0]) <= tol)
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_compiled_loop_rejects_bad_shapes():
     y0, r = criterion_01_cases()[0]
     with pytest.raises(ValueError):
@@ -149,7 +146,7 @@ def test_missing_compiler_falls_back_with_warning(tmp_path, caplog):
     assert missing in warnings[0].getMessage()
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_unwritable_build_dir_falls_back_to_next(tmp_path, monkeypatch):
     blocker = tmp_path / "blocker"
     blocker.write_text("")      # a file, so no directory can be made below it

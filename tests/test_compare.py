@@ -276,6 +276,16 @@ class TestEpsilonSweep:
             assert stacked[leg].tobytes() == alone.states.tobytes()
             assert rep.gaps[leg] == float(np.max(np.abs(alone.states - target)))
 
+    def test_nan_eps_is_refused_before_any_work(self, monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("a NaN eps must be refused before integrating")
+        monkeypatch.setattr(compare, "integrate_reduced", never)
+        monkeypatch.setattr(compare, "_run_legs", never)
+        cfg = AgentConfiguration(states=[[0.0], [1.0]], weights=np.zeros((2, 2)))
+        with pytest.raises(ModelError, match="^eps values must be positive$"):
+            run_epsilon_sweep(relaxation_model(), cfg, eps_list=[0.1, float("nan")], dt=1e-3,
+                              T=1.0)
+
     def test_empty_eps_list_integrates_nothing(self, monkeypatch):
         def never(*args, **kwargs):
             raise AssertionError("an empty sweep must not integrate")

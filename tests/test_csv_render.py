@@ -10,7 +10,6 @@ warning-free build of the kernel source.
 import hashlib
 import json
 import os
-import shutil
 import subprocess
 
 import numpy as np
@@ -18,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coevnet import _native, closures, io, jumpsim
+from coevnet import _native, closures, io, jumpsim, microsim
 from coevnet.cli import main
 from test_cli_bytes import CONFIGS, PINNED
 
@@ -186,6 +185,8 @@ def test_runs_without_compiled_kernels_write_the_pinned_bytes(tmp_path, monkeypa
     monkeypatch.setattr(io, "_render_rows", io._bind_rows(None))
     monkeypatch.setattr(closures, "_integrate_loop", closures._bind_loop(None))
     monkeypatch.setattr(jumpsim, "_gillespie_engine", jumpsim._bind_engine(None))
+    monkeypatch.setattr(microsim, "_micro_flow", microsim._bind_flow(None))
+    monkeypatch.setattr(microsim, "_flow_pairs", microsim._bind_pairs(None))
     checked = 0
     for name in ("micro", "minimal", "closure"):
         (tmp_path / f"{name}.json").write_text(json.dumps(CONFIGS[name]))
@@ -227,7 +228,7 @@ def test_artifact_mode_follows_the_umask(tmp_path, monkeypatch, umask, mode):
 
 # ----------------------------------------------------------------- the kernel source
 
-@pytest.mark.skipif(shutil.which("cc") is None, reason="no cc on PATH")
+@pytest.mark.needs_cc
 def test_kernel_source_compiles_without_warnings():
     proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
                            _native._C_SOURCE], capture_output=True, text=True, timeout=120)

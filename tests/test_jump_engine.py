@@ -6,7 +6,6 @@ whether ``_CMinimalEngine.run`` or ``_MinimalEngine.run`` runs it.
 """
 
 import logging
-import shutil
 
 import numpy as np
 import pytest
@@ -14,8 +13,6 @@ import pytest
 from coevnet import _native, closures, jumpsim
 from coevnet.jumpsim import DiscreteConfiguration, minimal_rates, simulate_minimal
 from coevnet.models import MinimalParams
-
-needs_cc = pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler 'cc' on PATH")
 
 
 def config(states, edges):
@@ -82,13 +79,13 @@ def random_config(rng, N, rho_p, density):
     return DiscreteConfiguration(states=states, weights=W + W.T)
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_compiled_engine_is_in_use():
     cfg = config([1, -1, 1], [(0, 1)])
     assert isinstance(jumpsim._gillespie_engine(cfg, RATES, False), jumpsim._CMinimalEngine)
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_compiled_init_keeps_the_python_bookkeeping():
     """After init the compiled engine's member lists, the live part of its
     link lists and its link positions at every present code equal the python
@@ -112,7 +109,7 @@ def test_compiled_init_keeps_the_python_bookkeeping():
             assert {code: int(c._link_pos[code]) for code in py.links[tau]} == py.link_pos[tau]
 
 
-@needs_cc
+@pytest.mark.needs_cc
 @pytest.mark.parametrize("record_events", [True, False])
 @pytest.mark.parametrize("record_configs", [True, False])
 def test_equal_with_and_without_recording(monkeypatch, record_events, record_configs):
@@ -124,7 +121,7 @@ def test_equal_with_and_without_recording(monkeypatch, record_events, record_con
     assert kinds == ({"flip", "create", "remove"} if record_events else set())
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_equal_on_random_small_cases(monkeypatch):
     """Random sizes, states, densities, horizons and grids; some rates zero
     and some integer-valued."""
@@ -141,7 +138,7 @@ def test_equal_on_random_small_cases(monkeypatch):
                     sample_dt=sample_dt, record_events=True)
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_equal_through_zero_rate_channels(monkeypatch):
     # no flips and no cross creation; the other channels are live
     p = MinimalParams(beta_pp=1.0, beta_mm=2.0, gamma_pp=0.5, gamma_pm=1.5)
@@ -150,7 +147,7 @@ def test_equal_through_zero_rate_channels(monkeypatch):
     assert py.events and all(e[1] != "flip" for e in py.events)
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_equal_into_absorbing_state(monkeypatch):
     # only cross links are removed: once the last one is gone the total rate
     # is zero and time fast-forwards to T
@@ -163,7 +160,7 @@ def test_equal_into_absorbing_state(monkeypatch):
     assert not np.any(final[states == 1][:, states == -1])
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_equal_without_grid_and_at_zero_horizon(monkeypatch):
     cfg = random_config(np.random.default_rng(9), 20, 0.5, 0.3)
     py = assert_same(monkeypatch, cfg, RATES, 1.5, 3, sample_dt=None, record_events=True)
@@ -174,7 +171,7 @@ def test_equal_without_grid_and_at_zero_horizon(monkeypatch):
         assert py.times == [0.0] and py.events == []
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_equal_with_event_buffer_refills(monkeypatch):
     monkeypatch.setattr(jumpsim, "_EVENT_BUFFER", 3)
     cfg = random_config(np.random.default_rng(1), 25, 0.5, 0.3)
@@ -182,7 +179,7 @@ def test_equal_with_event_buffer_refills(monkeypatch):
     assert len(py.events) > 10 * 3
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_equal_through_dense_type_enumeration(monkeypatch, count_enumerations):
     # all plus, 21 unlinked pairs of 435: the first creation is at the
     # rejection threshold U = P // 20, later ones below it enumerate the open
@@ -198,7 +195,7 @@ def test_equal_through_dense_type_enumeration(monkeypatch, count_enumerations):
     assert sum(e[1] == "create" for e in py.events) >= 5
 
 
-@needs_cc
+@pytest.mark.needs_cc
 def test_equal_when_rejection_sampling_gives_up(monkeypatch, count_enumerations):
     # nine linked plus agents, creation much faster than removal: creations
     # mostly see one open pair of 36, at the rejection threshold

@@ -498,6 +498,18 @@ class TestNullcline:
         w = solve_weight_nullcline(model, np.array([0.2]), np.array([-0.4]))
         assert abs(w - 50.0) <= 2 * np.spacing(50.0)
 
+    def test_the_search_reaches_the_bracket_it_names(self):
+        # the bracket grows by 4 up to 4**10 = 1048576: a root at 1.02e6 is found
+        # and no root names the last half-width tried
+        def affine(root):
+            return SmoothModel(U=lambda s, sig, w: np.zeros(np.asarray(s, dtype=float).shape),
+                               V=lambda s, sig, w: np.asarray(
+                                   root - np.asarray(w, dtype=float) if root else np.ones(np.shape(w))),
+                               symmetric_V=True)
+        assert solve_weight_nullcline(affine(1.02e6), np.array([0.0]), np.array([0.0])) == 1.02e6
+        with pytest.raises(NullclineNotFound, match=r"no sign change in \|w\| <= 1\.04858e\+06 "):
+            solve_weight_nullcline(affine(None), np.array([0.0]), np.array([0.0]))
+
     def test_infinite_endpoint_value_bisects(self):
         # V is +inf at the lower end of the grown bracket [-16, 16]
         model = SmoothModel(
