@@ -8,23 +8,15 @@ are stored once.  rho_+ = f_pp + g_pp + f_pm + g_pm and rho_- analogously;
 the weighted sum f_pp + g_pp + f_mm + g_mm + 2 (f_pm + g_pm) is conserved
 identically by both systems.
 
-The conditional-closure right-hand side, with a = flip rates, b = link
-creation, c = link removal:
-
-    f_pp' = a_mp f_pm^2 / rho_m - a_pm f_pp f_pm / rho_p + b_pp g_pp - c_pp f_pp
-    g_pp' = a_mp g_pm f_pm / rho_m - a_pm g_pp f_pm / rho_p - b_pp g_pp + c_pp f_pp
-    f_mm' = a_pm f_pm^2 / rho_p - a_mp f_mm f_pm / rho_m + b_mm g_mm - c_mm f_mm
-    g_mm' = a_pm g_pm f_pm / rho_p - a_mp g_mm f_pm / rho_m - b_mm g_mm + c_mm f_mm
-    f_pm' = -a_mp f_pm^2 / (2 rho_m) + a_pm f_pp f_pm / (2 rho_p)
-            - a_pm f_pm^2 / (2 rho_p) + a_mp f_mm f_pm / (2 rho_m)
-            + b_pm g_pm - c_pm f_pm
-    g_pm' = -a_mp g_pm f_pm / (2 rho_m) + a_pm g_pp f_pm / (2 rho_p)
-            - a_pm g_pm f_pm / (2 rho_p) + a_mp g_mm f_pm / (2 rho_m)
-            - b_pm g_pm + c_pm f_pm
-
-The Kirkwood variant multiplies each flip term by h_pp/rho_p^2, h_mm/rho_m^2
-or h_pm/(rho_p rho_m) according to the state pair of the passive partner and
-the flip-driving third particle.
+``_rhs_arrays_py`` is the one python statement of the closure equations, and
+the static ``rhs`` of ``_kernels.c`` is its compiled twin.  Everything else
+here that needs the right-hand side calls it: ``closure_rhs``, the
+h-equations of ``weight_averaged_rhs`` (its componentwise sums), the
+continuation's reduced residual and ``linearized_jacobian``, which takes the
+Jacobian from it by complex step.  What stays in closed form are theorems
+about it: the threshold of ``polarization_stable``, the rates of
+``decay_envelope_check``, the continuation's hypothesis on gamma_pm, its
+cross balance Phi and the mixed stationary h-profile.
 
 The closure trajectory runs in ``coevnet_closure_loop`` of ``_kernels.c``,
 built and loaded by ``_native``.  Its pure-python reference
@@ -47,6 +39,7 @@ import numpy as np
 
 from . import _native
 from .errors import (
+    ClosureSingular,
     ConsensusBoundary,
     ContinuationFailed,
     IntegrationError,
@@ -74,51 +67,67 @@ class ClosureKind(str, Enum):
         raise ModelError(f"unknown closure kind {value!r}")
 
 
-def _flip_factors(kirk, h_pp, h_mm, h_pm, rho_p, rho_m):
-    """(kpp, kmm, kpm), the factors of the flip terms: h over the product of
-    the densities under Kirkwood (``kirk`` true), 1 under the conditional
-    closure."""
-    if not kirk:
-        return 1.0, 1.0, 1.0
-    return h_pp / (rho_p * rho_p), h_mm / (rho_m * rho_m), h_pm / (rho_p * rho_m)
+# -- the closure right-hand side ---------------------------------------------
 
 
-# -- reference loop (pure python; the compiled loop must match it bitwise) ---
+def _rhs_arrays_py(y, r, kirk, densities=None):
+    """The one python statement of the closure equations; the static ``rhs``
+    of ``_kernels.c`` is its compiled twin, with the same expressions in the
+    same order.  Under the conditional closure, with a = flip rates,
+    b = link creation, c = link removal:
 
+        f_pp' = a_mp f_pm^2 / rho_m - a_pm f_pp f_pm / rho_p + b_pp g_pp - c_pp f_pp
+        g_pp' = a_mp g_pm f_pm / rho_m - a_pm g_pp f_pm / rho_p - b_pp g_pp + c_pp f_pp
+        f_mm' = a_pm f_pm^2 / rho_p - a_mp f_mm f_pm / rho_m + b_mm g_mm - c_mm f_mm
+        g_mm' = a_pm g_pm f_pm / rho_p - a_mp g_mm f_pm / rho_m - b_mm g_mm + c_mm f_mm
+        f_pm' = -a_mp f_pm^2 / (2 rho_m) + a_pm f_pp f_pm / (2 rho_p)
+                - a_pm f_pm^2 / (2 rho_p) + a_mp f_mm f_pm / (2 rho_m)
+                + b_pm g_pm - c_pm f_pm
+        g_pm' = -a_mp g_pm f_pm / (2 rho_m) + a_pm g_pp f_pm / (2 rho_p)
+                - a_pm g_pm f_pm / (2 rho_p) + a_mp g_mm f_pm / (2 rho_m)
+                - b_pm g_pm + c_pm f_pm
 
-def _rhs_arrays_py(y, r, kirk):
-    f_pp = y[0]
-    g_pp = y[1]
-    f_mm = y[2]
-    g_mm = y[3]
-    f_pm = y[4]
-    g_pm = y[5]
-    rho_p = f_pp + g_pp + f_pm + g_pm
-    rho_m = f_mm + g_mm + f_pm + g_pm
-    kpp, kmm, kpm = _flip_factors(kirk, f_pp + g_pp, f_mm + g_mm, f_pm + g_pm, rho_p, rho_m)
-    a_pm = r[0]
-    a_mp = r[1]
-    b_pp = r[2]
-    b_mm = r[3]
-    b_pm = r[4]
-    c_pp = r[5]
-    c_mm = r[6]
-    c_pm = r[7]
+    Kirkwood (``kirk`` true) multiplies each flip term by h_pp/rho_p^2,
+    h_mm/rho_m^2 or h_pm/(rho_p rho_m) according to the state pair of the
+    passive partner and the flip-driving third particle.
+
+    ``y`` holds the six moments and ``r`` the eight rates, as numpy float64,
+    python float or python complex scalars; the result is an array of their
+    type.  ``densities`` replaces the structural (rho_+, rho_-) by the given
+    pair.  Nothing here guards the divisions: callers check the consensus
+    threshold first.
+    """
+    f_pp, g_pp, f_mm, g_mm, f_pm, g_pm = y
+    a_pm, a_mp, b_pp, b_mm, b_pm, c_pp, c_mm, c_pm = r
+    if densities is None:
+        rho_p = f_pp + g_pp + f_pm + g_pm
+        rho_m = f_mm + g_mm + f_pm + g_pm
+    else:
+        rho_p, rho_m = densities
+    if kirk:
+        kpp = (f_pp + g_pp) / (rho_p * rho_p)
+        kmm = (f_mm + g_mm) / (rho_m * rho_m)
+        kpm = (f_pm + g_pm) / (rho_p * rho_m)
+    else:
+        kpp = kmm = kpm = 1.0
 
     u = f_pm / rho_m          # cross mass per unit minus density
     v = f_pm / rho_p
-    out = np.empty(6)
-    out[0] = a_mp * f_pm * u * kpp - a_pm * f_pp * v * kpm + b_pp * g_pp - c_pp * f_pp
-    out[1] = a_mp * g_pm * u * kpp - a_pm * g_pp * v * kpm - b_pp * g_pp + c_pp * f_pp
-    out[2] = a_pm * f_pm * v * kmm - a_mp * f_mm * u * kpm + b_mm * g_mm - c_mm * f_mm
-    out[3] = a_pm * g_pm * v * kmm - a_mp * g_mm * u * kpm - b_mm * g_mm + c_mm * f_mm
-    out[4] = (-a_mp * f_pm * u * kpp + a_pm * f_pp * v * kpm
-              - a_pm * f_pm * v * kmm + a_mp * f_mm * u * kpm) * 0.5 \
-        + b_pm * g_pm - c_pm * f_pm
-    out[5] = (-a_mp * g_pm * u * kpp + a_pm * g_pp * v * kpm
-              - a_pm * g_pm * v * kmm + a_mp * g_mm * u * kpm) * 0.5 \
-        - b_pm * g_pm + c_pm * f_pm
-    return out
+    return np.array([
+        a_mp * f_pm * u * kpp - a_pm * f_pp * v * kpm + b_pp * g_pp - c_pp * f_pp,
+        a_mp * g_pm * u * kpp - a_pm * g_pp * v * kpm - b_pp * g_pp + c_pp * f_pp,
+        a_pm * f_pm * v * kmm - a_mp * f_mm * u * kpm + b_mm * g_mm - c_mm * f_mm,
+        a_pm * g_pm * v * kmm - a_mp * g_mm * u * kpm - b_mm * g_mm + c_mm * f_mm,
+        (-a_mp * f_pm * u * kpp + a_pm * f_pp * v * kpm
+         - a_pm * f_pm * v * kmm + a_mp * f_mm * u * kpm) * 0.5
+        + b_pm * g_pm - c_pm * f_pm,
+        (-a_mp * g_pm * u * kpp + a_pm * g_pp * v * kpm
+         - a_pm * g_pm * v * kmm + a_mp * g_mm * u * kpm) * 0.5
+        - b_pm * g_pm + c_pm * f_pm,
+    ])
+
+
+# -- reference loop (pure python; the compiled loop must match it bitwise) ---
 
 
 class _Stop(Exception):
@@ -212,15 +221,33 @@ def _bind_loop(lib):
 _integrate_loop = _bind_loop(_native.LIB)
 
 
-def closure_rhs_array(y, p: MinimalParams, kind) -> np.ndarray:
-    """Six-component derivative for a raw moment vector (no invariant checks)."""
+def _checked_rhs(y, p: MinimalParams, kind, densities=None) -> np.ndarray:
+    """_rhs_arrays_py on python floats, after checking that ``y`` is a
+    moment vector and that the densities, structural or given, lie above the
+    consensus threshold.  On a vector far from unit mass a Kirkwood factor
+    can still divide by 0 (ClosureSingular)."""
     y = np.asarray(y, dtype=float)
-    rho_p = y[0] + y[1] + y[4] + y[5]
-    rho_m = y[2] + y[3] + y[4] + y[5]
+    if y.shape != (6,):
+        raise ModelError(f"a moment vector has shape (6,), got {y.shape}")
+    y = y.tolist()
+    if densities is None:
+        rho_p, rho_m = y[0] + y[1] + y[4] + y[5], y[2] + y[3] + y[4] + y[5]
+    else:
+        rho_p, rho_m = densities
     if rho_p * rho_m <= DELTA_CONSENSUS:
         raise ConsensusBoundary(f"rho_+ rho_- = {rho_p * rho_m:.3e} at or below the "
                                 f"consensus threshold {DELTA_CONSENSUS:g}")
-    return _rhs_arrays_py(y, p.as_array(), ClosureKind(kind) is ClosureKind.KIRKWOOD)
+    kirk = ClosureKind(kind) is ClosureKind.KIRKWOOD
+    try:
+        return _rhs_arrays_py(y, p.as_array().tolist(), kirk, densities)
+    except ZeroDivisionError as exc:     # a Kirkwood rho^2 below the float range
+        raise ClosureSingular(f"a closure denominator is 0 at rho_+ = {rho_p:.3e}, "
+                              f"rho_- = {rho_m:.3e}") from exc
+
+
+def closure_rhs_array(y, p: MinimalParams, kind) -> np.ndarray:
+    """Six-component derivative for a raw moment vector (no invariant checks)."""
+    return _checked_rhs(y, p, kind)
 
 
 def closure_rhs(m: MinimalMoments, p: MinimalParams, kind) -> np.ndarray:
@@ -231,10 +258,9 @@ def closure_rhs(m: MinimalMoments, p: MinimalParams, kind) -> np.ndarray:
 def weight_averaged_rhs(m, p: MinimalParams, kind,
                         rho_override: tuple[float, float] | None = None
                         ) -> tuple[float, float, float]:
-    """Closed-form derivatives of (h_pp, h_mm, h_pm).
-
-    Identical to the componentwise sums of the six-moment system; h_pm' is
-    built as -(h_pp' + h_mm')/2, the conservation identity.
+    """Derivatives of (h_pp, h_mm, h_pm), the componentwise sums of the
+    six-moment system; h_pm' is built as -(h_pp' + h_mm')/2, the
+    conservation identity.
 
     ``rho_override`` substitutes external densities for the structural sums
     (rho_+ = h_pp + h_pm, rho_- = h_mm + h_pm).  The mixed stationary
@@ -242,25 +268,11 @@ def weight_averaged_rhs(m, p: MinimalParams, kind,
     densities held as parameters; with equal flip rates the two readings
     coincide.
     """
-    if isinstance(m, MinimalMoments):
-        f_pm, h_pp, h_mm, h_pm = m.f_pm, m.h_pp, m.h_mm, m.h_pm
-        rho_p, rho_m = m.rho_p, m.rho_m
-    else:
-        y = np.asarray(m, dtype=float)
-        f_pm = y[4]
-        h_pp, h_mm, h_pm = y[0] + y[1], y[2] + y[3], y[4] + y[5]
-        rho_p = y[0] + y[1] + y[4] + y[5]
-        rho_m = y[2] + y[3] + y[4] + y[5]
-    if rho_override is not None:
-        rho_p, rho_m = rho_override
-    if rho_p * rho_m <= DELTA_CONSENSUS:
-        raise ConsensusBoundary("consensus boundary in weight-averaged equations")
-    kpp, kmm, kpm = _flip_factors(ClosureKind(kind) is ClosureKind.KIRKWOOD,
-                                  h_pp, h_mm, h_pm, rho_p, rho_m)
-    dh_pp = p.alpha_mp * h_pm * f_pm / rho_m * kpp - p.alpha_pm * h_pp * f_pm / rho_p * kpm
-    dh_mm = p.alpha_pm * h_pm * f_pm / rho_p * kmm - p.alpha_mp * h_mm * f_pm / rho_m * kpm
-    dh_pm = -0.5 * (dh_pp + dh_mm)
-    return dh_pp, dh_mm, dh_pm
+    y = m.as_array() if isinstance(m, MinimalMoments) else m
+    rhs = _checked_rhs(y, p, kind, rho_override).tolist()
+    dh_pp = rhs[0] + rhs[1]
+    dh_mm = rhs[2] + rhs[3]
+    return dh_pp, dh_mm, -0.5 * (dh_pp + dh_mm)
 
 
 # -- trajectories -------------------------------------------------------------
@@ -428,12 +440,13 @@ class JacobianReport:
 
 
 def linearized_jacobian(p: MinimalParams, m_star: MinimalMoments, kind) -> JacobianReport:
-    """Analytic linearization around a polarized stationary point (f_pm = 0).
+    """Linearization around a polarized stationary point (f_pm = 0).
 
-    All flip terms vanish with f_pm at the base point, so only derivatives
-    with respect to f_pm survive in the flip part; the link part contributes
-    the familiar two-level exchange blocks.  The input must be stationary to
-    _STATIONARY_TOL and have f_pm = 0.
+    Column j of the Jacobian is Im f(y + i h e_j) / h with h = 1e-30, the
+    complex-step derivative (Squire & Trapp, SIAM Review 40, 1998) of the
+    closure right-hand side f, evaluated on python complex scalars.  It
+    takes no difference, so for this rational f it is exact to rounding.
+    The input must be stationary to _STATIONARY_TOL and have f_pm = 0.
     """
     if m_star.f_pm != 0.0:
         raise ModelError("linearized_jacobian expects a polarized point with f_pm = 0")
@@ -441,35 +454,14 @@ def linearized_jacobian(p: MinimalParams, m_star: MinimalMoments, kind) -> Jacob
     if resid > _STATIONARY_TOL:
         raise ModelError(f"input is not stationary: residual {resid:.3e} > {_STATIONARY_TOL:g}")
     kind = ClosureKind(kind)
-    rho_p, rho_m = m_star.rho_p, m_star.rho_m
-    f_pp, g_pp = m_star.f_pp, m_star.g_pp
-    f_mm, g_mm = m_star.f_mm, m_star.g_mm
-    g_pm = m_star.g_pm
-    a_pm, a_mp = p.alpha_pm, p.alpha_mp
-    b_pp, b_mm, b_pm = p.beta_pp, p.beta_mm, p.beta_pm
-    c_pp, c_mm, c_pm = p.gamma_pp, p.gamma_mm, p.gamma_pm
-    kpp, kmm, kpm = _flip_factors(kind is ClosureKind.KIRKWOOD,
-                                  m_star.h_pp, m_star.h_mm, m_star.h_pm, rho_p, rho_m)
-
-    J = np.zeros((6, 6))
-    J[0, 0] = -c_pp
-    J[0, 1] = b_pp
-    J[0, 4] = -a_pm * (f_pp / rho_p) * kpm
-    J[1, 0] = c_pp
-    J[1, 1] = -b_pp
-    J[1, 4] = a_mp * (g_pm / rho_m) * kpp - a_pm * (g_pp / rho_p) * kpm
-    J[2, 2] = -c_mm
-    J[2, 3] = b_mm
-    J[2, 4] = -a_mp * (f_mm / rho_m) * kpm
-    J[3, 2] = c_mm
-    J[3, 3] = -b_mm
-    J[3, 4] = a_pm * (g_pm / rho_p) * kmm - a_mp * (g_mm / rho_m) * kpm
-    J[4, 4] = (a_pm * f_pp / (2 * rho_p) + a_mp * f_mm / (2 * rho_m)) * kpm - c_pm
-    J[4, 5] = b_pm
-    J[5, 4] = (-a_mp * (g_pm / (2 * rho_m)) * kpp + a_pm * (g_pp / (2 * rho_p)) * kpm
-               - a_pm * (g_pm / (2 * rho_p)) * kmm + a_mp * (g_mm / (2 * rho_m)) * kpm
-               + c_pm)
-    J[5, 5] = -b_pm
+    kirk = kind is ClosureKind.KIRKWOOD
+    y, r = m_star.as_array().tolist(), p.as_array().tolist()
+    h = 1e-30
+    J = np.empty((6, 6))
+    for j in range(6):
+        z = list(y)
+        z[j] = complex(y[j], h)
+        J[:, j] = _rhs_arrays_py(z, r, kirk).imag / h
     eig = np.linalg.eigvals(J)
     return JacobianReport(matrix=J, eigenvalues=eig, lambda_pm=float(J[4, 4]), kind=kind)
 
@@ -532,8 +524,13 @@ def decay_envelope_check(traj: ClosureTrajectory, p: MinimalParams, kind) -> Env
     rate = gamma_pm - (alpha_pm + alpha_mp)/2 under the conditional closure
     and gamma_pm - (alpha_pm + alpha_mp) under Kirkwood.  The bounds assume
     no cross-link creation (beta_pm = 0); a failure is reported, not raised.
+    ``kind`` and ``p`` must be those of ``traj`` (ModelError otherwise).
     """
-    kirk = ClosureKind(kind) is ClosureKind.KIRKWOOD
+    kind = ClosureKind(kind)
+    if kind is not traj.kind or p != traj.params:
+        raise ModelError("decay_envelope_check needs the closure kind and the rates "
+                         "that the trajectory was integrated with")
+    kirk = kind is ClosureKind.KIRKWOOD
     alpha_sum = p.alpha_pm + p.alpha_mp
     rate = p.gamma_pm - (alpha_sum if kirk else 0.5 * alpha_sum)
     if rate <= 0:
@@ -579,21 +576,19 @@ def _phi_root_gpm(p: MinimalParams, rho_p: float, rho_m: float) -> float:
     return 0.5 * (p.alpha_pm + p.alpha_mp) / (p.alpha_pm / rho_p + p.alpha_mp / rho_m)
 
 
-def _reduced_residual(x, p_eps: MinimalParams, rho_p: float, rho_m: float, kirk: bool,
+def _reduced_residual(x, r, rho_p: float, rho_m: float, kirk: bool,
                       use_phi: bool) -> np.ndarray:
-    f_pp, f_mm, f_pm, g_pm = x
+    f_pp, f_mm, f_pm, g_pm = x.tolist()
     g_pp = rho_p - f_pm - g_pm - f_pp
     g_mm = rho_m - f_pm - g_pm - f_mm
-    y = np.array([f_pp, g_pp, f_mm, g_mm, f_pm, g_pm])
-    rhs = _rhs_arrays_py(y, p_eps.as_array(), kirk)
-    out = np.array([rhs[0], rhs[2], rhs[4], rhs[5]])
-    if use_phi:
-        # (df_pm + dg_pm) factors as f_pm * Phi; use Phi to desingularize
-        # the f_pm = 0 family
-        h_pm = f_pm + g_pm
-        out[3] = 0.5 * (p_eps.alpha_pm + p_eps.alpha_mp) \
-            - h_pm * (p_eps.alpha_pm / rho_p + p_eps.alpha_mp / rho_m)
-    return out
+    rhs = _rhs_arrays_py((f_pp, g_pp, f_mm, g_mm, f_pm, g_pm), r, kirk)
+    if not use_phi:
+        return rhs[[0, 2, 4, 5]]
+    # (df_pm + dg_pm) factors as f_pm * Phi; use Phi to desingularize the
+    # f_pm = 0 family
+    a_pm, a_mp = r[0], r[1]
+    phi = 0.5 * (a_pm + a_mp) - (f_pm + g_pm) * (a_pm / rho_p + a_mp / rho_m)
+    return np.array([rhs[0], rhs[2], rhs[4], phi])
 
 
 def with_cross_creation(p: MinimalParams, eps: float) -> MinimalParams:
@@ -603,11 +598,15 @@ def with_cross_creation(p: MinimalParams, eps: float) -> MinimalParams:
 
 def check_continuation(p: MinimalParams, rho_p: float, kind) -> None:
     """Raise unless continue_small_epsilon can start Newton at eps = p.beta_pm:
-    rho_p in (0, 1), positive rates but beta_pm, the closure's hypothesis on
-    gamma_pm (ModelError otherwise) and an admissible seed g_pm (else
+    rho_p in (0, 1) with rho_p (1 - rho_p) above the consensus threshold,
+    positive rates but beta_pm, the closure's hypothesis on gamma_pm
+    (ModelError otherwise) and an admissible seed g_pm (else
     ContinuationFailed)."""
     if not 0.0 < rho_p < 1.0:
         raise ModelError("rho_p must lie in (0, 1) for the continuation")
+    if not rho_p * (1.0 - rho_p) > DELTA_CONSENSUS:
+        raise ModelError(f"rho_p (1 - rho_p) = {rho_p * (1.0 - rho_p):.3e} at or below the "
+                         f"consensus threshold {DELTA_CONSENSUS:g}")
     for rate in fields(p):
         if rate.name != "beta_pm" and not getattr(p, rate.name) > 0:
             raise ModelError(f"continuation requires positive rate {rate.name}")
@@ -651,20 +650,20 @@ def continue_small_epsilon(p: MinimalParams, rho_p: float, kind) -> StationaryBr
     seed_m = stationary_polarized(with_cross_creation(p, 0.0), rho_p, seed_g)
 
     def solve_at(eps_val: float):
-        p_eps = with_cross_creation(p, eps_val)
+        r = with_cross_creation(p, eps_val).as_array().tolist()
         x = np.array([seed_m.f_pp, seed_m.f_mm, 0.0, seed_m.g_pm])
         use_phi = not kirk
         h = 1e-7
         for it in range(1, _NEWTON_MAX_ITER + 1):
-            G = _reduced_residual(x, p_eps, rho_p, rho_m, kirk, use_phi)
+            G = _reduced_residual(x, r, rho_p, rho_m, kirk, use_phi)
             if np.max(np.abs(G)) < 1e-13:
                 return x, it
             J = np.empty((4, 4))
             for j in range(4):
                 e = np.zeros(4)
                 e[j] = h
-                J[:, j] = (_reduced_residual(x + e, p_eps, rho_p, rho_m, kirk, use_phi)
-                           - _reduced_residual(x - e, p_eps, rho_p, rho_m, kirk, use_phi)) / (2 * h)
+                J[:, j] = (_reduced_residual(x + e, r, rho_p, rho_m, kirk, use_phi)
+                           - _reduced_residual(x - e, r, rho_p, rho_m, kirk, use_phi)) / (2 * h)
             if use_phi:
                 try:
                     step = np.linalg.solve(J, G)
@@ -673,7 +672,7 @@ def continue_small_epsilon(p: MinimalParams, rho_p: float, kind) -> StationaryBr
             else:
                 step, *_ = np.linalg.lstsq(J, G, rcond=None)
             x = x - step
-        G = _reduced_residual(x, p_eps, rho_p, rho_m, kirk, use_phi)
+        G = _reduced_residual(x, r, rho_p, rho_m, kirk, use_phi)
         if np.max(np.abs(G)) < 1e-10:
             return x, _NEWTON_MAX_ITER
         raise ContinuationFailed(

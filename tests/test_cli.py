@@ -575,6 +575,11 @@ class TestBuildOnce:
         (continuation_config(eps_list=[-1e-3]),
          "rate beta_pm must be finite and nonnegative, got -0.001"),
         (continuation_config(rho_p=1.5), "rho_p must lie in (0, 1) for the continuation"),
+        *[(continuation_config(rho_p=rho_p, kind_closure=kind,
+                               rates=dict(stationary_config()["rates"], gamma_pm=2.5)),
+           f"rho_p (1 - rho_p) = {product} at or below the consensus threshold 1e-10")
+          for rho_p, product in ((1e-200, "1.000e-200"), (0.9999999999999999, "1.110e-16"))
+          for kind in ("conditional", "kirkwood")],
         (closure_stationary_config(T=1.0, dt=0.6), "T must be a multiple of dt"),
         (closure_stationary_config(T=1.0, dt=0.3), "T must be a multiple of dt"),
         (micro_config(T=1.0, dt=0.4), "T must be a multiple of dt"),
@@ -583,7 +588,10 @@ class TestBuildOnce:
             "epsilon-sweep-eps-negative", "closure-rho_p-0", "closure-rho_p-1",
             "stationary-beta_pm", "stationary-flip-rates-only", "stationary-g_pm",
             "continuation-hypothesis", "continuation-zero-link-rate",
-            "continuation-negative-eps", "continuation-rho_p", "closure-T-off-grid-0.6",
+            "continuation-negative-eps", "continuation-rho_p",
+            "continuation-rho_p-1e-200-conditional", "continuation-rho_p-1e-200-kirkwood",
+            "continuation-rho_p-1-ulp-conditional", "continuation-rho_p-1-ulp-kirkwood",
+            "closure-T-off-grid-0.6",
             "closure-T-off-grid-0.3", "micro-T-off-grid"])
     def test_run_time_precondition_fails_validate_as_run(self, tmp_path, capsys, cfg, message):
         (v_code, v_err), (r_code, r_err) = validate_and_run(tmp_path, capsys, cfg)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +20,13 @@ from coevnet.closures import (
     stationary_polarized,
     weight_averaged_rhs,
 )
-from coevnet.errors import ConsensusBoundary, ContinuationFailed, IntegrationError, ModelError
+from coevnet.errors import (
+    ClosureSingular,
+    ConsensusBoundary,
+    ContinuationFailed,
+    IntegrationError,
+    ModelError,
+)
 from coevnet.models import MinimalParams
 from coevnet.moments import MinimalMoments
 
@@ -103,9 +111,17 @@ class TestClosureRhs:
         with pytest.raises(ConsensusBoundary):
             closure_rhs_array(m_arr, p, ClosureKind.CONDITIONAL)
 
+    def test_a_denominator_below_the_float_range_is_closure_singular(self):
+        # rho_+ rho_- = 1e-9 passes the consensus check, but rho_+^2 is 0
+        y = [1e-170, 0.0, 1e161, 0.0, 0.0, 0.0]
+        p = MinimalParams(*[1.0] * 8)
+        assert np.all(np.isfinite(closure_rhs_array(y, p, ClosureKind.CONDITIONAL)))
+        with pytest.raises(ClosureSingular, match="a closure denominator is 0"):
+            closure_rhs_array(y, p, ClosureKind.KIRKWOOD)
+
     def test_matches_triplet_integral_assembly(self):
         # the alpha part of the pair equations is the particle-1 flip
-        # bookkeeping of the closure collision integral
+        # bookkeeping of the closure collision integral, for all six moments
         from coevnet.moments import kirkwood_triplet_integral
         rng = np.random.default_rng(4)
         p = MinimalParams(alpha_pm=1.3, alpha_mp=0.7)
@@ -124,10 +140,49 @@ class TestClosureRhs:
                               (ClosureKind.KIRKWOOD, "kirkwood")):
                 rhs = closure_rhs(m, p, kind)
                 I = tri[key]
-                # f_pp gain/loss: particle 1 of (+,+,1) flipping
-                assert rhs[0] == pytest.approx(I[0, 1, 1] - I[1, 1, 1], rel=1e-11, abs=1e-15)
-                # g_pp: unlinked (+,+) pair
-                assert rhs[1] == pytest.approx(I[0, 1, 0] - I[1, 1, 0], rel=1e-11, abs=1e-15)
+                for k, w in ((0, 1), (1, 0)):       # f (linked), then g (unlinked)
+                    # (+,+): particle 1 of (-,+,w) flips in, of (+,+,w) flips out
+                    assert rhs[0 + k] == pytest.approx(I[0, 1, w] - I[1, 1, w],
+                                                       rel=1e-11, abs=1e-15)
+                    # (-,-): particle 1 of (+,-,w) flips in, of (-,-,w) flips out
+                    assert rhs[2 + k] == pytest.approx(I[1, 0, w] - I[0, 0, w],
+                                                       rel=1e-11, abs=1e-15)
+                    # the cross pair, stored once: the mean of (+,-,w) and (-,+,w)
+                    cross = 0.5 * (I[0, 0, w] - I[1, 0, w] + I[1, 1, w] - I[0, 1, w])
+                    assert rhs[4 + k] == pytest.approx(cross, rel=1e-11, abs=1e-15)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_python_floats_match_the_reference_loop_bitwise(self, kind):
+        # closure_rhs_array evaluates the statement on python floats, the
+        # reference loop on the float64 scalars of its state array
+        rng = np.random.default_rng(17)
+        p = random_params(rng)
+        ys = [random_moments(rng).as_array() for _ in range(200)]
+        for t in (1.0000001e-10, 1.5e-10, 1e-9, 1e-6):     # rho_+ or rho_- about t
+            for _ in range(20):
+                share = rng.random(4) + 0.02
+                share *= t / share.sum()
+                rest = 1.0 - share[0] - share[1] - 2 * (share[2] + share[3])
+                split = rng.random()
+                ys.append(np.array([share[0], share[1], split * rest, (1 - split) * rest,
+                                    share[2], share[3]]))
+                ys.append(ys[-1][[2, 3, 0, 1, 4, 5]])
+        r, kirk = p.as_array(), int(kind is ClosureKind.KIRKWOOD)
+        for y in ys:
+            got = closure_rhs_array(y, p, kind)
+            assert got.tobytes() == closures._rhs_arrays_py(y, r, kirk).tobytes()
+
+    @pytest.mark.parametrize("y", [[0.2, 0.1, 0.2, 0.1, 0.1, 0.1, 5.0],
+                                   [0.2, 0.1, 0.2, 0.1, 0.1],
+                                   np.full((2, 6), 1.0 / 12)],
+                             ids=["seven", "five", "two-rows"])
+    def test_a_vector_not_of_six_moments_is_a_model_error(self, y):
+        p = MinimalParams(*[1.0] * 8)
+        for kind in KINDS:
+            with pytest.raises(ModelError, match=r"a moment vector has shape \(6,\)"):
+                closure_rhs_array(y, p, kind)
+            with pytest.raises(ModelError, match=r"a moment vector has shape \(6,\)"):
+                weight_averaged_rhs(y, p, kind)
 
 
 class TestWeightAveraged:
@@ -232,6 +287,20 @@ class TestIntegrate:
         rep = decay_envelope_check(traj, p, ClosureKind.KIRKWOOD)
         assert rep.rate == pytest.approx(1.0)
         assert rep.holds
+
+    def test_envelope_refuses_another_kind_or_rates(self):
+        # the kirkwood envelope of this run has rate 0, which the check
+        # refuses; the conditional one would read rate 1 and hold
+        rng = np.random.default_rng(9)
+        p = MinimalParams(alpha_pm=1, alpha_mp=1, beta_pp=0.5, beta_mm=0.5,
+                          beta_pm=0.0, gamma_pp=0.5, gamma_mm=0.5, gamma_pm=2.0)
+        traj = integrate_closure(random_moments(rng), p, ClosureKind.KIRKWOOD, dt=1e-2, T=1.0)
+        with pytest.raises(ModelError, match="positive decay rate"):
+            decay_envelope_check(traj, p, ClosureKind.KIRKWOOD)
+        for kind, rates in ((ClosureKind.CONDITIONAL, p),
+                            (ClosureKind.KIRKWOOD, replace(p, gamma_pm=3.0))):
+            with pytest.raises(ModelError, match="the trajectory was integrated with"):
+                decay_envelope_check(traj, rates, kind)
 
     def test_envelope_zero_start_stays_zero(self):
         p = MinimalParams(alpha_pm=1, alpha_mp=1, beta_pp=1, beta_mm=1, beta_pm=0,
