@@ -1,4 +1,5 @@
-/* The compiled kernels of coevnet, loaded through ctypes by _native.py.
+/* The compiled kernels of coevnet, built as the CPython extension module
+ * coevnet._kernels by _native.py.
  *
  * 1. coevnet_closure_loop: the fixed-step RK4 loop of the six-moment closure
  *    system, a port of closures._rhs_arrays_py and of the reference loop
@@ -9,19 +10,26 @@
  *    the mutations and samplers it calls.
  * 3. coevnet_format_rows: the CSV row renderer of io._write_table, which
  *    prints each float64 as python's "%.17g" % x, byte for byte.
- * 4. coevnet_flow_pairs / coevnet_rk4_combine: the elementwise bookkeeping
- *    of one micro flow evaluation and the RK4 stage and final sums of
- *    microsim's compiled flow; microsim._micro_flow_py is the reference.
+ * 4. coevnet_flow_pairs / coevnet_rk4_combine / coevnet_step_flags /
+ *    coevnet_rkf45_stage / coevnet_rkf45_final: the elementwise bookkeeping
+ *    of one micro flow evaluation, and the RK4 and Fehlberg stage and final
+ *    sums with the step checks of microsim's compiled flow;
+ *    microsim._micro_flow_py and stepping.rkf45_step are the references.
  * 5. coevnet_illinois: one Illinois iteration over every element of the
  *    weight nullcline solve; microsim._nullcline_array_py is the reference.
  *
  * Every expression keeps the evaluation order of its python or numpy
- * counterpart, and the library is built without floating-point contraction
- * or fast-math, so each kernel is bitwise equal to its reference.
+ * counterpart, and the module is built without floating-point contraction
+ * or fast-math, so each kernel is bitwise equal to its reference.  The
+ * module's functions, at the end of this file, take the numpy arrays
+ * themselves and check each one before a kernel reads or writes it.
  *
  * Rates are ordered (a_pm, a_mp, b_pp, b_mm, b_pm, c_pp, c_mm, c_pm)
  * everywhere.
  */
+
+#define PY_SSIZE_T_CLEAN
+#include <Python.h>
 
 #include <math.h>
 #include <stdint.h>
@@ -67,9 +75,9 @@ static void rhs(const double *y, const double *r, int kirk, double *out)
  * clamp_count, steps_done).  Returns the status: 0 = completed,
  * 1 = consensus boundary, 2 = negativity beyond neg_tol, 3 = non-finite
  * step. */
-int coevnet_closure_loop(const double *y0, const double *r, int kirk, double dt,
-                         int64_t n_steps, int64_t stride, double delta, double neg_tol,
-                         double *recs, int64_t *rec_steps, int64_t *counts)
+static int coevnet_closure_loop(const double *y0, const double *r, int kirk, double dt,
+                                int64_t n_steps, int64_t stride, double delta, double neg_tol,
+                                double *recs, int64_t *rec_steps, int64_t *counts)
 {
     double y[6], y_new[6], tmp[6], k1[6], k2[6], k3[6], k4[6];
     double half = 0.5 * dt, sixth = dt / 6.0;
@@ -176,9 +184,8 @@ typedef struct {
  * N * N below 2^31. */
 typedef int32_t idx_t;
 
-/* Mirrored field by field by jumpsim._EngineState. */
 typedef struct {
-    /* set by the caller; the arrays are owned by the caller */
+    /* set by MinimalEngine; the arrays are owned by the caller */
     int64_t N;
     double rates[8];
     int8_t *s;              /* N: 1 for plus, 0 for minus */
@@ -363,7 +370,7 @@ static void record(minimal_engine *e, double t, int64_t kind, int64_t i, int64_t
  * (at half density one would mispredict every other pair): it writes each
  * code at the tail of row i's same-state list and of the PM list, and the
  * link bit (W is over {0, 1}) advances the tail that the cross bit selects. */
-void coevnet_minimal_init(minimal_engine *e)
+static void coevnet_minimal_init(minimal_engine *e)
 {
     int64_t N = e->N, i, j, k, tau;
     e->n_members[0] = e->n_members[1] = 0;
@@ -405,7 +412,7 @@ void coevnet_minimal_init(minimal_engine *e)
  *               (possible only through rounding; the python engine raises
  *               IndexError there, after the same draw).
  * e->n_ev events were recorded by this call. */
-int coevnet_minimal_run(minimal_engine *e, bitgen_t *bg, double T, double t_sample)
+static int coevnet_minimal_run(minimal_engine *e, bitgen_t *bg, double T, double t_sample)
 {
     const double a_pm = e->rates[0], a_mp = e->rates[1], b_pp = e->rates[2];
     const double b_mm = e->rates[3], b_pm = e->rates[4], c_pp = e->rates[5];
@@ -659,9 +666,9 @@ static int format_g17(double x, char *out)
  * at byte address cols[c] + r strides[c].  out must hold
  * n_rows (off[n_cols + 1] + G17_MAX n_cols) bytes.  Returns the number of
  * bytes written. */
-int64_t coevnet_format_rows(const char *text, const int64_t *off, int64_t n_cols,
-                            const uintptr_t *cols, const int64_t *strides, int64_t row0,
-                            int64_t n_rows, char *out)
+static int64_t coevnet_format_rows(const char *text, const int64_t *off, int64_t n_cols,
+                                   const uintptr_t *cols, const int64_t *strides, int64_t row0,
+                                   int64_t n_rows, char *out)
 {
     char *p = out;
     int64_t r, c;
@@ -710,8 +717,9 @@ static int all_finite(const double *x, int64_t n)
  * into +0.0) mirrored, as V + V^T after zeroing V on and below the
  * diagonal; without, V with a zero diagonal.  With eps (not NULL) leg l's
  * weight drift is divided by eps[l].  Returns 0. */
-int coevnet_flow_pairs(double *U, const double *V, double *dw, const double *eps, uint8_t *ok,
-                       int64_t L, int64_t N, int64_t m, int64_t dw_row, int sym)
+static int coevnet_flow_pairs(double *U, const double *V, double *dw, const double *eps,
+                              uint8_t *ok, int64_t L, int64_t N, int64_t m, int64_t dw_row,
+                              int sym)
 {
     int64_t nn = N * N, l, i, j, k;
     int bad = 0;
@@ -750,8 +758,9 @@ int coevnet_flow_pairs(double *U, const double *V, double *dw, const double *eps
 
 /* out = y + c k1 (an RK4 stage, k2 NULL), or the final RK4 sum
  * out = y + c (((k1 + 2 k2) + 2 k3) + k4), over n elements. */
-void coevnet_rk4_combine(const double *y, const double *k1, const double *k2, const double *k3,
-                         const double *k4, double *out, double c, int64_t n)
+static void coevnet_rk4_combine(const double *y, const double *k1, const double *k2,
+                                const double *k3, const double *k4, double *out, double c,
+                                int64_t n)
 {
     int64_t i;
     if (!k2) {
@@ -761,6 +770,70 @@ void coevnet_rk4_combine(const double *y, const double *k1, const double *k2, co
     }
     for (i = 0; i < n; i++)
         out[i] = y[i] + c * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i]);
+}
+
+/* The checks of a step's result y, L rows of row doubles: ok[l] = whether
+ * row l is all finite.  When every row is and sym is set, also whether each
+ * row's N x N weights, starting at its n-th double, equal their transpose.
+ * Returns 0 when both hold, 1 when a row is not finite and 2 when the
+ * weights are not symmetric. */
+static int coevnet_step_flags(const double *y, int64_t L, int64_t row, int64_t n, int64_t N,
+                              int sym, uint8_t *ok)
+{
+    int64_t l, i, j;
+    int bad = 0;
+    for (l = 0; l < L; l++) {
+        ok[l] = (uint8_t)all_finite(y + l * row, row);
+        bad |= !ok[l];
+    }
+    if (bad)
+        return 1;
+    if (!sym)
+        return 0;
+    for (l = 0; l < L; l++) {
+        const double *w = y + l * row + n;
+        for (i = 0; i < N; i++)
+            for (j = i + 1; j < N; j++)
+                if (w[i * N + j] != w[j * N + i])
+                    return 2;
+    }
+    return 0;
+}
+
+/* One Fehlberg stage as stepping.rkf45_step forms it,
+ * out = y + h sum(a[j] k[j] for j < nk), python's sum starting from 0. */
+static void coevnet_rkf45_stage(const double *y, const double *const *k, const double *a,
+                                int64_t nk, double h, double *out, int64_t n)
+{
+    int64_t i, j;
+    for (i = 0; i < n; i++) {
+        double s = 0.0 + a[0] * k[0][i];
+        for (j = 1; j < nk; j++)
+            s = s + a[j] * k[j][i];
+        out[i] = y[i] + h * s;
+    }
+}
+
+/* The 5th-order update y5 = y + h sum(b5 k) into y5 and the error estimate
+ * max |y5 - y4| with y4 = y + h sum(b4 k), as stepping.rkf45_step: NaN when
+ * a difference is NaN, as np.max, and 0 for n = 0. */
+static double coevnet_rkf45_final(const double *y, const double *const *k, const double *b5,
+                                  const double *b4, int64_t nk, double h, double *y5, int64_t n)
+{
+    double err = 0.0;
+    int64_t i, j;
+    for (i = 0; i < n; i++) {
+        double s5 = 0.0 + b5[0] * k[0][i], s4 = 0.0 + b4[0] * k[0][i], d;
+        for (j = 1; j < nk; j++) {
+            s5 = s5 + b5[j] * k[j][i];
+            s4 = s4 + b4[j] * k[j][i];
+        }
+        y5[i] = y[i] + h * s5;
+        d = fabs(y5[i] - (y[i] + h * s4));
+        if (!isnan(err) && (d > err || isnan(d)))
+            err = d;
+    }
+    return err;
 }
 
 /* -- weight nullcline ----------------------------------------------------------
@@ -799,7 +872,7 @@ static double spacing_of(double x)
  * correction to the endpoint with the smaller |V|, or the midpoint where
  * that leaves the bracket or the endpoint values differ by a non-finite
  * amount.  Returns the number of elements not done. */
-int64_t coevnet_illinois(double *buf, int64_t n, int first)
+static int64_t coevnet_illinois(double *buf, int64_t n, int first)
 {
     double *lo = buf + IL_LO * n, *hi = buf + IL_HI * n, *flo = buf + IL_FLO * n;
     double *fhi = buf + IL_FHI * n, *w = buf + IL_W * n, *fw = buf + IL_FW * n;
@@ -846,4 +919,660 @@ int64_t coevnet_illinois(double *buf, int64_t n, int first)
         nw[i] = isfinite(fb - fa) && x >= lo[i] && x <= hi[i] ? x : 0.5 * (lo[i] + hi[i]);
     }
     return active;
+}
+
+/* -- the extension module ------------------------------------------------------
+ *
+ * One METH_FASTCALL function per kernel (and the MinimalEngine type for the
+ * Gillespie loop), taking the numpy arrays themselves.  Before a kernel runs,
+ * every array is checked for its element type, C-contiguity (the renderer's
+ * 1-D columns may be strided), writability where the kernel writes, and its
+ * length against the sizes the kernel is given: a failed check raises
+ * ValueError (TypeError for an object without a buffer), where a wrong
+ * address would read or write out of bounds.
+ */
+
+#define MAX_ARRAYS 16
+#define MAX_STAGES 8
+
+/* The buffers one call holds, released together. */
+typedef struct {
+    Py_buffer views[MAX_ARRAYS];
+    int n;
+} arrays;
+
+static void release(arrays *a)
+{
+    while (a->n > 0)
+        PyBuffer_Release(&a->views[--a->n]);
+}
+
+/* 'f' float, 'i' signed or 'u' unsigned integer, or 0 for any other
+ * element format. */
+static char elem_kind(const Py_buffer *v)
+{
+    const char *f = v->format ? v->format : "B";
+    if (*f == '@' || *f == '=' || *f == (PY_LITTLE_ENDIAN ? '<' : '>'))
+        f++;
+    if (f[0] == '\0' || f[1] != '\0')
+        return 0;
+    if (strchr("efd", f[0]))
+        return 'f';
+    if (strchr("bhilqn", f[0]))
+        return 'i';
+    return strchr("BHILQN", f[0]) ? 'u' : 0;
+}
+
+/* The element types the kernels take. */
+typedef struct {
+    char kind;
+    Py_ssize_t size;
+    const char *name;
+} elem_t;
+
+static const elem_t F64 = {'f', 8, "float64"}, I64 = {'i', 8, "int64"},
+                    I32 = {'i', 4, "int32"}, I8 = {'i', 1, "int8"}, U8 = {'u', 1, "uint8"};
+
+/* flags of take() */
+enum { WRITE = 1, OPTIONAL = 2 };
+
+/* a * b and a + b, or -1 when either is negative or the result overflows. */
+static int64_t mul(int64_t a, int64_t b)
+{
+    if (a < 0 || b < 0 || (a > 0 && b > INT64_MAX / a))
+        return -1;
+    return a * b;
+}
+
+static int64_t add(int64_t a, int64_t b)
+{
+    if (a < 0 || b < 0 || b > INT64_MAX - a)
+        return -1;
+    return a + b;
+}
+
+/* Takes obj's buffer into a, checked as a C-contiguous array of at least
+ * need elements of type t, writable with WRITE, and sets *data to its first
+ * element, or to NULL for None with OPTIONAL.  Returns -1 with an exception
+ * set when a check fails. */
+static int take(arrays *a, PyObject *obj, const char *name, const elem_t *t, int flags,
+                int64_t need, void **data)
+{
+    Py_buffer *v = &a->views[a->n];
+    const char *what = NULL;
+    *data = NULL;
+    if ((flags & OPTIONAL) && obj == Py_None)
+        return 0;
+    if (need < 0) {
+        PyErr_Format(PyExc_ValueError, "the sizes of %s are out of range", name);
+        return -1;
+    }
+    if (a->n == MAX_ARRAYS || PyObject_GetBuffer(obj, v, PyBUF_RECORDS_RO) < 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "too many arrays in one call");
+        return -1;
+    }
+    if (elem_kind(v) != t->kind || v->itemsize != t->size)
+        what = "has the wrong element type";
+    else if (!PyBuffer_IsContiguous(v, 'C'))
+        what = "is not C-contiguous";
+    else if ((flags & WRITE) && v->readonly)
+        what = "is read-only";
+    if (what) {
+        PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous%s %s array: it %s", name,
+                     flags & WRITE ? " writable" : "", t->name, what);
+    } else if (v->len / t->size < need) {
+        PyErr_Format(PyExc_ValueError, "%s holds %zd elements, fewer than the %lld needed",
+                     name, v->len / t->size, (long long)need);
+    } else {
+        a->n++;
+        *data = v->buf;
+        return 0;
+    }
+    PyBuffer_Release(v);
+    return -1;
+}
+
+/* The number of elements of the buffer taken last. */
+static int64_t last_len(const arrays *a)
+{
+    const Py_buffer *v = &a->views[a->n - 1];
+    return v->len / v->itemsize;
+}
+
+static int check_nargs(const char *fn, Py_ssize_t nargs, Py_ssize_t want)
+{
+    if (nargs == want)
+        return 0;
+    PyErr_Format(PyExc_TypeError, "%s takes %zd arguments (%zd given)", fn, want, nargs);
+    return -1;
+}
+
+static int int_arg(PyObject *obj, const char *name, int64_t lo, int64_t *out)
+{
+    long long v = PyLong_AsLongLong(obj);
+    if (v == -1 && PyErr_Occurred())
+        return -1;
+    if (v < lo) {
+        PyErr_Format(PyExc_ValueError, "%s must be at least %lld, got %lld", name,
+                     (long long)lo, v);
+        return -1;
+    }
+    *out = v;
+    return 0;
+}
+
+static int float_arg(PyObject *obj, double *out)
+{
+    *out = PyFloat_AsDouble(obj);
+    return *out == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+/* The per-leg flags ok[0 .. L) as a tuple of bools. */
+static PyObject *leg_flags(const uint8_t *ok, int64_t L)
+{
+    PyObject *t = PyTuple_New((Py_ssize_t)L);
+    int64_t l;
+    if (!t)
+        return NULL;
+    for (l = 0; l < L; l++)
+        PyTuple_SET_ITEM(t, (Py_ssize_t)l, PyBool_FromLong(ok[l]));
+    return t;
+}
+
+/* closure_loop(y0, r, kirk, dt, n_steps, stride, delta, neg_tol, recs,
+ * rec_steps, counts) -> status of coevnet_closure_loop. */
+static PyObject *py_closure_loop(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays a = {.n = 0};
+    void *y0, *r, *recs, *rec_steps, *counts;
+    int64_t kirk, n_steps, stride, n_rec;
+    double dt, delta, neg_tol;
+    int status;
+    (void)self;
+    if (check_nargs("closure_loop", nargs, 11) < 0 || int_arg(args[2], "kirk", 0, &kirk) < 0
+        || float_arg(args[3], &dt) < 0 || int_arg(args[4], "n_steps", 0, &n_steps) < 0
+        || int_arg(args[5], "stride", 1, &stride) < 0 || float_arg(args[6], &delta) < 0
+        || float_arg(args[7], &neg_tol) < 0)
+        return NULL;
+    n_rec = add(n_steps / stride, 2);
+    if (take(&a, args[0], "y0", &F64, 0, 6, &y0) < 0
+        || take(&a, args[1], "r", &F64, 0, 8, &r) < 0
+        || take(&a, args[8], "recs", &F64, WRITE, mul(6, n_rec), &recs) < 0
+        || take(&a, args[9], "rec_steps", &I64, WRITE, n_rec, &rec_steps) < 0
+        || take(&a, args[10], "counts", &I64, WRITE, 3, &counts) < 0) {
+        release(&a);
+        return NULL;
+    }
+    status = coevnet_closure_loop(y0, r, (int)(kirk != 0), dt, n_steps, stride, delta, neg_tol,
+                                  recs, rec_steps, counts);
+    release(&a);
+    return PyLong_FromLong(status);
+}
+
+/* MinimalEngine(rates, s, W, members, member_pos, links, link_pos, scratch,
+ * ev_t, ev_kij): the engine state of coevnet_minimal_init over arrays that
+ * it holds until it is freed.  N is len(s); s holds 0 and 1, and W must be
+ * a symmetric 0/1 matrix, as DiscreteConfiguration keeps it.  run(bitgen,
+ * T, t_sample) takes a generator's "BitGenerator" capsule and returns the
+ * status of coevnet_minimal_run. */
+typedef struct {
+    PyObject_HEAD
+    minimal_engine e;
+    arrays a;
+} engine_object;
+
+static void engine_dealloc(PyObject *self)
+{
+    release(&((engine_object *)self)->a);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyObject *engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *o[10];
+    engine_object *self;
+    minimal_engine *e;
+    arrays rates = {.n = 0};
+    void *p[10];
+    int64_t N, half, i;
+    if ((kwds && PyDict_GET_SIZE(kwds))
+        || !PyArg_UnpackTuple(args, "MinimalEngine", 10, 10, &o[0], &o[1], &o[2], &o[3],
+                              &o[4], &o[5], &o[6], &o[7], &o[8], &o[9])) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "MinimalEngine takes no keyword arguments");
+        return NULL;
+    }
+    self = (engine_object *)type->tp_alloc(type, 0);
+    if (!self)
+        return NULL;
+    e = &self->e;
+    if (take(&rates, o[0], "rates", &F64, 0, 8, &p[0]) < 0)
+        goto fail;
+    memcpy(e->rates, p[0], sizeof e->rates);
+    release(&rates);
+    if (take(&self->a, o[1], "s", &I8, WRITE, 0, &p[1]) < 0)
+        goto fail;
+    N = e->N = last_len(&self->a);
+    if (N > 46340) {   /* pair codes are int32 */
+        PyErr_Format(PyExc_ValueError, "the compiled engine takes N <= 46340, got %lld",
+                     (long long)N);
+        goto fail;
+    }
+    half = N * (N - 1) / 2;
+    if (take(&self->a, o[2], "W", &I8, WRITE, N * N, &p[2]) < 0
+        || take(&self->a, o[3], "members", &I32, WRITE, 2 * N, &p[3]) < 0
+        || take(&self->a, o[4], "member_pos", &I32, WRITE, N, &p[4]) < 0
+        || take(&self->a, o[5], "links", &I32, WRITE, 3 * half, &p[5]) < 0
+        || take(&self->a, o[6], "link_pos", &I32, WRITE, N * N, &p[6]) < 0
+        || take(&self->a, o[7], "scratch", &I32, WRITE, N, &p[7]) < 0
+        || take(&self->a, o[8], "ev_t", &F64, WRITE, 0, &p[8]) < 0)
+        goto fail;
+    e->ev_cap = last_len(&self->a);
+    if (take(&self->a, o[9], "ev_kij", &I64, WRITE, 3 * e->ev_cap, &p[9]) < 0)
+        goto fail;
+    e->s = p[1];
+    for (i = 0; i < N; i++) {
+        if (e->s[i] != 0 && e->s[i] != 1) {
+            PyErr_SetString(PyExc_ValueError, "s must hold 0 and 1 only");
+            goto fail;
+        }
+    }
+    e->W = p[2];
+    e->members[0] = p[3];
+    e->members[1] = e->members[0] + N;
+    e->member_pos = p[4];
+    for (i = 0; i < 3; i++)
+        e->links[i] = (idx_t *)p[5] + i * half;
+    e->link_pos = p[6];
+    e->scratch = p[7];
+    e->ev_t = p[8];
+    e->ev_kij = p[9];
+    coevnet_minimal_init(e);
+    return (PyObject *)self;
+fail:
+    release(&rates);
+    Py_DECREF(self);
+    return NULL;
+}
+
+static PyObject *engine_run(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    bitgen_t *bg;
+    double T, t_sample;
+    if (check_nargs("run", nargs, 3) < 0)
+        return NULL;
+    bg = PyCapsule_GetPointer(args[0], "BitGenerator");
+    if (!bg || float_arg(args[1], &T) < 0 || float_arg(args[2], &t_sample) < 0)
+        return NULL;
+    return PyLong_FromLong(coevnet_minimal_run(&((engine_object *)self)->e, bg, T, t_sample));
+}
+
+static PyObject *engine_n_members(PyObject *self, void *closure)
+{
+    const minimal_engine *e = &((engine_object *)self)->e;
+    (void)closure;
+    return Py_BuildValue("(LL)", (long long)e->n_members[0], (long long)e->n_members[1]);
+}
+
+static PyObject *engine_n_links(PyObject *self, void *closure)
+{
+    const minimal_engine *e = &((engine_object *)self)->e;
+    (void)closure;
+    return Py_BuildValue("(LLL)", (long long)e->n_links[0], (long long)e->n_links[1],
+                         (long long)e->n_links[2]);
+}
+
+static PyObject *engine_n_ev(PyObject *self, void *closure)
+{
+    (void)closure;
+    return PyLong_FromLongLong(((engine_object *)self)->e.n_ev);
+}
+
+static PyObject *engine_t_next(PyObject *self, void *closure)
+{
+    (void)closure;
+    return PyFloat_FromDouble(((engine_object *)self)->e.t_next);
+}
+
+static PyMethodDef engine_methods[] = {
+    {"run", (PyCFunction)(void (*)(void))engine_run, METH_FASTCALL,
+     "run(bitgen_capsule, T, t_sample) -> status of coevnet_minimal_run"},
+    {NULL, NULL, 0, NULL},
+};
+
+static PyGetSetDef engine_getset[] = {
+    {"n_members", engine_n_members, NULL, "members per side (minus, plus)", NULL},
+    {"n_links", engine_n_links, NULL, "links per pair type (pp, mm, pm)", NULL},
+    {"n_ev", engine_n_ev, NULL, "events recorded by the last run call", NULL},
+    {"t_next", engine_t_next, NULL, "the last drawn event time", NULL},
+    {NULL, NULL, NULL, NULL, NULL},
+};
+
+static PyTypeObject engine_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "coevnet._kernels.MinimalEngine",
+    .tp_basicsize = sizeof(engine_object),
+    .tp_dealloc = engine_dealloc,
+    .tp_flags = Py_TPFLAGS_DEFAULT,
+    .tp_doc = "The state of the compiled Gillespie loop of the minimal model.",
+    .tp_methods = engine_methods,
+    .tp_getset = engine_getset,
+    .tp_new = engine_new,
+};
+
+/* format_rows(text, off, columns, row0, n_rows, out) -> bytes written by
+ * coevnet_format_rows; columns is a sequence of 1-D float64 arrays, which
+ * may be strided. */
+static PyObject *py_format_rows(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays a = {.n = 0};
+    PyObject *seq = NULL, *result = NULL;
+    Py_buffer *cv = NULL;
+    uintptr_t *cols = NULL;
+    int64_t *strides = NULL, *off, row0, n_rows, end, n_cols, n_text, k, n_held = 0;
+    int bad_off;
+    void *text, *off_p, *out;
+    (void)self;
+    if (check_nargs("format_rows", nargs, 6) < 0 || int_arg(args[3], "row0", 0, &row0) < 0
+        || int_arg(args[4], "n_rows", 0, &n_rows) < 0)
+        return NULL;
+    end = add(row0, n_rows);
+    if (end < 0) {
+        PyErr_SetString(PyExc_ValueError, "row0 + n_rows is out of range");
+        return NULL;
+    }
+    seq = PySequence_Fast(args[2], "columns must be a sequence of arrays");
+    if (!seq)
+        return NULL;
+    n_cols = PySequence_Fast_GET_SIZE(seq);
+    if (take(&a, args[0], "text", &U8, 0, 0, &text) < 0)
+        goto done;
+    n_text = last_len(&a);
+    if (take(&a, args[1], "off", &I64, 0, n_cols + 2, &off_p) < 0)
+        goto done;
+    off = off_p;
+    bad_off = off[0] < 0 || off[n_cols + 1] > n_text;
+    for (k = 0; k <= n_cols; k++)
+        bad_off |= off[k + 1] < off[k];
+    if (bad_off) {
+        PyErr_SetString(PyExc_ValueError, "off must rise from 0 or more to at most len(text)");
+        goto done;
+    }
+    if (take(&a, args[5], "out", &U8, WRITE,
+             mul(n_rows, add(off[n_cols + 1], mul(G17_MAX, n_cols))), &out) < 0)
+        goto done;
+    cv = PyMem_Calloc((size_t)n_cols + 1, sizeof *cv);
+    cols = PyMem_Calloc((size_t)n_cols + 1, sizeof *cols);
+    strides = PyMem_Calloc((size_t)n_cols + 1, sizeof *strides);
+    if (!cv || !cols || !strides) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    for (; n_held < n_cols; n_held++) {
+        Py_buffer *v = &cv[n_held];
+        if (PyObject_GetBuffer(PySequence_Fast_GET_ITEM(seq, n_held), v, PyBUF_RECORDS_RO) < 0)
+            goto done;
+        if (elem_kind(v) != 'f' || v->itemsize != 8 || v->ndim != 1 || v->shape[0] < end) {
+            PyErr_Format(PyExc_ValueError, "column %lld must be a 1-D float64 array of at "
+                         "least %lld elements", (long long)n_held, (long long)end);
+            PyBuffer_Release(v);
+            goto done;
+        }
+        cols[n_held] = (uintptr_t)v->buf;
+        strides[n_held] = v->strides[0];
+    }
+    result = PyLong_FromLongLong(coevnet_format_rows(text, off, n_cols, cols, strides, row0,
+                                                     n_rows, out));
+done:
+    while (n_held > 0)
+        PyBuffer_Release(&cv[--n_held]);
+    PyMem_Free(cv);
+    PyMem_Free(cols);
+    PyMem_Free(strides);
+    release(&a);
+    Py_DECREF(seq);
+    return result;
+}
+
+/* flow_pairs(U, V, out, n, dw_row, eps, L, N, m, sym) -> None, or the
+ * per-leg finiteness flags of U and V as a tuple when a leg is not finite.
+ * V, out and eps may be None (out only with V); leg l's weight drift is
+ * written to out from its (n + l dw_row)-th element on. */
+static PyObject *py_flow_pairs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays a = {.n = 0};
+    void *U, *V, *out, *eps;
+    int64_t n, dw_row, L, N, m, sym, nn;
+    uint8_t *ok = NULL;
+    PyObject *result = NULL;
+    (void)self;
+    if (check_nargs("flow_pairs", nargs, 10) < 0 || int_arg(args[3], "n", 0, &n) < 0
+        || int_arg(args[4], "dw_row", 0, &dw_row) < 0 || int_arg(args[6], "L", 0, &L) < 0
+        || int_arg(args[7], "N", 0, &N) < 0 || int_arg(args[8], "m", 0, &m) < 0
+        || int_arg(args[9], "sym", 0, &sym) < 0)
+        return NULL;
+    nn = mul(N, N);
+    if (take(&a, args[0], "U", &F64, WRITE, mul(mul(L, nn), m), &U) < 0
+        || take(&a, args[1], "V", &F64, OPTIONAL, mul(L, nn), &V) < 0
+        || take(&a, args[2], "out", &F64, WRITE | OPTIONAL,
+                L == 0 ? 0 : add(add(n, mul(L - 1, dw_row)), nn), &out) < 0
+        || take(&a, args[5], "eps", &F64, OPTIONAL, L, &eps) < 0)
+        goto done;
+    if (V && !out) {
+        PyErr_SetString(PyExc_ValueError, "flow_pairs needs out to write V's weight drift");
+        goto done;
+    }
+    ok = PyMem_Malloc((size_t)L + 1);
+    if (!ok) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    if (coevnet_flow_pairs(U, V, out ? (double *)out + n : NULL, eps, ok, L, N, m, dw_row,
+                           (int)(sym != 0)))
+        result = leg_flags(ok, L);
+    else
+        result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(ok);
+    release(&a);
+    return result;
+}
+
+/* rk4_stage(y, k, out, c): out = y + c k. */
+static PyObject *py_rk4_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays a = {.n = 0};
+    void *y, *k, *out;
+    int64_t n;
+    double c;
+    (void)self;
+    if (check_nargs("rk4_stage", nargs, 4) < 0 || float_arg(args[3], &c) < 0)
+        return NULL;
+    if (take(&a, args[2], "out", &F64, WRITE, 0, &out) < 0)
+        return NULL;
+    n = last_len(&a);
+    if (take(&a, args[0], "y", &F64, 0, n, &y) < 0
+        || take(&a, args[1], "k", &F64, 0, n, &k) < 0) {
+        release(&a);
+        return NULL;
+    }
+    coevnet_rk4_combine(y, k, NULL, NULL, NULL, out, c, n);
+    release(&a);
+    Py_RETURN_NONE;
+}
+
+/* rk4_final(y, k1, k2, k3, k4, out, c, L, n, N, sym) -> None, or the
+ * per-leg flags of coevnet_step_flags after out = y + c (((k1 + 2 k2) +
+ * 2 k3) + k4): a tuple with a False for each leg that is not finite, or
+ * all True when the weights of a leg are not symmetric.  out holds L rows. */
+static PyObject *py_rk4_final(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays a = {.n = 0};
+    void *y, *k[4], *out;
+    int64_t size, L, n, N, sym;
+    double c;
+    uint8_t *ok = NULL;
+    PyObject *result = NULL;
+    int i;
+    (void)self;
+    if (check_nargs("rk4_final", nargs, 11) < 0 || float_arg(args[6], &c) < 0
+        || int_arg(args[7], "L", 1, &L) < 0 || int_arg(args[8], "n", 0, &n) < 0
+        || int_arg(args[9], "N", 0, &N) < 0 || int_arg(args[10], "sym", 0, &sym) < 0)
+        return NULL;
+    if (take(&a, args[5], "out", &F64, WRITE, 0, &out) < 0)
+        goto done;
+    size = last_len(&a);
+    if (size % L || (sym && (add(n, mul(N, N)) < 0 || add(n, mul(N, N)) > size / L))) {
+        PyErr_SetString(PyExc_ValueError, "rk4_final: out does not hold L rows of n states "
+                        "and N x N weights");
+        goto done;
+    }
+    if (take(&a, args[0], "y", &F64, 0, size, &y) < 0)
+        goto done;
+    for (i = 0; i < 4; i++)
+        if (take(&a, args[1 + i], "k", &F64, 0, size, &k[i]) < 0)
+            goto done;
+    ok = PyMem_Malloc((size_t)L);
+    if (!ok) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    coevnet_rk4_combine(y, k[0], k[1], k[2], k[3], out, c, size);
+    if (coevnet_step_flags(out, L, size / L, n, N, (int)(sym != 0), ok))
+        result = leg_flags(ok, L);
+    else
+        result = Py_NewRef(Py_None);
+done:
+    PyMem_Free(ok);
+    release(&a);
+    return result;
+}
+
+/* The y, out, coefficient and stage arrays of rkf45_stage and rkf45_final:
+ * y and out (writable) of one length n, and nk = nargs - first stages of n
+ * elements, nk coefficients in each of n_coef arrays after out. */
+static int take_stages(arrays *a, const char *fn, PyObject *const *args, Py_ssize_t nargs,
+                       int first, int n_coef, void **y, void **out, void **coef,
+                       const double **k, int64_t *n, int64_t *nk)
+{
+    int i;
+    void *p;
+    *nk = nargs - first;
+    if (*nk < 1 || *nk > MAX_STAGES) {
+        PyErr_Format(PyExc_TypeError, "%s takes 1 to %d stages (%lld given)", fn, MAX_STAGES,
+                     (long long)*nk);
+        return -1;
+    }
+    if (take(a, args[1], "out", &F64, WRITE, 0, out) < 0)
+        return -1;
+    *n = last_len(a);
+    if (take(a, args[0], "y", &F64, 0, *n, y) < 0)
+        return -1;
+    for (i = 0; i < n_coef; i++)
+        if (take(a, args[3 + i], "coefficients", &F64, 0, *nk, &coef[i]) < 0)
+            return -1;
+    for (i = 0; i < *nk; i++) {
+        if (take(a, args[first + i], "k", &F64, 0, *n, &p) < 0)
+            return -1;
+        k[i] = p;
+    }
+    return 0;
+}
+
+/* rkf45_stage(y, out, h, a, k1, ..., k_nk): out = y + h sum(a k). */
+static PyObject *py_rkf45_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays a = {.n = 0};
+    void *y, *out, *coef[1];
+    const double *k[MAX_STAGES];
+    int64_t n, nk;
+    double h;
+    (void)self;
+    if (nargs < 4) {
+        PyErr_SetString(PyExc_TypeError, "rkf45_stage takes y, out, h, a and the stages");
+        return NULL;
+    }
+    if (float_arg(args[2], &h) < 0
+        || take_stages(&a, "rkf45_stage", args, nargs, 4, 1, &y, &out, coef, k, &n, &nk) < 0) {
+        release(&a);
+        return NULL;
+    }
+    coevnet_rkf45_stage(y, k, coef[0], nk, h, out, n);
+    release(&a);
+    Py_RETURN_NONE;
+}
+
+/* rkf45_final(y, y5, h, b5, b4, k1, ..., k_nk) -> the error estimate
+ * max |y5 - y4|, with y5 = y + h sum(b5 k) written to y5. */
+static PyObject *py_rkf45_final(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays a = {.n = 0};
+    void *y, *y5, *coef[2];
+    const double *k[MAX_STAGES];
+    int64_t n, nk;
+    double h, err;
+    (void)self;
+    if (nargs < 5) {
+        PyErr_SetString(PyExc_TypeError, "rkf45_final takes y, y5, h, b5, b4 and the stages");
+        return NULL;
+    }
+    if (float_arg(args[2], &h) < 0
+        || take_stages(&a, "rkf45_final", args, nargs, 5, 2, &y, &y5, coef, k, &n, &nk) < 0) {
+        release(&a);
+        return NULL;
+    }
+    err = coevnet_rkf45_final(y, k, coef[0], coef[1], nk, h, y5, n);
+    release(&a);
+    return PyFloat_FromDouble(err);
+}
+
+/* illinois(buf, n, first) -> the elements not done (coevnet_illinois). */
+static PyObject *py_illinois(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays a = {.n = 0};
+    void *buf;
+    int64_t n, first, active;
+    (void)self;
+    if (check_nargs("illinois", nargs, 3) < 0 || int_arg(args[1], "n", 0, &n) < 0
+        || int_arg(args[2], "first", 0, &first) < 0
+        || take(&a, args[0], "buf", &F64, WRITE, mul(10, n), &buf) < 0)
+        return NULL;
+    active = coevnet_illinois(buf, n, (int)(first != 0));
+    release(&a);
+    return PyLong_FromLongLong(active);
+}
+
+#define FASTCALL(name, doc) \
+    {#name, (PyCFunction)(void (*)(void))py_##name, METH_FASTCALL, doc}
+
+static PyMethodDef kernel_functions[] = {
+    FASTCALL(closure_loop, "the closure RK4 loop (coevnet_closure_loop)"),
+    FASTCALL(format_rows, "CSV rows of float64 columns (coevnet_format_rows)"),
+    FASTCALL(flow_pairs, "a micro flow evaluation's pair bookkeeping (coevnet_flow_pairs)"),
+    FASTCALL(rk4_stage, "an RK4 stage, out = y + c k"),
+    FASTCALL(rk4_final, "the final RK4 sum with the step checks"),
+    FASTCALL(rkf45_stage, "a Fehlberg stage, out = y + h sum(a k)"),
+    FASTCALL(rkf45_final, "the Fehlberg update and its error estimate"),
+    FASTCALL(illinois, "one Illinois iteration of the nullcline solve (coevnet_illinois)"),
+    {NULL, NULL, 0, NULL},
+};
+
+static struct PyModuleDef kernels_module = {
+    PyModuleDef_HEAD_INIT,
+    .m_name = "coevnet._kernels",
+    .m_doc = "The compiled kernels of coevnet; see _kernels.c.",
+    .m_size = -1,
+    .m_methods = kernel_functions,
+};
+
+PyMODINIT_FUNC PyInit__kernels(void)
+{
+    PyObject *m;
+    if (PyType_Ready(&engine_type) < 0)
+        return NULL;
+    m = PyModule_Create(&kernels_module);
+    if (m && PyModule_AddObjectRef(m, "MinimalEngine", (PyObject *)&engine_type) < 0)
+        Py_CLEAR(m);
+    return m;
 }

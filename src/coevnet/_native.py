@@ -1,34 +1,45 @@
 """Build and load the compiled kernels.
 
-``_kernels.c`` holds five kernels: the closure RK4 loop (bound by
-``closures``), the minimal-model Gillespie engine (bound by ``jumpsim``), the
-CSV row renderer (bound by ``io``), and the micro flow's pair bookkeeping
-with its RK4 sums and the weight nullcline's Illinois iteration (both bound
-by ``microsim``).  It is compiled with the system ``cc`` the first time the
-package is imported, cached next to the source (in ``_cbuild/``, or under
-the temp dir when that is read-only) and loaded through ctypes.  ``LIB`` is
-the loaded library, or None with one warning naming the cause, in which
-case all four modules run their pure-python or numpy reference code.
+``_kernels.c`` is one CPython extension module, ``coevnet._kernels``, whose
+functions take the numpy arrays themselves and check them before any kernel
+runs: the closure RK4 loop (bound by ``closures``), the minimal-model
+Gillespie engine (bound by ``jumpsim``), the CSV row renderer (bound by
+``io``), and the micro flow's pair bookkeeping with its RK4 and RKF45 sums
+and the weight nullcline's Illinois iteration (both bound by ``microsim``).
+It is compiled with the system ``cc`` and this interpreter's headers the
+first time the package is imported, cached next to the source (in
+``_cbuild/``, or under the temp dir when that is read-only) under a name
+that carries the interpreter's ABI, and loaded through ``importlib``.
+``LIB`` is the loaded module, or None with one warning naming the cause, in
+which case all four modules run their pure-python or numpy reference code.
 """
 
 from __future__ import annotations
 
-import ctypes
 import hashlib
+import importlib.machinery
+import importlib.util
 import logging
 import os
 import shutil
 import stat
 import subprocess
+import sysconfig
 import tempfile
+from types import ModuleType
 
 log = logging.getLogger(__name__)
 
 _C_SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_kernels.c")
+_MODULE = "coevnet._kernels"
+# The interpreter the module is built for: its headers (in the flags) and
+# the file suffix of its extension modules, both part of the cache key.
+_INCLUDE = sysconfig.get_paths()["include"]
+_EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 # No fused multiply-adds and no fast-math: the kernels must round every
 # operation as python and numpy do, so that they stay bitwise equal to the
 # reference loops.
-_C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC")
+_C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-I" + _INCLUDE)
 _PKG_CACHE = os.path.join(os.path.dirname(_C_SOURCE), "_cbuild")
 
 
@@ -53,18 +64,29 @@ def _trusted(d: str) -> bool:
     return stat.S_ISDIR(st.st_mode) and st.st_uid == os.getuid() and not st.st_mode & 0o022
 
 
-def _build_library(cc: str) -> str:
-    """Path of the compiled kernels, built with compiler ``cc`` unless cached.
+def _library_name(cc: str) -> str:
+    """The cache file name of the module built with compiler ``cc``.
 
-    The file name carries a hash of the source, the compiler and the flags,
-    so an edited source is rebuilt and later processes only load the file.
-    The library is compiled to a temporary name and moved into place with
-    os.replace, so no process ever loads a half-written file.
+    It carries a hash of the source, the compiler, the flags (this
+    interpreter's include directory among them) and the interpreter's
+    extension suffix, and ends in that suffix, so an edited source is
+    rebuilt and a module built for one Python is never loaded by another.
     """
     with open(_C_SOURCE, "rb") as f:
         key = hashlib.sha256(b"\0".join(
-            [f.read(), cc.encode(), *(flag.encode() for flag in _C_FLAGS)])).hexdigest()
-    name = f"_kernels-{key[:16]}.so"
+            [f.read(), cc.encode(), *(flag.encode() for flag in _C_FLAGS),
+             _EXT_SUFFIX.encode()])).hexdigest()
+    return f"_kernels-{key[:16]}{_EXT_SUFFIX}"
+
+
+def _build_library(cc: str) -> str:
+    """Path of the compiled module, built with compiler ``cc`` unless cached.
+
+    Later processes only load the cached file (see ``_library_name``).  The
+    module is compiled to a temporary name and moved into place with
+    os.replace, so no process ever loads a half-written file.
+    """
+    name = _library_name(cc)
     dirs = _cache_dirs()
     for d in dirs:
         if os.path.isfile(os.path.join(d, name)) and _trusted(d):
@@ -77,7 +99,7 @@ def _build_library(cc: str) -> str:
             os.makedirs(d, mode=0o700, exist_ok=True)
             if not _trusted(d):
                 continue
-            fd, tmp = tempfile.mkstemp(prefix=".tmp-", suffix=".so", dir=d)
+            fd, tmp = tempfile.mkstemp(prefix=".tmp-", suffix=_EXT_SUFFIX, dir=d)
         except OSError:
             continue    # read-only directory: try the next one
         os.close(fd)
@@ -95,17 +117,27 @@ def _build_library(cc: str) -> str:
     raise OSError(f"no writable build directory among {dirs}")
 
 
-def load_library(cc: str = "cc") -> ctypes.CDLL | None:
+def _load(path: str) -> ModuleType:
+    """The extension module in the file at path."""
+    loader = importlib.machinery.ExtensionFileLoader(_MODULE, path)
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(_MODULE, path, loader=loader))
+    loader.exec_module(module)
+    return module
+
+
+def load_library(cc: str = "cc") -> ModuleType | None:
     """The compiled kernels, or None with one warning naming the cause when
-    the library cannot be built or loaded."""
+    the module cannot be built or loaded."""
     try:
-        return ctypes.CDLL(_build_library(cc))
-    except (OSError, subprocess.SubprocessError) as exc:
-        log.warning("compiled kernels unavailable (%s): closure integration and the "
-                    "Gillespie engine fall back to pure python, 50 to several hundred "
-                    "times slower, CSV rows to python formatting, 4 to 5 times slower, "
-                    "and the micro flow and weight nullcline to numpy alone, about 1.3 "
-                    "times slower at N=4", exc)
+        return _load(_build_library(cc))
+    except (OSError, ImportError, subprocess.SubprocessError) as exc:
+        log.warning("compiled kernels unavailable (%s; building them needs a C compiler "
+                    "'cc' and the Python headers, Python.h under %s): closure integration "
+                    "and the Gillespie engine fall back to pure python, about 300 and 60 "
+                    "times slower, CSV rows to python formatting, about 7 times slower, "
+                    "and the micro flow, its steps and the weight nullcline to numpy "
+                    "alone, about 3.5 times slower at N=4", exc, _INCLUDE)
         return None
 
 

@@ -30,7 +30,6 @@ reference, several hundred times slower.
 
 from __future__ import annotations
 
-import ctypes
 import logging
 from dataclasses import dataclass, fields, replace
 from enum import Enum
@@ -193,12 +192,7 @@ def _bind_loop(lib):
     _integrate_loop_py when there is no library."""
     if lib is None:
         return _integrate_loop_py
-    fn = lib.coevnet_closure_loop
-    f64 = np.ctypeslib.ndpointer(np.float64, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
-    fn.argtypes = [f64, f64, ctypes.c_int, ctypes.c_double, ctypes.c_int64, ctypes.c_int64,
-                   ctypes.c_double, ctypes.c_double, f64, i64, i64]
-    fn.restype = ctypes.c_int
+    fn = lib.closure_loop
 
     def _integrate_loop_c(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
         y0 = np.ascontiguousarray(y0, dtype=np.float64)

@@ -5,13 +5,12 @@ are never masked by formatting. Every CSV goes through one table writer,
 `_write_table`; files are streamed to a temporary sibling, at most
 `_BLOCK_ROWS` rows per write, and renamed into place with the mode a new
 file gets under the process umask. Numeric rows are rendered by the
-compiled kernels (``coevnet_format_rows``), and by python when there is no
-compiled library or a chunk has string cells; both print the same bytes.
+compiled kernels (``coevnet_format_rows``), and by python when the kernels
+are not built or a chunk has string cells; both print the same bytes.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import os
 import tempfile
@@ -85,12 +84,7 @@ def _bind_rows(lib):
     """
     if lib is None:
         return None
-    fn = lib.coevnet_format_rows
-    # arrays go as raw addresses: they are built here, so ndpointer's checks
-    # would only add to every call
-    fn.argtypes = [ctypes.c_char_p, ctypes.c_void_p, ctypes.c_int64, ctypes.c_void_p,
-                   ctypes.c_void_p, ctypes.c_int64, ctypes.c_int64, ctypes.c_void_p]
-    fn.restype = ctypes.c_int64
+    fn = lib.format_rows
 
     def render(pieces: list[str], columns: list[np.ndarray]) -> Iterator[memoryview]:
         text = [p.encode() for p in pieces]
@@ -99,13 +93,10 @@ def _bind_rows(lib):
         n = len(columns[0])
         if any(c.dtype != np.float64 or c.ndim != 1 or len(c) != n for c in columns):
             raise ValueError("the row renderer takes 1-D float64 columns of one length")
-        cols = np.array([c.ctypes.data for c in columns], dtype=np.uintp)
-        strides = np.array([c.strides[0] for c in columns], dtype=np.int64)
         rows = min(n, _BLOCK_ROWS)
         buf = np.empty(rows * (int(off[-1]) + _G17_MAX * len(columns)), dtype=np.uint8)
         for lo in range(0, n, _BLOCK_ROWS):
-            size = fn(text, off.ctypes.data, len(columns), cols.ctypes.data,
-                      strides.ctypes.data, lo, min(rows, n - lo), buf.ctypes.data)
+            size = fn(text, off, columns, lo, min(rows, n - lo), buf)
             yield buf.data[:size]
 
     return render

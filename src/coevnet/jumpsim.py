@@ -28,7 +28,6 @@ gain and loss channels.
 
 from __future__ import annotations
 
-import ctypes
 import warnings
 from dataclasses import dataclass, field
 from math import log
@@ -402,31 +401,6 @@ _C_ENGINE_MAX_N = 46340
 _RUN_DONE, _RUN_END, _RUN_SAMPLE, _RUN_FULL, _RUN_EMPTY = range(5)
 
 
-class _EngineState(ctypes.Structure):
-    """The ``minimal_engine`` struct of ``_kernels.c``, field by field."""
-
-    _fields_ = [
-        ("N", ctypes.c_int64),
-        ("rates", ctypes.c_double * 8),
-        ("s", ctypes.c_void_p),
-        ("W", ctypes.c_void_p),
-        ("members", ctypes.c_void_p * 2),
-        ("member_pos", ctypes.c_void_p),
-        ("links", ctypes.c_void_p * 3),
-        ("link_pos", ctypes.c_void_p),
-        ("scratch", ctypes.c_void_p),
-        ("ev_t", ctypes.c_void_p),
-        ("ev_kij", ctypes.c_void_p),
-        ("ev_cap", ctypes.c_int64),
-        ("n_members", ctypes.c_int64 * 2),
-        ("n_links", ctypes.c_int64 * 3),
-        ("n_ev", ctypes.c_int64),
-        ("t", ctypes.c_double),
-        ("t_next", ctypes.c_double),
-        ("pending", ctypes.c_int64),
-    ]
-
-
 class _CMinimalEngine:
     """The minimal model's Gillespie loop in the compiled kernels.
 
@@ -439,12 +413,11 @@ class _CMinimalEngine:
     bitwise equal.
     """
 
-    def __init__(self, kernels, cfg: DiscreteConfiguration, p: MinimalParams,
+    def __init__(self, lib, cfg: DiscreteConfiguration, p: MinimalParams,
                  record_events: bool):
-        self._run_kernel = kernels[1]
         N = self.N = cfg.N
         self.s = (cfg.states == 1).astype(np.int8)
-        self.W = cfg.weights.astype(np.int8)
+        self.W = cfg.weights.astype(np.int8, order="C")
         # np.empty leaves untouched capacity unallocated by the OS
         self._members = np.empty((2, N), dtype=np.int32)
         self._member_pos = np.empty(N, dtype=np.int32)
@@ -454,17 +427,11 @@ class _CMinimalEngine:
         cap = _EVENT_BUFFER if record_events else 0
         self._ev_t = np.empty(cap)
         self._ev_kij = np.empty((3, cap), dtype=np.int64)
-        st = self._st = _EngineState()
-        st.N = N
-        st.rates[:] = [float(x) for x in p.as_array()]
-        st.s, st.W = self.s.ctypes.data, self.W.ctypes.data
-        st.members[:] = [row.ctypes.data for row in self._members]
-        st.member_pos = self._member_pos.ctypes.data
-        st.links[:] = [row.ctypes.data for row in self._links]
-        st.link_pos = self._link_pos.ctypes.data
-        st.scratch = self._scratch.ctypes.data
-        st.ev_t, st.ev_kij, st.ev_cap = self._ev_t.ctypes.data, self._ev_kij.ctypes.data, cap
-        kernels[0](ctypes.byref(st))
+        # the engine holds these arrays and builds the lists (coevnet_minimal_init)
+        self._st = lib.MinimalEngine(
+            np.ascontiguousarray(p.as_array(), dtype=np.float64), self.s, self.W, self._members,
+            self._member_pos, self._links, self._link_pos, self._scratch, self._ev_t,
+            self._ev_kij)
 
     def moments(self) -> np.ndarray:
         return _minimal_moments(self.N, self._st.n_members[1], self._st.n_links)
@@ -484,8 +451,7 @@ class _CMinimalEngine:
         t_sample = record_until(0.0)
         while True:
             with bitgen.lock:
-                status = self._run_kernel(ctypes.byref(st), bitgen.ctypes.bit_generator,
-                                          T, t_sample)
+                status = st.run(bitgen.capsule, T, t_sample)
             n = st.n_ev
             if n:
                 kinds, ii, jj = self._ev_kij[:, :n].tolist()
@@ -509,17 +475,11 @@ def _bind_engine(lib):
     kernels ``lib`` for N up to _C_ENGINE_MAX_N, else the python engine."""
     if lib is None:
         return _python_engine
-    kernels = lib.coevnet_minimal_init, lib.coevnet_minimal_run
-    kernels[0].argtypes = [ctypes.POINTER(_EngineState)]
-    kernels[0].restype = None
-    kernels[1].argtypes = [ctypes.POINTER(_EngineState), ctypes.c_void_p, ctypes.c_double,
-                           ctypes.c_double]
-    kernels[1].restype = ctypes.c_int
 
     def engine(cfg: DiscreteConfiguration, p: MinimalParams, record_events: bool):
         if cfg.N > _C_ENGINE_MAX_N:
             return _MinimalEngine(cfg, p)
-        return _CMinimalEngine(kernels, cfg, p, record_events)
+        return _CMinimalEngine(lib, cfg, p, record_events)
 
     return engine
 

@@ -15,21 +15,22 @@ Weight symmetry: when the model's V is exchange-symmetric and the initial
 weight matrix is symmetric, the weight derivative matrix is built from its
 upper triangle and mirrored, which keeps trajectories bitwise symmetric.
 
-Compiled bookkeeping: with the kernels of ``_native`` each flow evaluation
-makes one C call for its finiteness checks, U's zero diagonal and the
-weight drift, and an rk4 step sums its stages in C on a workspace of the run
-(k1 to k4, a stage buffer and two states used in turn, with their views and
-addresses built once); each Illinois iteration of the nullcline solve is one
-C call over every element.  U, V, U0, the row sum (``np.add.reduce``, for
-numpy's pairwise summation order) and the mass-weighted ``einsum`` stay in
-numpy, so results are bitwise those of the numpy references
-``_micro_flow_py`` and ``_nullcline_array_py``, which run when there is no
-library.
+Compiled bookkeeping: with the extension module of ``_native`` each flow
+evaluation makes one call for its finiteness checks, U's zero diagonal and
+the weight drift.  The rk4 and rkf45 steps of the flow and of the
+fast-network limit run on a workspace of the run (``_Workspace``: six stage
+derivatives, a stage buffer and two states used in turn): each stage is one
+call, and an rk4 step's final sum also makes the step's checks.  Each
+Illinois iteration of the nullcline solve is one call over every element.
+U, V, U0, the row sum (``np.add.reduce``, for numpy's pairwise summation
+order) and the mass-weighted ``einsum`` stay in numpy, so results are
+bitwise those of the numpy references ``_micro_flow_py``,
+``stepping.rk4_step``, ``stepping.rkf45_step`` and ``_nullcline_array_py``,
+which run when the kernels are not built.
 """
 
 from __future__ import annotations
 
-import ctypes
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -39,7 +40,7 @@ import numpy as np
 from . import _native
 from .errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
 from .models import PotentialModel, SmoothModel, _probe_points
-from .stepping import rk4_step, rkf45_advance, run_grid
+from .stepping import _RKF_A, _RKF_B4, _RKF_B5, rk4_step, rkf45_advance, run_grid
 
 NULLCLINE_TOL = 1e-12
 _NULLCLINE_MAX_STEPS = 100
@@ -127,32 +128,58 @@ def _on_grid(a, grid: tuple, name: str, state: np.ndarray) -> np.ndarray:
                          f"the pair grid {grid}") from None
 
 
-def _failed(what: str, t: float, eps_w: np.ndarray, ok: np.ndarray) -> IntegrationError:
-    """The error of a failed step; with several legs it names the eps of those not ok."""
+def _failed(what: str, t: float, eps_w: np.ndarray, ok) -> IntegrationError:
+    """The error of a failed step; with several legs it names the eps of
+    those not ok (per-leg flags)."""
+    ok = np.asarray(ok, dtype=bool)
     legs = "" if eps_w.size == 1 else " for eps=" + ", ".join(f"{e:g}" for e in eps_w[~ok])
     return IntegrationError(f"{what} t={t:.6g}{legs}")
 
 
+def _step_error(t: float, eps_w: np.ndarray, ok) -> Exception:
+    """The error of a step from t whose result has the per-leg finiteness
+    flags ok; when every leg is finite, its weights lost their symmetry."""
+    if all(ok):
+        return InvariantViolation("weight symmetry lost during integration")
+    return _failed("non-finite state in the step from", t, eps_w, ok)
+
+
+def _checked(y: np.ndarray, t: float, eps_w: np.ndarray, n: int, N: int, sym: bool):
+    """y, the stacked result of a step from t; raises _step_error when a
+    leg of it is not finite or, with sym, the weights (N x N after n states)
+    of a leg are not symmetric, the checks the compiled rk4 step makes in
+    its final sum."""
+    ok = np.isfinite(y).all(1)
+    if ok.all() and not sym:
+        return y
+    W = y[:, n:].reshape(len(y), N, N)
+    if ok.all() and (W == W.swapaxes(1, 2)).all():
+        return y
+    raise _step_error(t, eps_w, ok)
+
+
 def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s: float = 1.0,
                     masses: np.ndarray | None = None, pairs=None):
-    """drift(states, views, W, t, V=None, out=None, dw=0): ds/dt of stacked legs (see micro_rhs).
+    """drift(states, views, W, t, V=None, out=None, flow=None): ds/dt of
+    stacked legs (see micro_rhs).
 
     states (L, N, m), their pair views (s_i, s_j) and weights (L, N, N)
     give the (L, N, m) drift, written into out if given; this is the one
     place a particle flow evaluates U.  A leg with a non-finite U, or a
     non-finite entry of the caller's weight drift V, raises IntegrationError
-    naming t (see _failed).  pairs, a compiled pair step of _bind_pairs,
-    also writes V's weight drift to the address dw; without it the numpy
-    reference zeroes U's diagonal and the caller builds the weight drift.
+    naming t (see _failed).  pairs, a compiled pair step of
+    ``_FlowKernels.pairs``, also writes V's weight drift into the weight
+    part of the flow's output ``flow``; without it the numpy reference
+    zeroes U's diagonal and the caller builds the weight drift.
     """
     if m != model.m:
         raise ModelError(f"configuration dimension m={m} does not match model m={model.m}")
 
     def drift(states: np.ndarray, views: tuple, W: np.ndarray, t: float, V=None,
-              out=None, dw: int = 0) -> np.ndarray:
+              out=None, flow=None) -> np.ndarray:
         U = _on_grid(model.U(*views, W), W.shape + (m,), "U", W)
         if pairs is not None:
-            ok = pairs(U, V, dw)
+            ok = pairs(U, V, flow)
             if ok is not None:
                 raise _failed("non-finite force evaluation at", t, eps_w, ok)
         elif not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
@@ -188,8 +215,9 @@ def _micro_flow_py(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: fl
     Row l of z holds leg l's states then its weights and runs with eps_w[l].
     step(y, t, dt, method, rng) takes one rk4, euler or rkf45 step (euler
     with an rng adds simulate_diffusive's state noise) and checks each leg
-    for non-finite entries and a symmetric flow for weight symmetry.  This
-    is the numpy reference of the compiled flow of _bind_flow.
+    for non-finite entries and a symmetric flow for weight symmetry
+    (``_checked``).  This is the numpy reference of the compiled flow of
+    _bind_flow.
     """
     eps_w, L, N, m, sym = _flow_legs(cfg, model, eps_w, eps_s)
     drift = _particle_drift(model, N, m, eps_w, eps_s, masses)
@@ -215,63 +243,127 @@ def _micro_flow_py(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: fl
             dw[...] = V
         return out
 
-    return f, _flow_step(f, lambda y, t, h: rk4_step(lambda z: f(z, t), y, h), model, eps_w, N,
-                         m, sym)
+    def rk4(y: np.ndarray, t: float, h: float) -> np.ndarray:
+        return _checked(rk4_step(lambda z: f(z, t), y, h), t, eps_w, n, N, sym)
+
+    def rkf45(y: np.ndarray, t: float, h: float) -> np.ndarray:
+        return rkf45_advance(lambda z: f(z, t), y, h, t0=t)
+
+    return f, _flow_step(f, rk4, rkf45, model, eps_w, N, m, sym)
 
 
-def _flow_step(f, rk4, model: SmoothModel, eps_w: np.ndarray, N: int, m: int, sym: bool):
-    """The step function of a flow f(z, t) whose rk4 step is rk4(y, t, h)."""
+def _flow_step(f, rk4, rkf45, model: SmoothModel, eps_w: np.ndarray, N: int, m: int,
+               sym: bool):
+    """The step function of a flow f(z, t) whose rk4 step rk4(y, t, h)
+    makes the step checks of ``_checked`` itself and whose rkf45(y, t, h)
+    advances y over h by adaptive substeps."""
     L, n = eps_w.size, N * m
 
     def step(y: np.ndarray, t: float, dt: float, method: str, rng=None) -> np.ndarray:
         if method == "rk4":
-            y_new = rk4(y, t, dt)
-        elif method == "rkf45":
-            y_new = rkf45_advance(lambda z: f(z, t), y, dt, t0=t)
+            return rk4(y, t, dt)
+        if method == "rkf45":
+            y_new = rkf45(y, t, dt)
         else:
             y_new = y + dt * f(y, t)
             if rng is not None:
                 q = np.asarray(model.Q(y[:, :n].reshape(L, N, m)), dtype=float)
                 noise = np.sqrt(2.0 * q * dt)[..., None] * rng.standard_normal((L, N, m))
                 y_new[:, :n] += noise.reshape(L, n)
-        if not np.isfinite(y_new).all():
-            raise _failed("non-finite state in the step from", t, eps_w, np.isfinite(y_new).all(1))
-        W = y_new[:, n:].reshape(L, N, N)
-        if sym and not (W == W.swapaxes(1, 2)).all():
-            raise InvariantViolation("weight symmetry lost during integration")
-        return y_new
+        return _checked(y_new, t, eps_w, n, N, sym)
 
     return step
 
 
-def _bind_pairs(lib):
-    """The compiled pair step of the kernels lib, or None when there is no library.
+# The Fehlberg tableau of stepping.rkf45_step, as the kernels read it.
+_RKF_ROWS = [np.array(row, dtype=float) for row in _RKF_A]
+_RKF_B = np.array(_RKF_B5), np.array(_RKF_B4)
 
-    pair_step(L, N, m, eps_w=None, sym=False, dw_row=0) gives pairs(U, V,
-    dw) for _particle_drift: one coevnet_flow_pairs call that returns the
-    per-leg finiteness flags of U and V when an entry is not finite, else
-    None after zeroing U's diagonal and, given V, writing the weight drift
-    of _micro_flow_py to the address dw, leg l dw_row doubles further on.
+
+class _Workspace:
+    """The compiled rk4 and rkf45 steps of a flow f(z, t, out), on buffers
+    made by the first step: six stage derivatives, a stage buffer and two
+    states used in turn, so a step's result is overwritten two steps later.
+
+    The stages keep the rounding of ``stepping.rk4_step`` and
+    ``stepping.rkf45_step``.  rk4's final sum also makes the checks of
+    ``_checked`` over the legs of the flow (one per eps_w, n states and,
+    with sym, N x N weights each) and raises their error; rkf45 advances
+    by ``rkf45_advance``.  made(buf), if given, sees each buffer once.
     """
-    if lib is None:
-        return None
-    fn = lib.coevnet_flow_pairs
-    fn.argtypes = [ctypes.c_void_p] * 5 + [ctypes.c_int64] * 4 + [ctypes.c_int]
-    fn.restype = ctypes.c_int
 
-    def pair_step(L: int, N: int, m: int, eps_w=None, sym: bool = False, dw_row: int = 0):
-        ok = np.empty(L, dtype=bool)
+    def __init__(self, lib, f, eps_w: np.ndarray, n: int, N: int = 0, sym: bool = False,
+                 made=None):
+        self.lib, self.f, self.eps_w, self.made = lib, f, eps_w, made
+        self.legs = (eps_w.size, n, N, sym)
+        self.bufs: list[np.ndarray] = []
+
+    def _start(self, y: np.ndarray) -> np.ndarray:
+        """y as the kernels read it; makes the buffers at the first step."""
+        if not self.bufs:
+            self.bufs = [np.empty(y.shape) for _ in range(9)]
+            for buf in self.bufs if self.made else ():
+                self.made(buf)
+        return np.ascontiguousarray(y, dtype=np.float64)
+
+    def _next(self, y: np.ndarray) -> np.ndarray:
+        """The state buffer that a step from y writes to."""
+        a, b = self.bufs[7:]
+        return b if y is a else a
+
+    def rk4(self, y: np.ndarray, t: float, h: float) -> np.ndarray:
+        y = self._start(y)
+        y_new, lib, f = self._next(y), self.lib, self.f
+        k, stage = self.bufs[:4], self.bufs[6]
+        for i, c in enumerate((0.5 * h, 0.5 * h, h)):
+            f(stage if i else y, t, k[i])
+            lib.rk4_stage(y, k[i], stage, c)
+        f(stage, t, k[3])
+        bad = lib.rk4_final(y, *k, y_new, h / 6.0, *self.legs)
+        if bad is not None:
+            raise _step_error(t, self.eps_w, bad)
+        return y_new
+
+    def rkf45(self, y: np.ndarray, t: float, h: float) -> np.ndarray:
+        y = self._start(y)
+        lib, k, stage, slot = self.lib, self.bufs[:6], self.bufs[6], [0]
+
+        def rhs(z: np.ndarray) -> np.ndarray:   # into the stage's own buffer
+            return self.f(z, t, k[slot[0]])
+
+        def substep(rhs, y: np.ndarray, h: float):
+            y5, ks = self._next(y), []
+            for i, row in enumerate(_RKF_ROWS):
+                if i:
+                    lib.rkf45_stage(y, stage, h, row, *ks)
+                slot[0] = i
+                ks.append(rhs(stage if i else y))
+            return y5, lib.rkf45_final(y, y5, h, *_RKF_B, *ks)
+
+        return rkf45_advance(rhs, y, h, t0=t, step=substep)
+
+
+class _FlowKernels:
+    """The compiled parts of a particle flow, on the kernels lib."""
+
+    def __init__(self, lib):
+        self.lib = lib
+
+    def pairs(self, L: int, N: int, m: int, eps_w=None, sym: bool = False, row: int = 0):
+        """pairs(U, V, flow) for _particle_drift: one flow_pairs call that
+        returns the per-leg finiteness flags of U and V when an entry is not
+        finite, else None after zeroing U's diagonal and, given V, writing
+        the weight drift of _micro_flow_py into the flow output ``flow``,
+        whose leg l starts row doubles after leg l - 1 and holds N m states
+        before its weights."""
+        fn, n = self.lib.flow_pairs, N * m
         eps = None if eps_w is None or np.all(eps_w == 1.0) else np.array(eps_w)   # x / 1.0 is x
-        const = (None if eps is None else eps.ctypes.data, ok.ctypes.data, L, N, m, dw_row, sym)
+        return lambda U, V, flow: fn(U, V, flow, n, row, eps, L, N, m, sym)
 
-        def pairs(U: np.ndarray, V, dw: int):
-            bad = fn(U.ctypes.data, None if V is None else V.ctypes.data, dw or None, *const)
-            return ok if bad else None
 
-        pairs.buffers = ok, eps   # keeps alive what C reads and writes through const
-        return pairs
-
-    return pair_step
+def _bind_pairs(lib) -> _FlowKernels | None:
+    """The compiled flow parts of the kernels lib, or None when there is no library."""
+    return None if lib is None else _FlowKernels(lib)
 
 
 def _bind_flow(lib):
@@ -279,66 +371,38 @@ def _bind_flow(lib):
     its compiled counterpart on the kernels lib, bitwise equal to it.
 
     The compiled f(z, t, out=None) writes into out; it does the pair
-    bookkeeping in one coevnet_flow_pairs call, while U, V and the row sum
-    stay in numpy.  Its rk4 step runs on a workspace made by the first step
-    (k1 to k4, one stage buffer and two states used in turn, so a step's
-    result is overwritten two steps later), the views and addresses of each
-    buffer built once, and sums the stages with coevnet_rk4_combine.
+    bookkeeping in one flow_pairs call, while U, V and the row sum stay in
+    numpy.  Its rk4 and rkf45 steps run on a ``_Workspace``, whose buffers'
+    views f builds once.
     """
-    pair_step = _bind_pairs(lib)
-    if pair_step is None:
+    kernels = _bind_pairs(lib)
+    if kernels is None:
         return _micro_flow_py
-    combine = lib.coevnet_rk4_combine
-    combine.argtypes = [ctypes.c_void_p] * 6 + [ctypes.c_double, ctypes.c_int64]
-    combine.restype = None
 
     def flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
              masses: np.ndarray | None = None):
         eps_w, L, N, m, sym = _flow_legs(cfg, model, eps_w, eps_s)
-        n, row = N * m, N * m + N * N
+        n = N * m
         drift = _particle_drift(model, N, m, eps_w, eps_s, masses,
-                                pair_step(L, N, m, eps_w, sym, row))
-        # views and addresses of the workspace buffers, by id
-        reads, writes, at = {}, {}, {}
+                                kernels.pairs(L, N, m, eps_w, sym, n + N * N))
+        views = {}   # the parts of each workspace buffer, by id
 
-        def split(z: np.ndarray) -> tuple:
+        def parts(z: np.ndarray) -> tuple:
             """z's states, weights and pair views."""
             states = z[:, :n].reshape(L, N, m)
             return states, z[:, n:].reshape(L, N, N), (states[:, :, None, :], states[:, None, :, :])
 
-        def targets(out: np.ndarray) -> tuple:
-            """out's state part and the address of its weight part."""
-            return out[:, :n].reshape(L, N, m), out.ctypes.data + 8 * n
-
         def f(z: np.ndarray, t: float, out=None) -> np.ndarray:
-            states, W, views = reads.get(id(z)) or split(z)
-            V = _on_grid(model.V(*views, W), (L, N, N), "V", z)
+            states, W, pair = views.get(id(z)) or parts(z)
+            V = _on_grid(model.V(*pair, W), (L, N, N), "V", z)
             out = np.empty(z.shape) if out is None else out
-            drift(states, views, W, t, V, *(writes.get(id(out)) or targets(out)))
+            ds = views[id(out)][0] if id(out) in views else out[:, :n].reshape(L, N, m)
+            drift(states, pair, W, t, V, ds, out)
             return out
 
-        ws = []   # k1 to k4, the stage and two states, made by the first rk4 step
-
-        def rk4(y: np.ndarray, t: float, h: float) -> np.ndarray:
-            if not ws:
-                ws.extend(np.empty(y.shape) for _ in range(7))
-                for buf in ws:
-                    reads[id(buf)], writes[id(buf)], at[id(buf)] = \
-                        split(buf), targets(buf), buf.ctypes.data
-            k1, k2, k3, k4, stage, a, b = ws
-            y_new = b if y is a else a
-            if id(y) not in at:   # the first step's state, which C reads too
-                y = np.ascontiguousarray(y, dtype=np.float64)
-            py, ps = at.get(id(y)) or y.ctypes.data, at[id(stage)]
-            for k, c in ((k1, 0.5 * h), (k2, 0.5 * h), (k3, h)):
-                f(y if k is k1 else stage, t, k)
-                combine(py, at[id(k)], None, None, None, ps, c, y.size)
-            f(stage, t, k4)
-            combine(py, at[id(k1)], at[id(k2)], at[id(k3)], at[id(k4)], at[id(y_new)], h / 6.0,
-                    y.size)
-            return y_new
-
-        return f, _flow_step(f, rk4, model, eps_w, N, m, sym)
+        ws = _Workspace(lib, f, eps_w, n, N, sym,
+                        made=lambda buf: views.__setitem__(id(buf), parts(buf)))
+        return f, _flow_step(f, ws.rk4, ws.rkf45, model, eps_w, N, m, sym)
 
     return flow
 
@@ -618,30 +682,28 @@ def _bind_nullcline(lib):
 
     The bracket search, the step limit and the residual check stay in numpy,
     as does every call of V; each Illinois iteration is one
-    coevnet_illinois call over every element of one (10, n) buffer.
+    illinois call over every element of one (10, n) buffer.
     """
     if lib is None:
         return _nullcline_array_py
-    fn = lib.coevnet_illinois
-    fn.argtypes = [ctypes.c_void_p, ctypes.c_int64, ctypes.c_int]
-    fn.restype = ctypes.c_int64
+    fn = lib.illinois
 
     def nullcline(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
         V_at, *bracket = _nullcline_bracket(model, si, sj)
         # rows lo, hi, flo, fhi, w, fw, side, done, new, fnew, as coevnet_illinois reads them
         buf = np.empty((10,) + bracket[0].shape)
         buf[0], buf[1], buf[2], buf[3] = bracket
-        new, fnew, at, size = buf[8], buf[9], buf.ctypes.data, buf[0].size
+        new, fnew, size = buf[8], buf[9], buf[0].size
         steps = 0
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            active = fn(at, size, 1)
+            active = fn(buf, size, 1)
             while active:
                 if steps == _NULLCLINE_MAX_STEPS:
                     raise NullclineNotFound(
                         f"nullcline iteration did not converge in {steps} steps")
                 steps += 1
                 np.copyto(fnew, V_at(new))
-                active = fn(at, size, 0)
+                active = fn(buf, size, 0)
         return _nullcline_checked(buf[4], buf[5])
 
     return nullcline
@@ -677,21 +739,26 @@ def integrate_reduced(
     Each pair's weight is slaved to the nullcline w = omega(s_i, s_j) and the
     states follow the micro state drift with those weights, external force
     included: ds_i/dt = (1/N) sum_{j != i} U(s_i, s_j, omega(s_i, s_j)) + U0(s_i).
-    A non-finite force raises IntegrationError naming the time of the step,
-    and T off the dt grid raises ModelError (``stepping.grid_steps``), so the
-    run ends at T, where run_epsilon_sweep compares it with the micro legs.
+    A non-finite force or state raises IntegrationError naming the time of
+    the step, and T off the dt grid raises ModelError
+    (``stepping.grid_steps``), so the run ends at T, where run_epsilon_sweep
+    compares it with the micro legs.  With the compiled kernels the steps
+    run on the flow's ``_Workspace``, bitwise equal to ``rk4_step``.
     """
     states = np.array(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
     N, m = states.shape
-    drift = _particle_drift(model, N, m, np.ones(1),
-                            pairs=None if _flow_pairs is None else _flow_pairs(1, N, m))
+    kernels, one = _flow_pairs, np.ones(1)
+    drift = _particle_drift(model, N, m, one,
+                            pairs=None if kernels is None else kernels.pairs(1, N, m))
 
-    def on_nullcline(y: np.ndarray, t: float) -> np.ndarray:
+    def on_nullcline(y: np.ndarray, t: float, out=None) -> np.ndarray:
         s = y.reshape(1, N, m)
         views = s[:, :, None, :], s[:, None, :, :]
-        return drift(s, views, _nullcline_array(model, *views), t).reshape(y.shape)
+        ds = drift(s, views, _nullcline_array(model, *views), t,
+                   out=None if out is None else out.reshape(1, N, m))
+        return ds.reshape(y.shape)
 
     traj = StateTrajectory()
 
@@ -699,6 +766,11 @@ def integrate_reduced(
         traj.times.append(t)
         traj.states.append(y.reshape(N, m).copy())
 
-    run_grid(lambda y, t: rk4_step(lambda z: on_nullcline(z, t), y, dt), states.ravel(), 0.0,
-             dt, T, 1, sample)
+    if kernels is None:
+        run_grid(lambda y, t: rk4_step(lambda z: on_nullcline(z, t), y, dt), states.ravel(),
+                 0.0, dt, T, 1, sample)
+    else:
+        ws = _Workspace(kernels.lib, on_nullcline, one, N * m)
+        run_grid(lambda y, t: ws.rk4(y, t, dt), states.ravel(), 0.0, dt, T, 1, sample,
+                 step_checks_finite=True)
     return traj

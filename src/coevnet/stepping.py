@@ -8,7 +8,8 @@ the stepping, the finiteness check (or leaves it to a step that makes it)
 and the sampling rule.  The integrator passes only its one-step function,
 built on ``rk4_step`` (or the micro flow's compiled RK4, which sums the
 same stages in the same order), an Euler update or ``rkf45_advance``
-(adaptive substeps between grid points).  A failed step raises
+(adaptive substeps between grid points, each ``rkf45_step`` or the micro
+flow's compiled substep, which forms the same sums).  A failed step raises
 IntegrationError; no integrator returns a truncated trajectory.  The compiled closure loop of
 ``_kernels.c`` keeps the same grid, sampling rule and failure on a
 non-finite state.
@@ -129,12 +130,15 @@ def rkf45_advance(
     atol: float = 1e-8,
     rtol: float = 1e-6,
     t0: float = 0.0,
+    step: Callable[[Rhs, np.ndarray, float], tuple[np.ndarray, float]] = rkf45_step,
 ) -> np.ndarray:
     """Advance y over one output interval with adaptive Fehlberg substeps.
 
     A substep that misses the tolerance at h <= 1e-14 * span raises
     IntegrationError naming t0, the time the interval starts from, instead
     of being accepted.  A non-finite update of a finite y always misses it.
+    step(f, y, h) takes one substep, as ``rkf45_step`` (the micro flow's
+    compiled substep forms the same sums in the same order).
     """
     if span <= 0.0:
         return y
@@ -142,7 +146,7 @@ def rkf45_advance(
     h = span
     while t < span:
         h = min(h, span - t)
-        y_new, err = rkf45_step(f, y, h)
+        y_new, err = step(f, y, h)
         scale = atol + rtol * float(np.max(np.abs(y))) if np.size(y) else atol
         accept = err <= scale     # False for a NaN error too
         if not accept and h <= 1e-14 * span:

@@ -157,3 +157,47 @@ def test_unwritable_build_dir_falls_back_to_next(tmp_path, monkeypatch):
     assert path.startswith(str(cache))
     assert [p.name for p in cache.iterdir()] == [os.path.basename(path)]
     assert _native._build_library("cc") == path
+
+
+def test_cache_name_carries_the_interpreter_abi(monkeypatch):
+    names = []
+    for suffix in (".cpython-311-x86_64-linux-gnu.so", ".cpython-312-x86_64-linux-gnu.so"):
+        monkeypatch.setattr(_native, "_EXT_SUFFIX", suffix)
+        names.append(_native._library_name("cc"))
+        assert names[-1].startswith("_kernels-") and names[-1].endswith(suffix)
+    assert names[0] != names[1]
+    monkeypatch.setattr(_native, "_C_FLAGS", tuple(
+        "-I/elsewhere/include/python3.11" if flag.startswith("-I") else flag
+        for flag in _native._C_FLAGS))
+    assert _native._library_name("cc") not in names
+
+
+@pytest.mark.needs_cc
+def test_missing_python_headers_fall_back_with_warning(tmp_path, monkeypatch, caplog):
+    no_headers = str(tmp_path / "no-include")
+    monkeypatch.setattr(_native, "_cache_dirs", lambda: [str(tmp_path / "cache")])
+    monkeypatch.setattr(_native, "_C_FLAGS", tuple(
+        "-I" + no_headers if flag.startswith("-I") else flag for flag in _native._C_FLAGS))
+    monkeypatch.setattr(_native, "_INCLUDE", no_headers)
+    with caplog.at_level(logging.WARNING, logger="coevnet._native"):
+        lib = _native.load_library("cc")
+    assert lib is None
+    assert closures._bind_loop(lib) is closures._integrate_loop_py
+    warnings = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert "Python.h" in warnings[0].getMessage()
+    assert list((tmp_path / "cache").iterdir()) == []   # no half-built module is left
+
+
+@pytest.mark.needs_cc
+def test_the_module_is_loaded_from_the_cache(tmp_path, monkeypatch):
+    monkeypatch.setattr(_native, "_cache_dirs", lambda: [str(tmp_path)])
+    lib = _native.load_library("cc")
+    assert [p.name for p in tmp_path.iterdir()] == [_native._library_name("cc")]
+    assert lib.__name__ == "coevnet._kernels"
+    assert lib.__file__ == str(tmp_path / _native._library_name("cc"))
+    y0, r = criterion_01_cases()[0]
+    loop = closures._bind_loop(lib)
+    args = (y0, r, 1, 1e-3, 200, 50, DELTA_CONSENSUS, NEG_CLAMP_TOL)
+    got, want = loop(*args), closures._integrate_loop_py(*args)
+    assert got[2:] == want[2:] and np.array_equal(got[0][:got[2]], want[0][:want[2]])

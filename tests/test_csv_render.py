@@ -230,6 +230,8 @@ def test_artifact_mode_follows_the_umask(tmp_path, monkeypatch, umask, mode):
 
 @pytest.mark.needs_cc
 def test_kernel_source_compiles_without_warnings():
+    # the flags and include directory of the build itself
     proc = subprocess.run(["cc", "-Wall", "-Wextra", "-Werror", "-fsyntax-only",
-                           _native._C_SOURCE], capture_output=True, text=True, timeout=120)
+                           *_native._C_FLAGS, _native._C_SOURCE],
+                          capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

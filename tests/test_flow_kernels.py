@@ -1,10 +1,12 @@
 """The compiled micro flow and nullcline solve against their numpy references.
 
-``microsim._micro_flow`` (``coevnet_flow_pairs`` and ``coevnet_rk4_combine``)
-must give the bytes of ``microsim._micro_flow_py`` for every f evaluation and
-step, and raise the same errors; ``microsim._nullcline_array``
-(``coevnet_illinois``) must give the bytes of ``_nullcline_array_py``.  With
-no library the references are bound and the CLI writes the pinned bytes.
+``microsim._micro_flow`` (``coevnet_flow_pairs`` and the workspace's RK4 and
+RKF45 sums) must give the bytes of ``microsim._micro_flow_py`` for every f
+evaluation and step, rejected RKF45 substeps included, and raise the same
+errors; the compiled ``integrate_reduced`` must give the bytes of its numpy
+path; ``microsim._nullcline_array`` (``coevnet_illinois``) must give the
+bytes of ``_nullcline_array_py``.  With no library the references are bound
+and the CLI writes the pinned bytes.
 """
 
 import hashlib
@@ -16,10 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coevnet import _native, cli, microsim
+from coevnet import _native, cli, microsim, stepping
 from coevnet.cli import main
-from coevnet.errors import IntegrationError, NullclineNotFound
-from coevnet.microsim import AgentConfiguration, _stack
+from coevnet.errors import IntegrationError, InvariantViolation, NullclineNotFound
+from coevnet.microsim import AgentConfiguration, _stack, integrate_reduced
 from coevnet.models import SmoothModel, catalog
 from test_cli_bytes import CONFIGS, PINNED
 
@@ -63,7 +65,7 @@ def raised(run):
     try:
         with np.errstate(all="ignore"):
             return run().tobytes()
-    except (IntegrationError, NullclineNotFound) as err:
+    except (IntegrationError, InvariantViolation, NullclineNotFound) as err:
         return type(err).__name__, str(err)
 
 
@@ -173,6 +175,142 @@ def test_non_finite_forces_raise_the_reference_error(where, L, symmetric_V):
     assert got == raised(lambda: f_py(z, 0.25))
     assert got[0] == "IntegrationError" and got[1].startswith("non-finite force evaluation at")
     assert raised(lambda: step_c(z, 0.25, 0.1, "rk4")) == got
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("L", [1, 3])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_rkf45_is_bitwise_the_reference_through_rejected_substeps(monkeypatch, L, symmetric):
+    """Every grid step of the compiled rkf45 equals stepping.rkf45_advance
+    over _micro_flow_py, byte for byte, with the same substeps, some of them
+    rejected (a rejected substep leaves the next one to start from its y)."""
+    rng = np.random.default_rng(10 * L + symmetric)
+    cfg = random_cfg(rng, 6, 2, symmetric, np.triu(rng.random((6, 6)) < 0.3, 1))
+    model = pair_model(2, symmetric_V=symmetric, external=True)
+    eps_w = [0.004] if L == 1 else [0.5, 0.004, 1.0]
+    advance = stepping.rkf45_advance
+    runs = {}
+    for name, flow in (("compiled", compiled_flow), ("reference", microsim._micro_flow_py)):
+        starts = []   # the y each substep starts from
+
+        def recorded(f, y, span, t0=0.0, step=stepping.rkf45_step):
+            return advance(f, y, span, t0=t0,
+                           step=lambda f, y, h: starts.append(y) or step(f, y, h))
+        monkeypatch.setattr(microsim, "rkf45_advance", recorded)
+        _, step = flow(cfg, model, eps_w)
+        y, got = _stack(cfg, L), []
+        for k in range(3):
+            y = step(y, 0.1 * k, 0.1, "rkf45")
+            got.append(y.tobytes())
+        runs[name] = got, len(starts), sum(a is b for a, b in zip(starts, starts[1:]))
+    assert runs["compiled"] == runs["reference"]
+    assert runs["reference"][2] >= 1
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("seed", range(8))
+def test_fehlberg_sums_are_bitwise_rkf45_step(seed):
+    """Each stage point, the update and the error estimate of one substep,
+    on stage derivatives with -0.0, subnormals, overflowing sums, infinities
+    and NaN: the error estimate is NaN exactly where np.max gives NaN."""
+    rng = np.random.default_rng(seed)
+    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan])
+
+    def draw(n):
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        pick = rng.random(n) < (0.3 if seed % 2 else 0.05 * (seed // 2))
+        x[pick] = rng.choice(special[:6] if seed < 4 else special, size=pick.sum())
+        return x
+
+    y, h = draw(64), float(rng.choice([1e-3, 0.1, 2.0]))
+    ks = [draw(64) for _ in range(6)]
+    if seed >= 4:   # a NaN difference early on, then larger finite ones
+        ks[5][3], ks[0][40:] = np.nan, 1e6
+    stages = []
+
+    def f(z):   # records each stage point, returns the drawn derivatives in turn
+        stages.append(z.copy())
+        return ks[len(stages) - 1]
+    with np.errstate(all="ignore"):
+        y5, err = stepping.rkf45_step(f, y, h)
+    lib, got, out = _native.LIB, [], np.empty_like(y)
+    for i, row in enumerate(microsim._RKF_ROWS[1:], 1):
+        lib.rkf45_stage(y, out, h, row, *ks[:i])
+        got.append(out.tobytes())
+    assert got == [z.tobytes() for z in stages[1:]]
+    c_err = lib.rkf45_final(y, out, h, *microsim._RKF_B, *ks)
+    assert out.tobytes() == y5.tobytes()
+    assert c_err == err or (np.isnan(c_err) and np.isnan(err))
+    assert np.isnan(err) or seed < 4
+
+
+def external_leg_force(s):
+    """1e308 on every state above 100, else 0: such a state's rk4 sum
+    k1 + 2 k2 overflows while every force stays finite."""
+    return np.where(np.asarray(s, dtype=float) > 100.0, 1e308, 0.0)
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("method", ["rk4", "rkf45", "euler"])
+def test_a_non_finite_leg_raises_the_reference_error(method):
+    model = SmoothModel(U=pair_model(1, True).U, V=pair_model(1, True).V, symmetric_V=True,
+                        U0=external_leg_force)
+    cfg = random_cfg(np.random.default_rng(5), 5, 1, True, np.zeros((5, 5), dtype=bool))
+    (_, step_c), (_, step_py) = flows(cfg, model, [0.1, 0.01, 0.001])
+    z = _stack(cfg, 3)
+    z[2, :5] += 200.0   # the last leg's states
+    got = raised(lambda: step_c(z, 0.25, 0.1, method))
+    assert got == raised(lambda: step_py(z, 0.25, 0.1, method))
+    if method == "rk4":
+        assert got == ("IntegrationError", "non-finite state in the step from t=0.25 for eps=0.001")
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("method", ["rk4", "rkf45", "euler"])
+@pytest.mark.parametrize("L", [1, 3])
+def test_lost_symmetry_raises_the_reference_error(method, L):
+    cfg = random_cfg(np.random.default_rng(6), 5, 1, True, np.zeros((5, 5), dtype=bool))
+    (_, step_c), (_, step_py) = flows(cfg, pair_model(1, True), [0.5, 0.1, 0.2][:L])
+    z = _stack(cfg, L)
+    z[L - 1, 5 + 1] += 0.25   # w_01 of the last leg, not w_10
+    got = raised(lambda: step_c(z, 0.25, 0.1, method))
+    assert got == raised(lambda: step_py(z, 0.25, 0.1, method))
+    assert got == ("InvariantViolation", "weight symmetry lost during integration")
+
+
+def reduced_model(kappa, external):
+    base = affine_V(kappa)
+    return SmoothModel(U=base.U, V=base.V, symmetric_V=True,
+                       U0=(lambda s: -0.25 * np.asarray(s, dtype=float)) if external else None)
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("kappa", [0.3, 1.0, 2.5])
+@pytest.mark.parametrize("external", [False, True])
+@pytest.mark.parametrize("N", [2, 4, 9])
+def test_compiled_reduced_run_is_bitwise_its_numpy_path(monkeypatch, kappa, external, N):
+    model = reduced_model(kappa, external)
+    states = np.random.default_rng(N).uniform(-1.0, 1.5, size=(N, 1))
+    runs = []
+    for kernels, nullcline in ((microsim._flow_pairs, compiled_nullcline),
+                               (None, microsim._nullcline_array_py)):
+        monkeypatch.setattr(microsim, "_flow_pairs", kernels)
+        monkeypatch.setattr(microsim, "_nullcline_array", nullcline)
+        traj = integrate_reduced(states, model, dt=0.01, T=0.2)
+        runs.append((traj.times, [s.tobytes() for s in traj.states]))
+    assert runs[0] == runs[1] and len(runs[0][0]) == 21
+
+
+@pytest.mark.needs_cc
+def test_a_non_finite_reduced_step_raises_as_its_numpy_path(monkeypatch):
+    base = affine_V(1.0)
+    model = SmoothModel(U=base.U, V=base.V, symmetric_V=True, U0=external_leg_force)
+    states = np.array([[0.1], [0.7], [150.0]])
+    got = []
+    for kernels in (microsim._flow_pairs, None):
+        monkeypatch.setattr(microsim, "_flow_pairs", kernels)
+        got.append(raised(lambda: integrate_reduced(states, model, dt=0.05, T=0.2).final()))
+    assert got[0] == got[1] == ("IntegrationError", "non-finite state in the step from t=0")
 
 
 # ----------------------------------------------------------------- the nullcline
