@@ -1410,7 +1410,7 @@ static PyObject *py_rk4_final(PyObject *self, PyObject *const *args, Py_ssize_t 
 {
     arrays a = {.n = 0};
     void *y, *k[4], *out;
-    int64_t size, L, n, N, sym;
+    int64_t size, L, n, N, sym, w_end;
     double c;
     uint8_t *ok = NULL;
     PyObject *result = NULL;
@@ -1423,7 +1423,8 @@ static PyObject *py_rk4_final(PyObject *self, PyObject *const *args, Py_ssize_t 
     if (take(&a, args[5], "out", &F64, WRITE, 0, &out) < 0)
         goto done;
     size = last_len(&a);
-    if (size % L || (sym && (add(n, mul(N, N)) < 0 || add(n, mul(N, N)) > size / L))) {
+    w_end = add(n, mul(N, N));
+    if (size % L || (sym && (w_end < 0 || w_end > size / L))) {
         PyErr_SetString(PyExc_ValueError, "rk4_final: out does not hold L rows of n states "
                         "and N x N weights");
         goto done;
@@ -1460,8 +1461,8 @@ static int take_stages(arrays *a, const char *fn, PyObject *const *args, Py_ssiz
     void *p;
     *nk = nargs - first;
     if (*nk < 1 || *nk > MAX_STAGES) {
-        PyErr_Format(PyExc_TypeError, "%s takes 1 to %d stages (%lld given)", fn, MAX_STAGES,
-                     (long long)*nk);
+        PyErr_Format(PyExc_TypeError, "%s takes %d arguments and 1 to %d stages", fn, first,
+                     MAX_STAGES);
         return -1;
     }
     if (take(a, args[1], "out", &F64, WRITE, 0, out) < 0)
@@ -1489,12 +1490,8 @@ static PyObject *py_rkf45_stage(PyObject *self, PyObject *const *args, Py_ssize_
     int64_t n, nk;
     double h;
     (void)self;
-    if (nargs < 4) {
-        PyErr_SetString(PyExc_TypeError, "rkf45_stage takes y, out, h, a and the stages");
-        return NULL;
-    }
-    if (float_arg(args[2], &h) < 0
-        || take_stages(&a, "rkf45_stage", args, nargs, 4, 1, &y, &out, coef, k, &n, &nk) < 0) {
+    if (take_stages(&a, "rkf45_stage", args, nargs, 4, 1, &y, &out, coef, k, &n, &nk) < 0
+        || float_arg(args[2], &h) < 0) {
         release(&a);
         return NULL;
     }
@@ -1513,12 +1510,8 @@ static PyObject *py_rkf45_final(PyObject *self, PyObject *const *args, Py_ssize_
     int64_t n, nk;
     double h, err;
     (void)self;
-    if (nargs < 5) {
-        PyErr_SetString(PyExc_TypeError, "rkf45_final takes y, y5, h, b5, b4 and the stages");
-        return NULL;
-    }
-    if (float_arg(args[2], &h) < 0
-        || take_stages(&a, "rkf45_final", args, nargs, 5, 2, &y, &y5, coef, k, &n, &nk) < 0) {
+    if (take_stages(&a, "rkf45_final", args, nargs, 5, 2, &y, &y5, coef, k, &n, &nk) < 0
+        || float_arg(args[2], &h) < 0) {
         release(&a);
         return NULL;
     }

@@ -302,8 +302,9 @@ class _Workspace:
         """y as the kernels read it; makes the buffers at the first step."""
         if not self.bufs:
             self.bufs = [np.empty(y.shape) for _ in range(9)]
-            for buf in self.bufs if self.made else ():
-                self.made(buf)
+            for buf in self.bufs:
+                if self.made is not None:
+                    self.made(buf)
         return np.ascontiguousarray(y, dtype=np.float64)
 
     def _next(self, y: np.ndarray) -> np.ndarray:
