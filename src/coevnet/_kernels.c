@@ -4,16 +4,18 @@
  * 1. coevnet_closure_loop: the fixed-step RK4 loop of the six-moment closure
  *    system, a port of closures._rhs_arrays_py and of the reference loop
  *    closures._integrate_loop_py, which runs on stepping.run_grid and
- *    follows its rules for records and failures.
+ *    follows its rules for records and failures.  Its stage and final sums
+ *    are coevnet_rk4_combine, the RK4 sums of stepping.rk4_step, which
+ *    microsim's compiled flow calls too.
  * 2. coevnet_minimal_init / coevnet_minimal_run: the exact Gillespie loop of
  *    the binary minimal model, a port of jumpsim._MinimalEngine.run and
  *    the mutations and samplers it calls.
  * 3. coevnet_format_rows: the CSV row renderer of io._write_table, which
  *    prints each float64 as python's "%.17g" % x, byte for byte.
- * 4. coevnet_flow_pairs / coevnet_rk4_combine / coevnet_step_flags /
- *    coevnet_rkf45_stage / coevnet_rkf45_final: the elementwise bookkeeping
- *    of one micro flow evaluation, and the RK4 and Fehlberg stage and final
- *    sums with the step checks of microsim's compiled flow;
+ * 4. coevnet_flow_pairs / coevnet_step_flags / coevnet_rkf45_stage /
+ *    coevnet_rkf45_final: the elementwise bookkeeping of one micro flow
+ *    evaluation, and the step checks and Fehlberg stage and final sums of
+ *    microsim's compiled flow (its RK4 sums are coevnet_rk4_combine);
  *    microsim._micro_flow_py and stepping.rkf45_step are the references.
  * 5. coevnet_illinois: one Illinois iteration over every element of the
  *    weight nullcline solve; microsim._nullcline_array_py is the reference.
@@ -69,6 +71,22 @@ static void rhs(const double *y, const double *r, int kirk, double *out)
         - b_pm * g_pm + c_pm * f_pm;
 }
 
+/* out = y + c k1 (an RK4 stage, k2 NULL), or the final RK4 sum
+ * out = y + c (((k1 + 2 k2) + 2 k3) + k4), over n elements. */
+static void coevnet_rk4_combine(const double *y, const double *k1, const double *k2,
+                                const double *k3, const double *k4, double *out, double c,
+                                int64_t n)
+{
+    int64_t i;
+    if (!k2) {
+        for (i = 0; i < n; i++)
+            out[i] = y[i] + c * k1[i];
+        return;
+    }
+    for (i = 0; i < n; i++)
+        out[i] = y[i] + c * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i]);
+}
+
 /* Records step 0, every stride-th step and the last step, as run_grid
  * samples, so recs holds n_steps / stride + 2 rows of 6 and rec_steps as
  * many entries; a stop records nothing more.  counts receives (n_rec,
@@ -105,17 +123,13 @@ static int coevnet_closure_loop(const double *y0, const double *r, int kirk, dou
             break;
         }
         rhs(y, r, kirk, k1);
-        for (i = 0; i < 6; i++)
-            tmp[i] = y[i] + half * k1[i];
+        coevnet_rk4_combine(y, k1, NULL, NULL, NULL, tmp, half, 6);
         rhs(tmp, r, kirk, k2);
-        for (i = 0; i < 6; i++)
-            tmp[i] = y[i] + half * k2[i];
+        coevnet_rk4_combine(y, k2, NULL, NULL, NULL, tmp, half, 6);
         rhs(tmp, r, kirk, k3);
-        for (i = 0; i < 6; i++)
-            tmp[i] = y[i] + dt * k3[i];
+        coevnet_rk4_combine(y, k3, NULL, NULL, NULL, tmp, dt, 6);
         rhs(tmp, r, kirk, k4);
-        for (i = 0; i < 6; i++)
-            y_new[i] = y[i] + sixth * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i]);
+        coevnet_rk4_combine(y, k1, k2, k3, k4, y_new, sixth, 6);
         for (i = 0; i < 6; i++)
             if (!isfinite(y_new[i]))
                 bad = 1;
@@ -754,22 +768,6 @@ static int coevnet_flow_pairs(double *U, const double *V, double *dw, const doub
         }
     }
     return 0;
-}
-
-/* out = y + c k1 (an RK4 stage, k2 NULL), or the final RK4 sum
- * out = y + c (((k1 + 2 k2) + 2 k3) + k4), over n elements. */
-static void coevnet_rk4_combine(const double *y, const double *k1, const double *k2,
-                                const double *k3, const double *k4, double *out, double c,
-                                int64_t n)
-{
-    int64_t i;
-    if (!k2) {
-        for (i = 0; i < n; i++)
-            out[i] = y[i] + c * k1[i];
-        return;
-    }
-    for (i = 0; i < n; i++)
-        out[i] = y[i] + c * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i]);
 }
 
 /* The checks of a step's result y, L rows of row doubles: ok[l] = whether

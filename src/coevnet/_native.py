@@ -2,16 +2,20 @@
 
 ``_kernels.c`` is one CPython extension module, ``coevnet._kernels``, whose
 functions take the numpy arrays themselves and check them before any kernel
-runs: the closure RK4 loop (bound by ``closures``), the minimal-model
-Gillespie engine (bound by ``jumpsim``), the CSV row renderer (bound by
-``io``), and the micro flow's pair bookkeeping with its RK4 and RKF45 sums
-and the weight nullcline's Illinois iteration (both bound by ``microsim``).
-It is compiled with the system ``cc`` and this interpreter's headers the
-first time the package is imported, cached next to the source (in
-``_cbuild/``, or under the temp dir when that is read-only) under a name
-that carries the interpreter's ABI, and loaded through ``importlib``.
-``LIB`` is the loaded module, or None with one warning naming the cause, in
-which case all four modules run their pure-python or numpy reference code.
+runs: the closure RK4 loop (called by ``closures``), the minimal-model
+Gillespie engine (``jumpsim``), the CSV row renderer (``io``), and the
+micro flow's pair bookkeeping with its RK4 and RKF45 sums and the weight
+nullcline's Illinois iteration (``microsim``).  It is compiled with the
+system ``cc`` and this interpreter's headers the first time the package is
+imported, cached next to the source (in ``_cbuild/``, or under the temp dir
+when that is read-only) under a name that carries the interpreter's ABI, and
+loaded through ``importlib``.
+
+``LIB`` is the loaded module, or None with one warning naming the cause.  It
+is the one backend switch: every call site reads ``_native.LIB`` when it is
+called and runs its pure-python or numpy reference when it is None, so
+setting it to None (forked workers inherit it) runs the whole package on the
+references.
 """
 
 from __future__ import annotations
@@ -133,11 +137,12 @@ def load_library(cc: str = "cc") -> ModuleType | None:
         return _load(_build_library(cc))
     except (OSError, ImportError, subprocess.SubprocessError) as exc:
         log.warning("compiled kernels unavailable (%s; building them needs a C compiler "
-                    "'cc' and the Python headers, Python.h under %s): closure integration "
-                    "and the Gillespie engine fall back to pure python, about 300 and 60 "
-                    "times slower, CSV rows to python formatting, about 7 times slower, "
-                    "and the micro flow, its steps and the weight nullcline to numpy "
-                    "alone, about 3.5 times slower at N=4", exc, _INCLUDE)
+                    "'cc' and the Python headers, Python.h under %s): coevnet._native.LIB "
+                    "is None, so every kernel call runs its reference: closure integration "
+                    "and the Gillespie engine in pure python, about 300 and 60 times "
+                    "slower, CSV rows by python formatting, about 7 times slower, and the "
+                    "micro flow, its steps and the weight nullcline on numpy alone, about "
+                    "3.5 times slower at N=4", exc, _INCLUDE)
         return None
 
 

@@ -23,9 +23,10 @@ built and loaded by ``_native``.  Its pure-python reference
 ``_integrate_loop_py`` is ``stepping.rk4_step`` on ``stepping.run_grid``, and
 the C loop follows run_grid's rules: it records step 0, every stride-th and
 the last step (or the step of a consensus stop), and a non-finite step
-fails.  The two are bitwise equal.
-Without a working compiler the package logs a warning and runs the python
-reference, several hundred times slower.
+fails.  The two are bitwise equal.  ``_integrate_loop`` reads
+``_native.LIB`` on each call and runs the python reference when it is None
+(no working compiler: ``_native`` has logged one warning), several hundred
+times slower.
 """
 
 from __future__ import annotations
@@ -187,32 +188,27 @@ def _integrate_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
 # -- compiled loop -------------------------------------------------------------
 
 
-def _bind_loop(lib):
-    """The C closure loop of the compiled kernels ``lib``, or
-    _integrate_loop_py when there is no library."""
+def _integrate_loop(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
+    """The closure loop: ``coevnet_closure_loop`` of the compiled kernels,
+    or _integrate_loop_py when ``_native.LIB`` is None; both return
+    (recs, rec_steps, n_rec, status, clamped, steps_done)."""
+    lib = _native.LIB
     if lib is None:
-        return _integrate_loop_py
-    fn = lib.closure_loop
-
-    def _integrate_loop_c(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
-        y0 = np.ascontiguousarray(y0, dtype=np.float64)
-        r = np.ascontiguousarray(r, dtype=np.float64)
-        if y0.shape != (6,) or r.shape != (8,):
-            raise ValueError("the closure loop takes 6 moments and 8 rates")
-        if n_steps < 0 or stride < 1:
-            raise ValueError("the closure loop needs n_steps >= 0 and stride >= 1")
-        n_rec_max = n_steps // stride + 2
-        recs = np.empty((n_rec_max, 6))
-        rec_steps = np.empty(n_rec_max, dtype=np.int64)
-        counts = np.empty(3, dtype=np.int64)
-        status = fn(y0, r, kirk, dt, n_steps, stride, delta, neg_tol, recs, rec_steps, counts)
-        n_rec, clamped, steps_done = (int(c) for c in counts)
-        return recs, rec_steps, n_rec, status, clamped, steps_done
-
-    return _integrate_loop_c
-
-
-_integrate_loop = _bind_loop(_native.LIB)
+        return _integrate_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol)
+    y0 = np.ascontiguousarray(y0, dtype=np.float64)
+    r = np.ascontiguousarray(r, dtype=np.float64)
+    if y0.shape != (6,) or r.shape != (8,):
+        raise ValueError("the closure loop takes 6 moments and 8 rates")
+    if n_steps < 0 or stride < 1:
+        raise ValueError("the closure loop needs n_steps >= 0 and stride >= 1")
+    n_rec_max = n_steps // stride + 2
+    recs = np.empty((n_rec_max, 6))
+    rec_steps = np.empty(n_rec_max, dtype=np.int64)
+    counts = np.empty(3, dtype=np.int64)
+    status = lib.closure_loop(y0, r, kirk, dt, n_steps, stride, delta, neg_tol, recs,
+                              rec_steps, counts)
+    n_rec, clamped, steps_done = (int(c) for c in counts)
+    return recs, rec_steps, n_rec, status, clamped, steps_done
 
 
 def _checked_rhs(y, p: MinimalParams, kind, densities=None) -> np.ndarray:

@@ -5,8 +5,9 @@ are never masked by formatting. Every CSV goes through one table writer,
 `_write_table`; files are streamed to a temporary sibling, at most
 `_BLOCK_ROWS` rows per write, and renamed into place with the mode a new
 file gets under the process umask. Numeric rows are rendered by the
-compiled kernels (``coevnet_format_rows``), and by python when the kernels
-are not built or a chunk has string cells; both print the same bytes.
+compiled kernels (``coevnet_format_rows``), and by python when
+``_native.LIB`` is None or a chunk has string cells; both print the same
+bytes.
 """
 
 from __future__ import annotations
@@ -74,35 +75,24 @@ def _python_rows(pieces: list[str], columns: list) -> Iterator[str]:
         yield "".join(flat)
 
 
-def _bind_rows(lib):
-    """The C row renderer of the compiled kernels ``lib``, or None when there
-    is no library.
-
-    render(pieces, columns) yields the rows of `_python_rows` for 1-D float64
-    columns as the same bytes, `_BLOCK_ROWS` rows at a time, each block a view
-    of one reused buffer that is valid until the next block is asked for.
+def _render_rows(pieces: list[str], columns: list[np.ndarray]) -> Iterator[memoryview]:
+    """The rows of `_python_rows` for 1-D float64 columns as the same bytes,
+    printed by the compiled kernels' ``format_rows``, `_BLOCK_ROWS` rows at a
+    time, each block a view of one reused buffer that is valid until the
+    next block is asked for.  Only called when ``_native.LIB`` is loaded.
     """
-    if lib is None:
-        return None
-    fn = lib.format_rows
-
-    def render(pieces: list[str], columns: list[np.ndarray]) -> Iterator[memoryview]:
-        text = [p.encode() for p in pieces]
-        off = np.cumsum([0] + [len(p) for p in text], dtype=np.int64)
-        text = b"".join(text)
-        n = len(columns[0])
-        if any(c.dtype != np.float64 or c.ndim != 1 or len(c) != n for c in columns):
-            raise ValueError("the row renderer takes 1-D float64 columns of one length")
-        rows = min(n, _BLOCK_ROWS)
-        buf = np.empty(rows * (int(off[-1]) + _G17_MAX * len(columns)), dtype=np.uint8)
-        for lo in range(0, n, _BLOCK_ROWS):
-            size = fn(text, off, columns, lo, min(rows, n - lo), buf)
-            yield buf.data[:size]
-
-    return render
-
-
-_render_rows = _bind_rows(_native.LIB)
+    text = [p.encode() for p in pieces]
+    off = np.cumsum([0] + [len(p) for p in text], dtype=np.int64)
+    text = b"".join(text)
+    n = len(columns[0])
+    if any(c.dtype != np.float64 or c.ndim != 1 or len(c) != n for c in columns):
+        raise ValueError("the row renderer takes 1-D float64 columns of one length")
+    rows = min(n, _BLOCK_ROWS)
+    buf = np.empty(rows * (int(off[-1]) + _G17_MAX * len(columns)), dtype=np.uint8)
+    fn = _native.LIB.format_rows
+    for lo in range(0, n, _BLOCK_ROWS):
+        size = fn(text, off, columns, lo, min(rows, n - lo), buf)
+        yield buf.data[:size]
 
 
 def _write_table(path: str, header: list[str], chunks: Iterable[list]) -> None:
@@ -112,8 +102,9 @@ def _write_table(path: str, header: list[str], chunks: Iterable[list]) -> None:
     (a chunk needs one other column), or an array of floats. A chunk's
     shared cells are merged with the separators into the constant text
     between its other columns. A chunk of float arrays alone is rendered by
-    `_render_rows` when the compiled kernels are loaded, any other chunk by
-    `_python_rows`, which formats each distinct value (by bit pattern) once.
+    `_render_rows` when the compiled kernels are loaded (``_native.LIB`` is
+    read per chunk), any other chunk by `_python_rows`, which formats each
+    distinct value (by bit pattern) once.
     Callers build a row's fixed parts (a sample's time) once per call.
     """
     def text():
@@ -132,7 +123,7 @@ def _write_table(path: str, header: list[str], chunks: Iterable[list]) -> None:
                 raise ValueError(f"{path}: columns of unequal length")
             if not cells:
                 continue
-            if _render_rows is None or any(isinstance(c, list) for c in cells):
+            if _native.LIB is None or any(isinstance(c, list) for c in cells):
                 yield from _python_rows(pieces, cells)
             else:
                 yield from _render_rows(pieces, cells)

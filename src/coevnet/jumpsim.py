@@ -9,8 +9,9 @@ O(1) bookkeeping (O(N) for the rare state flips).  Both engines expose one
 pure-python reference, ``_CMinimalEngine`` runs the same loop in the
 compiled kernels (``_kernels.c``, built and loaded by ``_native``), drawing
 its uniforms from the same numpy generator; for a fixed seed both give the
-same events, samples and final generator state, bit for bit.  Without a
-working compiler the python engine runs, about 50 times slower.
+same events, samples and final generator state, bit for bit.  The engine is
+chosen per run from ``_native.LIB``: when it is None (no working compiler)
+the python engine runs, about 50 times slower.
 
 The co-evolving voter model runs on unit-rate per-agent clocks; the hybrid
 bounded-confidence model alternates deterministic RK4 state steps with
@@ -466,25 +467,13 @@ class _CMinimalEngine:
         record_until(T)
 
 
-def _python_engine(cfg: DiscreteConfiguration, p: MinimalParams, record_events: bool):
-    return _MinimalEngine(cfg, p)
-
-
-def _bind_engine(lib):
-    """The engine factory of ``simulate_minimal``: the compiled engine of the
-    kernels ``lib`` for N up to _C_ENGINE_MAX_N, else the python engine."""
-    if lib is None:
-        return _python_engine
-
-    def engine(cfg: DiscreteConfiguration, p: MinimalParams, record_events: bool):
-        if cfg.N > _C_ENGINE_MAX_N:
-            return _MinimalEngine(cfg, p)
-        return _CMinimalEngine(lib, cfg, p, record_events)
-
-    return engine
-
-
-_gillespie_engine = _bind_engine(_native.LIB)
+def _gillespie_engine(cfg: DiscreteConfiguration, p: MinimalParams, record_events: bool):
+    """The engine of ``simulate_minimal``: the compiled engine when
+    ``_native.LIB`` is loaded and N is at most _C_ENGINE_MAX_N, else the
+    python engine."""
+    if _native.LIB is None or cfg.N > _C_ENGINE_MAX_N:
+        return _MinimalEngine(cfg, p)
+    return _CMinimalEngine(_native.LIB, cfg, p, record_events)
 
 
 def _grid_recorder(grid: np.ndarray, record: Callable[[float], None]) -> Callable[[float], float]:

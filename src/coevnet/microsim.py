@@ -15,18 +15,20 @@ Weight symmetry: when the model's V is exchange-symmetric and the initial
 weight matrix is symmetric, the weight derivative matrix is built from its
 upper triangle and mirrored, which keeps trajectories bitwise symmetric.
 
-Compiled bookkeeping: with the extension module of ``_native`` each flow
-evaluation makes one call for its finiteness checks, U's zero diagonal and
-the weight drift.  The rk4 and rkf45 steps of the flow and of the
-fast-network limit run on a workspace of the run (``_Workspace``: six stage
-derivatives, a stage buffer and two states used in turn): each stage is one
-call, and an rk4 step's final sum also makes the step's checks.  Each
-Illinois iteration of the nullcline solve is one call over every element.
+Compiled bookkeeping: ``_micro_flow``, ``_nullcline_array`` and
+``integrate_reduced`` read ``_native.LIB`` when called.  While it holds the
+extension module, each flow evaluation makes one call for its finiteness
+checks, U's zero diagonal and the weight drift.  The rk4 and rkf45 steps of
+the flow and of the fast-network limit run on a workspace of the run
+(``_Workspace``: six stage derivatives, a stage buffer and two states used
+in turn): each stage is one call, and an rk4 step's final sum also makes
+the step's checks.  Each Illinois iteration of the nullcline solve is one
+call over every element.
 U, V, U0, the row sum (``np.add.reduce``, for numpy's pairwise summation
 order) and the mass-weighted ``einsum`` stay in numpy, so results are
 bitwise those of the numpy references ``_micro_flow_py``,
 ``stepping.rk4_step``, ``stepping.rkf45_step`` and ``_nullcline_array_py``,
-which run when the kernels are not built.
+which run when ``_native.LIB`` is None.
 """
 
 from __future__ import annotations
@@ -159,27 +161,31 @@ def _checked(y: np.ndarray, t: float, eps_w: np.ndarray, n: int, N: int, sym: bo
 
 
 def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s: float = 1.0,
-                    masses: np.ndarray | None = None, pairs=None):
+                    masses: np.ndarray | None = None, lib=None, sym: bool = False, row: int = 0):
     """drift(states, views, W, t, V=None, out=None, flow=None): ds/dt of
-    stacked legs (see micro_rhs).
+    stacked legs (see micro_rhs), one leg per eps_w.
 
     states (L, N, m), their pair views (s_i, s_j) and weights (L, N, N)
     give the (L, N, m) drift, written into out if given; this is the one
     place a particle flow evaluates U.  A leg with a non-finite U, or a
     non-finite entry of the caller's weight drift V, raises IntegrationError
-    naming t (see _failed).  pairs, a compiled pair step of
-    ``_FlowKernels.pairs``, also writes V's weight drift into the weight
-    part of the flow's output ``flow``; without it the numpy reference
+    naming t (see _failed).  With the compiled kernels lib, one flow_pairs
+    call makes those checks, zeroes U's diagonal and, given V, writes the
+    weight drift of _micro_flow_py (symmetrized with sym) into the flow
+    output ``flow``, whose leg l starts row doubles after leg l - 1 and
+    holds N m states before its weights; without lib the numpy reference
     zeroes U's diagonal and the caller builds the weight drift.
     """
     if m != model.m:
         raise ModelError(f"configuration dimension m={m} does not match model m={model.m}")
+    if lib is not None:
+        eps = None if np.all(eps_w == 1.0) else np.array(eps_w)   # x / 1.0 is x
 
     def drift(states: np.ndarray, views: tuple, W: np.ndarray, t: float, V=None,
               out=None, flow=None) -> np.ndarray:
         U = _on_grid(model.U(*views, W), W.shape + (m,), "U", W)
-        if pairs is not None:
-            ok = pairs(U, V, flow)
+        if lib is not None:
+            ok = lib.flow_pairs(U, V, flow, N * m, row, eps, eps_w.size, N, m, sym)
             if ok is not None:
                 raise _failed("non-finite force evaluation at", t, eps_w, ok)
         elif not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
@@ -217,7 +223,7 @@ def _micro_flow_py(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: fl
     with an rng adds simulate_diffusive's state noise) and checks each leg
     for non-finite entries and a symmetric flow for weight symmetry
     (``_checked``).  This is the numpy reference of the compiled flow of
-    _bind_flow.
+    _micro_flow.
     """
     eps_w, L, N, m, sym = _flow_legs(cfg, model, eps_w, eps_s)
     drift = _particle_drift(model, N, m, eps_w, eps_s, masses)
@@ -344,72 +350,40 @@ class _Workspace:
         return rkf45_advance(rhs, y, h, t0=t, step=substep)
 
 
-class _FlowKernels:
-    """The compiled parts of a particle flow, on the kernels lib."""
-
-    def __init__(self, lib):
-        self.lib = lib
-
-    def pairs(self, L: int, N: int, m: int, eps_w=None, sym: bool = False, row: int = 0):
-        """pairs(U, V, flow) for _particle_drift: one flow_pairs call that
-        returns the per-leg finiteness flags of U and V when an entry is not
-        finite, else None after zeroing U's diagonal and, given V, writing
-        the weight drift of _micro_flow_py into the flow output ``flow``,
-        whose leg l starts row doubles after leg l - 1 and holds N m states
-        before its weights."""
-        fn, n = self.lib.flow_pairs, N * m
-        eps = None if eps_w is None or np.all(eps_w == 1.0) else np.array(eps_w)   # x / 1.0 is x
-        return lambda U, V, flow: fn(U, V, flow, n, row, eps, L, N, m, sym)
-
-
-def _bind_pairs(lib) -> _FlowKernels | None:
-    """The compiled flow parts of the kernels lib, or None when there is no library."""
-    return None if lib is None else _FlowKernels(lib)
-
-
-def _bind_flow(lib):
-    """The micro flow factory: _micro_flow_py when there is no library, else
-    its compiled counterpart on the kernels lib, bitwise equal to it.
+def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
+                masses: np.ndarray | None = None):
+    """The drift f and step function of _micro_flow_py, which runs when
+    ``_native.LIB`` is None; else their compiled counterparts, bitwise equal.
 
     The compiled f(z, t, out=None) writes into out; it does the pair
     bookkeeping in one flow_pairs call, while U, V and the row sum stay in
     numpy.  Its rk4 and rkf45 steps run on a ``_Workspace``, whose buffers'
     views f builds once.
     """
-    kernels = _bind_pairs(lib)
-    if kernels is None:
-        return _micro_flow_py
+    lib = _native.LIB
+    if lib is None:
+        return _micro_flow_py(cfg, model, eps_w, eps_s, masses)
+    eps_w, L, N, m, sym = _flow_legs(cfg, model, eps_w, eps_s)
+    n = N * m
+    drift = _particle_drift(model, N, m, eps_w, eps_s, masses, lib, sym, n + N * N)
+    views = {}   # the parts of each workspace buffer, by id
 
-    def flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
-             masses: np.ndarray | None = None):
-        eps_w, L, N, m, sym = _flow_legs(cfg, model, eps_w, eps_s)
-        n = N * m
-        drift = _particle_drift(model, N, m, eps_w, eps_s, masses,
-                                kernels.pairs(L, N, m, eps_w, sym, n + N * N))
-        views = {}   # the parts of each workspace buffer, by id
+    def parts(z: np.ndarray) -> tuple:
+        """z's states, weights and pair views."""
+        states = z[:, :n].reshape(L, N, m)
+        return states, z[:, n:].reshape(L, N, N), (states[:, :, None, :], states[:, None, :, :])
 
-        def parts(z: np.ndarray) -> tuple:
-            """z's states, weights and pair views."""
-            states = z[:, :n].reshape(L, N, m)
-            return states, z[:, n:].reshape(L, N, N), (states[:, :, None, :], states[:, None, :, :])
+    def f(z: np.ndarray, t: float, out=None) -> np.ndarray:
+        states, W, pair = views.get(id(z)) or parts(z)
+        V = _on_grid(model.V(*pair, W), (L, N, N), "V", z)
+        out = np.empty(z.shape) if out is None else out
+        ds = views[id(out)][0] if id(out) in views else out[:, :n].reshape(L, N, m)
+        drift(states, pair, W, t, V, ds, out)
+        return out
 
-        def f(z: np.ndarray, t: float, out=None) -> np.ndarray:
-            states, W, pair = views.get(id(z)) or parts(z)
-            V = _on_grid(model.V(*pair, W), (L, N, N), "V", z)
-            out = np.empty(z.shape) if out is None else out
-            ds = views[id(out)][0] if id(out) in views else out[:, :n].reshape(L, N, m)
-            drift(states, pair, W, t, V, ds, out)
-            return out
-
-        ws = _Workspace(lib, f, eps_w, n, N, sym,
-                        made=lambda buf: views.__setitem__(id(buf), parts(buf)))
-        return f, _flow_step(f, ws.rk4, ws.rkf45, model, eps_w, N, m, sym)
-
-    return flow
-
-
-_flow_pairs = _bind_pairs(_native.LIB)
-_micro_flow = _bind_flow(_native.LIB)
+    ws = _Workspace(lib, f, eps_w, n, N, sym,
+                    made=lambda buf: views.__setitem__(id(buf), parts(buf)))
+    return f, _flow_step(f, ws.rk4, ws.rkf45, model, eps_w, N, m, sym)
 
 
 def micro_rhs(
@@ -604,7 +578,7 @@ def _nullcline_array_py(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> n
     when its iterate moves by at most 2 ulps; an affine V (every catalog
     model) stops after two to four steps.  The last residual must be at
     most NULLCLINE_TOL (a NaN residual fails too).  This is the numpy
-    reference of the compiled solve of _bind_nullcline.
+    reference of the compiled solve of _nullcline_array.
     """
     V_at, lo, hi, flo, fhi = _nullcline_bracket(model, si, sj)
     shape = lo.shape
@@ -677,40 +651,33 @@ def _nullcline_checked(w: np.ndarray, fw: np.ndarray) -> np.ndarray:
     return w
 
 
-def _bind_nullcline(lib):
-    """The nullcline solve: _nullcline_array_py when there is no library,
-    else its compiled counterpart on the kernels lib, bitwise equal to it.
+def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
+    """The nullcline solve: _nullcline_array_py when ``_native.LIB`` is None,
+    else its compiled counterpart, bitwise equal to it.
 
     The bracket search, the step limit and the residual check stay in numpy,
     as does every call of V; each Illinois iteration is one
     illinois call over every element of one (10, n) buffer.
     """
+    lib = _native.LIB
     if lib is None:
-        return _nullcline_array_py
-    fn = lib.illinois
-
-    def nullcline(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
-        V_at, *bracket = _nullcline_bracket(model, si, sj)
-        # rows lo, hi, flo, fhi, w, fw, side, done, new, fnew, as coevnet_illinois reads them
-        buf = np.empty((10,) + bracket[0].shape)
-        buf[0], buf[1], buf[2], buf[3] = bracket
-        new, fnew, size = buf[8], buf[9], buf[0].size
-        steps = 0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            active = fn(buf, size, 1)
-            while active:
-                if steps == _NULLCLINE_MAX_STEPS:
-                    raise NullclineNotFound(
-                        f"nullcline iteration did not converge in {steps} steps")
-                steps += 1
-                np.copyto(fnew, V_at(new))
-                active = fn(buf, size, 0)
-        return _nullcline_checked(buf[4], buf[5])
-
-    return nullcline
-
-
-_nullcline_array = _bind_nullcline(_native.LIB)
+        return _nullcline_array_py(model, si, sj)
+    V_at, *bracket = _nullcline_bracket(model, si, sj)
+    # rows lo, hi, flo, fhi, w, fw, side, done, new, fnew, as coevnet_illinois reads them
+    buf = np.empty((10,) + bracket[0].shape)
+    buf[0], buf[1], buf[2], buf[3] = bracket
+    new, fnew, size = buf[8], buf[9], buf[0].size
+    steps = 0
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        active = lib.illinois(buf, size, 1)
+        while active:
+            if steps == _NULLCLINE_MAX_STEPS:
+                raise NullclineNotFound(
+                    f"nullcline iteration did not converge in {steps} steps")
+            steps += 1
+            np.copyto(fnew, V_at(new))
+            active = lib.illinois(buf, size, 0)
+    return _nullcline_checked(buf[4], buf[5])
 
 
 def solve_weight_nullcline(model: SmoothModel, s, sigma) -> float:
@@ -750,9 +717,8 @@ def integrate_reduced(
     if states.ndim == 1:
         states = states[:, None]
     N, m = states.shape
-    kernels, one = _flow_pairs, np.ones(1)
-    drift = _particle_drift(model, N, m, one,
-                            pairs=None if kernels is None else kernels.pairs(1, N, m))
+    lib, one = _native.LIB, np.ones(1)
+    drift = _particle_drift(model, N, m, one, lib=lib)
 
     def on_nullcline(y: np.ndarray, t: float, out=None) -> np.ndarray:
         s = y.reshape(1, N, m)
@@ -767,11 +733,11 @@ def integrate_reduced(
         traj.times.append(t)
         traj.states.append(y.reshape(N, m).copy())
 
-    if kernels is None:
+    if lib is None:
         run_grid(lambda y, t: rk4_step(lambda z: on_nullcline(z, t), y, dt), states.ravel(),
                  0.0, dt, T, 1, sample)
     else:
-        ws = _Workspace(kernels.lib, on_nullcline, one, N * m)
+        ws = _Workspace(lib, on_nullcline, one, N * m)
         run_grid(lambda y, t: ws.rk4(y, t, dt), states.ravel(), 0.0, dt, T, 1, sample,
                  step_checks_finite=True)
     return traj

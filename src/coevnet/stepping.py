@@ -6,10 +6,11 @@ obeys; ``sample_times`` gives the jump models' sample times.  Every Python
 integrator advances on the grid t0 + k dt through ``run_grid``, which owns
 the stepping, the finiteness check (or leaves it to a step that makes it)
 and the sampling rule.  The integrator passes only its one-step function,
-built on ``rk4_step`` (or the micro flow's compiled RK4, which sums the
-same stages in the same order), an Euler update or ``rkf45_advance``
-(adaptive substeps between grid points, each ``rkf45_step`` or the micro
-flow's compiled substep, which forms the same sums).  A failed step raises
+built on ``rk4_step`` (or, while ``_native.LIB`` holds the compiled
+kernels, the micro flow's compiled RK4, which sums the same stages in the
+same order), an Euler update or ``rkf45_advance`` (adaptive substeps
+between grid points, each ``rkf45_step`` or the micro flow's compiled
+substep, which forms the same sums).  A failed step raises
 IntegrationError; no integrator returns a truncated trajectory.  The compiled closure loop of
 ``_kernels.c`` keeps the same grid, sampling rule and failure on a
 non-finite state.

@@ -1,9 +1,14 @@
-"""The compiled closure loop against its pure-python reference.
+"""The compiled closure loop against its pure-python reference, and the
+building and loading of the compiled kernels by ``_native``.
 
 The C loop must reproduce ``closures._integrate_loop_py`` bit for bit: the
-same records, record steps, status, clamp count and steps done.
+same records, record steps, status, clamp count and steps done.  With
+``_native.LIB`` set to None every CLI run writes its pinned bytes through
+the five references.
 """
 
+import hashlib
+import json
 import logging
 import os
 
@@ -11,8 +16,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from coevnet import _native, closures
+from coevnet import _native, _pool, closures, io, jumpsim, microsim
+from coevnet.cli import main
 from coevnet.closures import DELTA_CONSENSUS, NEG_CLAMP_TOL
+from test_cli_bytes import CONFIGS, PINNED
 
 
 def criterion_01_cases():
@@ -46,8 +53,11 @@ def assert_same_run(args):
 
 
 @pytest.mark.needs_cc
-def test_compiled_loop_is_in_use():
-    assert closures._integrate_loop is not closures._integrate_loop_py
+def test_compiled_loop_is_in_use(monkeypatch):
+    assert _native.LIB is not None
+    monkeypatch.setattr(closures, "_integrate_loop_py", None)   # calling it would fail
+    y0, r = criterion_01_cases()[0]
+    closures._integrate_loop(y0, r, 0, 1e-3, 10, 1, DELTA_CONSENSUS, NEG_CLAMP_TOL)
 
 
 @pytest.mark.needs_cc
@@ -139,11 +149,48 @@ def test_compiled_loop_rejects_bad_shapes():
 def test_missing_compiler_falls_back_with_warning(tmp_path, caplog):
     missing = str(tmp_path / "no-such-cc")
     with caplog.at_level(logging.WARNING, logger="coevnet._native"):
-        loop = closures._bind_loop(_native.load_library(missing))
-    assert loop is closures._integrate_loop_py
+        lib = _native.load_library(missing)
+    assert lib is None
     warnings = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert missing in warnings[0].getMessage()
+
+
+def test_without_kernels_every_cli_run_writes_the_pinned_bytes(tmp_path, monkeypatch):
+    """The 14 configurations of test_cli_bytes with ``_native.LIB`` None, in
+    this process (one usable CPU, so no pool forks): every CSV has its
+    pinned sha256 and each of the five references ran."""
+    pinned = json.loads(PINNED.read_text())
+    if np.__version__ != pinned["numpy"]:
+        pytest.skip(f"hashes were made with numpy {pinned['numpy']}, this is {np.__version__}")
+    monkeypatch.setattr(_native, "LIB", None)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+    calls = {}
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+        calls[name] = 0
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    count(closures, "_integrate_loop_py")
+    count(jumpsim._MinimalEngine, "run")
+    count(io, "_python_rows")
+    count(microsim, "_micro_flow_py")
+    count(microsim, "_nullcline_array_py")
+    got = {}
+    for name, cfg in CONFIGS.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
+        out = tmp_path / name
+        assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0, name
+        for csv in sorted(out.rglob("*.csv")):
+            got[f"{name}/{csv.relative_to(out).as_posix()}"] = \
+                hashlib.sha256(csv.read_bytes()).hexdigest()
+    assert got == pinned["sha256"]
+    assert all(calls.values()), calls
 
 
 @pytest.mark.needs_cc
@@ -182,7 +229,6 @@ def test_missing_python_headers_fall_back_with_warning(tmp_path, monkeypatch, ca
     with caplog.at_level(logging.WARNING, logger="coevnet._native"):
         lib = _native.load_library("cc")
     assert lib is None
-    assert closures._bind_loop(lib) is closures._integrate_loop_py
     warnings = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
     assert len(warnings) == 1
     assert "Python.h" in warnings[0].getMessage()
@@ -197,7 +243,7 @@ def test_the_module_is_loaded_from_the_cache(tmp_path, monkeypatch):
     assert lib.__name__ == "coevnet._kernels"
     assert lib.__file__ == str(tmp_path / _native._library_name("cc"))
     y0, r = criterion_01_cases()[0]
-    loop = closures._bind_loop(lib)
+    monkeypatch.setattr(_native, "LIB", lib)
     args = (y0, r, 1, 1e-3, 200, 50, DELTA_CONSENSUS, NEG_CLAMP_TOL)
-    got, want = loop(*args), closures._integrate_loop_py(*args)
+    got, want = closures._integrate_loop(*args), closures._integrate_loop_py(*args)
     assert got[2:] == want[2:] and np.array_equal(got[0][:got[2]], want[0][:want[2]])

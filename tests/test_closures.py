@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coevnet import closures
+from coevnet import _native, closures
 from coevnet.closures import (
     ClosureKind,
     ClosureTrajectory,
@@ -216,9 +216,9 @@ class TestWeightAveraged:
 
 @pytest.fixture(params=["compiled", "reference"])
 def loop(request, monkeypatch):
-    """integrate_closure on the loop the package bound, then on the python reference."""
+    """integrate_closure on the compiled loop, then on the python reference."""
     if request.param == "reference":
-        monkeypatch.setattr(closures, "_integrate_loop", closures._integrate_loop_py)
+        monkeypatch.setattr(_native, "LIB", None)
 
 
 class TestIntegrate:

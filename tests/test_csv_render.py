@@ -3,11 +3,10 @@
 ``io._render_rows`` (the ``coevnet_format_rows`` kernel) must print every
 float64 exactly as ``"%.17g" % x`` does and every chunk exactly as the python
 path ``io._python_rows`` does, which is also what the package writes when
-there is no compiler.  Also here: the modes of written artifacts and a
+``_native.LIB`` is None.  Also here: the modes of written artifacts and a
 warning-free build of the kernel source.
 """
 
-import hashlib
 import json
 import os
 import subprocess
@@ -17,11 +16,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coevnet import _native, closures, io, jumpsim, microsim
+from coevnet import _native, io
 from coevnet.cli import main
-from test_cli_bytes import CONFIGS, PINNED
+from test_cli_bytes import CONFIGS
 
-needs_renderer = pytest.mark.skipif(io._render_rows is None, reason="no compiled kernels")
+needs_renderer = pytest.mark.skipif(_native.LIB is None, reason="no compiled kernels")
 
 
 def c_format(values) -> list[str]:
@@ -150,7 +149,7 @@ def test_random_numeric_tables_render_the_same_bytes_on_both_paths(tmp_path, mon
     tables = [_random_table(rng) for _ in range(12)]
     for k, (header, chunks) in enumerate(tables):
         io._write_table(tmp_path / f"c{k}.csv", header, chunks)
-    monkeypatch.setattr(io, "_render_rows", None)
+    monkeypatch.setattr(_native, "LIB", None)
     for k, (header, chunks) in enumerate(tables):
         io._write_table(tmp_path / f"p{k}.csv", header, chunks)
         assert (tmp_path / f"c{k}.csv").read_bytes() == (tmp_path / f"p{k}.csv").read_bytes()
@@ -175,28 +174,6 @@ def test_writers_use_the_renderer_for_numeric_chunks(tmp_path, monkeypatch):
     io.write_events_csv(tmp_path / "e.csv", [(0.1, "flip", 1, -1)])   # string cells
     assert len(calls) == 2
     assert (tmp_path / "w.csv").read_text().splitlines()[1:3] == ["0,0,1,1", "0,0,2,1"]
-
-
-def test_runs_without_compiled_kernels_write_the_pinned_bytes(tmp_path, monkeypatch):
-    # the python paths the package takes when _native.LIB is None
-    pinned = json.loads(PINNED.read_text())
-    if np.__version__ != pinned["numpy"]:
-        pytest.skip(f"hashes were made with numpy {pinned['numpy']}, this is {np.__version__}")
-    monkeypatch.setattr(io, "_render_rows", io._bind_rows(None))
-    monkeypatch.setattr(closures, "_integrate_loop", closures._bind_loop(None))
-    monkeypatch.setattr(jumpsim, "_gillespie_engine", jumpsim._bind_engine(None))
-    monkeypatch.setattr(microsim, "_micro_flow", microsim._bind_flow(None))
-    monkeypatch.setattr(microsim, "_flow_pairs", microsim._bind_pairs(None))
-    checked = 0
-    for name in ("micro", "minimal", "closure"):
-        (tmp_path / f"{name}.json").write_text(json.dumps(CONFIGS[name]))
-        out = tmp_path / name
-        assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0, name
-        for csv in sorted(out.rglob("*.csv")):
-            key = f"{name}/{csv.relative_to(out).as_posix()}"
-            assert hashlib.sha256(csv.read_bytes()).hexdigest() == pinned["sha256"][key], key
-            checked += 1
-    assert checked == 7
 
 
 # ----------------------------------------------------------------- artifacts

@@ -5,28 +5,23 @@ RKF45 sums) must give the bytes of ``microsim._micro_flow_py`` for every f
 evaluation and step, rejected RKF45 substeps included, and raise the same
 errors; the compiled ``integrate_reduced`` must give the bytes of its numpy
 path; ``microsim._nullcline_array`` (``coevnet_illinois``) must give the
-bytes of ``_nullcline_array_py``.  With no library the references are bound
-and the CLI writes the pinned bytes.
+bytes of ``_nullcline_array_py``.  Both run their references when
+``_native.LIB`` is None.
 """
 
-import hashlib
-import json
-import logging
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coevnet import _native, cli, microsim, stepping
-from coevnet.cli import main
+from coevnet import _native, microsim, stepping
 from coevnet.errors import IntegrationError, InvariantViolation, NullclineNotFound
 from coevnet.microsim import AgentConfiguration, _stack, integrate_reduced
 from coevnet.models import SmoothModel, catalog
-from test_cli_bytes import CONFIGS, PINNED
 
-compiled_flow = microsim._bind_flow(_native.LIB)
-compiled_nullcline = microsim._bind_nullcline(_native.LIB)
+compiled_flow = microsim._micro_flow   # compiled while _native.LIB is loaded
+compiled_nullcline = microsim._nullcline_array
 
 
 def pair_model(m, symmetric_V, external=False):
@@ -72,43 +67,18 @@ def raised(run):
 # ----------------------------------------------------------------- the binding
 
 @pytest.mark.needs_cc
-def test_compiled_flow_is_in_use():
-    assert microsim._micro_flow is not microsim._micro_flow_py
-    assert microsim._flow_pairs is not None
+def test_compiled_flow_is_in_use(monkeypatch):
+    assert _native.LIB is not None
+    monkeypatch.setattr(microsim, "_micro_flow_py", None)   # calling it would fail
+    cfg = random_cfg(np.random.default_rng(0), 4, 1, True, np.zeros((4, 4), dtype=bool))
+    microsim.micro_rhs(cfg, pair_model(1, True))
 
 
 @pytest.mark.needs_cc
-def test_compiled_nullcline_is_in_use():
-    assert microsim._nullcline_array is not microsim._nullcline_array_py
-
-
-def test_without_a_library_the_references_are_bound(tmp_path, caplog):
-    with caplog.at_level(logging.WARNING, logger="coevnet._native"):
-        lib = _native.load_library(str(tmp_path / "no-such-cc"))
-    assert lib is None
-    assert microsim._bind_flow(lib) is microsim._micro_flow_py
-    assert microsim._bind_pairs(lib) is None
-    assert microsim._bind_nullcline(lib) is microsim._nullcline_array_py
-
-
-def test_without_a_library_the_flow_runs_write_the_pinned_bytes(tmp_path, monkeypatch):
-    pinned = json.loads(PINNED.read_text())
-    if np.__version__ != pinned["numpy"]:
-        pytest.skip(f"hashes were made with numpy {pinned['numpy']}, this is {np.__version__}")
-    monkeypatch.setattr(microsim, "_micro_flow", microsim._bind_flow(None))
-    monkeypatch.setattr(microsim, "_flow_pairs", microsim._bind_pairs(None))
-    monkeypatch.setattr(microsim, "_nullcline_array", microsim._bind_nullcline(None))
-    monkeypatch.setattr(cli, "_nullcline_array", microsim._bind_nullcline(None))
-    checked = 0
-    for name in ("micro", "micro-rkf45", "diffusive", "characteristics", "epsilon-sweep-5"):
-        (tmp_path / f"{name}.json").write_text(json.dumps(CONFIGS[name]))
-        out = tmp_path / name
-        assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0, name
-        for csv in sorted(out.rglob("*.csv")):
-            key = f"{name}/{csv.relative_to(out).as_posix()}"
-            assert hashlib.sha256(csv.read_bytes()).hexdigest() == pinned["sha256"][key], key
-            checked += 1
-    assert checked == 9
+def test_compiled_nullcline_is_in_use(monkeypatch):
+    assert _native.LIB is not None
+    monkeypatch.setattr(microsim, "_nullcline_array_py", None)   # calling it would fail
+    microsim.solve_weight_nullcline(affine_V(1.0), [0.1], [0.3])
 
 
 # ----------------------------------------------------------------- the flow
@@ -292,10 +262,8 @@ def test_compiled_reduced_run_is_bitwise_its_numpy_path(monkeypatch, kappa, exte
     model = reduced_model(kappa, external)
     states = np.random.default_rng(N).uniform(-1.0, 1.5, size=(N, 1))
     runs = []
-    for kernels, nullcline in ((microsim._flow_pairs, compiled_nullcline),
-                               (None, microsim._nullcline_array_py)):
-        monkeypatch.setattr(microsim, "_flow_pairs", kernels)
-        monkeypatch.setattr(microsim, "_nullcline_array", nullcline)
+    for lib in (_native.LIB, None):
+        monkeypatch.setattr(_native, "LIB", lib)
         traj = integrate_reduced(states, model, dt=0.01, T=0.2)
         runs.append((traj.times, [s.tobytes() for s in traj.states]))
     assert runs[0] == runs[1] and len(runs[0][0]) == 21
@@ -307,8 +275,8 @@ def test_a_non_finite_reduced_step_raises_as_its_numpy_path(monkeypatch):
     model = SmoothModel(U=base.U, V=base.V, symmetric_V=True, U0=external_leg_force)
     states = np.array([[0.1], [0.7], [150.0]])
     got = []
-    for kernels in (microsim._flow_pairs, None):
-        monkeypatch.setattr(microsim, "_flow_pairs", kernels)
+    for lib in (_native.LIB, None):
+        monkeypatch.setattr(_native, "LIB", lib)
         got.append(raised(lambda: integrate_reduced(states, model, dt=0.05, T=0.2).final()))
     assert got[0] == got[1] == ("IntegrationError", "non-finite state in the step from t=0")
 

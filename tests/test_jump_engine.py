@@ -5,12 +5,10 @@ times, moments and snapshots, and leave the generator in the same state,
 whether ``_CMinimalEngine.run`` or ``_MinimalEngine.run`` runs it.
 """
 
-import logging
-
 import numpy as np
 import pytest
 
-from coevnet import _native, closures, jumpsim
+from coevnet import _native, jumpsim
 from coevnet.jumpsim import DiscreteConfiguration, minimal_rates, simulate_minimal
 from coevnet.models import MinimalParams
 
@@ -30,8 +28,8 @@ def complete_edges(members):
 def run_both(monkeypatch, cfg, p, T, seed, **kw):
     """(compiled, python) pairs of (trajectory, final generator state)."""
     out = []
-    for engine in (jumpsim._gillespie_engine, jumpsim._python_engine):
-        monkeypatch.setattr(jumpsim, "_gillespie_engine", engine)
+    for lib in (_native.LIB, None):
+        monkeypatch.setattr(_native, "LIB", lib)
         rng = np.random.default_rng(seed)
         traj = simulate_minimal(cfg, p, T=T, seed=rng, **kw)
         out.append((traj, rng.bit_generator.state))
@@ -218,7 +216,7 @@ def test_first_event_follows_the_per_agent_rate_table(monkeypatch, engine):
     kind.  Every pair type that has pairs has an open one, so the create
     channel always finds a pair."""
     if engine == "python":
-        monkeypatch.setattr(jumpsim, "_gillespie_engine", jumpsim._python_engine)
+        monkeypatch.setattr(_native, "LIB", None)
     rng = np.random.default_rng(13)
     checked = 0
     while checked < 100:
@@ -246,13 +244,30 @@ def test_first_event_follows_the_per_agent_rate_table(monkeypatch, engine):
         checked += 1
 
 
-def test_missing_compiler_gives_one_warning_and_python_paths(tmp_path, caplog):
-    missing = str(tmp_path / "no-such-cc")
-    with caplog.at_level(logging.WARNING, logger="coevnet._native"):
-        lib = _native.load_library(missing)
-    assert lib is None
-    assert closures._bind_loop(lib) is closures._integrate_loop_py
-    assert jumpsim._bind_engine(lib) is jumpsim._python_engine
-    warnings = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
-    assert len(warnings) == 1
-    assert missing in warnings[0].getMessage()
+@pytest.mark.needs_cc
+def test_above_the_size_limit_the_python_engine_runs(monkeypatch):
+    """With _C_ENGINE_MAX_N at 8, N = 9 runs _MinimalEngine.run and N = 8 the
+    compiled engine; each gives the trajectory of the other engine."""
+    ran = []
+    for cls in (jumpsim._MinimalEngine, jumpsim._CMinimalEngine):
+        def spied(self, *args, run=cls.run, name=cls.__name__):
+            ran.append(name)
+            return run(self, *args)
+        monkeypatch.setattr(cls, "run", spied)
+    rng = np.random.default_rng(23)
+    cfg9, cfg8 = random_config(rng, 9, 0.5, 0.4), random_config(rng, 8, 0.5, 0.4)
+
+    def run(cfg):
+        return simulate_minimal(cfg, RATES, T=2.0, seed=cfg.N, sample_dt=0.5,
+                                record_events=True)
+    with monkeypatch.context() as m:
+        m.setattr(jumpsim, "_C_ENGINE_MAX_N", 8)
+        limited = [run(cfg9), run(cfg8)]
+    compiled_9 = run(cfg9)
+    monkeypatch.setattr(_native, "LIB", None)
+    python_8 = run(cfg8)
+    assert ran == ["_MinimalEngine", "_CMinimalEngine", "_CMinimalEngine", "_MinimalEngine"]
+    for a, b in zip(limited, (compiled_9, python_8)):
+        assert a.events and a.events == b.events and a.times == b.times
+        assert np.array_equal(a.moments, b.moments)
+        assert all(np.array_equal(x.weights, y.weights) for x, y in zip(a.configs, b.configs))

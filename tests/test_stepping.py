@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coevnet import closures, microsim
+from coevnet import _native, closures
 from coevnet.characteristics import (
     CharacteristicEnsemble,
     integrate_characteristics_conditional,
@@ -51,11 +51,11 @@ class TestRunGrid:
         cfg = AgentConfiguration(states=[[0.0], [1.0]], weights=np.zeros((2, 2)))
         integrate_micro(cfg, catalog("quadratic-potential"), dt=0.1, T=0.3, store=False)
         # the compiled rk4 step scans its result in its final sum, in C
-        compiled = microsim._micro_flow is not microsim._micro_flow_py
+        compiled = _native.LIB is not None
         assert scans.count((1, 6)) == (0 if compiled else 3)
         # the numpy reference: one scan of the stacked state (one leg: 2
         # states, 4 weights) per step
-        monkeypatch.setattr(microsim, "_micro_flow", microsim._micro_flow_py)
+        monkeypatch.setattr(_native, "LIB", None)
         integrate_micro(cfg, catalog("quadratic-potential"), dt=0.1, T=0.3, store=False)
         assert scans.count((1, 6)) == (3 if compiled else 6)
 
