@@ -7,6 +7,7 @@ path ``io._python_rows`` does, which is also what the package writes when
 warning-free build of the kernel source.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -16,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coevnet import _native, io
+from coevnet import _native, _pool, io
 from coevnet.cli import main
-from test_cli_bytes import CONFIGS
+from test_cli_bytes import CONFIGS, PINNED
 
 needs_renderer = pytest.mark.skipif(_native.LIB is None, reason="no compiled kernels")
 
@@ -174,6 +175,30 @@ def test_writers_use_the_renderer_for_numeric_chunks(tmp_path, monkeypatch):
     io.write_events_csv(tmp_path / "e.csv", [(0.1, "flip", 1, -1)])   # string cells
     assert len(calls) == 2
     assert (tmp_path / "w.csv").read_text().splitlines()[1:3] == ["0,0,1,1", "0,0,2,1"]
+
+
+def test_runs_without_compiled_kernels_write_the_pinned_bytes(tmp_path, monkeypatch):
+    # the python paths the package takes when _native.LIB is None, in this
+    # process (one usable CPU, so no pool forks)
+    pinned = json.loads(PINNED.read_text())
+    if np.__version__ != pinned["numpy"]:
+        pytest.skip(f"hashes were made with numpy {pinned['numpy']}, this is {np.__version__}")
+    monkeypatch.setattr(_native, "LIB", None)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)
+    rendered = []
+    python_rows = io._python_rows
+    monkeypatch.setattr(io, "_python_rows", lambda *args: rendered.append(1) or python_rows(*args))
+    checked = 0
+    for name in ("micro", "minimal", "closure"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(CONFIGS[name]))
+        out = tmp_path / name
+        assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0, name
+        for csv in sorted(out.rglob("*.csv")):
+            key = f"{name}/{csv.relative_to(out).as_posix()}"
+            assert hashlib.sha256(csv.read_bytes()).hexdigest() == pinned["sha256"][key], key
+            checked += 1
+    assert checked == 7
+    assert rendered
 
 
 # ----------------------------------------------------------------- artifacts

@@ -9,16 +9,21 @@ bytes of ``_nullcline_array_py``.  Both run their references when
 ``_native.LIB`` is None.
 """
 
+import hashlib
+import json
+import logging
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from coevnet import _native, microsim, stepping
+from coevnet import _native, _pool, microsim, stepping
+from coevnet.cli import main
 from coevnet.errors import IntegrationError, InvariantViolation, NullclineNotFound
 from coevnet.microsim import AgentConfiguration, _stack, integrate_reduced
 from coevnet.models import SmoothModel, catalog
+from test_cli_bytes import CONFIGS, PINNED
 
 compiled_flow = microsim._micro_flow   # compiled while _native.LIB is loaded
 compiled_nullcline = microsim._nullcline_array
@@ -79,6 +84,46 @@ def test_compiled_nullcline_is_in_use(monkeypatch):
     assert _native.LIB is not None
     monkeypatch.setattr(microsim, "_nullcline_array_py", None)   # calling it would fail
     microsim.solve_weight_nullcline(affine_V(1.0), [0.1], [0.3])
+
+
+def spy(monkeypatch, name):
+    """Count the calls of microsim.<name>."""
+    calls = []
+    fn = getattr(microsim, name)
+    monkeypatch.setattr(microsim, name, lambda *args: calls.append(1) or fn(*args))
+    return calls
+
+
+def test_without_a_library_the_references_are_bound(tmp_path, caplog, monkeypatch):
+    with caplog.at_level(logging.WARNING, logger="coevnet._native"):
+        lib = _native.load_library(str(tmp_path / "no-such-cc"))
+    assert lib is None
+    monkeypatch.setattr(_native, "LIB", lib)
+    flow, nullcline = spy(monkeypatch, "_micro_flow_py"), spy(monkeypatch, "_nullcline_array_py")
+    cfg = random_cfg(np.random.default_rng(0), 4, 1, True, np.zeros((4, 4), dtype=bool))
+    microsim.micro_rhs(cfg, pair_model(1, True))
+    microsim.solve_weight_nullcline(affine_V(1.0), [0.1], [0.3])
+    assert flow and nullcline
+
+
+def test_without_a_library_the_flow_runs_write_the_pinned_bytes(tmp_path, monkeypatch):
+    pinned = json.loads(PINNED.read_text())
+    if np.__version__ != pinned["numpy"]:
+        pytest.skip(f"hashes were made with numpy {pinned['numpy']}, this is {np.__version__}")
+    monkeypatch.setattr(_native, "LIB", None)
+    monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)   # no pool forks: the spies see every call
+    flow, nullcline = spy(monkeypatch, "_micro_flow_py"), spy(monkeypatch, "_nullcline_array_py")
+    checked = 0
+    for name in ("micro", "micro-rkf45", "diffusive", "characteristics", "epsilon-sweep-5"):
+        (tmp_path / f"{name}.json").write_text(json.dumps(CONFIGS[name]))
+        out = tmp_path / name
+        assert main(["run", str(tmp_path / f"{name}.json"), "--out", str(out)]) == 0, name
+        for csv in sorted(out.rglob("*.csv")):
+            key = f"{name}/{csv.relative_to(out).as_posix()}"
+            assert hashlib.sha256(csv.read_bytes()).hexdigest() == pinned["sha256"][key], key
+            checked += 1
+    assert checked == 9
+    assert flow and nullcline
 
 
 # ----------------------------------------------------------------- the flow

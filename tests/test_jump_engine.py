@@ -5,10 +5,12 @@ times, moments and snapshots, and leave the generator in the same state,
 whether ``_CMinimalEngine.run`` or ``_MinimalEngine.run`` runs it.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
-from coevnet import _native, jumpsim
+from coevnet import _native, closures, jumpsim
 from coevnet.jumpsim import DiscreteConfiguration, minimal_rates, simulate_minimal
 from coevnet.models import MinimalParams
 
@@ -271,3 +273,25 @@ def test_above_the_size_limit_the_python_engine_runs(monkeypatch):
         assert a.events and a.events == b.events and a.times == b.times
         assert np.array_equal(a.moments, b.moments)
         assert all(np.array_equal(x.weights, y.weights) for x, y in zip(a.configs, b.configs))
+
+
+def test_missing_compiler_gives_one_warning_and_python_paths(tmp_path, caplog, monkeypatch):
+    missing = str(tmp_path / "no-such-cc")
+    with caplog.at_level(logging.WARNING, logger="coevnet._native"):
+        lib = _native.load_library(missing)
+    assert lib is None
+    warnings = [rec for rec in caplog.records if rec.levelno == logging.WARNING]
+    assert len(warnings) == 1
+    assert missing in warnings[0].getMessage()
+    monkeypatch.setattr(_native, "LIB", lib)
+    ran = []
+    for owner, name in ((closures, "_integrate_loop_py"), (jumpsim._MinimalEngine, "run")):
+        def spied(*args, fn=getattr(owner, name), name=name):
+            ran.append(name)
+            return fn(*args)
+        monkeypatch.setattr(owner, name, spied)
+    y0 = np.array([0.2, 0.1, 0.2, 0.1, 0.1, 0.1])
+    closures._integrate_loop(y0, np.ones(8), 0, 1e-3, 10, 1, closures.DELTA_CONSENSUS,
+                             closures.NEG_CLAMP_TOL)
+    simulate_minimal(random_config(np.random.default_rng(3), 6, 0.5, 0.4), RATES, T=1.0, seed=3)
+    assert ran == ["_integrate_loop_py", "run"]
