@@ -15,10 +15,13 @@
  * 4. coevnet_flow_pairs / coevnet_step_flags / coevnet_rkf45_stage /
  *    coevnet_rkf45_final: the elementwise bookkeeping of one micro flow
  *    evaluation, and the step checks and Fehlberg stage and final sums of
- *    microsim's compiled flow (its RK4 sums are coevnet_rk4_combine);
- *    microsim._micro_flow_py and stepping.rkf45_step are the references.
+ *    microsim's workspace (its RK4 sums are coevnet_rk4_combine); the
+ *    references are the numpy twin microsim._flow_pairs_py, with the
+ *    flow_pairs entry's signature, and the workspace's numpy steps,
+ *    stepping.rk4_step with microsim._checked and stepping.rkf45_step.
  * 5. coevnet_illinois: one Illinois iteration over every element of the
- *    weight nullcline solve; microsim._nullcline_array_py is the reference.
+ *    weight nullcline solve; its reference is the numpy twin
+ *    microsim._illinois_py, with the illinois entry's signature.
  *
  * Every expression keeps the evaluation order of its python or numpy
  * counterpart, and the module is built without floating-point contraction

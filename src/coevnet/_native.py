@@ -9,7 +9,8 @@ nullcline's Illinois iteration (``microsim``).  It is compiled with the
 system ``cc`` and this interpreter's headers the first time the package is
 imported, cached next to the source (in ``_cbuild/``, or under the temp dir
 when that is read-only) under a name that carries the interpreter's ABI, and
-loaded through ``importlib``.
+loaded through ``importlib``.  A new build next to the source removes the
+modules of earlier sources and flags there.
 
 ``LIB`` is the loaded module, or None with one warning naming the cause.  It
 is the one backend switch: every call site reads ``_native.LIB`` when it is
@@ -25,6 +26,7 @@ import importlib.machinery
 import importlib.util
 import logging
 import os
+import re
 import shutil
 import stat
 import subprocess
@@ -88,7 +90,8 @@ def _build_library(cc: str) -> str:
 
     Later processes only load the cached file (see ``_library_name``).  The
     module is compiled to a temporary name and moved into place with
-    os.replace, so no process ever loads a half-written file.
+    os.replace, so no process ever loads a half-written file.  A new module
+    in the package's own cache replaces the earlier ones there (``_prune``).
     """
     name = _library_name(cc)
     dirs = _cache_dirs()
@@ -117,8 +120,24 @@ def _build_library(cc: str) -> str:
         finally:
             if os.path.exists(tmp):
                 os.remove(tmp)
+        if d == _PKG_CACHE:
+            _prune(d, name)
         return os.path.join(d, name)
     raise OSError(f"no writable build directory among {dirs}")
+
+
+def _prune(d: str, keep: str) -> None:
+    """Remove from directory d, all but the file keep, every module name
+    this interpreter builds (``_kernels-<16 hex><EXT_SUFFIX>``) and every
+    suffix-less ``_kernels-<16 hex>.so`` of earlier builds; other
+    interpreters' modules and other files stay."""
+    stale = re.compile(r"_kernels-[0-9a-f]{16}(?:%s|\.so)" % re.escape(_EXT_SUFFIX))
+    for name in os.listdir(d):
+        if name != keep and stale.fullmatch(name):
+            try:
+                os.remove(os.path.join(d, name))
+            except OSError:
+                pass   # removed by another process, or not ours to remove
 
 
 def _load(path: str) -> ModuleType:

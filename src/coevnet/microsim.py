@@ -15,24 +15,26 @@ Weight symmetry: when the model's V is exchange-symmetric and the initial
 weight matrix is symmetric, the weight derivative matrix is built from its
 upper triangle and mirrored, which keeps trajectories bitwise symmetric.
 
-Compiled bookkeeping: ``_micro_flow``, ``_nullcline_array`` and
-``integrate_reduced`` read ``_native.LIB`` when called.  While it holds the
-extension module, each flow evaluation makes one call for its finiteness
-checks, U's zero diagonal and the weight drift.  The rk4 and rkf45 steps of
-the flow and of the fast-network limit run on a workspace of the run
-(``_Workspace``: six stage derivatives, a stage buffer and two states used
-in turn): each stage is one call, and an rk4 step's final sum also makes
-the step's checks.  Each Illinois iteration of the nullcline solve is one
-call over every element.
-U, V, U0, the row sum (``np.add.reduce``, for numpy's pairwise summation
-order) and the mass-weighted ``einsum`` stay in numpy, so results are
-bitwise those of the numpy references ``_micro_flow_py``,
-``stepping.rk4_step``, ``stepping.rkf45_step`` and ``_nullcline_array_py``,
-which run when ``_native.LIB`` is None.
+One backend switch: ``_micro_flow``, ``_nullcline_array`` and
+``integrate_reduced`` read ``_native.LIB`` when called and run one driver
+either way.  Each flow evaluation makes one ``flow_pairs`` call for its
+finiteness checks, U's zero diagonal and the weight drift, and each
+Illinois iteration of the nullcline solve one ``illinois`` call over every
+element: the extension module's kernels while ``LIB`` holds it, else their
+numpy twins ``_flow_pairs_py`` and ``_illinois_py``, which take the same
+arguments and write the same bytes.  The rk4 and rkf45 steps of the flow
+and of the fast-network limit run on a workspace of the run
+(``_Workspace``): with the kernels, on six stage derivatives, a stage
+buffer and two states used in turn, each stage one call, and an rk4 step's
+final sum also making the step's checks; without them, on
+``stepping.rk4_step`` and ``stepping.rkf45_step``, whose sums the kernels
+keep bitwise.  U, V, U0, the row sum (``np.add.reduce``, for numpy's
+pairwise summation order) and the mass-weighted ``einsum`` stay in numpy.
 """
 
 from __future__ import annotations
 
+import functools
 import sys
 from dataclasses import dataclass, field
 from typing import Callable
@@ -147,54 +149,88 @@ def _step_error(t: float, eps_w: np.ndarray, ok) -> Exception:
 
 
 def _checked(y: np.ndarray, t: float, eps_w: np.ndarray, n: int, N: int, sym: bool):
-    """y, the stacked result of a step from t; raises _step_error when a
-    leg of it is not finite or, with sym, the weights (N x N after n states)
-    of a leg are not symmetric, the checks the compiled rk4 step makes in
-    its final sum."""
-    ok = np.isfinite(y).all(1)
+    """y, the result of a step from t of the legs of eps_w (stacked rows,
+    or one flat leg); raises _step_error when a leg of it is not finite or,
+    with sym, the weights (N x N after n states) of a leg are not
+    symmetric, the checks the compiled rk4 step makes in its final sum."""
+    rows = y.reshape(eps_w.size, -1)
+    ok = np.isfinite(rows).all(1)
     if ok.all() and not sym:
         return y
-    W = y[:, n:].reshape(len(y), N, N)
+    W = rows[:, n:].reshape(len(rows), N, N)
     if ok.all() and (W == W.swapaxes(1, 2)).all():
         return y
     raise _step_error(t, eps_w, ok)
 
 
+@functools.lru_cache(maxsize=8)
+def _lower(N: int) -> np.ndarray:
+    """The diagonal and below of an N x N matrix, a read-only mask built once per N."""
+    lower = np.tril(np.ones((N, N), dtype=bool))
+    lower.flags.writeable = False
+    return lower
+
+
+def _flow_pairs_py(U, V, flow, n: int, row: int, eps, L: int, N: int, m: int, sym: bool):
+    """The numpy twin of the compiled ``flow_pairs``, with its arguments.
+
+    U (L, N, N, m) and V (L, N, N) or None are the pair forces and weight
+    drifts of L legs.  When a leg of them is not finite, returns the
+    per-leg finiteness flags and writes nothing.  Otherwise returns None
+    after zeroing U's diagonal and, given V, writing the weight drift into
+    flow (L rows of row doubles, leg l's drift after its first n): with
+    sym, V's strict upper triangle mirrored, which turns -0.0 into +0.0,
+    else V with a zero diagonal; divided by eps[l] unless eps is None.
+    V is overwritten on the way.
+    """
+    if not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
+        ok = np.isfinite(U).all(axis=(1, 2, 3))
+        if V is not None:
+            ok &= np.isfinite(V).all(axis=(1, 2))
+        return tuple(ok.tolist())
+    U.reshape(len(U), N * N, m)[:, ::N + 1] = 0.0   # the diagonal
+    if V is None:
+        return None
+    dw = flow.reshape(L, row)[:, n:n + N * N].reshape(L, N, N)
+    if sym:   # the strict upper triangle, mirrored straight into flow
+        np.copyto(V, 0.0, where=_lower(N))
+        V = np.add(V, V.swapaxes(1, 2), out=dw)
+    else:
+        V.reshape(L, N * N)[:, ::N + 1] = 0.0   # the diagonal
+    if eps is not None:
+        np.divide(V, eps.reshape(L, 1, 1), out=dw)
+    elif V is not dw:
+        dw[...] = V
+    return None
+
+
 def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s: float = 1.0,
-                    masses: np.ndarray | None = None, lib=None, sym: bool = False, row: int = 0):
+                    masses: np.ndarray | None = None, sym: bool = False, row: int = 0):
     """drift(states, views, W, t, V=None, out=None, flow=None): ds/dt of
     stacked legs (see micro_rhs), one leg per eps_w.
 
     states (L, N, m), their pair views (s_i, s_j) and weights (L, N, N)
     give the (L, N, m) drift, written into out if given; this is the one
-    place a particle flow evaluates U.  A leg with a non-finite U, or a
-    non-finite entry of the caller's weight drift V, raises IntegrationError
-    naming t (see _failed).  With the compiled kernels lib, one flow_pairs
-    call makes those checks, zeroes U's diagonal and, given V, writes the
-    weight drift of _micro_flow_py (symmetrized with sym) into the flow
-    output ``flow``, whose leg l starts row doubles after leg l - 1 and
-    holds N m states before its weights; without lib the numpy reference
-    zeroes U's diagonal and the caller builds the weight drift.
+    place a particle flow evaluates U.  One flow_pairs call, the compiled
+    kernel while ``_native.LIB`` holds it (read here) or else its twin
+    ``_flow_pairs_py``, checks U and the caller's weight drift V, zeroes
+    U's diagonal and, given V, writes the weight drift (symmetrized with
+    sym) into the flow output ``flow``, whose leg l starts row doubles
+    after leg l - 1 and holds N m states before its weights.  A leg with a
+    non-finite U or V raises IntegrationError naming t (see _failed).
     """
     if m != model.m:
         raise ModelError(f"configuration dimension m={m} does not match model m={model.m}")
-    if lib is not None:
-        eps = None if np.all(eps_w == 1.0) else np.array(eps_w)   # x / 1.0 is x
+    lib = _native.LIB
+    flow_pairs = _flow_pairs_py if lib is None else lib.flow_pairs
+    eps = None if np.all(eps_w == 1.0) else np.array(eps_w)   # x / 1.0 is x
 
     def drift(states: np.ndarray, views: tuple, W: np.ndarray, t: float, V=None,
               out=None, flow=None) -> np.ndarray:
         U = _on_grid(model.U(*views, W), W.shape + (m,), "U", W)
-        if lib is not None:
-            ok = lib.flow_pairs(U, V, flow, N * m, row, eps, eps_w.size, N, m, sym)
-            if ok is not None:
-                raise _failed("non-finite force evaluation at", t, eps_w, ok)
-        elif not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
-            ok = np.isfinite(U).all(axis=(1, 2, 3))
-            if V is not None:
-                ok &= np.isfinite(V).all(axis=(1, 2))
+        ok = flow_pairs(U, V, flow, N * m, row, eps, eps_w.size, N, m, sym)
+        if ok is not None:
             raise _failed("non-finite force evaluation at", t, eps_w, ok)
-        else:
-            U.reshape(len(U), N * N, m)[:, ::N + 1] = 0.0   # the diagonal
         if masses is None:
             ds = np.divide(np.add.reduce(U, axis=2), N * eps_s, out=out)
         else:
@@ -206,101 +242,27 @@ def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s
     return drift
 
 
-def _flow_legs(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float):
-    """eps_w as an array, L, N, m and whether the flow keeps weight symmetry."""
-    eps_w = np.asarray(eps_w, dtype=float)
-    if not (np.all(eps_w > 0) and eps_s > 0):
-        raise ModelError("eps_w and eps_s must be positive")
-    return eps_w, eps_w.size, cfg.N, cfg.m, cfg.symmetric and model.symmetric_V
-
-
-def _micro_flow_py(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
-                   masses: np.ndarray | None = None):
-    """The drift f(z, t) of stacked legs started from cfg, and the one step function.
-
-    Row l of z holds leg l's states then its weights and runs with eps_w[l].
-    step(y, t, dt, method, rng) takes one rk4, euler or rkf45 step (euler
-    with an rng adds simulate_diffusive's state noise) and checks each leg
-    for non-finite entries and a symmetric flow for weight symmetry
-    (``_checked``).  This is the numpy reference of the compiled flow of
-    _micro_flow.
-    """
-    eps_w, L, N, m, sym = _flow_legs(cfg, model, eps_w, eps_s)
-    drift = _particle_drift(model, N, m, eps_w, eps_s, masses)
-    n = N * m
-    lower = np.tril(np.ones((N, N), dtype=bool))   # the diagonal and below
-    eps_col = None if np.all(eps_w == 1.0) else eps_w.reshape(L, 1, 1)   # x / 1.0 is x
-
-    def f(z: np.ndarray, t: float) -> np.ndarray:
-        states, W = z[:, :n].reshape(L, N, m), z[:, n:].reshape(L, N, N)
-        views = states[:, :, None, :], states[:, None, :, :]
-        V = _on_grid(model.V(*views, W), (L, N, N), "V", z)
-        out = np.empty(z.shape)
-        drift(states, views, W, t, V, out=out[:, :n].reshape(L, N, m))
-        dw = out[:, n:].reshape(L, N, N)
-        if sym:   # the strict upper triangle, mirrored straight into out
-            np.copyto(V, 0.0, where=lower)
-            V = np.add(V, V.swapaxes(1, 2), out=dw)
-        else:
-            V.reshape(L, N * N)[:, ::N + 1] = 0.0   # the diagonal
-        if eps_col is not None:
-            np.divide(V, eps_col, out=dw)
-        elif V is not dw:
-            dw[...] = V
-        return out
-
-    def rk4(y: np.ndarray, t: float, h: float) -> np.ndarray:
-        return _checked(rk4_step(lambda z: f(z, t), y, h), t, eps_w, n, N, sym)
-
-    def rkf45(y: np.ndarray, t: float, h: float) -> np.ndarray:
-        return rkf45_advance(lambda z: f(z, t), y, h, t0=t)
-
-    return f, _flow_step(f, rk4, rkf45, model, eps_w, N, m, sym)
-
-
-def _flow_step(f, rk4, rkf45, model: SmoothModel, eps_w: np.ndarray, N: int, m: int,
-               sym: bool):
-    """The step function of a flow f(z, t) whose rk4 step rk4(y, t, h)
-    makes the step checks of ``_checked`` itself and whose rkf45(y, t, h)
-    advances y over h by adaptive substeps."""
-    L, n = eps_w.size, N * m
-
-    def step(y: np.ndarray, t: float, dt: float, method: str, rng=None) -> np.ndarray:
-        if method == "rk4":
-            return rk4(y, t, dt)
-        if method == "rkf45":
-            y_new = rkf45(y, t, dt)
-        else:
-            y_new = y + dt * f(y, t)
-            if rng is not None:
-                q = np.asarray(model.Q(y[:, :n].reshape(L, N, m)), dtype=float)
-                noise = np.sqrt(2.0 * q * dt)[..., None] * rng.standard_normal((L, N, m))
-                y_new[:, :n] += noise.reshape(L, n)
-        return _checked(y_new, t, eps_w, n, N, sym)
-
-    return step
-
-
 # The Fehlberg tableau of stepping.rkf45_step, as the kernels read it.
 _RKF_ROWS = [np.array(row, dtype=float) for row in _RKF_A]
 _RKF_B = np.array(_RKF_B5), np.array(_RKF_B4)
 
 
 class _Workspace:
-    """The compiled rk4 and rkf45 steps of a flow f(z, t, out), on buffers
-    made by the first step: six stage derivatives, a stage buffer and two
-    states used in turn, so a step's result is overwritten two steps later.
+    """The rk4 and rkf45 steps of a flow f(z, t, out=None) over the legs of
+    eps_w (n states and, with sym, N x N weights each).
 
-    The stages keep the rounding of ``stepping.rk4_step`` and
-    ``stepping.rkf45_step``.  rk4's final sum also makes the checks of
-    ``_checked`` over the legs of the flow (one per eps_w, n states and,
-    with sym, N x N weights each) and raises their error; rkf45 advances
-    by ``rkf45_advance``.  made(buf), if given, sees each buffer once.
+    rk4 makes the checks of ``_checked`` and raises their error; rkf45
+    advances by ``rkf45_advance``.  Without the compiled kernels
+    (``_native.LIB`` None when the workspace is made) they are
+    ``stepping.rk4_step`` and ``stepping.rkf45_step`` in numpy.  With them
+    they run on buffers made by the first step (made(buf), if given, sees
+    each once): six stage derivatives, a stage buffer and two states used in
+    turn, so a step's result is overwritten two steps later; the stages keep
+    numpy's rounding, and rk4's final sum makes the checks.
     """
 
-    def __init__(self, lib, f, eps_w: np.ndarray, n: int, N: int = 0, sym: bool = False,
-                 made=None):
-        self.lib, self.f, self.eps_w, self.made = lib, f, eps_w, made
+    def __init__(self, f, eps_w: np.ndarray, n: int, N: int = 0, sym: bool = False, made=None):
+        self.lib, self.f, self.eps_w, self.made = _native.LIB, f, eps_w, made
         self.legs = (eps_w.size, n, N, sym)
         self.bufs: list[np.ndarray] = []
 
@@ -319,9 +281,11 @@ class _Workspace:
         return b if y is a else a
 
     def rk4(self, y: np.ndarray, t: float, h: float) -> np.ndarray:
+        lib, f = self.lib, self.f
+        if lib is None:
+            return _checked(rk4_step(lambda z: f(z, t), y, h), t, self.eps_w, *self.legs[1:])
         y = self._start(y)
-        y_new, lib, f = self._next(y), self.lib, self.f
-        k, stage = self.bufs[:4], self.bufs[6]
+        y_new, k, stage = self._next(y), self.bufs[:4], self.bufs[6]
         for i, c in enumerate((0.5 * h, 0.5 * h, h)):
             f(stage if i else y, t, k[i])
             lib.rk4_stage(y, k[i], stage, c)
@@ -332,6 +296,8 @@ class _Workspace:
         return y_new
 
     def rkf45(self, y: np.ndarray, t: float, h: float) -> np.ndarray:
+        if self.lib is None:
+            return rkf45_advance(lambda z: self.f(z, t), y, h, t0=t)
         y = self._start(y)
         lib, k, stage, slot = self.lib, self.bufs[:6], self.bufs[6], [0]
 
@@ -352,20 +318,22 @@ class _Workspace:
 
 def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
                 masses: np.ndarray | None = None):
-    """The drift f and step function of _micro_flow_py, which runs when
-    ``_native.LIB`` is None; else their compiled counterparts, bitwise equal.
+    """The drift f(z, t, out=None) of stacked legs started from cfg, and the one step function.
 
-    The compiled f(z, t, out=None) writes into out; it does the pair
-    bookkeeping in one flow_pairs call, while U, V and the row sum stay in
-    numpy.  Its rk4 and rkf45 steps run on a ``_Workspace``, whose buffers'
-    views f builds once.
+    Row l of z holds leg l's states then its weights and runs with eps_w[l];
+    f writes into out if given.  step(y, t, dt, method, rng) takes one rk4,
+    euler or rkf45 step (euler with an rng adds simulate_diffusive's state
+    noise) and checks each leg for non-finite entries and a symmetric flow
+    for weight symmetry (``_checked``).  Each f makes one flow_pairs call
+    (see _particle_drift), and the rk4 and rkf45 steps run on a
+    ``_Workspace``, whose buffers' views f builds once.
     """
-    lib = _native.LIB
-    if lib is None:
-        return _micro_flow_py(cfg, model, eps_w, eps_s, masses)
-    eps_w, L, N, m, sym = _flow_legs(cfg, model, eps_w, eps_s)
+    eps_w = np.asarray(eps_w, dtype=float)
+    if not (np.all(eps_w > 0) and eps_s > 0):
+        raise ModelError("eps_w and eps_s must be positive")
+    L, N, m, sym = eps_w.size, cfg.N, cfg.m, cfg.symmetric and model.symmetric_V
     n = N * m
-    drift = _particle_drift(model, N, m, eps_w, eps_s, masses, lib, sym, n + N * N)
+    drift = _particle_drift(model, N, m, eps_w, eps_s, masses, sym, n + N * N)
     views = {}   # the parts of each workspace buffer, by id
 
     def parts(z: np.ndarray) -> tuple:
@@ -381,9 +349,22 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
         drift(states, pair, W, t, V, ds, out)
         return out
 
-    ws = _Workspace(lib, f, eps_w, n, N, sym,
-                    made=lambda buf: views.__setitem__(id(buf), parts(buf)))
-    return f, _flow_step(f, ws.rk4, ws.rkf45, model, eps_w, N, m, sym)
+    ws = _Workspace(f, eps_w, n, N, sym, made=lambda buf: views.__setitem__(id(buf), parts(buf)))
+
+    def step(y: np.ndarray, t: float, dt: float, method: str, rng=None) -> np.ndarray:
+        if method == "rk4":
+            return ws.rk4(y, t, dt)
+        if method == "rkf45":
+            y_new = ws.rkf45(y, t, dt)
+        else:
+            y_new = y + dt * f(y, t)
+            if rng is not None:
+                q = np.asarray(model.Q(y[:, :n].reshape(L, N, m)), dtype=float)
+                noise = np.sqrt(2.0 * q * dt)[..., None] * rng.standard_normal((L, N, m))
+                y_new[:, :n] += noise.reshape(L, n)
+        return _checked(y_new, t, eps_w, n, N, sym)
+
+    return f, step
 
 
 def micro_rhs(
@@ -565,60 +546,51 @@ def energy_report(cfg: AgentConfiguration, pot: PotentialModel) -> EnergyReport:
                         dissipation_pairwise=pairwise)
 
 
-def _nullcline_array_py(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
-    """Roots of w -> V(s, sigma, w) for broadcast state grids, elementwise.
+def _illinois_py(buf: np.ndarray, n: int, first) -> int:
+    """The numpy twin of the compiled ``illinois``, with its arguments: one
+    Illinois iteration over the n elements of the (10, n) buffer of rows
+    lo, hi, flo, fhi, w, fw, side, done, new, fnew (side and done hold
+    -1/0/+1 and 0/1), updated in place.
 
-    Each element is bracketed in [-b, b], b = 1, 4, 16, ... up to
-    _NULLCLINE_MAX_BRACKET = 4**10 = 1048576; no sign change within it raises
-    NullclineNotFound naming that bound.  A root on a bracket endpoint is
-    returned as is.  Otherwise the Illinois variant of
-    regula falsi (Dowell & Jarratt 1971) shrinks the bracket, with a
-    bisection step wherever an endpoint value is not finite or the secant
-    point leaves the bracket.  An element stops at an exact zero of V or
-    when its iterate moves by at most 2 ulps; an affine V (every catalog
-    model) stops after two to four steps.  The last residual must be at
-    most NULLCLINE_TOL (a NaN residual fails too).  This is the numpy
-    reference of the compiled solve of _nullcline_array.
+    With first, sets w, fw, side and done from the bracket: an element with
+    a zero endpoint value is done at that endpoint.  Otherwise takes one
+    iteration's update from fnew = V(new): done, w and fw of the elements
+    not yet done, the Illinois halving and the bracket side.  Then proposes
+    the next point new of every element.  Returns the number not done.
     """
-    V_at, lo, hi, flo, fhi = _nullcline_bracket(model, si, sj)
-    shape = lo.shape
-    on_lo = flo == 0.0
-    done = on_lo | (fhi == 0.0)
-    w = np.where(on_lo, lo, np.where(done, hi, np.nan))   # NaN: no iterate yet
-    fw = np.where(on_lo, flo, fhi)
-    side = np.zeros(shape, dtype=int)   # -1 (+1): the last step replaced lo (hi)
-    steps = 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while not done.all():
-            if steps == _NULLCLINE_MAX_STEPS:
-                raise NullclineNotFound(
-                    f"nullcline iteration did not converge in {steps} steps")
-            steps += 1
-            # the secant point, as a correction to the endpoint with the smaller |V|
-            near_lo = np.abs(flo) < np.abs(fhi)
-            a, fa = np.where(near_lo, lo, hi), np.where(near_lo, flo, fhi)
-            b, fb = np.where(near_lo, hi, lo), np.where(near_lo, fhi, flo)
-            new = a - fa * (b - a) / (fb - fa)
-            secant = np.isfinite(fb - fa) & (new >= lo) & (new <= hi)
-            new = np.where(secant, new, 0.5 * (lo + hi))
-            fnew = V_at(new)
-            active = ~done
-            done = done | (fnew == 0.0) | (np.abs(new - w) <= 2.0 * np.spacing(np.abs(new)))
-            w = np.where(active, new, w)
-            fw = np.where(active, fnew, fw)
-            to_lo = np.sign(fnew) == np.sign(flo)
-            # Illinois: halve the kept endpoint's value when one side is replaced twice
-            fhi = np.where(to_lo & (side == -1), 0.5 * fhi, fhi)
-            flo = np.where(~to_lo & (side == 1), 0.5 * flo, flo)
-            lo, flo = np.where(to_lo, new, lo), np.where(to_lo, fnew, flo)
-            hi, fhi = np.where(to_lo, hi, new), np.where(to_lo, fhi, fnew)
-            side = np.where(to_lo, -1, 1)
-    return _nullcline_checked(w, fw)
+    lo, hi, flo, fhi, w, fw, side, done, new, fnew = buf.reshape(10, n)
+    if first:
+        on_lo = flo == 0.0
+        done[:] = on_lo | (fhi == 0.0)
+        w[:] = np.where(on_lo, lo, np.where(done, hi, np.nan))   # NaN: no iterate yet
+        fw[:] = np.where(on_lo, flo, fhi)
+        side[:] = 0.0   # -1 (+1): the last step replaced lo (hi)
+    else:
+        active = done == 0.0
+        stop = (fnew == 0.0) | (np.abs(new - w) <= 2.0 * np.spacing(np.abs(new)))
+        done[:] = np.where(active, stop, done)
+        w[:] = np.where(active, new, w)
+        fw[:] = np.where(active, fnew, fw)
+        to_lo = np.sign(fnew) == np.sign(flo)
+        # Illinois: halve the kept endpoint's value when one side is replaced twice
+        fhi[:] = np.where(to_lo & (side == -1), 0.5 * fhi, fhi)
+        flo[:] = np.where(~to_lo & (side == 1), 0.5 * flo, flo)
+        lo[:], flo[:] = np.where(to_lo, new, lo), np.where(to_lo, fnew, flo)
+        hi[:], fhi[:] = np.where(to_lo, hi, new), np.where(to_lo, fhi, fnew)
+        side[:] = np.where(to_lo, -1, 1)
+    # the secant point, as a correction to the endpoint with the smaller |V|
+    near_lo = np.abs(flo) < np.abs(fhi)
+    a, fa = np.where(near_lo, lo, hi), np.where(near_lo, flo, fhi)
+    b, fb = np.where(near_lo, hi, lo), np.where(near_lo, fhi, flo)
+    x = a - fa * (b - a) / (fb - fa)
+    secant = np.isfinite(fb - fa) & (x >= lo) & (x <= hi)
+    new[:] = np.where(secant, x, 0.5 * (lo + hi))
+    return int(np.count_nonzero(done == 0.0))
 
 
 def _nullcline_bracket(model: SmoothModel, si: np.ndarray, sj: np.ndarray):
     """V_at(w), the values of V on si, sj, and the bracket lo, hi with the
-    values flo, fhi of V there, found as _nullcline_array_py states."""
+    values flo, fhi of V there, found as _nullcline_array states."""
     shape = np.broadcast_shapes(si.shape[:-1], sj.shape[:-1])
 
     def V_at(w):
@@ -642,42 +614,47 @@ def _nullcline_bracket(model: SmoothModel, si: np.ndarray, sj: np.ndarray):
     return V_at, lo, hi, flo, fhi
 
 
-def _nullcline_checked(w: np.ndarray, fw: np.ndarray) -> np.ndarray:
-    """w, unless a residual |fw| is above NULLCLINE_TOL (or NaN)."""
-    resid = np.abs(fw)
-    if not np.all(resid <= NULLCLINE_TOL):
-        raise NullclineNotFound(
-            f"nullcline residual {float(resid.max()):.3e} above {NULLCLINE_TOL:g}")
-    return w
-
-
 def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
-    """The nullcline solve: _nullcline_array_py when ``_native.LIB`` is None,
-    else its compiled counterpart, bitwise equal to it.
+    """Roots of w -> V(s, sigma, w) for broadcast state grids, elementwise.
 
-    The bracket search, the step limit and the residual check stay in numpy,
-    as does every call of V; each Illinois iteration is one
-    illinois call over every element of one (10, n) buffer.
+    Each element is bracketed in [-b, b], b = 1, 4, 16, ... up to
+    _NULLCLINE_MAX_BRACKET = 4**10 = 1048576; no sign change within it raises
+    NullclineNotFound naming that bound.  A root on a bracket endpoint is
+    returned as is.  Otherwise the Illinois variant of
+    regula falsi (Dowell & Jarratt 1971) shrinks the bracket, with a
+    bisection step wherever an endpoint value is not finite or the secant
+    point leaves the bracket.  An element stops at an exact zero of V or
+    when its iterate moves by at most 2 ulps; an affine V (every catalog
+    model) stops after two to four steps.  The last residual must be at
+    most NULLCLINE_TOL (a NaN residual fails too).
+
+    The bracket search, the step limit, every call of V and the residual
+    check are made here; each Illinois iteration is one illinois call over
+    every element of one (10, n) buffer, the compiled kernel while
+    ``_native.LIB`` holds it, else its twin ``_illinois_py``.
     """
     lib = _native.LIB
-    if lib is None:
-        return _nullcline_array_py(model, si, sj)
+    illinois = _illinois_py if lib is None else lib.illinois
     V_at, *bracket = _nullcline_bracket(model, si, sj)
-    # rows lo, hi, flo, fhi, w, fw, side, done, new, fnew, as coevnet_illinois reads them
+    # rows lo, hi, flo, fhi, w, fw, side, done, new, fnew, as illinois reads them
     buf = np.empty((10,) + bracket[0].shape)
     buf[0], buf[1], buf[2], buf[3] = bracket
     new, fnew, size = buf[8], buf[9], buf[0].size
     steps = 0
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        active = lib.illinois(buf, size, 1)
+        active = illinois(buf, size, 1)
         while active:
             if steps == _NULLCLINE_MAX_STEPS:
                 raise NullclineNotFound(
                     f"nullcline iteration did not converge in {steps} steps")
             steps += 1
             np.copyto(fnew, V_at(new))
-            active = lib.illinois(buf, size, 0)
-    return _nullcline_checked(buf[4], buf[5])
+            active = illinois(buf, size, 0)
+    resid = np.abs(buf[5])
+    if not np.all(resid <= NULLCLINE_TOL):
+        raise NullclineNotFound(
+            f"nullcline residual {float(resid.max()):.3e} above {NULLCLINE_TOL:g}")
+    return buf[4]
 
 
 def solve_weight_nullcline(model: SmoothModel, s, sigma) -> float:
@@ -710,15 +687,14 @@ def integrate_reduced(
     A non-finite force or state raises IntegrationError naming the time of
     the step, and T off the dt grid raises ModelError
     (``stepping.grid_steps``), so the run ends at T, where run_epsilon_sweep
-    compares it with the micro legs.  With the compiled kernels the steps
-    run on the flow's ``_Workspace``, bitwise equal to ``rk4_step``.
+    compares it with the micro legs.  Its steps run on a ``_Workspace``.
     """
     states = np.array(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
     N, m = states.shape
-    lib, one = _native.LIB, np.ones(1)
-    drift = _particle_drift(model, N, m, one, lib=lib)
+    one = np.ones(1)
+    drift = _particle_drift(model, N, m, one)
 
     def on_nullcline(y: np.ndarray, t: float, out=None) -> np.ndarray:
         s = y.reshape(1, N, m)
@@ -733,11 +709,7 @@ def integrate_reduced(
         traj.times.append(t)
         traj.states.append(y.reshape(N, m).copy())
 
-    if lib is None:
-        run_grid(lambda y, t: rk4_step(lambda z: on_nullcline(z, t), y, dt), states.ravel(),
-                 0.0, dt, T, 1, sample)
-    else:
-        ws = _Workspace(lib, on_nullcline, one, N * m)
-        run_grid(lambda y, t: ws.rk4(y, t, dt), states.ravel(), 0.0, dt, T, 1, sample,
-                 step_checks_finite=True)
+    ws = _Workspace(on_nullcline, one, N * m)
+    run_grid(lambda y, t: ws.rk4(y, t, dt), states.ravel(), 0.0, dt, T, 1, sample,
+             step_checks_finite=True)
     return traj

@@ -179,8 +179,8 @@ def test_without_kernels_every_cli_run_writes_the_pinned_bytes(tmp_path, monkeyp
     count(closures, "_integrate_loop_py")
     count(jumpsim._MinimalEngine, "run")
     count(io, "_python_rows")
-    count(microsim, "_micro_flow_py")
-    count(microsim, "_nullcline_array_py")
+    count(microsim, "_flow_pairs_py")
+    count(microsim, "_illinois_py")
     got = {}
     for name, cfg in CONFIGS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))
@@ -204,6 +204,26 @@ def test_unwritable_build_dir_falls_back_to_next(tmp_path, monkeypatch):
     assert path.startswith(str(cache))
     assert [p.name for p in cache.iterdir()] == [os.path.basename(path)]
     assert _native._build_library("cc") == path
+
+
+def test_a_new_build_prunes_the_package_cache_alone(tmp_path, monkeypatch):
+    """A module built into the package's own cache removes the other
+    modules of this interpreter and the suffix-less ones of earlier builds
+    there; other interpreters' modules and other files stay, and a build
+    into another cache directory removes nothing.  The compiler "true"
+    builds an empty file, which is all the pruning needs."""
+    stale = ["_kernels-0123456789abcdef" + _native._EXT_SUFFIX, "_kernels-fedcba9876543210.so"]
+    other = ["_kernels-0123456789abcdef.cpython-399-elsewhere.so", "_kernels-0123.so",
+             "_kernels-0123456789abcdef.so.bak", "notes.txt"]
+    pkg, shared = tmp_path / "cbuild", tmp_path / "shared"
+    monkeypatch.setattr(_native, "_PKG_CACHE", str(pkg))
+    for d, left in ((shared, stale + other), (pkg, other)):
+        d.mkdir(mode=0o700)
+        for name in stale + other:
+            (d / name).write_text("")
+        monkeypatch.setattr(_native, "_cache_dirs", lambda: [str(d)])
+        path = _native._build_library("true")
+        assert sorted(p.name for p in d.iterdir()) == sorted(left + [os.path.basename(path)])
 
 
 def test_cache_name_carries_the_interpreter_abi(monkeypatch):

@@ -1,12 +1,14 @@
 """The compiled micro flow and nullcline solve against their numpy references.
 
-``microsim._micro_flow`` (``coevnet_flow_pairs`` and the workspace's RK4 and
-RKF45 sums) must give the bytes of ``microsim._micro_flow_py`` for every f
-evaluation and step, rejected RKF45 substeps included, and raise the same
-errors; the compiled ``integrate_reduced`` must give the bytes of its numpy
-path; ``microsim._nullcline_array`` (``coevnet_illinois``) must give the
-bytes of ``_nullcline_array_py``.  Both run their references when
-``_native.LIB`` is None.
+Each compiled entry of ``microsim`` has a numpy twin with its signature:
+``flow_pairs`` and ``microsim._flow_pairs_py``, ``illinois`` and
+``microsim._illinois_py``; both must write the same bytes and return the
+same value.  Each driver runs on the twins, and its workspace on
+``stepping``'s numpy steps, when ``_native.LIB`` is None, which is how the
+references are built here: ``microsim._micro_flow`` must then give the same
+bytes for every f evaluation and step, rejected RKF45 substeps included, and
+raise the same errors, as must ``integrate_reduced`` and
+``microsim._nullcline_array``.
 """
 
 import hashlib
@@ -45,9 +47,18 @@ def pair_model(m, symmetric_V, external=False):
                        U0=(lambda s: -0.25 * np.asarray(s, dtype=float)) if external else None)
 
 
+def reference(fn, *args):
+    """fn(*args) with ``_native.LIB`` None, so that it runs on the numpy twins."""
+    lib, _native.LIB = _native.LIB, None
+    try:
+        return fn(*args)
+    finally:
+        _native.LIB = lib
+
+
 def flows(cfg, model, eps_w, eps_s=1.0, masses=None):
-    return (compiled_flow(cfg, model, eps_w, eps_s, masses),
-            microsim._micro_flow_py(cfg, model, eps_w, eps_s, masses))
+    args = cfg, model, eps_w, eps_s, masses
+    return compiled_flow(*args), reference(compiled_flow, *args)
 
 
 def random_cfg(rng, N, m, symmetric, zeros):
@@ -74,7 +85,7 @@ def raised(run):
 @pytest.mark.needs_cc
 def test_compiled_flow_is_in_use(monkeypatch):
     assert _native.LIB is not None
-    monkeypatch.setattr(microsim, "_micro_flow_py", None)   # calling it would fail
+    monkeypatch.setattr(microsim, "_flow_pairs_py", None)   # calling it would fail
     cfg = random_cfg(np.random.default_rng(0), 4, 1, True, np.zeros((4, 4), dtype=bool))
     microsim.micro_rhs(cfg, pair_model(1, True))
 
@@ -82,7 +93,7 @@ def test_compiled_flow_is_in_use(monkeypatch):
 @pytest.mark.needs_cc
 def test_compiled_nullcline_is_in_use(monkeypatch):
     assert _native.LIB is not None
-    monkeypatch.setattr(microsim, "_nullcline_array_py", None)   # calling it would fail
+    monkeypatch.setattr(microsim, "_illinois_py", None)   # calling it would fail
     microsim.solve_weight_nullcline(affine_V(1.0), [0.1], [0.3])
 
 
@@ -99,7 +110,7 @@ def test_without_a_library_the_references_are_bound(tmp_path, caplog, monkeypatc
         lib = _native.load_library(str(tmp_path / "no-such-cc"))
     assert lib is None
     monkeypatch.setattr(_native, "LIB", lib)
-    flow, nullcline = spy(monkeypatch, "_micro_flow_py"), spy(monkeypatch, "_nullcline_array_py")
+    flow, nullcline = spy(monkeypatch, "_flow_pairs_py"), spy(monkeypatch, "_illinois_py")
     cfg = random_cfg(np.random.default_rng(0), 4, 1, True, np.zeros((4, 4), dtype=bool))
     microsim.micro_rhs(cfg, pair_model(1, True))
     microsim.solve_weight_nullcline(affine_V(1.0), [0.1], [0.3])
@@ -112,7 +123,7 @@ def test_without_a_library_the_flow_runs_write_the_pinned_bytes(tmp_path, monkey
         pytest.skip(f"hashes were made with numpy {pinned['numpy']}, this is {np.__version__}")
     monkeypatch.setattr(_native, "LIB", None)
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)   # no pool forks: the spies see every call
-    flow, nullcline = spy(monkeypatch, "_micro_flow_py"), spy(monkeypatch, "_nullcline_array_py")
+    flow, nullcline = spy(monkeypatch, "_flow_pairs_py"), spy(monkeypatch, "_illinois_py")
     checked = 0
     for name in ("micro", "micro-rkf45", "diffusive", "characteristics", "epsilon-sweep-5"):
         (tmp_path / f"{name}.json").write_text(json.dumps(CONFIGS[name]))
@@ -124,6 +135,83 @@ def test_without_a_library_the_flow_runs_write_the_pinned_bytes(tmp_path, monkey
             checked += 1
     assert checked == 9
     assert flow and nullcline
+
+
+# ----------------------------------------------------------------- the twins
+
+SPECIAL = np.array([-0.0, 0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 2e-310, -2e-310])
+
+
+def planted(rng, shape, finite=False, share=0.3):
+    """Normal draws over several decades with a share of them replaced by
+    -0.0, +0.0, subnormals and, unless finite, NaN and infinities."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    pick = rng.random(shape) < share
+    x[pick] = rng.choice(SPECIAL[np.isfinite(SPECIAL)] if finite else SPECIAL, size=pick.sum())
+    return x
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("with_V", [True, False])
+@pytest.mark.parametrize("with_eps", [True, False])
+@pytest.mark.parametrize("sym", [True, False])
+def test_flow_pairs_twin_writes_the_kernel_bytes(seed, with_V, with_eps, sym):
+    """Seeds 0-3 are finite, so U's diagonal and the weight drift are
+    written (-0.0 in V's upper triangle becomes +0.0 with sym); seeds 4 and
+    5 put one non-finite entry into the last leg's U, or the first leg's V,
+    so that only the per-leg flags come back and nothing is written."""
+    rng = np.random.default_rng(seed)
+    L, N, m = (1, 3)[seed % 2], 2 + seed, 1 + seed % 2
+    n, row = N * m, N * m + N * N
+    U = planted(rng, (L, N, N, m), finite=True)
+    V = planted(rng, (L, N, N), finite=True) if with_V else None
+    if seed >= 4:
+        target = V[0] if with_V and seed == 5 else U[L - 1]
+        target.flat[rng.integers(target.size)] = rng.choice([np.nan, np.inf, -np.inf])
+    flow = planted(rng, (L, row)) if with_V else None   # what the flow held, NaN included
+    eps = rng.uniform(1e-3, 2.0, size=L) if with_eps else None
+    runs = []
+    for fn in (_native.LIB.flow_pairs, microsim._flow_pairs_py):
+        u, v, out = (None if a is None else a.copy() for a in (U, V, flow))
+        with np.errstate(all="ignore"):
+            got = fn(u, v, out, n, row, eps, L, N, m, sym)
+        runs.append((got, u.tobytes(), None if out is None else out.tobytes()))
+    assert runs[0] == runs[1]
+    if seed >= 4:
+        assert runs[0][0] is not None and not all(runs[0][0])
+        assert runs[0][1:] == (U.tobytes(), None if flow is None else flow.tobytes())
+    else:
+        assert runs[0][0] is None
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("first", [1, 0])
+def test_illinois_twin_writes_the_kernel_bytes(seed, first):
+    """Ten rows with -0.0, NaN, infinities and subnormals planted in each,
+    side and done -1/0/+1 and 0/1 (or planted), then four more iterations
+    with fnew = V(new) for a V with a root: each call writes the same bytes
+    into every row and returns the same count, halvings of both kinds and
+    settled elements among them."""
+    rng = np.random.default_rng(seed)
+    n = 96
+    buf = planted(rng, (10, n), share=0.15)
+    buf[0], buf[1] = np.fmin(buf[0], buf[1]), np.fmax(buf[0], buf[1])
+    buf[6] = np.where(rng.random(n) < 0.9, rng.choice([-1.0, 0.0, 1.0], size=n), buf[6])
+    buf[7] = np.where(rng.random(n) < 0.9, rng.choice([0.0, 1.0], size=n), buf[7])
+    settle = rng.random(n) < 0.2   # new within an ulp of w
+    buf[8][settle] = np.nextafter(buf[4][settle], np.inf)
+    root = rng.normal(size=n)
+    c, py = buf.copy(), buf.copy()
+    for k in range(5):
+        flag = first if k == 0 else 0
+        with np.errstate(all="ignore"):
+            got = microsim._illinois_py(py, n, flag)
+            assert _native.LIB.illinois(c, n, flag) == got, k
+            assert [r.tobytes() for r in c] == [r.tobytes() for r in py], k
+            c[9] = py[9] = np.exp(root - py[8]) - 1.0
+    assert not np.array_equal(c, buf, equal_nan=True)
 
 
 # ----------------------------------------------------------------- the flow
@@ -197,7 +285,7 @@ def test_non_finite_forces_raise_the_reference_error(where, L, symmetric_V):
 @pytest.mark.parametrize("symmetric", [True, False])
 def test_rkf45_is_bitwise_the_reference_through_rejected_substeps(monkeypatch, L, symmetric):
     """Every grid step of the compiled rkf45 equals stepping.rkf45_advance
-    over _micro_flow_py, byte for byte, with the same substeps, some of them
+    over the numpy twins, byte for byte, with the same substeps, some of them
     rejected (a rejected substep leaves the next one to start from its y)."""
     rng = np.random.default_rng(10 * L + symmetric)
     cfg = random_cfg(rng, 6, 2, symmetric, np.triu(rng.random((6, 6)) < 0.3, 1))
@@ -205,14 +293,15 @@ def test_rkf45_is_bitwise_the_reference_through_rejected_substeps(monkeypatch, L
     eps_w = [0.004] if L == 1 else [0.5, 0.004, 1.0]
     advance = stepping.rkf45_advance
     runs = {}
-    for name, flow in (("compiled", compiled_flow), ("reference", microsim._micro_flow_py)):
+    for name, lib in (("compiled", _native.LIB), ("reference", None)):
         starts = []   # the y each substep starts from
 
         def recorded(f, y, span, t0=0.0, step=stepping.rkf45_step):
             return advance(f, y, span, t0=t0,
                            step=lambda f, y, h: starts.append(y) or step(f, y, h))
         monkeypatch.setattr(microsim, "rkf45_advance", recorded)
-        _, step = flow(cfg, model, eps_w)
+        monkeypatch.setattr(_native, "LIB", lib)
+        _, step = compiled_flow(cfg, model, eps_w)
         y, got = _stack(cfg, L), []
         for k in range(3):
             y = step(y, 0.1 * k, 0.1, "rkf45")
@@ -370,7 +459,7 @@ def test_nullcline_is_bitwise_the_reference(name, N):
     x = np.random.default_rng(N).uniform(-1.0, 1.5, size=(N, 1))
     si, sj = x[:, None], x[None]
     got = raised(lambda: compiled_nullcline(model, si, sj))
-    assert got == raised(lambda: microsim._nullcline_array_py(model, si, sj))
+    assert got == raised(lambda: reference(compiled_nullcline, model, si, sj))
 
 
 @pytest.mark.needs_cc
@@ -385,5 +474,5 @@ def test_the_step_limit_raises_as_the_reference(monkeypatch, steps):
         model = NULLCLINE_CASES["cubic"]
     x = np.array([[0.0], [0.4]])
     got = raised(lambda: compiled_nullcline(model, x[:, None], x[None]))
-    assert got == raised(lambda: microsim._nullcline_array_py(model, x[:, None], x[None]))
+    assert got == raised(lambda: reference(compiled_nullcline, model, x[:, None], x[None]))
     assert got == ("NullclineNotFound", f"nullcline iteration did not converge in {steps} steps")
