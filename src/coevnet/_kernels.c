@@ -2,14 +2,16 @@
  * coevnet._kernels by _native.py.
  *
  * 1. coevnet_closure_loop: the fixed-step RK4 loop of the six-moment closure
- *    system, a port of closures._rhs_arrays_py and of the reference loop
- *    closures._integrate_loop_py, which runs on stepping.run_grid and
- *    follows its rules for records and failures.  Its stage and final sums
- *    are coevnet_rk4_combine, the RK4 sums of stepping.rk4_step, which
- *    microsim's compiled flow calls too.
+ *    system, a port of closures._rhs_arrays_py and of the numpy twin
+ *    closures._closure_loop_py, with the closure_loop entry's signature,
+ *    which runs on stepping.run_grid and follows its rules for records and
+ *    failures.  Its stage and final sums are coevnet_rk4_combine, the RK4
+ *    sums of stepping.rk4_step, which microsim's compiled flow calls too.
  * 2. coevnet_minimal_init / coevnet_minimal_run: the exact Gillespie loop of
  *    the binary minimal model, a port of jumpsim._MinimalEngine.run and
- *    the mutations and samplers it calls.
+ *    the mutations and samplers it calls.  It runs from t = 0 to T and
+ *    calls back through two hooks where the python loop calls record_until
+ *    and appends an event, so both engines share one run protocol.
  * 3. coevnet_format_rows: the CSV row renderer of io._write_table, which
  *    prints each float64 as python's "%.17g" % x, byte for byte.
  * 4. coevnet_flow_pairs / coevnet_step_flags / coevnet_rkf45_stage /
@@ -186,7 +188,7 @@ static int coevnet_closure_loop(const double *y0, const double *r, int kirk, dou
 enum { PP = 0, MM = 1, PM = 2 };
 enum { EV_FLIP = 0, EV_CREATE = 1, EV_REMOVE = 2 };
 /* return codes of coevnet_minimal_run */
-enum { RUN_DONE = 0, RUN_END = 1, RUN_SAMPLE = 2, RUN_FULL = 3, RUN_EMPTY = 4 };
+enum { RUN_DONE = 0, RUN_FAILED = 1, RUN_EMPTY = 2 };
 
 /* numpy's bitgen_t (numpy/random/bitgen.h) */
 typedef struct {
@@ -212,17 +214,20 @@ typedef struct {
     idx_t *links[3];        /* per pair type; N (N - 1) / 2 each */
     idx_t *link_pos;        /* N x N, valid at the codes of present links */
     idx_t *scratch;         /* N */
-    double *ev_t;           /* ev_cap event times */
-    int64_t *ev_kij;        /* 3 x ev_cap: kind, i, j */
-    int64_t ev_cap;         /* 0: events are not recorded */
     /* engine state */
     int64_t n_members[2];
     int64_t n_links[3];
-    int64_t n_ev;
-    double t;
-    double t_next;
-    int64_t pending;        /* t_next is drawn, its event not yet applied */
 } minimal_engine;
+
+/* The caller's side of coevnet_minimal_run.  sample(ctx, t, &t_sample) runs
+ * where _MinimalEngine.run calls record_until(t) and sets the next sample
+ * time; event(ctx, t, kind, i, j) runs after each applied event, or not at
+ * all when it is NULL.  Each returns 0, or -1 when it failed. */
+typedef struct {
+    int (*sample)(void *ctx, double t, double *t_sample);
+    int (*event)(void *ctx, double t, int kind, int64_t i, int64_t j);
+    void *ctx;
+} minimal_hooks;
 
 static double uniform(bitgen_t *bg)
 {
@@ -370,17 +375,6 @@ static int unlinked_pair(minimal_engine *e, bitgen_t *bg, int tau, int64_t *pi, 
     return 0;
 }
 
-static void record(minimal_engine *e, double t, int64_t kind, int64_t i, int64_t j)
-{
-    if (e->ev_cap == 0)
-        return;
-    e->ev_t[e->n_ev] = t;
-    e->ev_kij[e->n_ev] = kind;
-    e->ev_kij[e->ev_cap + e->n_ev] = i;
-    e->ev_kij[2 * e->ev_cap + e->n_ev] = j;
-    e->n_ev++;
-}
-
 /* Member lists, positions and per-type link lists from s and W, in the
  * order _MinimalEngine builds them (ascending agents, row-major links), as
  * removals index into the lists.  The pair scan has no data-dependent branch
@@ -411,41 +405,28 @@ static void coevnet_minimal_init(minimal_engine *e)
     for (tau = 0; tau < 3; tau++)
         for (k = 0; k < e->n_links[tau]; k++)
             e->link_pos[e->links[tau][k]] = (idx_t)k;
-    e->n_ev = 0;
-    e->t = 0.0;
-    e->t_next = 0.0;
-    e->pending = 0;
 }
 
-/* Run events from e->t towards T and return to the caller when
- *   RUN_DONE:   the loop ended without drawing past T (t >= T, or a zero
- *               total rate: the state is absorbing);
- *   RUN_END:    the next event time e->t_next is at or beyond T (e->t = T);
- *   RUN_SAMPLE: e->t_next is at or beyond t_sample, the next sample time;
- *               the event is pending and is applied by the next call, after
- *               the caller has recorded the state;
- *   RUN_FULL:   the event buffer is full;
+/* Run events from t = 0 to T, the first sample time being t_sample, with
+ * the hooks h.  Returns
+ *   RUN_DONE:   the loop ended at T, or at a zero total rate (the state is
+ *               absorbing);
+ *   RUN_FAILED: a hook failed; the loop stopped there;
  *   RUN_EMPTY:  the removal channel of a pair type without links was drawn
  *               (possible only through rounding; the python engine raises
- *               IndexError there, after the same draw).
- * e->n_ev events were recorded by this call. */
-static int coevnet_minimal_run(minimal_engine *e, bitgen_t *bg, double T, double t_sample)
+ *               IndexError there, after the same draw). */
+static int coevnet_minimal_run(minimal_engine *e, bitgen_t *bg, double T, double t_sample,
+                               const minimal_hooks *h)
 {
     const double a_pm = e->rates[0], a_mp = e->rates[1], b_pp = e->rates[2];
     const double b_mm = e->rates[3], b_pm = e->rates[4], c_pp = e->rates[5];
     const double c_mm = e->rates[6], c_pm = e->rates[7];
     const int64_t N = e->N;
-    e->n_ev = 0;
-    for (;;) {
-        int64_t n_p, n_m, L0, L1, L2, U0, U1, U2, i, j;
+    double t = 0.0;
+    while (t < T) {
+        int64_t n_p, n_m, L0, L1, L2, U0, U1, U2, i, j = -1;
         double r_fp, r_fm, r_c0, r_c1, r_c2, r_r0, r_r1, r_r2, total, t_next, u;
-        int tau;
-        if (!e->pending) {
-            if (!(e->t < T))
-                return RUN_DONE;
-            if (e->ev_cap > 0 && e->n_ev == e->ev_cap)
-                return RUN_FULL;
-        }
+        int tau, kind = -1;
         n_p = e->n_members[1];
         n_m = N - n_p;
         L0 = e->n_links[PP];
@@ -463,35 +444,25 @@ static int coevnet_minimal_run(minimal_engine *e, bitgen_t *bg, double T, double
         r_r1 = c_mm * (double)L1;
         r_r2 = c_pm * (double)L2;
         total = r_fp + r_fm + r_c0 + r_c1 + r_c2 + r_r0 + r_r1 + r_r2;
-        if (e->pending) {
-            e->pending = 0;
-            t_next = e->t_next;
-        } else {
-            if (total <= 0.0)
-                return RUN_DONE;
-            t_next = e->t - log(1.0 - uniform(bg)) / total;
-            e->t_next = t_next;
-            if (t_next >= T) {
-                e->t = T;
-                return RUN_END;
-            }
-            if (t_sample <= t_next) {
-                e->pending = 1;
-                return RUN_SAMPLE;
-            }
-        }
+        if (total <= 0.0)
+            break;
+        t_next = t - log(1.0 - uniform(bg)) / total;
+        if (t_next >= T)
+            break;
+        if (t_sample <= t_next && h->sample(h->ctx, t_next, &t_sample) < 0)
+            return RUN_FAILED;
         u = uniform(bg) * total;
         if (u < r_fp + r_fm) {
             i = cross_link_endpoint(e, bg, u < r_fp);
             flip(e, i);
-            record(e, t_next, EV_FLIP, i, -1);
+            kind = EV_FLIP;
         } else {
             u -= r_fp + r_fm;
             if (u < r_c0 + r_c1 + r_c2) {
                 tau = u < r_c0 ? PP : (u < r_c0 + r_c1 ? MM : PM);
                 if (unlinked_pair(e, bg, tau, &i, &j)) {
                     link_add(e, i, j);
-                    record(e, t_next, EV_CREATE, i, j);
+                    kind = EV_CREATE;
                 }
             } else {
                 u -= r_c0 + r_c1 + r_c2;
@@ -502,11 +473,14 @@ static int coevnet_minimal_run(minimal_engine *e, bitgen_t *bg, double T, double
                 i = e->links[tau][(int64_t)u] / N;
                 j = e->links[tau][(int64_t)u] % N;
                 link_drop(e, i, j);
-                record(e, t_next, EV_REMOVE, i, j);
+                kind = EV_REMOVE;
             }
         }
-        e->t = t_next;
+        if (kind >= 0 && h->event && h->event(h->ctx, t_next, kind, i, j) < 0)
+            return RUN_FAILED;
+        t = t_next;
     }
+    return RUN_DONE;
 }
 
 /* -- CSV rows ------------------------------------------------------------------
@@ -924,13 +898,14 @@ static int64_t coevnet_illinois(double *buf, int64_t n, int first)
 
 /* -- the extension module ------------------------------------------------------
  *
- * One METH_FASTCALL function per kernel (and the MinimalEngine type for the
- * Gillespie loop), taking the numpy arrays themselves.  Before a kernel runs,
- * every array is checked for its element type, C-contiguity (the renderer's
- * 1-D columns may be strided), writability where the kernel writes, and its
- * length against the sizes the kernel is given: a failed check raises
- * ValueError (TypeError for an object without a buffer), where a wrong
- * address would read or write out of bounds.
+ * One METH_FASTCALL function per kernel, and the MinimalEngine type, whose
+ * run method supplies the Gillespie loop's hooks, taking the numpy arrays
+ * themselves.  Before a kernel runs, every array is checked for its element
+ * type, C-contiguity (the renderer's 1-D columns may be strided),
+ * writability where the kernel writes, and its length against the sizes the
+ * kernel is given: a failed check raises ValueError (TypeError for an
+ * object without a buffer), where a wrong address would read or write out
+ * of bounds.
  */
 
 #define MAX_ARRAYS 16
@@ -1111,17 +1086,40 @@ static PyObject *py_closure_loop(PyObject *self, PyObject *const *args, Py_ssize
     return PyLong_FromLong(status);
 }
 
-/* MinimalEngine(rates, s, W, members, member_pos, links, link_pos, scratch,
- * ev_t, ev_kij): the engine state of coevnet_minimal_init over arrays that
- * it holds until it is freed.  N is len(s); s holds 0 and 1, and W must be
- * a symmetric 0/1 matrix, as DiscreteConfiguration keeps it.  run(bitgen,
- * T, t_sample) takes a generator's "BitGenerator" capsule and returns the
- * status of coevnet_minimal_run. */
+/* MinimalEngine(rates, s, W, members, member_pos, links, link_pos,
+ * scratch): the engine state of coevnet_minimal_init over arrays that it
+ * holds until it is freed.  N is len(s); s holds 0 and 1, and W must be a
+ * symmetric 0/1 matrix, as DiscreteConfiguration keeps it.
+ * run(bitgen, T, t_sample, record_until, events) takes a generator's
+ * "BitGenerator" capsule and returns the status of coevnet_minimal_run,
+ * whose hooks call record_until(t), which returns the next sample time, and
+ * append (t, kind, i, j) to the list events unless it is None; a hook's
+ * exception propagates. */
 typedef struct {
     PyObject_HEAD
     minimal_engine e;
     arrays a;
 } engine_object;
+
+/* the event kinds by EV_ code, made by PyInit__kernels */
+static PyObject *event_kinds[3];
+
+/* The hooks of run; ctx points to its arguments record_until and events. */
+static int engine_sample(void *ctx, double t, double *t_sample)
+{
+    PyObject *next = PyObject_CallFunction(((PyObject **)ctx)[0], "d", t);
+    *t_sample = next ? PyFloat_AsDouble(next) : -1.0;
+    Py_XDECREF(next);
+    return *t_sample == -1.0 && PyErr_Occurred() ? -1 : 0;
+}
+
+static int engine_event(void *ctx, double t, int kind, int64_t i, int64_t j)
+{
+    PyObject *ev = Py_BuildValue("(dOLL)", t, event_kinds[kind], (long long)i, (long long)j);
+    int rc = ev ? PyList_Append(((PyObject **)ctx)[1], ev) : -1;
+    Py_XDECREF(ev);
+    return rc;
+}
 
 static void engine_dealloc(PyObject *self)
 {
@@ -1131,15 +1129,15 @@ static void engine_dealloc(PyObject *self)
 
 static PyObject *engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    PyObject *o[10];
+    PyObject *o[8];
     engine_object *self;
     minimal_engine *e;
     arrays rates = {.n = 0};
-    void *p[10];
+    void *p[8];
     int64_t N, half, i;
     if ((kwds && PyDict_GET_SIZE(kwds))
-        || !PyArg_UnpackTuple(args, "MinimalEngine", 10, 10, &o[0], &o[1], &o[2], &o[3],
-                              &o[4], &o[5], &o[6], &o[7], &o[8], &o[9])) {
+        || !PyArg_UnpackTuple(args, "MinimalEngine", 8, 8, &o[0], &o[1], &o[2], &o[3],
+                              &o[4], &o[5], &o[6], &o[7])) {
         if (!PyErr_Occurred())
             PyErr_SetString(PyExc_TypeError, "MinimalEngine takes no keyword arguments");
         return NULL;
@@ -1166,11 +1164,7 @@ static PyObject *engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         || take(&self->a, o[4], "member_pos", &I32, WRITE, N, &p[4]) < 0
         || take(&self->a, o[5], "links", &I32, WRITE, 3 * half, &p[5]) < 0
         || take(&self->a, o[6], "link_pos", &I32, WRITE, N * N, &p[6]) < 0
-        || take(&self->a, o[7], "scratch", &I32, WRITE, N, &p[7]) < 0
-        || take(&self->a, o[8], "ev_t", &F64, WRITE, 0, &p[8]) < 0)
-        goto fail;
-    e->ev_cap = last_len(&self->a);
-    if (take(&self->a, o[9], "ev_kij", &I64, WRITE, 3 * e->ev_cap, &p[9]) < 0)
+        || take(&self->a, o[7], "scratch", &I32, WRITE, N, &p[7]) < 0)
         goto fail;
     e->s = p[1];
     for (i = 0; i < N; i++) {
@@ -1187,8 +1181,6 @@ static PyObject *engine_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         e->links[i] = (idx_t *)p[5] + i * half;
     e->link_pos = p[6];
     e->scratch = p[7];
-    e->ev_t = p[8];
-    e->ev_kij = p[9];
     coevnet_minimal_init(e);
     return (PyObject *)self;
 fail:
@@ -1201,12 +1193,22 @@ static PyObject *engine_run(PyObject *self, PyObject *const *args, Py_ssize_t na
 {
     bitgen_t *bg;
     double T, t_sample;
-    if (check_nargs("run", nargs, 3) < 0)
+    minimal_hooks h = {engine_sample, engine_event, NULL};
+    int status;
+    if (check_nargs("run", nargs, 5) < 0)
         return NULL;
     bg = PyCapsule_GetPointer(args[0], "BitGenerator");
     if (!bg || float_arg(args[1], &T) < 0 || float_arg(args[2], &t_sample) < 0)
         return NULL;
-    return PyLong_FromLong(coevnet_minimal_run(&((engine_object *)self)->e, bg, T, t_sample));
+    h.ctx = (void *)(args + 3);
+    if (args[4] == Py_None) {
+        h.event = NULL;
+    } else if (!PyList_Check(args[4])) {
+        PyErr_SetString(PyExc_TypeError, "events must be a list or None");
+        return NULL;
+    }
+    status = coevnet_minimal_run(&((engine_object *)self)->e, bg, T, t_sample, &h);
+    return status == RUN_FAILED ? NULL : PyLong_FromLong(status);
 }
 
 static PyObject *engine_n_members(PyObject *self, void *closure)
@@ -1224,29 +1226,16 @@ static PyObject *engine_n_links(PyObject *self, void *closure)
                          (long long)e->n_links[2]);
 }
 
-static PyObject *engine_n_ev(PyObject *self, void *closure)
-{
-    (void)closure;
-    return PyLong_FromLongLong(((engine_object *)self)->e.n_ev);
-}
-
-static PyObject *engine_t_next(PyObject *self, void *closure)
-{
-    (void)closure;
-    return PyFloat_FromDouble(((engine_object *)self)->e.t_next);
-}
-
 static PyMethodDef engine_methods[] = {
     {"run", (PyCFunction)(void (*)(void))engine_run, METH_FASTCALL,
-     "run(bitgen_capsule, T, t_sample) -> status of coevnet_minimal_run"},
+     "run(bitgen_capsule, T, t_sample, record_until, events) -> status of "
+     "coevnet_minimal_run"},
     {NULL, NULL, 0, NULL},
 };
 
 static PyGetSetDef engine_getset[] = {
     {"n_members", engine_n_members, NULL, "members per side (minus, plus)", NULL},
     {"n_links", engine_n_links, NULL, "links per pair type (pp, mm, pm)", NULL},
-    {"n_ev", engine_n_ev, NULL, "events recorded by the last run call", NULL},
-    {"t_next", engine_t_next, NULL, "the last drawn event time", NULL},
     {NULL, NULL, NULL, NULL, NULL},
 };
 
@@ -1562,7 +1551,12 @@ static struct PyModuleDef kernels_module = {
 
 PyMODINIT_FUNC PyInit__kernels(void)
 {
+    static const char *const names[3] = {"flip", "create", "remove"};
     PyObject *m;
+    int k;
+    for (k = 0; k < 3; k++)
+        if (!event_kinds[k] && !(event_kinds[k] = PyUnicode_InternFromString(names[k])))
+            return NULL;
     if (PyType_Ready(&engine_type) < 0)
         return NULL;
     m = PyModule_Create(&kernels_module);

@@ -19,14 +19,14 @@ about it: the threshold of ``polarization_stable``, the rates of
 cross balance Phi and the mixed stationary h-profile.
 
 The closure trajectory runs in ``coevnet_closure_loop`` of ``_kernels.c``,
-built and loaded by ``_native``.  Its pure-python reference
-``_integrate_loop_py`` is ``stepping.rk4_step`` on ``stepping.run_grid``, and
-the C loop follows run_grid's rules: it records step 0, every stride-th and
-the last step (or the step of a consensus stop), and a non-finite step
-fails.  The two are bitwise equal.  ``_integrate_loop`` reads
-``_native.LIB`` on each call and runs the python reference when it is None
-(no working compiler: ``_native`` has logged one warning), several hundred
-times slower.
+built and loaded by ``_native``.  Its pure-python twin ``_closure_loop_py``,
+with the compiled entry's signature, is ``stepping.rk4_step`` on
+``stepping.run_grid``, and the C loop follows run_grid's rules: it records
+step 0, every stride-th and the last step (or the step of a consensus
+stop), and a non-finite step fails.  The two are bitwise equal.
+``_integrate_loop`` checks and allocates for both, reads ``_native.LIB`` on
+each call and runs the twin when it is None (no working compiler:
+``_native`` has logged one warning), several hundred times slower.
 """
 
 from __future__ import annotations
@@ -138,19 +138,18 @@ class _Stop(Exception):
         self.status, self.steps_done = status, int(steps_done)
 
 
-def _integrate_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
-    """Fixed-step RK4 with consensus stop, negativity clamping and striding.
+def _closure_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol, recs, rec_steps,
+                     counts) -> int:
+    """Fixed-step RK4 with consensus stop, negativity clamping and striding:
+    the twin of the compiled ``closure_loop``, with its signature.
 
     run_grid walks the grid of step indices (t0 = 0, dt = 1), so its t is
     the number of steps done; it records step 0, every stride-th step and
-    the last.  Returns (records, record_steps, n_records, status,
-    clamp_count, steps_done) with status 0 = completed, 1 = consensus
-    boundary (its step is recorded too), 2 = negativity beyond tolerance,
-    3 = non-finite step.
+    the last into the rows of recs and rec_steps.  counts receives (n_rec,
+    clamp_count, steps_done).  Returns the status: 0 = completed,
+    1 = consensus boundary (its step is recorded too), 2 = negativity beyond
+    tolerance, 3 = non-finite step.
     """
-    n_rec_max = n_steps // stride + 2
-    recs = np.empty((n_rec_max, 6))
-    rec_steps = np.empty(n_rec_max, dtype=np.int64)
     n_rec = clamped = 0
 
     def step(y, k):
@@ -178,23 +177,19 @@ def _integrate_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
         rec_steps[n_rec] = k
         n_rec += 1
 
+    status, steps_done = 0, n_steps
     try:
         run_grid(step, y0, 0.0, 1.0, float(n_steps), stride, sample, step_checks_finite=True)
     except _Stop as stop:
-        return recs, rec_steps, n_rec, stop.status, clamped, stop.steps_done
-    return recs, rec_steps, n_rec, 0, clamped, n_steps
-
-
-# -- compiled loop -------------------------------------------------------------
+        status, steps_done = stop.status, stop.steps_done
+    counts[:] = n_rec, clamped, steps_done
+    return status
 
 
 def _integrate_loop(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
-    """The closure loop: ``coevnet_closure_loop`` of the compiled kernels,
-    or _integrate_loop_py when ``_native.LIB`` is None; both return
-    (recs, rec_steps, n_rec, status, clamped, steps_done)."""
-    lib = _native.LIB
-    if lib is None:
-        return _integrate_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol)
+    """The closure loop: ``closure_loop`` of the compiled kernels, or its
+    twin _closure_loop_py when ``_native.LIB`` is None.  Returns (recs,
+    rec_steps, n_rec, status, clamped, steps_done)."""
     y0 = np.ascontiguousarray(y0, dtype=np.float64)
     r = np.ascontiguousarray(r, dtype=np.float64)
     if y0.shape != (6,) or r.shape != (8,):
@@ -205,8 +200,9 @@ def _integrate_loop(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
     recs = np.empty((n_rec_max, 6))
     rec_steps = np.empty(n_rec_max, dtype=np.int64)
     counts = np.empty(3, dtype=np.int64)
-    status = lib.closure_loop(y0, r, kirk, dt, n_steps, stride, delta, neg_tol, recs,
-                              rec_steps, counts)
+    lib = _native.LIB
+    loop = _closure_loop_py if lib is None else lib.closure_loop
+    status = loop(y0, r, kirk, dt, n_steps, stride, delta, neg_tol, recs, rec_steps, counts)
     n_rec, clamped, steps_done = (int(c) for c in counts)
     return recs, rec_steps, n_rec, status, clamped, steps_done
 

@@ -4,14 +4,16 @@ The minimal model (binary states, binary links) is simulated exactly with a
 Gillespie event loop over aggregated channels: two state-flip channels and a
 creation/removal channel per unordered pair type.  Channel totals depend only
 on the plus-agent count and the per-type link counts, so each event costs
-O(1) bookkeeping (O(N) for the rare state flips).  Both engines expose one
-``run(T, rng, record_until, events)``: ``_MinimalEngine`` is the
-pure-python reference, ``_CMinimalEngine`` runs the same loop in the
-compiled kernels (``_kernels.c``, built and loaded by ``_native``), drawing
-its uniforms from the same numpy generator; for a fixed seed both give the
-same events, samples and final generator state, bit for bit.  The engine is
-chosen per run from ``_native.LIB``: when it is None (no working compiler)
-the python engine runs, about 50 times slower.
+O(1) bookkeeping (O(N) for the rare state flips).  One run protocol,
+``run(T, rng, record_until, events)``, has two engines: ``_MinimalEngine``
+is the pure-python reference, and ``_CMinimalEngine`` runs the same loop in
+the compiled kernels (``_kernels.c``, built and loaded by ``_native``),
+which draw their uniforms from the same numpy generator and call
+``record_until`` and append to ``events`` through hooks, at the points
+where the python loop does.  For a fixed seed both give the same events,
+samples and final generator state, bit for bit.  The engine is chosen per
+run from ``_native.LIB``: when it is None (no working compiler) the python
+engine runs, about 60 times slower.
 
 The co-evolving voter model runs on unit-rate per-agent clocks; the hybrid
 bounded-confidence model alternates deterministic RK4 state steps with
@@ -393,13 +395,10 @@ class _MinimalEngine:
 
 # -- compiled Gillespie engine -------------------------------------------------
 
-_EVENT_KINDS = ("flip", "create", "remove")
-# events held by the compiled engine before it hands them to python
-_EVENT_BUFFER = 4096
 # pair codes i N + j are int32 in the compiled engine
 _C_ENGINE_MAX_N = 46340
-# return codes of coevnet_minimal_run
-_RUN_DONE, _RUN_END, _RUN_SAMPLE, _RUN_FULL, _RUN_EMPTY = range(5)
+# the return code of coevnet_minimal_run for a removal drawn without links
+_RUN_EMPTY = 2
 
 
 class _CMinimalEngine:
@@ -414,8 +413,7 @@ class _CMinimalEngine:
     bitwise equal.
     """
 
-    def __init__(self, lib, cfg: DiscreteConfiguration, p: MinimalParams,
-                 record_events: bool):
+    def __init__(self, lib, cfg: DiscreteConfiguration, p: MinimalParams):
         N = self.N = cfg.N
         self.s = (cfg.states == 1).astype(np.int8)
         self.W = cfg.weights.astype(np.int8, order="C")
@@ -425,14 +423,10 @@ class _CMinimalEngine:
         self._links = np.empty((3, N * (N - 1) // 2), dtype=np.int32)
         self._link_pos = np.empty(N * N, dtype=np.int32)
         self._scratch = np.empty(N, dtype=np.int32)
-        cap = _EVENT_BUFFER if record_events else 0
-        self._ev_t = np.empty(cap)
-        self._ev_kij = np.empty((3, cap), dtype=np.int64)
         # the engine holds these arrays and builds the lists (coevnet_minimal_init)
         self._st = lib.MinimalEngine(
             np.ascontiguousarray(p.as_array(), dtype=np.float64), self.s, self.W, self._members,
-            self._member_pos, self._links, self._link_pos, self._scratch, self._ev_t,
-            self._ev_kij)
+            self._member_pos, self._links, self._link_pos, self._scratch)
 
     def moments(self) -> np.ndarray:
         return _minimal_moments(self.N, self._st.n_members[1], self._st.n_links)
@@ -441,39 +435,28 @@ class _CMinimalEngine:
     snapshot = _MinimalEngine.snapshot
 
     def run(self, T: float, rng, record_until, events: list | None):
-        """``_MinimalEngine.run`` in the kernel.
+        """``_MinimalEngine.run`` in the kernel, which calls ``record_until``
+        and appends to ``events`` where the python loop does.
 
-        The kernel returns at each sample-grid crossing, before applying the
-        event that crossed it, so ``record_until`` snapshots the same states
-        as the python loop.
+        The generator's lock is held while the kernel and its hooks run, so
+        ``record_until`` must not draw from ``rng``.
         """
-        st = self._st
         bitgen = rng.bit_generator
         t_sample = record_until(0.0)
-        while True:
-            with bitgen.lock:
-                status = st.run(bitgen.capsule, T, t_sample)
-            n = st.n_ev
-            if n:
-                kinds, ii, jj = self._ev_kij[:, :n].tolist()
-                events.extend(zip(self._ev_t[:n].tolist(),
-                                  [_EVENT_KINDS[k] for k in kinds], ii, jj))
-            if status == _RUN_SAMPLE:
-                t_sample = record_until(st.t_next)
-            elif status == _RUN_EMPTY:
-                raise IndexError("removal drawn for a pair type without links")
-            elif status != _RUN_FULL:
-                break
+        with bitgen.lock:
+            status = self._st.run(bitgen.capsule, T, t_sample, record_until, events)
+        if status == _RUN_EMPTY:
+            raise IndexError("removal drawn for a pair type without links")
         record_until(T)
 
 
-def _gillespie_engine(cfg: DiscreteConfiguration, p: MinimalParams, record_events: bool):
+def _gillespie_engine(cfg: DiscreteConfiguration, p: MinimalParams):
     """The engine of ``simulate_minimal``: the compiled engine when
     ``_native.LIB`` is loaded and N is at most _C_ENGINE_MAX_N, else the
     python engine."""
     if _native.LIB is None or cfg.N > _C_ENGINE_MAX_N:
         return _MinimalEngine(cfg, p)
-    return _CMinimalEngine(_native.LIB, cfg, p, record_events)
+    return _CMinimalEngine(_native.LIB, cfg, p)
 
 
 def _grid_recorder(grid: np.ndarray, record: Callable[[float], None]) -> Callable[[float], float]:
@@ -508,10 +491,9 @@ def simulate_minimal(
     fast-forwards to T.  Deterministic for a fixed seed, whichever engine
     runs it.
     """
-    if T < 0:
-        raise ModelError("T must be nonnegative")
+    grid = sample_times(T, sample_dt)
     rng = np.random.default_rng(seed)
-    eng = _gillespie_engine(cfg, p, record_events)
+    eng = _gillespie_engine(cfg, p)
     traj = JumpTrajectory()
     mom = []
 
@@ -521,8 +503,7 @@ def simulate_minimal(
             traj.configs.append(eng.snapshot(t))
         mom.append(eng.moments())
 
-    eng.run(T, rng, _grid_recorder(sample_times(T, sample_dt), record),
-            traj.events if record_events else None)
+    eng.run(T, rng, _grid_recorder(grid, record), traj.events if record_events else None)
     traj.moments = np.asarray(mom)
     return traj
 

@@ -27,14 +27,19 @@ from .errors import IntegrationError, ModelError
 Rhs = Callable[[np.ndarray], np.ndarray]
 
 
+def _check_horizon(T: float) -> None:
+    if not 0.0 <= T < np.inf:   # False for NaN
+        raise ModelError(f"T must be nonnegative and finite, got {T}")
+
+
 def grid_steps(dt: float, T: float, stride: int, name: str = "dt") -> int:
-    """n = T / dt, the steps of a grid run; ModelError unless dt > 0, T >= 0,
-    the sample stride is >= 1 and |n dt - T| <= 1e-9 max(1, T), that is T is
-    a multiple of dt (``name`` labels dt in that error)."""
+    """n = T / dt, the steps of a grid run; ModelError unless dt > 0, T is
+    finite and >= 0, the sample stride is >= 1 and |n dt - T| <= 1e-9
+    max(1, T), that is T is a multiple of dt (``name`` labels dt in that
+    error)."""
     if dt <= 0:
         raise ModelError("dt must be positive")
-    if T < 0:
-        raise ModelError("T must be nonnegative")
+    _check_horizon(T)
     if stride < 1:
         raise ModelError("sample_stride must be >= 1")
     n = int(round(T / dt))
@@ -46,7 +51,9 @@ def grid_steps(dt: float, T: float, stride: int, name: str = "dt") -> int:
 def sample_times(T: float, sample_dt: float | None) -> np.ndarray:
     """The sample times of a jump-model run: 0 and T without a sample_dt;
     else the multiples of sample_dt up to T, then T unless T is on that grid
-    by grid_steps' rule, with a last multiple past T moved to T."""
+    by grid_steps' rule, with a last multiple past T moved to T.  ModelError
+    unless T is finite and >= 0."""
+    _check_horizon(T)
     if sample_dt is None:
         return np.array([0.0, T]) if T > 0 else np.array([0.0])
     tol = 1e-9 * max(1.0, T)

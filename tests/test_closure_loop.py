@@ -1,16 +1,18 @@
 """The compiled closure loop against its pure-python reference, and the
 building and loading of the compiled kernels by ``_native``.
 
-The C loop must reproduce ``closures._integrate_loop_py`` bit for bit: the
-same records, record steps, status, clamp count and steps done.  With
-``_native.LIB`` set to None every CLI run writes its pinned bytes through
-the five references.
+The C loop must reproduce its numpy twin ``closures._closure_loop_py`` bit
+for bit: the same records, record steps, status, clamp count and steps
+done.  With ``_native.LIB`` set to None every CLI run writes its pinned
+bytes through the five references.
 """
 
 import hashlib
 import json
 import logging
 import os
+import subprocess
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -41,10 +43,16 @@ def normalized(y):
     return y / (y[:4].sum() + 2 * y[4:].sum())
 
 
+def python_loop(*args):
+    """closures._integrate_loop on the twin, _closure_loop_py."""
+    with mock.patch.object(_native, "LIB", None):
+        return closures._integrate_loop(*args)
+
+
 def assert_same_run(args):
     with np.errstate(all="ignore"):
         c = closures._integrate_loop(*args)
-        py = closures._integrate_loop_py(*args)
+        py = python_loop(*args)
     assert c[2:] == py[2:]
     n_rec = py[2]
     assert np.array_equal(c[0][:n_rec], py[0][:n_rec])
@@ -55,7 +63,7 @@ def assert_same_run(args):
 @pytest.mark.needs_cc
 def test_compiled_loop_is_in_use(monkeypatch):
     assert _native.LIB is not None
-    monkeypatch.setattr(closures, "_integrate_loop_py", None)   # calling it would fail
+    monkeypatch.setattr(closures, "_closure_loop_py", None)   # calling it would fail
     y0, r = criterion_01_cases()[0]
     closures._integrate_loop(y0, r, 0, 1e-3, 10, 1, DELTA_CONSENSUS, NEG_CLAMP_TOL)
 
@@ -126,7 +134,7 @@ def closure_runs(draw):
 def test_loops_agree_and_keep_the_invariants(run):
     r, neg_tol = run[1], run[7]
     n_rec, _, clamped, _ = assert_same_run(run)
-    recs = closures._integrate_loop_py(*run)[0][:n_rec]
+    recs = python_loop(*run)[0][:n_rec]
     assert np.all(recs >= 0.0)
     # each clamp adds at most neg_tol to the conserved sums
     tol = 1e-12 + clamped * neg_tol
@@ -176,7 +184,7 @@ def test_without_kernels_every_cli_run_writes_the_pinned_bytes(tmp_path, monkeyp
             return fn(*args)
         monkeypatch.setattr(owner, name, counted)
 
-    count(closures, "_integrate_loop_py")
+    count(closures, "_closure_loop_py")
     count(jumpsim._MinimalEngine, "run")
     count(io, "_python_rows")
     count(microsim, "_flow_pairs_py")
@@ -191,6 +199,16 @@ def test_without_kernels_every_cli_run_writes_the_pinned_bytes(tmp_path, monkeyp
                 hashlib.sha256(csv.read_bytes()).hexdigest()
     assert got == pinned["sha256"]
     assert all(calls.values()), calls
+
+
+@pytest.mark.needs_cc
+def test_the_kernel_source_compiles_without_warnings():
+    """Every warning of -Wall -Wextra is an error in _kernels.c, so a dead
+    helper or an unused variable fails here."""
+    proc = subprocess.run(["cc", "-c", "-O0", "-Wall", "-Wextra", "-Werror",
+                           "-I" + _native._INCLUDE, "-o", os.devnull, _native._C_SOURCE],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 @pytest.mark.needs_cc
@@ -265,5 +283,5 @@ def test_the_module_is_loaded_from_the_cache(tmp_path, monkeypatch):
     y0, r = criterion_01_cases()[0]
     monkeypatch.setattr(_native, "LIB", lib)
     args = (y0, r, 1, 1e-3, 200, 50, DELTA_CONSENSUS, NEG_CLAMP_TOL)
-    got, want = closures._integrate_loop(*args), closures._integrate_loop_py(*args)
+    got, want = closures._integrate_loop(*args), python_loop(*args)
     assert got[2:] == want[2:] and np.array_equal(got[0][:got[2]], want[0][:want[2]])

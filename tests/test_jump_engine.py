@@ -13,6 +13,7 @@ import pytest
 from coevnet import _native, closures, jumpsim
 from coevnet.jumpsim import DiscreteConfiguration, minimal_rates, simulate_minimal
 from coevnet.models import MinimalParams
+from coevnet.stepping import sample_times
 
 
 def config(states, edges):
@@ -82,7 +83,7 @@ def random_config(rng, N, rho_p, density):
 @pytest.mark.needs_cc
 def test_compiled_engine_is_in_use():
     cfg = config([1, -1, 1], [(0, 1)])
-    assert isinstance(jumpsim._gillespie_engine(cfg, RATES, False), jumpsim._CMinimalEngine)
+    assert isinstance(jumpsim._gillespie_engine(cfg, RATES), jumpsim._CMinimalEngine)
 
 
 @pytest.mark.needs_cc
@@ -98,7 +99,7 @@ def test_compiled_init_keeps_the_python_bookkeeping():
             cases += [config(side, []), config(side, complete_edges(list(range(N))))]
     for cfg in cases:
         py = jumpsim._MinimalEngine(cfg, RATES)
-        c = jumpsim._gillespie_engine(cfg, RATES, False)
+        c = jumpsim._gillespie_engine(cfg, RATES)
         for side, members in ((0, py.minus_list), (1, py.plus_list)):
             assert c._st.n_members[side] == len(members)
             assert c._members[side, :len(members)].tolist() == members
@@ -173,10 +174,64 @@ def test_equal_without_grid_and_at_zero_horizon(monkeypatch):
 
 @pytest.mark.needs_cc
 def test_equal_with_event_buffer_refills(monkeypatch):
-    monkeypatch.setattr(jumpsim, "_EVENT_BUFFER", 3)
-    cfg = random_config(np.random.default_rng(1), 25, 0.5, 0.3)
-    py = assert_same(monkeypatch, cfg, RATES, 1.0, 8, sample_dt=0.1, record_events=True)
-    assert len(py.events) > 10 * 3
+    # more events than the 4096 the compiled engine once buffered between
+    # returns to python
+    cfg = random_config(np.random.default_rng(1), 80, 0.5, 0.3)
+    py = assert_same(monkeypatch, cfg, RATES, 5.0, 8, sample_dt=0.1, record_events=True)
+    assert len(py.events) > 4096
+
+
+def run_failing(cfg, T, seed, k):
+    """Run the engine of _native.LIB with a record_until that raises on its
+    k-th call (the first is the run's record_until(0.0); never for k = 0).
+    Returns the exception (None if none was raised), the samples (time,
+    moments), the events, the final generator state and W, and the number
+    of record_until calls."""
+    eng = jumpsim._gillespie_engine(cfg, RATES)
+    rng = np.random.default_rng(seed)
+    samples, events, calls = [], [], []
+    record_until = jumpsim._grid_recorder(
+        sample_times(T, 0.1), lambda t: samples.append((t, eng.moments().tolist())))
+
+    def failing(t):
+        calls.append(t)
+        if len(calls) == k:
+            raise LookupError("record_until failed", k)
+        return record_until(t)
+    raised = None
+    try:
+        eng.run(T, rng, failing, events)
+    except LookupError as exc:
+        raised = (type(exc), exc.args)
+    return raised, samples, events, rng.bit_generator.state, eng.W.tolist(), len(calls)
+
+
+@pytest.mark.needs_cc
+def test_a_failing_record_until_stops_both_engines_alike(monkeypatch):
+    """At each of its calls, a record_until that raises makes both engines
+    raise its exception, after the same samples and events, with the same
+    generator state and links."""
+    cfg = random_config(np.random.default_rng(4), 30, 0.5, 0.3)
+    n_calls = run_failing(cfg, 2.0, 5, 0)[-1]
+    assert n_calls > 10
+    for k in range(1, n_calls + 1):
+        got = []
+        for lib in (_native.LIB, None):
+            monkeypatch.setattr(_native, "LIB", lib)
+            got.append(run_failing(cfg, 2.0, 5, k))
+        assert got[0] == got[1]
+        assert got[0][0] == (LookupError, ("record_until failed", k)) and got[0][-1] == k
+
+
+@pytest.mark.needs_cc
+def test_events_must_be_a_list_or_none():
+    cfg = random_config(np.random.default_rng(4), 10, 0.5, 0.3)
+    eng = jumpsim._CMinimalEngine(_native.LIB, cfg, RATES)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(TypeError, match="events must be a list or None"):
+        eng.run(1.0, rng, lambda t: np.inf, ())
+    assert rng.bit_generator.state == state
 
 
 @pytest.mark.needs_cc
@@ -285,7 +340,7 @@ def test_missing_compiler_gives_one_warning_and_python_paths(tmp_path, caplog, m
     assert missing in warnings[0].getMessage()
     monkeypatch.setattr(_native, "LIB", lib)
     ran = []
-    for owner, name in ((closures, "_integrate_loop_py"), (jumpsim._MinimalEngine, "run")):
+    for owner, name in ((closures, "_closure_loop_py"), (jumpsim._MinimalEngine, "run")):
         def spied(*args, fn=getattr(owner, name), name=name):
             ran.append(name)
             return fn(*args)
@@ -294,4 +349,4 @@ def test_missing_compiler_gives_one_warning_and_python_paths(tmp_path, caplog, m
     closures._integrate_loop(y0, np.ones(8), 0, 1e-3, 10, 1, closures.DELTA_CONSENSUS,
                              closures.NEG_CLAMP_TOL)
     simulate_minimal(random_config(np.random.default_rng(3), 6, 0.5, 0.4), RATES, T=1.0, seed=3)
-    assert ran == ["_integrate_loop_py", "run"]
+    assert ran == ["_closure_loop_py", "run"]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from coevnet.errors import IntegrationError, InvariantViolation
+from coevnet.errors import IntegrationError, InvariantViolation, ModelError
 from coevnet.jumpsim import (
     DiscreteConfiguration,
     HybridConfiguration,
@@ -293,6 +293,15 @@ class TestHybridBC:
         with pytest.warns(UserWarning):
             simulate_hybrid_bc(cfg, F=lambda s: s, r=lambda d: np.zeros_like(d),
                                tau=0.01, dt=0.02, T=0.1, seed=0)
+
+
+@pytest.mark.parametrize("T", [-1.0, np.nan])
+def test_a_bad_horizon_is_refused(T):
+    cfg = disc([1, -1, 1], complete_graph(3))
+    with pytest.raises(ModelError, match="T must be nonnegative"):
+        simulate_minimal(cfg, MinimalParams(alpha_pm=1.0, gamma_pm=1.0), T=T, seed=0)
+    with pytest.raises(ModelError, match="T must be nonnegative"):
+        simulate_voter(cfg, 0.5, 0.5, T=T, seed=0)
 
 
 class TestConfigValidation:

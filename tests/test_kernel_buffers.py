@@ -36,7 +36,7 @@ def engine_args():
     W[0, 2] = W[2, 0] = 1
     return [f64(8), s, W.ravel(), np.empty(2 * N, dtype=np.int32), np.empty(N, dtype=np.int32),
             np.empty(3 * N * (N - 1) // 2, dtype=np.int32), np.empty(N * N, dtype=np.int32),
-            np.empty(N, dtype=np.int32), np.empty(16), np.empty(3 * 16, dtype=np.int64)]
+            np.empty(N, dtype=np.int32)]
 
 
 def format_args():

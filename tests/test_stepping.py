@@ -16,7 +16,7 @@ from coevnet.jumpsim import HybridConfiguration, simulate_hybrid_bc
 from coevnet.microsim import (AgentConfiguration, integrate_micro, integrate_reduced,
                               simulate_diffusive)
 from coevnet.models import MinimalParams, SmoothModel, catalog
-from coevnet.stepping import grid_steps, run_grid
+from coevnet.stepping import grid_steps, run_grid, sample_times
 
 
 class TestRunGrid:
@@ -62,12 +62,21 @@ class TestRunGrid:
     @pytest.mark.parametrize("dt, T, stride, message", [
         (0.0, 1.0, 1, "dt must be positive"),
         (0.1, -1.0, 1, "T must be nonnegative"),
+        (0.1, np.nan, 1, "T must be nonnegative"),
+        (0.1, np.inf, 1, "T must be nonnegative"),
         (0.1, 1.0, 0, "sample_stride must be >= 1"),
         (0.4, 1.0, 1, "T must be a multiple of dt"),
     ])
     def test_bad_grid_rejected(self, dt, T, stride, message):
         with pytest.raises(ModelError, match=message):
             run_grid(lambda y, t: y, np.zeros(1), 0.0, dt, T, stride, lambda y, t: None)
+
+
+@pytest.mark.parametrize("T", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize("sample_dt", [None, 0.5])
+def test_sample_times_refuse_a_bad_horizon(T, sample_dt):
+    with pytest.raises(ModelError, match="T must be nonnegative"):
+        sample_times(T, sample_dt)
 
 
 def counted_model(calls):
@@ -93,7 +102,9 @@ class TestGridRule:
     @pytest.mark.parametrize("loop", ["compiled", "python"])
     def test_closure(self, monkeypatch, loop, dt):
         ran = []
-        inner = closures._integrate_loop if loop == "compiled" else closures._integrate_loop_py
+        if loop == "python":   # _integrate_loop runs its twin, _closure_loop_py
+            monkeypatch.setattr(_native, "LIB", None)
+        inner = closures._integrate_loop
         monkeypatch.setattr(closures, "_integrate_loop", lambda *a: ran.append(a) or inner(*a))
         p = MinimalParams(1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0)
         m0 = stationary_polarized(p, 0.6, 0.1)
