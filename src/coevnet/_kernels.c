@@ -14,13 +14,18 @@
  *    and appends an event, so both engines share one run protocol.
  * 3. coevnet_format_rows: the CSV row renderer of io._write_table, which
  *    prints each float64 as python's "%.17g" % x, byte for byte.
- * 4. coevnet_flow_pairs / coevnet_step_flags / coevnet_rkf45_stage /
- *    coevnet_rkf45_final: the elementwise bookkeeping of one micro flow
- *    evaluation, and the step checks and Fehlberg stage and final sums of
- *    microsim's workspace (its RK4 sums are coevnet_rk4_combine); the
- *    references are the numpy twin microsim._flow_pairs_py, with the
- *    flow_pairs entry's signature, and the workspace's numpy steps,
- *    stepping.rk4_step with microsim._checked and stepping.rkf45_step.
+ * 4. The MicroFlow type, one micro flow evaluation per call: it calls the
+ *    model's V and U back (and microsim._on_grid for a result that it
+ *    cannot take as it is), runs coevnet_flow_pairs (the finiteness checks,
+ *    U's zero diagonal and the weight drift), calls the row sum back
+ *    (numpy's pairwise np.add.reduce, or the mass-weighted einsum) and
+ *    divides it into the state drift, then calls U0 back and adds it with
+ *    numpy's own +=.  Its reference is the numpy twin microsim._MicroFlow,
+ *    with the same constructor and call.  coevnet_step_flags /
+ *    coevnet_rkf45_stage / coevnet_rkf45_final are the step checks and
+ *    Fehlberg stage and final sums of microsim's workspace (its RK4 sums
+ *    are coevnet_rk4_combine), whose references are stepping.rk4_step with
+ *    microsim._checked and stepping.rkf45_step.
  * 5. coevnet_illinois: one Illinois iteration over every element of the
  *    weight nullcline solve; its reference is the numpy twin
  *    microsim._illinois_py, with the illinois entry's signature.
@@ -39,6 +44,7 @@
 #include <Python.h>
 
 #include <math.h>
+#include <stddef.h>
 #include <stdint.h>
 #include <stdio.h>
 #include <string.h>
@@ -898,9 +904,9 @@ static int64_t coevnet_illinois(double *buf, int64_t n, int first)
 
 /* -- the extension module ------------------------------------------------------
  *
- * One METH_FASTCALL function per kernel, and the MinimalEngine type, whose
- * run method supplies the Gillespie loop's hooks, taking the numpy arrays
- * themselves.  Before a kernel runs, every array is checked for its element
+ * One METH_FASTCALL function per kernel, the MinimalEngine type, whose
+ * run method supplies the Gillespie loop's hooks, and the MicroFlow type,
+ * taking the numpy arrays themselves.  Before a kernel runs, every array is checked for its element
  * type, C-contiguity (the renderer's 1-D columns may be strided),
  * writability where the kernel writes, and its length against the sizes the
  * kernel is given: a failed check raises ValueError (TypeError for an
@@ -1325,49 +1331,304 @@ done:
     return result;
 }
 
-/* flow_pairs(U, V, out, n, dw_row, eps, L, N, m, sym) -> None, or the
- * per-leg finiteness flags of U and V as a tuple when a leg is not finite.
- * V, out and eps may be None (out only with V); leg l's weight drift is
- * written to out from its (n + l dw_row)-th element on. */
-static PyObject *py_flow_pairs(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* MicroFlow(V, U, row_sum, divisor, U0, eps, L, N, m, sym, row, on_grid):
+ * one micro flow of L stacked legs of N agents in m dimensions, made once
+ * per flow; its reference is the numpy twin microsim._MicroFlow, with the
+ * same constructor and call.  V (None for a flow without weights), U, U0
+ * (or None), row_sum (the interaction sum of U over its partner axis) and
+ * on_grid (microsim._on_grid) are called back; eps (or None), held until
+ * the flow is freed, holds the legs' weight divisors, and row is the number
+ * of doubles of one leg of the flow's output.
+ *
+ * flow(states, si, sj, W, ds, out) -> None, or the per-leg finiteness flags
+ * of U and V as a tuple when a leg is not finite, is one evaluation:
+ *   1. V(si, sj, W), used as it is when it is a float64 ndarray of exactly
+ *      the grid (L, N, N), C-contiguous, writable and with no base (so it
+ *      shares no memory with states or W), else on_grid(result, grid, "V",
+ *      states, W), which copies it or raises ModelError;
+ *   2. the same for U(si, sj, W) on the grid (L, N, N, m);
+ *   3. coevnet_flow_pairs, with leg l's weight drift written to out from its
+ *      (N m + l row)-th double on; a leg that is not finite returns the
+ *      flags, nothing written;
+ *   4. row_sum(U) / divisor into ds, the (L, N, m) states of the output,
+ *      which may be strided;
+ *   5. ds += U0(states), numpy's own in-place add.
+ * A callback's exception propagates.  out may be None when V is. */
+typedef struct {
+    PyObject_HEAD
+    vectorcallfunc vectorcall;
+    PyObject *fn[2], *grid[2], *name[2];   /* V and U, their grids and names */
+    PyObject *row_sum, *U0, *on_grid;
+    double divisor;
+    const double *eps;   /* in held, or NULL */
+    arrays held;
+    uint8_t *ok;
+    Py_ssize_t shape[4];   /* L, N, N, m */
+    int64_t row, out_need;
+    int sym;
+} flow_object;
+
+/* numpy.ndarray and the name "base", made by PyInit__kernels */
+static PyObject *ndarray_type, *base_name;
+
+/* Whether v is a writable C-contiguous float64 buffer of shape shape[0 .. ndim). */
+static int is_grid(const Py_buffer *v, const Py_ssize_t *shape, int ndim)
 {
+    int i;
+    if (elem_kind(v) != 'f' || v->itemsize != 8 || v->readonly || v->ndim != ndim
+        || !PyBuffer_IsContiguous(v, 'C'))
+        return 0;
+    for (i = 0; i < ndim; i++)
+        if (v->shape[i] != shape[i])
+            return 0;
+    return 1;
+}
+
+/* Steps 1 (k = 0, V) and 2 (k = 1, U) of a call with arguments args: the
+ * result, or what on_grid makes of it, into *obj, its buffer taken into a. */
+static int pair_grid(flow_object *f, int k, PyObject *const *args, arrays *a, PyObject **obj,
+                     void **data)
+{
+    int ndim = 3 + k;
+    PyObject *r = PyObject_Vectorcall(f->fn[k], args + 1, 3, NULL), *g, *base;
+    Py_buffer *v = &a->views[a->n];
+    if (!r)
+        return -1;
+    if (Py_IS_TYPE(r, (PyTypeObject *)ndarray_type) && a->n < MAX_ARRAYS) {
+        if (PyObject_GetBuffer(r, v, PyBUF_RECORDS_RO) < 0) {
+            PyErr_Clear();   /* on_grid converts it or raises */
+        } else {
+            int own = 0;
+            if (is_grid(v, f->shape, ndim)) {
+                base = PyObject_GetAttr(r, base_name);
+                own = base == Py_None;
+                if (base)
+                    Py_DECREF(base);
+                else
+                    PyErr_Clear();
+            }
+            if (own) {
+                a->n++;
+                *obj = r;
+                *data = v->buf;
+                return 0;
+            }
+            PyBuffer_Release(v);
+        }
+    }
+    {
+        PyObject *cargs[5] = {r, f->grid[k], f->name[k], args[0], args[3]};
+        g = PyObject_Vectorcall(f->on_grid, cargs, 5, NULL);
+    }
+    Py_DECREF(r);
+    if (!g)
+        return -1;
+    if (take(a, g, k ? "U" : "V", &F64, WRITE, f->shape[0] * f->shape[1] * f->shape[2]
+             * (k ? f->shape[3] : 1), data) < 0) {
+        Py_DECREF(g);
+        return -1;
+    }
+    *obj = g;
+    return 0;
+}
+
+/* Takes obj's buffer into a, checked as a float64 array of shape (L, N, m)
+ * with any strides, writable with WRITE. */
+static int take_states(arrays *a, PyObject *obj, const char *name, int flags,
+                       const flow_object *f, void **data, const Py_ssize_t **strides)
+{
+    Py_buffer *v = &a->views[a->n];
+    if (a->n == MAX_ARRAYS || PyObject_GetBuffer(obj, v, PyBUF_RECORDS_RO) < 0) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_ValueError, "too many arrays in one call");
+        return -1;
+    }
+    if (elem_kind(v) != 'f' || v->itemsize != 8 || v->ndim != 3 || v->shape[0] != f->shape[0]
+        || v->shape[1] != f->shape[1] || v->shape[2] != f->shape[3]
+        || ((flags & WRITE) && v->readonly)) {
+        PyErr_Format(PyExc_ValueError, "%s must be a%s float64 array of shape (%zd, %zd, %zd)",
+                     name, flags & WRITE ? " writable" : "", f->shape[0], f->shape[1],
+                     f->shape[3]);
+        PyBuffer_Release(v);
+        return -1;
+    }
+    a->n++;
+    *data = v->buf;
+    *strides = v->strides;
+    return 0;
+}
+
+static PyObject *flow_call(PyObject *self, PyObject *const *args, size_t nargsf,
+                           PyObject *kwnames)
+{
+    flow_object *f = (flow_object *)self;
     arrays a = {.n = 0};
-    void *U, *V, *out, *eps;
-    int64_t n, dw_row, L, N, m, sym, nn;
-    uint8_t *ok = NULL;
-    PyObject *result = NULL;
-    (void)self;
-    if (check_nargs("flow_pairs", nargs, 10) < 0 || int_arg(args[3], "n", 0, &n) < 0
-        || int_arg(args[4], "dw_row", 0, &dw_row) < 0 || int_arg(args[6], "L", 0, &L) < 0
-        || int_arg(args[7], "N", 0, &N) < 0 || int_arg(args[8], "m", 0, &m) < 0
-        || int_arg(args[9], "sym", 0, &sym) < 0)
+    PyObject *V = NULL, *U = NULL, *rs = NULL, *result = NULL;
+    void *u, *v = NULL, *out, *ds, *sum;
+    const Py_ssize_t *ds_st, *sum_st;
+    Py_ssize_t L = f->shape[0], N = f->shape[1], m = f->shape[3], l, i, k;
+    if (kwnames && PyTuple_GET_SIZE(kwnames)) {
+        PyErr_SetString(PyExc_TypeError, "MicroFlow takes no keyword arguments");
         return NULL;
-    nn = mul(N, N);
-    if (take(&a, args[0], "U", &F64, WRITE, mul(mul(L, nn), m), &U) < 0
-        || take(&a, args[1], "V", &F64, OPTIONAL, mul(L, nn), &V) < 0
-        || take(&a, args[2], "out", &F64, WRITE | OPTIONAL,
-                L == 0 ? 0 : add(add(n, mul(L - 1, dw_row)), nn), &out) < 0
-        || take(&a, args[5], "eps", &F64, OPTIONAL, L, &eps) < 0)
+    }
+    if (check_nargs("MicroFlow", PyVectorcall_NARGS(nargsf), 6) < 0)
+        return NULL;
+    if ((f->fn[0] != Py_None && pair_grid(f, 0, args, &a, &V, &v) < 0)
+        || pair_grid(f, 1, args, &a, &U, &u) < 0
+        || take_states(&a, args[4], "ds", WRITE, f, &ds, &ds_st) < 0
+        || take(&a, args[5], "out", &F64, WRITE | OPTIONAL, V ? f->out_need : 0, &out) < 0)
         goto done;
     if (V && !out) {
-        PyErr_SetString(PyExc_ValueError, "flow_pairs needs out to write V's weight drift");
+        PyErr_SetString(PyExc_ValueError, "MicroFlow needs out to write the weight drift");
         goto done;
     }
-    ok = PyMem_Malloc((size_t)L + 1);
-    if (!ok) {
-        PyErr_NoMemory();
+    if (coevnet_flow_pairs(u, v, out ? (double *)out + N * m : NULL, f->eps, f->ok, L, N, m,
+                           f->row, f->sym)) {
+        result = leg_flags(f->ok, L);
         goto done;
     }
-    if (coevnet_flow_pairs(U, V, out ? (double *)out + n : NULL, eps, ok, L, N, m, dw_row,
-                           (int)(sym != 0)))
-        result = leg_flags(ok, L);
-    else
-        result = Py_NewRef(Py_None);
-done:
-    PyMem_Free(ok);
+    rs = PyObject_CallOneArg(f->row_sum, U);
+    if (!rs || take_states(&a, rs, "row_sum(U)", 0, f, &sum, &sum_st) < 0)
+        goto done;
+    for (l = 0; l < L; l++)
+        for (i = 0; i < N; i++)
+            for (k = 0; k < m; k++)
+                *(double *)((char *)ds + l * ds_st[0] + i * ds_st[1] + k * ds_st[2]) =
+                    *(const double *)((const char *)sum + l * sum_st[0] + i * sum_st[1]
+                                      + k * sum_st[2]) / f->divisor;
     release(&a);
+    if (f->U0 != Py_None) {
+        PyObject *u0 = PyObject_CallOneArg(f->U0, args[0]);
+        PyObject *sum_u0 = u0 ? PyNumber_InPlaceAdd(args[4], u0) : NULL;
+        Py_XDECREF(u0);
+        if (!sum_u0)
+            goto done;
+        Py_DECREF(sum_u0);
+    }
+    result = Py_NewRef(Py_None);
+done:
+    release(&a);
+    Py_XDECREF(V);
+    Py_XDECREF(U);
+    Py_XDECREF(rs);
     return result;
 }
+
+static int flow_traverse(PyObject *self, visitproc visit, void *arg)
+{
+    flow_object *f = (flow_object *)self;
+    Py_VISIT(f->fn[0]);
+    Py_VISIT(f->fn[1]);
+    Py_VISIT(f->row_sum);
+    Py_VISIT(f->U0);
+    Py_VISIT(f->on_grid);
+    return 0;
+}
+
+static int flow_clear(PyObject *self)
+{
+    flow_object *f = (flow_object *)self;
+    int k;
+    for (k = 0; k < 2; k++) {
+        Py_CLEAR(f->fn[k]);
+        Py_CLEAR(f->grid[k]);
+        Py_CLEAR(f->name[k]);
+    }
+    Py_CLEAR(f->row_sum);
+    Py_CLEAR(f->U0);
+    Py_CLEAR(f->on_grid);
+    return 0;
+}
+
+static void flow_dealloc(PyObject *self)
+{
+    flow_object *f = (flow_object *)self;
+    PyObject_GC_UnTrack(self);
+    flow_clear(self);
+    release(&f->held);
+    PyMem_Free(f->ok);
+    Py_TYPE(self)->tp_free(self);
+}
+
+static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
+{
+    PyObject *o[12];
+    flow_object *self;
+    void *eps;
+    int64_t L, N, m, sym, row, n, nn;
+    if ((kwds && PyDict_GET_SIZE(kwds))
+        || !PyArg_UnpackTuple(args, "MicroFlow", 12, 12, &o[0], &o[1], &o[2], &o[3], &o[4],
+                              &o[5], &o[6], &o[7], &o[8], &o[9], &o[10], &o[11])) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "MicroFlow takes no keyword arguments");
+        return NULL;
+    }
+    if (int_arg(o[6], "L", 1, &L) < 0 || int_arg(o[7], "N", 1, &N) < 0
+        || int_arg(o[8], "m", 1, &m) < 0 || int_arg(o[9], "sym", 0, &sym) < 0
+        || int_arg(o[10], "row", 0, &row) < 0)
+        return NULL;
+    n = mul(N, m);
+    nn = mul(N, N);
+    if (mul(mul(L, nn), m) < 0 || mul(L - 1, row) < 0 || add(add(n, mul(L - 1, row)), nn) < 0) {
+        PyErr_SetString(PyExc_ValueError, "the sizes of MicroFlow are out of range");
+        return NULL;
+    }
+    if (o[0] != Py_None && row < n + nn) {
+        PyErr_Format(PyExc_ValueError, "row must hold the %lld states and %lld weights of a leg",
+                     (long long)n, (long long)nn);
+        return NULL;
+    }
+    self = (flow_object *)type->tp_alloc(type, 0);
+    if (!self)
+        return NULL;
+    self->vectorcall = flow_call;
+    self->shape[0] = (Py_ssize_t)L;
+    self->shape[1] = self->shape[2] = (Py_ssize_t)N;
+    self->shape[3] = (Py_ssize_t)m;
+    self->row = row;
+    self->out_need = n + (L - 1) * row + nn;
+    self->sym = sym != 0;
+    if (float_arg(o[3], &self->divisor) < 0)
+        goto fail;
+    if (take(&self->held, o[5], "eps", &F64, OPTIONAL, L, &eps) < 0)
+        goto fail;
+    self->eps = eps;
+    self->ok = PyMem_Malloc((size_t)L);
+    self->grid[0] = Py_BuildValue("(LLL)", (long long)L, (long long)N, (long long)N);
+    self->grid[1] = Py_BuildValue("(LLLL)", (long long)L, (long long)N, (long long)N,
+                                  (long long)m);
+    self->name[0] = PyUnicode_InternFromString("V");
+    self->name[1] = PyUnicode_InternFromString("U");
+    if (!self->ok || !self->grid[0] || !self->grid[1] || !self->name[0] || !self->name[1]) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
+        goto fail;
+    }
+    self->fn[0] = Py_NewRef(o[0]);
+    self->fn[1] = Py_NewRef(o[1]);
+    self->row_sum = Py_NewRef(o[2]);
+    self->U0 = Py_NewRef(o[4]);
+    self->on_grid = Py_NewRef(o[11]);
+    return (PyObject *)self;
+fail:
+    Py_DECREF(self);
+    return NULL;
+}
+
+static PyTypeObject flow_type = {
+    PyVarObject_HEAD_INIT(NULL, 0)
+    .tp_name = "coevnet._kernels.MicroFlow",
+    .tp_basicsize = sizeof(flow_object),
+    .tp_dealloc = flow_dealloc,
+    .tp_vectorcall_offset = offsetof(flow_object, vectorcall),
+    .tp_call = PyVectorcall_Call,
+    .tp_flags = Py_TPFLAGS_DEFAULT | Py_TPFLAGS_HAVE_GC | Py_TPFLAGS_HAVE_VECTORCALL,
+    .tp_doc = "One micro flow evaluation per call: see _kernels.c.",
+    .tp_traverse = flow_traverse,
+    .tp_clear = flow_clear,
+    .tp_new = flow_new,
+    .tp_free = PyObject_GC_Del,
+};
 
 /* rk4_stage(y, k, out, c): out = y + c k. */
 static PyObject *py_rk4_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -1532,7 +1793,6 @@ static PyObject *py_illinois(PyObject *self, PyObject *const *args, Py_ssize_t n
 static PyMethodDef kernel_functions[] = {
     FASTCALL(closure_loop, "the closure RK4 loop (coevnet_closure_loop)"),
     FASTCALL(format_rows, "CSV rows of float64 columns (coevnet_format_rows)"),
-    FASTCALL(flow_pairs, "a micro flow evaluation's pair bookkeeping (coevnet_flow_pairs)"),
     FASTCALL(rk4_stage, "an RK4 stage, out = y + c k"),
     FASTCALL(rk4_final, "the final RK4 sum with the step checks"),
     FASTCALL(rkf45_stage, "a Fehlberg stage, out = y + h sum(a k)"),
@@ -1557,10 +1817,19 @@ PyMODINIT_FUNC PyInit__kernels(void)
     for (k = 0; k < 3; k++)
         if (!event_kinds[k] && !(event_kinds[k] = PyUnicode_InternFromString(names[k])))
             return NULL;
-    if (PyType_Ready(&engine_type) < 0)
+    if (!ndarray_type) {
+        PyObject *numpy = PyImport_ImportModule("numpy");
+        ndarray_type = numpy ? PyObject_GetAttrString(numpy, "ndarray") : NULL;
+        Py_XDECREF(numpy);
+        if (!ndarray_type)
+            return NULL;
+    }
+    if ((!base_name && !(base_name = PyUnicode_InternFromString("base")))
+        || PyType_Ready(&engine_type) < 0 || PyType_Ready(&flow_type) < 0)
         return NULL;
     m = PyModule_Create(&kernels_module);
-    if (m && PyModule_AddObjectRef(m, "MinimalEngine", (PyObject *)&engine_type) < 0)
+    if (m && (PyModule_AddObjectRef(m, "MinimalEngine", (PyObject *)&engine_type) < 0
+              || PyModule_AddObjectRef(m, "MicroFlow", (PyObject *)&flow_type) < 0))
         Py_CLEAR(m);
     return m;
 }

@@ -15,21 +15,25 @@ Weight symmetry: when the model's V is exchange-symmetric and the initial
 weight matrix is symmetric, the weight derivative matrix is built from its
 upper triangle and mirrored, which keeps trajectories bitwise symmetric.
 
-One backend switch: ``_micro_flow``, ``_nullcline_array`` and
-``integrate_reduced`` read ``_native.LIB`` when called and run one driver
-either way.  Each flow evaluation makes one ``flow_pairs`` call for its
-finiteness checks, U's zero diagonal and the weight drift, and each
-Illinois iteration of the nullcline solve one ``illinois`` call over every
-element: the extension module's kernels while ``LIB`` holds it, else their
-numpy twins ``_flow_pairs_py`` and ``_illinois_py``, which take the same
-arguments and write the same bytes.  The rk4 and rkf45 steps of the flow
-and of the fast-network limit run on a workspace of the run
+One backend switch: ``_particle_drift``, ``_nullcline_array`` and the
+workspace read ``_native.LIB`` when called and run one driver either way.
+Each flow evaluation is one call of a flow made once per run: the compiled
+``MicroFlow`` while ``LIB`` holds the extension module, else its numpy twin
+``_MicroFlow``, which has the same constructor and call and writes the same
+bytes.  The kernel makes the finiteness checks, zeroes U's diagonal, writes
+the weight drift and divides the row sum into the state drift.  It calls
+back the model's V, U and U0, ``_on_grid`` for a V or U result that it
+cannot take as it is, the row sum (``np.add.reduce``, for numpy's pairwise
+summation order, or the mass-weighted ``einsum``) and numpy's own ``+=``
+for adding U0, whose result may broadcast.  Each
+Illinois iteration of the nullcline solve is one ``illinois`` call over
+every element, or its twin ``_illinois_py``.  The rk4 and rkf45 steps of
+the flow and of the fast-network limit run on a workspace of the run
 (``_Workspace``): with the kernels, on six stage derivatives, a stage
 buffer and two states used in turn, each stage one call, and an rk4 step's
 final sum also making the step's checks; without them, on
 ``stepping.rk4_step`` and ``stepping.rkf45_step``, whose sums the kernels
-keep bitwise.  U, V, U0, the row sum (``np.add.reduce``, for numpy's
-pairwise summation order) and the mass-weighted ``einsum`` stay in numpy.
+keep bitwise.
 """
 
 from __future__ import annotations
@@ -118,12 +122,12 @@ class MicroTrajectory:
         return self.configs[-1]
 
 
-def _on_grid(a, grid: tuple, name: str, state: np.ndarray) -> np.ndarray:
+def _on_grid(a, grid: tuple, name: str, *state: np.ndarray) -> np.ndarray:
     """A C-contiguous writable float array of shape grid, sharing no memory
-    with the caller's state, from a kernel result that broadcasts to grid."""
+    with the caller's state arrays, from a kernel result that broadcasts to grid."""
     a = np.asarray(a, dtype=float)
     if (a.shape == grid and a.flags.writeable and a.flags.c_contiguous
-            and (a.base is None or not np.may_share_memory(a, state))):
+            and (a.base is None or not any(np.may_share_memory(a, s) for s in state))):
         return a
     try:
         return np.broadcast_to(a, grid).copy()
@@ -171,75 +175,90 @@ def _lower(N: int) -> np.ndarray:
     return lower
 
 
-def _flow_pairs_py(U, V, flow, n: int, row: int, eps, L: int, N: int, m: int, sym: bool):
-    """The numpy twin of the compiled ``flow_pairs``, with its arguments.
+class _MicroFlow:
+    """The numpy twin of the compiled ``MicroFlow``, with its constructor and call.
 
-    U (L, N, N, m) and V (L, N, N) or None are the pair forces and weight
-    drifts of L legs.  When a leg of them is not finite, returns the
-    per-leg finiteness flags and writes nothing.  Otherwise returns None
-    after zeroing U's diagonal and, given V, writing the weight drift into
-    flow (L rows of row doubles, leg l's drift after its first n): with
-    sym, V's strict upper triangle mirrored, which turns -0.0 into +0.0,
-    else V with a zero diagonal; divided by eps[l] unless eps is None.
-    V is overwritten on the way.
+    _MicroFlow(V, U, row_sum, divisor, U0, eps, L, N, m, sym, row, on_grid)
+    is the flow of L stacked legs of N agents in m dimensions; V is None
+    for a flow without weights, U0 may be None and eps (one weight divisor
+    per leg) too.  A call flow(states, si, sj, W, ds, out) is one
+    evaluation, in this order:
+
+    1. V(si, sj, W) and then U(si, sj, W), each through
+       ``on_grid(result, grid, name, states, W)`` on its pair grid,
+       (L, N, N) or (L, N, N, m);
+    2. when a leg of U or V is not finite, returns the per-leg finiteness
+       flags and writes nothing;
+    3. zeroes U's diagonal and, given V, writes the weight drift into out
+       (L rows of row doubles, leg l's drift after its first N m): with sym,
+       V's strict upper triangle mirrored, which turns -0.0 into +0.0, else
+       V with a zero diagonal; divided by eps[l] unless eps is None.  V is
+       overwritten on the way;
+    4. ds, the (L, N, m) states of the output, = row_sum(U) / divisor;
+    5. ds += U0(states); returns None.
     """
-    if not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
-        ok = np.isfinite(U).all(axis=(1, 2, 3))
+
+    def __init__(self, V, U, row_sum, divisor, U0, eps, L, N, m, sym, row, on_grid):
+        self.V, self.U, self.row_sum, self.divisor, self.U0 = V, U, row_sum, divisor, U0
+        self.eps = None if eps is None else np.array(eps, dtype=float).reshape(L, 1, 1)
+        self.L, self.N, self.m, self.sym, self.row, self.on_grid = L, N, m, sym, row, on_grid
+
+    def __call__(self, states, si, sj, W, ds, out) -> tuple | None:
+        L, N, m, on_grid = self.L, self.N, self.m, self.on_grid
+        V = None if self.V is None else on_grid(self.V(si, sj, W), (L, N, N), "V", states, W)
+        U = on_grid(self.U(si, sj, W), (L, N, N, m), "U", states, W)
+        if not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
+            ok = np.isfinite(U).all(axis=(1, 2, 3))
+            if V is not None:
+                ok &= np.isfinite(V).all(axis=(1, 2))
+            return tuple(ok.tolist())
+        U.reshape(L, N * N, m)[:, ::N + 1] = 0.0   # the diagonal
         if V is not None:
-            ok &= np.isfinite(V).all(axis=(1, 2))
-        return tuple(ok.tolist())
-    U.reshape(len(U), N * N, m)[:, ::N + 1] = 0.0   # the diagonal
-    if V is None:
+            dw = out.reshape(L, self.row)[:, N * m:N * m + N * N].reshape(L, N, N)
+            if self.sym:   # the strict upper triangle, mirrored straight into out
+                np.copyto(V, 0.0, where=_lower(N))
+                V = np.add(V, V.swapaxes(1, 2), out=dw)
+            else:
+                V.reshape(L, N * N)[:, ::N + 1] = 0.0   # the diagonal
+            if self.eps is not None:
+                np.divide(V, self.eps, out=dw)
+            elif V is not dw:
+                dw[...] = V
+        np.divide(self.row_sum(U), self.divisor, out=ds)
+        if self.U0 is not None:
+            ds += self.U0(states)
         return None
-    dw = flow.reshape(L, row)[:, n:n + N * N].reshape(L, N, N)
-    if sym:   # the strict upper triangle, mirrored straight into flow
-        np.copyto(V, 0.0, where=_lower(N))
-        V = np.add(V, V.swapaxes(1, 2), out=dw)
-    else:
-        V.reshape(L, N * N)[:, ::N + 1] = 0.0   # the diagonal
-    if eps is not None:
-        np.divide(V, eps.reshape(L, 1, 1), out=dw)
-    elif V is not dw:
-        dw[...] = V
-    return None
 
 
 def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s: float = 1.0,
-                    masses: np.ndarray | None = None, sym: bool = False, row: int = 0):
-    """drift(states, views, W, t, V=None, out=None, flow=None): ds/dt of
-    stacked legs (see micro_rhs), one leg per eps_w.
-
-    states (L, N, m), their pair views (s_i, s_j) and weights (L, N, N)
-    give the (L, N, m) drift, written into out if given; this is the one
-    place a particle flow evaluates U.  One flow_pairs call, the compiled
-    kernel while ``_native.LIB`` holds it (read here) or else its twin
-    ``_flow_pairs_py``, checks U and the caller's weight drift V, zeroes
-    U's diagonal and, given V, writes the weight drift (symmetrized with
-    sym) into the flow output ``flow``, whose leg l starts row doubles
-    after leg l - 1 and holds N m states before its weights.  A leg with a
-    non-finite U or V raises IntegrationError naming t (see _failed).
+                    masses: np.ndarray | None = None, sym: bool = False, row: int = 0,
+                    V: Callable | None = None):
+    """The flow (``_MicroFlow`` or the compiled ``MicroFlow``, by
+    ``_native.LIB`` when called) of stacked legs, one per eps_w, of the
+    model with weight drift V (None: the weights are given, not evolved):
+    flow(states, si, sj, W, ds, out) writes ds/dt (see micro_rhs) into ds
+    and, given V, the weight drift into out, whose leg l starts row doubles
+    after leg l - 1.  It returns None, or the per-leg finiteness flags of U
+    and V when a leg is not finite (see _failed); this is the one place a
+    particle flow evaluates U.  The interaction sum is ``np.add.reduce``
+    over the partner axis, for numpy's pairwise summation order, divided by
+    N eps_s, or with masses their ``einsum``, divided by eps_s; masses must
+    be N finite numbers.
     """
     if m != model.m:
         raise ModelError(f"configuration dimension m={m} does not match model m={model.m}")
-    lib = _native.LIB
-    flow_pairs = _flow_pairs_py if lib is None else lib.flow_pairs
+    if masses is None:
+        row_sum, divisor = functools.partial(np.add.reduce, axis=2), N * eps_s
+    else:
+        masses = np.asarray(masses, dtype=float)
+        if masses.shape != (N,):
+            raise ModelError(f"masses must have shape ({N},), one per agent, got {masses.shape}")
+        if not np.isfinite(masses).all():
+            raise ModelError("masses must be finite")
+        row_sum, divisor = functools.partial(np.einsum, "j,lijk->lik", masses), eps_s
     eps = None if np.all(eps_w == 1.0) else np.array(eps_w)   # x / 1.0 is x
-
-    def drift(states: np.ndarray, views: tuple, W: np.ndarray, t: float, V=None,
-              out=None, flow=None) -> np.ndarray:
-        U = _on_grid(model.U(*views, W), W.shape + (m,), "U", W)
-        ok = flow_pairs(U, V, flow, N * m, row, eps, eps_w.size, N, m, sym)
-        if ok is not None:
-            raise _failed("non-finite force evaluation at", t, eps_w, ok)
-        if masses is None:
-            ds = np.divide(np.add.reduce(U, axis=2), N * eps_s, out=out)
-        else:
-            ds = np.divide(np.einsum("j,lijk->lik", masses, U), eps_s, out=out)
-        if model.U0 is not None:
-            ds += model.U0(states)
-        return ds
-
-    return drift
+    make = _MicroFlow if _native.LIB is None else _native.LIB.MicroFlow
+    return make(V, model.U, row_sum, divisor, model.U0, eps, eps_w.size, N, m, sym, row, _on_grid)
 
 
 # The Fehlberg tableau of stepping.rkf45_step, as the kernels read it.
@@ -324,7 +343,7 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
     f writes into out if given.  step(y, t, dt, method, rng) takes one rk4,
     euler or rkf45 step (euler with an rng adds simulate_diffusive's state
     noise) and checks each leg for non-finite entries and a symmetric flow
-    for weight symmetry (``_checked``).  Each f makes one flow_pairs call
+    for weight symmetry (``_checked``).  Each f is one call of the flow
     (see _particle_drift), and the rk4 and rkf45 steps run on a
     ``_Workspace``, whose buffers' views f builds once.
     """
@@ -333,20 +352,20 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
         raise ModelError("eps_w and eps_s must be positive")
     L, N, m, sym = eps_w.size, cfg.N, cfg.m, cfg.symmetric and model.symmetric_V
     n = N * m
-    drift = _particle_drift(model, N, m, eps_w, eps_s, masses, sym, n + N * N)
+    flow = _particle_drift(model, N, m, eps_w, eps_s, masses, sym, n + N * N, model.V)
     views = {}   # the parts of each workspace buffer, by id
 
     def parts(z: np.ndarray) -> tuple:
-        """z's states, weights and pair views."""
+        """z's states, pair views and weights, as the flow takes them."""
         states = z[:, :n].reshape(L, N, m)
-        return states, z[:, n:].reshape(L, N, N), (states[:, :, None, :], states[:, None, :, :])
+        return states, states[:, :, None, :], states[:, None, :, :], z[:, n:].reshape(L, N, N)
 
     def f(z: np.ndarray, t: float, out=None) -> np.ndarray:
-        states, W, pair = views.get(id(z)) or parts(z)
-        V = _on_grid(model.V(*pair, W), (L, N, N), "V", z)
         out = np.empty(z.shape) if out is None else out
         ds = views[id(out)][0] if id(out) in views else out[:, :n].reshape(L, N, m)
-        drift(states, pair, W, t, V, ds, out)
+        ok = flow(*(views.get(id(z)) or parts(z)), ds, out)
+        if ok is not None:
+            raise _failed("non-finite force evaluation at", t, eps_w, ok)
         return out
 
     ws = _Workspace(f, eps_w, n, N, sym, made=lambda buf: views.__setitem__(id(buf), parts(buf)))
@@ -658,10 +677,13 @@ def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.n
 
 
 def solve_weight_nullcline(model: SmoothModel, s, sigma) -> float:
-    """Solve V(s, sigma, w) = 0 for w (see ``_nullcline_array``)."""
-    si = np.asarray(s, dtype=float).reshape(1, model.m)
-    sj = np.asarray(sigma, dtype=float).reshape(1, model.m)
-    return float(_nullcline_array(model, si, sj)[0])
+    """Solve V(s, sigma, w) = 0 for w (see ``_nullcline_array``); s and
+    sigma must each hold the model's m values."""
+    si, sj = (np.asarray(x, dtype=float) for x in (s, sigma))
+    if si.size != model.m or sj.size != model.m:
+        raise ModelError(f"s and sigma must each hold the model's m={model.m} values, got "
+                         f"{si.size} and {sj.size}")
+    return float(_nullcline_array(model, si.reshape(1, model.m), sj.reshape(1, model.m))[0])
 
 
 @dataclass
@@ -694,13 +716,15 @@ def integrate_reduced(
         states = states[:, None]
     N, m = states.shape
     one = np.ones(1)
-    drift = _particle_drift(model, N, m, one)
+    flow = _particle_drift(model, N, m, one)
 
     def on_nullcline(y: np.ndarray, t: float, out=None) -> np.ndarray:
         s = y.reshape(1, N, m)
-        views = s[:, :, None, :], s[:, None, :, :]
-        ds = drift(s, views, _nullcline_array(model, *views), t,
-                   out=None if out is None else out.reshape(1, N, m))
+        si, sj = s[:, :, None, :], s[:, None, :, :]
+        ds = np.empty(s.shape) if out is None else out.reshape(1, N, m)
+        ok = flow(s, si, sj, _nullcline_array(model, si, sj), ds, None)
+        if ok is not None:
+            raise _failed("non-finite force evaluation at", t, one, ok)
         return ds.reshape(y.shape)
 
     traj = StateTrajectory()

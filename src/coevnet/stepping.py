@@ -52,10 +52,12 @@ def sample_times(T: float, sample_dt: float | None) -> np.ndarray:
     """The sample times of a jump-model run: 0 and T without a sample_dt;
     else the multiples of sample_dt up to T, then T unless T is on that grid
     by grid_steps' rule, with a last multiple past T moved to T.  ModelError
-    unless T is finite and >= 0."""
+    unless T is finite and >= 0 and a sample_dt is finite and > 0."""
     _check_horizon(T)
     if sample_dt is None:
         return np.array([0.0, T]) if T > 0 else np.array([0.0])
+    if not 0.0 < sample_dt < np.inf:   # False for NaN
+        raise ModelError(f"sample_dt must be positive and finite, got {sample_dt}")
     tol = 1e-9 * max(1.0, T)
     grid = np.arange(int(np.floor((T + tol) / sample_dt)) + 1) * sample_dt
     if grid[-1] < T - tol:

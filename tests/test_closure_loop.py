@@ -187,7 +187,7 @@ def test_without_kernels_every_cli_run_writes_the_pinned_bytes(tmp_path, monkeyp
     count(closures, "_closure_loop_py")
     count(jumpsim._MinimalEngine, "run")
     count(io, "_python_rows")
-    count(microsim, "_flow_pairs_py")
+    count(microsim, "_MicroFlow")
     count(microsim, "_illinois_py")
     got = {}
     for name, cfg in CONFIGS.items():

@@ -1,14 +1,14 @@
 """The compiled micro flow and nullcline solve against their numpy references.
 
 Each compiled entry of ``microsim`` has a numpy twin with its signature:
-``flow_pairs`` and ``microsim._flow_pairs_py``, ``illinois`` and
-``microsim._illinois_py``; both must write the same bytes and return the
-same value.  Each driver runs on the twins, and its workspace on
-``stepping``'s numpy steps, when ``_native.LIB`` is None, which is how the
-references are built here: ``microsim._micro_flow`` must then give the same
-bytes for every f evaluation and step, rejected RKF45 substeps included, and
-raise the same errors, as must ``integrate_reduced`` and
-``microsim._nullcline_array``.
+``MicroFlow`` and ``microsim._MicroFlow`` (the same constructor and call),
+``illinois`` and ``microsim._illinois_py``; both must write the same bytes,
+return the same value, make the same model calls and raise the same errors.
+Each driver runs on the twins, and its workspace on ``stepping``'s numpy
+steps, when ``_native.LIB`` is None, which is how the references are built
+here: ``microsim._micro_flow`` must then give the same bytes for every f
+evaluation and step, rejected RKF45 substeps included, and raise the same
+errors, as must ``integrate_reduced`` and ``microsim._nullcline_array``.
 """
 
 import hashlib
@@ -22,7 +22,8 @@ from hypothesis import given, settings, strategies as st
 
 from coevnet import _native, _pool, microsim, stepping
 from coevnet.cli import main
-from coevnet.errors import IntegrationError, InvariantViolation, NullclineNotFound
+from coevnet.compare import run_epsilon_sweep
+from coevnet.errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
 from coevnet.microsim import AgentConfiguration, _stack, integrate_reduced
 from coevnet.models import SmoothModel, catalog
 from test_cli_bytes import CONFIGS, PINNED
@@ -85,7 +86,7 @@ def raised(run):
 @pytest.mark.needs_cc
 def test_compiled_flow_is_in_use(monkeypatch):
     assert _native.LIB is not None
-    monkeypatch.setattr(microsim, "_flow_pairs_py", None)   # calling it would fail
+    monkeypatch.setattr(microsim, "_MicroFlow", None)   # calling it would fail
     cfg = random_cfg(np.random.default_rng(0), 4, 1, True, np.zeros((4, 4), dtype=bool))
     microsim.micro_rhs(cfg, pair_model(1, True))
 
@@ -110,7 +111,7 @@ def test_without_a_library_the_references_are_bound(tmp_path, caplog, monkeypatc
         lib = _native.load_library(str(tmp_path / "no-such-cc"))
     assert lib is None
     monkeypatch.setattr(_native, "LIB", lib)
-    flow, nullcline = spy(monkeypatch, "_flow_pairs_py"), spy(monkeypatch, "_illinois_py")
+    flow, nullcline = spy(monkeypatch, "_MicroFlow"), spy(monkeypatch, "_illinois_py")
     cfg = random_cfg(np.random.default_rng(0), 4, 1, True, np.zeros((4, 4), dtype=bool))
     microsim.micro_rhs(cfg, pair_model(1, True))
     microsim.solve_weight_nullcline(affine_V(1.0), [0.1], [0.3])
@@ -123,7 +124,7 @@ def test_without_a_library_the_flow_runs_write_the_pinned_bytes(tmp_path, monkey
         pytest.skip(f"hashes were made with numpy {pinned['numpy']}, this is {np.__version__}")
     monkeypatch.setattr(_native, "LIB", None)
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)   # no pool forks: the spies see every call
-    flow, nullcline = spy(monkeypatch, "_flow_pairs_py"), spy(monkeypatch, "_illinois_py")
+    flow, nullcline = spy(monkeypatch, "_MicroFlow"), spy(monkeypatch, "_illinois_py")
     checked = 0
     for name in ("micro", "micro-rkf45", "diffusive", "characteristics", "epsilon-sweep-5"):
         (tmp_path / f"{name}.json").write_text(json.dumps(CONFIGS[name]))
@@ -151,38 +152,200 @@ def planted(rng, shape, finite=False, share=0.3):
     return x
 
 
+def flow_pair(model, N, m, eps_w, eps_s=1.0, masses=None, sym=False, row=0, V=None):
+    """The compiled flow and its numpy twin, as microsim._particle_drift makes them."""
+    args = model, N, m, np.asarray(eps_w, dtype=float), eps_s, masses, sym, row, V
+    flow_c, flow_py = microsim._particle_drift(*args), reference(microsim._particle_drift, *args)
+    assert type(flow_c) is _native.LIB.MicroFlow and type(flow_py) is microsim._MicroFlow
+    return flow_c, flow_py
+
+
+def flow_args(states, W, out):
+    """The call arguments of a flow over states (L, N, m), weights W and the
+    output out (L rows, each its states, then anything)."""
+    L, N, m = states.shape
+    ds = out[:, :N * m].reshape(L, N, m)
+    return states, states[:, :, None, :], states[:, None, :, :], W, ds, out
+
+
+def boschi_U0(s):
+    """The boschi catalog model's external force, U0 = -s."""
+    return -np.asarray(s, dtype=float)
+
+
 @pytest.mark.needs_cc
 @pytest.mark.parametrize("seed", range(6))
 @pytest.mark.parametrize("with_V", [True, False])
 @pytest.mark.parametrize("with_eps", [True, False])
 @pytest.mark.parametrize("sym", [True, False])
 def test_flow_pairs_twin_writes_the_kernel_bytes(seed, with_V, with_eps, sym):
-    """Seeds 0-3 are finite, so U's diagonal and the weight drift are
-    written (-0.0 in V's upper triangle becomes +0.0 with sym); seeds 4 and
-    5 put one non-finite entry into the last leg's U, or the first leg's V,
-    so that only the per-leg flags come back and nothing is written."""
+    """One call of ``MicroFlow`` against its twin ``_MicroFlow`` on planted
+    U and V results: seeds 0-3 are finite, so U's diagonal, the weight drift
+    (-0.0 in V's upper triangle becomes +0.0 with sym) and the states' drift
+    are written; seeds 4 and 5 put one non-finite entry into the last leg's
+    U, or the first leg's V, so that only the per-leg flags come back and
+    nothing is written.  Odd seeds weight the partners by masses, seeds 2,
+    3 and 5 add the external force U0, and each seed draws its eps_s."""
     rng = np.random.default_rng(seed)
     L, N, m = (1, 3)[seed % 2], 2 + seed, 1 + seed % 2
     n, row = N * m, N * m + N * N
     U = planted(rng, (L, N, N, m), finite=True)
-    V = planted(rng, (L, N, N), finite=True) if with_V else None
+    V = planted(rng, (L, N, N), finite=True)
     if seed >= 4:
         target = V[0] if with_V and seed == 5 else U[L - 1]
         target.flat[rng.integers(target.size)] = rng.choice([np.nan, np.inf, -np.inf])
-    flow = planted(rng, (L, row)) if with_V else None   # what the flow held, NaN included
-    eps = rng.uniform(1e-3, 2.0, size=L) if with_eps else None
+    z = planted(rng, (L, row), finite=True)
+    flow = planted(rng, (L, row))   # what the output held, NaN included
+    eps_w = rng.uniform(1e-3, 2.0, size=L) if with_eps else np.ones(L)
+    masses = rng.uniform(0.1, 1.0, size=N) if seed % 2 else None
+    results = []   # U's, whose diagonal the call zeroes in place (the twin overwrites V too)
+    model = SimpleNamespace(m=m, U=lambda *a: results.append(U.copy()) or results[-1],
+                            U0=boschi_U0 if seed in (2, 3, 5) else None)
+    flows = flow_pair(model, N, m, eps_w, rng.uniform(0.5, 2.0), masses, sym, row,
+                      (lambda *a: V.copy()) if with_V else None)
     runs = []
-    for fn in (_native.LIB.flow_pairs, microsim._flow_pairs_py):
-        u, v, out = (None if a is None else a.copy() for a in (U, V, flow))
+    for fn in flows:
+        results.clear()
+        out = flow.copy()
+        states = z[:, :n].reshape(L, N, m)
         with np.errstate(all="ignore"):
-            got = fn(u, v, out, n, row, eps, L, N, m, sym)
-        runs.append((got, u.tobytes(), None if out is None else out.tobytes()))
+            got = fn(*flow_args(states, z[:, n:].reshape(L, N, N), out))
+        runs.append((got, out.tobytes(), [r.tobytes() for r in results]))
     assert runs[0] == runs[1]
     if seed >= 4:
         assert runs[0][0] is not None and not all(runs[0][0])
-        assert runs[0][1:] == (U.tobytes(), None if flow is None else flow.tobytes())
+        assert runs[0][1] == flow.tobytes()
     else:
         assert runs[0][0] is None
+        assert not np.array_equal(np.frombuffer(runs[0][1]), flow.ravel(), equal_nan=True)
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("which", ["U", "V", "U0", "row_sum"])
+def test_a_raising_callback_propagates_on_both_paths(which):
+    class Refused(Exception):
+        pass
+
+    def refuse(*args):
+        raise Refused(which)
+
+    base = pair_model(1, True, external=True)
+    model = SimpleNamespace(m=1, U=refuse if which == "U" else base.U,
+                            U0=refuse if which == "U0" else base.U0)
+    flows = flow_pair(model, 3, 1, [0.5, 0.1], row=12, sym=True,
+                      V=refuse if which == "V" else base.V)
+    if which == "row_sum":
+        flows = tuple(type(f)(base.V, base.U, refuse, 3.0, None, None, 2, 3, 1, 1, 12,
+                              microsim._on_grid) for f in flows)
+    z = random_cfg(np.random.default_rng(1), 3, 1, True, np.zeros((3, 3), dtype=bool))
+    y = _stack(z, 2)
+    for fn in flows:
+        with pytest.raises(Refused, match=which):
+            fn(*flow_args(y[:, :3].reshape(2, 3, 1), y[:, 3:].reshape(2, 3, 3), np.empty(y.shape)))
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("which", ["U", "V"])
+@pytest.mark.parametrize("result", ["flat", "list", "strings"])
+def test_a_wrong_result_raises_the_same_error_on_both_paths(which, result):
+    """A result that does not broadcast to the pair grid raises the same
+    ModelError, one that does not convert to float the same error."""
+    wrong = {"flat": lambda s, sig, w: np.zeros(np.size(w) + 1),
+             "list": lambda s, sig, w: [[1.0, 2.0, 3.0]],
+             "strings": lambda s, sig, w: np.full(np.shape(w), "x")}[result]
+    base = pair_model(1, True)
+    model = SimpleNamespace(m=1, U=wrong if which == "U" else base.U, U0=None)
+    flows = flow_pair(model, 2, 1, [1.0], row=6, sym=True, V=wrong if which == "V" else base.V)
+    y = _stack(random_cfg(np.random.default_rng(2), 2, 1, True, np.zeros((2, 2), dtype=bool)), 1)
+    errors = []
+    for fn in flows:
+        with pytest.raises((ModelError, ValueError)) as err:
+            fn(*flow_args(y[:, :2].reshape(1, 2, 1), y[:, 2:].reshape(1, 2, 2), np.empty(y.shape)))
+        errors.append((type(err.value), str(err.value)))
+    assert errors[0] == errors[1]
+    if result == "flat":
+        assert errors[0][0] is ModelError and errors[0][1].startswith(f"{which} returned shape")
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("case", ["V is w", "U views the state", "U is read-only",
+                                  "U is Fortran-ordered", "U views its own memory"])
+@pytest.mark.parametrize("L", [1, 2])
+def test_a_result_is_copied_where_on_grid_copies_it(case, L):
+    """A V that returns its weight argument, or a U that returns a view of
+    the state, is copied on both paths, so that mirroring the weight drift
+    (the twin does it in V) and zeroing U's diagonal leave the state as it
+    was; so is a read-only U, which stays as it was, and a Fortran-ordered
+    one.  A fresh U, or a view (it has a base) of memory of its own, is
+    taken as it is on both paths: its diagonal is zeroed in place."""
+    rng = np.random.default_rng(L)
+    cfg = random_cfg(rng, 4, 1, True, np.zeros((4, 4), dtype=bool))
+    y, results = _stack(cfg, L), []
+
+    def U(s, sig, w):
+        u = (np.asarray(sig) - s) * np.asarray(w)[..., None] + 1.0   # 1.0 on the diagonal
+        if case == "U views the state":   # C-contiguous and writable, of the grid's shape
+            u = y.reshape(-1)[:L * 16].reshape(L, 4, 4, 1)
+        elif case == "U is read-only":
+            u.flags.writeable = False
+        elif case == "U is Fortran-ordered":
+            u = np.asfortranarray(u)
+        elif case == "U views its own memory":
+            u = np.concatenate([np.zeros(3), u.ravel()])[3:].reshape(L, 4, 4, 1)
+        results.append((u, u.copy()))
+        return u
+
+    def V(s, sig, w):
+        return w if case == "V is w" else -np.asarray(w)
+
+    flows = flow_pair(SimpleNamespace(m=1, U=U, U0=None), 4, 1, [0.5, 0.25][:L], row=20,
+                      sym=True, V=V)
+    runs = []
+    for fn in flows:
+        results.clear()
+        start, out = y.copy(), np.empty(y.shape)
+        assert fn(*flow_args(y[:, :4].reshape(L, 4, 1), y[:, 4:].reshape(L, 4, 4), out)) is None
+        assert y.tobytes() == start.tobytes()
+        u, before = results[0]
+        if case in ("V is w", "U views its own memory"):   # U taken as it is
+            assert (u[:, range(4), range(4)] == 0.0).all()
+        elif case != "U views the state":
+            assert u.tobytes() == before.tobytes()
+        runs.append(out.tobytes())
+    assert runs[0] == runs[1]
+    if case == "V is w":
+        want = cfg.weights / np.array([0.5, 0.25][:L]).reshape(L, 1, 1)
+        assert np.frombuffer(runs[0]).reshape(L, 20)[:, 4:].tobytes() == \
+            want.reshape(L, 16).tobytes()
+
+
+@pytest.mark.needs_cc
+def test_both_paths_make_the_same_model_calls_over_a_sweep(monkeypatch):
+    """The fast-network sweep at N = 4 (three stacked legs, the reduced run's
+    nullcline solves and drifts) calls U and V the same number of times, in
+    the same order, on arguments of the same shapes, on both paths."""
+    base = affine_V(1.0)
+    rng = np.random.default_rng(0)
+    states = rng.uniform(-1.0, 1.5, size=(4, 1))
+    W = np.zeros((4, 4))
+    for i in range(4):
+        for j in range(i + 1, 4):
+            W[i, j] = W[j, i] = microsim.solve_weight_nullcline(base, states[i], states[j]) + 0.5
+    cfg = AgentConfiguration(states=states, weights=W)
+    runs = []
+    for lib in (_native.LIB, None):
+        monkeypatch.setattr(_native, "LIB", lib)
+        calls = []
+
+        def traced(name, fn):
+            return lambda *args: calls.append((name, [np.shape(a) for a in args])) or fn(*args)
+        model = SmoothModel(U=traced("U", base.U), V=traced("V", base.V), symmetric_V=True)
+        calls.clear()   # the model's own probe calls
+        rep = run_epsilon_sweep(model, cfg, eps_list=[0.1, 0.01, 0.001], dt=1e-3, T=0.02,
+                                reduced_dt=1e-3)
+        runs.append((calls, rep.gaps))
+    assert runs[0] == runs[1]
+    assert {name for name, _ in runs[0][0]} == {"U", "V"}
 
 
 @pytest.mark.needs_cc

@@ -168,6 +168,18 @@ class TestSimulateMinimal:
             assert np.array_equal(ca.weights, cb.weights)
 
 
+@pytest.mark.parametrize("sample_dt", [0.0, -0.5, np.nan, np.inf])
+@pytest.mark.parametrize("simulator", ["minimal", "voter"])
+def test_a_bad_sample_dt_is_refused(simulator, sample_dt):
+    cfg = disc([1, -1, 1, -1], complete_graph(4))
+    with pytest.raises(ModelError, match="sample_dt must be positive and finite"):
+        if simulator == "minimal":
+            simulate_minimal(cfg, MinimalParams(alpha_pm=1, alpha_mp=1), T=1.0, seed=0,
+                             sample_dt=sample_dt)
+        else:
+            simulate_voter(cfg, prob_p=0.5, prob_q=0.5, T=1.0, seed=0, sample_dt=sample_dt)
+
+
 class TestVoter:
     def test_p_zero_keeps_weights_constant(self):
         rng = np.random.default_rng(1)

@@ -5,13 +5,16 @@ element type, C-contiguity, writability where it writes and length against
 the sizes it is given; a failed check raises ValueError, so a wrong array
 can never make a kernel read or write out of bounds.  Every entry is called
 once with valid arrays, once with one array a single element too short and
-once with a non-contiguous view of the right length.
+once with a non-contiguous view of the right length.  ``MicroFlow`` takes
+its arrays when it is called: its output, which must be C-contiguous, the
+states part of it, which may be strided, and the results of the callbacks
+that it runs on.
 """
 
 import numpy as np
 import pytest
 
-from coevnet import _native
+from coevnet import _native, microsim
 
 pytestmark = pytest.mark.needs_cc
 
@@ -45,11 +48,26 @@ def format_args():
             np.empty(3 * (5 + 2 * 24), dtype=np.uint8)]
 
 
+def grid(shape):
+    """A pair-grid callback: a fresh array of shape, 0.5 everywhere."""
+    return lambda s, sig, w: np.full(shape, 0.5)
+
+
+def micro_flow(L=2, N=3, m=1, eps=(0.5, 2.0), row_sum=None, V=grid, on_grid=None):
+    """A MicroFlow with pair forces and weight drifts 0.5 everywhere."""
+    return LIB.MicroFlow(V and V((L, N, N)), grid((L, N, N, m)),
+                         row_sum or (lambda U: np.add.reduce(U, axis=2)), float(N), None,
+                         None if eps is None else np.array(eps), L, N, m, 1, N * m + N * N,
+                         on_grid or microsim._on_grid)
+
+
 def flow_args():
+    """The call of micro_flow(): states, pair views, weights, ds and out."""
     L, N, m = 2, 3, 1
-    n, row = N * m, N * m + N * N
-    return [f64(L * N * N * m), f64(L * N * N), f64(L * row), n, row, np.array([0.5, 2.0]),
-            L, N, m, 1]
+    states = np.full((L, N, m), 0.25)
+    out = f64(L * (N * m + N * N))
+    return [states, states[:, :, None], states[:, None], np.zeros((L, N, N)),
+            out.reshape(L, -1)[:, :N * m].reshape(L, N, m), out]
 
 
 def rk4_final_args():
@@ -65,7 +83,7 @@ ENTRIES = {
                               np.empty(12, dtype=np.int64), np.empty(3, dtype=np.int64)], 8, 0),
     "MinimalEngine": (engine_args, 2, 3),
     "format_rows": (format_args, 5, 1),
-    "flow_pairs": (flow_args, 1, 0),
+    "MicroFlow": (flow_args, 5, 5),
     "rk4_stage": (lambda: [f64(7), f64(7), f64(7), 0.05], 1, 2),
     "rk4_final": (rk4_final_args, 3, 0),
     "rkf45_stage": (lambda: [f64(7), f64(7), 0.1, np.array([0.25, 0.5]), f64(7), f64(7)], 3, 5),
@@ -74,9 +92,14 @@ ENTRIES = {
 }
 
 
+def call(entry, args):
+    fn = micro_flow() if entry == "MicroFlow" else getattr(LIB, entry)
+    return fn(*args)
+
+
 @pytest.mark.parametrize("entry", list(ENTRIES))
 def test_valid_arrays_run(entry):
-    getattr(LIB, entry)(*ENTRIES[entry][0]())
+    call(entry, ENTRIES[entry][0]())
 
 
 @pytest.mark.parametrize("entry", list(ENTRIES))
@@ -85,7 +108,7 @@ def test_a_too_short_array_is_refused(entry):
     args = make()
     args[short] = args[short][:-1]
     with pytest.raises(ValueError, match="fewer than the"):
-        getattr(LIB, entry)(*args)
+        call(entry, args)
 
 
 @pytest.mark.parametrize("entry", list(ENTRIES))
@@ -94,7 +117,7 @@ def test_a_non_contiguous_view_is_refused(entry):
     args = make()
     args[bent] = strided(args[bent])
     with pytest.raises(ValueError, match="C-contiguous"):
-        getattr(LIB, entry)(*args)
+        call(entry, args)
 
 
 def test_a_read_only_output_is_refused():
@@ -119,9 +142,11 @@ def test_a_short_column_is_refused_and_nothing_is_written():
 
 
 def test_flags_come_back_per_leg():
-    args = flow_args()
-    args[0][:9] = np.nan   # the first leg's U
-    assert LIB.flow_pairs(*args) == (False, True)
+    U = np.full((2, 3, 3, 1), 0.5)
+    U[0] = np.nan   # the first leg's
+    flow = LIB.MicroFlow(grid((2, 3, 3)), lambda s, sig, w: U.copy(), np.sum, 3.0, None, None,
+                         2, 3, 1, 1, 12, microsim._on_grid)
+    assert flow(*flow_args()) == (False, True)
     args = rk4_final_args()
     args[0][-1] = np.inf   # the second leg
     assert LIB.rk4_final(*args) == (True, False)
@@ -129,3 +154,68 @@ def test_flags_come_back_per_leg():
     args[0][3 + 1] = 2.0   # w_01 of the first leg, not w_10: symmetry lost
     assert LIB.rk4_final(*args) == (True, True)
     assert LIB.rk4_final(*rk4_final_args()) is None
+
+
+def test_micro_flow_writes_the_drifts_into_a_strided_ds():
+    args = flow_args()
+    micro_flow()(*args)
+    assert not args[4].flags.c_contiguous
+    assert (args[4] == 0.5 * 2 / 3).all()   # (0.5 + 0.5 + 0) / 3, the diagonal zeroed
+    W = args[5].reshape(2, 12)[:, 3:].reshape(2, 3, 3)
+    assert (W == np.array([1.0, 0.25]).reshape(2, 1, 1) * (1 - np.eye(3))).all()
+
+
+@pytest.mark.parametrize("bad, message", [
+    (lambda a: a.__setitem__(4, np.zeros((2, 3, 2))), "ds must be a writable float64 array of "
+     "shape \\(2, 3, 1\\)"),
+    (lambda a: a.__setitem__(4, np.zeros((2, 3, 1), dtype=np.float32)), "ds must be a"),
+    (lambda a: a[4].flags.__setattr__("writeable", False), "ds must be a writable"),
+    (lambda a: a.__setitem__(5, None), "needs out to write the weight drift"),
+    (lambda a: a[5].flags.__setattr__("writeable", False), "out must be .* writable"),
+])
+def test_micro_flow_refuses_a_bad_output(bad, message):
+    args = flow_args()
+    bad(args)
+    with pytest.raises(ValueError, match=message):
+        micro_flow()(*args)
+
+
+def test_micro_flow_without_weights_takes_no_output():
+    args = flow_args()
+    args[5] = None
+    micro_flow(V=None)(*args)
+    assert (args[4] == 0.5 * 2 / 3).all()
+
+
+@pytest.mark.parametrize("row_sum, message", [
+    (lambda U: np.zeros((2, 3)), "row_sum\\(U\\) must be a float64 array of shape"),
+    (lambda U: np.zeros((2, 3, 1), dtype=np.int64), "row_sum\\(U\\) must be a float64"),
+])
+def test_micro_flow_refuses_a_bad_row_sum(row_sum, message):
+    with pytest.raises(ValueError, match=message):
+        micro_flow(row_sum=row_sum)(*flow_args())
+
+
+def test_micro_flow_refuses_a_short_grid_from_on_grid():
+    """on_grid is called back for a result with a base; what it returns is
+    checked as the pair grid's buffer."""
+    flow = LIB.MicroFlow(None, lambda s, sig, w: np.zeros(40)[2:20], np.sum, 3.0, None, None, 2,
+                         3, 1, 1, 0, lambda a, grid, name, *state: a[:-1])
+    with pytest.raises(ValueError, match="U holds 17 elements, fewer than the 18 needed"):
+        flow(*flow_args())
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (dict(eps=(0.5,)), ValueError, "eps holds 1 elements, fewer than the 2 needed"),
+    (dict(eps=np.zeros(2, dtype=np.int64)), ValueError, "eps must be"),
+    (dict(L=0), ValueError, "L must be at least 1"),
+    (dict(row=11), ValueError, "row must hold the 3 states and 9 weights of a leg"),
+])
+def test_micro_flow_refuses_bad_construction(change, error, message):
+    args = dict(V=grid((2, 3, 3)), U=grid((2, 3, 3, 1)), row_sum=np.sum, divisor=3.0, U0=None,
+                eps=(0.5, 2.0), L=2, N=3, m=1, sym=1, row=12, on_grid=microsim._on_grid)
+    args.update(change)
+    if isinstance(args["eps"], tuple):
+        args["eps"] = np.array(args["eps"])
+    with pytest.raises(error, match=message):
+        LIB.MicroFlow(*args.values())

@@ -139,6 +139,21 @@ class TestMicroRhs:
             _, dw = micro_rhs(cfg, model, eps_w=eps_w)
             assert dw.tobytes() == ((upper + upper.T) / eps_w).tobytes()
 
+    @pytest.mark.parametrize("masses, message", [
+        ([1.0, 1.0, 1.0], "masses must have shape (2,), one per agent, got (3,)"),
+        ([[0.5], [0.5]], "masses must have shape (2,), one per agent, got (2, 1)"),
+        ([0.5, np.nan], "masses must be finite"),
+        ([np.inf, 0.5], "masses must be finite"),
+    ])
+    def test_bad_masses_are_refused_when_the_flow_is_built(self, masses, message):
+        cfg = small_config([[0.0], [2.0]], [[0, 1], [1, 0]])
+        for run in (lambda: micro_rhs(cfg, attraction_model(), masses=np.array(masses)),
+                    lambda: integrate_micro(cfg, attraction_model(), 0.1, 0.1,
+                                            masses=np.array(masses))):
+            with pytest.raises(ModelError) as err:
+                run()
+            assert str(err.value) == message
+
 
 class TestShapeContract:
     def test_smaller_results_are_broadcast_to_the_pair_grid(self):
@@ -431,6 +446,12 @@ class TestNullcline:
         })
         w = solve_weight_nullcline(model, np.array([0.0]), np.array([0.0]))
         assert w == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("s, sigma", [([0.0, 1.0], [0.5]), ([0.0], []),
+                                          (np.zeros((2, 1)), [0.3])])
+    def test_a_state_of_the_wrong_length_names_m(self, s, sigma):
+        with pytest.raises(ModelError, match=r"s and sigma must each hold the model's m=1 values"):
+            solve_weight_nullcline(weight_decay_model(), s, sigma)
 
     def test_pure_decay(self):
         w = solve_weight_nullcline(weight_decay_model(), np.array([0.0]), np.array([1.0]))

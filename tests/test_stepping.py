@@ -79,6 +79,12 @@ def test_sample_times_refuse_a_bad_horizon(T, sample_dt):
         sample_times(T, sample_dt)
 
 
+@pytest.mark.parametrize("sample_dt", [0.0, -0.5, np.nan, np.inf, -np.inf])
+def test_sample_times_refuse_a_bad_sample_dt(sample_dt):
+    with pytest.raises(ModelError, match="sample_dt must be positive and finite"):
+        sample_times(1.0, sample_dt)
+
+
 def counted_model(calls):
     """The quadratic-potential forces with a state noise Q; each kernel call
     after the model's construction is appended to calls."""
