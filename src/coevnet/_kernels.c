@@ -18,17 +18,21 @@
  *    model's V and U back (and microsim._on_grid for a result that it
  *    cannot take as it is), runs coevnet_flow_pairs (the finiteness checks,
  *    U's zero diagonal and the weight drift), calls the row sum back
- *    (numpy's pairwise np.add.reduce, or the mass-weighted einsum) and
- *    divides it into the state drift, then calls U0 back and adds it with
- *    numpy's own +=.  Its reference is the numpy twin microsim._MicroFlow,
- *    with the same constructor and call.  coevnet_step_flags /
+ *    (numpy's pairwise np.add.reduce, which it calls itself with prebuilt
+ *    keyword names, or the mass-weighted einsum) and divides it into the
+ *    state drift, then calls U0 back and adds it with numpy's own +=.  Its
+ *    reference is the numpy twin microsim._MicroFlow, with the same
+ *    constructor and call.  coevnet_step_flags /
  *    coevnet_rkf45_stage / coevnet_rkf45_final are the step checks and
  *    Fehlberg stage and final sums of microsim's workspace (its RK4 sums
  *    are coevnet_rk4_combine), whose references are stepping.rk4_step with
  *    microsim._checked and stepping.rkf45_step.
- * 5. coevnet_illinois: one Illinois iteration over every element of the
- *    weight nullcline solve; its reference is the numpy twin
- *    microsim._illinois_py, with the illinois entry's signature.
+ * 5. coevnet_nullcline: one weight nullcline solve, the bracket search,
+ *    every Illinois iteration, the step limit and the residual check over
+ *    one buffer, calling the model's V back through a hook (and
+ *    microsim._on_grid for a result that it cannot read as it is); its
+ *    reference is the numpy twin microsim._nullcline_py, with the
+ *    nullcline entry's signature.
  *
  * Every expression keeps the evaluation order of its python or numpy
  * counterpart, and the module is built without floating-point contraction
@@ -845,15 +849,16 @@ static double spacing_of(double x)
     return next - x;
 }
 
-/* With first, sets w, fw, side and done from the bracket (lo, hi, flo,
- * fhi): an element with a zero endpoint value is done at that endpoint.
- * Otherwise takes one iteration's update from fnew = V(new): done, w and fw
- * of the elements not yet done, the Illinois halving and the bracket side.
- * Then proposes the next point new of every element, the secant point as a
+/* One Illinois iteration over the n elements of the buffer.  With first,
+ * sets w, fw, side and done from the bracket (lo, hi, flo, fhi): an
+ * element with a zero endpoint value is done at that endpoint.  Otherwise
+ * takes one iteration's update from fnew = V(new): done, w and fw of the
+ * elements not yet done, the Illinois halving and the bracket side.  Then
+ * proposes the next point new of every element, the secant point as a
  * correction to the endpoint with the smaller |V|, or the midpoint where
  * that leaves the bracket or the endpoint values differ by a non-finite
  * amount.  Returns the number of elements not done. */
-static int64_t coevnet_illinois(double *buf, int64_t n, int first)
+static int64_t illinois_step(double *buf, int64_t n, int first)
 {
     double *lo = buf + IL_LO * n, *hi = buf + IL_HI * n, *flo = buf + IL_FLO * n;
     double *fhi = buf + IL_FHI * n, *w = buf + IL_W * n, *fw = buf + IL_FW * n;
@@ -902,11 +907,91 @@ static int64_t coevnet_illinois(double *buf, int64_t n, int first)
     return active;
 }
 
+/* The caller's side of coevnet_nullcline: V(ctx, row, out) evaluates V at
+ * the n values of row IL_LO, IL_HI or IL_NEW of the buffer, writes its n
+ * values to out and returns 0, or -1 when it failed. */
+typedef struct {
+    int (*V)(void *ctx, int row, double *out);
+    void *ctx;
+} nullcline_hooks;
+
+/* the status of coevnet_nullcline */
+enum { NC_FAILED = -1, NC_DONE, NC_NO_SIGN_CHANGE, NC_NO_CONVERGENCE, NC_RESIDUAL };
+
+/* One weight nullcline solve over the n elements of the (10, n) buffer,
+ * calling V back through the hooks in the order of microsim._nullcline_py.
+ * The bracket search sets lo, hi = -1, 1 and takes V there; while the
+ * values at an element's endpoints have one sign (the element's side is
+ * 1.0) and b < max_bracket, b grows by 4 and each such element moves to
+ * [-b, b], V being taken at all of lo and then of hi (into fnew) and kept
+ * where the side is 1.0.  With a side still 1.0 and no zero at either
+ * endpoint, returns NC_NO_SIGN_CHANGE: the largest hi is then the last b.
+ * Otherwise Illinois iterations, each after V at new (into fnew), run until
+ * every element is done; max_steps iterations after the first without that
+ * return NC_NO_CONVERGENCE.  Returns NC_RESIDUAL unless every |fw| <=
+ * tol (a NaN fails), else NC_DONE with the roots in w; NC_FAILED when a
+ * hook failed. */
+static int coevnet_nullcline(double *buf, int64_t n, int64_t max_steps, double max_bracket,
+                             double tol, const nullcline_hooks *h)
+{
+    double *lo = buf + IL_LO * n, *hi = buf + IL_HI * n, *flo = buf + IL_FLO * n;
+    double *fhi = buf + IL_FHI * n, *fw = buf + IL_FW * n, *side = buf + IL_SIDE * n;
+    double *fnew = buf + IL_FNEW * n;
+    double b = 1.0;
+    int64_t i, steps = 0, left;
+    for (i = 0; i < n; i++) {
+        lo[i] = -1.0;
+        hi[i] = 1.0;
+    }
+    if (h->V(h->ctx, IL_LO, flo) < 0 || h->V(h->ctx, IL_HI, fhi) < 0)
+        return NC_FAILED;
+    for (;;) {
+        left = 0;
+        for (i = 0; i < n; i++) {
+            side[i] = sign_of(flo[i]) == sign_of(fhi[i]);
+            left += side[i] != 0.0;
+        }
+        if (!left || !(b < max_bracket))
+            break;
+        b *= 4.0;
+        for (i = 0; i < n; i++)
+            if (side[i] != 0.0) {
+                lo[i] = -b;
+                hi[i] = b;
+            }
+        if (h->V(h->ctx, IL_LO, fnew) < 0)
+            return NC_FAILED;
+        for (i = 0; i < n; i++)
+            if (side[i] != 0.0)
+                flo[i] = fnew[i];
+        if (h->V(h->ctx, IL_HI, fnew) < 0)
+            return NC_FAILED;
+        for (i = 0; i < n; i++)
+            if (side[i] != 0.0)
+                fhi[i] = fnew[i];
+    }
+    for (i = 0; i < n; i++)
+        if (side[i] != 0.0 && flo[i] != 0.0 && fhi[i] != 0.0)
+            return NC_NO_SIGN_CHANGE;
+    for (left = illinois_step(buf, n, 1); left; left = illinois_step(buf, n, 0)) {
+        if (steps == max_steps)
+            return NC_NO_CONVERGENCE;
+        steps++;
+        if (h->V(h->ctx, IL_NEW, fnew) < 0)
+            return NC_FAILED;
+    }
+    for (i = 0; i < n; i++)
+        if (!(fabs(fw[i]) <= tol))
+            return NC_RESIDUAL;
+    return NC_DONE;
+}
+
 /* -- the extension module ------------------------------------------------------
  *
- * One METH_FASTCALL function per kernel, the MinimalEngine type, whose
- * run method supplies the Gillespie loop's hooks, and the MicroFlow type,
- * taking the numpy arrays themselves.  Before a kernel runs, every array is checked for its element
+ * One METH_FASTCALL function per kernel (nullcline's supplies its V hook),
+ * the MinimalEngine type, whose run method supplies the Gillespie loop's
+ * hooks, and the MicroFlow type, taking the numpy arrays themselves.
+ * Before a kernel runs, every array is checked for its element
  * type, C-contiguity (the renderer's 1-D columns may be strided),
  * writability where the kernel writes, and its length against the sizes the
  * kernel is given: a failed check raises ValueError (TypeError for an
@@ -1335,7 +1420,8 @@ done:
  * one micro flow of L stacked legs of N agents in m dimensions, made once
  * per flow; its reference is the numpy twin microsim._MicroFlow, with the
  * same constructor and call.  V (None for a flow without weights), U, U0
- * (or None), row_sum (the interaction sum of U over its partner axis) and
+ * (or None), row_sum (the interaction sum of U over its partner axis; None
+ * for np.add.reduce(U, axis=2), called with prebuilt keyword names) and
  * on_grid (microsim._on_grid) are called back; eps (or None), held until
  * the flow is freed, holds the legs' weight divisors, and row is the number
  * of doubles of one leg of the flow's output.
@@ -1350,8 +1436,8 @@ done:
  *   3. coevnet_flow_pairs, with leg l's weight drift written to out from its
  *      (N m + l row)-th double on; a leg that is not finite returns the
  *      flags, nothing written;
- *   4. row_sum(U) / divisor into ds, the (L, N, m) states of the output,
- *      which may be strided;
+ *   4. row_sum(U) (or np.add.reduce(U, axis=2)) / divisor into ds, the
+ *      (L, N, m) states of the output, which may be strided;
  *   5. ds += U0(states), numpy's own in-place add.
  * A callback's exception propagates.  out may be None when V is. */
 typedef struct {
@@ -1368,8 +1454,10 @@ typedef struct {
     int sym;
 } flow_object;
 
-/* numpy.ndarray and the name "base", made by PyInit__kernels */
-static PyObject *ndarray_type, *base_name;
+/* numpy.ndarray, the name "base", numpy.add.reduce and its keyword
+ * arguments axis=2 (the names ("axis",) and the value 2), made by
+ * PyInit__kernels */
+static PyObject *ndarray_type, *base_name, *add_reduce, *axis_two[2];
 
 /* Whether v is a writable C-contiguous float64 buffer of shape shape[0 .. ndim). */
 static int is_grid(const Py_buffer *v, const Py_ssize_t *shape, int ndim)
@@ -1487,7 +1575,12 @@ static PyObject *flow_call(PyObject *self, PyObject *const *args, size_t nargsf,
         result = leg_flags(f->ok, L);
         goto done;
     }
-    rs = PyObject_CallOneArg(f->row_sum, U);
+    if (f->row_sum == Py_None) {   /* np.add.reduce(U, axis=2) */
+        PyObject *rargs[2] = {U, axis_two[1]};
+        rs = PyObject_Vectorcall(add_reduce, rargs, 1, axis_two[0]);
+    } else {
+        rs = PyObject_CallOneArg(f->row_sum, U);
+    }
     if (!rs || take_states(&a, rs, "row_sum(U)", 0, f, &sum, &sum_st) < 0)
         goto done;
     for (l = 0; l < L; l++)
@@ -1771,20 +1864,86 @@ static PyObject *py_rkf45_final(PyObject *self, PyObject *const *args, Py_ssize_
     return PyFloat_FromDouble(err);
 }
 
-/* illinois(buf, n, first) -> the elements not done (coevnet_illinois). */
-static PyObject *py_illinois(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* nullcline(V, si, sj, buf, lo, hi, new, max_steps, max_bracket, tol,
+ * on_grid) -> the status of coevnet_nullcline (NC_DONE 0, NC_NO_SIGN_CHANGE
+ * 1, NC_NO_CONVERGENCE 2, NC_RESIDUAL 3), one solve over the buffer buf of
+ * 10 rows of the grid lo's shape; lo, hi and new are the views of its rows
+ * 0, 1 and 8 that V is called on, as V(si, sj, row).  Its reference is the
+ * numpy twin microsim._nullcline_py, with the same signature.  V's result
+ * is read as it is when it is a float64 ndarray of exactly lo's shape,
+ * C-contiguous and writable, else through on_grid(result, lo.shape, "V"),
+ * which copies it or raises ModelError.  A callback's exception propagates. */
+typedef struct {
+    PyObject *V, *on_grid;
+    PyObject *const *args;   /* the call's: V's si and sj, then the rows */
+    const Py_buffer *grid;   /* lo's */
+    int64_t n;
+} nullcline_call;
+
+static int nullcline_V(void *ctx, int row, double *out)
+{
+    nullcline_call *c = ctx;
+    PyObject *vargs[3] = {c->args[1], c->args[2],
+                          c->args[row == IL_LO ? 4 : row == IL_HI ? 5 : 6]};
+    PyObject *r = PyObject_Vectorcall(c->V, vargs, 3, NULL), *shape, *g;
+    arrays a = {.n = 0};
+    void *p;
+    if (!r)
+        return -1;
+    if (Py_IS_TYPE(r, (PyTypeObject *)ndarray_type)) {
+        Py_buffer v;
+        if (PyObject_GetBuffer(r, &v, PyBUF_RECORDS_RO) < 0) {
+            PyErr_Clear();   /* on_grid converts it or raises */
+        } else {
+            int fits = is_grid(&v, c->grid->shape, c->grid->ndim);
+            if (fits)
+                memcpy(out, v.buf, (size_t)c->n * sizeof(double));
+            PyBuffer_Release(&v);
+            if (fits) {
+                Py_DECREF(r);
+                return 0;
+            }
+        }
+    }
+    shape = PyObject_GetAttrString(c->args[4], "shape");
+    g = shape ? PyObject_CallFunction(c->on_grid, "OOs", r, shape, "V") : NULL;
+    Py_DECREF(r);
+    Py_XDECREF(shape);
+    if (!g || take(&a, g, "V", &F64, 0, c->n, &p) < 0) {
+        Py_XDECREF(g);
+        return -1;
+    }
+    memcpy(out, p, (size_t)c->n * sizeof(double));
+    release(&a);
+    Py_DECREF(g);
+    return 0;
+}
+
+static PyObject *py_nullcline(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     arrays a = {.n = 0};
-    void *buf;
-    int64_t n, first, active;
+    nullcline_call c = {.args = args};
+    nullcline_hooks h = {nullcline_V, &c};
+    void *buf, *lo;
+    int64_t max_steps;
+    double max_bracket, tol;
+    int status = NC_FAILED;
     (void)self;
-    if (check_nargs("illinois", nargs, 3) < 0 || int_arg(args[1], "n", 0, &n) < 0
-        || int_arg(args[2], "first", 0, &first) < 0
-        || take(&a, args[0], "buf", &F64, WRITE, mul(10, n), &buf) < 0)
-        return NULL;
-    active = coevnet_illinois(buf, n, (int)(first != 0));
+    if (check_nargs("nullcline", nargs, 11) < 0
+        || int_arg(args[7], "max_steps", 0, &max_steps) < 0
+        || float_arg(args[8], &max_bracket) < 0 || float_arg(args[9], &tol) < 0
+        || take(&a, args[4], "lo", &F64, 0, 0, &lo) < 0)
+        goto done;
+    c.grid = &a.views[0];
+    c.n = last_len(&a);
+    if (take(&a, args[3], "buf", &F64, WRITE, mul(10, c.n), &buf) < 0)
+        goto done;
+    c.V = args[0];
+    c.on_grid = args[10];
+    status = coevnet_nullcline(buf, c.n, max_steps, max_bracket, tol, &h);
+done:
     release(&a);
-    return PyLong_FromLongLong(active);
+    return status == NC_FAILED ? NULL : PyLong_FromLong(status);
 }
 
 #define FASTCALL(name, doc) \
@@ -1797,7 +1956,7 @@ static PyMethodDef kernel_functions[] = {
     FASTCALL(rk4_final, "the final RK4 sum with the step checks"),
     FASTCALL(rkf45_stage, "a Fehlberg stage, out = y + h sum(a k)"),
     FASTCALL(rkf45_final, "the Fehlberg update and its error estimate"),
-    FASTCALL(illinois, "one Illinois iteration of the nullcline solve (coevnet_illinois)"),
+    FASTCALL(nullcline, "one weight nullcline solve (coevnet_nullcline)"),
     {NULL, NULL, 0, NULL},
 };
 
@@ -1819,10 +1978,20 @@ PyMODINIT_FUNC PyInit__kernels(void)
             return NULL;
     if (!ndarray_type) {
         PyObject *numpy = PyImport_ImportModule("numpy");
+        PyObject *add = numpy ? PyObject_GetAttrString(numpy, "add") : NULL;
         ndarray_type = numpy ? PyObject_GetAttrString(numpy, "ndarray") : NULL;
+        add_reduce = add ? PyObject_GetAttrString(add, "reduce") : NULL;
+        axis_two[0] = Py_BuildValue("(s)", "axis");
+        axis_two[1] = PyLong_FromLong(2);
         Py_XDECREF(numpy);
-        if (!ndarray_type)
+        Py_XDECREF(add);
+        if (!ndarray_type || !add_reduce || !axis_two[0] || !axis_two[1]) {
+            Py_CLEAR(ndarray_type);   /* a later import tries again */
+            Py_CLEAR(add_reduce);
+            Py_CLEAR(axis_two[0]);
+            Py_CLEAR(axis_two[1]);
             return NULL;
+        }
     }
     if ((!base_name && !(base_name = PyUnicode_InternFromString("base")))
         || PyType_Ready(&engine_type) < 0 || PyType_Ready(&flow_type) < 0)

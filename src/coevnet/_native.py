@@ -5,15 +5,17 @@ functions take the numpy arrays themselves and check them before any kernel
 runs: the closure RK4 loop (called by ``closures``), the minimal-model
 Gillespie engine (``jumpsim``), the CSV row renderer (``io``), and the
 micro flow's evaluation with its RK4 and RKF45 sums and the weight
-nullcline's Illinois iteration (``microsim``).  A micro flow evaluation is
+nullcline solve (``microsim``).  A micro flow evaluation is
 one call of the ``MicroFlow`` type, which makes the checks, U's zero
 diagonal, the weight drift and the division of the row sum itself and
 calls Python back for the model's V, U and U0, the row sum (numpy's) and
-numpy's ``+=`` of U0.  It is compiled with the
-system ``cc`` and this interpreter's headers the first time the package is
-imported, cached next to the source (in ``_cbuild/``, or under the temp dir
-when that is read-only) under a name that carries the interpreter's ABI, and
-loaded through ``importlib``.  A new build next to the source removes the
+numpy's ``+=`` of U0; a nullcline solve is one ``nullcline`` call, which
+runs the bracket search, the Illinois iterations and the residual check
+itself and calls the model's V back.  It is compiled with the system ``cc``
+and this interpreter's headers the first time the package is imported,
+cached next to the source (in ``_cbuild/``, or under the temp dir when that
+is read-only) under a name that carries the interpreter's ABI, and loaded
+through ``importlib``.  A new build next to the source removes the
 modules of earlier sources and flags there.
 
 ``LIB`` is the loaded module, or None with one warning naming the cause.  It
@@ -165,7 +167,7 @@ def load_library(cc: str = "cc") -> ModuleType | None:
                     "and the Gillespie engine in pure python, about 300 and 60 times "
                     "slower, CSV rows by python formatting, about 7 times slower, and the "
                     "micro flow, its steps and the weight nullcline on numpy alone, about "
-                    "2.3 times slower for the epsilon sweep at N=4", exc, _INCLUDE)
+                    "2.7 times slower for the epsilon sweep at N=4", exc, _INCLUDE)
         return None
 
 

@@ -23,11 +23,14 @@ Each flow evaluation is one call of a flow made once per run: the compiled
 bytes.  The kernel makes the finiteness checks, zeroes U's diagonal, writes
 the weight drift and divides the row sum into the state drift.  It calls
 back the model's V, U and U0, ``_on_grid`` for a V or U result that it
-cannot take as it is, the row sum (``np.add.reduce``, for numpy's pairwise
-summation order, or the mass-weighted ``einsum``) and numpy's own ``+=``
-for adding U0, whose result may broadcast.  Each
-Illinois iteration of the nullcline solve is one ``illinois`` call over
-every element, or its twin ``_illinois_py``.  The rk4 and rkf45 steps of
+cannot take as it is, the row sum (``np.add.reduce`` over the partner axis,
+called by the kernel itself for numpy's pairwise summation order, or the
+mass-weighted ``einsum``) and numpy's own ``+=`` for adding U0, whose result
+may broadcast.  Each nullcline solve is one ``nullcline`` call, or one call
+of its twin ``_nullcline_py``: the bracket search, every Illinois iteration,
+the step limit and the residual check over one buffer, with V called back
+on views of its rows and its results read through ``_on_grid`` when they
+are not float64 arrays of the grid.  The rk4 and rkf45 steps of
 the flow and of the fast-network limit run on a workspace of the run
 (``_Workspace``): with the kernels, on six stage derivatives, a stage
 buffer and two states used in turn, each stage one call, and an rk4 step's
@@ -194,7 +197,8 @@ class _MicroFlow:
        V's strict upper triangle mirrored, which turns -0.0 into +0.0, else
        V with a zero diagonal; divided by eps[l] unless eps is None.  V is
        overwritten on the way;
-    4. ds, the (L, N, m) states of the output, = row_sum(U) / divisor;
+    4. ds, the (L, N, m) states of the output, = row_sum(U) / divisor, or
+       np.add.reduce(U, axis=2) / divisor with row_sum None;
     5. ds += U0(states); returns None.
     """
 
@@ -224,7 +228,8 @@ class _MicroFlow:
                 np.divide(V, self.eps, out=dw)
             elif V is not dw:
                 dw[...] = V
-        np.divide(self.row_sum(U), self.divisor, out=ds)
+        row_sum = np.add.reduce(U, axis=2) if self.row_sum is None else self.row_sum(U)
+        np.divide(row_sum, self.divisor, out=ds)
         if self.U0 is not None:
             ds += self.U0(states)
         return None
@@ -248,7 +253,7 @@ def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s
     if m != model.m:
         raise ModelError(f"configuration dimension m={m} does not match model m={model.m}")
     if masses is None:
-        row_sum, divisor = functools.partial(np.add.reduce, axis=2), N * eps_s
+        row_sum, divisor = None, N * eps_s   # the flow's own np.add.reduce(U, axis=2)
     else:
         masses = np.asarray(masses, dtype=float)
         if masses.shape != (N,):
@@ -565,72 +570,97 @@ def energy_report(cfg: AgentConfiguration, pot: PotentialModel) -> EnergyReport:
                         dissipation_pairwise=pairwise)
 
 
-def _illinois_py(buf: np.ndarray, n: int, first) -> int:
-    """The numpy twin of the compiled ``illinois``, with its arguments: one
-    Illinois iteration over the n elements of the (10, n) buffer of rows
-    lo, hi, flo, fhi, w, fw, side, done, new, fnew (side and done hold
-    -1/0/+1 and 0/1), updated in place.
+@functools.lru_cache(maxsize=32)
+def _pair_grid(si_shape: tuple, sj_shape: tuple) -> tuple:
+    """The shape of the grid of state pairs of state arrays of these shapes."""
+    return np.broadcast_shapes(si_shape[:-1], sj_shape[:-1])
 
-    With first, sets w, fw, side and done from the bracket: an element with
-    a zero endpoint value is done at that endpoint.  Otherwise takes one
-    iteration's update from fnew = V(new): done, w and fw of the elements
-    not yet done, the Illinois halving and the bracket side.  Then proposes
-    the next point new of every element.  Returns the number not done.
+
+def _nullcline_py(V, si, sj, buf: np.ndarray, lo_row, hi_row, new_row, max_steps: int,
+                  max_bracket: float, tol: float, on_grid) -> int:
+    """The numpy twin of the compiled ``nullcline``, with its arguments: one
+    solve of V(si, sj, w) = 0 over the grid of lo_row's shape, in the buffer
+    buf of 10 such rows lo, hi, flo, fhi, w, fw, side, done, new, fnew (side
+    and done hold -1/0/+1 and 0/1).  lo_row, hi_row and new_row are the views
+    of rows 0, 1 and 8 that V is called on; each result goes through
+    on_grid(result, grid, "V") into a row.  Returns the status: 0 with the
+    roots in w, 1 when an element has no sign change in its bracket (the
+    largest hi is then the last bracket half-width), 2 when max_steps
+    iterations after the first leave an element not done, 3 when a
+    residual |fw| is above tol or NaN.
+
+    The bracket search starts at [-1, 1] and, while the values at an
+    element's endpoints have one sign (side 1.0) and the half-width b is
+    below max_bracket, grows b by 4, moves those elements to [-b, b] and
+    takes V at all of lo, then of hi, keeping the values where side is 1.0.
+    An element with a zero endpoint value is done at that endpoint.  Each
+    Illinois iteration takes the update from fnew = V(new): done, w and fw
+    of the elements not yet done, the Illinois halving and the bracket side,
+    then proposes the next point new of every element, the secant point as a
+    correction to the endpoint with the smaller |V|, or the midpoint where
+    that leaves the bracket or the endpoint values differ by a non-finite
+    amount.  V runs outside ``np.errstate``, so its warnings show as with
+    the kernel; the twin's own arithmetic is silenced.
     """
-    lo, hi, flo, fhi, w, fw, side, done, new, fnew = buf.reshape(10, n)
-    if first:
-        on_lo = flo == 0.0
-        done[:] = on_lo | (fhi == 0.0)
-        w[:] = np.where(on_lo, lo, np.where(done, hi, np.nan))   # NaN: no iterate yet
-        fw[:] = np.where(on_lo, flo, fhi)
-        side[:] = 0.0   # -1 (+1): the last step replaced lo (hi)
-    else:
-        active = done == 0.0
-        stop = (fnew == 0.0) | (np.abs(new - w) <= 2.0 * np.spacing(np.abs(new)))
-        done[:] = np.where(active, stop, done)
-        w[:] = np.where(active, new, w)
-        fw[:] = np.where(active, fnew, fw)
-        to_lo = np.sign(fnew) == np.sign(flo)
-        # Illinois: halve the kept endpoint's value when one side is replaced twice
-        fhi[:] = np.where(to_lo & (side == -1), 0.5 * fhi, fhi)
-        flo[:] = np.where(~to_lo & (side == 1), 0.5 * flo, flo)
-        lo[:], flo[:] = np.where(to_lo, new, lo), np.where(to_lo, fnew, flo)
-        hi[:], fhi[:] = np.where(to_lo, hi, new), np.where(to_lo, fhi, fnew)
-        side[:] = np.where(to_lo, -1, 1)
-    # the secant point, as a correction to the endpoint with the smaller |V|
-    near_lo = np.abs(flo) < np.abs(fhi)
-    a, fa = np.where(near_lo, lo, hi), np.where(near_lo, flo, fhi)
-    b, fb = np.where(near_lo, hi, lo), np.where(near_lo, fhi, flo)
-    x = a - fa * (b - a) / (fb - fa)
-    secant = np.isfinite(fb - fa) & (x >= lo) & (x <= hi)
-    new[:] = np.where(secant, x, 0.5 * (lo + hi))
-    return int(np.count_nonzero(done == 0.0))
+    grid = lo_row.shape
+    lo, hi, flo, fhi, w, fw, side, done, new, fnew = buf.reshape(10, -1)
 
+    def V_into(row, out):
+        out[:] = on_grid(V(si, sj, row), grid, "V").reshape(-1)
 
-def _nullcline_bracket(model: SmoothModel, si: np.ndarray, sj: np.ndarray):
-    """V_at(w), the values of V on si, sj, and the bracket lo, hi with the
-    values flo, fhi of V there, found as _nullcline_array states."""
-    shape = np.broadcast_shapes(si.shape[:-1], sj.shape[:-1])
-
-    def V_at(w):
-        return np.asarray(model.V(si, sj, w), dtype=float)
-
+    lo[:], hi[:] = -1.0, 1.0
+    V_into(lo_row, flo)
+    V_into(hi_row, fhi)
     bound = 1.0
-    lo = np.full(shape, -1.0)
-    hi = np.full(shape, 1.0)
-    flo = V_at(lo)
-    fhi = V_at(hi)
-    unbracketed = np.sign(flo) == np.sign(fhi)
-    while np.any(unbracketed) and bound < _NULLCLINE_MAX_BRACKET:
+    while True:
+        side[:] = np.sign(flo) == np.sign(fhi)
+        unbracketed = side != 0.0
+        if not (unbracketed.any() and bound < max_bracket):
+            break
         bound *= 4.0
-        lo = np.where(unbracketed, -bound, lo)
-        hi = np.where(unbracketed, bound, hi)
-        flo = np.where(unbracketed, V_at(lo), flo)
-        fhi = np.where(unbracketed, V_at(hi), fhi)
-        unbracketed = np.sign(flo) == np.sign(fhi)
+        lo[unbracketed], hi[unbracketed] = -bound, bound
+        V_into(lo_row, fnew)
+        flo[unbracketed] = fnew[unbracketed]
+        V_into(hi_row, fnew)
+        fhi[unbracketed] = fnew[unbracketed]
     if np.any(unbracketed & (flo != 0.0) & (fhi != 0.0)):
-        raise NullclineNotFound(f"V has no sign change in |w| <= {bound:g} for some state pair")
-    return V_at, lo, hi, flo, fhi
+        return 1
+    steps = 0
+    while True:
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            if steps == 0:
+                on_lo = flo == 0.0
+                done[:] = on_lo | (fhi == 0.0)
+                w[:] = np.where(on_lo, lo, np.where(done, hi, np.nan))   # NaN: no iterate yet
+                fw[:] = np.where(on_lo, flo, fhi)
+                side[:] = 0.0   # -1 (+1): the last step replaced lo (hi)
+            else:
+                active = done == 0.0
+                stop = (fnew == 0.0) | (np.abs(new - w) <= 2.0 * np.spacing(np.abs(new)))
+                done[:] = np.where(active, stop, done)
+                w[:] = np.where(active, new, w)
+                fw[:] = np.where(active, fnew, fw)
+                to_lo = np.sign(fnew) == np.sign(flo)
+                # Illinois: halve the kept endpoint's value when one side is replaced twice
+                fhi[:] = np.where(to_lo & (side == -1), 0.5 * fhi, fhi)
+                flo[:] = np.where(~to_lo & (side == 1), 0.5 * flo, flo)
+                lo[:], flo[:] = np.where(to_lo, new, lo), np.where(to_lo, fnew, flo)
+                hi[:], fhi[:] = np.where(to_lo, hi, new), np.where(to_lo, fhi, fnew)
+                side[:] = np.where(to_lo, -1, 1)
+            # the secant point, as a correction to the endpoint with the smaller |V|
+            near_lo = np.abs(flo) < np.abs(fhi)
+            a, fa = np.where(near_lo, lo, hi), np.where(near_lo, flo, fhi)
+            b, fb = np.where(near_lo, hi, lo), np.where(near_lo, fhi, flo)
+            x = a - fa * (b - a) / (fb - fa)
+            secant = np.isfinite(fb - fa) & (x >= lo) & (x <= hi)
+            new[:] = np.where(secant, x, 0.5 * (lo + hi))
+        if not (done == 0.0).any():
+            break
+        if steps == max_steps:
+            return 2
+        steps += 1
+        V_into(new_row, fnew)
+    return 0 if np.all(np.abs(fw) <= tol) else 3
 
 
 def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.ndarray:
@@ -647,32 +677,25 @@ def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.n
     model) stops after two to four steps.  The last residual must be at
     most NULLCLINE_TOL (a NaN residual fails too).
 
-    The bracket search, the step limit, every call of V and the residual
-    check are made here; each Illinois iteration is one illinois call over
-    every element of one (10, n) buffer, the compiled kernel while
-    ``_native.LIB`` holds it, else its twin ``_illinois_py``.
+    The solve is one call over one (10,) + grid buffer, the compiled
+    ``nullcline`` while ``_native.LIB`` holds it, else its twin
+    ``_nullcline_py``: the bracket search, every Illinois iteration, the
+    step limit and the residual check, with V called back.  The limits are
+    read here at each call; the returned status becomes the error.
     """
-    lib = _native.LIB
-    illinois = _illinois_py if lib is None else lib.illinois
-    V_at, *bracket = _nullcline_bracket(model, si, sj)
-    # rows lo, hi, flo, fhi, w, fw, side, done, new, fnew, as illinois reads them
-    buf = np.empty((10,) + bracket[0].shape)
-    buf[0], buf[1], buf[2], buf[3] = bracket
-    new, fnew, size = buf[8], buf[9], buf[0].size
-    steps = 0
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        active = illinois(buf, size, 1)
-        while active:
-            if steps == _NULLCLINE_MAX_STEPS:
-                raise NullclineNotFound(
-                    f"nullcline iteration did not converge in {steps} steps")
-            steps += 1
-            np.copyto(fnew, V_at(new))
-            active = illinois(buf, size, 0)
-    resid = np.abs(buf[5])
-    if not np.all(resid <= NULLCLINE_TOL):
+    buf = np.empty((10,) + _pair_grid(si.shape, sj.shape))
+    solve = _nullcline_py if _native.LIB is None else _native.LIB.nullcline
+    status = solve(model.V, si, sj, buf, buf[0, ...], buf[1, ...], buf[8, ...],
+                   _NULLCLINE_MAX_STEPS, _NULLCLINE_MAX_BRACKET, NULLCLINE_TOL, _on_grid)
+    if status == 1:
+        raise NullclineNotFound(f"V has no sign change in |w| <= {float(buf[1].max()):g} "
+                                "for some state pair")
+    if status == 2:
         raise NullclineNotFound(
-            f"nullcline residual {float(resid.max()):.3e} above {NULLCLINE_TOL:g}")
+            f"nullcline iteration did not converge in {_NULLCLINE_MAX_STEPS} steps")
+    if status == 3:
+        raise NullclineNotFound(
+            f"nullcline residual {float(np.abs(buf[5]).max()):.3e} above {NULLCLINE_TOL:g}")
     return buf[4]
 
 

@@ -18,6 +18,7 @@ non-finite state.
 
 from __future__ import annotations
 
+import os
 from typing import Callable
 
 import numpy as np
@@ -25,6 +26,17 @@ import numpy as np
 from .errors import IntegrationError, ModelError
 
 Rhs = Callable[[np.ndarray], np.ndarray]
+
+
+def _memory_bytes() -> float:
+    """The machine's physical memory in bytes, or the largest index when unknown."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return float(np.iinfo(np.intp).max)
+
+
+_MEMORY_BYTES = _memory_bytes()
 
 
 def _check_horizon(T: float) -> None:
@@ -52,14 +64,23 @@ def sample_times(T: float, sample_dt: float | None) -> np.ndarray:
     """The sample times of a jump-model run: 0 and T without a sample_dt;
     else the multiples of sample_dt up to T, then T unless T is on that grid
     by grid_steps' rule, with a last multiple past T moved to T.  ModelError
-    unless T is finite and >= 0 and a sample_dt is finite and > 0."""
+    unless T is finite and >= 0 and a sample_dt is finite and > 0, and when
+    the grid's length, computed first, is more float64s than the machine's
+    memory holds or they cannot be allocated."""
     _check_horizon(T)
     if sample_dt is None:
         return np.array([0.0, T]) if T > 0 else np.array([0.0])
     if not 0.0 < sample_dt < np.inf:   # False for NaN
         raise ModelError(f"sample_dt must be positive and finite, got {sample_dt}")
     tol = 1e-9 * max(1.0, T)
-    grid = np.arange(int(np.floor((T + tol) / sample_dt)) + 1) * sample_dt
+    n = np.floor((T + tol) / sample_dt) + 1.0   # a float: it may be past any index
+    try:
+        if not n * 8.0 <= _MEMORY_BYTES:   # not even tried
+            raise MemoryError
+        grid = np.arange(int(n)) * sample_dt
+    except MemoryError:
+        raise ModelError(f"sample_dt={sample_dt} makes {n:.6g} sample times up to T={T}, "
+                         "more than memory holds") from None
     if grid[-1] < T - tol:
         return np.append(grid, T)
     if grid[-1] > T + 1e-12:   # the jump models record no time past T

@@ -612,6 +612,16 @@ class TestBuildOnce:
             "message": "rho_+ rho_- = 0.000e+00 at or below the consensus threshold 1e-10"}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("make", [minimal_config, voter_config], ids=["minimal", "voter"])
+    @pytest.mark.parametrize("sample_dt", [1e-12, 1e-300])
+    def test_a_sample_grid_past_memory_exits_3(self, tmp_path, capsys, make, sample_dt):
+        # 1e12 and 1e300 sample times: refused before anything is allocated
+        path = write_config(tmp_path, make(sample_dt=sample_dt))
+        assert main(["run", path, "--out", str(tmp_path / "out")]) == 3
+        err = json.loads(capsys.readouterr().out)
+        assert err["error"] == "ModelError" and err["exit_code"] == 3
+        assert err["message"].startswith(f"sample_dt={sample_dt:g} makes 1e+")
+
     def test_micro_blowup_exits_3_with_error_json_and_no_manifest(self, tmp_path, capsys):
         cfg = blowup_config()
         with np.errstate(over="ignore", invalid="ignore"):

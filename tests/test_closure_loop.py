@@ -188,7 +188,7 @@ def test_without_kernels_every_cli_run_writes_the_pinned_bytes(tmp_path, monkeyp
     count(jumpsim._MinimalEngine, "run")
     count(io, "_python_rows")
     count(microsim, "_MicroFlow")
-    count(microsim, "_illinois_py")
+    count(microsim, "_nullcline_py")
     got = {}
     for name, cfg in CONFIGS.items():
         (tmp_path / f"{name}.json").write_text(json.dumps(cfg))

@@ -2,8 +2,9 @@
 
 Each compiled entry of ``microsim`` has a numpy twin with its signature:
 ``MicroFlow`` and ``microsim._MicroFlow`` (the same constructor and call),
-``illinois`` and ``microsim._illinois_py``; both must write the same bytes,
-return the same value, make the same model calls and raise the same errors.
+``nullcline`` and ``microsim._nullcline_py``; both must write the same bytes,
+return the same value, make the same model calls with the same arguments,
+show the same warnings and raise the same errors.
 Each driver runs on the twins, and its workspace on ``stepping``'s numpy
 steps, when ``_native.LIB`` is None, which is how the references are built
 here: ``microsim._micro_flow`` must then give the same bytes for every f
@@ -14,6 +15,7 @@ errors, as must ``integrate_reduced`` and ``microsim._nullcline_array``.
 import hashlib
 import json
 import logging
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -94,7 +96,7 @@ def test_compiled_flow_is_in_use(monkeypatch):
 @pytest.mark.needs_cc
 def test_compiled_nullcline_is_in_use(monkeypatch):
     assert _native.LIB is not None
-    monkeypatch.setattr(microsim, "_illinois_py", None)   # calling it would fail
+    monkeypatch.setattr(microsim, "_nullcline_py", None)   # calling it would fail
     microsim.solve_weight_nullcline(affine_V(1.0), [0.1], [0.3])
 
 
@@ -111,7 +113,7 @@ def test_without_a_library_the_references_are_bound(tmp_path, caplog, monkeypatc
         lib = _native.load_library(str(tmp_path / "no-such-cc"))
     assert lib is None
     monkeypatch.setattr(_native, "LIB", lib)
-    flow, nullcline = spy(monkeypatch, "_MicroFlow"), spy(monkeypatch, "_illinois_py")
+    flow, nullcline = spy(monkeypatch, "_MicroFlow"), spy(monkeypatch, "_nullcline_py")
     cfg = random_cfg(np.random.default_rng(0), 4, 1, True, np.zeros((4, 4), dtype=bool))
     microsim.micro_rhs(cfg, pair_model(1, True))
     microsim.solve_weight_nullcline(affine_V(1.0), [0.1], [0.3])
@@ -124,7 +126,7 @@ def test_without_a_library_the_flow_runs_write_the_pinned_bytes(tmp_path, monkey
         pytest.skip(f"hashes were made with numpy {pinned['numpy']}, this is {np.__version__}")
     monkeypatch.setattr(_native, "LIB", None)
     monkeypatch.setattr(_pool, "usable_cpus", lambda: 1)   # no pool forks: the spies see every call
-    flow, nullcline = spy(monkeypatch, "_MicroFlow"), spy(monkeypatch, "_illinois_py")
+    flow, nullcline = spy(monkeypatch, "_MicroFlow"), spy(monkeypatch, "_nullcline_py")
     checked = 0
     for name in ("micro", "micro-rkf45", "diffusive", "characteristics", "epsilon-sweep-5"):
         (tmp_path / f"{name}.json").write_text(json.dumps(CONFIGS[name]))
@@ -348,33 +350,179 @@ def test_both_paths_make_the_same_model_calls_over_a_sweep(monkeypatch):
     assert {name for name, _ in runs[0][0]} == {"U", "V"}
 
 
+def solve_both(V, si, sj, fill, max_steps=100, max_bracket=4.0 ** 10, tol=1e-12):
+    """One nullcline solve by the compiled ``nullcline`` and by its twin
+    ``_nullcline_py``, each on a buffer holding a copy of fill: per path, the
+    status (or the type and message of what it raised), the buffer's bytes,
+    the V calls, each as its arguments' types, shapes, dtypes, contiguity
+    and bytes, and the warnings shown.  V(s, sig, w, k) is told that it is
+    the path's k-th call."""
+    runs = []
+    for solve in (_native.LIB.nullcline, microsim._nullcline_py):
+        calls = []
+
+        def logged(s, sig, w):
+            calls.append([(type(a), a.shape, a.dtype.str, a.flags.c_contiguous, a.tobytes())
+                          for a in (s, sig, w)])
+            return V(s, sig, w, len(calls) - 1)
+        buf = fill.copy()
+        with warnings.catch_warnings(record=True) as shown:
+            warnings.simplefilter("always")
+            try:
+                status = solve(logged, si, sj, buf, buf[0, ...], buf[1, ...], buf[8, ...],
+                               max_steps, max_bracket, tol, microsim._on_grid)
+            except Exception as err:   # noqa: BLE001 - the same error on both paths
+                status = type(err).__name__, str(err)
+        runs.append((status, buf.tobytes(), calls,
+                     [(w.category, str(w.message), w.filename, w.lineno) for w in shown]))
+    return runs
+
+
 @pytest.mark.needs_cc
 @pytest.mark.parametrize("seed", range(8))
 @pytest.mark.parametrize("first", [1, 0])
 def test_illinois_twin_writes_the_kernel_bytes(seed, first):
-    """Ten rows with -0.0, NaN, infinities and subnormals planted in each,
-    side and done -1/0/+1 and 0/1 (or planted), then four more iterations
-    with fnew = V(new) for a V with a root: each call writes the same bytes
-    into every row and returns the same count, halvings of both kinds and
-    settled elements among them."""
+    """Illinois iterations on planted values: V, with a root per element,
+    returns values with -0.0, NaN, infinities and subnormals planted in them
+    (from the bracket's first call on with first, else only at the Illinois
+    points), over a buffer planted with them beforehand.  The kernel and the
+    twin return the same status, write the same bytes into every row and make
+    the same V calls, halvings of both kinds and settled elements among them."""
     rng = np.random.default_rng(seed)
     n = 96
-    buf = planted(rng, (10, n), share=0.15)
-    buf[0], buf[1] = np.fmin(buf[0], buf[1]), np.fmax(buf[0], buf[1])
-    buf[6] = np.where(rng.random(n) < 0.9, rng.choice([-1.0, 0.0, 1.0], size=n), buf[6])
-    buf[7] = np.where(rng.random(n) < 0.9, rng.choice([0.0, 1.0], size=n), buf[7])
-    settle = rng.random(n) < 0.2   # new within an ulp of w
-    buf[8][settle] = np.nextafter(buf[4][settle], np.inf)
     root = rng.normal(size=n)
-    c, py = buf.copy(), buf.copy()
-    for k in range(5):
-        flag = first if k == 0 else 0
-        with np.errstate(all="ignore"):
-            got = microsim._illinois_py(py, n, flag)
-            assert _native.LIB.illinois(c, n, flag) == got, k
-            assert [r.tobytes() for r in c] == [r.tobytes() for r in py], k
-            c[9] = py[9] = np.exp(root - py[8]) - 1.0
-    assert not np.array_equal(c, buf, equal_nan=True)
+
+    def V(s, sig, w, k):
+        values = np.exp(root - w) - 1.0
+        if k < (0 if first else 2):
+            return values
+        pick = np.random.default_rng([seed, k]).random(n) < 0.15
+        values[pick] = planted(np.random.default_rng([seed, k, 1]), pick.sum(), share=1.0)
+        return values
+
+    fill = planted(rng, (10, n), share=0.15)
+    kernel, twin = solve_both(V, np.zeros((n, 1)), np.zeros(1), fill)
+    assert kernel == twin
+    assert len(kernel[2]) > 3 and kernel[1] != fill.tobytes()
+
+
+class Refused(Exception):
+    pass
+
+
+def pair_gap(s, sig):
+    """s - sigma of the first state component, on the pair grid."""
+    return np.asarray(s, dtype=float)[..., 0] - np.asarray(sig, dtype=float)[..., 0]
+
+
+def planted_affine(s, sig, w, k):
+    """0.3 d - w with -0.0, +0.0 and subnormals planted by the call index."""
+    values = np.array(0.3 * pair_gap(s, sig) - w)
+    rng = np.random.default_rng(k)
+    pick = rng.random(values.shape) < 0.3
+    values[pick] = rng.choice([-0.0, 0.0, 5e-324, -5e-324, 2e-310], size=pick.sum())
+    return values
+
+
+def raising(s, sig, w, k):
+    if k == 2:   # the first Illinois point
+        raise Refused(f"call {k}")
+    return 0.6 * pair_gap(s, sig) - w - w ** 3
+
+
+# name -> (V(s, sig, w, k), the limits that differ from the module's)
+SOLVE_CASES = {
+    "affine": (lambda s, sig, w, k: 0.6 * pair_gap(s, sig) - 0.9 * w, {}),
+    "root on an endpoint": (lambda s, sig, w, k: np.where(
+        pair_gap(s, sig) > 0, 4.0, np.where(pair_gap(s, sig) < -0.5, -1.0, 16.0)) - w, {}),
+    # roots up to 7.5e5: the bracket grows to 4**10
+    "bracket grown": (lambda s, sig, w, k: 3e5 * pair_gap(s, sig) - w, {}),
+    "bracket bound": (lambda s, sig, w, k: 3e5 * pair_gap(s, sig) - w, {"max_bracket": 16.0}),
+    "infinite endpoint value": (lambda s, sig, w, k: np.where(
+        w < -3.0, np.inf, 10.0 + pair_gap(s, sig) - w), {}),
+    "NaN value": (lambda s, sig, w, k: np.where(
+        np.abs(w) < 0.5, np.nan, (0.7 + 0.1 * pair_gap(s, sig) - w) * np.exp(w)), {}),
+    "sign change without a root": (lambda s, sig, w, k: np.where(
+        w < 0.3 * pair_gap(s, sig), 1.0, -1.0), {}),
+    # the same, with every residual |fw| = 1 on the tolerance
+    "residual equal to tol": (lambda s, sig, w, k: np.where(
+        w < 0.3 * pair_gap(s, sig), 1.0, -1.0), {"tol": 1.0}),
+    "no sign change": (lambda s, sig, w, k: 1.0 + w * w + 0.0 * pair_gap(s, sig), {}),
+    "step limit": (lambda s, sig, w, k: np.exp(-pair_gap(s, sig) ** 2) - w - w ** 3,
+                   {"max_steps": 2}),
+    "planted -0.0 and subnormals": (planted_affine, {}),
+    "returns w": (lambda s, sig, w, k: w, {}),
+    "smaller broadcastable": (lambda s, sig, w, k: np.mean(
+        0.25 + 0.1 * pair_gap(s, sig) - w, keepdims=True), {}),
+    "list": (lambda s, sig, w, k: np.asarray(0.2 * pair_gap(s, sig) - w).tolist(), {}),
+    "read-only": (lambda s, sig, w, k: np.broadcast_to(0.3 * pair_gap(s, sig) - w, np.shape(w)),
+                  {}),
+    "transposed": (lambda s, sig, w, k: np.asarray(0.3 * pair_gap(s, sig) - w).T, {}),
+    "flat": (lambda s, sig, w, k: np.ravel(0.3 * pair_gap(s, sig) - w), {}),
+    "float32": (lambda s, sig, w, k: (0.3 + 0.1 * pair_gap(s, sig) - w).astype(np.float32), {}),
+    "wrong shape": (lambda s, sig, w, k: np.zeros(np.size(w) + 1), {}),
+    "raises": (raising, {}),
+}
+
+
+def solve_grid(seed):
+    """The state views of one of six pair grids: 0-d, (1, 1), (4, 4), (9, 9),
+    the reduced run's (1, 4, 4) in two dimensions and the CLI's six pairs."""
+    rng = np.random.default_rng(seed)
+    if seed == 0:
+        x = rng.uniform(-1.0, 1.5, size=(2, 1))
+        return x[0], x[1]
+    if seed < 4:
+        x = rng.uniform(-1.0, 1.5, size=((1, 4, 9)[seed - 1], 1))
+        return x[:, None], x[None]
+    if seed == 4:
+        s = rng.uniform(-1.0, 1.5, size=(1, 4, 2))
+        return s[:, :, None, :], s[:, None, :, :]
+    x = rng.uniform(-1.0, 1.5, size=(4, 1))
+    i, j = np.triu_indices(4, 1)
+    return x[i], x[j]
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("case", list(SOLVE_CASES))
+def test_nullcline_twin_writes_the_kernel_bytes(case, seed):
+    """Each solver case on six pair grids: the kernel and the twin return the
+    same status (or raise the same error), write the same bytes into every
+    row of a buffer that starts planted, make the same V calls with the same
+    arguments and show the same warnings."""
+    V, limits = SOLVE_CASES[case]
+    si, sj = solve_grid(seed)
+    grid = np.broadcast_shapes(si.shape[:-1], sj.shape[:-1])
+    fill = planted(np.random.default_rng(seed), (10,) + grid)
+    kernel, twin = solve_both(V, si, sj, fill, **limits)
+    assert kernel == twin
+    assert kernel[2], "V was called"
+    if case == "raises":
+        assert kernel[0] == ("Refused", "call 2") and len(kernel[2]) == 3
+    if case == "bracket grown" and seed != 1:   # the (1, 1) grid's pair has the root 0
+        assert len(kernel[2]) > 10
+    if case == "residual equal to tol":
+        assert kernel[0] == 0
+
+
+@pytest.mark.needs_cc
+def test_the_same_warnings_show_on_both_paths(monkeypatch):
+    """V's own floating-point warnings, here an overflow at the bracket's
+    upper end and at each secant point, show alike on both paths; the
+    solve's arithmetic adds none."""
+    model = V_model(lambda s, sig, w: 0.3 + 0.0 * np.minimum(np.exp(2500.0 * w), 1.0) - w)
+    x = np.array([[0.0], [0.4]])
+    runs = []
+    for lib in (_native.LIB, None):
+        monkeypatch.setattr(_native, "LIB", lib)
+        with warnings.catch_warnings(record=True) as got:
+            warnings.simplefilter("always")
+            compiled_nullcline(model, x[:, None], x[None])
+        runs.append([(w.category, str(w.message), w.filename, w.lineno) for w in got])
+    assert runs[0] == runs[1]
+    assert len(runs[0]) >= 2   # the bracket's one, then the Illinois points'
+    assert {(c, m) for c, m, *_ in runs[0]} == {(RuntimeWarning, "overflow encountered in exp")}
 
 
 # ----------------------------------------------------------------- the flow

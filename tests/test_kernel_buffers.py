@@ -8,7 +8,9 @@ once with valid arrays, once with one array a single element too short and
 once with a non-contiguous view of the right length.  ``MicroFlow`` takes
 its arrays when it is called: its output, which must be C-contiguous, the
 states part of it, which may be strided, and the results of the callbacks
-that it runs on.
+that it runs on.  ``nullcline`` takes the size of its buffer from the row lo
+that V is called on, and reads V's results through on_grid unless they are
+float64 arrays of lo's shape.
 """
 
 import numpy as np
@@ -70,6 +72,15 @@ def flow_args():
             out.reshape(L, -1)[:, :N * m].reshape(L, N, m), out]
 
 
+def nullcline_args():
+    """A solve of V = 0.5 - w over a grid of 4 pairs: V, si, sj, the flat
+    buffer of 10 rows, the rows V is called on, the limits and on_grid."""
+    buf = np.empty(40)
+    rows = buf.reshape(10, 4)
+    return [lambda s, sig, w: 0.5 - w, np.zeros((4, 1)), np.zeros(1), buf, rows[0], rows[1],
+            rows[8], 100, 4.0 ** 10, 1e-12, microsim._on_grid]
+
+
 def rk4_final_args():
     L, N, m = 2, 3, 1
     size = L * (N * m + N * N)
@@ -88,7 +99,7 @@ ENTRIES = {
     "rk4_final": (rk4_final_args, 3, 0),
     "rkf45_stage": (lambda: [f64(7), f64(7), 0.1, np.array([0.25, 0.5]), f64(7), f64(7)], 3, 5),
     "rkf45_final": (lambda: [f64(7), f64(7), 0.1, f64(6, 0.1), f64(6, 0.2)] + [f64(7)] * 6, 10, 1),
-    "illinois": (lambda: [f64(40), 4, 1], 0, 0),
+    "nullcline": (nullcline_args, 3, 3),
 }
 
 
@@ -129,8 +140,46 @@ def test_a_read_only_output_is_refused():
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int64])
 def test_a_wrong_element_type_is_refused(dtype):
+    args = nullcline_args()
+    args[3] = args[3].astype(dtype)
     with pytest.raises(ValueError, match="wrong element type"):
-        LIB.illinois(np.zeros(40, dtype=dtype), 4, 1)
+        LIB.nullcline(*args)
+
+
+def test_a_nullcline_solve_writes_its_roots_into_w():
+    args = nullcline_args()
+    assert LIB.nullcline(*args) == 0
+    assert (args[3][16:20] == 0.5).all()
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (lambda a: a.__setitem__(7, -1), ValueError, "max_steps must be at least 0"),
+    (lambda a: a.__setitem__(8, "big"), TypeError, "must be real number"),
+    (lambda a: a.__setitem__(4, a[4].astype(np.float32)), ValueError, "lo must be a"),
+    (lambda a: a.pop(), TypeError, "nullcline takes 11 arguments \\(10 given\\)"),
+])
+def test_a_nullcline_solve_refuses_bad_arguments(change, error, message):
+    args = nullcline_args()
+    change(args)
+    with pytest.raises(error, match=message):
+        LIB.nullcline(*args)
+
+
+def test_a_nullcline_result_off_the_grid_goes_through_on_grid():
+    """A result that the solve cannot read as it is (here a list) is
+    converted by on_grid, and one that does not broadcast raises its error."""
+    seen = []
+
+    def on_grid(a, grid, name):
+        seen.append((grid, name))
+        return microsim._on_grid(a, grid, name)
+    args = nullcline_args()
+    args[0], args[10] = (lambda s, sig, w: (0.5 - w).tolist()), on_grid
+    assert LIB.nullcline(*args) == 0 and (args[3][16:20] == 0.5).all()
+    assert seen and set(seen) == {((4,), "V")}
+    args[0] = lambda s, sig, w: np.zeros(3)
+    with pytest.raises(microsim.ModelError, match="V returned shape \\(3,\\)"):
+        LIB.nullcline(*args)
 
 
 def test_a_short_column_is_refused_and_nothing_is_written():

@@ -85,6 +85,14 @@ def test_sample_times_refuse_a_bad_sample_dt(sample_dt):
         sample_times(1.0, sample_dt)
 
 
+@pytest.mark.parametrize("sample_dt", [1e-12, 1e-300])
+def test_sample_times_refuse_a_grid_that_memory_cannot_hold(sample_dt):
+    # 1e12 and 1e300 sample times: far past any machine's memory, so nothing is allocated
+    with pytest.raises(ModelError, match=f"sample_dt={sample_dt:g} makes 1e\\+[0-9]+ sample "
+                                         "times up to T=1.0, more than memory holds"):
+        sample_times(1.0, sample_dt)
+
+
 def counted_model(calls):
     """The quadratic-potential forces with a state noise Q; each kernel call
     after the model's construction is appended to calls."""
