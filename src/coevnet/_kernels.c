@@ -5,8 +5,8 @@
  *    system, a port of closures._rhs_arrays_py and of the numpy twin
  *    closures._closure_loop_py, with the closure_loop entry's signature,
  *    which runs on stepping.run_grid and follows its rules for records and
- *    failures.  Its stage and final sums are coevnet_rk4_combine, the RK4
- *    sums of stepping.rk4_step, which microsim's compiled flow calls too.
+ *    failures.  Its stages and update are coevnet_rk_sum, the one explicit
+ *    Runge-Kutta sum of the module, summed as stepping.rk_sum sums it.
  * 2. coevnet_minimal_init / coevnet_minimal_run: the exact Gillespie loop of
  *    the binary minimal model, a port of jumpsim._MinimalEngine.run and
  *    the mutations and samplers it calls.  It runs from t = 0 to T and
@@ -22,11 +22,11 @@
  *    keyword names, or the mass-weighted einsum) and divides it into the
  *    state drift, then calls U0 back and adds it with numpy's own +=.  Its
  *    reference is the numpy twin microsim._MicroFlow, with the same
- *    constructor and call.  coevnet_step_flags /
- *    coevnet_rkf45_stage / coevnet_rkf45_final are the step checks and
- *    Fehlberg stage and final sums of microsim's workspace (its RK4 sums
- *    are coevnet_rk4_combine), whose references are stepping.rk4_step with
- *    microsim._checked and stepping.rkf45_step.
+ *    constructor and call.  The steps of microsim's workspace run on the
+ *    entries rk_stage (a stage), rk4_final (the RK4 update and the step
+ *    checks of coevnet_step_flags) and rkf45_final (the Fehlberg update and
+ *    error estimate), each summing with coevnet_rk_sum; their references are
+ *    the numpy twins in microsim._StepSums, with the same signatures.
  * 5. coevnet_nullcline: one weight nullcline solve, the bracket search,
  *    every Illinois iteration, the step limit and the residual check over
  *    one buffer, calling the model's V back through a hook (and
@@ -86,21 +86,29 @@ static void rhs(const double *y, const double *r, int kirk, double *out)
         - b_pm * g_pm + c_pm * f_pm;
 }
 
-/* out = y + c k1 (an RK4 stage, k2 NULL), or the final RK4 sum
- * out = y + c (((k1 + 2 k2) + 2 k3) + k4), over n elements. */
-static void coevnet_rk4_combine(const double *y, const double *k1, const double *k2,
-                                const double *k3, const double *k4, double *out, double c,
-                                int64_t n)
+/* out[i] = y[i] + h (a[0] k[0][i] + ... + a[nk-1] k[nk-1][i]) for i < n, the
+ * terms summed left to right from the first: the one explicit Runge-Kutta sum
+ * of the module, in stepping.rk_sum's order.  An RK4 stage has a = RK_ONE,
+ * the RK4 update a = RK4_B with h = dt / 6 (1.0 x is x). */
+static inline double rk_terms(const double *a, const double *const *k, int64_t nk, int64_t i)
+{
+    double s = a[0] * k[0][i];
+    int64_t j;
+#pragma GCC unroll 8   /* the closure loop's constant weights then fold, 1.0 x to x */
+    for (j = 1; j < nk; j++)
+        s = s + a[j] * k[j][i];
+    return s;
+}
+
+static inline void coevnet_rk_sum(const double *y, double h, const double *a,
+                                  const double *const *k, int64_t nk, double *out, int64_t n)
 {
     int64_t i;
-    if (!k2) {
-        for (i = 0; i < n; i++)
-            out[i] = y[i] + c * k1[i];
-        return;
-    }
     for (i = 0; i < n; i++)
-        out[i] = y[i] + c * (((k1[i] + 2.0 * k2[i]) + 2.0 * k3[i]) + k4[i]);
+        out[i] = y[i] + h * rk_terms(a, k, nk, i);
 }
+
+static const double RK_ONE[1] = {1.0}, RK4_B[4] = {1.0, 2.0, 2.0, 1.0};
 
 /* Records step 0, every stride-th step and the last step, as run_grid
  * samples, so recs holds n_steps / stride + 2 rows of 6 and rec_steps as
@@ -113,6 +121,7 @@ static int coevnet_closure_loop(const double *y0, const double *r, int kirk, dou
                                 double *recs, int64_t *rec_steps, int64_t *counts)
 {
     double y[6], y_new[6], tmp[6], k1[6], k2[6], k3[6], k4[6];
+    const double *const k[4] = {k1, k2, k3, k4};
     double half = 0.5 * dt, sixth = dt / 6.0;
     int64_t n_rec = 1, clamped = 0, steps_done = 0;
     int status = 0;
@@ -138,13 +147,13 @@ static int coevnet_closure_loop(const double *y0, const double *r, int kirk, dou
             break;
         }
         rhs(y, r, kirk, k1);
-        coevnet_rk4_combine(y, k1, NULL, NULL, NULL, tmp, half, 6);
+        coevnet_rk_sum(y, half, RK_ONE, k, 1, tmp, 6);
         rhs(tmp, r, kirk, k2);
-        coevnet_rk4_combine(y, k2, NULL, NULL, NULL, tmp, half, 6);
+        coevnet_rk_sum(y, half, RK_ONE, k + 1, 1, tmp, 6);
         rhs(tmp, r, kirk, k3);
-        coevnet_rk4_combine(y, k3, NULL, NULL, NULL, tmp, dt, 6);
+        coevnet_rk_sum(y, dt, RK_ONE, k + 2, 1, tmp, 6);
         rhs(tmp, r, kirk, k4);
-        coevnet_rk4_combine(y, k1, k2, k3, k4, y_new, sixth, 6);
+        coevnet_rk_sum(y, sixth, RK4_B, k, 4, y_new, 6);
         for (i = 0; i < 6; i++)
             if (!isfinite(y_new[i]))
                 bad = 1;
@@ -785,36 +794,17 @@ static int coevnet_step_flags(const double *y, int64_t L, int64_t row, int64_t n
     return 0;
 }
 
-/* One Fehlberg stage as stepping.rkf45_step forms it,
- * out = y + h sum(a[j] k[j] for j < nk), python's sum starting from 0. */
-static void coevnet_rkf45_stage(const double *y, const double *const *k, const double *a,
-                                int64_t nk, double h, double *out, int64_t n)
-{
-    int64_t i, j;
-    for (i = 0; i < n; i++) {
-        double s = 0.0 + a[0] * k[0][i];
-        for (j = 1; j < nk; j++)
-            s = s + a[j] * k[j][i];
-        out[i] = y[i] + h * s;
-    }
-}
-
-/* The 5th-order update y5 = y + h sum(b5 k) into y5 and the error estimate
- * max |y5 - y4| with y4 = y + h sum(b4 k), as stepping.rkf45_step: NaN when
- * a difference is NaN, as np.max, and 0 for n = 0. */
+/* The Fehlberg update y5 = y + h sum(b5 k) into y5 and the error estimate
+ * max |y5 - y4|, y4 = y + h sum(b4 k), as stepping.rkf45_step: NaN when a
+ * difference is NaN, as np.max, and 0 for n = 0. */
 static double coevnet_rkf45_final(const double *y, const double *const *k, const double *b5,
                                   const double *b4, int64_t nk, double h, double *y5, int64_t n)
 {
-    double err = 0.0;
-    int64_t i, j;
+    double err = 0.0, d;
+    int64_t i;
     for (i = 0; i < n; i++) {
-        double s5 = 0.0 + b5[0] * k[0][i], s4 = 0.0 + b4[0] * k[0][i], d;
-        for (j = 1; j < nk; j++) {
-            s5 = s5 + b5[j] * k[j][i];
-            s4 = s4 + b4[j] * k[j][i];
-        }
-        y5[i] = y[i] + h * s5;
-        d = fabs(y5[i] - (y[i] + h * s4));
+        y5[i] = y[i] + h * rk_terms(b5, k, nk, i);
+        d = fabs(y5[i] - (y[i] + h * rk_terms(b4, k, nk, i)));
         if (!isnan(err) && (d > err || isnan(d)))
             err = d;
     }
@@ -1723,37 +1713,16 @@ static PyTypeObject flow_type = {
     .tp_free = PyObject_GC_Del,
 };
 
-/* rk4_stage(y, k, out, c): out = y + c k. */
-static PyObject *py_rk4_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    arrays a = {.n = 0};
-    void *y, *k, *out;
-    int64_t n;
-    double c;
-    (void)self;
-    if (check_nargs("rk4_stage", nargs, 4) < 0 || float_arg(args[3], &c) < 0)
-        return NULL;
-    if (take(&a, args[2], "out", &F64, WRITE, 0, &out) < 0)
-        return NULL;
-    n = last_len(&a);
-    if (take(&a, args[0], "y", &F64, 0, n, &y) < 0
-        || take(&a, args[1], "k", &F64, 0, n, &k) < 0) {
-        release(&a);
-        return NULL;
-    }
-    coevnet_rk4_combine(y, k, NULL, NULL, NULL, out, c, n);
-    release(&a);
-    Py_RETURN_NONE;
-}
-
 /* rk4_final(y, k1, k2, k3, k4, out, c, L, n, N, sym) -> None, or the
- * per-leg flags of coevnet_step_flags after out = y + c (((k1 + 2 k2) +
- * 2 k3) + k4): a tuple with a False for each leg that is not finite, or
- * all True when the weights of a leg are not symmetric.  out holds L rows. */
+ * per-leg flags of coevnet_step_flags after the RK4 update out = y + c
+ * (k1 + 2 k2 + 2 k3 + k4): a tuple with a False for each leg that is not
+ * finite, or all True when the weights of a leg are not symmetric.  out
+ * holds L rows. */
 static PyObject *py_rk4_final(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     arrays a = {.n = 0};
-    void *y, *k[4], *out;
+    void *y, *p, *out;
+    const double *k[4];
     int64_t size, L, n, N, sym, w_end;
     double c;
     uint8_t *ok = NULL;
@@ -1775,15 +1744,17 @@ static PyObject *py_rk4_final(PyObject *self, PyObject *const *args, Py_ssize_t 
     }
     if (take(&a, args[0], "y", &F64, 0, size, &y) < 0)
         goto done;
-    for (i = 0; i < 4; i++)
-        if (take(&a, args[1 + i], "k", &F64, 0, size, &k[i]) < 0)
+    for (i = 0; i < 4; i++) {
+        if (take(&a, args[1 + i], "k", &F64, 0, size, &p) < 0)
             goto done;
+        k[i] = p;
+    }
     ok = PyMem_Malloc((size_t)L);
     if (!ok) {
         PyErr_NoMemory();
         goto done;
     }
-    coevnet_rk4_combine(y, k[0], k[1], k[2], k[3], out, c, size);
+    coevnet_rk_sum(y, c, RK4_B, k, 4, out, size);
     if (coevnet_step_flags(out, L, size / L, n, N, (int)(sym != 0), ok))
         result = leg_flags(ok, L);
     else
@@ -1794,7 +1765,7 @@ done:
     return result;
 }
 
-/* The y, out, coefficient and stage arrays of rkf45_stage and rkf45_final:
+/* The y, out, coefficient and stage arrays of rk_stage and rkf45_final:
  * y and out (writable) of one length n, and nk = nargs - first stages of n
  * elements, nk coefficients in each of n_coef arrays after out. */
 static int take_stages(arrays *a, const char *fn, PyObject *const *args, Py_ssize_t nargs,
@@ -1825,8 +1796,8 @@ static int take_stages(arrays *a, const char *fn, PyObject *const *args, Py_ssiz
     return 0;
 }
 
-/* rkf45_stage(y, out, h, a, k1, ..., k_nk): out = y + h sum(a k). */
-static PyObject *py_rkf45_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+/* rk_stage(y, out, h, a, k1, ..., k_nk): out = y + h sum(a k). */
+static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     arrays a = {.n = 0};
     void *y, *out, *coef[1];
@@ -1834,12 +1805,12 @@ static PyObject *py_rkf45_stage(PyObject *self, PyObject *const *args, Py_ssize_
     int64_t n, nk;
     double h;
     (void)self;
-    if (take_stages(&a, "rkf45_stage", args, nargs, 4, 1, &y, &out, coef, k, &n, &nk) < 0
+    if (take_stages(&a, "rk_stage", args, nargs, 4, 1, &y, &out, coef, k, &n, &nk) < 0
         || float_arg(args[2], &h) < 0) {
         release(&a);
         return NULL;
     }
-    coevnet_rkf45_stage(y, k, coef[0], nk, h, out, n);
+    coevnet_rk_sum(y, h, coef[0], k, nk, out, n);
     release(&a);
     Py_RETURN_NONE;
 }
@@ -1952,9 +1923,8 @@ done:
 static PyMethodDef kernel_functions[] = {
     FASTCALL(closure_loop, "the closure RK4 loop (coevnet_closure_loop)"),
     FASTCALL(format_rows, "CSV rows of float64 columns (coevnet_format_rows)"),
-    FASTCALL(rk4_stage, "an RK4 stage, out = y + c k"),
+    FASTCALL(rk_stage, "a Runge-Kutta stage, out = y + h sum(a k)"),
     FASTCALL(rk4_final, "the final RK4 sum with the step checks"),
-    FASTCALL(rkf45_stage, "a Fehlberg stage, out = y + h sum(a k)"),
     FASTCALL(rkf45_final, "the Fehlberg update and its error estimate"),
     FASTCALL(nullcline, "one weight nullcline solve (coevnet_nullcline)"),
     {NULL, NULL, 0, NULL},

@@ -4,14 +4,15 @@
 functions take the numpy arrays themselves and check them before any kernel
 runs: the closure RK4 loop (called by ``closures``), the minimal-model
 Gillespie engine (``jumpsim``), the CSV row renderer (``io``), and the
-micro flow's evaluation with its RK4 and RKF45 sums and the weight
-nullcline solve (``microsim``).  A micro flow evaluation is
+micro flow's evaluation, its step entries and the weight nullcline solve
+(``microsim``, which holds a numpy twin of each).  A micro flow evaluation is
 one call of the ``MicroFlow`` type, which makes the checks, U's zero
 diagonal, the weight drift and the division of the row sum itself and
 calls Python back for the model's V, U and U0, the row sum (numpy's) and
 numpy's ``+=`` of U0; a nullcline solve is one ``nullcline`` call, which
 runs the bracket search, the Illinois iterations and the residual check
-itself and calls the model's V back.  It is compiled with the system ``cc``
+itself and calls the model's V back; every RK4 and Fehlberg stage and
+update is one sum, ``coevnet_rk_sum``.  The module is compiled with ``cc``
 and this interpreter's headers the first time the package is imported,
 cached next to the source (in ``_cbuild/``, or under the temp dir when that
 is read-only) under a name that carries the interpreter's ABI, and loaded
@@ -167,7 +168,7 @@ def load_library(cc: str = "cc") -> ModuleType | None:
                     "and the Gillespie engine in pure python, about 300 and 60 times "
                     "slower, CSV rows by python formatting, about 7 times slower, and the "
                     "micro flow, its steps and the weight nullcline on numpy alone, about "
-                    "2.7 times slower for the epsilon sweep at N=4", exc, _INCLUDE)
+                    "2.8 times slower for the epsilon sweep at N=4", exc, _INCLUDE)
         return None
 
 

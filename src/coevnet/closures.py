@@ -15,7 +15,8 @@ h-equations of ``weight_averaged_rhs`` (its componentwise sums), the
 continuation's reduced residual and ``linearized_jacobian``, which takes the
 Jacobian from it by complex step.  What stays in closed form are theorems
 about it: the threshold of ``polarization_stable``, the rates of
-``decay_envelope_check``, the continuation's hypothesis on gamma_pm, its
+``decay_envelope_check`` (which takes the kind and rates from the
+trajectory that it checks), the continuation's hypothesis on gamma_pm, its
 cross balance Phi and the mixed stationary h-profile.
 
 The closure trajectory runs in ``coevnet_closure_loop`` of ``_kernels.c``,
@@ -23,7 +24,9 @@ built and loaded by ``_native``.  Its pure-python twin ``_closure_loop_py``,
 with the compiled entry's signature, is ``stepping.rk4_step`` on
 ``stepping.run_grid``, and the C loop follows run_grid's rules: it records
 step 0, every stride-th and the last step (or the step of a consensus
-stop), and a non-finite step fails.  The two are bitwise equal.
+stop), and a non-finite step fails.  Every stage and update of both is the
+one Runge-Kutta sum of its language, ``stepping.rk_sum`` and the C
+``coevnet_rk_sum``, summed in the same order, so the two are bitwise equal.
 ``_integrate_loop`` checks and allocates for both, reads ``_native.LIB`` on
 each call and runs the twin when it is None (no working compiler:
 ``_native`` has logged one warning), several hundred times slower.
@@ -504,19 +507,15 @@ class EnvelopeReport:
     first_violation_t: float | None = None
 
 
-def decay_envelope_check(traj: ClosureTrajectory, p: MinimalParams, kind) -> EnvelopeReport:
+def decay_envelope_check(traj: ClosureTrajectory) -> EnvelopeReport:
     """Check f_pm(t) <= exp(-rate t) f_pm(0) (1 + 1e-9) at every sample.
 
     rate = gamma_pm - (alpha_pm + alpha_mp)/2 under the conditional closure
-    and gamma_pm - (alpha_pm + alpha_mp) under Kirkwood.  The bounds assume
+    and gamma_pm - (alpha_pm + alpha_mp) under Kirkwood, with the closure
+    kind and the rates that ``traj`` was integrated with.  The bounds assume
     no cross-link creation (beta_pm = 0); a failure is reported, not raised.
-    ``kind`` and ``p`` must be those of ``traj`` (ModelError otherwise).
     """
-    kind = ClosureKind(kind)
-    if kind is not traj.kind or p != traj.params:
-        raise ModelError("decay_envelope_check needs the closure kind and the rates "
-                         "that the trajectory was integrated with")
-    kirk = kind is ClosureKind.KIRKWOOD
+    p, kirk = traj.params, traj.kind is ClosureKind.KIRKWOOD
     alpha_sum = p.alpha_pm + p.alpha_mp
     rate = p.gamma_pm - (alpha_sum if kirk else 0.5 * alpha_sum)
     if rate <= 0:

@@ -15,8 +15,8 @@ Weight symmetry: when the model's V is exchange-symmetric and the initial
 weight matrix is symmetric, the weight derivative matrix is built from its
 upper triangle and mirrored, which keeps trajectories bitwise symmetric.
 
-One backend switch: ``_particle_drift``, ``_nullcline_array`` and the
-workspace read ``_native.LIB`` when called and run one driver either way.
+One backend switch: ``_particle_drift`` and ``_nullcline_array`` read
+``_native.LIB`` when called, the workspace when made; each has one driver.
 Each flow evaluation is one call of a flow made once per run: the compiled
 ``MicroFlow`` while ``LIB`` holds the extension module, else its numpy twin
 ``_MicroFlow``, which has the same constructor and call and writes the same
@@ -30,13 +30,12 @@ may broadcast.  Each nullcline solve is one ``nullcline`` call, or one call
 of its twin ``_nullcline_py``: the bracket search, every Illinois iteration,
 the step limit and the residual check over one buffer, with V called back
 on views of its rows and its results read through ``_on_grid`` when they
-are not float64 arrays of the grid.  The rk4 and rkf45 steps of
-the flow and of the fast-network limit run on a workspace of the run
-(``_Workspace``): with the kernels, on six stage derivatives, a stage
-buffer and two states used in turn, each stage one call, and an rk4 step's
-final sum also making the step's checks; without them, on
-``stepping.rk4_step`` and ``stepping.rkf45_step``, whose sums the kernels
-keep bitwise.
+are not float64 arrays of the grid.  The rk4 and rkf45 steps of the flow
+and of the fast-network limit run on a workspace of the run
+(``_Workspace``): each stage is one ``rk_stage`` call and each update one
+``rk4_final`` call, which also makes the step's checks, or one
+``rkf45_final`` call, of the kernels or of their twins ``_StepSums``, which
+form the same sums with ``stepping.rk_sum``.
 """
 
 from __future__ import annotations
@@ -51,7 +50,8 @@ import numpy as np
 from . import _native
 from .errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
 from .models import PotentialModel, SmoothModel, _probe_points
-from .stepping import _RKF_A, _RKF_B4, _RKF_B5, rk4_step, rkf45_advance, run_grid
+from .stepping import (_ONE, _RK4_B, _RKF_A, _RKF_B4, _RKF_B5, fehlberg_error, rk_sum,
+                       rkf45_advance, run_grid)
 
 NULLCLINE_TOL = 1e-12
 _NULLCLINE_MAX_STEPS = 100
@@ -147,27 +147,29 @@ def _failed(what: str, t: float, eps_w: np.ndarray, ok) -> IntegrationError:
     return IntegrationError(f"{what} t={t:.6g}{legs}")
 
 
-def _step_error(t: float, eps_w: np.ndarray, ok) -> Exception:
-    """The error of a step from t whose result has the per-leg finiteness
-    flags ok; when every leg is finite, its weights lost their symmetry."""
-    if all(ok):
-        return InvariantViolation("weight symmetry lost during integration")
-    return _failed("non-finite state in the step from", t, eps_w, ok)
-
-
-def _checked(y: np.ndarray, t: float, eps_w: np.ndarray, n: int, N: int, sym: bool):
-    """y, the result of a step from t of the legs of eps_w (stacked rows,
-    or one flat leg); raises _step_error when a leg of it is not finite or,
-    with sym, the weights (N x N after n states) of a leg are not
-    symmetric, the checks the compiled rk4 step makes in its final sum."""
-    rows = y.reshape(eps_w.size, -1)
+def _step_flags(y: np.ndarray, L: int, n: int, N: int, sym: bool) -> tuple | None:
+    """The twin of the compiled step checks of y, L legs of n states and N x N
+    weights: None, or the per-leg finiteness flags (all True when a finite
+    leg's weights, with sym, are not symmetric)."""
+    rows = y.reshape(L, -1)
     ok = np.isfinite(rows).all(1)
-    if ok.all() and not sym:
+    if not ok.all():
+        return tuple(ok.tolist())
+    if sym:
+        W = rows[:, n:n + N * N].reshape(L, N, N)
+        if not (W == W.swapaxes(1, 2)).all():
+            return (True,) * L
+    return None
+
+
+def _checked(y: np.ndarray, t: float, eps_w: np.ndarray, flags) -> np.ndarray:
+    """y, the result of a step from t, unless its checks (see _step_flags)
+    flag a failure: then the error of the failed legs, or of lost symmetry."""
+    if flags is None:
         return y
-    W = rows[:, n:].reshape(len(rows), N, N)
-    if ok.all() and (W == W.swapaxes(1, 2)).all():
-        return y
-    raise _step_error(t, eps_w, ok)
+    if all(flags):
+        raise InvariantViolation("weight symmetry lost during integration")
+    raise _failed("non-finite state in the step from", t, eps_w, flags)
 
 
 @functools.lru_cache(maxsize=8)
@@ -235,6 +237,25 @@ class _MicroFlow:
         return None
 
 
+class _StepSums:
+    """The numpy twins of the step entries ``rk_stage``, ``rk4_final`` and
+    ``rkf45_final``, with their signatures (see ``_kernels.c``), on
+    ``stepping.rk_sum`` and ``_step_flags``."""
+
+    @staticmethod
+    def rk_stage(y, out, h, a, *k) -> None:
+        rk_sum(y, h, a, k, out)
+
+    @staticmethod
+    def rk4_final(y, k1, k2, k3, k4, out, c, L, n, N, sym) -> tuple | None:
+        rk_sum(y, c, _RK4_B, (k1, k2, k3, k4), out)
+        return _step_flags(out, L, n, N, sym)
+
+    @staticmethod
+    def rkf45_final(y, y5, h, b5, b4, *k) -> float:
+        return fehlberg_error(rk_sum(y, h, b5, k, y5), rk_sum(y, h, b4, k))
+
+
 def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s: float = 1.0,
                     masses: np.ndarray | None = None, sym: bool = False, row: int = 0,
                     V: Callable | None = None):
@@ -266,32 +287,31 @@ def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s
     return make(V, model.U, row_sum, divisor, model.U0, eps, eps_w.size, N, m, sym, row, _on_grid)
 
 
-# The Fehlberg tableau of stepping.rkf45_step, as the kernels read it.
+# The weights of the steps' sums, as the step entries read them.
+_RK_ONE = np.array(_ONE)
 _RKF_ROWS = [np.array(row, dtype=float) for row in _RKF_A]
 _RKF_B = np.array(_RKF_B5), np.array(_RKF_B4)
 
 
 class _Workspace:
-    """The rk4 and rkf45 steps of a flow f(z, t, out=None) over the legs of
-    eps_w (n states and, with sym, N x N weights each).
+    """The rk4 and rkf45 steps of a flow f(z, t, out) over the legs of eps_w
+    (n states and, with sym, N x N weights each), on the step entries of
+    ``_native.LIB`` when the workspace is made, or on their twins.
 
-    rk4 makes the checks of ``_checked`` and raises their error; rkf45
-    advances by ``rkf45_advance``.  Without the compiled kernels
-    (``_native.LIB`` None when the workspace is made) they are
-    ``stepping.rk4_step`` and ``stepping.rkf45_step`` in numpy.  With them
-    they run on buffers made by the first step (made(buf), if given, sees
+    They run on buffers made by the first step (made(buf), if given, sees
     each once): six stage derivatives, a stage buffer and two states used in
-    turn, so a step's result is overwritten two steps later; the stages keep
-    numpy's rounding, and rk4's final sum makes the checks.
+    turn, so a step's result is overwritten two steps later.  rk4 raises the
+    error (``_checked``) of the checks of its final sum; rkf45 advances by
+    ``rkf45_advance``.
     """
 
     def __init__(self, f, eps_w: np.ndarray, n: int, N: int = 0, sym: bool = False, made=None):
-        self.lib, self.f, self.eps_w, self.made = _native.LIB, f, eps_w, made
+        self.lib, self.f, self.eps_w, self.made = _native.LIB or _StepSums, f, eps_w, made
         self.legs = (eps_w.size, n, N, sym)
         self.bufs: list[np.ndarray] = []
 
     def _start(self, y: np.ndarray) -> np.ndarray:
-        """y as the kernels read it; makes the buffers at the first step."""
+        """y as the step entries read it; makes the buffers at the first step."""
         if not self.bufs:
             self.bufs = [np.empty(y.shape) for _ in range(9)]
             for buf in self.bufs:
@@ -306,22 +326,15 @@ class _Workspace:
 
     def rk4(self, y: np.ndarray, t: float, h: float) -> np.ndarray:
         lib, f = self.lib, self.f
-        if lib is None:
-            return _checked(rk4_step(lambda z: f(z, t), y, h), t, self.eps_w, *self.legs[1:])
         y = self._start(y)
         y_new, k, stage = self._next(y), self.bufs[:4], self.bufs[6]
         for i, c in enumerate((0.5 * h, 0.5 * h, h)):
             f(stage if i else y, t, k[i])
-            lib.rk4_stage(y, k[i], stage, c)
+            lib.rk_stage(y, stage, c, _RK_ONE, k[i])
         f(stage, t, k[3])
-        bad = lib.rk4_final(y, *k, y_new, h / 6.0, *self.legs)
-        if bad is not None:
-            raise _step_error(t, self.eps_w, bad)
-        return y_new
+        return _checked(y_new, t, self.eps_w, lib.rk4_final(y, *k, y_new, h / 6.0, *self.legs))
 
     def rkf45(self, y: np.ndarray, t: float, h: float) -> np.ndarray:
-        if self.lib is None:
-            return rkf45_advance(lambda z: self.f(z, t), y, h, t0=t)
         y = self._start(y)
         lib, k, stage, slot = self.lib, self.bufs[:6], self.bufs[6], [0]
 
@@ -332,7 +345,7 @@ class _Workspace:
             y5, ks = self._next(y), []
             for i, row in enumerate(_RKF_ROWS):
                 if i:
-                    lib.rkf45_stage(y, stage, h, row, *ks)
+                    lib.rk_stage(y, stage, h, row, *ks)
                 slot[0] = i
                 ks.append(rhs(stage if i else y))
             return y5, lib.rkf45_final(y, y5, h, *_RKF_B, *ks)
@@ -348,7 +361,7 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
     f writes into out if given.  step(y, t, dt, method, rng) takes one rk4,
     euler or rkf45 step (euler with an rng adds simulate_diffusive's state
     noise) and checks each leg for non-finite entries and a symmetric flow
-    for weight symmetry (``_checked``).  Each f is one call of the flow
+    for weight symmetry (``_step_flags``, ``_checked``).  Each f is one call of the flow
     (see _particle_drift), and the rk4 and rkf45 steps run on a
     ``_Workspace``, whose buffers' views f builds once.
     """
@@ -386,7 +399,7 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
                 q = np.asarray(model.Q(y[:, :n].reshape(L, N, m)), dtype=float)
                 noise = np.sqrt(2.0 * q * dt)[..., None] * rng.standard_normal((L, N, m))
                 y_new[:, :n] += noise.reshape(L, n)
-        return _checked(y_new, t, eps_w, n, N, sym)
+        return _checked(y_new, t, eps_w, _step_flags(y_new, L, n, N, sym))
 
     return f, step
 

@@ -6,14 +6,14 @@ obeys; ``sample_times`` gives the jump models' sample times.  Every Python
 integrator advances on the grid t0 + k dt through ``run_grid``, which owns
 the stepping, the finiteness check (or leaves it to a step that makes it)
 and the sampling rule.  The integrator passes only its one-step function,
-built on ``rk4_step`` (or, while ``_native.LIB`` holds the compiled
-kernels, the micro flow's compiled RK4, which sums the same stages in the
-same order), an Euler update or ``rkf45_advance`` (adaptive substeps
-between grid points, each ``rkf45_step`` or the micro flow's compiled
-substep, which forms the same sums).  A failed step raises
-IntegrationError; no integrator returns a truncated trajectory.  The compiled closure loop of
-``_kernels.c`` keeps the same grid, sampling rule and failure on a
-non-finite state.
+built on ``rk4_step`` or the micro workspace's rk4 step, an Euler update or
+``rkf45_advance`` (adaptive substeps between grid points, each
+``rkf45_step`` or the workspace's substep).  Every stage and update of an
+rk4 or Fehlberg step is the one explicit Runge-Kutta sum ``rk_sum``, or its
+compiled twin ``coevnet_rk_sum``, which sums in the same order.  A failed
+step raises IntegrationError; no integrator returns a truncated
+trajectory.  The compiled closure loop of ``_kernels.c`` keeps the same
+grid, sampling rule and failure on a non-finite state.
 """
 
 from __future__ import annotations
@@ -121,15 +121,10 @@ def run_grid(
     return y
 
 
-def rk4_step(f: Rhs, y: np.ndarray, h: float) -> np.ndarray:
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
-# Fehlberg 4(5) tableau.
+# The weights of an RK4 stage (y + h k) and of the RK4 update (with h = dt / 6;
+# 1.0 k is k), and the Fehlberg 4(5) tableau.
+_ONE = (1.0,)
+_RK4_B = (1.0, 2.0, 2.0, 1.0)
 _RKF_A = (
     (),
     (1 / 4,),
@@ -142,16 +137,37 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
+def rk_sum(y: np.ndarray, h: float, a, k, out: np.ndarray | None = None) -> np.ndarray:
+    """y + h (a[0] k[0] + ... + a[n-1] k[n-1]), into out if given: the one
+    explicit Runge-Kutta sum, which every RK4 and Fehlberg stage and update
+    forms.  The terms are summed left to right from the first (not from 0),
+    as ``coevnet_rk_sum`` of ``_kernels.c`` sums them."""
+    s = a[0] * k[0]
+    for a_j, k_j in zip(a[1:], k[1:]):
+        s = s + a_j * k_j
+    return np.add(y, h * s, out=out)
+
+
+def rk4_step(f: Rhs, y: np.ndarray, h: float) -> np.ndarray:
+    k1 = f(y)
+    k2 = f(rk_sum(y, 0.5 * h, _ONE, (k1,)))
+    k3 = f(rk_sum(y, 0.5 * h, _ONE, (k2,)))
+    k4 = f(rk_sum(y, h, _ONE, (k3,)))
+    return rk_sum(y, h / 6.0, _RK4_B, (k1, k2, k3, k4))
+
+
 def rkf45_step(f: Rhs, y: np.ndarray, h: float) -> tuple[np.ndarray, float]:
     """One Fehlberg step; returns the 5th-order update and an error estimate."""
     ks = [f(y)]
     for row in _RKF_A[1:]:
-        yi = y + h * sum(a * k for a, k in zip(row, ks))
-        ks.append(f(yi))
-    y5 = y + h * sum(b * k for b, k in zip(_RKF_B5, ks))
-    y4 = y + h * sum(b * k for b, k in zip(_RKF_B4, ks))
-    err = float(np.max(np.abs(y5 - y4))) if np.size(y5) else 0.0
-    return y5, err
+        ks.append(f(rk_sum(y, h, row, ks)))
+    y5 = rk_sum(y, h, _RKF_B5, ks)
+    return y5, fehlberg_error(y5, rk_sum(y, h, _RKF_B4, ks))
+
+
+def fehlberg_error(y5: np.ndarray, y4: np.ndarray) -> float:
+    """max |y5 - y4|: NaN when a difference is NaN, as np.max, and 0.0 for an empty y5."""
+    return float(np.max(np.abs(y5 - y4))) if np.size(y5) else 0.0
 
 
 def rkf45_advance(

@@ -140,7 +140,7 @@ def test_criterion_04_envelopes():
                               gamma_pp=other[2], gamma_mm=other[3], gamma_pm=gamma_pm)
             m0 = random_valid_moments(rng)
             traj = integrate_closure(m0, p, kind, dt=1e-3, T=20.0, sample_stride=10)
-            rep = decay_envelope_check(traj, p, kind)
+            rep = decay_envelope_check(traj)
             assert rep.rate == pytest.approx(1.0)
             assert rep.holds, f"envelope violated at t={rep.first_violation_t}"
 

@@ -277,6 +277,36 @@ class TestRun:
         np.fill_diagonal(inside, False)
         assert a.shape == (6, 2) and np.array_equal(x.ensemble.pair_weights, inside)
 
+    @pytest.mark.parametrize("weights", [
+        {"dist": "constant", "value": 0.3},
+        {"dist": "uniform", "low": 0.1, "high": 0.9},
+        {"values": (0.1 * np.add.outer(np.arange(6), np.arange(6)) * (1 - np.eye(6))).tolist()},
+    ], ids=["constant", "uniform", "values"])
+    def test_characteristics_run_from_init_weights(self, tmp_path, capsys, weights):
+        """The conditional variant's anchors start with the pair weights of
+        init.weights: validate and run agree, and pair_weights.csv holds a
+        symmetric matrix off its zero diagonal, the spec's own at t = 0."""
+        from coevnet.cli import build
+        cfg = characteristics_config(variant="conditional", T=0.1, init={
+            "anchors": {"dist": "uniform", "low": -1, "high": 1}, "weights": weights})
+        (v_code, _), (r_code, _) = validate_and_run(tmp_path, capsys, cfg)
+        assert v_code == r_code == 0
+        W0 = build(cfg).ensemble.pair_weights
+        assert (np.diagonal(W0) == 0.0).all() and np.array_equal(W0, W0.T)
+        out = tmp_path / "out"
+        assert {"anchors.csv", "pair_weights.csv", "injectivity.json"} <= set(os.listdir(out))
+        t, i, j, w = np.loadtxt(out / "pair_weights.csv", delimiter=",", skiprows=1).T
+        assert (i != j).all()
+        for time in np.unique(t):
+            at = t == time
+            W = np.zeros((6, 6))
+            W[i[at].astype(int), j[at].astype(int)] = w[at]
+            assert np.array_equal(W, W.T)
+            if time == 0.0:
+                assert np.array_equal(W, W0)
+        if weights.get("dist") == "constant":
+            assert np.array_equal(W0, 0.3 * (1 - np.eye(6)))
+
     def test_micro_and_diffusive_runs(self, tmp_path):
         micro = {
             "kind": "micro", "seed": 4, "N": 6, "T": 0.2, "dt": 1e-2,

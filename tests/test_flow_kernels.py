@@ -1,12 +1,14 @@
-"""The compiled micro flow and nullcline solve against their numpy references.
+"""The compiled micro flow, nullcline solve and step entries against their numpy references.
 
 Each compiled entry of ``microsim`` has a numpy twin with its signature:
 ``MicroFlow`` and ``microsim._MicroFlow`` (the same constructor and call),
-``nullcline`` and ``microsim._nullcline_py``; both must write the same bytes,
-return the same value, make the same model calls with the same arguments,
-show the same warnings and raise the same errors.
-Each driver runs on the twins, and its workspace on ``stepping``'s numpy
-steps, when ``_native.LIB`` is None, which is how the references are built
+``nullcline`` and ``microsim._nullcline_py``, and the step entries
+``rk_stage``, ``rk4_final`` and ``rkf45_final`` and the static methods of
+``microsim._StepSums``; both must write the same bytes, return the same
+value, make the same model calls with the same arguments, show the same
+warnings and raise the same errors.
+Each driver, the workspace's steps too, runs on the twins when
+``_native.LIB`` is None, which is how the references are built
 here: ``microsim._micro_flow`` must then give the same bytes for every f
 evaluation and step, rejected RKF45 substeps included, and raise the same
 errors, as must ``integrate_reduced`` and ``microsim._nullcline_array``.
@@ -98,6 +100,14 @@ def test_compiled_nullcline_is_in_use(monkeypatch):
     assert _native.LIB is not None
     monkeypatch.setattr(microsim, "_nullcline_py", None)   # calling it would fail
     microsim.solve_weight_nullcline(affine_V(1.0), [0.1], [0.3])
+
+
+@pytest.mark.needs_cc
+def test_the_workspace_takes_its_backend_when_made(monkeypatch):
+    ws = microsim._Workspace(None, np.ones(1), 4)
+    monkeypatch.setattr(_native, "LIB", None)
+    assert ws.lib is not microsim._StepSums
+    assert microsim._Workspace(None, np.ones(1), 4).lib is microsim._StepSums
 
 
 def spy(monkeypatch, name):
@@ -650,13 +660,150 @@ def test_fehlberg_sums_are_bitwise_rkf45_step(seed):
         y5, err = stepping.rkf45_step(f, y, h)
     lib, got, out = _native.LIB, [], np.empty_like(y)
     for i, row in enumerate(microsim._RKF_ROWS[1:], 1):
-        lib.rkf45_stage(y, out, h, row, *ks[:i])
+        lib.rk_stage(y, out, h, row, *ks[:i])
         got.append(out.tobytes())
     assert got == [z.tobytes() for z in stages[1:]]
     c_err = lib.rkf45_final(y, out, h, *microsim._RKF_B, *ks)
     assert out.tobytes() == y5.tobytes()
     assert c_err == err or (np.isnan(c_err) and np.isnan(err))
     assert np.isnan(err) or seed < 4
+
+
+STEP_SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan])
+STEP_H = [1e-3, 0.1, 2.0, -0.01]
+
+
+def step_values(rng, shape, finite=False, share=0.3):
+    """Normal draws over several decades with a share of them replaced by
+    -0.0, +0.0, +-5e-324, +-1e308 (whose sums overflow) and, unless finite,
+    +-inf and NaN."""
+    x = rng.normal(size=shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+    pick = rng.random(shape) < share
+    x[pick] = rng.choice(STEP_SPECIAL[:6] if finite else STEP_SPECIAL, size=pick.sum())
+    return x
+
+
+def negative_zero_sum(y, a, ks):
+    """Plant y = -0.0 and every term a[j] k[j] = -0.0 at y's first element,
+    where a sum taken from its first term gives -0.0 and one from 0 +0.0."""
+    y.flat[0] = -0.0
+    for a_j, k in zip(a, ks):
+        k.flat[0] = np.copysign(0.0, -a_j)
+
+
+def bits(x):
+    """x's bytes with every NaN made the one quiet NaN.  Which of two NaN
+    operands a + or * returns depends on the order of its operands, which
+    a C compiler may swap (both are commutative), so a NaN's sign and
+    payload are not kept; every other bit is, the sign of a zero too."""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
+def stage_weights(rng, nk):
+    """The tableau weights with nk terms (the RK4 stage's 1.0, the Fehlberg
+    rows and updates, the RK4 update), drawn weights, and drawn weights with
+    -0.0, +0.0, 1.0 and 2.0 planted."""
+    table = [microsim._RK_ONE, *microsim._RKF_ROWS[1:], *microsim._RKF_B,
+             np.array(stepping._RK4_B)]
+    drawn, planted_a = rng.normal(size=nk), rng.normal(size=nk)
+    pick = rng.random(nk) < 0.5
+    planted_a[pick] = rng.choice([-0.0, 0.0, 1.0, 2.0], size=pick.sum())
+    return [a for a in table if a.size == nk] + [drawn, planted_a]
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("h", STEP_H)
+@pytest.mark.parametrize("nk", range(1, 7))
+def test_rk_stage_twin_writes_the_kernel_bytes(nk, h):
+    rng = np.random.default_rng(nk)
+    for finite in (True, False):
+        y, ks = step_values(rng, 64, finite), [step_values(rng, 64, finite) for _ in range(nk)]
+        for a in stage_weights(rng, nk):
+            negative_zero_sum(y, a, ks)
+            out_c, out_py = np.full(64, 7.0), np.full(64, 7.0)
+            with np.errstate(all="ignore"):
+                assert _native.LIB.rk_stage(y, out_c, h, a, *ks) is None
+                assert microsim._StepSums.rk_stage(y, out_py, h, a, *ks) is None
+            assert bits(out_c) == bits(out_py)
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("case", ["finite", "planted", "a non-finite leg", "an asymmetric leg"])
+@pytest.mark.parametrize("sym", [True, False])
+@pytest.mark.parametrize("L", [1, 3])
+def test_rk4_final_twin_writes_the_kernel_bytes_and_flags(case, sym, L):
+    """The RK4 update and its step checks on L legs of 8 states and 4 x 4
+    symmetric weights: None when every leg is finite and symmetric, else
+    the per-leg finiteness flags, all True for a leg that is only asymmetric."""
+    rng = np.random.default_rng(L + 2 * sym)
+    N, n = 4, 8
+
+    def legs():
+        z = step_values(rng, (L, n + N * N), finite=case != "planted",
+                        share=0.3 if case == "planted" else 0.0)
+        W = np.triu(z[:, n:].reshape(L, N, N), 1)
+        z[:, n:] = (W + W.swapaxes(1, 2)).reshape(L, N * N)
+        return z
+
+    y, ks = legs(), [legs() for _ in range(4)]
+    negative_zero_sum(y, stepping._RK4_B, ks)
+    if case == "a non-finite leg":
+        ks[2][L - 1, 3] = np.inf
+    if case == "an asymmetric leg":
+        ks[1][L - 1, n + 1] += 0.5   # w_01 of the last leg, not w_10
+    c = float(rng.choice(STEP_H)) / 6.0
+    out_c, out_py = np.full(y.shape, 7.0), np.full(y.shape, 7.0)
+    with np.errstate(all="ignore"):
+        got = _native.LIB.rk4_final(y, *ks, out_c, c, L, n, N, sym)
+        want = microsim._StepSums.rk4_final(y, *ks, out_py, c, L, n, N, sym)
+    assert bits(out_c) == bits(out_py)
+    assert got == want
+    expected = {"finite": None,
+                "a non-finite leg": (True,) * (L - 1) + (False,),
+                "an asymmetric leg": (True,) * L if sym else None}
+    if case in expected:
+        assert got == expected[case]
+    else:
+        assert got is not None and not all(got)
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("h", STEP_H)
+@pytest.mark.parametrize("seed", range(4))
+def test_rkf45_final_twin_writes_the_kernel_bytes(seed, h):
+    """The Fehlberg update and its error estimate, with the tableau's
+    weights and drawn ones: the estimate is NaN exactly where np.max of the
+    update's distance to the 4th-order one is."""
+    rng = np.random.default_rng(seed)
+    y, ks = step_values(rng, 64, seed < 2), [step_values(rng, 64, seed < 2) for _ in range(6)]
+    if seed == 3:   # a NaN difference early on, then larger finite ones
+        y[3], ks[0][3], ks[0][40:] = 0.0, np.nan, 1e6
+    for b5, b4 in (microsim._RKF_B, (rng.normal(size=6), rng.normal(size=6))):
+        negative_zero_sum(y, b5, ks)
+        y5_c, y5_py = np.full(64, 7.0), np.full(64, 7.0)
+        with np.errstate(all="ignore"):
+            err_c = _native.LIB.rkf45_final(y, y5_c, h, b5, b4, *ks)
+            err_py = microsim._StepSums.rkf45_final(y, y5_py, h, b5, b4, *ks)
+            gap = np.max(np.abs(y5_py - stepping.rk_sum(y, h, b4, ks)))
+        assert bits(y5_c) == bits(y5_py)
+        assert np.isnan(err_c) == np.isnan(err_py) == np.isnan(gap)
+        assert np.isnan(gap) or err_c == err_py == gap
+    empty = [np.empty(0) for _ in range(8)]
+    assert _native.LIB.rkf45_final(*empty[:2], 0.1, *microsim._RKF_B, *empty[2:]) == 0.0
+    assert microsim._StepSums.rkf45_final(*empty[:2], 0.1, *microsim._RKF_B, *empty[2:]) == 0.0
+
+
+def test_fehlberg_sums_start_from_their_first_term():
+    """y = -0.0 and every term of the update -0.0 (the 5th stage's +0.0
+    meets its negative weight): the update is -0.0, as y + h (-0.0), where a
+    sum started from 0, as python's sum, would give +0.0."""
+    stages = []
+
+    def f(z):
+        stages.append(z)
+        return np.array([0.0 if len(stages) == 5 else -0.0])
+    y5, err = stepping.rkf45_step(f, np.array([-0.0]), 0.1)
+    assert y5[0] == 0.0 and np.signbit(y5[0]) and err == 0.0
 
 
 def external_leg_force(s):

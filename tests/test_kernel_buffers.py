@@ -95,9 +95,8 @@ ENTRIES = {
     "MinimalEngine": (engine_args, 2, 3),
     "format_rows": (format_args, 5, 1),
     "MicroFlow": (flow_args, 5, 5),
-    "rk4_stage": (lambda: [f64(7), f64(7), f64(7), 0.05], 1, 2),
+    "rk_stage": (lambda: [f64(7), f64(7), 0.1, np.array([0.25, 0.5]), f64(7), f64(7)], 3, 5),
     "rk4_final": (rk4_final_args, 3, 0),
-    "rkf45_stage": (lambda: [f64(7), f64(7), 0.1, np.array([0.25, 0.5]), f64(7), f64(7)], 3, 5),
     "rkf45_final": (lambda: [f64(7), f64(7), 0.1, f64(6, 0.1), f64(6, 0.2)] + [f64(7)] * 6, 10, 1),
     "nullcline": (nullcline_args, 3, 3),
 }
@@ -132,10 +131,21 @@ def test_a_non_contiguous_view_is_refused(entry):
 
 
 def test_a_read_only_output_is_refused():
-    args = [f64(7), f64(7), f64(7), 0.05]
-    args[2].flags.writeable = False
+    args = [f64(7), f64(7), 0.05, f64(1, 1.0), f64(7)]
+    args[1].flags.writeable = False
     with pytest.raises(ValueError, match="read-only"):
-        LIB.rk4_stage(*args)
+        LIB.rk_stage(*args)
+
+
+@pytest.mark.parametrize("stages", [0, 9])
+def test_a_stage_refuses_no_stages_and_more_than_eight(stages):
+    with pytest.raises(TypeError, match="rk_stage takes 4 arguments and 1 to 8 stages"):
+        LIB.rk_stage(f64(7), f64(7), 0.1, f64(max(stages, 1)), *[f64(7)] * stages)
+
+
+def test_a_stage_refuses_fewer_weights_than_stages():
+    with pytest.raises(ValueError, match="fewer than the"):
+        LIB.rk_stage(f64(7), f64(7), 0.1, f64(2), f64(7), f64(7), f64(7))
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int64])
