@@ -95,15 +95,21 @@ ENTRIES = {
     "MinimalEngine": (engine_args, 2, 3),
     "format_rows": (format_args, 5, 1),
     "MicroFlow": (flow_args, 5, 5),
-    "rk_stage": (lambda: [f64(7), f64(7), 0.1, np.array([0.25, 0.5]), f64(7), f64(7)], 3, 5),
+    "rk4_stage": (lambda: [f64(7), f64(7), 0.05, np.array([1.0]), f64(7)], 4, 1),
     "rk4_final": (rk4_final_args, 3, 0),
+    "rkf45_stage": (lambda: [f64(7), f64(7), 0.1, np.array([0.25, 0.5]), f64(7), f64(7)], 3, 5),
     "rkf45_final": (lambda: [f64(7), f64(7), 0.1, f64(6, 0.1), f64(6, 0.2)] + [f64(7)] * 6, 10, 1),
     "nullcline": (nullcline_args, 3, 3),
 }
 
 
+# The RK4 and the Fehlberg stages are both calls of the one entry rk_stage:
+# one stage with the weight 1, or several stages with their weights.
+STAGE_CALLS = {"rk4_stage": "rk_stage", "rkf45_stage": "rk_stage"}
+
+
 def call(entry, args):
-    fn = micro_flow() if entry == "MicroFlow" else getattr(LIB, entry)
+    fn = micro_flow() if entry == "MicroFlow" else getattr(LIB, STAGE_CALLS.get(entry, entry))
     return fn(*args)
 
 
