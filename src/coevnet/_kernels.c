@@ -16,8 +16,13 @@
  *    prints each float64 as python's "%.17g" % x, byte for byte.
  * 4. The MicroFlow type, one micro flow evaluation per call: it calls the
  *    model's V and U back (and microsim._on_grid for a result that it
- *    cannot take as it is), runs coevnet_flow_pairs (the finiteness checks,
- *    U's zero diagonal and the weight drift), calls the row sum back
+ *    cannot take as it is), or, in the pair mode of a kernel-relaxation
+ *    model (models.PairForm), writes s_i - s_j into a fresh array for eta
+ *    and another for K, calls eta and then K back and forms V = eta -
+ *    kappa w and U = -(w K) itself, with the IEEE operations of the
+ *    catalog's V and U on the same operands (exp stays in the model's
+ *    eta); then it runs coevnet_flow_pairs (the finiteness checks, U's
+ *    zero diagonal and the weight drift), calls the row sum back
  *    (numpy's pairwise np.add.reduce, which it calls itself with prebuilt
  *    keyword names, or the mass-weighted einsum) and divides it into the
  *    state drift, then calls U0 back and adds it with numpy's own +=.  Its
@@ -29,14 +34,18 @@
  *    the numpy twins in microsim._StepSums, with the same signatures.
  * 5. coevnet_nullcline: one weight nullcline solve, the bracket search,
  *    every Illinois iteration, the step limit and the residual check over
- *    one buffer, calling the model's V back through a hook (and
- *    microsim._on_grid for a result that it cannot read as it is); its
- *    reference is the numpy twin microsim._nullcline_py, with the
- *    nullcline entry's signature.
+ *    one buffer, calling V back through a hook (and microsim._on_grid for
+ *    a result that it cannot read as it is): the model's own V, or, for a
+ *    kernel-relaxation model with its pair form, a V that microsim gives
+ *    it, eta(s_i - s_j) taken once per solve minus kappa w.  Its reference
+ *    is the numpy twin microsim._nullcline_py, with the nullcline entry's
+ *    signature.
  *
  * Every expression keeps the evaluation order of its python or numpy
  * counterpart, and the module is built without floating-point contraction
- * or fast-math, so each kernel is bitwise equal to its reference.  The
+ * or fast-math, so each kernel is bitwise equal to its reference up to the
+ * sign and payload of a NaN: which of two NaN operands a + or * returns
+ * depends on their order, which the compiler may swap.  The
  * module's functions, at the end of this file, take the numpy arrays
  * themselves and check each one before a kernel reads or writes it.
  *
@@ -1406,18 +1415,28 @@ done:
     return result;
 }
 
-/* MicroFlow(V, U, row_sum, divisor, U0, eps, L, N, m, sym, row, on_grid):
- * one micro flow of L stacked legs of N agents in m dimensions, made once
- * per flow; its reference is the numpy twin microsim._MicroFlow, with the
- * same constructor and call.  V (None for a flow without weights), U, U0
- * (or None), row_sum (the interaction sum of U over its partner axis; None
- * for np.add.reduce(U, axis=2), called with prebuilt keyword names) and
- * on_grid (microsim._on_grid) are called back; eps (or None), held until
- * the flow is freed, holds the legs' weight divisors, and row is the number
- * of doubles of one leg of the flow's output.
+/* MicroFlow(V, U, row_sum, divisor, U0, eps, L, N, m, sym, row, on_grid
+ * [, pair]): one micro flow of L stacked legs of N agents in m dimensions,
+ * made once per flow; its reference is the numpy twin microsim._MicroFlow,
+ * with the same constructor and call.  V (None for a flow without
+ * weights), U, U0 (or None), row_sum (the interaction sum of U over its
+ * partner axis; None for np.add.reduce(U, axis=2), called with prebuilt
+ * keyword names) and on_grid (microsim._on_grid) are called back; eps (or
+ * None), held until the flow is freed, holds the legs' weight divisors, and
+ * row is the number of doubles of one leg of the flow's output.  pair, None
+ * or the (K, eta, kappa) of a model whose U and V are its pair form's,
+ * selects the pair mode.
  *
  * flow(states, si, sj, W, ds, out) -> None, or the per-leg finiteness flags
  * of U and V as a tuple when a leg is not finite, is one evaluation:
+ *   0. in the pair mode, when si and sj are float64 arrays that broadcast
+ *      to the pair grid (L, N, N, m) and W is a float64 array of (L, N, N),
+ *      all with any strides: given V, eta(d) on d = si - sj in a fresh
+ *      array and V = eta(d) - kappa W (- W with kappa 1.0) into a
+ *      temporary; then K(d) on another fresh d (a kernel may write into its
+ *      own) and U = -(W K(d)) into a fresh array.  Where eta(d) or K(d) is
+ *      not a float64 array of its grid (any strides), the call takes steps
+ *      1 and 2 instead; otherwise it goes on at step 3;
  *   1. V(si, sj, W), used as it is when it is a float64 ndarray of exactly
  *      the grid (L, N, N), C-contiguous, writable and with no base (so it
  *      shares no memory with states or W), else on_grid(result, grid, "V",
@@ -1435,7 +1454,8 @@ typedef struct {
     vectorcallfunc vectorcall;
     PyObject *fn[2], *grid[2], *name[2];   /* V and U, their grids and names */
     PyObject *row_sum, *U0, *on_grid;
-    double divisor;
+    PyObject *K, *eta;   /* the pair form's kernels, NULL without the pair mode */
+    double kappa, divisor;
     const double *eps;   /* in held, or NULL */
     arrays held;
     uint8_t *ok;
@@ -1445,9 +1465,9 @@ typedef struct {
 } flow_object;
 
 /* numpy.ndarray, the name "base", numpy.add.reduce and its keyword
- * arguments axis=2 (the names ("axis",) and the value 2), made by
- * PyInit__kernels */
-static PyObject *ndarray_type, *base_name, *add_reduce, *axis_two[2];
+ * arguments axis=2 (the names ("axis",) and the value 2), and numpy.empty,
+ * made by PyInit__kernels */
+static PyObject *ndarray_type, *base_name, *add_reduce, *axis_two[2], *np_empty;
 
 /* Whether v is a writable C-contiguous float64 buffer of shape shape[0 .. ndim). */
 static int is_grid(const Py_buffer *v, const Py_ssize_t *shape, int ndim)
@@ -1510,6 +1530,165 @@ static int pair_grid(flow_object *f, int k, PyObject *const *args, arrays *a, Py
     return 0;
 }
 
+/* Takes obj's buffer into *v when obj is a numpy array of native float64
+ * elements whose shape is shape[0 .. ndim), with any strides, and returns
+ * 1; else returns 0 with nothing taken and no exception set. */
+static int f64_view(PyObject *obj, Py_buffer *v, const Py_ssize_t *shape, int ndim)
+{
+    int d;
+    if (!PyObject_TypeCheck(obj, (PyTypeObject *)ndarray_type))
+        return 0;
+    if (PyObject_GetBuffer(obj, v, PyBUF_RECORDS_RO) < 0) {
+        PyErr_Clear();
+        return 0;
+    }
+    if (elem_kind(v) == 'f' && v->itemsize == 8 && v->ndim == ndim) {
+        for (d = 0; d < ndim && (!shape || v->shape[d] == shape[d]); d++)
+            ;
+        if (d == ndim)
+            return 1;
+    }
+    PyBuffer_Release(v);
+    return 0;
+}
+
+/* The double at byte offset off of base. */
+#define AT(base, off) (*(const double *)((const char *)(base) + (off)))
+
+/* A fresh array of the pair grid (L, N, N, m) holding si - sj, whose
+ * buffers are in[0] and in[1], read with the byte strides st[0] and st[1]
+ * (0 along a broadcast axis); NULL when numpy raised. */
+static PyObject *pair_diff(const flow_object *f, const Py_buffer *in, Py_ssize_t st[2][4])
+{
+    const Py_ssize_t *g = f->shape;
+    PyObject *d = PyObject_CallOneArg(np_empty, f->grid[1]);
+    arrays t = {.n = 0};
+    double *out;
+    Py_ssize_t l, i, j, k;
+    if (!d || take(&t, d, "d", &F64, WRITE, g[0] * g[1] * g[2] * g[3], (void **)&out) < 0) {
+        Py_XDECREF(d);
+        return NULL;
+    }
+    for (l = 0; l < g[0]; l++)
+        for (i = 0; i < g[1]; i++) {
+            const char *si = (const char *)in[0].buf + l * st[0][0] + i * st[0][1];
+            const char *sj = (const char *)in[1].buf + l * st[1][0] + i * st[1][1];
+            for (j = 0; j < g[2]; j++, si += st[0][2], sj += st[1][2]) {
+                if (g[3] == 1)
+                    *out++ = AT(si, 0) - AT(sj, 0);
+                else
+                    for (k = 0; k < g[3]; k++)
+                        *out++ = AT(si, k * st[0][3]) - AT(sj, k * st[1][3]);
+            }
+        }
+    release(&t);
+    return d;
+}
+
+/* Step 0 of a call in the pair mode (see MicroFlow): returns 1 with U =
+ * -(W K(d)) in a fresh array *U, its buffer taken into a, and, given V,
+ * V = eta(d) - kappa W (- W with kappa 1.0) in *v, a temporary the caller
+ * frees.  Returns 0, holding nothing, when si and sj do not broadcast to
+ * the pair grid as float64 arrays, W is not a float64 array of (L, N, N)
+ * or a kernel's result is not a float64 array of its grid: the call then
+ * takes V and U as they are.  Returns -1 when a callback raised. */
+static int pair_mode(flow_object *f, PyObject *const *args, arrays *a, PyObject **U, void **u,
+                     double **v)
+{
+    const Py_ssize_t *g = f->shape;   /* L, N, N, m */
+    Py_ssize_t L = g[0], N = g[1], m = g[3], l, i, j, k, st[2][4];
+    Py_buffer in[3], r;   /* si, sj, W; a kernel's result */
+    PyObject *d, *res = NULL;
+    double *out, w;
+    int n_in, e, status = 0;
+    *v = NULL;
+    for (n_in = 0; n_in < 3; n_in++)
+        if (!f64_view(args[1 + n_in], &in[n_in], n_in < 2 ? NULL : g, n_in < 2 ? 4 : 3))
+            goto done;
+    for (k = 0; k < 4; k++) {
+        for (e = 0; e < 2; e++) {
+            if (in[e].shape[k] != 1 && in[e].shape[k] != g[k])
+                goto done;
+            st[e][k] = in[e].shape[k] == 1 ? 0 : in[e].strides[k];
+        }
+        if (in[0].shape[k] != g[k] && in[1].shape[k] != g[k])
+            goto done;
+    }
+    status = -1;
+    if (f->fn[0] != Py_None) {   /* eta(d) on a d of its own */
+        if (!(d = pair_diff(f, in, st)))
+            goto done;
+        res = PyObject_CallOneArg(f->eta, d);
+        Py_DECREF(d);
+        if (!res)
+            goto done;
+        if (!f64_view(res, &r, g, 3)) {
+            status = 0;
+            goto done;
+        }
+        if (!(*v = PyMem_Malloc((size_t)(L * N * N) * sizeof(double)))) {
+            PyBuffer_Release(&r);
+            PyErr_NoMemory();
+            goto done;
+        }
+        out = *v;
+        for (l = 0; l < L; l++)
+            for (i = 0; i < N; i++) {
+                const char *pw = (const char *)in[2].buf + l * in[2].strides[0]
+                    + i * in[2].strides[1];
+                const char *pe = (const char *)r.buf + l * r.strides[0] + i * r.strides[1];
+                for (j = 0; j < N; j++, pw += in[2].strides[2], pe += r.strides[2]) {
+                    w = AT(pw, 0);
+                    *out++ = AT(pe, 0) - (f->kappa == 1.0 ? w : f->kappa * w);
+                }
+            }
+        PyBuffer_Release(&r);
+        Py_CLEAR(res);
+    }
+    if (!(d = pair_diff(f, in, st)))   /* K(d) on another */
+        goto done;
+    res = PyObject_CallOneArg(f->K, d);
+    Py_DECREF(d);
+    if (!res)
+        goto done;
+    if (!f64_view(res, &r, g, 4)) {
+        status = 0;
+        goto done;
+    }
+    if (!(*U = PyObject_CallOneArg(np_empty, f->grid[1]))
+        || take(a, *U, "U", &F64, WRITE, L * N * N * m, u) < 0) {
+        Py_CLEAR(*U);
+        PyBuffer_Release(&r);
+        goto done;
+    }
+    out = *u;
+    for (l = 0; l < L; l++)
+        for (i = 0; i < N; i++) {
+            const char *pw = (const char *)in[2].buf + l * in[2].strides[0]
+                + i * in[2].strides[1];
+            const char *pk = (const char *)r.buf + l * r.strides[0] + i * r.strides[1];
+            for (j = 0; j < N; j++, pw += in[2].strides[2], pk += r.strides[2]) {
+                w = AT(pw, 0);
+                if (m == 1)
+                    *out++ = -(w * AT(pk, 0));
+                else
+                    for (k = 0; k < m; k++)
+                        *out++ = -(w * AT(pk, k * r.strides[3]));
+            }
+        }
+    PyBuffer_Release(&r);
+    status = 1;
+done:
+    while (n_in > 0)
+        PyBuffer_Release(&in[--n_in]);
+    Py_XDECREF(res);
+    if (status != 1) {
+        PyMem_Free(*v);
+        *v = NULL;
+    }
+    return status;
+}
+
 /* Takes obj's buffer into a, checked as a float64 array of shape (L, N, m)
  * with any strides, writable with WRITE. */
 static int take_states(arrays *a, PyObject *obj, const char *name, int flags,
@@ -1545,18 +1724,23 @@ static PyObject *flow_call(PyObject *self, PyObject *const *args, size_t nargsf,
     void *u, *v = NULL, *out, *ds, *sum;
     const Py_ssize_t *ds_st, *sum_st;
     Py_ssize_t L = f->shape[0], N = f->shape[1], m = f->shape[3], l, i, k;
+    double *v_pair = NULL;   /* V of the pair mode */
+    int pair = 0;
     if (kwnames && PyTuple_GET_SIZE(kwnames)) {
         PyErr_SetString(PyExc_TypeError, "MicroFlow takes no keyword arguments");
         return NULL;
     }
     if (check_nargs("MicroFlow", PyVectorcall_NARGS(nargsf), 6) < 0)
         return NULL;
-    if ((f->fn[0] != Py_None && pair_grid(f, 0, args, &a, &V, &v) < 0)
-        || pair_grid(f, 1, args, &a, &U, &u) < 0
-        || take_states(&a, args[4], "ds", WRITE, f, &ds, &ds_st) < 0
-        || take(&a, args[5], "out", &F64, WRITE | OPTIONAL, V ? f->out_need : 0, &out) < 0)
+    if (f->K && (pair = pair_mode(f, args, &a, &U, &u, &v_pair)) < 0)
         goto done;
-    if (V && !out) {
+    v = v_pair;
+    if ((!pair && ((f->fn[0] != Py_None && pair_grid(f, 0, args, &a, &V, &v) < 0)
+                   || pair_grid(f, 1, args, &a, &U, &u) < 0))
+        || take_states(&a, args[4], "ds", WRITE, f, &ds, &ds_st) < 0
+        || take(&a, args[5], "out", &F64, WRITE | OPTIONAL, v ? f->out_need : 0, &out) < 0)
+        goto done;
+    if (v && !out) {
         PyErr_SetString(PyExc_ValueError, "MicroFlow needs out to write the weight drift");
         goto done;
     }
@@ -1591,6 +1775,7 @@ static PyObject *flow_call(PyObject *self, PyObject *const *args, size_t nargsf,
     result = Py_NewRef(Py_None);
 done:
     release(&a);
+    PyMem_Free(v_pair);
     Py_XDECREF(V);
     Py_XDECREF(U);
     Py_XDECREF(rs);
@@ -1605,6 +1790,8 @@ static int flow_traverse(PyObject *self, visitproc visit, void *arg)
     Py_VISIT(f->row_sum);
     Py_VISIT(f->U0);
     Py_VISIT(f->on_grid);
+    Py_VISIT(f->K);
+    Py_VISIT(f->eta);
     return 0;
 }
 
@@ -1620,6 +1807,8 @@ static int flow_clear(PyObject *self)
     Py_CLEAR(f->row_sum);
     Py_CLEAR(f->U0);
     Py_CLEAR(f->on_grid);
+    Py_CLEAR(f->K);
+    Py_CLEAR(f->eta);
     return 0;
 }
 
@@ -1635,13 +1824,13 @@ static void flow_dealloc(PyObject *self)
 
 static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
 {
-    PyObject *o[12];
+    PyObject *o[13] = {NULL}, *pair[3];
     flow_object *self;
     void *eps;
     int64_t L, N, m, sym, row, n, nn;
     if ((kwds && PyDict_GET_SIZE(kwds))
-        || !PyArg_UnpackTuple(args, "MicroFlow", 12, 12, &o[0], &o[1], &o[2], &o[3], &o[4],
-                              &o[5], &o[6], &o[7], &o[8], &o[9], &o[10], &o[11])) {
+        || !PyArg_UnpackTuple(args, "MicroFlow", 12, 13, &o[0], &o[1], &o[2], &o[3], &o[4],
+                              &o[5], &o[6], &o[7], &o[8], &o[9], &o[10], &o[11], &o[12])) {
         if (!PyErr_Occurred())
             PyErr_SetString(PyExc_TypeError, "MicroFlow takes no keyword arguments");
         return NULL;
@@ -1661,9 +1850,22 @@ static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
                      (long long)n, (long long)nn);
         return NULL;
     }
+    if (o[12] && o[12] != Py_None
+        && (!PyTuple_Check(o[12])
+            || !PyArg_UnpackTuple(o[12], "pair", 3, 3, &pair[0], &pair[1], &pair[2]))) {
+        if (!PyErr_Occurred())
+            PyErr_SetString(PyExc_TypeError, "pair must be None or a tuple (K, eta, kappa)");
+        return NULL;
+    }
     self = (flow_object *)type->tp_alloc(type, 0);
     if (!self)
         return NULL;
+    if (o[12] && o[12] != Py_None) {
+        if (float_arg(pair[2], &self->kappa) < 0)
+            goto fail;
+        self->K = Py_NewRef(pair[0]);
+        self->eta = Py_NewRef(pair[1]);
+    }
     self->vectorcall = flow_call;
     self->shape[0] = (Py_ssize_t)L;
     self->shape[1] = self->shape[2] = (Py_ssize_t)N;
@@ -1951,13 +2153,15 @@ PyMODINIT_FUNC PyInit__kernels(void)
         PyObject *add = numpy ? PyObject_GetAttrString(numpy, "add") : NULL;
         ndarray_type = numpy ? PyObject_GetAttrString(numpy, "ndarray") : NULL;
         add_reduce = add ? PyObject_GetAttrString(add, "reduce") : NULL;
+        np_empty = numpy ? PyObject_GetAttrString(numpy, "empty") : NULL;
         axis_two[0] = Py_BuildValue("(s)", "axis");
         axis_two[1] = PyLong_FromLong(2);
         Py_XDECREF(numpy);
         Py_XDECREF(add);
-        if (!ndarray_type || !add_reduce || !axis_two[0] || !axis_two[1]) {
+        if (!ndarray_type || !add_reduce || !np_empty || !axis_two[0] || !axis_two[1]) {
             Py_CLEAR(ndarray_type);   /* a later import tries again */
             Py_CLEAR(add_reduce);
+            Py_CLEAR(np_empty);
             Py_CLEAR(axis_two[0]);
             Py_CLEAR(axis_two[1]);
             return NULL;

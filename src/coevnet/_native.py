@@ -8,10 +8,11 @@ micro flow's evaluation, its step entries and the weight nullcline solve
 (``microsim``, which holds a numpy twin of each).  A micro flow evaluation is
 one call of the ``MicroFlow`` type, which makes the checks, U's zero
 diagonal, the weight drift and the division of the row sum itself and
-calls Python back for the model's V, U and U0, the row sum (numpy's) and
-numpy's ``+=`` of U0; a nullcline solve is one ``nullcline`` call, which
-runs the bracket search, the Illinois iterations and the residual check
-itself and calls the model's V back; every RK4 and Fehlberg stage and
+calls Python back for the model's V, U and U0 (for a kernel-relaxation
+model with its pair form, K and eta, from which it forms U and V itself),
+the row sum (numpy's) and numpy's ``+=`` of U0; a nullcline solve is one
+``nullcline`` call, which runs the bracket search, the Illinois iterations
+and the residual check itself and calls V back; every RK4 and Fehlberg stage and
 update is one sum, ``coevnet_rk_sum``.  The module is compiled with ``cc``
 and this interpreter's headers the first time the package is imported,
 cached next to the source (in ``_cbuild/``, or under the temp dir when that
@@ -51,7 +52,8 @@ _INCLUDE = sysconfig.get_paths()["include"]
 _EXT_SUFFIX = sysconfig.get_config_var("EXT_SUFFIX") or ".so"
 # No fused multiply-adds and no fast-math: the kernels must round every
 # operation as python and numpy do, so that they stay bitwise equal to the
-# reference loops.
+# reference loops, up to the sign and payload of NaN (which of two NaN
+# operands a + or * returns depends on their order).
 _C_FLAGS = ("-O2", "-ffp-contract=off", "-shared", "-fPIC", "-I" + _INCLUDE)
 _PKG_CACHE = os.path.join(os.path.dirname(_C_SOURCE), "_cbuild")
 
@@ -168,7 +170,7 @@ def load_library(cc: str = "cc") -> ModuleType | None:
                     "and the Gillespie engine in pure python, about 300 and 60 times "
                     "slower, CSV rows by python formatting, about 7 times slower, and the "
                     "micro flow, its steps and the weight nullcline on numpy alone, about "
-                    "2.8 times slower for the epsilon sweep at N=4", exc, _INCLUDE)
+                    "4.3 times slower for the epsilon sweep at N=4", exc, _INCLUDE)
         return None
 
 

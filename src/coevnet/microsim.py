@@ -22,15 +22,17 @@ Each flow evaluation is one call of a flow made once per run: the compiled
 ``_MicroFlow``, which has the same constructor and call and writes the same
 bytes.  The kernel makes the finiteness checks, zeroes U's diagonal, writes
 the weight drift and divides the row sum into the state drift.  It calls
-back the model's V, U and U0, ``_on_grid`` for a V or U result that it
-cannot take as it is, the row sum (``np.add.reduce`` over the partner axis,
-called by the kernel itself for numpy's pairwise summation order, or the
-mass-weighted ``einsum``) and numpy's own ``+=`` for adding U0, whose result
-may broadcast.  Each nullcline solve is one ``nullcline`` call, or one call
+back the model's V, U and U0 (for a model with its pair form, see
+``models``, K and eta in place of U and V, whose U and V it forms itself),
+``_on_grid`` for a V or U result that it cannot take as it is, the row sum
+(``np.add.reduce`` over the partner axis, called by the kernel itself for
+numpy's pairwise summation order, or the mass-weighted ``einsum``) and
+numpy's own ``+=`` for adding U0, whose result may broadcast.  Each nullcline solve is one ``nullcline`` call, or one call
 of its twin ``_nullcline_py``: the bracket search, every Illinois iteration,
-the step limit and the residual check over one buffer, with V called back
-on views of its rows and its results read through ``_on_grid`` when they
-are not float64 arrays of the grid.  The rk4 and rkf45 steps of the flow
+the step limit and the residual check over one buffer, with V (for the
+pair form, eta taken once per solve minus kappa w) called back on views
+of its rows and its results read through ``_on_grid`` when they are not
+float64 arrays of the grid.  The rk4 and rkf45 steps of the flow
 and of the fast-network limit run on a workspace of the run
 (``_Workspace``): each stage is one ``rk_stage`` call and each update one
 ``rk4_final`` call, which also makes the step's checks, or one
@@ -49,7 +51,7 @@ import numpy as np
 
 from . import _native
 from .errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
-from .models import PotentialModel, SmoothModel, _probe_points
+from .models import PairForm, PotentialModel, SmoothModel, _probe_points, _times
 from .stepping import (_ONE, _RK4_B, _RKF_A, _RKF_B4, _RKF_B5, fehlberg_error, rk_sum,
                        rkf45_advance, run_grid)
 
@@ -180,16 +182,36 @@ def _lower(N: int) -> np.ndarray:
     return lower
 
 
+@functools.lru_cache(maxsize=32)
+def _spans(a: tuple, b: tuple, grid: tuple) -> bool:
+    """Whether arrays of shapes a and b broadcast to exactly grid."""
+    return len(a) == len(b) == len(grid) and all(
+        x in (1, g) and y in (1, g) and max(x, y) == g for x, y, g in zip(a, b, grid))
+
+
+def _is_grid(a, grid: tuple) -> bool:
+    """Whether a is a float64 ndarray of exactly the shape grid, any strides."""
+    return isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == grid
+
+
 class _MicroFlow:
     """The numpy twin of the compiled ``MicroFlow``, with its constructor and call.
 
-    _MicroFlow(V, U, row_sum, divisor, U0, eps, L, N, m, sym, row, on_grid)
-    is the flow of L stacked legs of N agents in m dimensions; V is None
-    for a flow without weights, U0 may be None and eps (one weight divisor
-    per leg) too.  A call flow(states, si, sj, W, ds, out) is one
-    evaluation, in this order:
+    _MicroFlow(V, U, row_sum, divisor, U0, eps, L, N, m, sym, row, on_grid,
+    pair=None) is the flow of L stacked legs of N agents in m dimensions; V
+    is None for a flow without weights, U0 may be None and eps (one weight
+    divisor per leg) too.  pair, the (K, eta, kappa) of a model whose U and
+    V are its pair form's (see ``models``), selects the pair mode.  A call
+    flow(states, si, sj, W, ds, out) is one evaluation, in this order:
 
-    1. V(si, sj, W) and then U(si, sj, W), each through
+    1. in the pair mode, when si and sj are float64 arrays that broadcast to
+       the pair grid (L, N, N, m) and W is a float64 array of the grid
+       (L, N, N): given V, eta(d) on d = si - sj in a fresh array and V =
+       eta(d) - kappa W (- W with kappa 1) into a fresh array; then K(d) on
+       another fresh d and U = -(W K(d)) into a fresh array.  Where eta(d)
+       or K(d) is not a float64 ndarray of its grid, the evaluation takes
+       step 1' instead;
+    1'. otherwise V(si, sj, W) and then U(si, sj, W), each through
        ``on_grid(result, grid, name, states, W)`` on its pair grid,
        (L, N, N) or (L, N, N, m);
     2. when a leg of U or V is not finite, returns the per-leg finiteness
@@ -204,15 +226,41 @@ class _MicroFlow:
     5. ds += U0(states); returns None.
     """
 
-    def __init__(self, V, U, row_sum, divisor, U0, eps, L, N, m, sym, row, on_grid):
+    def __init__(self, V, U, row_sum, divisor, U0, eps, L, N, m, sym, row, on_grid, pair=None):
         self.V, self.U, self.row_sum, self.divisor, self.U0 = V, U, row_sum, divisor, U0
         self.eps = None if eps is None else np.array(eps, dtype=float).reshape(L, 1, 1)
         self.L, self.N, self.m, self.sym, self.row, self.on_grid = L, N, m, sym, row, on_grid
+        self.pair = pair
+
+    def _pair(self, si, sj, W) -> tuple | None:
+        """Step 1: U and V (None without V) by the pair form, or None."""
+        K, eta, kappa = self.pair
+        grid = (self.L, self.N, self.N)
+        pairs = grid + (self.m,)
+        if not (isinstance(si, np.ndarray) and isinstance(sj, np.ndarray)
+                and isinstance(W, np.ndarray) and si.dtype == sj.dtype == W.dtype == np.float64
+                and W.shape == grid and _spans(si.shape, sj.shape, pairs)):
+            return None
+        V = None
+        if self.V is not None:   # each kernel its own d
+            e = eta(np.subtract(si, sj))
+            if not _is_grid(e, grid):
+                return None
+            V = np.subtract(e, W if kappa == 1.0 else kappa * W, out=np.empty(grid))
+        k = K(np.subtract(si, sj))
+        if not _is_grid(k, pairs):
+            return None
+        U = np.multiply(W[..., None], k, out=np.empty(pairs))
+        return np.negative(U, out=U), V
 
     def __call__(self, states, si, sj, W, ds, out) -> tuple | None:
         L, N, m, on_grid = self.L, self.N, self.m, self.on_grid
-        V = None if self.V is None else on_grid(self.V(si, sj, W), (L, N, N), "V", states, W)
-        U = on_grid(self.U(si, sj, W), (L, N, N, m), "U", states, W)
+        UV = None if self.pair is None else self._pair(si, sj, W)
+        if UV is not None:
+            U, V = UV
+        else:
+            V = None if self.V is None else on_grid(self.V(si, sj, W), (L, N, N), "V", states, W)
+            U = on_grid(self.U(si, sj, W), (L, N, N, m), "U", states, W)
         if not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
             ok = np.isfinite(U).all(axis=(1, 2, 3))
             if V is not None:
@@ -256,6 +304,13 @@ class _StepSums:
         return fehlberg_error(rk_sum(y, h, b5, k, y5), rk_sum(y, h, b4, k))
 
 
+def _pair_form(model) -> PairForm | None:
+    """The model's pair form (see ``models``) while its U and V are the
+    form's own, else None: a copy with U or V replaced runs on them."""
+    form = getattr(model, "_pair_form", None)
+    return form if form is not None and model.U is form.U and model.V is form.V else None
+
+
 def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s: float = 1.0,
                     masses: np.ndarray | None = None, sym: bool = False, row: int = 0,
                     V: Callable | None = None):
@@ -283,8 +338,11 @@ def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s
             raise ModelError("masses must be finite")
         row_sum, divisor = functools.partial(np.einsum, "j,lijk->lik", masses), eps_s
     eps = None if np.all(eps_w == 1.0) else np.array(eps_w)   # x / 1.0 is x
+    form = _pair_form(model)
+    pair = None if form is None or V not in (None, form.V) else (form.K, form.eta, form.kappa)
     make = _MicroFlow if _native.LIB is None else _native.LIB.MicroFlow
-    return make(V, model.U, row_sum, divisor, model.U0, eps, eps_w.size, N, m, sym, row, _on_grid)
+    return make(V, model.U, row_sum, divisor, model.U0, eps, eps_w.size, N, m, sym, row, _on_grid,
+                pair)
 
 
 # The weights of the steps' sums, as the step entries read them.
@@ -693,12 +751,21 @@ def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.n
     The solve is one call over one (10,) + grid buffer, the compiled
     ``nullcline`` while ``_native.LIB`` holds it, else its twin
     ``_nullcline_py``: the bracket search, every Illinois iteration, the
-    step limit and the residual check, with V called back.  The limits are
-    read here at each call; the returned status becomes the error.
+    step limit and the residual check, with V called back.  For a model
+    with its pair form (see ``models``), eta(s - sigma) is taken once here,
+    and the V called back is the catalog's with that value, eta_d - kappa w,
+    so the iterates are the same.  The limits are read here at each call;
+    the returned status becomes the error.
     """
     buf = np.empty((10,) + _pair_grid(si.shape, sj.shape))
+    V, form = model.V, _pair_form(model)
+    if form is not None:   # eta once per solve: V is the catalog's with eta(s - sigma) taken
+        eta_d = np.asarray(form.eta(np.asarray(si, dtype=float) - sj), dtype=float)
+
+        def V(s, sig, w, _relax=_times(form.kappa)):
+            return eta_d - _relax(np.asarray(w, dtype=float))
     solve = _nullcline_py if _native.LIB is None else _native.LIB.nullcline
-    status = solve(model.V, si, sj, buf, buf[0, ...], buf[1, ...], buf[8, ...],
+    status = solve(V, si, sj, buf, buf[0, ...], buf[1, ...], buf[8, ...],
                    _NULLCLINE_MAX_STEPS, _NULLCLINE_MAX_BRACKET, NULLCLINE_TOL, _on_grid)
     if status == 1:
         raise NullclineNotFound(f"V has no sign change in |w| <= {float(buf[1].max()):g} "

@@ -27,12 +27,23 @@ fall back to finite differences.
 The catalog kernels are bitwise their formulas but skip known results: a
 parameter of 1.0 is folded away when built (``1.0 * x`` is ``x`` in IEEE
 arithmetic), a length-1 state axis is read, not summed, and U negates in place.
+
+Pair form: the catalog's kernel-relaxation model also carries its kernels
+K and eta, its kappa and the U and V built from them, as a ``PairForm`` in
+the private field ``_pair_form``, which neither a constructor argument nor
+a config sets.  ``microsim`` uses it while the model's U and V are still
+the form's own (a copy with a replaced U or V, a ``dataclasses.replace``
+and every hand-built model run on U and V as they are): a flow evaluation
+then takes s_i - s_j once for eta and once for K, and forms U = -(w K) and
+V = eta - kappa w itself, with the same IEEE operations on the same
+operands as the catalog's U and V, so the bytes are theirs; a nullcline
+solve takes eta once.  exp, where eta has one, stays in the model's eta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-from typing import Callable, Mapping
+from dataclasses import dataclass, field, fields
+from typing import Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -51,6 +62,18 @@ def _probe_points(m: int, n: int, seed: int = _PROBE_SEED):
     return s, sig, w
 
 
+class PairForm(NamedTuple):
+    """The kernel-relaxation model's pair form (see the module docstring):
+    U = -w K(s - sigma) and V = eta(s - sigma) - kappa w, the U and V that
+    catalog built from K, eta and kappa."""
+
+    K: Callable
+    eta: Callable
+    kappa: float
+    U: Callable
+    V: Callable
+
+
 @dataclass(frozen=True)
 class SmoothModel:
     """Force bundle (U, V, U0, Q, R) for the continuous co-evolution system."""
@@ -64,6 +87,7 @@ class SmoothModel:
     symmetric_V: bool = False
     potential: "PotentialModel | None" = None
     name: str = "custom"
+    _pair_form: PairForm | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.m < 1:
@@ -304,7 +328,9 @@ def catalog(name: str, params: Mapping | None = None) -> SmoothModel:
         def V(s, sig, w, _eta=args["eta"], _relax=_times(args["kappa"])):
             return np.asarray(_eta(np.asarray(s, dtype=float) - sig), dtype=float) - _relax(np.asarray(w, dtype=float))
 
-        return SmoothModel(U=U, V=V, m=args["m"], symmetric_V=True, name=name)
+        model = SmoothModel(U=U, V=V, m=args["m"], symmetric_V=True, name=name)
+        object.__setattr__(model, "_pair_form", PairForm(args["K"], args["eta"], args["kappa"], U, V))
+        return model
 
     # boschi: a scalar-opinion model; g is an elementwise function of the opinion
     if args["m"] != 1:

@@ -45,12 +45,12 @@ def _check_horizon(T: float) -> None:
 
 
 def grid_steps(dt: float, T: float, stride: int, name: str = "dt") -> int:
-    """n = T / dt, the steps of a grid run; ModelError unless dt > 0, T is
-    finite and >= 0, the sample stride is >= 1 and |n dt - T| <= 1e-9
-    max(1, T), that is T is a multiple of dt (``name`` labels dt in that
-    error)."""
-    if dt <= 0:
-        raise ModelError("dt must be positive")
+    """n = T / dt, the steps of a grid run; ModelError unless dt is finite
+    and > 0, T is finite and >= 0, the sample stride is >= 1 and |n dt - T|
+    <= 1e-9 max(1, T), that is T is a multiple of dt (``name`` labels dt in
+    the errors)."""
+    if not 0.0 < dt < np.inf:   # False for NaN
+        raise ModelError(f"{name} must be positive and finite, got {dt}")
     _check_horizon(T)
     if stride < 1:
         raise ModelError("sample_stride must be >= 1")

@@ -164,6 +164,14 @@ def planted(rng, shape, finite=False, share=0.3):
     return x
 
 
+def bits(x):
+    """x's bytes with every NaN made the one quiet NaN.  Which of two NaN
+    operands a + or * returns depends on the order of its operands, which
+    a C compiler may swap (both are commutative), so a NaN's sign and
+    payload are not kept; every other bit is, the sign of a zero too."""
+    return np.where(np.isnan(x), np.nan, x).tobytes()
+
+
 def flow_pair(model, N, m, eps_w, eps_s=1.0, masses=None, sym=False, row=0, V=None):
     """The compiled flow and its numpy twin, as microsim._particle_drift makes them."""
     args = model, N, m, np.asarray(eps_w, dtype=float), eps_s, masses, sym, row, V
@@ -372,7 +380,7 @@ def solve_both(V, si, sj, fill, max_steps=100, max_bracket=4.0 ** 10, tol=1e-12)
         calls = []
 
         def logged(s, sig, w):
-            calls.append([(type(a), a.shape, a.dtype.str, a.flags.c_contiguous, a.tobytes())
+            calls.append([(type(a), a.shape, a.dtype.str, a.flags.c_contiguous, bits(a))
                           for a in (s, sig, w)])
             return V(s, sig, w, len(calls) - 1)
         buf = fill.copy()
@@ -383,7 +391,7 @@ def solve_both(V, si, sj, fill, max_steps=100, max_bracket=4.0 ** 10, tol=1e-12)
                                max_steps, max_bracket, tol, microsim._on_grid)
             except Exception as err:   # noqa: BLE001 - the same error on both paths
                 status = type(err).__name__, str(err)
-        runs.append((status, buf.tobytes(), calls,
+        runs.append((status, bits(buf), calls,
                      [(w.category, str(w.message), w.filename, w.lineno) for w in shown]))
     return runs
 
@@ -413,7 +421,7 @@ def test_illinois_twin_writes_the_kernel_bytes(seed, first):
     fill = planted(rng, (10, n), share=0.15)
     kernel, twin = solve_both(V, np.zeros((n, 1)), np.zeros(1), fill)
     assert kernel == twin
-    assert len(kernel[2]) > 3 and kernel[1] != fill.tobytes()
+    assert len(kernel[2]) > 3 and kernel[1] != bits(fill)
 
 
 class Refused(Exception):
@@ -661,10 +669,10 @@ def test_fehlberg_sums_are_bitwise_rkf45_step(seed):
     lib, got, out = _native.LIB, [], np.empty_like(y)
     for i, row in enumerate(microsim._RKF_ROWS[1:], 1):
         lib.rk_stage(y, out, h, row, *ks[:i])
-        got.append(out.tobytes())
-    assert got == [z.tobytes() for z in stages[1:]]
+        got.append(bits(out))
+    assert got == [bits(z) for z in stages[1:]]
     c_err = lib.rkf45_final(y, out, h, *microsim._RKF_B, *ks)
-    assert out.tobytes() == y5.tobytes()
+    assert bits(out) == bits(y5)
     assert c_err == err or (np.isnan(c_err) and np.isnan(err))
     assert np.isnan(err) or seed < 4
 
@@ -689,14 +697,6 @@ def negative_zero_sum(y, a, ks):
     y.flat[0] = -0.0
     for a_j, k in zip(a, ks):
         k.flat[0] = np.copysign(0.0, -a_j)
-
-
-def bits(x):
-    """x's bytes with every NaN made the one quiet NaN.  Which of two NaN
-    operands a + or * returns depends on the order of its operands, which
-    a C compiler may swap (both are commutative), so a NaN's sign and
-    payload are not kept; every other bit is, the sign of a zero too."""
-    return np.where(np.isnan(x), np.nan, x).tobytes()
 
 
 def stage_weights(rng, nk):

@@ -11,6 +11,7 @@ from coevnet.characteristics import (
     uniform_masses,
 )
 from coevnet.closures import ClosureKind, integrate_closure, stationary_polarized
+from coevnet.compare import run_epsilon_sweep
 from coevnet.errors import IntegrationError, ModelError
 from coevnet.jumpsim import HybridConfiguration, simulate_hybrid_bc
 from coevnet.microsim import (AgentConfiguration, integrate_micro, integrate_reduced,
@@ -152,6 +153,32 @@ class TestGridRule:
             "conditional": lambda: integrate_characteristics_conditional(ens, model, dt=0.4, T=1.0),
         }[run]
         with pytest.raises(ModelError, match="^T must be a multiple of dt$"):
+            start()
+        assert calls == []
+
+    @pytest.mark.parametrize("dt", [np.inf, np.nan])
+    @pytest.mark.parametrize("run", ["rk4", "rkf45", "closure", "reduced", "characteristics",
+                                     "sweep dt", "sweep reduced_dt"])
+    def test_a_non_finite_dt_is_refused(self, run, dt):
+        """inf would run no step yet claim to reach T, NaN fail in int()."""
+        calls = []
+        model = counted_model(calls)
+        ens = make_wc_ensemble(self.CFG.states, lambda s, sig: np.zeros(np.shape(s)[:-1]))
+        p = MinimalParams(1.0, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0, 2.0)
+        start = {
+            "rk4": lambda: integrate_micro(self.CFG, model, dt=dt, T=1.0, callback=calls.append),
+            "rkf45": lambda: integrate_micro(self.CFG, model, dt=dt, T=1.0, method="rkf45",
+                                             callback=calls.append),
+            "closure": lambda: integrate_closure(stationary_polarized(p, 0.6, 0.1), p,
+                                                 ClosureKind.CONDITIONAL, dt=dt, T=1.0),
+            "reduced": lambda: integrate_reduced(self.CFG.states, model, dt=dt, T=1.0),
+            "characteristics": lambda: integrate_characteristics_conditional(ens, model, dt=dt,
+                                                                             T=1.0),
+            "sweep dt": lambda: run_epsilon_sweep(model, self.CFG, [0.1], dt=dt, T=1.0),
+            "sweep reduced_dt": lambda: run_epsilon_sweep(model, self.CFG, [0.1], dt=0.5, T=1.0,
+                                                          reduced_dt=dt),
+        }[run]
+        with pytest.raises(ModelError, match="dt must be positive and finite"):
             start()
         assert calls == []
 
