@@ -17,21 +17,26 @@
  * 4. The MicroFlow type, one micro flow evaluation per call: it calls the
  *    model's V and U back (and microsim._on_grid for a result that it
  *    cannot take as it is), or, in the pair mode of a kernel-relaxation
- *    model (models.PairForm), writes s_i - s_j into a fresh array for eta
- *    and another for K, calls eta and then K back and forms V = eta -
- *    kappa w and U = -(w K) itself, with the IEEE operations of the
- *    catalog's V and U on the same operands (exp stays in the model's
- *    eta); then it runs coevnet_flow_pairs (the finiteness checks, U's
- *    zero diagonal and the weight drift), calls the row sum back
- *    (numpy's pairwise np.add.reduce, which it calls itself with prebuilt
- *    keyword names, or the mass-weighted einsum) and divides it into the
- *    state drift, then calls U0 back and adds it with numpy's own +=.  Its
+ *    model (models.PairForm), writes s_i - s_j into the flow's scratch d of
+ *    eta and then into its scratch d of K, each just before that kernel is
+ *    called back, and forms V = eta - kappa w and U = -(w K) itself in the
+ *    flow's scratch, with the IEEE operations of the catalog's V and U on
+ *    the same operands (exp stays in the model's eta); then it runs
+ *    coevnet_flow_pairs (the finiteness checks, U's zero diagonal and the
+ *    weight drift), sums U over the partners (the equal-mass sum itself,
+ *    coevnet_row_sum in np.add.reduce(U, axis=2)'s order, or the
+ *    mass-weighted einsum called back) and divides the sum into the state
+ *    drift, then calls U0 back and adds it with numpy's own +=.  Its
  *    reference is the numpy twin microsim._MicroFlow, with the same
- *    constructor and call.  The steps of microsim's workspace run on the
- *    entries rk_stage (a stage), rk4_final (the RK4 update and the step
- *    checks of coevnet_step_flags) and rkf45_final (the Fehlberg update and
- *    error estimate), each summing with coevnet_rk_sum; their references are
- *    the numpy twins in microsim._StepSums, with the same signatures.
+ *    constructor and call.  Each RK4 step and each Fehlberg substep of
+ *    microsim's workspace is one call of the entry rk_step: its stages,
+ *    with the flow evaluated here when it is a MicroFlow (else called
+ *    back), and its update, each sum coevnet_rk_sum, then the step checks
+ *    of coevnet_step_flags or the Fehlberg error estimate.  Its reference
+ *    is the numpy twin microsim._StepSums.rk_step, with the same
+ *    signature, on the twins of the entries rk_stage (a stage), rk4_final
+ *    (the RK4 update and the step checks) and rkf45_final (the Fehlberg
+ *    update and error estimate).
  * 5. coevnet_nullcline: one weight nullcline solve, the bracket search,
  *    every Illinois iteration, the step limit and the residual check over
  *    one buffer, calling V back through a hook (and microsim._on_grid for
@@ -820,6 +825,69 @@ static double coevnet_rkf45_final(const double *y, const double *const *k, const
     return err;
 }
 
+/* The Fehlberg 4(5) tableau, stepping's _RKF_A, _RKF_B5 and _RKF_B4: each
+ * weight the correctly rounded quotient that python's / gives. */
+static const double RKF_A[6][5] = {
+    {0.0},
+    {1.0 / 4.0},
+    {3.0 / 32.0, 9.0 / 32.0},
+    {1932.0 / 2197.0, -7200.0 / 2197.0, 7296.0 / 2197.0},
+    {439.0 / 216.0, -8.0, 3680.0 / 513.0, -845.0 / 4104.0},
+    {-8.0 / 27.0, 2.0, -3544.0 / 2565.0, 1859.0 / 4104.0, -11.0 / 40.0},
+};
+static const double RKF_B5[6] = {16.0 / 135.0, 0.0, 6656.0 / 12825.0, 28561.0 / 56430.0,
+                                 -9.0 / 50.0, 2.0 / 55.0};
+static const double RKF_B4[6] = {25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 4104.0,
+                                 -1.0 / 5.0, 0.0};
+
+/* numpy's pairwise sum of the n doubles at a (its pairwise_sum for float64,
+ * which np.add.reduce runs along a contiguous axis): below 8 terms a running
+ * sum from -0.0; up to 128 eight running sums, each over every 8th term of
+ * the largest multiple of 8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 +
+ * r5) + (r6 + r7)), then the rest added in turn; above 128 the sum of the
+ * two parts split at n / 2 rounded down to a multiple of 8. */
+static double pairwise_sum(const double *a, int64_t n)
+{
+    double r[8], res;
+    int64_t i, j;
+    if (n < 8) {
+        res = -0.0;
+        for (i = 0; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    if (n <= 128) {
+        for (j = 0; j < 8; j++)
+            r[j] = a[j];
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += a[i + j];
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        for (; i < n; i++)
+            res += a[i];
+        return res;
+    }
+    i = n / 2;
+    i -= i % 8;
+    return pairwise_sum(a, i) + pairwise_sum(a + i, n - i);
+}
+
+/* The sum over j < N of the doubles u[j m], U[l, i, j, k] of a C-contiguous
+ * (L, N, N, m) U from u = U[l, i, 0, k] on, in np.add.reduce(U, axis=2)'s
+ * order (numpy 2): 0.0 + pairwise_sum of the row for m = 1, else ((0.0 +
+ * U[l, i, 0, k]) + U[l, i, 1, k]) + ... left to right; so a row of -0.0
+ * sums to +0.0. */
+static double coevnet_row_sum(const double *u, int64_t N, int64_t m)
+{
+    double s = 0.0;
+    int64_t j;
+    if (m == 1)
+        return s + pairwise_sum(u, N);
+    for (j = 0; j < N; j++)
+        s += u[j * m];
+    return s;
+}
+
 /* -- weight nullcline ----------------------------------------------------------
  *
  * The rows of the (10, n) buffer of one solve; side and done hold
@@ -1420,23 +1488,27 @@ done:
  * made once per flow; its reference is the numpy twin microsim._MicroFlow,
  * with the same constructor and call.  V (None for a flow without
  * weights), U, U0 (or None), row_sum (the interaction sum of U over its
- * partner axis; None for np.add.reduce(U, axis=2), called with prebuilt
- * keyword names) and on_grid (microsim._on_grid) are called back; eps (or
- * None), held until the flow is freed, holds the legs' weight divisors, and
- * row is the number of doubles of one leg of the flow's output.  pair, None
- * or the (K, eta, kappa) of a model whose U and V are its pair form's,
- * selects the pair mode.
+ * partner axis; None for the sum of np.add.reduce(U, axis=2), which
+ * coevnet_row_sum computes in numpy's order) and on_grid
+ * (microsim._on_grid) are called back; eps (or None), held until the flow
+ * is freed, holds the legs' weight divisors, and row is the number of
+ * doubles of one leg of the flow's output.  pair, None or the (K, eta,
+ * kappa) of a model whose U and V are its pair form's, selects the pair
+ * mode, whose scratch the flow makes once and holds: a d grid (L, N, N, m)
+ * for eta (given V) and one for K, V's temporary and the U grid.
  *
  * flow(states, si, sj, W, ds, out) -> None, or the per-leg finiteness flags
  * of U and V as a tuple when a leg is not finite, is one evaluation:
  *   0. in the pair mode, when si and sj are float64 arrays that broadcast
  *      to the pair grid (L, N, N, m) and W is a float64 array of (L, N, N),
- *      all with any strides: given V, eta(d) on d = si - sj in a fresh
- *      array and V = eta(d) - kappa W (- W with kappa 1.0) into a
- *      temporary; then K(d) on another fresh d (a kernel may write into its
- *      own) and U = -(W K(d)) into a fresh array.  Where eta(d) or K(d) is
- *      not a float64 array of its grid (any strides), the call takes steps
- *      1 and 2 instead; otherwise it goes on at step 3;
+ *      all with any strides: given V, eta(d) on d = si - sj in eta's
+ *      scratch and V = eta(d) - kappa W (- W with kappa 1.0) into V's; then
+ *      K(d) on d in K's scratch and U = -(W K(d)) into the U grid.  Each d
+ *      is rewritten just before its kernel is called, so a kernel may
+ *      write into its argument or return it, or a view of it, but must not
+ *      keep it.  Where eta(d) or K(d) is not a float64 array of its grid
+ *      (any strides), the call takes steps 1 and 2 instead; otherwise it
+ *      goes on at step 3;
  *   1. V(si, sj, W), used as it is when it is a float64 ndarray of exactly
  *      the grid (L, N, N), C-contiguous, writable and with no base (so it
  *      shares no memory with states or W), else on_grid(result, grid, "V",
@@ -1445,16 +1517,19 @@ done:
  *   3. coevnet_flow_pairs, with leg l's weight drift written to out from its
  *      (N m + l row)-th double on; a leg that is not finite returns the
  *      flags, nothing written;
- *   4. row_sum(U) (or np.add.reduce(U, axis=2)) / divisor into ds, the
+ *   4. the row sum (coevnet_row_sum, or row_sum(U)) / divisor into ds, the
  *      (L, N, m) states of the output, which may be strided;
  *   5. ds += U0(states), numpy's own in-place add.
- * A callback's exception propagates.  out may be None when V is. */
+ * A callback's exception propagates.  out may be None when V is.  The
+ * scratch serves one evaluation at a time. */
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
     PyObject *fn[2], *grid[2], *name[2];   /* V and U, their grids and names */
     PyObject *row_sum, *U0, *on_grid;
     PyObject *K, *eta;   /* the pair form's kernels, NULL without the pair mode */
+    PyObject *scratch[3];   /* the pair mode's d of eta (given V), d of K and U grid, in held */
+    double *d[2], *u, *v;   /* their data, and V's temporary */
     double kappa, divisor;
     const double *eps;   /* in held, or NULL */
     arrays held;
@@ -1464,10 +1539,21 @@ typedef struct {
     int sym;
 } flow_object;
 
-/* numpy.ndarray, the name "base", numpy.add.reduce and its keyword
- * arguments axis=2 (the names ("axis",) and the value 2), and numpy.empty,
- * made by PyInit__kernels */
-static PyObject *ndarray_type, *base_name, *add_reduce, *axis_two[2], *np_empty;
+/* The operands of one evaluation: the addresses of si, sj and W with
+ * their byte strides (0 along a broadcast axis; W has three), pairs set
+ * when they are known (the pair mode runs only then), ds with its byte
+ * strides, and out (NULL for None). */
+typedef struct {
+    const char *p[3];
+    Py_ssize_t st[3][4];
+    int pairs;
+    char *ds;
+    Py_ssize_t ds_st[3];
+    double *out;
+} flow_io;
+
+/* numpy.ndarray, the name "base" and numpy.empty, made by PyInit__kernels */
+static PyObject *ndarray_type, *base_name, *np_empty;
 
 /* Whether v is a writable C-contiguous float64 buffer of shape shape[0 .. ndim). */
 static int is_grid(const Py_buffer *v, const Py_ssize_t *shape, int ndim)
@@ -1555,119 +1641,104 @@ static int f64_view(PyObject *obj, Py_buffer *v, const Py_ssize_t *shape, int nd
 /* The double at byte offset off of base. */
 #define AT(base, off) (*(const double *)((const char *)(base) + (off)))
 
-/* A fresh array of the pair grid (L, N, N, m) holding si - sj, whose
- * buffers are in[0] and in[1], read with the byte strides st[0] and st[1]
- * (0 along a broadcast axis); NULL when numpy raised. */
-static PyObject *pair_diff(const flow_object *f, const Py_buffer *in, Py_ssize_t st[2][4])
+/* Takes si, sj and W (args 1 to 3) into a, and their addresses and strides
+ * into io, when si and sj are float64 arrays that broadcast to the pair grid
+ * and W is a float64 array of (L, N, N), all with any strides: returns 1,
+ * else 0 with nothing taken. */
+static int pair_operands(const flow_object *f, PyObject *const *args, arrays *a, flow_io *io)
 {
     const Py_ssize_t *g = f->shape;
-    PyObject *d = PyObject_CallOneArg(np_empty, f->grid[1]);
-    arrays t = {.n = 0};
-    double *out;
-    Py_ssize_t l, i, j, k;
-    if (!d || take(&t, d, "d", &F64, WRITE, g[0] * g[1] * g[2] * g[3], (void **)&out) < 0) {
-        Py_XDECREF(d);
-        return NULL;
+    const Py_buffer *in = &a->views[a->n];
+    int n0 = a->n, e, k;
+    for (e = 0; e < 3; e++) {
+        if (a->n == MAX_ARRAYS
+            || !f64_view(args[1 + e], &a->views[a->n], e < 2 ? NULL : g, e < 2 ? 4 : 3))
+            goto fail;
+        io->p[e] = a->views[a->n++].buf;
     }
+    for (k = 0; k < 4; k++) {
+        for (e = 0; e < 2; e++) {
+            if (in[e].shape[k] != 1 && in[e].shape[k] != g[k])
+                goto fail;
+            io->st[e][k] = in[e].shape[k] == 1 ? 0 : in[e].strides[k];
+        }
+        if (in[0].shape[k] != g[k] && in[1].shape[k] != g[k])
+            goto fail;
+    }
+    for (k = 0; k < 3; k++)
+        io->st[2][k] = in[2].strides[k];
+    return 1;
+fail:
+    while (a->n > n0)
+        PyBuffer_Release(&a->views[--a->n]);
+    return 0;
+}
+
+/* si - sj on the pair grid (L, N, N, m), read through io, into out. */
+static void pair_diff(const flow_object *f, const flow_io *io, double *out)
+{
+    const Py_ssize_t *g = f->shape;
+    Py_ssize_t l, i, j, k;
     for (l = 0; l < g[0]; l++)
         for (i = 0; i < g[1]; i++) {
-            const char *si = (const char *)in[0].buf + l * st[0][0] + i * st[0][1];
-            const char *sj = (const char *)in[1].buf + l * st[1][0] + i * st[1][1];
-            for (j = 0; j < g[2]; j++, si += st[0][2], sj += st[1][2]) {
+            const char *si = io->p[0] + l * io->st[0][0] + i * io->st[0][1];
+            const char *sj = io->p[1] + l * io->st[1][0] + i * io->st[1][1];
+            for (j = 0; j < g[2]; j++, si += io->st[0][2], sj += io->st[1][2]) {
                 if (g[3] == 1)
                     *out++ = AT(si, 0) - AT(sj, 0);
                 else
                     for (k = 0; k < g[3]; k++)
-                        *out++ = AT(si, k * st[0][3]) - AT(sj, k * st[1][3]);
+                        *out++ = AT(si, k * io->st[0][3]) - AT(sj, k * io->st[1][3]);
             }
         }
-    release(&t);
-    return d;
 }
 
-/* Step 0 of a call in the pair mode (see MicroFlow): returns 1 with U =
- * -(W K(d)) in a fresh array *U, its buffer taken into a, and, given V,
- * V = eta(d) - kappa W (- W with kappa 1.0) in *v, a temporary the caller
- * frees.  Returns 0, holding nothing, when si and sj do not broadcast to
- * the pair grid as float64 arrays, W is not a float64 array of (L, N, N)
- * or a kernel's result is not a float64 array of its grid: the call then
- * takes V and U as they are.  Returns -1 when a callback raised. */
-static int pair_mode(flow_object *f, PyObject *const *args, arrays *a, PyObject **U, void **u,
-                     double **v)
+/* Step 0 of an evaluation in the pair mode (see MicroFlow) on the operands
+ * io: returns 1 with U = -(W K(d)) in the U grid f->u and, given V, V =
+ * eta(d) - kappa W (- W with kappa 1.0) in f->v; 0 when a kernel's result
+ * is not a float64 array of its grid, so that the evaluation takes V and U
+ * as they are; -1 when a callback raised. */
+static int pair_mode(flow_object *f, const flow_io *io)
 {
-    const Py_ssize_t *g = f->shape;   /* L, N, N, m */
-    Py_ssize_t L = g[0], N = g[1], m = g[3], l, i, j, k, st[2][4];
-    Py_buffer in[3], r;   /* si, sj, W; a kernel's result */
-    PyObject *d, *res = NULL;
+    const Py_ssize_t *g = f->shape, *sw = io->st[2];   /* L, N, N, m */
+    Py_ssize_t L = g[0], N = g[1], m = g[3], l, i, j, k;
+    Py_buffer r;   /* a kernel's result */
+    PyObject *res;
     double *out, w;
-    int n_in, e, status = 0;
-    *v = NULL;
-    for (n_in = 0; n_in < 3; n_in++)
-        if (!f64_view(args[1 + n_in], &in[n_in], n_in < 2 ? NULL : g, n_in < 2 ? 4 : 3))
-            goto done;
-    for (k = 0; k < 4; k++) {
-        for (e = 0; e < 2; e++) {
-            if (in[e].shape[k] != 1 && in[e].shape[k] != g[k])
-                goto done;
-            st[e][k] = in[e].shape[k] == 1 ? 0 : in[e].strides[k];
-        }
-        if (in[0].shape[k] != g[k] && in[1].shape[k] != g[k])
-            goto done;
-    }
-    status = -1;
     if (f->fn[0] != Py_None) {   /* eta(d) on a d of its own */
-        if (!(d = pair_diff(f, in, st)))
-            goto done;
-        res = PyObject_CallOneArg(f->eta, d);
-        Py_DECREF(d);
-        if (!res)
-            goto done;
+        pair_diff(f, io, f->d[0]);
+        if (!(res = PyObject_CallOneArg(f->eta, f->scratch[0])))
+            return -1;
         if (!f64_view(res, &r, g, 3)) {
-            status = 0;
-            goto done;
+            Py_DECREF(res);
+            return 0;
         }
-        if (!(*v = PyMem_Malloc((size_t)(L * N * N) * sizeof(double)))) {
-            PyBuffer_Release(&r);
-            PyErr_NoMemory();
-            goto done;
-        }
-        out = *v;
+        out = f->v;
         for (l = 0; l < L; l++)
             for (i = 0; i < N; i++) {
-                const char *pw = (const char *)in[2].buf + l * in[2].strides[0]
-                    + i * in[2].strides[1];
+                const char *pw = io->p[2] + l * sw[0] + i * sw[1];
                 const char *pe = (const char *)r.buf + l * r.strides[0] + i * r.strides[1];
-                for (j = 0; j < N; j++, pw += in[2].strides[2], pe += r.strides[2]) {
+                for (j = 0; j < N; j++, pw += sw[2], pe += r.strides[2]) {
                     w = AT(pw, 0);
                     *out++ = AT(pe, 0) - (f->kappa == 1.0 ? w : f->kappa * w);
                 }
             }
         PyBuffer_Release(&r);
-        Py_CLEAR(res);
+        Py_DECREF(res);
     }
-    if (!(d = pair_diff(f, in, st)))   /* K(d) on another */
-        goto done;
-    res = PyObject_CallOneArg(f->K, d);
-    Py_DECREF(d);
-    if (!res)
-        goto done;
+    pair_diff(f, io, f->d[1]);   /* K(d) on another */
+    if (!(res = PyObject_CallOneArg(f->K, f->scratch[1])))
+        return -1;
     if (!f64_view(res, &r, g, 4)) {
-        status = 0;
-        goto done;
+        Py_DECREF(res);
+        return 0;
     }
-    if (!(*U = PyObject_CallOneArg(np_empty, f->grid[1]))
-        || take(a, *U, "U", &F64, WRITE, L * N * N * m, u) < 0) {
-        Py_CLEAR(*U);
-        PyBuffer_Release(&r);
-        goto done;
-    }
-    out = *u;
+    out = f->u;
     for (l = 0; l < L; l++)
         for (i = 0; i < N; i++) {
-            const char *pw = (const char *)in[2].buf + l * in[2].strides[0]
-                + i * in[2].strides[1];
+            const char *pw = io->p[2] + l * sw[0] + i * sw[1];
             const char *pk = (const char *)r.buf + l * r.strides[0] + i * r.strides[1];
-            for (j = 0; j < N; j++, pw += in[2].strides[2], pk += r.strides[2]) {
+            for (j = 0; j < N; j++, pw += sw[2], pk += r.strides[2]) {
                 w = AT(pw, 0);
                 if (m == 1)
                     *out++ = -(w * AT(pk, 0));
@@ -1677,16 +1748,8 @@ static int pair_mode(flow_object *f, PyObject *const *args, arrays *a, PyObject 
             }
         }
     PyBuffer_Release(&r);
-    status = 1;
-done:
-    while (n_in > 0)
-        PyBuffer_Release(&in[--n_in]);
-    Py_XDECREF(res);
-    if (status != 1) {
-        PyMem_Free(*v);
-        *v = NULL;
-    }
-    return status;
+    Py_DECREF(res);
+    return 1;
 }
 
 /* Takes obj's buffer into a, checked as a float64 array of shape (L, N, m)
@@ -1715,54 +1778,47 @@ static int take_states(arrays *a, PyObject *obj, const char *name, int flags,
     return 0;
 }
 
-static PyObject *flow_call(PyObject *self, PyObject *const *args, size_t nargsf,
-                           PyObject *kwnames)
+/* ds[l, i, k] of io. */
+#define DS(io, l, i, k) \
+    (*(double *)((io)->ds + (l) * (io)->ds_st[0] + (i) * (io)->ds_st[1] + (k) * (io)->ds_st[2]))
+
+/* Steps 0 to 5 of one evaluation on the operands io; args are the call's
+ * states, si, sj, W and ds, which the callbacks get.  Returns 0, 1 with the
+ * per-leg flags in f->ok when a leg is not finite, or -1 when a callback
+ * raised. */
+static int flow_eval(flow_object *f, PyObject *const *args, const flow_io *io)
 {
-    flow_object *f = (flow_object *)self;
     arrays a = {.n = 0};
-    PyObject *V = NULL, *U = NULL, *rs = NULL, *result = NULL;
-    void *u, *v = NULL, *out, *ds, *sum;
-    const Py_ssize_t *ds_st, *sum_st;
+    PyObject *V = NULL, *U = NULL, *rs = NULL;
+    void *u, *v = NULL, *sum = NULL;
+    const Py_ssize_t *sum_st = NULL;
     Py_ssize_t L = f->shape[0], N = f->shape[1], m = f->shape[3], l, i, k;
-    double *v_pair = NULL;   /* V of the pair mode */
-    int pair = 0;
-    if (kwnames && PyTuple_GET_SIZE(kwnames)) {
-        PyErr_SetString(PyExc_TypeError, "MicroFlow takes no keyword arguments");
-        return NULL;
-    }
-    if (check_nargs("MicroFlow", PyVectorcall_NARGS(nargsf), 6) < 0)
-        return NULL;
-    if (f->K && (pair = pair_mode(f, args, &a, &U, &u, &v_pair)) < 0)
+    int pair = 0, status = -1;
+    if (f->K && io->pairs && (pair = pair_mode(f, io)) < 0)
         goto done;
-    v = v_pair;
-    if ((!pair && ((f->fn[0] != Py_None && pair_grid(f, 0, args, &a, &V, &v) < 0)
-                   || pair_grid(f, 1, args, &a, &U, &u) < 0))
-        || take_states(&a, args[4], "ds", WRITE, f, &ds, &ds_st) < 0
-        || take(&a, args[5], "out", &F64, WRITE | OPTIONAL, v ? f->out_need : 0, &out) < 0)
-        goto done;
-    if (v && !out) {
-        PyErr_SetString(PyExc_ValueError, "MicroFlow needs out to write the weight drift");
+    if (pair) {
+        u = f->u;
+        v = f->fn[0] != Py_None ? f->v : NULL;
+    } else if ((f->fn[0] != Py_None && pair_grid(f, 0, args, &a, &V, &v) < 0)
+               || pair_grid(f, 1, args, &a, &U, &u) < 0) {
         goto done;
     }
-    if (coevnet_flow_pairs(u, v, out ? (double *)out + N * m : NULL, f->eps, f->ok, L, N, m,
+    if (coevnet_flow_pairs(u, v, io->out ? io->out + N * m : NULL, f->eps, f->ok, L, N, m,
                            f->row, f->sym)) {
-        result = leg_flags(f->ok, L);
+        status = 1;
         goto done;
     }
-    if (f->row_sum == Py_None) {   /* np.add.reduce(U, axis=2) */
-        PyObject *rargs[2] = {U, axis_two[1]};
-        rs = PyObject_Vectorcall(add_reduce, rargs, 1, axis_two[0]);
-    } else {
-        rs = PyObject_CallOneArg(f->row_sum, U);
+    if (f->row_sum != Py_None) {
+        rs = PyObject_CallOneArg(f->row_sum, pair ? f->scratch[2] : U);
+        if (!rs || take_states(&a, rs, "row_sum(U)", 0, f, &sum, &sum_st) < 0)
+            goto done;
     }
-    if (!rs || take_states(&a, rs, "row_sum(U)", 0, f, &sum, &sum_st) < 0)
-        goto done;
     for (l = 0; l < L; l++)
         for (i = 0; i < N; i++)
             for (k = 0; k < m; k++)
-                *(double *)((char *)ds + l * ds_st[0] + i * ds_st[1] + k * ds_st[2]) =
-                    *(const double *)((const char *)sum + l * sum_st[0] + i * sum_st[1]
-                                      + k * sum_st[2]) / f->divisor;
+                DS(io, l, i, k) = (rs ? AT(sum, l * sum_st[0] + i * sum_st[1] + k * sum_st[2])
+                                   : coevnet_row_sum((const double *)u + ((l * N + i) * N) * m
+                                                     + k, N, m)) / f->divisor;
     release(&a);
     if (f->U0 != Py_None) {
         PyObject *u0 = PyObject_CallOneArg(f->U0, args[0]);
@@ -1772,13 +1828,48 @@ static PyObject *flow_call(PyObject *self, PyObject *const *args, size_t nargsf,
             goto done;
         Py_DECREF(sum_u0);
     }
-    result = Py_NewRef(Py_None);
+    status = 0;
 done:
     release(&a);
-    PyMem_Free(v_pair);
     Py_XDECREF(V);
     Py_XDECREF(U);
     Py_XDECREF(rs);
+    return status;
+}
+
+static PyObject *flow_call(PyObject *self, PyObject *const *args, size_t nargsf,
+                           PyObject *kwnames)
+{
+    flow_object *f = (flow_object *)self;
+    arrays a = {.n = 0};
+    flow_io io = {.pairs = 0};
+    void *ds, *out;
+    const Py_ssize_t *ds_st;
+    PyObject *result = NULL;
+    int status;
+    if (kwnames && PyTuple_GET_SIZE(kwnames)) {
+        PyErr_SetString(PyExc_TypeError, "MicroFlow takes no keyword arguments");
+        return NULL;
+    }
+    if (check_nargs("MicroFlow", PyVectorcall_NARGS(nargsf), 6) < 0)
+        return NULL;
+    if (take_states(&a, args[4], "ds", WRITE, f, &ds, &ds_st) < 0
+        || take(&a, args[5], "out", &F64, WRITE | OPTIONAL,
+                f->fn[0] != Py_None ? f->out_need : 0, &out) < 0)
+        goto done;
+    if (f->fn[0] != Py_None && !out) {
+        PyErr_SetString(PyExc_ValueError, "MicroFlow needs out to write the weight drift");
+        goto done;
+    }
+    io.ds = ds;
+    memcpy(io.ds_st, ds_st, sizeof io.ds_st);
+    io.out = out;
+    io.pairs = f->K && pair_operands(f, args, &a, &io);
+    status = flow_eval(f, args, &io);
+    if (status >= 0)
+        result = status ? leg_flags(f->ok, f->shape[0]) : Py_NewRef(Py_None);
+done:
+    release(&a);
     return result;
 }
 
@@ -1818,8 +1909,34 @@ static void flow_dealloc(PyObject *self)
     PyObject_GC_UnTrack(self);
     flow_clear(self);
     release(&f->held);
+    PyMem_Free(f->v);
     PyMem_Free(f->ok);
     Py_TYPE(self)->tp_free(self);
+}
+
+/* The pair mode's scratch of f, held until f is freed: the grids (L, N, N,
+ * m) d of eta (given V), d of K and U, and V's temporary (given V). */
+static int make_scratch(flow_object *f)
+{
+    int64_t size = f->shape[0] * f->shape[1] * f->shape[2];
+    double **data[3] = {&f->d[0], &f->d[1], &f->u};
+    int k;
+    for (k = f->fn[0] == Py_None; k < 3; k++) {
+        PyObject *grid = PyObject_CallOneArg(np_empty, f->grid[1]);
+        void *p;
+        int taken = grid ? take(&f->held, grid, "scratch", &F64, WRITE, size * f->shape[3], &p)
+                         : -1;
+        Py_XDECREF(grid);   /* held keeps it */
+        if (taken < 0)
+            return -1;
+        f->scratch[k] = grid;
+        *data[k] = p;
+    }
+    if (f->fn[0] != Py_None && !(f->v = PyMem_Malloc((size_t)size * sizeof(double)))) {
+        PyErr_NoMemory();
+        return -1;
+    }
+    return 0;
 }
 
 static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
@@ -1894,6 +2011,8 @@ static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->row_sum = Py_NewRef(o[2]);
     self->U0 = Py_NewRef(o[4]);
     self->on_grid = Py_NewRef(o[11]);
+    if (self->K && make_scratch(self) < 0)
+        goto fail;
     return (PyObject *)self;
 fail:
     Py_DECREF(self);
@@ -2037,6 +2156,210 @@ static PyObject *py_rkf45_final(PyObject *self, PyObject *const *args, Py_ssize_
     return PyFloat_FromDouble(err);
 }
 
+/* rk_step(f, y, stage, ks, out, h, fehlberg, L, n, N, sym): one RK4 step
+ * (fehlberg 0) or one Fehlberg substep (fehlberg 1) from y into out, all of
+ * its work in one call; its reference is the numpy twin
+ * microsim._StepSums.rk_step, with the same signature.  y, stage and the
+ * first 4 (RK4) or 6 (Fehlberg) records of the tuple ks are records (z,
+ * states, si, sj, W): a buffer z of L rows, each of z's length, and the
+ * views that f is called on; out has z's length.  Stage i's derivative
+ * k_i, ks[i]'s buffer, is f's evaluation on y (i = 0) or on the stage
+ * buffer, with ds the states of k_i and out k_i: when f is a MicroFlow it
+ * is evaluated here, its operands read from the buffers (which must hold
+ * its L rows of states and weights), else f(states, si, sj, W, ds, k_i) is
+ * called back and returns None or the per-leg flags.  The stages and the
+ * update are coevnet_rk_sum with the RK4 or Fehlberg weights; an RK4 step
+ * ends with the checks of coevnet_step_flags (n states, then N x N weights,
+ * symmetric with sym, per leg).  Returns None (RK4) or the error estimate
+ * (Fehlberg); else (i, flags), with i the stage whose evaluation flagged a
+ * leg, or i = 4 and the step flags of an RK4 update that failed its checks. */
+typedef struct {
+    PyObject *f;
+    flow_object *flow;         /* f when it is a MicroFlow, else NULL */
+    PyObject **rec[8];         /* the items of y's, stage's and ks' records */
+    double *z[8], *out;        /* their buffers, and out's */
+    const double *k[6];        /* ks' */
+    int64_t size, L;
+    PyObject *flags;           /* of a failed evaluation */
+} step_call;
+
+/* k_i = f's evaluation on y (in = 0) or on the stage buffer (in = 1): 0, 1
+ * with the flags in c->flags, or -1 when a callback raised. */
+static int step_eval(step_call *c, int in, int i)
+{
+    PyObject **z = c->rec[in], **k = c->rec[2 + i];
+    PyObject *args[6] = {z[1], z[2], z[3], z[4], k[1], k[0]};
+    int status;
+    if (c->flow) {
+        const Py_ssize_t *g = c->flow->shape;
+        Py_ssize_t r8 = (Py_ssize_t)(c->size / c->L) * 8, m8 = g[3] * 8;
+        const char *y = (const char *)c->z[in];
+        flow_io io = {.p = {y, y, y + g[1] * m8},
+                      .st = {{r8, m8, 0, 8}, {r8, 0, m8, 8}, {r8, g[1] * 8, 8, 0}},
+                      .pairs = 1, .ds = (char *)c->z[2 + i], .ds_st = {r8, m8, 8},
+                      .out = c->z[2 + i]};
+        status = flow_eval(c->flow, args, &io);
+        if (status == 1 && !(c->flags = leg_flags(c->flow->ok, c->L)))
+            return -1;
+        return status;
+    }
+    if (!(c->flags = PyObject_Vectorcall(c->f, args, 6, NULL)))
+        return -1;
+    if (c->flags != Py_None)
+        return 1;
+    Py_CLEAR(c->flags);
+    return 0;
+}
+
+/* The RK4 step: k_i from y (i = 0) or the stage y + c_i k_(i-1), c = h / 2,
+ * h / 2, h, then out = y + h / 6 (k_0 + 2 k_1 + 2 k_2 + k_3).  Returns 0,
+ * else step_eval's status with *stage = i. */
+static int rk4_body(step_call *c, double h, int *stage)
+{
+    const double ch[3] = {0.5 * h, 0.5 * h, h};
+    int i, status;
+    for (i = 0; i < 4; i++) {
+        if ((status = step_eval(c, i > 0, i)) != 0) {
+            *stage = i;
+            return status;
+        }
+        if (i < 3)
+            coevnet_rk_sum(c->z[0], ch[i], RK_ONE, c->k + i, 1, c->z[1], c->size);
+    }
+    coevnet_rk_sum(c->z[0], h / 6.0, RK4_B, c->k, 4, c->out, c->size);
+    return 0;
+}
+
+/* The Fehlberg substep: k_i from y (i = 0) or the stage y + h sum(RKF_A[i]
+ * k), then the update into out and the error estimate into *err.  Returns 0,
+ * else step_eval's status with *stage = i. */
+static int rkf45_body(step_call *c, double h, int *stage, double *err)
+{
+    int i, status;
+    for (i = 0; i < 6; i++) {
+        if (i)
+            coevnet_rk_sum(c->z[0], h, RKF_A[i], c->k, i, c->z[1], c->size);
+        if ((status = step_eval(c, i > 0, i)) != 0) {
+            *stage = i;
+            return status;
+        }
+    }
+    *err = coevnet_rkf45_final(c->z[0], c->k, RKF_B5, RKF_B4, 6, h, c->out, c->size);
+    return 0;
+}
+
+static PyObject *py_rk_step(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays a = {.n = 0};
+    step_call c = {.f = args[0]};
+    int64_t fehlberg, L, n, N, sym, nk, w_end;
+    double h, err = 0.0;
+    uint8_t *ok = NULL;
+    PyObject *result = NULL, *flags;
+    void *p;
+    int i, status, stage = 0;
+    (void)self;
+    if (check_nargs("rk_step", nargs, 11) < 0 || float_arg(args[5], &h) < 0
+        || int_arg(args[6], "fehlberg", 0, &fehlberg) < 0 || int_arg(args[7], "L", 1, &L) < 0
+        || int_arg(args[8], "n", 0, &n) < 0 || int_arg(args[9], "N", 0, &N) < 0
+        || int_arg(args[10], "sym", 0, &sym) < 0)
+        return NULL;
+    nk = fehlberg ? 6 : 4;
+    if (!PyTuple_Check(args[3]) || PyTuple_GET_SIZE(args[3]) < nk) {
+        PyErr_Format(PyExc_TypeError, "rk_step: ks must be a tuple of at least %d records",
+                     (int)nk);
+        return NULL;
+    }
+    for (i = 0; i < 2 + nk; i++) {
+        PyObject *r = i == 0 ? args[1] : i == 1 ? args[2] : PyTuple_GET_ITEM(args[3], i - 2);
+        if (!PyTuple_Check(r) || PyTuple_GET_SIZE(r) != 5) {
+            PyErr_SetString(PyExc_TypeError, "rk_step: a record must be a tuple "
+                            "(z, states, si, sj, W)");
+            goto done;
+        }
+        c.rec[i] = PySequence_Fast_ITEMS(r);
+        if (take(&a, c.rec[i][0], i ? "a stage buffer" : "y", &F64, i ? WRITE : 0, c.size,
+                 &p) < 0)
+            goto done;
+        c.z[i] = p;
+        if (i >= 2)
+            c.k[i - 2] = p;
+        if (i == 0) {   /* the length of every buffer */
+            c.size = last_len(&a);
+            if (take(&a, args[4], "out", &F64, WRITE, c.size, &p) < 0)
+                goto done;
+            c.out = p;
+        }
+    }
+    c.L = L;
+    w_end = add(n, mul(N, N));
+    if (c.size % L || (sym && (w_end < 0 || w_end > c.size / L))) {
+        PyErr_SetString(PyExc_ValueError, "rk_step: y does not hold L rows of n states "
+                        "and N x N weights");
+        goto done;
+    }
+    if (Py_IS_TYPE(c.f, &flow_type)) {
+        c.flow = (flow_object *)c.f;
+        if (c.flow->shape[0] != L || c.size != mul(L, c.flow->row)
+            || c.flow->row < c.flow->shape[1] * (c.flow->shape[3] + c.flow->shape[1])) {
+            PyErr_SetString(PyExc_ValueError, "rk_step: the buffers do not hold the flow's "
+                            "rows of states and weights");
+            goto done;
+        }
+    }
+    status = fehlberg ? rkf45_body(&c, h, &stage, &err) : rk4_body(&c, h, &stage);
+    if (status < 0)
+        goto done;
+    if (status) {
+        result = Py_BuildValue("(iO)", stage, c.flags);
+    } else if (fehlberg) {
+        result = PyFloat_FromDouble(err);
+    } else if (!(ok = PyMem_Malloc((size_t)L))) {
+        PyErr_NoMemory();
+    } else if (coevnet_step_flags(c.out, L, c.size / L, n, N, (int)(sym != 0), ok)) {
+        if ((flags = leg_flags(ok, L))) {
+            result = Py_BuildValue("(iO)", 4, flags);
+            Py_DECREF(flags);
+        }
+    } else {
+        result = Py_NewRef(Py_None);
+    }
+done:
+    Py_XDECREF(c.flags);
+    PyMem_Free(ok);
+    release(&a);
+    return result;
+}
+
+/* row_sum(U, out): out = np.add.reduce(U, axis=2) of a C-contiguous float64
+ * U of shape (L, N, N, m), by coevnet_row_sum, into out, L N m doubles. */
+static PyObject *py_row_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+{
+    arrays a = {.n = 0};
+    const Py_ssize_t *g;
+    void *U, *out;
+    int64_t rows, j;
+    (void)self;
+    if (check_nargs("row_sum", nargs, 2) < 0 || take(&a, args[0], "U", &F64, 0, 0, &U) < 0)
+        return NULL;
+    g = a.views[0].shape;
+    if (a.views[0].ndim != 4 || g[1] != g[2]) {
+        PyErr_SetString(PyExc_ValueError, "row_sum: U must have the shape (L, N, N, m)");
+        release(&a);
+        return NULL;
+    }
+    rows = g[0] * g[1];
+    if (take(&a, args[1], "out", &F64, WRITE, rows * g[3], &out) < 0) {
+        release(&a);
+        return NULL;
+    }
+    for (j = 0; j < rows * g[3]; j++)
+        ((double *)out)[j] = coevnet_row_sum((const double *)U + (j / g[3]) * g[1] * g[3]
+                                             + j % g[3], g[1], g[3]);
+    release(&a);
+    Py_RETURN_NONE;
+}
+
 /* nullcline(V, si, sj, buf, lo, hi, new, max_steps, max_bracket, tol,
  * on_grid) -> the status of coevnet_nullcline (NC_DONE 0, NC_NO_SIGN_CHANGE
  * 1, NC_NO_CONVERGENCE 2, NC_RESIDUAL 3), one solve over the buffer buf of
@@ -2128,6 +2451,8 @@ static PyMethodDef kernel_functions[] = {
     FASTCALL(rk_stage, "a Runge-Kutta stage, out = y + h sum(a k)"),
     FASTCALL(rk4_final, "the final RK4 sum with the step checks"),
     FASTCALL(rkf45_final, "the Fehlberg update and its error estimate"),
+    FASTCALL(rk_step, "one RK4 step or Fehlberg substep of a micro flow"),
+    FASTCALL(row_sum, "np.add.reduce(U, axis=2) of a pair grid U (coevnet_row_sum)"),
     FASTCALL(nullcline, "one weight nullcline solve (coevnet_nullcline)"),
     {NULL, NULL, 0, NULL},
 };
@@ -2150,20 +2475,12 @@ PyMODINIT_FUNC PyInit__kernels(void)
             return NULL;
     if (!ndarray_type) {
         PyObject *numpy = PyImport_ImportModule("numpy");
-        PyObject *add = numpy ? PyObject_GetAttrString(numpy, "add") : NULL;
         ndarray_type = numpy ? PyObject_GetAttrString(numpy, "ndarray") : NULL;
-        add_reduce = add ? PyObject_GetAttrString(add, "reduce") : NULL;
         np_empty = numpy ? PyObject_GetAttrString(numpy, "empty") : NULL;
-        axis_two[0] = Py_BuildValue("(s)", "axis");
-        axis_two[1] = PyLong_FromLong(2);
         Py_XDECREF(numpy);
-        Py_XDECREF(add);
-        if (!ndarray_type || !add_reduce || !np_empty || !axis_two[0] || !axis_two[1]) {
+        if (!ndarray_type || !np_empty) {
             Py_CLEAR(ndarray_type);   /* a later import tries again */
-            Py_CLEAR(add_reduce);
             Py_CLEAR(np_empty);
-            Py_CLEAR(axis_two[0]);
-            Py_CLEAR(axis_two[1]);
             return NULL;
         }
     }

@@ -21,23 +21,25 @@ Each flow evaluation is one call of a flow made once per run: the compiled
 ``MicroFlow`` while ``LIB`` holds the extension module, else its numpy twin
 ``_MicroFlow``, which has the same constructor and call and writes the same
 bytes.  The kernel makes the finiteness checks, zeroes U's diagonal, writes
-the weight drift and divides the row sum into the state drift.  It calls
-back the model's V, U and U0 (for a model with its pair form, see
-``models``, K and eta in place of U and V, whose U and V it forms itself),
-``_on_grid`` for a V or U result that it cannot take as it is, the row sum
-(``np.add.reduce`` over the partner axis, called by the kernel itself for
-numpy's pairwise summation order, or the mass-weighted ``einsum``) and
-numpy's own ``+=`` for adding U0, whose result may broadcast.  Each nullcline solve is one ``nullcline`` call, or one call
+the weight drift and the row sum (with equal masses in the pairwise order
+of ``np.add.reduce(U, axis=2)``, which the twin calls) divided into the
+state drift.  It calls back the model's V, U and U0 (for a model with its
+pair form, see ``models``, K and eta, from which it forms U and V itself in
+scratch the flow holds: each kernel's d = s_i - s_j is rewritten just
+before the kernel is called, so a kernel must not keep its argument),
+``_on_grid`` for a V or U result that it cannot take as it is, the
+mass-weighted ``einsum`` and numpy's own ``+=`` for adding U0, whose result
+may broadcast.  Each nullcline solve is one ``nullcline`` call, or one call
 of its twin ``_nullcline_py``: the bracket search, every Illinois iteration,
 the step limit and the residual check over one buffer, with V (for the
 pair form, eta taken once per solve minus kappa w) called back on views
 of its rows and its results read through ``_on_grid`` when they are not
-float64 arrays of the grid.  The rk4 and rkf45 steps of the flow
-and of the fast-network limit run on a workspace of the run
-(``_Workspace``): each stage is one ``rk_stage`` call and each update one
-``rk4_final`` call, which also makes the step's checks, or one
-``rkf45_final`` call, of the kernels or of their twins ``_StepSums``, which
-form the same sums with ``stepping.rk_sum``.
+float64 arrays of the grid.  The rk4 and rkf45 steps of the flow and of
+the fast-network limit run on a workspace of the run (``_Workspace``):
+each rk4 step and Fehlberg substep is one call of the step entry
+``rk_step``, or of its twin ``_StepSums.rk_step``, which forms the stages
+and the update with ``rk_sum``'s sum, evaluates the flow at each stage
+(a compiled ``MicroFlow`` in the entry itself) and makes the step checks.
 """
 
 from __future__ import annotations
@@ -206,11 +208,12 @@ class _MicroFlow:
 
     1. in the pair mode, when si and sj are float64 arrays that broadcast to
        the pair grid (L, N, N, m) and W is a float64 array of the grid
-       (L, N, N): given V, eta(d) on d = si - sj in a fresh array and V =
-       eta(d) - kappa W (- W with kappa 1) into a fresh array; then K(d) on
-       another fresh d and U = -(W K(d)) into a fresh array.  Where eta(d)
-       or K(d) is not a float64 ndarray of its grid, the evaluation takes
-       step 1' instead;
+       (L, N, N): given V, eta(d) on d = si - sj in the flow's scratch and
+       V = eta(d) - kappa W (- W with kappa 1) into its scratch V; then K(d)
+       on d in K's own scratch and U = -(W K(d)) into its scratch U.  Each
+       d is rewritten just before its kernel is called, so a kernel must
+       not keep its argument.  Where eta(d) or K(d) is not a float64
+       ndarray of its grid, the evaluation takes step 1' instead;
     1'. otherwise V(si, sj, W) and then U(si, sj, W), each through
        ``on_grid(result, grid, name, states, W)`` on its pair grid,
        (L, N, N) or (L, N, N, m);
@@ -222,7 +225,7 @@ class _MicroFlow:
        V with a zero diagonal; divided by eps[l] unless eps is None.  V is
        overwritten on the way;
     4. ds, the (L, N, m) states of the output, = row_sum(U) / divisor, or
-       np.add.reduce(U, axis=2) / divisor with row_sum None;
+       np.add.reduce(U, axis=2) / divisor (in the kernel, its order) with row_sum None;
     5. ds += U0(states); returns None.
     """
 
@@ -231,6 +234,9 @@ class _MicroFlow:
         self.eps = None if eps is None else np.array(eps, dtype=float).reshape(L, 1, 1)
         self.L, self.N, self.m, self.sym, self.row, self.on_grid = L, N, m, sym, row, on_grid
         self.pair = pair
+        if pair is not None:   # the scratch: eta's d, K's d, V and U
+            pairs = (L, N, N, m)
+            self.scratch = np.empty(pairs), np.empty(pairs), np.empty((L, N, N)), np.empty(pairs)
 
     def _pair(self, si, sj, W) -> tuple | None:
         """Step 1: U and V (None without V) by the pair form, or None."""
@@ -241,16 +247,17 @@ class _MicroFlow:
                 and isinstance(W, np.ndarray) and si.dtype == sj.dtype == W.dtype == np.float64
                 and W.shape == grid and _spans(si.shape, sj.shape, pairs)):
             return None
+        d_eta, d_K, V_held, U = self.scratch
         V = None
         if self.V is not None:   # each kernel its own d
-            e = eta(np.subtract(si, sj))
+            e = eta(np.subtract(si, sj, out=d_eta))
             if not _is_grid(e, grid):
                 return None
-            V = np.subtract(e, W if kappa == 1.0 else kappa * W, out=np.empty(grid))
-        k = K(np.subtract(si, sj))
+            V = np.subtract(e, W if kappa == 1.0 else kappa * W, out=V_held)
+        k = K(np.subtract(si, sj, out=d_K))
         if not _is_grid(k, pairs):
             return None
-        U = np.multiply(W[..., None], k, out=np.empty(pairs))
+        U = np.multiply(W[..., None], k, out=U)
         return np.negative(U, out=U), V
 
     def __call__(self, states, si, sj, W, ds, out) -> tuple | None:
@@ -286,9 +293,34 @@ class _MicroFlow:
 
 
 class _StepSums:
-    """The numpy twins of the step entries ``rk_stage``, ``rk4_final`` and
-    ``rkf45_final``, with their signatures (see ``_kernels.c``), on
-    ``stepping.rk_sum`` and ``_step_flags``."""
+    """The numpy twins of the step entry ``rk_step`` and its sums ``rk_stage``,
+    ``rk4_final`` and ``rkf45_final``, with their signatures (see
+    ``_kernels.c``), on ``stepping.rk_sum`` and ``_step_flags``."""
+
+    @classmethod
+    def rk_step(cls, f, y, stage, ks, out, h, fehlberg, L, n, N, sym):
+        """One RK4 step or Fehlberg substep from the record (z, states, si,
+        sj, W) y into out, k_i = ks[i][0] being f(states, si, sj, W, ds, k_i)
+        of y (i = 0) or stage with ds k_i's states: see ``rk_step``."""
+        k = [rec[0] for rec in ks]
+
+        def derivative(i: int):
+            return f(*(stage if i else y)[1:], ks[i][1], k[i])
+
+        if fehlberg:
+            for i, row in enumerate(_RKF_ROWS):
+                if i:
+                    cls.rk_stage(y[0], stage[0], h, row, *k[:i])
+                if (flags := derivative(i)) is not None:
+                    return i, flags
+            return cls.rkf45_final(y[0], out, h, *_RKF_B, *k[:6])
+        for i, c in enumerate((0.5 * h, 0.5 * h, h, None)):
+            if (flags := derivative(i)) is not None:
+                return i, flags
+            if c is not None:
+                cls.rk_stage(y[0], stage[0], c, _RK_ONE, k[i])
+        flags = cls.rk4_final(y[0], *k[:4], out, h / 6.0, L, n, N, sym)
+        return None if flags is None else (4, flags)
 
     @staticmethod
     def rk_stage(y, out, h, a, *k) -> None:
@@ -322,14 +354,14 @@ def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s
     after leg l - 1.  It returns None, or the per-leg finiteness flags of U
     and V when a leg is not finite (see _failed); this is the one place a
     particle flow evaluates U.  The interaction sum is ``np.add.reduce``
-    over the partner axis, for numpy's pairwise summation order, divided by
-    N eps_s, or with masses their ``einsum``, divided by eps_s; masses must
-    be N finite numbers.
+    over the partner axis (which the compiled flow computes itself in
+    numpy's pairwise order), divided by N eps_s, or with masses their
+    ``einsum``, divided by eps_s; masses must be N finite numbers.
     """
     if m != model.m:
         raise ModelError(f"configuration dimension m={m} does not match model m={model.m}")
     if masses is None:
-        row_sum, divisor = None, N * eps_s   # the flow's own np.add.reduce(U, axis=2)
+        row_sum, divisor = None, N * eps_s   # np.add.reduce(U, axis=2), in the flow
     else:
         masses = np.asarray(masses, dtype=float)
         if masses.shape != (N,):
@@ -352,63 +384,54 @@ _RKF_B = np.array(_RKF_B5), np.array(_RKF_B4)
 
 
 class _Workspace:
-    """The rk4 and rkf45 steps of a flow f(z, t, out) over the legs of eps_w
-    (n states and, with sym, N x N weights each), on the step entries of
-    ``_native.LIB`` when the workspace is made, or on their twins.
-
-    They run on buffers made by the first step (made(buf), if given, sees
-    each once): six stage derivatives, a stage buffer and two states used in
-    turn, so a step's result is overwritten two steps later.  rk4 raises the
-    error (``_checked``) of the checks of its final sum; rkf45 advances by
-    ``rkf45_advance``.
+    """The rk4 and rkf45 steps of a flow f(states, si, sj, W, ds, out) -> None
+    or per-leg flags, over the legs of eps_w (n states and, with sym, N x N
+    weights each): each rk4 step and Fehlberg substep is one call of the step
+    entry ``rk_step`` of ``_native.LIB`` when the workspace is made, or of its
+    twin, on the records (z, *parts(z)) of buffers made by the first step:
+    six stage derivatives, a stage buffer and two states used in turn, so a
+    step's result is overwritten two steps later.  A flagged f raises
+    ``_failed``'s error naming t; rk4 raises the error (``_checked``) of its
+    final sum's checks; rkf45 advances by ``rkf45_advance``.
     """
 
-    def __init__(self, f, eps_w: np.ndarray, n: int, N: int = 0, sym: bool = False, made=None):
-        self.lib, self.f, self.eps_w, self.made = _native.LIB or _StepSums, f, eps_w, made
+    def __init__(self, f, eps_w: np.ndarray, n: int, N: int = 0, sym: bool = False, parts=None):
+        self.lib, self.f, self.eps_w, self.parts = _native.LIB or _StepSums, f, eps_w, parts
         self.legs = (eps_w.size, n, N, sym)
-        self.bufs: list[np.ndarray] = []
+        self.ks, self.stage, self.states = (), None, ()
 
-    def _start(self, y: np.ndarray) -> np.ndarray:
-        """y as the step entries read it; makes the buffers at the first step."""
-        if not self.bufs:
-            self.bufs = [np.empty(y.shape) for _ in range(9)]
-            for buf in self.bufs:
-                if self.made is not None:
-                    self.made(buf)
-        return np.ascontiguousarray(y, dtype=np.float64)
+    def _start(self, y: np.ndarray) -> tuple:
+        """y's record, and the state buffer that a step from y writes to."""
+        if not self.states:
+            recs = [(b, *self.parts(b)) for b in (np.empty(y.shape) for _ in range(9))]
+            self.ks, self.stage, self.states = tuple(recs[:6]), recs[6], recs[7:]
+        a, b = self.states
+        if y is a[0]:
+            return a, b[0]
+        if y is not b[0]:
+            y = np.ascontiguousarray(y, dtype=np.float64)
+            b = (y, *self.parts(y))
+        return b, a[0]
 
-    def _next(self, y: np.ndarray) -> np.ndarray:
-        """The state buffer that a step from y writes to."""
-        a, b = self.bufs[7:]
-        return b if y is a else a
+    def _step(self, y: tuple, out: np.ndarray, t: float, h: float, fehlberg: bool):
+        """One call of the step entry from the record y into out."""
+        got = self.lib.rk_step(self.f, y, self.stage, self.ks, out, h, fehlberg, *self.legs)
+        if isinstance(got, tuple) and (fehlberg or got[0] < 4):   # (4, flags): rk4's checks
+            raise _failed("non-finite force evaluation at", t, self.eps_w, got[1])
+        return got
 
     def rk4(self, y: np.ndarray, t: float, h: float) -> np.ndarray:
-        lib, f = self.lib, self.f
-        y = self._start(y)
-        y_new, k, stage = self._next(y), self.bufs[:4], self.bufs[6]
-        for i, c in enumerate((0.5 * h, 0.5 * h, h)):
-            f(stage if i else y, t, k[i])
-            lib.rk_stage(y, stage, c, _RK_ONE, k[i])
-        f(stage, t, k[3])
-        return _checked(y_new, t, self.eps_w, lib.rk4_final(y, *k, y_new, h / 6.0, *self.legs))
+        y, y_new = self._start(y)
+        flags = self._step(y, y_new, t, h, False)
+        return _checked(y_new, t, self.eps_w, None if flags is None else flags[1])
 
     def rkf45(self, y: np.ndarray, t: float, h: float) -> np.ndarray:
-        y = self._start(y)
-        lib, k, stage, slot = self.lib, self.bufs[:6], self.bufs[6], [0]
+        def substep(f, y: np.ndarray, h: float):
+            y, y5 = self._start(y)
+            return y5, self._step(y, y5, t, h, True)
 
-        def rhs(z: np.ndarray) -> np.ndarray:   # into the stage's own buffer
-            return self.f(z, t, k[slot[0]])
-
-        def substep(rhs, y: np.ndarray, h: float):
-            y5, ks = self._next(y), []
-            for i, row in enumerate(_RKF_ROWS):
-                if i:
-                    lib.rk_stage(y, stage, h, row, *ks)
-                slot[0] = i
-                ks.append(rhs(stage if i else y))
-            return y5, lib.rkf45_final(y, y5, h, *_RKF_B, *ks)
-
-        return rkf45_advance(rhs, y, h, t0=t, step=substep)
+        return rkf45_advance(self.f, np.ascontiguousarray(y, dtype=np.float64), h, t0=t,
+                             step=substep)
 
 
 def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float = 1.0,
@@ -421,7 +444,7 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
     noise) and checks each leg for non-finite entries and a symmetric flow
     for weight symmetry (``_step_flags``, ``_checked``).  Each f is one call of the flow
     (see _particle_drift), and the rk4 and rkf45 steps run on a
-    ``_Workspace``, whose buffers' views f builds once.
+    ``_Workspace`` of the flow, which takes each buffer's views once.
     """
     eps_w = np.asarray(eps_w, dtype=float)
     if not (np.all(eps_w > 0) and eps_s > 0):
@@ -429,7 +452,6 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
     L, N, m, sym = eps_w.size, cfg.N, cfg.m, cfg.symmetric and model.symmetric_V
     n = N * m
     flow = _particle_drift(model, N, m, eps_w, eps_s, masses, sym, n + N * N, model.V)
-    views = {}   # the parts of each workspace buffer, by id
 
     def parts(z: np.ndarray) -> tuple:
         """z's states, pair views and weights, as the flow takes them."""
@@ -438,13 +460,12 @@ def _micro_flow(cfg: AgentConfiguration, model: SmoothModel, eps_w, eps_s: float
 
     def f(z: np.ndarray, t: float, out=None) -> np.ndarray:
         out = np.empty(z.shape) if out is None else out
-        ds = views[id(out)][0] if id(out) in views else out[:, :n].reshape(L, N, m)
-        ok = flow(*(views.get(id(z)) or parts(z)), ds, out)
+        ok = flow(*parts(z), out[:, :n].reshape(L, N, m), out)
         if ok is not None:
             raise _failed("non-finite force evaluation at", t, eps_w, ok)
         return out
 
-    ws = _Workspace(f, eps_w, n, N, sym, made=lambda buf: views.__setitem__(id(buf), parts(buf)))
+    ws = _Workspace(flow, eps_w, n, N, sym, parts)
 
     def step(y: np.ndarray, t: float, dt: float, method: str, rng=None) -> np.ndarray:
         if method == "rk4":
@@ -821,14 +842,12 @@ def integrate_reduced(
     one = np.ones(1)
     flow = _particle_drift(model, N, m, one)
 
-    def on_nullcline(y: np.ndarray, t: float, out=None) -> np.ndarray:
+    def on_nullcline(s, si, sj, W, ds, out):   # W is not evolved: the nullcline's
+        return flow(s, si, sj, _nullcline_array(model, si, sj), ds, None)
+
+    def parts(y: np.ndarray) -> tuple:
         s = y.reshape(1, N, m)
-        si, sj = s[:, :, None, :], s[:, None, :, :]
-        ds = np.empty(s.shape) if out is None else out.reshape(1, N, m)
-        ok = flow(s, si, sj, _nullcline_array(model, si, sj), ds, None)
-        if ok is not None:
-            raise _failed("non-finite force evaluation at", t, one, ok)
-        return ds.reshape(y.shape)
+        return s, s[:, :, None, :], s[:, None, :, :], None
 
     traj = StateTrajectory()
 
@@ -836,7 +855,7 @@ def integrate_reduced(
         traj.times.append(t)
         traj.states.append(y.reshape(N, m).copy())
 
-    ws = _Workspace(on_nullcline, one, N * m)
+    ws = _Workspace(on_nullcline, one, N * m, parts=parts)
     run_grid(lambda y, t: ws.rk4(y, t, dt), states.ravel(), 0.0, dt, T, 1, sample,
              step_checks_finite=True)
     return traj

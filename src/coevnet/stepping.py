@@ -191,10 +191,12 @@ def rkf45_advance(
         return y
     t = 0.0
     h = span
+    scale = None   # y's tolerance, taken once per accepted y
     while t < span:
         h = min(h, span - t)
         y_new, err = step(f, y, h)
-        scale = atol + rtol * float(np.max(np.abs(y))) if np.size(y) else atol
+        if scale is None:
+            scale = atol + rtol * float(np.max(np.abs(y))) if np.size(y) else atol
         accept = err <= scale     # False for a NaN error too
         if not accept and h <= 1e-14 * span:
             raise IntegrationError(
@@ -207,6 +209,7 @@ def rkf45_advance(
                 h *= min(4.0, 0.9 * (scale / err) ** 0.2)
             else:
                 h *= 4.0
+            scale = None
         else:
             h *= max(0.1, 0.9 * (scale / err) ** 0.25)
     return y

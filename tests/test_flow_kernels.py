@@ -2,11 +2,13 @@
 
 Each compiled entry of ``microsim`` has a numpy twin with its signature:
 ``MicroFlow`` and ``microsim._MicroFlow`` (the same constructor and call),
-``nullcline`` and ``microsim._nullcline_py``, and the step entries
-``rk_stage``, ``rk4_final`` and ``rkf45_final`` and the static methods of
-``microsim._StepSums``; both must write the same bytes, return the same
-value, make the same model calls with the same arguments, show the same
-warnings and raise the same errors.
+``nullcline`` and ``microsim._nullcline_py``, and the step entry
+``rk_step`` and the sums ``rk_stage``, ``rk4_final`` and ``rkf45_final``
+and the methods of ``microsim._StepSums``; both must write the same bytes,
+return the same value, make the same model calls with the same arguments,
+show the same warnings and raise the same errors.  The flow's equal-mass
+row sum (the entry ``row_sum``) must be bitwise ``np.add.reduce``, and a
+step of the step entry bitwise the per-stage path of ``stepping``.
 Each driver, the workspace's steps too, runs on the twins when
 ``_native.LIB`` is None, which is how the references are built
 here: ``microsim._micro_flow`` must then give the same bytes for every f
@@ -17,6 +19,7 @@ errors, as must ``integrate_reduced`` and ``microsim._nullcline_array``.
 import hashlib
 import json
 import logging
+import sys
 import warnings
 from types import SimpleNamespace
 
@@ -93,6 +96,19 @@ def test_compiled_flow_is_in_use(monkeypatch):
     monkeypatch.setattr(microsim, "_MicroFlow", None)   # calling it would fail
     cfg = random_cfg(np.random.default_rng(0), 4, 1, True, np.zeros((4, 4), dtype=bool))
     microsim.micro_rhs(cfg, pair_model(1, True))
+
+
+@pytest.mark.needs_cc
+def test_compiled_step_is_in_use(monkeypatch):
+    """rk4 and rkf45 steps of the micro flow and of the reduced run call
+    neither the step twin nor the flow twin."""
+    assert _native.LIB is not None
+    monkeypatch.setattr(microsim, "_StepSums", None)   # the workspace would take it
+    monkeypatch.setattr(microsim, "_MicroFlow", None)
+    cfg = random_cfg(np.random.default_rng(0), 4, 1, True, np.zeros((4, 4), dtype=bool))
+    _, step = compiled_flow(cfg, affine_V(1.0), [0.5, 0.1])
+    step(step(_stack(cfg, 2), 0.0, 0.01, "rk4"), 0.01, 0.01, "rkf45")
+    integrate_reduced(cfg.states, affine_V(1.0), dt=0.01, T=0.02)
 
 
 @pytest.mark.needs_cc
@@ -934,3 +950,219 @@ def test_the_step_limit_raises_as_the_reference(monkeypatch, steps):
     got = raised(lambda: compiled_nullcline(model, x[:, None], x[None]))
     assert got == raised(lambda: reference(compiled_nullcline, model, x[:, None], x[None]))
     assert got == ("NullclineNotFound", f"nullcline iteration did not converge in {steps} steps")
+
+
+# ----------------------------------------------------------------- the step entry
+
+ROW_SUM_SPECIAL = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("L", [1, 3])
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("N", [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 200, 257])
+def test_row_sum_is_bitwise_np_add_reduce(N, m, L):
+    """The compiled equal-mass row sum against np.add.reduce(U, axis=2), on
+    draws over 17 decades with -0.0, +-inf, NaN, +-5e-324 and +-1e308
+    planted, a row all -0.0 (whose sum is +0.0), one of +-5e-324 and one of
+    +-1e308 (whose sums overflow in some orders but not in others)."""
+    rng = np.random.default_rng([N, m, L])
+    U = rng.normal(size=(L, N, N, m)) * 10.0 ** rng.integers(-8, 9, size=(L, N, N, m))
+    pick = rng.random(U.shape) < 0.05
+    U[pick] = rng.choice(ROW_SUM_SPECIAL, size=pick.sum())
+    rows = U.reshape(L * N, N, m)
+    rows[0] = -0.0
+    if L * N > 1:
+        rows[-1] = rng.choice([5e-324, -5e-324], size=(N, m))
+    if L * N > 2:
+        rows[1] = rng.choice([1e308, -1e308], size=(N, m))
+    out = np.full((L, N, m), 7.0)
+    with np.errstate(all="ignore"):
+        want = np.add.reduce(U, axis=2)
+    assert _native.LIB.row_sum(U, out) is None
+    assert bits(out) == bits(want)
+    assert (out[0, 0] == 0.0).all() and not np.signbit(out[0, 0]).any()
+
+
+def gaussian(x):
+    return np.exp(-np.sum(x * x, axis=-1))
+
+
+def step_model(form, m):
+    """kernel-relaxation with the identity K, gaussian eta and kappa 0.3, with
+    its pair form, or its U and V as they are with the external force
+    external_leg_force."""
+    model = catalog("kernel-relaxation", {"K": lambda x: x, "eta": gaussian, "kappa": 0.3,
+                                          "m": m})
+    return model if form else SmoothModel(U=model.U, V=model.V, m=m, symmetric_V=True,
+                                          U0=external_leg_force)
+
+
+def per_stage(f, y, t, h, method, eps_w, legs):
+    """The step by the per-stage path: f called once per stage, the sums
+    stepping's, then the step checks."""
+    def rhs(z):
+        return f(z, t)
+    y_new = stepping.rk4_step(rhs, y, h) if method == "rk4" else stepping.rkf45_advance(
+        rhs, y, h, t0=t)
+    return microsim._checked(y_new, t, np.asarray(eps_w), microsim._step_flags(y_new, *legs))
+
+
+def record_substeps(monkeypatch) -> list:
+    """The y that each Fehlberg substep of microsim's rkf45 steps starts from."""
+    advance, starts = stepping.rkf45_advance, []
+
+    def recorded(f, y, span, t0=0.0, step=stepping.rkf45_step):
+        return advance(f, y, span, t0=t0, step=lambda f, y, h: starts.append(y) or step(f, y, h))
+    monkeypatch.setattr(microsim, "rkf45_advance", recorded)
+    return starts
+
+
+def outcome(run):
+    """bits() of what run() returns, or the type and message of what it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return bits(run())
+    except (IntegrationError, InvariantViolation) as err:
+        return type(err).__name__, str(err)
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("case", ["finite", "a non-finite leg", "lost symmetry"])
+@pytest.mark.parametrize("lib", ["compiled", "numpy"])
+@pytest.mark.parametrize("with_masses", [False, True])
+@pytest.mark.parametrize("symmetric", [True, False])
+@pytest.mark.parametrize("form", [True, False])
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_the_step_entry_is_bitwise_the_per_stage_path(monkeypatch, method, form, symmetric,
+                                                       with_masses, lib, case):
+    """Three steps of three stacked legs, one of them stiff (eps 0.004: its
+    rkf45 steps reject substeps), in the pair mode or on U and V as they
+    are, against the per-stage path on the same backend.  A non-finite leg
+    (states 1e308 and -1e308 in the pair mode, whose difference and forces
+    are then not finite; states above 100, whose external force overflows
+    the update, on U and V) raises the same error naming the same legs, and so does lost
+    symmetry, as InvariantViolation with symmetric weights."""
+    monkeypatch.setattr(_native, "LIB", _native.LIB if lib == "compiled" else None)
+    starts = record_substeps(monkeypatch)
+    rng = np.random.default_rng(2 * form + symmetric)
+    N, m, eps_w = 6, 2, [0.5, 0.004, 1.0]
+    cfg = random_cfg(rng, N, m, symmetric, np.triu(rng.random((N, N)) < 0.3, 1))
+    masses = rng.uniform(0.1, 1.0, size=N) if with_masses else None
+    f, step = compiled_flow(cfg, step_model(form, m), eps_w, 0.7, masses)
+    legs = (3, N * m, N, symmetric)
+    y = _stack(cfg, 3)
+    if case == "a non-finite leg":
+        y[2, [0, m]] = (1e308, -1e308) if form else (200.0, 150.0)   # s_0 and s_1
+    if case == "lost symmetry":
+        y[2, N * m + 1] += 0.25   # w_01 of the last leg, not w_10
+    runs = []
+    for k in range(3):
+        want = outcome(lambda: per_stage(f, y.copy(), 0.05 * k, 0.05, method, eps_w, legs))
+        got = outcome(lambda: step(y, 0.05 * k, 0.05, method))
+        assert got == want, k
+        runs.append(got)
+        if isinstance(got, tuple):
+            break
+        y = step(y, 0.05 * k, 0.05, method)   # the workspace's next state buffer
+    failed = case == "a non-finite leg" or (case == "lost symmetry" and symmetric)
+    assert isinstance(runs[-1], tuple) == failed and len(runs) == (1 if failed else 3)
+    if case == "a non-finite leg" and (form or method == "rk4"):
+        assert runs[0][1].endswith("for eps=1")
+    if failed and case == "lost symmetry":
+        assert runs[0] == ("InvariantViolation", "weight symmetry lost during integration")
+    if method == "rkf45" and case == "finite":
+        assert sum(a is b for a, b in zip(starts, starts[1:])) >= 1   # rejected substeps
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("method, stages", [("rk4", 4), ("rkf45", 6)])
+def test_one_compiled_step_calls_eta_and_K_once_per_stage_and_no_python_f(monkeypatch, method,
+                                                                           stages):
+    """One compiled rk4 step, or one rkf45 step of one accepted Fehlberg
+    substep, from a workspace state: eta and K run once per stage, and no
+    python code of microsim runs but the step's own calls, so neither f nor
+    a buffer's views are made."""
+    substeps, calls, frames = record_substeps(monkeypatch), [], []
+
+    def K(x):
+        calls.append("K")
+        return x
+
+    def eta(x):
+        calls.append("eta")
+        return gaussian(x)
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == microsim.__file__:
+            frames.append(frame.f_code.co_name)
+    cfg = random_cfg(np.random.default_rng(4), 4, 1, True, np.zeros((4, 4), dtype=bool))
+    model = catalog("kernel-relaxation", {"K": K, "eta": eta, "kappa": 1.0})
+    _, step = compiled_flow(cfg, model, [0.5, 0.1, 1.0])
+    y = step(_stack(cfg, 3), 0.0, 1e-3, "rk4")   # the workspace's buffers are made
+    calls.clear()
+    sys.setprofile(profile)
+    try:
+        step(y, 1e-3, 1e-6, method)
+    finally:
+        sys.setprofile(None)
+    assert calls.count("eta") == calls.count("K") == stages and len(calls) == 2 * stages
+    assert len(substeps) == (method == "rkf45")
+    assert set(frames) == {"step", method, "_start", "_step", "_checked"} | (
+        {"substep", "_step_flags"} if method == "rkf45" else set())
+
+
+def view_eta(x):
+    """exp(-x^2) of a one-component x, written into x: a view of x."""
+    np.exp(-np.square(x, out=x), out=x)
+    return x[..., 0]
+
+
+# name -> (K, eta)
+SCRATCH_KERNELS = {
+    "eta writes into its argument": (lambda x: x, lambda x: gaussian(np.square(x, out=x) ** 0.5)),
+    "eta returns a view of its argument": (np.tanh, view_eta),
+    "K returns its argument": (lambda x: x, gaussian),
+}
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("lib", ["compiled", "numpy"])
+@pytest.mark.parametrize("kernels", list(SCRATCH_KERNELS))
+def test_the_held_scratch_gives_the_bytes_of_U_and_V_as_they_are(monkeypatch, kernels, lib):
+    """Two flows alive at once, on the scratch each holds, whose f calls and
+    rk4 and rkf45 steps interleave, against the same runs one flow after
+    the other and against the model's U and V called as they are: the same
+    bytes, with kernels that write into their argument, return a view of it
+    or return it."""
+    monkeypatch.setattr(_native, "LIB", _native.LIB if lib == "compiled" else None)
+    K, eta = SCRATCH_KERNELS[kernels]
+    form = catalog("kernel-relaxation", {"K": K, "eta": eta, "kappa": 0.3})
+    plain = SmoothModel(U=form.U, V=form.V, symmetric_V=True)
+    rng = np.random.default_rng(7)
+    legs = [(random_cfg(rng, 4, 1, True, np.zeros((4, 4), dtype=bool)), [0.5, 0.01]),
+            (random_cfg(rng, 5, 1, False, np.zeros((5, 5), dtype=bool)), [0.2])]
+
+    def runs(model):
+        """Per flow, its f, three rk4 steps and an rkf45 step, one generator each."""
+        for cfg, eps_w in legs:
+            f, step = compiled_flow(cfg, model, eps_w)
+            y = _stack(cfg, len(eps_w))
+            yield bits(f(y, 0.0))
+            for k in range(3):
+                y = step(y, 0.01 * k, 0.01, "rk4")
+                yield bits(y)
+            yield bits(step(y, 0.03, 0.01, "rkf45"))
+
+    def interleaved(model):
+        """The same runs, with both flows made first and their calls alternating."""
+        flows = [(compiled_flow(cfg, model, eps_w), _stack(cfg, len(eps_w))) for cfg, eps_w in legs]
+        got = [[bits(f(y, 0.0))] for (f, _), y in flows]
+        ys = [y for _, y in flows]
+        for k in range(4):
+            for i, ((_, step), _) in enumerate(flows):
+                ys[i] = step(ys[i], 0.01 * k, 0.01, "rk4" if k < 3 else "rkf45")
+                got[i].append(bits(ys[i]))
+        return got[0] + got[1]
+
+    assert list(runs(form)) == interleaved(form) == list(runs(plain))

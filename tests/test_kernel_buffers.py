@@ -87,6 +87,16 @@ def rk4_final_args():
     return [f64(size), f64(size), f64(size), f64(size), f64(size), f64(size), 0.1, L, N * m, N, 1]
 
 
+def rk_step_args():
+    """An RK4 step of 7 doubles, one leg, with a drift that writes nothing:
+    f, the records of y and of the stage buffer, four stage records, out,
+    h, fehlberg, L, n, N and sym."""
+    def record():
+        return (f64(7), None, None, None, None)
+    return [lambda *args: None, record(), record(), tuple(record() for _ in range(4)), f64(7),
+            0.1, 0, 1, 7, 0, 0]
+
+
 # entry -> (a function giving valid arguments, the argument to shorten, the
 # argument to make non-contiguous)
 ENTRIES = {
@@ -100,6 +110,8 @@ ENTRIES = {
     "rkf45_stage": (lambda: [f64(7), f64(7), 0.1, np.array([0.25, 0.5]), f64(7), f64(7)], 3, 5),
     "rkf45_final": (lambda: [f64(7), f64(7), 0.1, f64(6, 0.1), f64(6, 0.2)] + [f64(7)] * 6, 10, 1),
     "nullcline": (nullcline_args, 3, 3),
+    "rk_step": (rk_step_args, 4, 4),
+    "row_sum": (lambda: [np.full((2, 3, 3, 1), 0.5), f64(6)], 1, 1),
 }
 
 
@@ -284,3 +296,29 @@ def test_micro_flow_refuses_bad_construction(change, error, message):
         args["eps"] = np.array(args["eps"])
     with pytest.raises(error, match=message):
         LIB.MicroFlow(*args.values())
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (lambda a: a.__setitem__(1, a[1][:4]), TypeError, "a record must be a tuple"),
+    (lambda a: a.__setitem__(3, a[3][:3]), TypeError, "at least 4 records"),
+    (lambda a: a.__setitem__(6, 1), TypeError, "at least 6 records"),
+    (lambda a: a.__setitem__(7, 2), ValueError, "y does not hold L rows"),
+    (lambda a: a.__setitem__(0, micro_flow()), ValueError, "do not hold the flow's rows"),
+])
+def test_a_step_refuses_bad_records(change, error, message):
+    args = rk_step_args()
+    change(args)
+    with pytest.raises(error, match=message):
+        LIB.rk_step(*args)
+
+
+def test_a_step_returns_the_stage_and_the_flags_of_a_failure():
+    """The flags of the drift's third call (stage 2), then those of the
+    update's checks (stage 4) when y is not finite."""
+    calls = []
+    args = rk_step_args()
+    args[0] = lambda *a: calls.append(1) or ((False,) if len(calls) == 3 else None)
+    assert LIB.rk_step(*args) == (2, (False,)) and len(calls) == 3
+    args = rk_step_args()
+    args[1][0][3] = np.inf
+    assert LIB.rk_step(*args) == (4, (False,))
