@@ -33,10 +33,9 @@
  *    with the flow evaluated here when it is a MicroFlow (else called
  *    back), and its update, each sum coevnet_rk_sum, then the step checks
  *    of coevnet_step_flags or the Fehlberg error estimate.  Its reference
- *    is the numpy twin microsim._StepSums.rk_step, with the same
- *    signature, on the twins of the entries rk_stage (a stage), rk4_final
- *    (the RK4 update and the step checks) and rkf45_final (the Fehlberg
- *    update and error estimate).
+ *    is stepping.rk4_step or rkf45_step over the flow, then the checks of
+ *    microsim._step_flags: microsim's workspace runs them in its place
+ *    when the module is not loaded, into the same buffers.
  * 5. coevnet_nullcline: one weight nullcline solve, the bracket search,
  *    every Illinois iteration, the step limit and the residual check over
  *    one buffer, calling V back through a hook (and microsim._on_grid for
@@ -811,8 +810,9 @@ static int coevnet_step_flags(const double *y, int64_t L, int64_t row, int64_t n
 /* The Fehlberg update y5 = y + h sum(b5 k) into y5 and the error estimate
  * max |y5 - y4|, y4 = y + h sum(b4 k), as stepping.rkf45_step: NaN when a
  * difference is NaN, as np.max, and 0 for n = 0. */
-static double coevnet_rkf45_final(const double *y, const double *const *k, const double *b5,
-                                  const double *b4, int64_t nk, double h, double *y5, int64_t n)
+static double coevnet_fehlberg_update(const double *y, const double *const *k,
+                                      const double *b5, const double *b4, int64_t nk, double h,
+                                      double *y5, int64_t n)
 {
     double err = 0.0, d;
     int64_t i;
@@ -1067,7 +1067,6 @@ static int coevnet_nullcline(double *buf, int64_t n, int64_t max_steps, double m
  */
 
 #define MAX_ARRAYS 16
-#define MAX_STAGES 8
 
 /* The buffers one call holds, released together. */
 typedef struct {
@@ -2034,132 +2033,11 @@ static PyTypeObject flow_type = {
     .tp_free = PyObject_GC_Del,
 };
 
-/* rk4_final(y, k1, k2, k3, k4, out, c, L, n, N, sym) -> None, or the
- * per-leg flags of coevnet_step_flags after the RK4 update out = y + c
- * (k1 + 2 k2 + 2 k3 + k4): a tuple with a False for each leg that is not
- * finite, or all True when the weights of a leg are not symmetric.  out
- * holds L rows. */
-static PyObject *py_rk4_final(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    arrays a = {.n = 0};
-    void *y, *p, *out;
-    const double *k[4];
-    int64_t size, L, n, N, sym, w_end;
-    double c;
-    uint8_t *ok = NULL;
-    PyObject *result = NULL;
-    int i;
-    (void)self;
-    if (check_nargs("rk4_final", nargs, 11) < 0 || float_arg(args[6], &c) < 0
-        || int_arg(args[7], "L", 1, &L) < 0 || int_arg(args[8], "n", 0, &n) < 0
-        || int_arg(args[9], "N", 0, &N) < 0 || int_arg(args[10], "sym", 0, &sym) < 0)
-        return NULL;
-    if (take(&a, args[5], "out", &F64, WRITE, 0, &out) < 0)
-        goto done;
-    size = last_len(&a);
-    w_end = add(n, mul(N, N));
-    if (size % L || (sym && (w_end < 0 || w_end > size / L))) {
-        PyErr_SetString(PyExc_ValueError, "rk4_final: out does not hold L rows of n states "
-                        "and N x N weights");
-        goto done;
-    }
-    if (take(&a, args[0], "y", &F64, 0, size, &y) < 0)
-        goto done;
-    for (i = 0; i < 4; i++) {
-        if (take(&a, args[1 + i], "k", &F64, 0, size, &p) < 0)
-            goto done;
-        k[i] = p;
-    }
-    ok = PyMem_Malloc((size_t)L);
-    if (!ok) {
-        PyErr_NoMemory();
-        goto done;
-    }
-    coevnet_rk_sum(y, c, RK4_B, k, 4, out, size);
-    if (coevnet_step_flags(out, L, size / L, n, N, (int)(sym != 0), ok))
-        result = leg_flags(ok, L);
-    else
-        result = Py_NewRef(Py_None);
-done:
-    PyMem_Free(ok);
-    release(&a);
-    return result;
-}
-
-/* The y, out, coefficient and stage arrays of rk_stage and rkf45_final:
- * y and out (writable) of one length n, and nk = nargs - first stages of n
- * elements, nk coefficients in each of n_coef arrays after out. */
-static int take_stages(arrays *a, const char *fn, PyObject *const *args, Py_ssize_t nargs,
-                       int first, int n_coef, void **y, void **out, void **coef,
-                       const double **k, int64_t *n, int64_t *nk)
-{
-    int i;
-    void *p;
-    *nk = nargs - first;
-    if (*nk < 1 || *nk > MAX_STAGES) {
-        PyErr_Format(PyExc_TypeError, "%s takes %d arguments and 1 to %d stages", fn, first,
-                     MAX_STAGES);
-        return -1;
-    }
-    if (take(a, args[1], "out", &F64, WRITE, 0, out) < 0)
-        return -1;
-    *n = last_len(a);
-    if (take(a, args[0], "y", &F64, 0, *n, y) < 0)
-        return -1;
-    for (i = 0; i < n_coef; i++)
-        if (take(a, args[3 + i], "coefficients", &F64, 0, *nk, &coef[i]) < 0)
-            return -1;
-    for (i = 0; i < *nk; i++) {
-        if (take(a, args[first + i], "k", &F64, 0, *n, &p) < 0)
-            return -1;
-        k[i] = p;
-    }
-    return 0;
-}
-
-/* rk_stage(y, out, h, a, k1, ..., k_nk): out = y + h sum(a k). */
-static PyObject *py_rk_stage(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    arrays a = {.n = 0};
-    void *y, *out, *coef[1];
-    const double *k[MAX_STAGES];
-    int64_t n, nk;
-    double h;
-    (void)self;
-    if (take_stages(&a, "rk_stage", args, nargs, 4, 1, &y, &out, coef, k, &n, &nk) < 0
-        || float_arg(args[2], &h) < 0) {
-        release(&a);
-        return NULL;
-    }
-    coevnet_rk_sum(y, h, coef[0], k, nk, out, n);
-    release(&a);
-    Py_RETURN_NONE;
-}
-
-/* rkf45_final(y, y5, h, b5, b4, k1, ..., k_nk) -> the error estimate
- * max |y5 - y4|, with y5 = y + h sum(b5 k) written to y5. */
-static PyObject *py_rkf45_final(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    arrays a = {.n = 0};
-    void *y, *y5, *coef[2];
-    const double *k[MAX_STAGES];
-    int64_t n, nk;
-    double h, err;
-    (void)self;
-    if (take_stages(&a, "rkf45_final", args, nargs, 5, 2, &y, &y5, coef, k, &n, &nk) < 0
-        || float_arg(args[2], &h) < 0) {
-        release(&a);
-        return NULL;
-    }
-    err = coevnet_rkf45_final(y, k, coef[0], coef[1], nk, h, y5, n);
-    release(&a);
-    return PyFloat_FromDouble(err);
-}
-
 /* rk_step(f, y, stage, ks, out, h, fehlberg, L, n, N, sym): one RK4 step
  * (fehlberg 0) or one Fehlberg substep (fehlberg 1) from y into out, all of
- * its work in one call; its reference is the numpy twin
- * microsim._StepSums.rk_step, with the same signature.  y, stage and the
+ * its work in one call; its reference is stepping.rk4_step or rkf45_step
+ * over f, with microsim._step_flags after an RK4 update, which microsim's
+ * workspace runs in its place when the module is not loaded.  y, stage and the
  * first 4 (RK4) or 6 (Fehlberg) records of the tuple ks are records (z,
  * states, si, sj, W): a buffer z of L rows, each of z's length, and the
  * views that f is called on; out has z's length.  Stage i's derivative
@@ -2244,7 +2122,7 @@ static int rkf45_body(step_call *c, double h, int *stage, double *err)
             return status;
         }
     }
-    *err = coevnet_rkf45_final(c->z[0], c->k, RKF_B5, RKF_B4, 6, h, c->out, c->size);
+    *err = coevnet_fehlberg_update(c->z[0], c->k, RKF_B5, RKF_B4, 6, h, c->out, c->size);
     return 0;
 }
 
@@ -2329,35 +2207,6 @@ done:
     PyMem_Free(ok);
     release(&a);
     return result;
-}
-
-/* row_sum(U, out): out = np.add.reduce(U, axis=2) of a C-contiguous float64
- * U of shape (L, N, N, m), by coevnet_row_sum, into out, L N m doubles. */
-static PyObject *py_row_sum(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
-{
-    arrays a = {.n = 0};
-    const Py_ssize_t *g;
-    void *U, *out;
-    int64_t rows, j;
-    (void)self;
-    if (check_nargs("row_sum", nargs, 2) < 0 || take(&a, args[0], "U", &F64, 0, 0, &U) < 0)
-        return NULL;
-    g = a.views[0].shape;
-    if (a.views[0].ndim != 4 || g[1] != g[2]) {
-        PyErr_SetString(PyExc_ValueError, "row_sum: U must have the shape (L, N, N, m)");
-        release(&a);
-        return NULL;
-    }
-    rows = g[0] * g[1];
-    if (take(&a, args[1], "out", &F64, WRITE, rows * g[3], &out) < 0) {
-        release(&a);
-        return NULL;
-    }
-    for (j = 0; j < rows * g[3]; j++)
-        ((double *)out)[j] = coevnet_row_sum((const double *)U + (j / g[3]) * g[1] * g[3]
-                                             + j % g[3], g[1], g[3]);
-    release(&a);
-    Py_RETURN_NONE;
 }
 
 /* nullcline(V, si, sj, buf, lo, hi, new, max_steps, max_bracket, tol,
@@ -2448,11 +2297,7 @@ done:
 static PyMethodDef kernel_functions[] = {
     FASTCALL(closure_loop, "the closure RK4 loop (coevnet_closure_loop)"),
     FASTCALL(format_rows, "CSV rows of float64 columns (coevnet_format_rows)"),
-    FASTCALL(rk_stage, "a Runge-Kutta stage, out = y + h sum(a k)"),
-    FASTCALL(rk4_final, "the final RK4 sum with the step checks"),
-    FASTCALL(rkf45_final, "the Fehlberg update and its error estimate"),
     FASTCALL(rk_step, "one RK4 step or Fehlberg substep of a micro flow"),
-    FASTCALL(row_sum, "np.add.reduce(U, axis=2) of a pair grid U (coevnet_row_sum)"),
     FASTCALL(nullcline, "one weight nullcline solve (coevnet_nullcline)"),
     {NULL, NULL, 0, NULL},
 };

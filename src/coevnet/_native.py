@@ -5,17 +5,18 @@ functions take the numpy arrays themselves and check them before any kernel
 runs: the closure RK4 loop (called by ``closures``), the minimal-model
 Gillespie engine (``jumpsim``), the CSV row renderer (``io``), and the
 micro flow's evaluation, its step entry and the weight nullcline solve
-(``microsim``, which holds a numpy twin of each).  A micro flow evaluation is
-one call of the ``MicroFlow`` type, which makes the checks, U's zero
-diagonal, the weight drift and the equal-mass row sum itself and calls
-Python back for the model's V, U and U0 (for a kernel-relaxation model with
-its pair form, K and eta, from which it forms U and V itself), the
-mass-weighted row sum and numpy's ``+=`` of U0; each RK4 step and Fehlberg
-substep is one ``rk_step`` call, which evaluates a ``MicroFlow`` at every
-stage itself, each stage and update one sum, ``coevnet_rk_sum``; a
-nullcline solve is one ``nullcline`` call, which runs the bracket search,
-the Illinois iterations and the residual check itself and calls V back.
-The module is compiled with ``cc`` and this interpreter's headers the first
+(``microsim``, which holds a numpy twin of the flow and of the solve and
+runs the step entry's reference, ``stepping.rk4_step`` and ``rkf45_step``,
+in its place).  A micro flow evaluation is one call of the ``MicroFlow``
+type, which makes the checks, U's zero diagonal, the weight drift and the
+equal-mass row sum itself and calls Python back for the model's V, U and
+U0 (for a kernel-relaxation model with its pair form, K and eta, from which
+it forms U and V itself), the mass-weighted row sum and numpy's ``+=`` of
+U0; each RK4 step and Fehlberg substep is one ``rk_step`` call, which
+evaluates a ``MicroFlow`` at every stage itself, each stage and update one
+sum, ``coevnet_rk_sum``; a nullcline solve is one ``nullcline`` call,
+which runs the bracket search, the Illinois iterations and the residual
+check itself and calls V back.  The module is compiled with ``cc`` and this interpreter's headers the first
 time the package is imported, cached next to the source (in ``_cbuild/``,
 or under the temp dir when that is read-only) under a name that carries the
 interpreter's ABI, and loaded through ``importlib``.  A new build next to the source removes the

@@ -37,9 +37,10 @@ of its rows and its results read through ``_on_grid`` when they are not
 float64 arrays of the grid.  The rk4 and rkf45 steps of the flow and of
 the fast-network limit run on a workspace of the run (``_Workspace``):
 each rk4 step and Fehlberg substep is one call of the step entry
-``rk_step``, or of its twin ``_StepSums.rk_step``, which forms the stages
-and the update with ``rk_sum``'s sum, evaluates the flow at each stage
-(a compiled ``MicroFlow`` in the entry itself) and makes the step checks.
+``rk_step``, which forms the stages and the update with ``rk_sum``'s sum,
+evaluates the flow at each stage (a compiled ``MicroFlow`` in the entry
+itself) and makes the step checks.  Its reference is ``stepping.rk4_step``
+and ``rkf45_step`` over the flow, with the checks of ``_step_flags``.
 """
 
 from __future__ import annotations
@@ -54,8 +55,7 @@ import numpy as np
 from . import _native
 from .errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
 from .models import PairForm, PotentialModel, SmoothModel, _probe_points, _times
-from .stepping import (_ONE, _RK4_B, _RKF_A, _RKF_B4, _RKF_B5, fehlberg_error, rk_sum,
-                       rkf45_advance, run_grid)
+from .stepping import rk4_step, rkf45_advance, rkf45_step, run_grid
 
 NULLCLINE_TOL = 1e-12
 _NULLCLINE_MAX_STEPS = 100
@@ -292,50 +292,6 @@ class _MicroFlow:
         return None
 
 
-class _StepSums:
-    """The numpy twins of the step entry ``rk_step`` and its sums ``rk_stage``,
-    ``rk4_final`` and ``rkf45_final``, with their signatures (see
-    ``_kernels.c``), on ``stepping.rk_sum`` and ``_step_flags``."""
-
-    @classmethod
-    def rk_step(cls, f, y, stage, ks, out, h, fehlberg, L, n, N, sym):
-        """One RK4 step or Fehlberg substep from the record (z, states, si,
-        sj, W) y into out, k_i = ks[i][0] being f(states, si, sj, W, ds, k_i)
-        of y (i = 0) or stage with ds k_i's states: see ``rk_step``."""
-        k = [rec[0] for rec in ks]
-
-        def derivative(i: int):
-            return f(*(stage if i else y)[1:], ks[i][1], k[i])
-
-        if fehlberg:
-            for i, row in enumerate(_RKF_ROWS):
-                if i:
-                    cls.rk_stage(y[0], stage[0], h, row, *k[:i])
-                if (flags := derivative(i)) is not None:
-                    return i, flags
-            return cls.rkf45_final(y[0], out, h, *_RKF_B, *k[:6])
-        for i, c in enumerate((0.5 * h, 0.5 * h, h, None)):
-            if (flags := derivative(i)) is not None:
-                return i, flags
-            if c is not None:
-                cls.rk_stage(y[0], stage[0], c, _RK_ONE, k[i])
-        flags = cls.rk4_final(y[0], *k[:4], out, h / 6.0, L, n, N, sym)
-        return None if flags is None else (4, flags)
-
-    @staticmethod
-    def rk_stage(y, out, h, a, *k) -> None:
-        rk_sum(y, h, a, k, out)
-
-    @staticmethod
-    def rk4_final(y, k1, k2, k3, k4, out, c, L, n, N, sym) -> tuple | None:
-        rk_sum(y, c, _RK4_B, (k1, k2, k3, k4), out)
-        return _step_flags(out, L, n, N, sym)
-
-    @staticmethod
-    def rkf45_final(y, y5, h, b5, b4, *k) -> float:
-        return fehlberg_error(rk_sum(y, h, b5, k, y5), rk_sum(y, h, b4, k))
-
-
 def _pair_form(model) -> PairForm | None:
     """The model's pair form (see ``models``) while its U and V are the
     form's own, else None: a copy with U or V replaced runs on them."""
@@ -377,26 +333,27 @@ def _particle_drift(model: SmoothModel, N: int, m: int, eps_w: np.ndarray, eps_s
                 pair)
 
 
-# The weights of the steps' sums, as the step entries read them.
-_RK_ONE = np.array(_ONE)
-_RKF_ROWS = [np.array(row, dtype=float) for row in _RKF_A]
-_RKF_B = np.array(_RKF_B5), np.array(_RKF_B4)
-
-
 class _Workspace:
     """The rk4 and rkf45 steps of a flow f(states, si, sj, W, ds, out) -> None
     or per-leg flags, over the legs of eps_w (n states and, with sym, N x N
-    weights each): each rk4 step and Fehlberg substep is one call of the step
-    entry ``rk_step`` of ``_native.LIB`` when the workspace is made, or of its
-    twin, on the records (z, *parts(z)) of buffers made by the first step:
-    six stage derivatives, a stage buffer and two states used in turn, so a
-    step's result is overwritten two steps later.  A flagged f raises
+    weights each), on the records (z, *parts(z)) of buffers made by the first
+    step: six stage derivatives, a stage buffer and two states.  Each rk4
+    step and Fehlberg substep is one call of the step entry ``rk_step`` of
+    ``_native.LIB`` when the workspace is made, else ``stepping.rk4_step``
+    or ``rkf45_step`` over f, which write the same bytes.  A flagged f raises
     ``_failed``'s error naming t; rk4 raises the error (``_checked``) of its
     final sum's checks; rkf45 advances by ``rkf45_advance``.
+
+    A step writes one state buffer: from the first, the second; from the
+    second, or from a state that the workspace does not hold, the first,
+    which may hold the result that the previous step returned.  An rkf45
+    step writes one per accepted substep, so with two or more it writes
+    both.  A result thus holds only until the next step; ``run_grid`` steps
+    from each result and its samples copy what they keep.
     """
 
     def __init__(self, f, eps_w: np.ndarray, n: int, N: int = 0, sym: bool = False, parts=None):
-        self.lib, self.f, self.eps_w, self.parts = _native.LIB or _StepSums, f, eps_w, parts
+        self.lib, self.f, self.eps_w, self.parts = _native.LIB, f, eps_w, parts
         self.legs = (eps_w.size, n, N, sym)
         self.ks, self.stage, self.states = (), None, ()
 
@@ -414,11 +371,27 @@ class _Workspace:
         return b, a[0]
 
     def _step(self, y: tuple, out: np.ndarray, t: float, h: float, fehlberg: bool):
-        """One call of the step entry from the record y into out."""
-        got = self.lib.rk_step(self.f, y, self.stage, self.ks, out, h, fehlberg, *self.legs)
-        if isinstance(got, tuple) and (fehlberg or got[0] < 4):   # (4, flags): rk4's checks
-            raise _failed("non-finite force evaluation at", t, self.eps_w, got[1])
-        return got
+        """One step from the record y into out; returns what ``rk_step``
+        returns: None, the error estimate, or (4, flags) of rk4's checks."""
+        if self.lib is not None:
+            got = self.lib.rk_step(self.f, y, self.stage, self.ks, out, h, fehlberg, *self.legs)
+            if isinstance(got, tuple) and (fehlberg or got[0] < 4):   # (4, flags): rk4's checks
+                raise _failed("non-finite force evaluation at", t, self.eps_w, got[1])
+            return got
+        ks = iter(self.ks)
+
+        def rhs(z: np.ndarray) -> np.ndarray:
+            k, ds = next(ks)[:2]
+            if (flags := self.f(*self.parts(z), ds, k)) is not None:
+                raise _failed("non-finite force evaluation at", t, self.eps_w, flags)
+            return k
+
+        if fehlberg:
+            out[...], err = rkf45_step(rhs, y[0], h)
+            return err
+        out[...] = rk4_step(rhs, y[0], h)
+        flags = _step_flags(out, *self.legs)
+        return None if flags is None else (4, flags)
 
     def rk4(self, y: np.ndarray, t: float, h: float) -> np.ndarray:
         y, y_new = self._start(y)

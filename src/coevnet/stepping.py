@@ -10,8 +10,11 @@ built on ``rk4_step`` or the micro workspace's rk4 step, an Euler update or
 ``rkf45_advance`` (adaptive substeps between grid points, each
 ``rkf45_step`` or the workspace's substep).  Every stage and update of an
 rk4 or Fehlberg step is the one explicit Runge-Kutta sum ``rk_sum``, or its
-compiled twin ``coevnet_rk_sum``, which sums in the same order.  A failed
-step raises IntegrationError; no integrator returns a truncated
+compiled twin ``coevnet_rk_sum``, which sums in the same order.
+``rk4_step`` and ``rkf45_step`` are the reference of the compiled step
+entry ``rk_step`` (see ``_kernels.c``), which takes each step of the micro
+workspace; without the compiled module the workspace runs them instead.  A
+failed step raises IntegrationError; no integrator returns a truncated
 trajectory.  The compiled closure loop of ``_kernels.c`` keeps the same
 grid, sampling rule and failure on a non-finite state.
 """

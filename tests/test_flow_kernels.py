@@ -1,15 +1,15 @@
 """The compiled micro flow, nullcline solve and step entries against their numpy references.
 
-Each compiled entry of ``microsim`` has a numpy twin with its signature:
-``MicroFlow`` and ``microsim._MicroFlow`` (the same constructor and call),
-``nullcline`` and ``microsim._nullcline_py``, and the step entry
-``rk_step`` and the sums ``rk_stage``, ``rk4_final`` and ``rkf45_final``
-and the methods of ``microsim._StepSums``; both must write the same bytes,
-return the same value, make the same model calls with the same arguments,
-show the same warnings and raise the same errors.  The flow's equal-mass
-row sum (the entry ``row_sum``) must be bitwise ``np.add.reduce``, and a
-step of the step entry bitwise the per-stage path of ``stepping``.
-Each driver, the workspace's steps too, runs on the twins when
+Each compiled entry of ``microsim`` has a numpy reference: ``MicroFlow``
+its twin ``microsim._MicroFlow`` (the same constructor and call),
+``nullcline`` its twin ``microsim._nullcline_py`` (the same arguments), and
+the step entry ``rk_step`` ``stepping.rk4_step`` and ``rkf45_step``, with
+the checks of ``microsim._step_flags``.  Each pair must write the same
+bytes, return the same value, make the same model calls with the same
+arguments, show the same warnings and raise the same errors.  The flow's
+equal-mass row sum must be bitwise ``np.add.reduce``, and a step of the
+step entry on planted derivatives bitwise stepping's step fed the same
+ones.  Each driver, the workspace's steps too, runs on the references when
 ``_native.LIB`` is None, which is how the references are built
 here: ``microsim._micro_flow`` must then give the same bytes for every f
 evaluation and step, rejected RKF45 substeps included, and raise the same
@@ -101,9 +101,10 @@ def test_compiled_flow_is_in_use(monkeypatch):
 @pytest.mark.needs_cc
 def test_compiled_step_is_in_use(monkeypatch):
     """rk4 and rkf45 steps of the micro flow and of the reduced run call
-    neither the step twin nor the flow twin."""
+    neither stepping's steps nor the flow twin."""
     assert _native.LIB is not None
-    monkeypatch.setattr(microsim, "_StepSums", None)   # the workspace would take it
+    monkeypatch.setattr(microsim, "rk4_step", None)   # the workspace's numpy steps
+    monkeypatch.setattr(microsim, "rkf45_step", None)
     monkeypatch.setattr(microsim, "_MicroFlow", None)
     cfg = random_cfg(np.random.default_rng(0), 4, 1, True, np.zeros((4, 4), dtype=bool))
     _, step = compiled_flow(cfg, affine_V(1.0), [0.5, 0.1])
@@ -120,10 +121,11 @@ def test_compiled_nullcline_is_in_use(monkeypatch):
 
 @pytest.mark.needs_cc
 def test_the_workspace_takes_its_backend_when_made(monkeypatch):
+    lib = _native.LIB
     ws = microsim._Workspace(None, np.ones(1), 4)
     monkeypatch.setattr(_native, "LIB", None)
-    assert ws.lib is not microsim._StepSums
-    assert microsim._Workspace(None, np.ones(1), 4).lib is microsim._StepSums
+    assert ws.lib is lib is not None
+    assert microsim._Workspace(None, np.ones(1), 4).lib is None
 
 
 def spy(monkeypatch, name):
@@ -656,45 +658,12 @@ def test_rkf45_is_bitwise_the_reference_through_rejected_substeps(monkeypatch, L
     assert runs["reference"][2] >= 1
 
 
-@pytest.mark.needs_cc
-@pytest.mark.parametrize("seed", range(8))
-def test_fehlberg_sums_are_bitwise_rkf45_step(seed):
-    """Each stage point, the update and the error estimate of one substep,
-    on stage derivatives with -0.0, subnormals, overflowing sums, infinities
-    and NaN: the error estimate is NaN exactly where np.max gives NaN."""
-    rng = np.random.default_rng(seed)
-    special = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan])
-
-    def draw(n):
-        x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
-        pick = rng.random(n) < (0.3 if seed % 2 else 0.05 * (seed // 2))
-        x[pick] = rng.choice(special[:6] if seed < 4 else special, size=pick.sum())
-        return x
-
-    y, h = draw(64), float(rng.choice([1e-3, 0.1, 2.0]))
-    ks = [draw(64) for _ in range(6)]
-    if seed >= 4:   # a NaN difference early on, then larger finite ones
-        ks[5][3], ks[0][40:] = np.nan, 1e6
-    stages = []
-
-    def f(z):   # records each stage point, returns the drawn derivatives in turn
-        stages.append(z.copy())
-        return ks[len(stages) - 1]
-    with np.errstate(all="ignore"):
-        y5, err = stepping.rkf45_step(f, y, h)
-    lib, got, out = _native.LIB, [], np.empty_like(y)
-    for i, row in enumerate(microsim._RKF_ROWS[1:], 1):
-        lib.rk_stage(y, out, h, row, *ks[:i])
-        got.append(bits(out))
-    assert got == [bits(z) for z in stages[1:]]
-    c_err = lib.rkf45_final(y, out, h, *microsim._RKF_B, *ks)
-    assert bits(out) == bits(y5)
-    assert c_err == err or (np.isnan(c_err) and np.isnan(err))
-    assert np.isnan(err) or seed < 4
-
-
 STEP_SPECIAL = np.array([-0.0, 0.0, 5e-324, -5e-324, 1e308, -1e308, np.inf, -np.inf, np.nan])
 STEP_H = [1e-3, 0.1, 2.0, -0.01]
+# The weights of each sum of a step: the RK4 update's (the stages' 1.0 too
+# is positive), then the Fehlberg stage rows, its update and its 4th-order one.
+STEP_SUMS = {"rk4": [stepping._RK4_B],
+             "rkf45": [*stepping._RKF_A[1:], stepping._RKF_B5, stepping._RKF_B4]}
 
 
 def step_values(rng, shape, finite=False, share=0.3):
@@ -707,50 +676,97 @@ def step_values(rng, shape, finite=False, share=0.3):
     return x
 
 
-def negative_zero_sum(y, a, ks):
-    """Plant y = -0.0 and every term a[j] k[j] = -0.0 at y's first element,
+def negative_zero_sum(y, a, ks, at=0):
+    """Plant y = -0.0 and every term a[j] k[j] = -0.0 at y's element at,
     where a sum taken from its first term gives -0.0 and one from 0 +0.0."""
-    y.flat[0] = -0.0
+    y.flat[at] = -0.0
     for a_j, k in zip(a, ks):
-        k.flat[0] = np.copysign(0.0, -a_j)
+        k.flat[at] = np.copysign(0.0, -a_j)
 
 
-def stage_weights(rng, nk):
-    """The tableau weights with nk terms (the RK4 stage's 1.0, the Fehlberg
-    rows and updates, the RK4 update), drawn weights, and drawn weights with
-    -0.0, +0.0, 1.0 and 2.0 planted."""
-    table = [microsim._RK_ONE, *microsim._RKF_ROWS[1:], *microsim._RKF_B,
-             np.array(stepping._RK4_B)]
-    drawn, planted_a = rng.normal(size=nk), rng.normal(size=nk)
-    pick = rng.random(nk) < 0.5
-    planted_a[pick] = rng.choice([-0.0, 0.0, 1.0, 2.0], size=pick.sum())
-    return [a for a in table if a.size == nk] + [drawn, planted_a]
+def planted_step(y, ks, h, method, L=1, n=None, N=0, sym=False):
+    """One step from y whose stage derivatives are ks in turn, by the step
+    entry and by stepping's rk4_step (then _step_flags) or rkf45_step; the
+    f of both is plain python.  Per path: the bits of each stage point f
+    is called on, of the update and of the error estimate, or rk4's return
+    value."""
+    fehlberg, runs = method == "rkf45", []
+    n = y.size // L if n is None else n
+    for compiled in (True, False):
+        points = []
+
+        def rhs(z):
+            points.append(bits(z))
+            return ks[len(points) - 1]
+
+        def f(z, si, sj, W, ds, k):   # the records hold z where the states go
+            k[...] = rhs(z)
+
+        def record(z):
+            return z, z, None, None, None
+        if compiled:
+            out = np.full(y.shape, 7.0)
+            bufs = [record(np.full(y.shape, 7.0)) for _ in range(7)]
+            got = _native.LIB.rk_step(f, record(y.copy()), bufs[0], tuple(bufs[1:]), out, h,
+                                      fehlberg, L, n, N, sym)
+        elif fehlberg:
+            out, got = stepping.rkf45_step(rhs, y.copy(), h)
+        else:
+            out = stepping.rk4_step(rhs, y.copy(), h)
+            flags = microsim._step_flags(out, L, n, N, sym)
+            got = None if flags is None else (4, flags)
+        runs.append((points, bits(out), bits(np.float64(got)) if fehlberg else got))
+    return runs
 
 
 @pytest.mark.needs_cc
+@pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("h", STEP_H)
-@pytest.mark.parametrize("nk", range(1, 7))
-def test_rk_stage_twin_writes_the_kernel_bytes(nk, h):
-    rng = np.random.default_rng(nk)
-    for finite in (True, False):
-        y, ks = step_values(rng, 64, finite), [step_values(rng, 64, finite) for _ in range(nk)]
-        for a in stage_weights(rng, nk):
-            negative_zero_sum(y, a, ks)
-            out_c, out_py = np.full(64, 7.0), np.full(64, 7.0)
-            with np.errstate(all="ignore"):
-                assert _native.LIB.rk_stage(y, out_c, h, a, *ks) is None
-                assert microsim._StepSums.rk_stage(y, out_py, h, a, *ks) is None
-            assert bits(out_c) == bits(out_py)
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_the_step_sums_are_bitwise_stepping_s(method, h, seed):
+    """One step of the step entry on planted derivatives against stepping's
+    step fed the same ones: every stage point, the update and the error
+    estimate, which is NaN exactly where np.max gives NaN.  Seeds 0 and 2
+    plant -0.0, +-5e-324 and +-1e308 (whose sums overflow), seeds 1 and 3
+    +-inf and NaN too; seed 3 puts a NaN difference early on, then larger
+    finite ones.  Each sum of the step has one element where y and its
+    every term are -0.0."""
+    rng = np.random.default_rng([seed, STEP_H.index(h)])
+    finite, share = seed % 2 == 0, 0.3 if seed < 2 else 0.05
+    y, ks = step_values(rng, 64, finite, share), [step_values(rng, 64, finite, share)
+                                                  for _ in range(6)]
+    if seed == 3:
+        y[3], ks[0][3], ks[0][40:] = 0.0, np.nan, 1e6
+    for at, a in enumerate(STEP_SUMS[method], 10):
+        negative_zero_sum(y, a, ks, at)
+    with np.errstate(all="ignore"):
+        compiled, reference = planted_step(y, ks, h, method)
+    assert compiled == reference
+    assert len(compiled[0]) == (6 if method == "rkf45" else 4)
+    if method == "rkf45" and seed == 3:
+        assert np.isnan(np.frombuffer(compiled[2]))
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("method", ["rk4", "rkf45"])
+def test_an_empty_step_is_bitwise_stepping_s(method):
+    """n = 0: every sum is over no element, no check fails and the error
+    estimate is 0.0."""
+    ks = [np.empty(0) for _ in range(6)]
+    compiled, reference = planted_step(np.empty(0), ks, 0.1, method)
+    assert compiled == reference
+    assert compiled[2] == (bits(np.float64(0.0)) if method == "rkf45" else None)
 
 
 @pytest.mark.needs_cc
 @pytest.mark.parametrize("case", ["finite", "planted", "a non-finite leg", "an asymmetric leg"])
 @pytest.mark.parametrize("sym", [True, False])
 @pytest.mark.parametrize("L", [1, 3])
-def test_rk4_final_twin_writes_the_kernel_bytes_and_flags(case, sym, L):
+def test_the_rk4_update_and_checks_are_stepping_s(case, sym, L):
     """The RK4 update and its step checks on L legs of 8 states and 4 x 4
-    symmetric weights: None when every leg is finite and symmetric, else
-    the per-leg finiteness flags, all True for a leg that is only asymmetric."""
+    symmetric weights, by the step entry and by rk4_step then _step_flags:
+    None when every leg is finite and symmetric, else (4, the per-leg
+    finiteness flags), all True for a leg that is only asymmetric."""
     rng = np.random.default_rng(L + 2 * sym)
     N, n = 4, 8
 
@@ -767,46 +783,17 @@ def test_rk4_final_twin_writes_the_kernel_bytes_and_flags(case, sym, L):
         ks[2][L - 1, 3] = np.inf
     if case == "an asymmetric leg":
         ks[1][L - 1, n + 1] += 0.5   # w_01 of the last leg, not w_10
-    c = float(rng.choice(STEP_H)) / 6.0
-    out_c, out_py = np.full(y.shape, 7.0), np.full(y.shape, 7.0)
     with np.errstate(all="ignore"):
-        got = _native.LIB.rk4_final(y, *ks, out_c, c, L, n, N, sym)
-        want = microsim._StepSums.rk4_final(y, *ks, out_py, c, L, n, N, sym)
-    assert bits(out_c) == bits(out_py)
-    assert got == want
+        compiled, reference = planted_step(y, ks, float(rng.choice(STEP_H)), "rk4", L, n, N, sym)
+    assert compiled == reference
+    got = compiled[2]
     expected = {"finite": None,
-                "a non-finite leg": (True,) * (L - 1) + (False,),
-                "an asymmetric leg": (True,) * L if sym else None}
+                "a non-finite leg": (4, (True,) * (L - 1) + (False,)),
+                "an asymmetric leg": (4, (True,) * L) if sym else None}
     if case in expected:
         assert got == expected[case]
     else:
-        assert got is not None and not all(got)
-
-
-@pytest.mark.needs_cc
-@pytest.mark.parametrize("h", STEP_H)
-@pytest.mark.parametrize("seed", range(4))
-def test_rkf45_final_twin_writes_the_kernel_bytes(seed, h):
-    """The Fehlberg update and its error estimate, with the tableau's
-    weights and drawn ones: the estimate is NaN exactly where np.max of the
-    update's distance to the 4th-order one is."""
-    rng = np.random.default_rng(seed)
-    y, ks = step_values(rng, 64, seed < 2), [step_values(rng, 64, seed < 2) for _ in range(6)]
-    if seed == 3:   # a NaN difference early on, then larger finite ones
-        y[3], ks[0][3], ks[0][40:] = 0.0, np.nan, 1e6
-    for b5, b4 in (microsim._RKF_B, (rng.normal(size=6), rng.normal(size=6))):
-        negative_zero_sum(y, b5, ks)
-        y5_c, y5_py = np.full(64, 7.0), np.full(64, 7.0)
-        with np.errstate(all="ignore"):
-            err_c = _native.LIB.rkf45_final(y, y5_c, h, b5, b4, *ks)
-            err_py = microsim._StepSums.rkf45_final(y, y5_py, h, b5, b4, *ks)
-            gap = np.max(np.abs(y5_py - stepping.rk_sum(y, h, b4, ks)))
-        assert bits(y5_c) == bits(y5_py)
-        assert np.isnan(err_c) == np.isnan(err_py) == np.isnan(gap)
-        assert np.isnan(gap) or err_c == err_py == gap
-    empty = [np.empty(0) for _ in range(8)]
-    assert _native.LIB.rkf45_final(*empty[:2], 0.1, *microsim._RKF_B, *empty[2:]) == 0.0
-    assert microsim._StepSums.rkf45_final(*empty[:2], 0.1, *microsim._RKF_B, *empty[2:]) == 0.0
+        assert got is not None and not all(got[1])
 
 
 def test_fehlberg_sums_start_from_their_first_term():
@@ -954,7 +941,7 @@ def test_the_step_limit_raises_as_the_reference(monkeypatch, steps):
 
 # ----------------------------------------------------------------- the step entry
 
-ROW_SUM_SPECIAL = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e308, -1e308])
+ROW_SUM_SPECIAL = np.array([-0.0, 5e-324, -5e-324, 1e308, -1e308])
 
 
 @pytest.mark.needs_cc
@@ -962,10 +949,12 @@ ROW_SUM_SPECIAL = np.array([-0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e30
 @pytest.mark.parametrize("m", [1, 2, 3])
 @pytest.mark.parametrize("N", [1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 200, 257])
 def test_row_sum_is_bitwise_np_add_reduce(N, m, L):
-    """The compiled equal-mass row sum against np.add.reduce(U, axis=2), on
-    draws over 17 decades with -0.0, +-inf, NaN, +-5e-324 and +-1e308
-    planted, a row all -0.0 (whose sum is +0.0), one of +-5e-324 and one of
-    +-1e308 (whose sums overflow in some orders but not in others)."""
+    """The flow's equal-mass row sum, of MicroFlow(None, U, None, 1.0, ...),
+    against np.add.reduce(U, axis=2) of U with its diagonal zeroed, on draws
+    over 17 decades with -0.0, +-5e-324 and +-1e308 planted, a row all -0.0
+    but for its zeroed diagonal (whose sum is +0.0), one of +-5e-324 and one of +-1e308 (whose sums
+    overflow in some orders but not in others).  A U with an infinity or a
+    NaN is flagged before it is summed."""
     rng = np.random.default_rng([N, m, L])
     U = rng.normal(size=(L, N, N, m)) * 10.0 ** rng.integers(-8, 9, size=(L, N, N, m))
     pick = rng.random(U.shape) < 0.05
@@ -976,12 +965,16 @@ def test_row_sum_is_bitwise_np_add_reduce(N, m, L):
         rows[-1] = rng.choice([5e-324, -5e-324], size=(N, m))
     if L * N > 2:
         rows[1] = rng.choice([1e308, -1e308], size=(N, m))
-    out = np.full((L, N, m), 7.0)
+    flow = _native.LIB.MicroFlow(None, lambda s, sig, w: U.copy(), None, 1.0, None, None, L, N,
+                                 m, 0, 0, microsim._on_grid)
+    states, ds = np.zeros((L, N, m)), np.full((L, N, m), 7.0)
     with np.errstate(all="ignore"):
+        assert flow(states, states[:, :, None], states[:, None], np.zeros((L, N, N)), ds,
+                    None) is None
+        U.reshape(L, N * N, m)[:, ::N + 1] = 0.0   # the diagonal
         want = np.add.reduce(U, axis=2)
-    assert _native.LIB.row_sum(U, out) is None
-    assert bits(out) == bits(want)
-    assert (out[0, 0] == 0.0).all() and not np.signbit(out[0, 0]).any()
+    assert bits(ds) == bits(want)
+    assert (ds[0, 0] == 0.0).all() and not np.signbit(ds[0, 0]).any()
 
 
 def gaussian(x):

@@ -13,6 +13,9 @@ that V is called on, and reads V's results through on_grid unless they are
 float64 arrays of lo's shape.
 """
 
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -81,20 +84,16 @@ def nullcline_args():
             rows[8], 100, 4.0 ** 10, 1e-12, microsim._on_grid]
 
 
-def rk4_final_args():
-    L, N, m = 2, 3, 1
-    size = L * (N * m + N * N)
-    return [f64(size), f64(size), f64(size), f64(size), f64(size), f64(size), 0.1, L, N * m, N, 1]
+def rk_step_args(L=1, n=7, N=0, sym=0):
+    """An RK4 step of L legs of n states and N x N weights, 0.5 everywhere,
+    with a drift that writes nothing: f, the records of y and of the stage
+    buffer, four stage records, out, h, fehlberg, L, n, N and sym."""
+    size = L * (n + N * N)
 
-
-def rk_step_args():
-    """An RK4 step of 7 doubles, one leg, with a drift that writes nothing:
-    f, the records of y and of the stage buffer, four stage records, out,
-    h, fehlberg, L, n, N and sym."""
     def record():
-        return (f64(7), None, None, None, None)
-    return [lambda *args: None, record(), record(), tuple(record() for _ in range(4)), f64(7),
-            0.1, 0, 1, 7, 0, 0]
+        return (f64(size), None, None, None, None)
+    return [lambda *args: None, record(), record(), tuple(record() for _ in range(4)), f64(size),
+            0.1, 0, L, n, N, sym]
 
 
 # entry -> (a function giving valid arguments, the argument to shorten, the
@@ -105,24 +104,24 @@ ENTRIES = {
     "MinimalEngine": (engine_args, 2, 3),
     "format_rows": (format_args, 5, 1),
     "MicroFlow": (flow_args, 5, 5),
-    "rk4_stage": (lambda: [f64(7), f64(7), 0.05, np.array([1.0]), f64(7)], 4, 1),
-    "rk4_final": (rk4_final_args, 3, 0),
-    "rkf45_stage": (lambda: [f64(7), f64(7), 0.1, np.array([0.25, 0.5]), f64(7), f64(7)], 3, 5),
-    "rkf45_final": (lambda: [f64(7), f64(7), 0.1, f64(6, 0.1), f64(6, 0.2)] + [f64(7)] * 6, 10, 1),
     "nullcline": (nullcline_args, 3, 3),
     "rk_step": (rk_step_args, 4, 4),
-    "row_sum": (lambda: [np.full((2, 3, 3, 1), 0.5), f64(6)], 1, 1),
 }
 
 
-# The RK4 and the Fehlberg stages are both calls of the one entry rk_stage:
-# one stage with the weight 1, or several stages with their weights.
-STAGE_CALLS = {"rk4_stage": "rk_stage", "rkf45_stage": "rk_stage"}
-
-
 def call(entry, args):
-    fn = micro_flow() if entry == "MicroFlow" else getattr(LIB, STAGE_CALLS.get(entry, entry))
-    return fn(*args)
+    return (micro_flow() if entry == "MicroFlow" else getattr(LIB, entry))(*args)
+
+
+def test_the_module_exports_only_what_the_package_calls():
+    """Each public name of the module is one of the package's entries, and
+    the package's source calls each one."""
+    names = {name for name in dir(LIB) if not name.startswith("_")}
+    assert names == {"closure_loop", "format_rows", "MinimalEngine", "MicroFlow", "rk_step",
+                     "nullcline"}
+    source = "".join(p.read_text() for p in Path(_native.__file__).parent.glob("*.py"))
+    for name in names:
+        assert re.search(rf"\.{name}\b", source), name
 
 
 @pytest.mark.parametrize("entry", list(ENTRIES))
@@ -149,21 +148,10 @@ def test_a_non_contiguous_view_is_refused(entry):
 
 
 def test_a_read_only_output_is_refused():
-    args = [f64(7), f64(7), 0.05, f64(1, 1.0), f64(7)]
-    args[1].flags.writeable = False
+    args = rk_step_args()
+    args[4].flags.writeable = False
     with pytest.raises(ValueError, match="read-only"):
-        LIB.rk_stage(*args)
-
-
-@pytest.mark.parametrize("stages", [0, 9])
-def test_a_stage_refuses_no_stages_and_more_than_eight(stages):
-    with pytest.raises(TypeError, match="rk_stage takes 4 arguments and 1 to 8 stages"):
-        LIB.rk_stage(f64(7), f64(7), 0.1, f64(max(stages, 1)), *[f64(7)] * stages)
-
-
-def test_a_stage_refuses_fewer_weights_than_stages():
-    with pytest.raises(ValueError, match="fewer than the"):
-        LIB.rk_stage(f64(7), f64(7), 0.1, f64(2), f64(7), f64(7), f64(7))
+        LIB.rk_step(*args)
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int64])
@@ -224,13 +212,14 @@ def test_flags_come_back_per_leg():
     flow = LIB.MicroFlow(grid((2, 3, 3)), lambda s, sig, w: U.copy(), np.sum, 3.0, None, None,
                          2, 3, 1, 1, 12, microsim._on_grid)
     assert flow(*flow_args()) == (False, True)
-    args = rk4_final_args()
-    args[0][-1] = np.inf   # the second leg
-    assert LIB.rk4_final(*args) == (True, False)
-    args = rk4_final_args()
-    args[0][3 + 1] = 2.0   # w_01 of the first leg, not w_10: symmetry lost
-    assert LIB.rk4_final(*args) == (True, True)
-    assert LIB.rk4_final(*rk4_final_args()) is None
+    legs = dict(L=2, n=3, N=3, sym=1)
+    args = rk_step_args(**legs)
+    args[1][0][-1] = np.inf   # y of the second leg: the update's checks
+    assert LIB.rk_step(*args) == (4, (True, False))
+    args = rk_step_args(**legs)
+    args[1][0][3 + 1] = 2.0   # w_01 of the first leg, not w_10: symmetry lost
+    assert LIB.rk_step(*args) == (4, (True, True))
+    assert LIB.rk_step(*rk_step_args(**legs)) is None
 
 
 def test_micro_flow_writes_the_drifts_into_a_strided_ds():
