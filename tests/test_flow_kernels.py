@@ -720,6 +720,32 @@ def planted_step(y, ks, h, method, L=1, n=None, N=0, sym=False):
 
 
 @pytest.mark.needs_cc
+@pytest.mark.parametrize("seed", range(8))
+def test_fehlberg_sums_are_bitwise_rkf45_step(seed):
+    """Each stage point, the update and the error estimate of one Fehlberg
+    substep of the step entry, on stage derivatives with a share of -0.0,
+    subnormals and overflowing sums that grows with the seed (none at seed
+    0), infinities and NaN too from seed 4: the error estimate is NaN
+    exactly where np.max gives NaN."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 4, size=n)
+        pick = rng.random(n) < (0.3 if seed % 2 else 0.05 * (seed // 2))
+        x[pick] = rng.choice(STEP_SPECIAL[:6] if seed < 4 else STEP_SPECIAL, size=pick.sum())
+        return x
+
+    y, h = draw(64), float(rng.choice([1e-3, 0.1, 2.0]))
+    ks = [draw(64) for _ in range(6)]
+    if seed >= 4:   # a NaN difference early on, then larger finite ones
+        ks[5][3], ks[0][40:] = np.nan, 1e6
+    with np.errstate(all="ignore"):
+        compiled, reference = planted_step(y, ks, h, "rkf45")
+    assert compiled == reference
+    assert np.isnan(np.frombuffer(compiled[2])[0]) or seed < 4
+
+
+@pytest.mark.needs_cc
 @pytest.mark.parametrize("seed", range(4))
 @pytest.mark.parametrize("h", STEP_H)
 @pytest.mark.parametrize("method", ["rk4", "rkf45"])

@@ -5,7 +5,9 @@ element type, C-contiguity, writability where it writes and length against
 the sizes it is given; a failed check raises ValueError, so a wrong array
 can never make a kernel read or write out of bounds.  Every entry is called
 once with valid arrays, once with one array a single element too short and
-once with a non-contiguous view of the right length.  ``MicroFlow`` takes
+once with a non-contiguous view of the right length; ``rk_step`` so for
+its out, for its y and stage buffer, and for its RK4 and its Fehlberg stage
+records, each of which it writes but y.  ``MicroFlow`` takes
 its arrays when it is called: its output, which must be C-contiguous, the
 states part of it, which may be strided, and the results of the callbacks
 that it runs on.  ``nullcline`` takes the size of its buffer from the row lo
@@ -84,20 +86,23 @@ def nullcline_args():
             rows[8], 100, 4.0 ** 10, 1e-12, microsim._on_grid]
 
 
-def rk_step_args(L=1, n=7, N=0, sym=0):
-    """An RK4 step of L legs of n states and N x N weights, 0.5 everywhere,
-    with a drift that writes nothing: f, the records of y and of the stage
-    buffer, four stage records, out, h, fehlberg, L, n, N and sym."""
+def rk_step_args(L=1, n=7, N=0, sym=0, fehlberg=0):
+    """An RK4 step, or a Fehlberg substep with fehlberg, of L legs of n
+    states and N x N weights, 0.5 everywhere, with a drift that writes
+    nothing: f, the records of y and of the stage buffer, four (six) stage
+    records, out, h, fehlberg, L, n, N and sym."""
     size = L * (n + N * N)
 
     def record():
         return (f64(size), None, None, None, None)
-    return [lambda *args: None, record(), record(), tuple(record() for _ in range(4)), f64(size),
-            0.1, 0, L, n, N, sym]
+    return [lambda *args: None, record(), record(),
+            tuple(record() for _ in range(6 if fehlberg else 4)), f64(size), 0.1, fehlberg, L, n,
+            N, sym]
 
 
 # entry -> (a function giving valid arguments, the argument to shorten, the
-# argument to make non-contiguous)
+# argument to make non-contiguous); an argument inside a record is given by
+# its path of indices
 ENTRIES = {
     "closure_loop": (lambda: [f64(6, 0.1), f64(8), 0, 1e-3, 10, 1, 1e-10, 1e-12, f64(12 * 6),
                               np.empty(12, dtype=np.int64), np.empty(3, dtype=np.int64)], 8, 0),
@@ -106,11 +111,22 @@ ENTRIES = {
     "MicroFlow": (flow_args, 5, 5),
     "nullcline": (nullcline_args, 3, 3),
     "rk_step": (rk_step_args, 4, 4),
+    "rk_step y": (rk_step_args, (2, 0), (1, 0)),
+    "rk_step rk4 stages": (rk_step_args, (3, 3, 0), (3, 0, 0)),
+    "rk_step fehlberg stages": (lambda: rk_step_args(fehlberg=1), (3, 5, 0), (3, 4, 0)),
 }
 
 
 def call(entry, args):
-    return (micro_flow() if entry == "MicroFlow" else getattr(LIB, entry))(*args)
+    return (micro_flow() if entry == "MicroFlow" else getattr(LIB, entry.split()[0]))(*args)
+
+
+def swap(args, at, change):
+    """args with the item at the index at, or at the path at of indices
+    into args and its nested tuples, replaced by change(item)."""
+    i, *rest = at if isinstance(at, tuple) else (at,)
+    item = swap(args[i], tuple(rest), change) if rest else change(args[i])
+    return type(args)([*args[:i], item, *args[i + 1:]])
 
 
 def test_the_module_exports_only_what_the_package_calls():
@@ -132,8 +148,7 @@ def test_valid_arrays_run(entry):
 @pytest.mark.parametrize("entry", list(ENTRIES))
 def test_a_too_short_array_is_refused(entry):
     make, short, _ = ENTRIES[entry]
-    args = make()
-    args[short] = args[short][:-1]
+    args = swap(make(), short, lambda a: a[:-1])
     with pytest.raises(ValueError, match="fewer than the"):
         call(entry, args)
 
@@ -141,8 +156,7 @@ def test_a_too_short_array_is_refused(entry):
 @pytest.mark.parametrize("entry", list(ENTRIES))
 def test_a_non_contiguous_view_is_refused(entry):
     make, _, bent = ENTRIES[entry]
-    args = make()
-    args[bent] = strided(args[bent])
+    args = swap(make(), bent, strided)
     with pytest.raises(ValueError, match="C-contiguous"):
         call(entry, args)
 
@@ -152,6 +166,23 @@ def test_a_read_only_output_is_refused():
     args[4].flags.writeable = False
     with pytest.raises(ValueError, match="read-only"):
         LIB.rk_step(*args)
+
+
+@pytest.mark.parametrize("stage", range(7), ids=["stage buffer", *(f"k{i}" for i in range(6))])
+def test_a_read_only_stage_buffer_is_refused(stage):
+    """The stage buffer and each of a Fehlberg substep's six stage records,
+    which the step writes."""
+    args = rk_step_args(fehlberg=1)
+    (args[2] if stage == 0 else args[3][stage - 1])[0].flags.writeable = False
+    with pytest.raises(ValueError, match="a stage buffer must be .* writable .* is read-only"):
+        LIB.rk_step(*args)
+
+
+def test_a_read_only_y_is_only_read():
+    writable, read_only = rk_step_args(fehlberg=1), rk_step_args(fehlberg=1)
+    read_only[1][0].flags.writeable = False
+    assert LIB.rk_step(*read_only) == LIB.rk_step(*writable)
+    assert (read_only[4] == writable[4]).all() and (read_only[1][0] == 0.5).all()
 
 
 @pytest.mark.parametrize("dtype", [np.float32, np.int64])
@@ -295,6 +326,28 @@ def test_micro_flow_refuses_bad_construction(change, error, message):
     (lambda a: a.__setitem__(0, micro_flow()), ValueError, "do not hold the flow's rows"),
 ])
 def test_a_step_refuses_bad_records(change, error, message):
+    args = rk_step_args()
+    change(args)
+    with pytest.raises(error, match=message):
+        LIB.rk_step(*args)
+
+
+@pytest.mark.parametrize("change, error, message", [
+    (lambda a: a.pop(), TypeError, "rk_step takes 11 arguments \\(10 given\\)"),
+    (lambda a: a.__setitem__(5, "big"), TypeError, "must be real number"),
+    (lambda a: a.__setitem__(6, -1), ValueError, "fehlberg must be at least 0, got -1"),
+    (lambda a: a.__setitem__(7, 0), ValueError, "L must be at least 1, got 0"),
+    (lambda a: a.__setitem__(8, -1), ValueError, "n must be at least 0, got -1"),
+    (lambda a: a.__setitem__(9, -1), ValueError, "N must be at least 0, got -1"),
+    (lambda a: a.__setitem__(10, -1), ValueError, "sym must be at least 0, got -1"),
+    (lambda a: a.__setitem__(3, list(a[3])), TypeError, "ks must be a tuple"),
+    (lambda a: a.__setitem__(1, (a[1][0].astype(np.float32), *a[1][1:])), ValueError,
+     "y must be a C-contiguous"),
+    # 7 states and one 1 x 1 weight to check for symmetry: 8 > a row of 7
+    (lambda a: a.__setitem__(slice(9, None), [1, 1]), ValueError,
+     "y does not hold L rows of n states and N x N weights"),
+])
+def test_a_step_refuses_bad_arguments(change, error, message):
     args = rk_step_args()
     change(args)
     with pytest.raises(error, match=message):
