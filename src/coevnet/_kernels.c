@@ -17,25 +17,25 @@
  * 4. The MicroFlow type, one micro flow evaluation per call: it calls the
  *    model's V and U back (and microsim._on_grid for a result that it
  *    cannot take as it is), or, in the pair mode of a kernel-relaxation
- *    model (models.PairForm), writes s_i - s_j into the flow's scratch d of
- *    eta and then into its scratch d of K, each just before that kernel is
- *    called back, and forms V = eta - kappa w and U = -(w K) itself in the
- *    flow's scratch, with the IEEE operations of the catalog's V and U on
- *    the same operands (exp stays in the model's eta); then it runs
- *    coevnet_flow_pairs (the finiteness checks, U's zero diagonal and the
- *    weight drift), sums U over the partners (the equal-mass sum itself,
- *    coevnet_row_sum in np.add.reduce(U, axis=2)'s order, or the
- *    mass-weighted einsum called back) and divides the sum into the state
- *    drift, then calls U0 back and adds it with numpy's own +=.  Its
- *    reference is the numpy twin microsim._MicroFlow, with the same
- *    constructor and call.  Each RK4 step and each Fehlberg substep of
- *    microsim's workspace is one call of the entry rk_step: its stages,
- *    with the flow evaluated here when it is a MicroFlow (else called
- *    back), and its update, each sum coevnet_rk_sum, then the step checks
- *    of coevnet_step_flags or the Fehlberg error estimate.  Its reference
- *    is stepping.rk4_step or rkf45_step over the flow, then the checks of
- *    microsim._step_flags: microsim's workspace runs them in its place
- *    when the module is not loaded, into the same buffers.
+ *    model (models.PairForm), takes s_i - s_j once into the flow's scratch
+ *    d of K and of eta, calls eta and K back and forms V = eta - kappa w and
+ *    U = -(w K) itself, with the IEEE operations of the catalog's V and U
+ *    on the same operands (exp stays in the model's eta).  One pass per
+ *    pair row then checks U and V finite and sums U over the partners (the
+ *    equal-mass sum itself, coevnet_row_sum in np.add.reduce(U, axis=2)'s
+ *    order, or the mass-weighted einsum called back); when every leg is
+ *    finite, one write pass writes the weight drift and U's zero diagonal
+ *    and divides the sums into the state drift, then U0 is called back and
+ *    added with numpy's own +=.  Its reference is the numpy twin
+ *    microsim._MicroFlow, with the same constructor and call.  Each RK4
+ *    step and each Fehlberg substep of microsim's workspace is one call of
+ *    the entry rk_step: its stages, with the flow evaluated here when it is
+ *    a MicroFlow (else called back), and its update, each sum
+ *    coevnet_rk_sum, then the step checks of coevnet_step_flags or the
+ *    Fehlberg error estimate.  Its reference is stepping.rk4_step or
+ *    rkf45_step over the flow, then the checks of microsim._step_flags:
+ *    microsim's workspace runs them in its place when the module is not
+ *    loaded, into the same buffers.
  * 5. coevnet_nullcline: one weight nullcline solve, the bracket search,
  *    every Illinois iteration, the step limit and the residual check over
  *    one buffer, calling V back through a hook (and microsim._on_grid for
@@ -711,14 +711,13 @@ static int64_t coevnet_format_rows(const char *text, const int64_t *off, int64_t
 
 /* -- micro flow bookkeeping ---------------------------------------------------
  *
- * L stacked legs of N agents in m dimensions.  U is the (L, N, N, m) pair
- * force and V the (L, N, N) weight drift, both C-contiguous; leg l's
- * (N, N) weight part of the flow's output starts at dw + l * dw_row.
+ * L stacked legs of N agents in m dimensions: the finiteness scan, the
+ * step checks and sums, and the row sum of the (L, N, N, m) pair force U.
  */
 
 /* Whether x[0 .. n) is all finite: x * 0.0 is a zero for finite x and NaN
  * otherwise, and four independent sums keep the scan pipelined. */
-static int all_finite(const double *x, int64_t n)
+static inline int all_finite(const double *x, int64_t n)
 {
     double a0 = 0.0, a1 = 0.0, a2 = 0.0, a3 = 0.0;
     int64_t k = 0;
@@ -731,52 +730,6 @@ static int all_finite(const double *x, int64_t n)
     for (; k < n; k++)
         a0 += x[k] * 0.0;
     return (a0 + a1) + (a2 + a3) == 0.0;
-}
-
-/* ok[l] = whether leg l's U and V are all finite, checked before anything
- * is written; when a leg is not, returns 1 and writes nothing else.
- * Otherwise zeroes U's diagonal and, unless V is NULL, writes the weight
- * drift: with sym, the strict upper triangle of V plus 0.0 (so -0.0 turns
- * into +0.0) mirrored, as V + V^T after zeroing V on and below the
- * diagonal; without, V with a zero diagonal.  With eps (not NULL) leg l's
- * weight drift is divided by eps[l].  Returns 0. */
-static int coevnet_flow_pairs(double *U, const double *V, double *dw, const double *eps,
-                              uint8_t *ok, int64_t L, int64_t N, int64_t m, int64_t dw_row,
-                              int sym)
-{
-    int64_t nn = N * N, l, i, j, k;
-    int bad = 0;
-    for (l = 0; l < L; l++) {
-        int fin = all_finite(U + l * nn * m, nn * m) && (!V || all_finite(V + l * nn, nn));
-        ok[l] = (uint8_t)fin;
-        bad |= !fin;
-    }
-    if (bad)
-        return 1;
-    for (l = 0; l < L; l++) {
-        double *u = U + l * nn * m, *d;
-        const double *v;
-        for (i = 0; i < N; i++)
-            for (k = 0; k < m; k++)
-                u[(i * N + i) * m + k] = 0.0;
-        if (!V)
-            continue;
-        v = V + l * nn;
-        d = dw + l * dw_row;
-        for (i = 0; i < N; i++) {
-            if (sym) {
-                for (j = i + 1; j < N; j++) {
-                    double x = v[i * N + j] + 0.0;
-                    d[i * N + j] = d[j * N + i] = eps ? x / eps[l] : x;
-                }
-            } else {
-                for (j = 0; j < N; j++)
-                    d[i * N + j] = eps ? v[i * N + j] / eps[l] : v[i * N + j];
-            }
-            d[i * N + i] = 0.0;
-        }
-    }
-    return 0;
 }
 
 /* The checks of a step's result y, L rows of row doubles: ok[l] = whether
@@ -846,7 +799,7 @@ static const double RKF_B4[6] = {25.0 / 216.0, 0.0, 1408.0 / 2565.0, 2197.0 / 41
  * the largest multiple of 8, combined as ((r0 + r1) + (r2 + r3)) + ((r4 +
  * r5) + (r6 + r7)), then the rest added in turn; above 128 the sum of the
  * two parts split at n / 2 rounded down to a multiple of 8. */
-static double pairwise_sum(const double *a, int64_t n)
+static inline double pairwise_sum(const double *a, int64_t n)
 {
     double r[8], res;
     int64_t i, j;
@@ -872,8 +825,8 @@ static double pairwise_sum(const double *a, int64_t n)
     return pairwise_sum(a, i) + pairwise_sum(a + i, n - i);
 }
 
-/* The sum over j < N of the doubles u[j m], U[l, i, j, k] of a C-contiguous
- * (L, N, N, m) U from u = U[l, i, 0, k] on, in np.add.reduce(U, axis=2)'s
+/* The sum over j < N of the doubles u[j m], U[l, i, j, k] of a row U[l, i]
+ * of N x m doubles from u = U[l, i, 0, k] on, in np.add.reduce(U, axis=2)'s
  * order (numpy 2): 0.0 + pairwise_sum of the row for m = 1, else ((0.0 +
  * U[l, i, 0, k]) + U[l, i, 1, k]) + ... left to right; so a row of -0.0
  * sums to +0.0. */
@@ -1493,31 +1446,30 @@ done:
  * is freed, holds the legs' weight divisors, and row is the number of
  * doubles of one leg of the flow's output.  pair, None or the (K, eta,
  * kappa) of a model whose U and V are its pair form's, selects the pair
- * mode, whose scratch the flow makes once and holds: a d grid (L, N, N, m)
- * for eta (given V) and one for K, V's temporary and the U grid.
+ * mode, whose scratch the flow makes once and holds: the d grids (L, N, N,
+ * m) of eta (given V) and of K, and a U grid only when row_sum is given.
  *
  * flow(states, si, sj, W, ds, out) -> None, or the per-leg finiteness flags
  * of U and V as a tuple when a leg is not finite, is one evaluation:
  *   0. in the pair mode, when si and sj are float64 arrays that broadcast
  *      to the pair grid (L, N, N, m) and W is a float64 array of (L, N, N),
- *      all with any strides: given V, eta(d) on d = si - sj in eta's
- *      scratch and V = eta(d) - kappa W (- W with kappa 1.0) into V's; then
- *      K(d) on d in K's scratch and U = -(W K(d)) into the U grid.  Each d
- *      is rewritten just before its kernel is called, so a kernel may
+ *      all with any strides: d = si - sj into K's scratch and (given V)
+ *      eta's, then eta(d) (given V) and K(d) called back.  A kernel may
  *      write into its argument or return it, or a view of it, but must not
- *      keep it.  Where eta(d) or K(d) is not a float64 array of its grid
- *      (any strides), the call takes steps 1 and 2 instead; otherwise it
- *      goes on at step 3;
+ *      keep it, nor write into the other's result, read after both calls.
+ *      Where eta(d) or K(d) is not a float64 array of its grid (any
+ *      strides), the call takes steps 1 and 2 instead; otherwise steps 3
+ *      and 4 form U = -(W K(d)) and V = eta(d) - kappa W row by row;
  *   1. V(si, sj, W), used as it is when it is a float64 ndarray of exactly
  *      the grid (L, N, N), C-contiguous, writable and with no base (so it
  *      shares no memory with states or W), else on_grid(result, grid, "V",
  *      states, W), which copies it or raises ModelError;
  *   2. the same for U(si, sj, W) on the grid (L, N, N, m);
- *   3. coevnet_flow_pairs, with leg l's weight drift written to out from its
- *      (N m + l row)-th double on; a leg that is not finite returns the
- *      flags, nothing written;
- *   4. the row sum (coevnet_row_sum, or row_sum(U)) / divisor into ds, the
- *      (L, N, m) states of the output, which may be strided;
+ *   3. flow_rows, one pass per pair row: a leg whose U or V is not finite
+ *      returns the flags, nothing written;
+ *   4. flow_write, leg l's weight drift written to out from its (N m + l
+ *      row)-th double on, then the row sums (or row_sum(U)) / divisor into
+ *      ds, the (L, N, m) states of the output, which may be strided;
  *   5. ds += U0(states), numpy's own in-place add.
  * A callback's exception propagates.  out may be None when V is.  The
  * scratch serves one evaluation at a time. */
@@ -1527,8 +1479,9 @@ typedef struct {
     PyObject *fn[2], *grid[2], *name[2];   /* V and U, their grids and names */
     PyObject *row_sum, *U0, *on_grid;
     PyObject *K, *eta;   /* the pair form's kernels, NULL without the pair mode */
-    PyObject *scratch[3];   /* the pair mode's d of eta (given V), d of K and U grid, in held */
-    double *d[2], *u, *v;   /* their data, and V's temporary */
+    PyObject *scratch[3];   /* the pair mode's d of eta, d of K and U grid, in held */
+    double *d[2], *u;   /* their data (NULL where not made) */
+    double *sums, *urow, *vrow;   /* U's (L, N, m) row sums, a row of U and of V */
     double kappa, divisor;
     const double *eps;   /* in held, or NULL */
     arrays held;
@@ -1537,6 +1490,14 @@ typedef struct {
     int64_t row, out_need;
     int sym;
 } flow_object;
+
+/* What steps 3 and 4 read, through byte strides: in the pair mode W and the
+ * results of eta (NULL without V) and K, else steps 1 and 2's V and U. */
+typedef struct {
+    const char *w, *e, *k;
+    Py_ssize_t sw[3], se[3], sk[4];
+    int pair;
+} flow_grids;
 
 /* The operands of one evaluation: the addresses of si, sj and W with
  * their byte strides (0 along a broadcast axis; W has three), pairs set
@@ -1676,79 +1637,155 @@ fail:
 /* si - sj on the pair grid (L, N, N, m), read through io, into out. */
 static void pair_diff(const flow_object *f, const flow_io *io, double *out)
 {
-    const Py_ssize_t *g = f->shape;
-    Py_ssize_t l, i, j, k;
+    const Py_ssize_t *g = f->shape, *s = io->st[0], *t = io->st[1];
+    Py_ssize_t N = g[2], m = g[3], l, i, j, k;
     for (l = 0; l < g[0]; l++)
-        for (i = 0; i < g[1]; i++) {
-            const char *si = io->p[0] + l * io->st[0][0] + i * io->st[0][1];
-            const char *sj = io->p[1] + l * io->st[1][0] + i * io->st[1][1];
-            for (j = 0; j < g[2]; j++, si += io->st[0][2], sj += io->st[1][2]) {
-                if (g[3] == 1)
-                    *out++ = AT(si, 0) - AT(sj, 0);
-                else
-                    for (k = 0; k < g[3]; k++)
-                        *out++ = AT(si, k * io->st[0][3]) - AT(sj, k * io->st[1][3]);
-            }
+        for (i = 0; i < g[1]; i++, out += N * m) {
+            const char *si = io->p[0] + l * s[0] + i * s[1];
+            const char *sj = io->p[1] + l * t[0] + i * t[1];
+            if (m == 1)
+                for (j = 0; j < N; j++)
+                    out[j] = AT(si, j * s[2]) - AT(sj, j * t[2]);
+            else
+                for (j = 0; j < N; j++)
+                    for (k = 0; k < m; k++)
+                        out[j * m + k] = AT(si, j * s[2] + k * s[3]) - AT(sj, j * t[2] + k * t[3]);
         }
 }
 
 /* Step 0 of an evaluation in the pair mode (see MicroFlow) on the operands
- * io: returns 1 with U = -(W K(d)) in the U grid f->u and, given V, V =
- * eta(d) - kappa W (- W with kappa 1.0) in f->v; 0 when a kernel's result
- * is not a float64 array of its grid, so that the evaluation takes V and U
- * as they are; -1 when a callback raised. */
-static int pair_mode(flow_object *f, const flow_io *io)
+ * io: d = si - sj into K's scratch and, given V, eta's, then eta(d) (given
+ * V) and K(d) called back, their results' buffers taken into a and read
+ * through g.  Returns 1; 0 when a result is not a float64 array of its
+ * grid, with nothing taken, so that the evaluation takes V and U as they
+ * are; -1 when a callback raised. */
+static int pair_mode(flow_object *f, const flow_io *io, arrays *a, flow_grids *g)
 {
-    const Py_ssize_t *g = f->shape, *sw = io->st[2];   /* L, N, N, m */
-    Py_ssize_t L = g[0], N = g[1], m = g[3], l, i, j, k;
-    Py_buffer r;   /* a kernel's result */
-    PyObject *res;
-    double *out, w;
-    if (f->fn[0] != Py_None) {   /* eta(d) on a d of its own */
-        pair_diff(f, io, f->d[0]);
-        if (!(res = PyObject_CallOneArg(f->eta, f->scratch[0])))
+    const Py_ssize_t *shape = f->shape;
+    int n0 = a->n, k = f->fn[0] == Py_None;
+    pair_diff(f, io, f->d[k]);
+    if (k == 0)   /* K's d too, before eta may write into its own */
+        memcpy(f->d[1], f->d[0], (size_t)(shape[0] * shape[1] * shape[2]) * shape[3] * 8);
+    for (; k < 2; k++) {   /* eta, then K */
+        Py_buffer *v = &a->views[a->n];
+        PyObject *res = PyObject_CallOneArg(k ? f->K : f->eta, f->scratch[k]);
+        int taken;
+        if (!res)
             return -1;
-        if (!f64_view(res, &r, g, 3)) {
-            Py_DECREF(res);
+        taken = a->n < MAX_ARRAYS && f64_view(res, v, shape, 3 + k);
+        Py_DECREF(res);   /* a view holds its array */
+        if (!taken) {
+            while (a->n > n0)
+                PyBuffer_Release(&a->views[--a->n]);
             return 0;
         }
-        out = f->v;
-        for (l = 0; l < L; l++)
-            for (i = 0; i < N; i++) {
-                const char *pw = io->p[2] + l * sw[0] + i * sw[1];
-                const char *pe = (const char *)r.buf + l * r.strides[0] + i * r.strides[1];
-                for (j = 0; j < N; j++, pw += sw[2], pe += r.strides[2]) {
-                    w = AT(pw, 0);
-                    *out++ = AT(pe, 0) - (f->kappa == 1.0 ? w : f->kappa * w);
-                }
-            }
-        PyBuffer_Release(&r);
-        Py_DECREF(res);
+        a->n++;
+        memcpy(k ? g->sk : g->se, v->strides, (size_t)(3 + k) * sizeof(Py_ssize_t));
+        *(k ? &g->k : &g->e) = v->buf;
     }
-    pair_diff(f, io, f->d[1]);   /* K(d) on another */
-    if (!(res = PyObject_CallOneArg(f->K, f->scratch[1])))
-        return -1;
-    if (!f64_view(res, &r, g, 4)) {
-        Py_DECREF(res);
-        return 0;
-    }
-    out = f->u;
-    for (l = 0; l < L; l++)
-        for (i = 0; i < N; i++) {
-            const char *pw = io->p[2] + l * sw[0] + i * sw[1];
-            const char *pk = (const char *)r.buf + l * r.strides[0] + i * r.strides[1];
-            for (j = 0; j < N; j++, pw += sw[2], pk += r.strides[2]) {
-                w = AT(pw, 0);
-                if (m == 1)
-                    *out++ = -(w * AT(pk, 0));
-                else
-                    for (k = 0; k < m; k++)
-                        *out++ = -(w * AT(pk, k * r.strides[3]));
-            }
-        }
-    PyBuffer_Release(&r);
-    Py_DECREF(res);
+    g->w = io->p[2];
+    memcpy(g->sw, io->st[2], sizeof g->sw);
+    g->pair = 1;
     return 1;
+}
+
+/* Row i of leg l of U into row[0 .. N m): in the pair mode -(W K). */
+static void u_row(const flow_object *f, const flow_grids *g, Py_ssize_t l, Py_ssize_t i,
+                  double *row)
+{
+    Py_ssize_t N = f->shape[1], m = f->shape[3], j, k;
+    const Py_ssize_t *sw = g->sw, *sk = g->sk;
+    const char *pk = g->k + l * sk[0] + i * sk[1], *pw;
+    if (!g->pair) {
+        memcpy(row, pk, (size_t)(N * m) * sizeof(double));
+        return;
+    }
+    pw = g->w + l * sw[0] + i * sw[1];
+    if (m == 1)
+        for (j = 0; j < N; j++)
+            row[j] = -(AT(pw, j * sw[2]) * AT(pk, j * sk[2]));
+    else
+        for (j = 0; j < N; j++)
+            for (k = 0; k < m; k++)
+                row[j * m + k] = -(AT(pw, j * sw[2]) * AT(pk, j * sk[2] + k * sk[3]));
+}
+
+/* Row i of leg l of V from its from-th double on: V's own row, or in the
+ * pair mode eta - kappa W formed into buf (1.0 W is W). */
+static inline const double *v_row(const flow_object *f, const flow_grids *g, Py_ssize_t l,
+                                  Py_ssize_t i, Py_ssize_t from, double *buf)
+{
+    Py_ssize_t N = f->shape[1], j;
+    const Py_ssize_t *sw = g->sw, *se = g->se;
+    const char *pe = g->e + l * se[0] + i * se[1], *pw;
+    double kappa = f->kappa;
+    if (!g->pair)
+        return (const double *)pe;
+    pw = g->w + l * sw[0] + i * sw[1];
+    for (j = from; j < N; j++)
+        buf[j] = AT(pe, j * se[2]) - kappa * AT(pw, j * sw[2]);
+    return buf;
+}
+
+/* Step 3 of an evaluation on g: ok[l] = whether leg l's U and V are all
+ * finite; each row of U, its diagonal then set to +0.0, summed into
+ * f->sums with row_sum None, and in the pair mode formed in the U grid
+ * when row_sum is given.  A finite sum has finite terms, so only a row
+ * without one is scanned.  Returns 1 when a leg is not finite, else 0. */
+static int flow_rows(flow_object *f, const flow_grids *g)
+{
+    Py_ssize_t L = f->shape[0], N = f->shape[1], m = f->shape[3], l, i, k;
+    int bad = 0;
+    for (l = 0; l < L; l++) {
+        int fin = 1;
+        for (i = 0; i < N && fin; i++) {
+            double *row = g->pair && f->u ? f->u + (l * N + i) * N * m : f->urow;
+            double *sum = f->sums + (l * N + i) * m;
+            int summed = f->row_sum == Py_None;   /* and each sum finite */
+            u_row(f, g, l, i, row);
+            for (k = 0; k < m; k++) {
+                fin &= isfinite(row[i * m + k]) != 0;   /* the diagonal */
+                row[i * m + k] = 0.0;
+                if (f->row_sum == Py_None)
+                    summed &= isfinite(sum[k] = coevnet_row_sum(row + k, N, m)) != 0;
+            }
+            fin = fin && (summed || all_finite(row, N * m))
+                  && (!g->e || all_finite(v_row(f, g, l, i, 0, f->vrow), N));
+        }
+        f->ok[l] = (uint8_t)fin;
+        bad |= !fin;
+    }
+    return bad;
+}
+
+/* Step 4's weight drift into dw (leg l from dw + l f->row on), given V: with
+ * sym V's strict upper triangle plus 0.0 (so -0.0 turns into +0.0)
+ * mirrored, else V with a zero diagonal, divided by eps[l] with eps; and
+ * the diagonal of U (step 2's) zeroed unless U is NULL. */
+static void flow_write(const flow_object *f, const flow_grids *g, double *dw, double *U)
+{
+    Py_ssize_t L = f->shape[0], N = f->shape[1], m = f->shape[3], l, i, j, k;
+    for (l = 0; l < L; l++) {
+        double *d = dw + l * f->row;
+        for (i = 0; i < N; i++) {
+            const double *v = g->e ? v_row(f, g, l, i, f->sym ? i + 1 : 0, f->vrow) : NULL;
+            if (U)
+                for (k = 0; k < m; k++)
+                    U[((l * N + i) * N + i) * m + k] = 0.0;
+            if (!v)
+                continue;
+            if (f->sym) {
+                for (j = i + 1; j < N; j++) {
+                    double x = v[j] + 0.0;
+                    d[i * N + j] = d[j * N + i] = f->eps ? x / f->eps[l] : x;
+                }
+            } else {
+                for (j = 0; j < N; j++)
+                    d[i * N + j] = f->eps ? v[j] / f->eps[l] : v[j];
+            }
+            d[i * N + i] = 0.0;
+        }
+    }
 }
 
 /* Takes obj's buffer into a, checked as a float64 array of shape (L, N, m)
@@ -1789,24 +1826,29 @@ static int flow_eval(flow_object *f, PyObject *const *args, const flow_io *io)
 {
     arrays a = {.n = 0};
     PyObject *V = NULL, *U = NULL, *rs = NULL;
-    void *u, *v = NULL, *sum = NULL;
+    flow_grids g = {.pair = 0};
+    void *u = NULL, *v = NULL, *sum = NULL;
     const Py_ssize_t *sum_st = NULL;
     Py_ssize_t L = f->shape[0], N = f->shape[1], m = f->shape[3], l, i, k;
     int pair = 0, status = -1;
-    if (f->K && io->pairs && (pair = pair_mode(f, io)) < 0)
+    if (f->K && io->pairs && (pair = pair_mode(f, io, &a, &g)) < 0)
         goto done;
-    if (pair) {
-        u = f->u;
-        v = f->fn[0] != Py_None ? f->v : NULL;
-    } else if ((f->fn[0] != Py_None && pair_grid(f, 0, args, &a, &V, &v) < 0)
-               || pair_grid(f, 1, args, &a, &U, &u) < 0) {
-        goto done;
+    if (!pair) {
+        if ((f->fn[0] != Py_None && pair_grid(f, 0, args, &a, &V, &v) < 0)
+            || pair_grid(f, 1, args, &a, &U, &u) < 0)
+            goto done;
+        g.e = v;
+        g.k = u;
+        g.se[0] = N * N * 8;
+        g.se[1] = N * 8;
+        g.sk[0] = N * N * m * 8;
+        g.sk[1] = N * m * 8;
     }
-    if (coevnet_flow_pairs(u, v, io->out ? io->out + N * m : NULL, f->eps, f->ok, L, N, m,
-                           f->row, f->sym)) {
+    if (flow_rows(f, &g)) {
         status = 1;
         goto done;
     }
+    flow_write(f, &g, io->out ? io->out + N * m : NULL, u);
     if (f->row_sum != Py_None) {
         rs = PyObject_CallOneArg(f->row_sum, pair ? f->scratch[2] : U);
         if (!rs || take_states(&a, rs, "row_sum(U)", 0, f, &sum, &sum_st) < 0)
@@ -1816,8 +1858,7 @@ static int flow_eval(flow_object *f, PyObject *const *args, const flow_io *io)
         for (i = 0; i < N; i++)
             for (k = 0; k < m; k++)
                 DS(io, l, i, k) = (rs ? AT(sum, l * sum_st[0] + i * sum_st[1] + k * sum_st[2])
-                                   : coevnet_row_sum((const double *)u + ((l * N + i) * N) * m
-                                                     + k, N, m)) / f->divisor;
+                                   : f->sums[(l * N + i) * m + k]) / f->divisor;
     release(&a);
     if (f->U0 != Py_None) {
         PyObject *u0 = PyObject_CallOneArg(f->U0, args[0]);
@@ -1908,32 +1949,27 @@ static void flow_dealloc(PyObject *self)
     PyObject_GC_UnTrack(self);
     flow_clear(self);
     release(&f->held);
-    PyMem_Free(f->v);
+    PyMem_Free(f->sums);
     PyMem_Free(f->ok);
     Py_TYPE(self)->tp_free(self);
 }
 
 /* The pair mode's scratch of f, held until f is freed: the grids (L, N, N,
- * m) d of eta (given V), d of K and U, and V's temporary (given V). */
+ * m) d of eta (given V), d of K and U (given row_sum). */
 static int make_scratch(flow_object *f)
 {
-    int64_t size = f->shape[0] * f->shape[1] * f->shape[2];
+    int64_t size = f->shape[0] * f->shape[1] * f->shape[2] * f->shape[3];
     double **data[3] = {&f->d[0], &f->d[1], &f->u};
     int k;
-    for (k = f->fn[0] == Py_None; k < 3; k++) {
+    for (k = f->fn[0] == Py_None; k < 2 + (f->row_sum != Py_None); k++) {
         PyObject *grid = PyObject_CallOneArg(np_empty, f->grid[1]);
         void *p;
-        int taken = grid ? take(&f->held, grid, "scratch", &F64, WRITE, size * f->shape[3], &p)
-                         : -1;
+        int taken = grid ? take(&f->held, grid, "scratch", &F64, WRITE, size, &p) : -1;
         Py_XDECREF(grid);   /* held keeps it */
         if (taken < 0)
             return -1;
         f->scratch[k] = grid;
         *data[k] = p;
-    }
-    if (f->fn[0] != Py_None && !(f->v = PyMem_Malloc((size_t)size * sizeof(double)))) {
-        PyErr_NoMemory();
-        return -1;
     }
     return 0;
 }
@@ -1995,16 +2031,20 @@ static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
         goto fail;
     self->eps = eps;
     self->ok = PyMem_Malloc((size_t)L);
+    self->sums = PyMem_Malloc((size_t)((L + 1) * n + N) * sizeof(double));
     self->grid[0] = Py_BuildValue("(LLL)", (long long)L, (long long)N, (long long)N);
     self->grid[1] = Py_BuildValue("(LLLL)", (long long)L, (long long)N, (long long)N,
                                   (long long)m);
     self->name[0] = PyUnicode_InternFromString("V");
     self->name[1] = PyUnicode_InternFromString("U");
-    if (!self->ok || !self->grid[0] || !self->grid[1] || !self->name[0] || !self->name[1]) {
+    if (!self->ok || !self->sums || !self->grid[0] || !self->grid[1] || !self->name[0]
+        || !self->name[1]) {
         if (!PyErr_Occurred())
             PyErr_NoMemory();
         goto fail;
     }
+    self->urow = self->sums + L * n;
+    self->vrow = self->urow + n;
     self->fn[0] = Py_NewRef(o[0]);
     self->fn[1] = Py_NewRef(o[1]);
     self->row_sum = Py_NewRef(o[2]);

@@ -20,14 +20,16 @@ One backend switch: ``_particle_drift`` and ``_nullcline_array`` read
 Each flow evaluation is one call of a flow made once per run: the compiled
 ``MicroFlow`` while ``LIB`` holds the extension module, else its numpy twin
 ``_MicroFlow``, which has the same constructor and call and writes the same
-bytes.  The kernel makes the finiteness checks, zeroes U's diagonal, writes
-the weight drift and the row sum (with equal masses in the pairwise order
-of ``np.add.reduce(U, axis=2)``, which the twin calls) divided into the
-state drift.  It calls back the model's V, U and U0 (for a model with its
-pair form, see ``models``, K and eta, from which it forms U and V itself in
-scratch the flow holds: each kernel's d = s_i - s_j is rewritten just
-before the kernel is called, so a kernel must not keep its argument),
-``_on_grid`` for a V or U result that it cannot take as it is, the
+bytes.  The kernel checks U and V finite and sums U over the partners (with
+equal masses in the pairwise order of ``np.add.reduce(U, axis=2)``, which
+the twin calls) in one pass per pair row, then writes the weight drift,
+U's zero diagonal and the sums divided into the state drift.  It calls back
+the model's V, U and U0 (for a model with its pair form, see ``models``,
+eta and K, from which it forms V and U itself: each kernel gets d = s_i -
+s_j in scratch of its own that the flow holds, both written before eta is
+called, so a kernel may write into its argument but must not keep it, nor
+write into the other kernel's result, which the kernel reads after both
+calls), ``_on_grid`` for a V or U result that it cannot take as it is, the
 mass-weighted ``einsum`` and numpy's own ``+=`` for adding U0, whose result
 may broadcast.  Each nullcline solve is one ``nullcline`` call, or one call
 of its twin ``_nullcline_py``: the bracket search, every Illinois iteration,
@@ -208,12 +210,15 @@ class _MicroFlow:
 
     1. in the pair mode, when si and sj are float64 arrays that broadcast to
        the pair grid (L, N, N, m) and W is a float64 array of the grid
-       (L, N, N): given V, eta(d) on d = si - sj in the flow's scratch and
-       V = eta(d) - kappa W (- W with kappa 1) into its scratch V; then K(d)
-       on d in K's own scratch and U = -(W K(d)) into its scratch U.  Each
-       d is rewritten just before its kernel is called, so a kernel must
-       not keep its argument.  Where eta(d) or K(d) is not a float64
-       ndarray of its grid, the evaluation takes step 1' instead;
+       (L, N, N): given V, eta(d) and V = eta(d) - kappa W (- W with kappa
+       1) into the flow's scratch V; then K(d) and U = -(W K(d)) into its
+       scratch U.  Each kernel gets d = si - sj in scratch of its own, as
+       the compiled flow, which writes both before it calls eta and reads
+       both results after both calls, gives it: a kernel may write into
+       its argument or return it, or a view of it, but must not keep it,
+       nor write into the other kernel's result.  Where eta(d) or K(d) is
+       not a float64 ndarray of its grid, the evaluation takes step 1'
+       instead;
     1'. otherwise V(si, sj, W) and then U(si, sj, W), each through
        ``on_grid(result, grid, name, states, W)`` on its pair grid,
        (L, N, N) or (L, N, N, m);

@@ -34,10 +34,10 @@ the private field ``_pair_form``, which neither a constructor argument nor
 a config sets.  ``microsim`` uses it while the model's U and V are still
 the form's own (a copy with a replaced U or V, a ``dataclasses.replace``
 and every hand-built model run on U and V as they are): a flow evaluation
-then takes s_i - s_j once for eta and once for K, and forms U = -(w K) and
-V = eta - kappa w itself, with the same IEEE operations on the same
-operands as the catalog's U and V, so the bytes are theirs; a nullcline
-solve takes eta once.  exp, where eta has one, stays in the model's eta.
+then calls eta and K once each, each on s_i - s_j in scratch of its own,
+and forms U = -(w K) and V = eta - kappa w itself, with the same IEEE
+operations on the same operands as the catalog's U and V, so the bytes are
+theirs; a nullcline solve takes eta once.  exp, where eta has one, stays in the model's eta.
 """
 
 from __future__ import annotations

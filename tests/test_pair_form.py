@@ -21,7 +21,7 @@ from coevnet import _native, microsim
 from coevnet.errors import IntegrationError, InvariantViolation, ModelError, NullclineNotFound
 from coevnet.microsim import _nullcline_array, _stack, integrate_micro, integrate_reduced
 from coevnet.models import SmoothModel, catalog
-from test_flow_kernels import bits, random_cfg, reference, solve_grid
+from test_flow_kernels import bits, flow_args, flow_pair, random_cfg, reference, solve_grid
 
 compiled_flow = microsim._micro_flow   # compiled while _native.LIB is loaded
 
@@ -123,6 +123,126 @@ def test_the_pair_form_is_bitwise_the_model_s_U_and_V(L, N, m, kappa, kernels, w
             got.append(outcome(lambda: step(planted, 0.03, 0.01, method)))
         runs.append(got)
     assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+def gate_runs(model, cfg, eps_w, masses=None):
+    """f into an out filled with 7.0, the bytes it leaves there, and an rk4
+    step from the same state: outcome() of each, the same with the pair
+    form as with the model's own U and V, on both backends."""
+    z = _stack(cfg, len(eps_w))
+    z[:, :cfg.states.size] += np.linspace(0.0, 0.01, len(eps_w))[:, None]
+    runs = []
+    for mdl in (model, without_form(model)):
+        for f, step in backends(compiled_flow, cfg, mdl, eps_w, 1.0, masses):
+            out = np.full(z.shape, 7.0)
+            runs.append((outcome(lambda: f(z, 0.0, out)), out.tobytes(),
+                         outcome(lambda: step(z, 0.0, 0.01, "rk4"))))
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+    return runs[0]
+
+
+def flagged(runs, eps=""):
+    """Whether f and the rk4 step both raise the error of a non-finite force
+    at t=0 (naming eps when given) and f writes nothing into its out."""
+    message = "non-finite force evaluation at t=0" + (f" for eps={eps}" if eps else "")
+    got, out, step = runs
+    return (got == step == ("IntegrationError", message)
+            and out == np.full(len(out) // 8, 7.0).tobytes())
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("L", [1, 3])
+def test_an_eta_bad_only_below_the_diagonal_flags_a_symmetric_flow(bad, L):
+    """A symmetric flow writes its weight drift from V's upper triangle, but
+    checks the whole of V: an eta that is not finite at one pair below the
+    diagonal, in every leg, flags each leg and writes nothing."""
+    def eta(x):
+        e = gaussian_eta(x)
+        if np.ndim(x) == 4:   # the flow's pair grid, not the model's probes
+            e[:, 3, 1] = bad
+        return e
+    model = catalog("kernel-relaxation", {"K": lambda x: x, "eta": eta, "kappa": 0.3})
+    cfg = random_cfg(np.random.default_rng(L), 5, 1, True, np.zeros((5, 5), dtype=bool))
+    assert cfg.symmetric and model.symmetric_V
+    assert flagged(gate_runs(model, cfg, [0.5, 0.1, 0.01][:L]), "0.5, 0.1, 0.01" * (L > 1))
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("m", [1, 2])
+def test_a_K_bad_only_at_d_zero_flags(bad, m):
+    """K not finite at d = 0 only: U's diagonal, -(0 K(0)), is NaN there, and
+    the flow checks it before it zeroes U's diagonal, so the leg is flagged."""
+    def K(x):
+        x = np.asarray(x, dtype=float)
+        return np.where(x == 0.0, bad, x)
+    model = catalog("kernel-relaxation", {"K": K, "eta": gaussian_eta, "kappa": 1.0, "m": m})
+    cfg = random_cfg(np.random.default_rng(m), 6, m, True, np.zeros((6, 6), dtype=bool))
+    assert flagged(gate_runs(model, cfg, [0.2]))
+
+
+def huge_K(x):
+    """2.5e307 with the sign of d's first component there, d's other
+    components as they are: finite, and so is U = -(w K) for |w| <= 2 (the
+    model's probes), but a row of U with eight terms of one sign at w = 1
+    overflows its sum."""
+    k = np.array(x, dtype=float)
+    k[..., 0] = np.where(k[..., 0] > 0.0, 2.5e307, -2.5e307)
+    return k
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("with_masses", [False, True])
+def test_a_finite_U_whose_row_sum_overflows_is_not_flagged(m, with_masses):
+    """Every U and V is finite, but the first component of the outermost
+    agents' row sums overflows to +-inf: f is not flagged and writes the
+    twin's bytes (the infinite state drift, and the other component's
+    finite sums); the rk4 step, whose later stages are not finite, raises
+    the same error on both backends."""
+    N = 12
+    cfg = microsim.AgentConfiguration(
+        states=np.random.default_rng(m).uniform(-1.0, 1.0, size=(N, m)),
+        weights=np.ones((N, N)) - np.eye(N))
+    model = catalog("kernel-relaxation", {"K": huge_K, "eta": gaussian_eta, "kappa": 0.3,
+                                          "m": m})
+    masses = np.ones(N) if with_masses else None
+    got = gate_runs(model, cfg, [0.5, 0.1], masses)[0]
+    f, _ = compiled_flow(cfg, model, [0.5, 0.1], 1.0, masses)
+    out = f(_stack(cfg, 2), 0.0)
+    ds = out[:, :N * m].reshape(2, N, m)
+    assert bits(out) == got
+    assert np.isinf(ds[..., 0]).any() and np.isfinite(ds[..., 1:]).all()
+    assert np.isfinite(out[:, N * m:]).all()
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("which", ["K", "eta"])
+@pytest.mark.parametrize("symmetric", [True, False])
+def test_only_the_middle_leg_of_three_is_flagged(which, symmetric):
+    """K or eta not finite at one pair of the middle leg only: the flow's
+    flags are (True, False, True), and f and the rk4 step name that leg's
+    eps alone."""
+    def bad(kernel):
+        def planted(x):
+            r = np.array(kernel(x), dtype=float)
+            if np.ndim(x) == 4:
+                r[1, 0, 2] = np.nan
+            return r
+        return planted
+    K, eta = (lambda x: x), gaussian_eta
+    K, eta = (bad(K), eta) if which == "K" else (K, bad(eta))
+    model = catalog("kernel-relaxation", {"K": K, "eta": eta, "kappa": 0.3})
+    N, eps_w = 4, np.array([0.5, 0.1, 0.01])
+    cfg = random_cfg(np.random.default_rng(3), N, 1, symmetric, np.zeros((N, N), dtype=bool))
+    assert flagged(gate_runs(model, cfg, eps_w), "0.1")
+    z = _stack(cfg, 3)
+    states, W = z[:, :N].reshape(3, N, 1), z[:, N:].reshape(3, N, N)
+    for flow in flow_pair(model, N, 1, eps_w, 1.0, None, symmetric, N + N * N, model.V):
+        out = np.full(z.shape, 7.0)
+        assert flow(*flow_args(states, W, out)) == (True, False, True)
+        assert out.tobytes() == np.full(z.shape, 7.0).tobytes()
 
 
 # name -> eta, each with kappa 0.3, 1.0 and 2.5
