@@ -15,18 +15,20 @@
  * 3. coevnet_format_rows: the CSV row renderer of io._write_table, which
  *    prints each float64 as python's "%.17g" % x, byte for byte.
  * 4. The MicroFlow type, one micro flow evaluation per call: it calls the
- *    model's V and U back (and microsim._on_grid for a result that it
- *    cannot take as it is), or, in the pair mode of a kernel-relaxation
+ *    model's V and U back, or, in the pair mode of a kernel-relaxation
  *    model (models.PairForm), takes s_i - s_j once into the flow's scratch
  *    d of K and of eta, calls eta and K back and forms V = eta - kappa w and
  *    U = -(w K) itself, with the IEEE operations of the catalog's V and U
- *    on the same operands (exp stays in the model's eta).  One pass per
- *    pair row then checks U and V finite and sums U over the partners (the
- *    equal-mass sum itself, coevnet_row_sum in np.add.reduce(U, axis=2)'s
- *    order, or the mass-weighted einsum called back); when every leg is
- *    finite, one write pass writes the weight drift and U's zero diagonal
- *    and divides the sums into the state drift, then U0 is called back and
- *    added with numpy's own +=.  Its reference is the numpy twin
+ *    on the same operands (exp stays in the model's eta).  Every result is
+ *    read in place through its strides and never written: one that is not
+ *    a float64 array of its grid is read through microsim._on_grid, numpy's
+ *    read-only broadcast view of it.  One pass per pair row then checks U
+ *    and V finite and sums U over the partners (the equal-mass sum itself,
+ *    coevnet_row_sum in np.add.reduce(U, axis=2)'s order, or the
+ *    mass-weighted einsum called back on U formed in a grid of the flow's
+ *    own); when every leg is finite, one write pass writes the weight
+ *    drift and divides the sums into the state drift, then U0 is called
+ *    back and added with numpy's own +=.  Its reference is the numpy twin
  *    microsim._MicroFlow, with the same constructor and call.  Each RK4
  *    step and each Fehlberg substep of microsim's workspace is one call of
  *    the entry rk_step: its stages, with the flow evaluated here when it is
@@ -38,8 +40,8 @@
  *    loaded, into the same buffers.
  * 5. coevnet_nullcline: one weight nullcline solve, the bracket search,
  *    every Illinois iteration, the step limit and the residual check over
- *    one buffer, calling V back through a hook (and microsim._on_grid for
- *    a result that it cannot read as it is): the model's own V, or, for a
+ *    one buffer, calling V back through a hook, which reads each result as
+ *    the flow reads its results: the model's own V, or, for a
  *    kernel-relaxation model with its pair form, a V that microsim gives
  *    it, eta(s_i - s_j) taken once per solve minus kappa w.  Its reference
  *    is the numpy twin microsim._nullcline_py, with the nullcline entry's
@@ -1016,7 +1018,8 @@ static int coevnet_nullcline(double *buf, int64_t n, int64_t max_steps, double m
  * writability where the kernel writes, and its length against the sizes the
  * kernel is given: a failed check raises ValueError (TypeError for an
  * object without a buffer), where a wrong address would read or write out
- * of bounds.
+ * of bounds.  A callback's result is taken by take_result, of its grid's
+ * shape and with any strides, and only read.
  */
 
 #define MAX_ARRAYS 16
@@ -1446,40 +1449,41 @@ done:
  * is freed, holds the legs' weight divisors, and row is the number of
  * doubles of one leg of the flow's output.  pair, None or the (K, eta,
  * kappa) of a model whose U and V are its pair form's, selects the pair
- * mode, whose scratch the flow makes once and holds: the d grids (L, N, N,
- * m) of eta (given V) and of K, and a U grid only when row_sum is given.
+ * mode.  The flow makes its scratch once and holds it: in the pair mode
+ * the d grids (L, N, N, m) of eta (given V) and of K, and given row_sum
+ * the U grid (L, N, N, m) that row_sum is called on.
  *
  * flow(states, si, sj, W, ds, out) -> None, or the per-leg finiteness flags
  * of U and V as a tuple when a leg is not finite, is one evaluation:
- *   0. in the pair mode, when si and sj are float64 arrays that broadcast
- *      to the pair grid (L, N, N, m) and W is a float64 array of (L, N, N),
- *      all with any strides: d = si - sj into K's scratch and (given V)
- *      eta's, then eta(d) (given V) and K(d) called back.  A kernel may
- *      write into its argument or return it, or a view of it, but must not
- *      keep it, nor write into the other's result, read after both calls.
- *      Where eta(d) or K(d) is not a float64 array of its grid (any
- *      strides), the call takes steps 1 and 2 instead; otherwise steps 3
- *      and 4 form U = -(W K(d)) and V = eta(d) - kappa W row by row;
- *   1. V(si, sj, W), used as it is when it is a float64 ndarray of exactly
- *      the grid (L, N, N), C-contiguous, writable and with no base (so it
- *      shares no memory with states or W), else on_grid(result, grid, "V",
- *      states, W), which copies it or raises ModelError;
- *   2. the same for U(si, sj, W) on the grid (L, N, N, m);
- *   3. flow_rows, one pass per pair row: a leg whose U or V is not finite
- *      returns the flags, nothing written;
+ *   1. V(si, sj, W) (given V) and U(si, sj, W); in the pair mode, where si
+ *      and sj must be float64 arrays that broadcast to the pair grid (L, N,
+ *      N, m) and W a float64 array of (L, N, N), all with any strides (else
+ *      ValueError), instead d = si - sj into K's scratch and (given V)
+ *      eta's, then eta(d) (given V) and K(d).  A kernel may write into its
+ *      argument or return it, or a view of it, but must not keep it, nor
+ *      write into the other's result, read after both calls;
+ *   2. each result is read in place through its strides and never written
+ *      (take_result): one that is not a float64 array of its grid, (L, N,
+ *      N) for V and eta and (L, N, N, m) for U and K, through on_grid(result,
+ *      grid, name), numpy's read-only broadcast view of it, which raises
+ *      ModelError when it does not broadcast;
+ *   3. flow_rows, one pass per pair row, U = -(W K) and V = eta - kappa W
+ *      in the pair mode: a leg whose U or V is not finite returns the flags,
+ *      nothing written;
  *   4. flow_write, leg l's weight drift written to out from its (N m + l
- *      row)-th double on, then the row sums (or row_sum(U)) / divisor into
- *      ds, the (L, N, m) states of the output, which may be strided;
+ *      row)-th double on, then the row sums (or row_sum(U), U with its zero
+ *      diagonal in the flow's U grid) / divisor into ds, the (L, N, m)
+ *      states of the output, which may be strided;
  *   5. ds += U0(states), numpy's own in-place add.
  * A callback's exception propagates.  out may be None when V is.  The
  * scratch serves one evaluation at a time. */
 typedef struct {
     PyObject_HEAD
     vectorcallfunc vectorcall;
-    PyObject *fn[2], *grid[2], *name[2];   /* V and U, their grids and names */
+    PyObject *fn[2];   /* V and U */
     PyObject *row_sum, *U0, *on_grid;
     PyObject *K, *eta;   /* the pair form's kernels, NULL without the pair mode */
-    PyObject *scratch[3];   /* the pair mode's d of eta, d of K and U grid, in held */
+    PyObject *scratch[3];   /* d of eta, d of K and the U grid, in held where made */
     double *d[2], *u;   /* their data (NULL where not made) */
     double *sums, *urow, *vrow;   /* U's (L, N, m) row sums, a row of U and of V */
     double kappa, divisor;
@@ -1491,89 +1495,39 @@ typedef struct {
     int sym;
 } flow_object;
 
-/* What steps 3 and 4 read, through byte strides: in the pair mode W and the
- * results of eta (NULL without V) and K, else steps 1 and 2's V and U. */
+/* What steps 3 and 4 read, through byte strides: the results of V (NULL
+ * without V) and U, or in the pair mode of eta and K, and W. */
 typedef struct {
     const char *w, *e, *k;
     Py_ssize_t sw[3], se[3], sk[4];
-    int pair;
 } flow_grids;
 
-/* The operands of one evaluation: the addresses of si, sj and W with
- * their byte strides (0 along a broadcast axis; W has three), pairs set
- * when they are known (the pair mode runs only then), ds with its byte
- * strides, and out (NULL for None). */
+/* The operands of one evaluation: in the pair mode the addresses of si, sj
+ * and W with their byte strides (0 along a broadcast axis; W has three),
+ * ds with its byte strides, and out (NULL for None). */
 typedef struct {
     const char *p[3];
     Py_ssize_t st[3][4];
-    int pairs;
     char *ds;
     Py_ssize_t ds_st[3];
     double *out;
 } flow_io;
 
-/* numpy.ndarray, the name "base" and numpy.empty, made by PyInit__kernels */
-static PyObject *ndarray_type, *base_name, *np_empty;
+/* numpy.ndarray and numpy.empty, made by PyInit__kernels */
+static PyObject *ndarray_type, *np_empty;
 
-/* Whether v is a writable C-contiguous float64 buffer of shape shape[0 .. ndim). */
-static int is_grid(const Py_buffer *v, const Py_ssize_t *shape, int ndim)
+/* shape[0 .. ndim) as a tuple. */
+static PyObject *shape_tuple(const Py_ssize_t *shape, int ndim)
 {
-    int i;
-    if (elem_kind(v) != 'f' || v->itemsize != 8 || v->readonly || v->ndim != ndim
-        || !PyBuffer_IsContiguous(v, 'C'))
-        return 0;
-    for (i = 0; i < ndim; i++)
-        if (v->shape[i] != shape[i])
-            return 0;
-    return 1;
-}
-
-/* Steps 1 (k = 0, V) and 2 (k = 1, U) of a call with arguments args: the
- * result, or what on_grid makes of it, into *obj, its buffer taken into a. */
-static int pair_grid(flow_object *f, int k, PyObject *const *args, arrays *a, PyObject **obj,
-                     void **data)
-{
-    int ndim = 3 + k;
-    PyObject *r = PyObject_Vectorcall(f->fn[k], args + 1, 3, NULL), *g, *base;
-    Py_buffer *v = &a->views[a->n];
-    if (!r)
-        return -1;
-    if (Py_IS_TYPE(r, (PyTypeObject *)ndarray_type) && a->n < MAX_ARRAYS) {
-        if (PyObject_GetBuffer(r, v, PyBUF_RECORDS_RO) < 0) {
-            PyErr_Clear();   /* on_grid converts it or raises */
-        } else {
-            int own = 0;
-            if (is_grid(v, f->shape, ndim)) {
-                base = PyObject_GetAttr(r, base_name);
-                own = base == Py_None;
-                if (base)
-                    Py_DECREF(base);
-                else
-                    PyErr_Clear();
-            }
-            if (own) {
-                a->n++;
-                *obj = r;
-                *data = v->buf;
-                return 0;
-            }
-            PyBuffer_Release(v);
-        }
+    PyObject *t = PyTuple_New(ndim), *x;
+    int d;
+    for (d = 0; t && d < ndim; d++) {
+        if (!(x = PyLong_FromSsize_t(shape[d])))
+            Py_CLEAR(t);
+        else
+            PyTuple_SET_ITEM(t, d, x);
     }
-    {
-        PyObject *cargs[5] = {r, f->grid[k], f->name[k], args[0], args[3]};
-        g = PyObject_Vectorcall(f->on_grid, cargs, 5, NULL);
-    }
-    Py_DECREF(r);
-    if (!g)
-        return -1;
-    if (take(a, g, k ? "U" : "V", &F64, WRITE, f->shape[0] * f->shape[1] * f->shape[2]
-             * (k ? f->shape[3] : 1), data) < 0) {
-        Py_DECREF(g);
-        return -1;
-    }
-    *obj = g;
-    return 0;
+    return t;
 }
 
 /* Takes obj's buffer into *v when obj is a numpy array of native float64
@@ -1598,18 +1552,52 @@ static int f64_view(PyObject *obj, Py_buffer *v, const Py_ssize_t *shape, int nd
     return 0;
 }
 
+/* Takes a callback's result res (a new reference, released here; NULL when
+ * the callback raised) into a as a float64 array of shape shape[0 .. ndim)
+ * with any strides, to be read and never written: res itself when it is
+ * one, else on_grid(res, shape, name).  Returns its buffer, or NULL with an
+ * exception set. */
+static const Py_buffer *take_result(arrays *a, PyObject *res, PyObject *on_grid,
+                                    const char *name, const Py_ssize_t *shape, int ndim)
+{
+    Py_buffer *v = &a->views[a->n];
+    PyObject *grid;
+    if (!res)
+        return NULL;
+    if (a->n == MAX_ARRAYS) {
+        PyErr_SetString(PyExc_ValueError, "too many arrays in one call");
+        Py_DECREF(res);
+        return NULL;
+    }
+    if (!f64_view(res, v, shape, ndim)) {
+        grid = shape_tuple(shape, ndim);
+        Py_SETREF(res, grid ? PyObject_CallFunction(on_grid, "OOs", res, grid, name) : NULL);
+        Py_XDECREF(grid);
+        if (!res)
+            return NULL;
+        if (!f64_view(res, v, shape, ndim)) {
+            PyErr_Format(PyExc_ValueError, "on_grid made no float64 array of %s's grid", name);
+            Py_DECREF(res);
+            return NULL;
+        }
+    }
+    Py_DECREF(res);   /* the view holds it */
+    a->n++;
+    return v;
+}
+
 /* The double at byte offset off of base. */
 #define AT(base, off) (*(const double *)((const char *)(base) + (off)))
 
 /* Takes si, sj and W (args 1 to 3) into a, and their addresses and strides
  * into io, when si and sj are float64 arrays that broadcast to the pair grid
- * and W is a float64 array of (L, N, N), all with any strides: returns 1,
- * else 0 with nothing taken. */
+ * and W is a float64 array of (L, N, N), all with any strides; else raises
+ * ValueError.  Returns 0 or -1. */
 static int pair_operands(const flow_object *f, PyObject *const *args, arrays *a, flow_io *io)
 {
     const Py_ssize_t *g = f->shape;
     const Py_buffer *in = &a->views[a->n];
-    int n0 = a->n, e, k;
+    int e, k;
     for (e = 0; e < 3; e++) {
         if (a->n == MAX_ARRAYS
             || !f64_view(args[1 + e], &a->views[a->n], e < 2 ? NULL : g, e < 2 ? 4 : 3))
@@ -1627,11 +1615,12 @@ static int pair_operands(const flow_object *f, PyObject *const *args, arrays *a,
     }
     for (k = 0; k < 3; k++)
         io->st[2][k] = in[2].strides[k];
-    return 1;
-fail:
-    while (a->n > n0)
-        PyBuffer_Release(&a->views[--a->n]);
     return 0;
+fail:   /* what was taken is released with a */
+    PyErr_Format(PyExc_ValueError, "the pair mode takes si and sj as float64 arrays that span "
+                 "the pair grid (%zd, %zd, %zd, %zd) and W as a float64 array of (%zd, %zd, %zd)",
+                 g[0], g[1], g[2], g[3], g[0], g[1], g[2]);
+    return -1;
 }
 
 /* si - sj on the pair grid (L, N, N, m), read through io, into out. */
@@ -1653,51 +1642,49 @@ static void pair_diff(const flow_object *f, const flow_io *io, double *out)
         }
 }
 
-/* Step 0 of an evaluation in the pair mode (see MicroFlow) on the operands
- * io: d = si - sj into K's scratch and, given V, eta's, then eta(d) (given
- * V) and K(d) called back, their results' buffers taken into a and read
- * through g.  Returns 1; 0 when a result is not a float64 array of its
- * grid, with nothing taken, so that the evaluation takes V and U as they
- * are; -1 when a callback raised. */
-static int pair_mode(flow_object *f, const flow_io *io, arrays *a, flow_grids *g)
+/* Steps 1 and 2 of an evaluation on the operands io (args are the call's
+ * states, si, sj and W): V (given) and U called back, or in the pair mode
+ * d = si - sj into K's scratch and, given V, eta's, then eta (given V) and
+ * K, each result taken by take_result into a and read through g.  Returns
+ * 0, or -1 when a callback raised. */
+static int flow_results(flow_object *f, PyObject *const *args, const flow_io *io, arrays *a,
+                        flow_grids *g)
 {
+    static const char *const names[2][2] = {{"V", "U"}, {"eta", "K"}};
     const Py_ssize_t *shape = f->shape;
-    int n0 = a->n, k = f->fn[0] == Py_None;
-    pair_diff(f, io, f->d[k]);
-    if (k == 0)   /* K's d too, before eta may write into its own */
-        memcpy(f->d[1], f->d[0], (size_t)(shape[0] * shape[1] * shape[2]) * shape[3] * 8);
-    for (; k < 2; k++) {   /* eta, then K */
-        Py_buffer *v = &a->views[a->n];
-        PyObject *res = PyObject_CallOneArg(k ? f->K : f->eta, f->scratch[k]);
-        int taken;
-        if (!res)
+    int k = f->fn[0] == Py_None;
+    if (f->K) {
+        pair_diff(f, io, f->d[k]);
+        if (k == 0)   /* K's d too, before eta may write into its own */
+            memcpy(f->d[1], f->d[0], (size_t)(shape[0] * shape[1] * shape[2]) * shape[3] * 8);
+        g->w = io->p[2];
+        memcpy(g->sw, io->st[2], sizeof g->sw);
+    }
+    for (; k < 2; k++) {   /* V or eta, then U or K */
+        PyObject *res = f->K ? PyObject_CallOneArg(k ? f->K : f->eta, f->scratch[k])
+                             : PyObject_Vectorcall(f->fn[k], args + 1, 3, NULL);
+        const Py_buffer *v = take_result(a, res, f->on_grid, names[f->K != NULL][k], shape,
+                                         3 + k);
+        if (!v)
             return -1;
-        taken = a->n < MAX_ARRAYS && f64_view(res, v, shape, 3 + k);
-        Py_DECREF(res);   /* a view holds its array */
-        if (!taken) {
-            while (a->n > n0)
-                PyBuffer_Release(&a->views[--a->n]);
-            return 0;
-        }
-        a->n++;
         memcpy(k ? g->sk : g->se, v->strides, (size_t)(3 + k) * sizeof(Py_ssize_t));
         *(k ? &g->k : &g->e) = v->buf;
     }
-    g->w = io->p[2];
-    memcpy(g->sw, io->st[2], sizeof g->sw);
-    g->pair = 1;
-    return 1;
+    return 0;
 }
 
-/* Row i of leg l of U into row[0 .. N m): in the pair mode -(W K). */
+/* Row i of leg l of U into row[0 .. N m): U's own row, or in the pair mode
+ * -(W K). */
 static void u_row(const flow_object *f, const flow_grids *g, Py_ssize_t l, Py_ssize_t i,
                   double *row)
 {
     Py_ssize_t N = f->shape[1], m = f->shape[3], j, k;
     const Py_ssize_t *sw = g->sw, *sk = g->sk;
     const char *pk = g->k + l * sk[0] + i * sk[1], *pw;
-    if (!g->pair) {
-        memcpy(row, pk, (size_t)(N * m) * sizeof(double));
+    if (!f->K) {
+        for (j = 0; j < N; j++)
+            for (k = 0; k < m; k++)
+                row[j * m + k] = AT(pk, j * sk[2] + k * sk[3]);
         return;
     }
     pw = g->w + l * sw[0] + i * sw[1];
@@ -1710,8 +1697,8 @@ static void u_row(const flow_object *f, const flow_grids *g, Py_ssize_t l, Py_ss
                 row[j * m + k] = -(AT(pw, j * sw[2]) * AT(pk, j * sk[2] + k * sk[3]));
 }
 
-/* Row i of leg l of V from its from-th double on: V's own row, or in the
- * pair mode eta - kappa W formed into buf (1.0 W is W). */
+/* Row i of leg l of V from its from-th double on, into buf: V's own row, or
+ * in the pair mode eta - kappa W (1.0 W is W). */
 static inline const double *v_row(const flow_object *f, const flow_grids *g, Py_ssize_t l,
                                   Py_ssize_t i, Py_ssize_t from, double *buf)
 {
@@ -1719,8 +1706,11 @@ static inline const double *v_row(const flow_object *f, const flow_grids *g, Py_
     const Py_ssize_t *sw = g->sw, *se = g->se;
     const char *pe = g->e + l * se[0] + i * se[1], *pw;
     double kappa = f->kappa;
-    if (!g->pair)
-        return (const double *)pe;
+    if (!f->K) {
+        for (j = from; j < N; j++)
+            buf[j] = AT(pe, j * se[2]);
+        return buf;
+    }
     pw = g->w + l * sw[0] + i * sw[1];
     for (j = from; j < N; j++)
         buf[j] = AT(pe, j * se[2]) - kappa * AT(pw, j * sw[2]);
@@ -1728,10 +1718,10 @@ static inline const double *v_row(const flow_object *f, const flow_grids *g, Py_
 }
 
 /* Step 3 of an evaluation on g: ok[l] = whether leg l's U and V are all
- * finite; each row of U, its diagonal then set to +0.0, summed into
- * f->sums with row_sum None, and in the pair mode formed in the U grid
- * when row_sum is given.  A finite sum has finite terms, so only a row
- * without one is scanned.  Returns 1 when a leg is not finite, else 0. */
+ * finite; each row of U, formed in the U grid when row_sum is given, its
+ * diagonal then set to +0.0, summed into f->sums with row_sum None.  A
+ * finite sum has finite terms, so only a row without one is scanned.
+ * Returns 1 when a leg is not finite, else 0. */
 static int flow_rows(flow_object *f, const flow_grids *g)
 {
     Py_ssize_t L = f->shape[0], N = f->shape[1], m = f->shape[3], l, i, k;
@@ -1739,7 +1729,7 @@ static int flow_rows(flow_object *f, const flow_grids *g)
     for (l = 0; l < L; l++) {
         int fin = 1;
         for (i = 0; i < N && fin; i++) {
-            double *row = g->pair && f->u ? f->u + (l * N + i) * N * m : f->urow;
+            double *row = f->u ? f->u + (l * N + i) * N * m : f->urow;
             double *sum = f->sums + (l * N + i) * m;
             int summed = f->row_sum == Py_None;   /* and each sum finite */
             u_row(f, g, l, i, row);
@@ -1760,20 +1750,16 @@ static int flow_rows(flow_object *f, const flow_grids *g)
 
 /* Step 4's weight drift into dw (leg l from dw + l f->row on), given V: with
  * sym V's strict upper triangle plus 0.0 (so -0.0 turns into +0.0)
- * mirrored, else V with a zero diagonal, divided by eps[l] with eps; and
- * the diagonal of U (step 2's) zeroed unless U is NULL. */
-static void flow_write(const flow_object *f, const flow_grids *g, double *dw, double *U)
+ * mirrored, else V with a zero diagonal, divided by eps[l] with eps. */
+static void flow_write(const flow_object *f, const flow_grids *g, double *dw)
 {
-    Py_ssize_t L = f->shape[0], N = f->shape[1], m = f->shape[3], l, i, j, k;
+    Py_ssize_t L = f->shape[0], N = f->shape[1], l, i, j;
+    if (!g->e)
+        return;
     for (l = 0; l < L; l++) {
         double *d = dw + l * f->row;
         for (i = 0; i < N; i++) {
-            const double *v = g->e ? v_row(f, g, l, i, f->sym ? i + 1 : 0, f->vrow) : NULL;
-            if (U)
-                for (k = 0; k < m; k++)
-                    U[((l * N + i) * N + i) * m + k] = 0.0;
-            if (!v)
-                continue;
+            const double *v = v_row(f, g, l, i, f->sym ? i + 1 : 0, f->vrow);
             if (f->sym) {
                 for (j = i + 1; j < N; j++) {
                     double x = v[j] + 0.0;
@@ -1818,39 +1804,28 @@ static int take_states(arrays *a, PyObject *obj, const char *name, int flags,
 #define DS(io, l, i, k) \
     (*(double *)((io)->ds + (l) * (io)->ds_st[0] + (i) * (io)->ds_st[1] + (k) * (io)->ds_st[2]))
 
-/* Steps 0 to 5 of one evaluation on the operands io; args are the call's
+/* Steps 1 to 5 of one evaluation on the operands io; args are the call's
  * states, si, sj, W and ds, which the callbacks get.  Returns 0, 1 with the
  * per-leg flags in f->ok when a leg is not finite, or -1 when a callback
  * raised. */
 static int flow_eval(flow_object *f, PyObject *const *args, const flow_io *io)
 {
     arrays a = {.n = 0};
-    PyObject *V = NULL, *U = NULL, *rs = NULL;
-    flow_grids g = {.pair = 0};
-    void *u = NULL, *v = NULL, *sum = NULL;
+    PyObject *rs = NULL;
+    flow_grids g = {.e = NULL};
+    void *sum = NULL;
     const Py_ssize_t *sum_st = NULL;
     Py_ssize_t L = f->shape[0], N = f->shape[1], m = f->shape[3], l, i, k;
-    int pair = 0, status = -1;
-    if (f->K && io->pairs && (pair = pair_mode(f, io, &a, &g)) < 0)
+    int status = -1;
+    if (flow_results(f, args, io, &a, &g) < 0)
         goto done;
-    if (!pair) {
-        if ((f->fn[0] != Py_None && pair_grid(f, 0, args, &a, &V, &v) < 0)
-            || pair_grid(f, 1, args, &a, &U, &u) < 0)
-            goto done;
-        g.e = v;
-        g.k = u;
-        g.se[0] = N * N * 8;
-        g.se[1] = N * 8;
-        g.sk[0] = N * N * m * 8;
-        g.sk[1] = N * m * 8;
-    }
     if (flow_rows(f, &g)) {
         status = 1;
         goto done;
     }
-    flow_write(f, &g, io->out ? io->out + N * m : NULL, u);
+    flow_write(f, &g, io->out ? io->out + N * m : NULL);
     if (f->row_sum != Py_None) {
-        rs = PyObject_CallOneArg(f->row_sum, pair ? f->scratch[2] : U);
+        rs = PyObject_CallOneArg(f->row_sum, f->scratch[2]);
         if (!rs || take_states(&a, rs, "row_sum(U)", 0, f, &sum, &sum_st) < 0)
             goto done;
     }
@@ -1871,8 +1846,6 @@ static int flow_eval(flow_object *f, PyObject *const *args, const flow_io *io)
     status = 0;
 done:
     release(&a);
-    Py_XDECREF(V);
-    Py_XDECREF(U);
     Py_XDECREF(rs);
     return status;
 }
@@ -1882,7 +1855,7 @@ static PyObject *flow_call(PyObject *self, PyObject *const *args, size_t nargsf,
 {
     flow_object *f = (flow_object *)self;
     arrays a = {.n = 0};
-    flow_io io = {.pairs = 0};
+    flow_io io = {.out = NULL};
     void *ds, *out;
     const Py_ssize_t *ds_st;
     PyObject *result = NULL;
@@ -1904,7 +1877,8 @@ static PyObject *flow_call(PyObject *self, PyObject *const *args, size_t nargsf,
     io.ds = ds;
     memcpy(io.ds_st, ds_st, sizeof io.ds_st);
     io.out = out;
-    io.pairs = f->K && pair_operands(f, args, &a, &io);
+    if (f->K && pair_operands(f, args, &a, &io) < 0)
+        goto done;
     status = flow_eval(f, args, &io);
     if (status >= 0)
         result = status ? leg_flags(f->ok, f->shape[0]) : Py_NewRef(Py_None);
@@ -1929,12 +1903,8 @@ static int flow_traverse(PyObject *self, visitproc visit, void *arg)
 static int flow_clear(PyObject *self)
 {
     flow_object *f = (flow_object *)self;
-    int k;
-    for (k = 0; k < 2; k++) {
-        Py_CLEAR(f->fn[k]);
-        Py_CLEAR(f->grid[k]);
-        Py_CLEAR(f->name[k]);
-    }
+    Py_CLEAR(f->fn[0]);
+    Py_CLEAR(f->fn[1]);
     Py_CLEAR(f->row_sum);
     Py_CLEAR(f->U0);
     Py_CLEAR(f->on_grid);
@@ -1954,24 +1924,29 @@ static void flow_dealloc(PyObject *self)
     Py_TYPE(self)->tp_free(self);
 }
 
-/* The pair mode's scratch of f, held until f is freed: the grids (L, N, N,
- * m) d of eta (given V), d of K and U (given row_sum). */
+/* The scratch of f, held until f is freed: the grids (L, N, N, m) d of eta
+ * (pair mode, given V), d of K (pair mode) and U (given row_sum). */
 static int make_scratch(flow_object *f)
 {
     int64_t size = f->shape[0] * f->shape[1] * f->shape[2] * f->shape[3];
     double **data[3] = {&f->d[0], &f->d[1], &f->u};
-    int k;
-    for (k = f->fn[0] == Py_None; k < 2 + (f->row_sum != Py_None); k++) {
-        PyObject *grid = PyObject_CallOneArg(np_empty, f->grid[1]);
+    int made[3] = {f->K && f->fn[0] != Py_None, f->K != NULL, f->row_sum != Py_None};
+    PyObject *shape = shape_tuple(f->shape, 4), *grid;
+    int k, status = shape ? 0 : -1;
+    for (k = 0; k < 3 && status == 0; k++) {
         void *p;
-        int taken = grid ? take(&f->held, grid, "scratch", &F64, WRITE, size, &p) : -1;
+        if (!made[k])
+            continue;
+        grid = PyObject_CallOneArg(np_empty, shape);
+        status = grid ? take(&f->held, grid, "scratch", &F64, WRITE, size, &p) : -1;
         Py_XDECREF(grid);   /* held keeps it */
-        if (taken < 0)
-            return -1;
-        f->scratch[k] = grid;
-        *data[k] = p;
+        if (status == 0) {
+            f->scratch[k] = grid;
+            *data[k] = p;
+        }
     }
-    return 0;
+    Py_XDECREF(shape);
+    return status;
 }
 
 static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
@@ -2032,15 +2007,8 @@ static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->eps = eps;
     self->ok = PyMem_Malloc((size_t)L);
     self->sums = PyMem_Malloc((size_t)((L + 1) * n + N) * sizeof(double));
-    self->grid[0] = Py_BuildValue("(LLL)", (long long)L, (long long)N, (long long)N);
-    self->grid[1] = Py_BuildValue("(LLLL)", (long long)L, (long long)N, (long long)N,
-                                  (long long)m);
-    self->name[0] = PyUnicode_InternFromString("V");
-    self->name[1] = PyUnicode_InternFromString("U");
-    if (!self->ok || !self->sums || !self->grid[0] || !self->grid[1] || !self->name[0]
-        || !self->name[1]) {
-        if (!PyErr_Occurred())
-            PyErr_NoMemory();
+    if (!self->ok || !self->sums) {
+        PyErr_NoMemory();
         goto fail;
     }
     self->urow = self->sums + L * n;
@@ -2050,7 +2018,7 @@ static PyObject *flow_new(PyTypeObject *type, PyObject *args, PyObject *kwds)
     self->row_sum = Py_NewRef(o[2]);
     self->U0 = Py_NewRef(o[4]);
     self->on_grid = Py_NewRef(o[11]);
-    if (self->K && make_scratch(self) < 0)
+    if (make_scratch(self) < 0)
         goto fail;
     return (PyObject *)self;
 fail:
@@ -2114,7 +2082,7 @@ static int step_eval(step_call *c, int in, int i)
         const char *y = (const char *)c->z[in];
         flow_io io = {.p = {y, y, y + g[1] * m8},
                       .st = {{r8, m8, 0, 8}, {r8, 0, m8, 8}, {r8, g[1] * 8, 8, 0}},
-                      .pairs = 1, .ds = (char *)c->z[2 + i], .ds_st = {r8, m8, 8},
+                      .ds = (char *)c->z[2 + i], .ds_st = {r8, m8, 8},
                       .out = c->z[2 + i]};
         status = flow_eval(c->flow, args, &io);
         if (status == 1 && !(c->flags = leg_flags(c->flow->ok, c->L)))
@@ -2254,15 +2222,14 @@ done:
  * 1, NC_NO_CONVERGENCE 2, NC_RESIDUAL 3), one solve over the buffer buf of
  * 10 rows of the grid lo's shape; lo, hi and new are the views of its rows
  * 0, 1 and 8 that V is called on, as V(si, sj, row).  Its reference is the
- * numpy twin microsim._nullcline_py, with the same signature.  V's result
- * is read as it is when it is a float64 ndarray of exactly lo's shape,
- * C-contiguous and writable, else through on_grid(result, lo.shape, "V"),
- * which copies it or raises ModelError.  A callback's exception propagates. */
+ * numpy twin microsim._nullcline_py, with the same signature.  Each of V's
+ * results is taken as MicroFlow takes its results (take_result, on lo's
+ * shape and with on_grid), read through its strides into its row of buf
+ * and never written.  A callback's exception propagates. */
 typedef struct {
     PyObject *V, *on_grid;
     PyObject *const *args;   /* the call's: V's si and sj, then the rows */
     const Py_buffer *grid;   /* lo's */
-    int64_t n;
 } nullcline_call;
 
 static int nullcline_V(void *ctx, int row, double *out)
@@ -2270,38 +2237,12 @@ static int nullcline_V(void *ctx, int row, double *out)
     nullcline_call *c = ctx;
     PyObject *vargs[3] = {c->args[1], c->args[2],
                           c->args[row == IL_LO ? 4 : row == IL_HI ? 5 : 6]};
-    PyObject *r = PyObject_Vectorcall(c->V, vargs, 3, NULL), *shape, *g;
     arrays a = {.n = 0};
-    void *p;
-    if (!r)
-        return -1;
-    if (Py_IS_TYPE(r, (PyTypeObject *)ndarray_type)) {
-        Py_buffer v;
-        if (PyObject_GetBuffer(r, &v, PyBUF_RECORDS_RO) < 0) {
-            PyErr_Clear();   /* on_grid converts it or raises */
-        } else {
-            int fits = is_grid(&v, c->grid->shape, c->grid->ndim);
-            if (fits)
-                memcpy(out, v.buf, (size_t)c->n * sizeof(double));
-            PyBuffer_Release(&v);
-            if (fits) {
-                Py_DECREF(r);
-                return 0;
-            }
-        }
-    }
-    shape = PyObject_GetAttrString(c->args[4], "shape");
-    g = shape ? PyObject_CallFunction(c->on_grid, "OOs", r, shape, "V") : NULL;
-    Py_DECREF(r);
-    Py_XDECREF(shape);
-    if (!g || take(&a, g, "V", &F64, 0, c->n, &p) < 0) {
-        Py_XDECREF(g);
-        return -1;
-    }
-    memcpy(out, p, (size_t)c->n * sizeof(double));
+    const Py_buffer *v = take_result(&a, PyObject_Vectorcall(c->V, vargs, 3, NULL), c->on_grid,
+                                     "V", c->grid->shape, c->grid->ndim);
+    int status = v ? PyBuffer_ToContiguous(out, v, v->len, 'C') : -1;
     release(&a);
-    Py_DECREF(g);
-    return 0;
+    return status;
 }
 
 static PyObject *py_nullcline(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
@@ -2310,7 +2251,7 @@ static PyObject *py_nullcline(PyObject *self, PyObject *const *args, Py_ssize_t 
     nullcline_call c = {.args = args};
     nullcline_hooks h = {nullcline_V, &c};
     void *buf, *lo;
-    int64_t max_steps;
+    int64_t max_steps, n;
     double max_bracket, tol;
     int status = NC_FAILED;
     (void)self;
@@ -2320,12 +2261,12 @@ static PyObject *py_nullcline(PyObject *self, PyObject *const *args, Py_ssize_t 
         || take(&a, args[4], "lo", &F64, 0, 0, &lo) < 0)
         goto done;
     c.grid = &a.views[0];
-    c.n = last_len(&a);
-    if (take(&a, args[3], "buf", &F64, WRITE, mul(10, c.n), &buf) < 0)
+    n = last_len(&a);
+    if (take(&a, args[3], "buf", &F64, WRITE, mul(10, n), &buf) < 0)
         goto done;
     c.V = args[0];
     c.on_grid = args[10];
-    status = coevnet_nullcline(buf, c.n, max_steps, max_bracket, tol, &h);
+    status = coevnet_nullcline(buf, n, max_steps, max_bracket, tol, &h);
 done:
     release(&a);
     return status == NC_FAILED ? NULL : PyLong_FromLong(status);
@@ -2369,8 +2310,7 @@ PyMODINIT_FUNC PyInit__kernels(void)
             return NULL;
         }
     }
-    if ((!base_name && !(base_name = PyUnicode_InternFromString("base")))
-        || PyType_Ready(&engine_type) < 0 || PyType_Ready(&flow_type) < 0)
+    if (PyType_Ready(&engine_type) < 0 || PyType_Ready(&flow_type) < 0)
         return NULL;
     m = PyModule_Create(&kernels_module);
     if (m && (PyModule_AddObjectRef(m, "MinimalEngine", (PyObject *)&engine_type) < 0

@@ -169,10 +169,10 @@ def load_library(cc: str = "cc") -> ModuleType | None:
         log.warning("compiled kernels unavailable (%s; building them needs a C compiler "
                     "'cc' and the Python headers, Python.h under %s): coevnet._native.LIB "
                     "is None, so every kernel call runs its reference: closure integration "
-                    "and the Gillespie engine in pure python, about 300 and 60 times "
-                    "slower, CSV rows by python formatting, about 7 times slower, and the "
+                    "and the Gillespie engine in pure python, about 260 and 65 times "
+                    "slower, CSV rows by python formatting, about 9 times slower, and the "
                     "micro flow, its steps and the weight nullcline on numpy alone, about "
-                    "7 times slower for the epsilon sweep at N=4", exc, _INCLUDE)
+                    "8 times slower for the epsilon sweep at N=4", exc, _INCLUDE)
         return None
 
 

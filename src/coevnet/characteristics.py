@@ -82,7 +82,7 @@ def make_wc_ensemble(anchors, W0: Callable) -> CharacteristicEnsemble:
     """Build an equal-mass ensemble with pair weights slaved to the surface W0(s, s')."""
     anchors = np.array(anchors, dtype=float).reshape(len(anchors), -1)   # (M,) -> (M, 1)
     M = len(anchors)
-    W = _on_grid(W0(anchors[:, None, :], anchors[None, :, :]), (M, M), "W0", anchors)
+    W = np.array(_on_grid(W0(anchors[:, None, :], anchors[None, :, :]), (M, M), "W0"), order="C")
     W.reshape(M * M)[::M + 1] = 0.0   # the diagonal
     return CharacteristicEnsemble(anchors=anchors, pair_weights=W, masses=uniform_masses(M))
 

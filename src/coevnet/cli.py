@@ -389,7 +389,7 @@ def _build_characteristics(x):
 
 def _build_compare(x):
     _link_densities(x.init)   # each replica draws its own configuration when run
-    check_comparison_grid(x.N, x.runs, x.T, x.dt)
+    check_comparison_grid(x.N, x.runs, x.T, x.dt, x.closure_dt)
 
 
 def _build_epsilon_sweep(x):

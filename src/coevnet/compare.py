@@ -103,13 +103,15 @@ class ComparisonReport:
                 "n_samples": int(self.times.size)}
 
 
-def check_comparison_grid(N: int, runs: int, T: float, dt: float) -> None:
+def check_comparison_grid(N: int, runs: int, T: float, dt: float, closure_dt: float) -> None:
     """Raise ModelError unless run_comparison accepts these sizes."""
     if N < 10:
         raise ModelError("comparison needs N >= 10")
     if runs < 2:
         raise ModelError("comparison needs runs >= 2")
     grid_steps(dt, T, 1, "the sampling dt")
+    if not 0.0 < closure_dt < np.inf:   # False for NaN
+        raise ModelError(f"closure_dt must be positive and finite, got {closure_dt}")
 
 
 def check_epsilon_sweep(eps_list, T: float, dt: float, reduced_dt: float | None) -> None:
@@ -143,7 +145,7 @@ def run_comparison(
     report carries per-component error curves, their time-sup, and the
     Monte-Carlo standard error.
     """
-    check_comparison_grid(N, runs, T, dt)
+    check_comparison_grid(N, runs, T, dt, closure_dt)
     init = {"rho_p": 0.5, "p_pp": 0.5, "p_mm": 0.5, "p_pm": 0.25, **(init or {})}
     rho_p, p_pp, p_mm, p_pm = (float(init[k]) for k in ("rho_p", "p_pp", "p_mm", "p_pm"))
 

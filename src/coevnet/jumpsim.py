@@ -632,7 +632,7 @@ def simulate_hybrid_bc(
     out-of-confidence links (r = 0) are removed at the full rate 1/tau.
     A non-finite state raises IntegrationError.
     """
-    if tau <= 0 or dt <= 0:
+    if not (tau > 0 and dt > 0):   # NaN is not
         raise ModelError("tau and dt must be positive")
     if dt >= tau:
         warnings.warn("dt >= tau: splitting accuracy degraded", stacklevel=2)

@@ -22,21 +22,24 @@ Each flow evaluation is one call of a flow made once per run: the compiled
 ``_MicroFlow``, which has the same constructor and call and writes the same
 bytes.  The kernel checks U and V finite and sums U over the partners (with
 equal masses in the pairwise order of ``np.add.reduce(U, axis=2)``, which
-the twin calls) in one pass per pair row, then writes the weight drift,
-U's zero diagonal and the sums divided into the state drift.  It calls back
-the model's V, U and U0 (for a model with its pair form, see ``models``,
-eta and K, from which it forms V and U itself: each kernel gets d = s_i -
-s_j in scratch of its own that the flow holds, both written before eta is
-called, so a kernel may write into its argument but must not keep it, nor
-write into the other kernel's result, which the kernel reads after both
-calls), ``_on_grid`` for a V or U result that it cannot take as it is, the
-mass-weighted ``einsum`` and numpy's own ``+=`` for adding U0, whose result
-may broadcast.  Each nullcline solve is one ``nullcline`` call, or one call
-of its twin ``_nullcline_py``: the bracket search, every Illinois iteration,
-the step limit and the residual check over one buffer, with V (for the
-pair form, eta taken once per solve minus kappa w) called back on views
-of its rows and its results read through ``_on_grid`` when they are not
-float64 arrays of the grid.  The rk4 and rkf45 steps of the flow and of
+the twin calls) in one pass per pair row, then writes the weight drift and
+the sums divided into the state drift.  It calls back the model's V, U and
+U0 (for a model with its pair form, see ``models``, eta and K, from which
+it forms V and U itself: each kernel gets d = s_i - s_j in scratch of its
+own that the flow holds, both written before eta is called, so a kernel
+may write into its argument but must not keep it, nor write into the other
+kernel's result, which the kernel reads after both calls), ``_on_grid``
+for a result that is not a float64 array of its grid, the mass-weighted
+``einsum`` on U formed with its zero diagonal in a grid of the flow's own,
+and numpy's own ``+=`` for adding U0, whose result may broadcast.  Every
+result of V, U, eta and K is read in place through its strides and never
+written: ``_on_grid`` makes numpy's read-only broadcast view of a result
+off its grid, and the pair mode has no other route.  Each nullcline solve
+is one ``nullcline`` call, or one call of its twin ``_nullcline_py``: the
+bracket search, every Illinois iteration, the step limit and the residual
+check over one buffer, with V (for the pair form, eta taken once per
+solve minus kappa w) called back on views of its rows and its results
+read as the flow reads them.  The rk4 and rkf45 steps of the flow and of
 the fast-network limit run on a workspace of the run (``_Workspace``):
 each rk4 step and Fehlberg substep is one call of the step entry
 ``rk_step``, which forms the stages and the update with ``rk_sum``'s sum,
@@ -131,15 +134,12 @@ class MicroTrajectory:
         return self.configs[-1]
 
 
-def _on_grid(a, grid: tuple, name: str, *state: np.ndarray) -> np.ndarray:
-    """A C-contiguous writable float array of shape grid, sharing no memory
-    with the caller's state arrays, from a kernel result that broadcasts to grid."""
+def _on_grid(a, grid: tuple, name: str) -> np.ndarray:
+    """A kernel result as a float array of shape grid: numpy's read-only
+    broadcast view of it, which the flows read and never write."""
     a = np.asarray(a, dtype=float)
-    if (a.shape == grid and a.flags.writeable and a.flags.c_contiguous
-            and (a.base is None or not any(np.may_share_memory(a, s) for s in state))):
-        return a
     try:
-        return np.broadcast_to(a, grid).copy()
+        return np.broadcast_to(a, grid)
     except ValueError:
         raise ModelError(f"{name} returned shape {a.shape}, which does not broadcast to "
                          f"the pair grid {grid}") from None
@@ -193,11 +193,6 @@ def _spans(a: tuple, b: tuple, grid: tuple) -> bool:
         x in (1, g) and y in (1, g) and max(x, y) == g for x, y, g in zip(a, b, grid))
 
 
-def _is_grid(a, grid: tuple) -> bool:
-    """Whether a is a float64 ndarray of exactly the shape grid, any strides."""
-    return isinstance(a, np.ndarray) and a.dtype == np.float64 and a.shape == grid
-
-
 class _MicroFlow:
     """The numpy twin of the compiled ``MicroFlow``, with its constructor and call.
 
@@ -208,29 +203,29 @@ class _MicroFlow:
     V are its pair form's (see ``models``), selects the pair mode.  A call
     flow(states, si, sj, W, ds, out) is one evaluation, in this order:
 
-    1. in the pair mode, when si and sj are float64 arrays that broadcast to
-       the pair grid (L, N, N, m) and W is a float64 array of the grid
-       (L, N, N): given V, eta(d) and V = eta(d) - kappa W (- W with kappa
-       1) into the flow's scratch V; then K(d) and U = -(W K(d)) into its
-       scratch U.  Each kernel gets d = si - sj in scratch of its own, as
-       the compiled flow, which writes both before it calls eta and reads
-       both results after both calls, gives it: a kernel may write into
-       its argument or return it, or a view of it, but must not keep it,
-       nor write into the other kernel's result.  Where eta(d) or K(d) is
-       not a float64 ndarray of its grid, the evaluation takes step 1'
-       instead;
-    1'. otherwise V(si, sj, W) and then U(si, sj, W), each through
-       ``on_grid(result, grid, name, states, W)`` on its pair grid,
-       (L, N, N) or (L, N, N, m);
+    1. V(si, sj, W) (given V) and then U(si, sj, W), each result read
+       through ``on_grid(result, grid, name)`` on its pair grid, (L, N, N)
+       or (L, N, N, m): a read-only view with any strides, never written.
+       In the pair mode, where si and sj must be float64 arrays that
+       broadcast to the pair grid and W a float64 array of (L, N, N) (else
+       ValueError), instead given V, eta(d) through ``on_grid`` and V =
+       eta(d) - kappa W (- W with kappa 1) into the flow's scratch V; then
+       K(d) through ``on_grid`` and U = -(W K(d)) into its scratch U.  Each
+       kernel gets d = si - sj in scratch of its own, as the compiled flow,
+       which writes both before it calls eta and reads both results after
+       both calls, gives it: a kernel may write into its argument or return
+       it, or a view of it, but must not keep it, nor write into the other
+       kernel's result;
     2. when a leg of U or V is not finite, returns the per-leg finiteness
        flags and writes nothing;
-    3. zeroes U's diagonal and, given V, writes the weight drift into out
-       (L rows of row doubles, leg l's drift after its first N m): with sym,
-       V's strict upper triangle mirrored, which turns -0.0 into +0.0, else
-       V with a zero diagonal; divided by eps[l] unless eps is None.  V is
-       overwritten on the way;
+    3. given V, writes the weight drift into out (L rows of row doubles, leg
+       l's drift after its first N m): with sym, V's strict upper triangle
+       mirrored, which turns -0.0 into +0.0, else V with a zero diagonal;
+       divided by eps[l] unless eps is None;
     4. ds, the (L, N, m) states of the output, = row_sum(U) / divisor, or
-       np.add.reduce(U, axis=2) / divisor (in the kernel, its order) with row_sum None;
+       np.add.reduce(U, axis=2) / divisor (in the kernel, its order) with
+       row_sum None, U with a zero diagonal in a C-order array of the
+       flow's own, since numpy's pairwise order follows the layout;
     5. ds += U0(states); returns None.
     """
 
@@ -243,36 +238,33 @@ class _MicroFlow:
             pairs = (L, N, N, m)
             self.scratch = np.empty(pairs), np.empty(pairs), np.empty((L, N, N)), np.empty(pairs)
 
-    def _pair(self, si, sj, W) -> tuple | None:
-        """Step 1: U and V (None without V) by the pair form, or None."""
+    def _pair(self, si, sj, W) -> tuple:
+        """Step 1 in the pair mode: U and V (None without V) by the pair form."""
         K, eta, kappa = self.pair
         grid = (self.L, self.N, self.N)
         pairs = grid + (self.m,)
         if not (isinstance(si, np.ndarray) and isinstance(sj, np.ndarray)
                 and isinstance(W, np.ndarray) and si.dtype == sj.dtype == W.dtype == np.float64
                 and W.shape == grid and _spans(si.shape, sj.shape, pairs)):
-            return None
-        d_eta, d_K, V_held, U = self.scratch
-        V = None
-        if self.V is not None:   # each kernel its own d
-            e = eta(np.subtract(si, sj, out=d_eta))
-            if not _is_grid(e, grid):
-                return None
-            V = np.subtract(e, W if kappa == 1.0 else kappa * W, out=V_held)
-        k = K(np.subtract(si, sj, out=d_K))
-        if not _is_grid(k, pairs):
-            return None
+            raise ValueError(f"the pair mode takes si and sj as float64 arrays that span the "
+                             f"pair grid {pairs} and W as a float64 array of {grid}")
+        d_eta, d_K, V, U = self.scratch
+        if self.V is None:
+            V = None
+        else:   # each kernel its own d
+            e = self.on_grid(eta(np.subtract(si, sj, out=d_eta)), grid, "eta")
+            V = np.subtract(e, W if kappa == 1.0 else kappa * W, out=V)
+        k = self.on_grid(K(np.subtract(si, sj, out=d_K)), pairs, "K")
         U = np.multiply(W[..., None], k, out=U)
         return np.negative(U, out=U), V
 
     def __call__(self, states, si, sj, W, ds, out) -> tuple | None:
         L, N, m, on_grid = self.L, self.N, self.m, self.on_grid
-        UV = None if self.pair is None else self._pair(si, sj, W)
-        if UV is not None:
-            U, V = UV
+        if self.pair is not None:
+            U, V = self._pair(si, sj, W)
         else:
-            V = None if self.V is None else on_grid(self.V(si, sj, W), (L, N, N), "V", states, W)
-            U = on_grid(self.U(si, sj, W), (L, N, N, m), "U", states, W)
+            V = None if self.V is None else on_grid(self.V(si, sj, W), (L, N, N), "V")
+            U = np.array(on_grid(self.U(si, sj, W), (L, N, N, m), "U"), order="C")   # of its own
         if not (np.isfinite(U).all() and (V is None or np.isfinite(V).all())):
             ok = np.isfinite(U).all(axis=(1, 2, 3))
             if V is not None:
@@ -282,14 +274,13 @@ class _MicroFlow:
         if V is not None:
             dw = out.reshape(L, self.row)[:, N * m:N * m + N * N].reshape(L, N, N)
             if self.sym:   # the strict upper triangle, mirrored straight into out
-                np.copyto(V, 0.0, where=_lower(N))
-                V = np.add(V, V.swapaxes(1, 2), out=dw)
+                V = np.where(_lower(N), 0.0, V)
+                np.add(V, V.swapaxes(1, 2), out=dw)
             else:
-                V.reshape(L, N * N)[:, ::N + 1] = 0.0   # the diagonal
-            if self.eps is not None:
-                np.divide(V, self.eps, out=dw)
-            elif V is not dw:
                 dw[...] = V
+                dw.reshape(L, N * N)[:, ::N + 1] = 0.0   # the diagonal
+            if self.eps is not None:
+                np.divide(dw, self.eps, out=dw)
         row_sum = np.add.reduce(U, axis=2) if self.row_sum is None else self.row_sum(U)
         np.divide(row_sum, self.divisor, out=ds)
         if self.U0 is not None:
@@ -598,9 +589,10 @@ def _pair_potential(states: np.ndarray, weights: np.ndarray, pot: PotentialModel
     naming what."""
     N, m = states.shape
     views = states[:, None, :], states[None, :, :]
-    terms = (_on_grid(pot.F(*views, weights), (N, N), "F", weights),
-             _on_grid(pot.eval_grad_s(*views, weights), (N, N, m), "grad_s", weights),
-             _on_grid(pot.eval_d_w(*views, weights), (N, N), "d_w", weights))
+    results = (_on_grid(pot.F(*views, weights), (N, N), "F"),
+               _on_grid(pot.eval_grad_s(*views, weights), (N, N, m), "grad_s"),
+               _on_grid(pot.eval_d_w(*views, weights), (N, N), "d_w"))
+    terms = tuple(np.array(a, order="C") for a in results)   # of their own
     for a in terms:
         a.reshape(N * N, -1)[::N + 1] = 0.0   # the diagonal
     if not all(np.isfinite(a).all() for a in terms):
@@ -808,14 +800,17 @@ def integrate_reduced(
     Each pair's weight is slaved to the nullcline w = omega(s_i, s_j) and the
     states follow the micro state drift with those weights, external force
     included: ds_i/dt = (1/N) sum_{j != i} U(s_i, s_j, omega(s_i, s_j)) + U0(s_i).
-    A non-finite force or state raises IntegrationError naming the time of
-    the step, and T off the dt grid raises ModelError
-    (``stepping.grid_steps``), so the run ends at T, where run_epsilon_sweep
-    compares it with the micro legs.  Its steps run on a ``_Workspace``.
+    A non-finite initial state raises ModelError, a non-finite force or
+    state later IntegrationError naming the time of the step, and T off the
+    dt grid raises ModelError (``stepping.grid_steps``), so the run ends at
+    T, where run_epsilon_sweep compares it with the micro legs.  Its steps
+    run on a ``_Workspace``.
     """
     states = np.array(states, dtype=float)
     if states.ndim == 1:
         states = states[:, None]
+    if not np.isfinite(states).all():
+        raise ModelError("non-finite entries in the initial states")
     N, m = states.shape
     one = np.ones(1)
     flow = _particle_drift(model, N, m, one)

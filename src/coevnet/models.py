@@ -16,7 +16,9 @@ All callables are numpy-vectorized and broadcast:
 
 The micro flow passes broadcastable views, not full grids: ``s`` has shape
 ``(L, N, 1, m)``, ``sigma`` ``(L, 1, N, m)`` and ``w`` ``(L, N, N)``, with a
-leading axis of L stacked legs.  A U or V result smaller than the pair grid
+leading axis of L stacked legs.  A result is read in place, with any
+strides, and never written, so a kernel may return a view of its
+arguments, a read-only array or a list.  One smaller than the pair grid
 (say ``np.zeros(np.shape(s))``) is broadcast to it; one that does not
 broadcast raises ModelError.
 
@@ -35,7 +37,8 @@ a config sets.  ``microsim`` uses it while the model's U and V are still
 the form's own (a copy with a replaced U or V, a ``dataclasses.replace``
 and every hand-built model run on U and V as they are): a flow evaluation
 then calls eta and K once each, each on s_i - s_j in scratch of its own,
-and forms U = -(w K) and V = eta - kappa w itself, with the same IEEE
+reads their results as it reads U and V (a result smaller than its grid
+too), and forms U = -(w K) and V = eta - kappa w itself, with the same IEEE
 operations on the same operands as the catalog's U and V, so the bytes are
 theirs; a nullcline solve takes eta once.  exp, where eta has one, stays in the model's eta.
 """

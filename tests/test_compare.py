@@ -166,6 +166,12 @@ class TestRunComparison:
         with pytest.raises(IntegrationError):
             run_comparison(self.P_EQUAL, N=20, runs=2, T=0.5, dt=0.25, seed=0)
 
+    @pytest.mark.parametrize("closure_dt", [0.0, np.nan, -1e-3, np.inf])
+    def test_a_closure_dt_that_is_not_positive_and_finite_is_refused(self, closure_dt):
+        with pytest.raises(ModelError, match="closure_dt must be positive and finite"):
+            run_comparison(self.P_EQUAL, N=20, runs=2, T=0.5, dt=0.25, seed=0,
+                           closure_dt=closure_dt)
+
     @pytest.mark.parametrize("T, last", [(2.0 - 5e-10, 2.0 - 5e-10), (2.0 + 5e-10, 2.0)])
     def test_a_horizon_on_the_grid_to_rounding_samples_the_grid_once(self, T, last):
         # T within grid_steps' tolerance of 2.0: no extra sample at T, and

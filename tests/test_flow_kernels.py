@@ -16,6 +16,8 @@ evaluation and step, rejected RKF45 substeps included, and raise the same
 errors, as must ``integrate_reduced`` and ``microsim._nullcline_array``.
 """
 
+import copy
+import functools
 import hashlib
 import json
 import logging
@@ -305,56 +307,154 @@ def test_a_wrong_result_raises_the_same_error_on_both_paths(which, result):
         assert errors[0][0] is ModelError and errors[0][1].startswith(f"{which} returned shape")
 
 
+# the forms a kernel may give its result in (see returned)
+RESULT_FORMS = ["a view of the state", "read-only", "Fortran-ordered", "negative strides",
+                "zero strides", "a list", "a 0-d array", "float32"]
+
+
+def returned(form, r, view):
+    """What a kernel returns for its result r in form: view, a view of the
+    state or of the weights in r's shape, or r as a read-only,
+    Fortran-ordered or negative-strided array, a zero-strided broadcast
+    view, a list, a 0-d array or float32."""
+    flip = (slice(None, None, -1),) * r.ndim
+    if form == "a view of the state":
+        return view
+    if form == "read-only":
+        r = r.copy()
+        r.flags.writeable = False
+        return r
+    return {"Fortran-ordered": lambda: np.asfortranarray(r),
+            "negative strides": lambda: np.ascontiguousarray(r[flip])[flip],
+            "zero strides": lambda: np.broadcast_to(r[:, :1], r.shape),
+            "a list": r.tolist,
+            "a 0-d array": lambda: np.array(r.flat[1]),
+            "float32": lambda: r.astype(np.float32)}[form]()
+
+
+def fresh(a, shape):
+    """The values of a kernel result a on its grid, as a fresh C-contiguous float64 array."""
+    return np.array(np.broadcast_to(np.asarray(a, dtype=float), shape), order="C")
+
+
+def given_as(form, fresh_copy, r, view, results):
+    """returned(form, r, view), or with fresh_copy fresh() of it; what is
+    returned is kept in results with a copy of it."""
+    got = returned(form, r, view)
+    if fresh_copy:
+        got = fresh(got, r.shape)
+    results.append((got, copy.deepcopy(got)))
+    return got
+
+
+def unchanged(results, skip=()):
+    """Whether every kept result still holds what it held when returned."""
+    return all(got == kept if isinstance(got, list) else bits(got) == bits(kept)
+               for got, kept in results if not any(got is s for s in skip))
+
+
 @pytest.mark.needs_cc
-@pytest.mark.parametrize("case", ["V is w", "U views the state", "U is read-only",
-                                  "U is Fortran-ordered", "U views its own memory"])
-@pytest.mark.parametrize("L", [1, 2])
-def test_a_result_is_copied_where_on_grid_copies_it(case, L):
-    """A V that returns its weight argument, or a U that returns a view of
-    the state, is copied on both paths, so that mirroring the weight drift
-    (the twin does it in V) and zeroing U's diagonal leave the state as it
-    was; so is a read-only U, which stays as it was, and a Fortran-ordered
-    one.  A fresh U, or a view (it has a base) of memory of its own, is
-    taken as it is on both paths: its diagonal is zeroed in place."""
-    rng = np.random.default_rng(L)
-    cfg = random_cfg(rng, 4, 1, True, np.zeros((4, 4), dtype=bool))
-    y, results = _stack(cfg, L), []
-
-    def U(s, sig, w):
-        u = (np.asarray(sig) - s) * np.asarray(w)[..., None] + 1.0   # 1.0 on the diagonal
-        if case == "U views the state":   # C-contiguous and writable, of the grid's shape
-            u = y.reshape(-1)[:L * 16].reshape(L, 4, 4, 1)
-        elif case == "U is read-only":
-            u.flags.writeable = False
-        elif case == "U is Fortran-ordered":
-            u = np.asfortranarray(u)
-        elif case == "U views its own memory":
-            u = np.concatenate([np.zeros(3), u.ravel()])[3:].reshape(L, 4, 4, 1)
-        results.append((u, u.copy()))
-        return u
-
-    def V(s, sig, w):
-        return w if case == "V is w" else -np.asarray(w)
-
-    flows = flow_pair(SimpleNamespace(m=1, U=U, U0=None), 4, 1, [0.5, 0.25][:L], row=20,
-                      sym=True, V=V)
+@pytest.mark.parametrize("form", RESULT_FORMS)
+@pytest.mark.parametrize("which", ["V", "U", "eta", "K"])
+@pytest.mark.parametrize("sym", [True, False])
+@pytest.mark.parametrize("with_masses", [False, True])
+def test_a_result_is_read_in_place_and_never_written(form, which, sym, with_masses):
+    """V, U (the model's own), eta or K (the pair mode) returns its result as
+    a view of the state (V: its weight argument), a read-only,
+    Fortran-ordered or negative-strided array, a zero-strided broadcast
+    view, a list, a 0-d array or float32.  On both backends the flow reads
+    it in place and writes the bytes that the same values given as a fresh
+    C-contiguous array write, and leaves the state and the returned array
+    as they were; with masses too, whose row sum runs on U."""
+    L, N, m = 2, 4, 1
+    rng = np.random.default_rng(RESULT_FORMS.index(form))
+    z = planted(rng, (L, N * m + N * N), finite=True)
+    start = z.copy()
+    grids = {"V": (L, N, N), "U": (L, N, N, m), "eta": (L, N, N), "K": (L, N, N, m)}
+    values = {k: planted(rng, grid, finite=True) for k, grid in grids.items()}
+    masses = rng.uniform(0.1, 1.0, size=N) if with_masses else None
+    row_sum = None if masses is None else functools.partial(np.einsum, "j,lijk->lik", masses)
     runs = []
-    for fn in flows:
-        results.clear()
-        start, out = y.copy(), np.empty(y.shape)
-        assert fn(*flow_args(y[:, :4].reshape(L, 4, 1), y[:, 4:].reshape(L, 4, 4), out)) is None
-        assert y.tobytes() == start.tobytes()
-        u, before = results[0]
-        if case in ("V is w", "U views its own memory"):   # U taken as it is
-            assert (u[:, range(4), range(4)] == 0.0).all()
-        elif case != "U views the state":
-            assert u.tobytes() == before.tobytes()
-        runs.append(out.tobytes())
-    assert runs[0] == runs[1]
-    if case == "V is w":
-        want = cfg.weights / np.array([0.5, 0.25][:L]).reshape(L, 1, 1)
-        assert np.frombuffer(runs[0]).reshape(L, 20)[:, 4:].tobytes() == \
-            want.reshape(L, 16).tobytes()
+    for make in (_native.LIB.MicroFlow, microsim._MicroFlow):
+        for fresh_copy in (False, True):
+            results = []
+
+            def kernel(k):
+                def call(*args):
+                    if k != which:
+                        return values[k].copy()
+                    view = args[2] if k == "V" else \
+                        z.reshape(-1)[:values[k].size].reshape(grids[k])
+                    return given_as(form, fresh_copy, values[k], view, results)
+                return call
+
+            pair = (kernel("K"), kernel("eta"), 0.3) if which in ("eta", "K") else None
+            flow = make(kernel("V"), kernel("U"), row_sum, float(N), None, np.array([0.5, 2.0]),
+                        L, N, m, sym, N * m + N * N, microsim._on_grid, pair)
+            out = np.full(z.shape, 7.0)
+            got = flow(*flow_args(z[:, :N * m].reshape(L, N, m), z[:, N * m:].reshape(L, N, N),
+                                  out))
+            assert z.tobytes() == start.tobytes() and len(results) == 1 and unchanged(results)
+            runs.append((got, out.tobytes()))
+    assert runs[0][0] is None and runs[0][1] != np.full(z.shape, 7.0).tobytes()
+    assert runs[0] == runs[1] == runs[2] == runs[3]
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("operands", ["W float32", "W a list", "W short", "si off the grid",
+                                      "sj of ints"])
+def test_a_pair_mode_call_off_the_pair_grid_raises_the_same_error(operands):
+    """The pair mode has no other route: si, sj or W that does not span
+    the pair grid raises the same ValueError on both backends, before a
+    kernel is called."""
+    L, N, m = 2, 3, 1
+    z = np.full((L, N * m + N * N), 0.25)
+    out = np.empty(z.shape)
+    states, si, sj, W, ds, _ = flow_args(z[:, :N].reshape(L, N, m), z[:, N:].reshape(L, N, N),
+                                         out)
+    si, sj, W = {"W float32": lambda: (si, sj, W.astype(np.float32)),
+                 "W a list": lambda: (si, sj, W.tolist()),
+                 "W short": lambda: (si, sj, W[:, :2]),
+                 "si off the grid": lambda: (np.zeros((L, N, 2, m)), sj, W),
+                 "sj of ints": lambda: (si, sj.astype(np.int64), W)}[operands]()
+    errors = []
+    for make in (_native.LIB.MicroFlow, microsim._MicroFlow):
+        def refuse(*args):
+            raise AssertionError("a kernel was called")
+        flow = make(refuse, refuse, None, float(N), None, None, L, N, m, True, N * m + N * N,
+                    microsim._on_grid, (refuse, refuse, 1.0))
+        with pytest.raises(ValueError) as err:
+            flow(states, si, sj, W, ds, out)
+        errors.append(str(err.value))
+    assert errors[0] == errors[1] == ("the pair mode takes si and sj as float64 arrays that "
+                                      "span the pair grid (2, 3, 3, 1) and W as a float64 "
+                                      "array of (2, 3, 3)")
+
+
+@pytest.mark.needs_cc
+@pytest.mark.parametrize("form", RESULT_FORMS)
+def test_a_nullcline_result_is_read_in_place_and_never_written(form):
+    """The same for the V of a nullcline solve, whose view is its weight
+    argument, a row of the solve's buffer, which the solve writes later
+    itself: the same status and buffer bytes as with the same values given
+    as a fresh C-contiguous array, and the states and every other returned
+    array as they were."""
+    rng = np.random.default_rng(RESULT_FORMS.index(form))
+    x = rng.uniform(-1.0, 1.5, size=(4, 1))
+    si, sj, start = x[:, None], x[None], x.tobytes()
+    runs = []
+    for solve in (_native.LIB.nullcline, microsim._nullcline_py):
+        for fresh_copy in (False, True):
+            results = []
+
+            def V(s, sig, w):
+                return given_as(form, fresh_copy, 0.5 * (s - sig)[..., 0] - w, w, results)
+            buf = np.zeros((10, 4, 4))
+            rows = buf[0], buf[1], buf[8]
+            status = solve(V, si, sj, buf, *rows, 100, 4.0 ** 10, 1e-12, microsim._on_grid)
+            assert x.tobytes() == start and results and unchanged(results, skip=rows)
+            runs.append((status, bits(buf)))
+    assert runs[0] == runs[1] == runs[2] == runs[3]
 
 
 @pytest.mark.needs_cc

@@ -299,6 +299,13 @@ class TestHybridBC:
             simulate_hybrid_bc(cfg, F=lambda s: np.full(np.shape(s), np.inf),
                                r=lambda d: np.ones_like(d), tau=1.0, dt=0.1, T=1.0, seed=0)
 
+    @pytest.mark.parametrize("tau, dt", [(np.nan, 0.01), (0.0, 0.01), (1.0, np.nan)])
+    def test_a_tau_or_dt_that_is_not_positive_is_refused(self, tau, dt):
+        cfg = HybridConfiguration(states=np.array([[0.0], [1.0]]), weights=complete_graph(2))
+        with pytest.raises(ModelError, match="tau and dt must be positive"):
+            simulate_hybrid_bc(cfg, F=lambda s: s, r=lambda d: np.ones_like(d), tau=tau, dt=dt,
+                               T=0.1, seed=0)
+
     def test_dt_above_tau_warns(self):
         cfg = HybridConfiguration(states=np.array([[0.0], [1.0]]),
                                   weights=np.zeros((2, 2), dtype=np.int8))

@@ -10,9 +10,11 @@ its out, for its y and stage buffer, and for its RK4 and its Fehlberg stage
 records, each of which it writes but y.  ``MicroFlow`` takes
 its arrays when it is called: its output, which must be C-contiguous, the
 states part of it, which may be strided, and the results of the callbacks
-that it runs on.  ``nullcline`` takes the size of its buffer from the row lo
-that V is called on, and reads V's results through on_grid unless they are
-float64 arrays of lo's shape.
+that it runs on, which it reads in place with any strides and never
+writes, through on_grid when they are not float64 arrays of their grid.
+``nullcline`` takes the size of its buffer from the row lo that V is
+called on, and reads V's results as ``MicroFlow`` reads its results, on
+lo's shape.
 """
 
 import re
@@ -294,11 +296,11 @@ def test_micro_flow_refuses_a_bad_row_sum(row_sum, message):
 
 
 def test_micro_flow_refuses_a_short_grid_from_on_grid():
-    """on_grid is called back for a result with a base; what it returns is
-    checked as the pair grid's buffer."""
+    """on_grid is called back for a result off its grid; what it returns
+    must be a float64 array of the pair grid."""
     flow = LIB.MicroFlow(None, lambda s, sig, w: np.zeros(40)[2:20], np.sum, 3.0, None, None, 2,
                          3, 1, 1, 0, lambda a, grid, name, *state: a[:-1])
-    with pytest.raises(ValueError, match="U holds 17 elements, fewer than the 18 needed"):
+    with pytest.raises(ValueError, match="on_grid made no float64 array of U's grid"):
         flow(*flow_args())
 
 

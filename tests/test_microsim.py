@@ -616,6 +616,11 @@ class TestReduced:
         final = integrate_reduced(s0, model, dt=1e-3, T=1.0).final()
         assert np.max(np.abs(final - s0 * np.exp(-1.0))) <= 1e-10
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_initial_state_is_refused(self, bad):
+        with pytest.raises(ModelError, match="^non-finite entries in the initial states$"):
+            integrate_reduced(np.array([[0.0], [bad]]), null_model(), dt=0.1, T=0.2)
+
     def test_overflowing_force_names_the_step(self):
         # U0 = 1 carries the second agent to s = 2, where U = exp(1000 (s - 2)) overflows
         model = SmoothModel(U=lambda s, sig, w: np.exp(1000.0 * (np.asarray(s, dtype=float) - 2.0)),
