@@ -14,10 +14,10 @@ here that needs the right-hand side calls it: ``closure_rhs``, the
 h-equations of ``weight_averaged_rhs`` (its componentwise sums), the
 continuation's reduced residual and ``linearized_jacobian``, which takes the
 Jacobian from it by complex step.  What stays in closed form are theorems
-about it: the threshold of ``polarization_stable``, the rates of
-``decay_envelope_check`` (which takes the kind and rates from the
-trajectory that it checks), the continuation's hypothesis on gamma_pm, its
-cross balance Phi and the mixed stationary h-profile.
+about it: the threshold of ``polarization_stable``, the cross-link decay
+rate ``_cross_decay_rate`` (the rate of ``decay_envelope_check`` and the
+continuation's hypothesis), the continuation's cross balance Phi and the
+mixed stationary h-profile.
 
 The closure trajectory runs in ``coevnet_closure_loop`` of ``_kernels.c``,
 built and loaded by ``_native``.  Its pure-python twin ``_closure_loop_py``,
@@ -159,7 +159,7 @@ def _closure_loop_py(y0, r, kirk, dt, n_steps, stride, delta, neg_tol, recs, rec
         nonlocal clamped
         rho_p = y[0] + y[1] + y[4] + y[5]
         rho_m = y[2] + y[3] + y[4] + y[5]
-        if rho_p * rho_m <= delta:
+        if rho_p * rho_m <= delta:     # the compiled loop's test, so both stop alike
             if rec_steps[n_rec - 1] != k:
                 sample(y, k)
             raise _Stop(1, k)
@@ -210,20 +210,20 @@ def _integrate_loop(y0, r, kirk, dt, n_steps, stride, delta, neg_tol):
     return recs, rec_steps, n_rec, status, clamped, steps_done
 
 
-def _checked_rhs(y, p: MinimalParams, kind, densities=None) -> np.ndarray:
-    """_rhs_arrays_py on python floats, after checking that ``y`` is a
-    moment vector and that the densities, structural or given, lie above the
-    consensus threshold.  On a vector far from unit mass a Kirkwood factor
-    can still divide by 0 (ClosureSingular)."""
-    y = np.asarray(y, dtype=float)
+def _checked_rhs(m, p: MinimalParams, kind, densities=None) -> np.ndarray:
+    """_rhs_arrays_py on python floats, after checking that ``m`` is a
+    MinimalMoments or a moment vector and that the densities, structural or
+    given, lie above the consensus threshold (NaN does not).  On a vector
+    far from unit mass a Kirkwood factor can still divide by 0
+    (ClosureSingular)."""
+    y = np.asarray(m.as_array() if isinstance(m, MinimalMoments) else m, dtype=float)
     if y.shape != (6,):
         raise ModelError(f"a moment vector has shape (6,), got {y.shape}")
     y = y.tolist()
     if densities is None:
-        rho_p, rho_m = y[0] + y[1] + y[4] + y[5], y[2] + y[3] + y[4] + y[5]
-    else:
-        rho_p, rho_m = densities
-    if rho_p * rho_m <= DELTA_CONSENSUS:
+        densities = y[0] + y[1] + y[4] + y[5], y[2] + y[3] + y[4] + y[5]
+    rho_p, rho_m = densities
+    if not rho_p * rho_m > DELTA_CONSENSUS:
         raise ConsensusBoundary(f"rho_+ rho_- = {rho_p * rho_m:.3e} at or below the "
                                 f"consensus threshold {DELTA_CONSENSUS:g}")
     kirk = ClosureKind(kind) is ClosureKind.KIRKWOOD
@@ -234,14 +234,10 @@ def _checked_rhs(y, p: MinimalParams, kind, densities=None) -> np.ndarray:
                               f"rho_- = {rho_m:.3e}") from exc
 
 
-def closure_rhs_array(y, p: MinimalParams, kind) -> np.ndarray:
-    """Six-component derivative for a raw moment vector (no invariant checks)."""
-    return _checked_rhs(y, p, kind)
-
-
-def closure_rhs(m: MinimalMoments, p: MinimalParams, kind) -> np.ndarray:
-    """Derivative of the six moments under the requested pair closure."""
-    return closure_rhs_array(m.as_array(), p, kind)
+def closure_rhs(m, p: MinimalParams, kind) -> np.ndarray:
+    """Derivative of the six moments, a MinimalMoments or a six-vector, under
+    the requested pair closure."""
+    return _checked_rhs(m, p, kind)
 
 
 def weight_averaged_rhs(m, p: MinimalParams, kind,
@@ -257,8 +253,7 @@ def weight_averaged_rhs(m, p: MinimalParams, kind,
     densities held as parameters; with equal flip rates the two readings
     coincide.
     """
-    y = m.as_array() if isinstance(m, MinimalMoments) else m
-    rhs = _checked_rhs(y, p, kind, rho_override).tolist()
+    rhs = _checked_rhs(m, p, kind, rho_override).tolist()
     dh_pp = rhs[0] + rhs[1]
     dh_mm = rhs[2] + rhs[3]
     return dh_pp, dh_mm, -0.5 * (dh_pp + dh_mm)
@@ -321,12 +316,10 @@ def integrate_closure(
     """
     n_steps = grid_steps(dt, T, sample_stride)
     check_initial_moments(m0)
-    y0 = m0.as_array()
-    rho_p0 = m0.rho_p
     kind = ClosureKind(kind)
     kirk = kind is ClosureKind.KIRKWOOD
     recs, rec_steps, n_rec, status, clamped, steps_done = _integrate_loop(
-        y0, p.as_array(), int(kirk), dt, n_steps, sample_stride,
+        m0.as_array(), p.as_array(), int(kirk), dt, n_steps, sample_stride,
         DELTA_CONSENSUS, NEG_CLAMP_TOL)
     if status == 2:
         raise IntegrationError(
@@ -334,29 +327,27 @@ def integrate_closure(
             f"after {steps_done} steps; reduce dt")
     if status == 3:
         raise IntegrationError(f"non-finite state in the step from t={steps_done * dt:.6g}")
-    moments = recs[:n_rec].copy()
-    times = rec_steps[:n_rec] * dt
     if clamped:
         log.info("closure integration clamped %d tiny negative components", clamped)
-
-    totals = moments.sum(axis=1) + moments[:, 4] + moments[:, 5]
-    if np.max(np.abs(totals - totals[0])) > 1e-9:
-        raise InvariantViolation("mass conservation violated along closure trajectory")
-    rho_p = moments[:, 0] + moments[:, 1] + moments[:, 4] + moments[:, 5]
-    if p.alpha_pm == p.alpha_mp and np.max(np.abs(rho_p - rho_p0)) > 1e-9:
-        raise InvariantViolation("rho_+ conservation violated with equal flip rates")
-
-    rho_m = moments[:, 2] + moments[:, 3] + moments[:, 4] + moments[:, 5]
-    h_sum = moments[:, 0] + moments[:, 1] + moments[:, 2] + moments[:, 3]
-    artifact = bool(np.any((h_sum < 1e-3) & (rho_p * rho_m > 0.1))) if kirk else False
-    if artifact:
-        log.warning("kirkwood trajectory entered the h_pp + h_mm ~ 0 artifact regime")
-    return ClosureTrajectory(
-        times=times, moments=moments, kind=kind, params=p,
+    traj = ClosureTrajectory(
+        times=rec_steps[:n_rec] * dt, moments=recs[:n_rec].copy(), kind=kind, params=p,
         status="consensus_boundary" if status == 1 else "completed",
         clamp_events=int(clamped),
-        kirkwood_artifact=artifact,
     )
+
+    rho_p, rho_m = traj.rho_p, traj.rho_m
+    totals = rho_p + rho_m
+    if np.max(np.abs(totals - totals[0])) > 1e-9:
+        raise InvariantViolation("mass conservation violated along closure trajectory")
+    if p.alpha_pm == p.alpha_mp and np.max(np.abs(rho_p - rho_p[0])) > 1e-9:
+        raise InvariantViolation("rho_+ conservation violated with equal flip rates")
+    if kirk:
+        y = traj.moments
+        h_sum = y[:, 0] + y[:, 1] + y[:, 2] + y[:, 3]
+        traj.kirkwood_artifact = bool(np.any((h_sum < 1e-3) & (rho_p * rho_m > 0.1)))
+        if traj.kirkwood_artifact:
+            log.warning("kirkwood trajectory entered the h_pp + h_mm ~ 0 artifact regime")
+    return traj
 
 
 # -- stationary families ------------------------------------------------------
@@ -463,7 +454,7 @@ def finite_difference_jacobian(y, p: MinimalParams, kind) -> np.ndarray:
     for j in range(6):
         e = np.zeros(6)
         e[j] = h
-        J[:, j] = (closure_rhs_array(y + e, p, kind) - closure_rhs_array(y - e, p, kind)) / (2 * h)
+        J[:, j] = (closure_rhs(y + e, p, kind) - closure_rhs(y - e, p, kind)) / (2 * h)
     return J
 
 
@@ -499,6 +490,17 @@ def polarization_stable(p: MinimalParams, rho_p: float) -> tuple[bool, float]:
 # -- decay envelopes ----------------------------------------------------------
 
 
+def _cross_decay_rate(p: MinimalParams, kind) -> float:
+    """The rate at which the closure lets cross links decay without cross
+    creation: gamma_pm - (alpha_pm + alpha_mp) under Kirkwood and
+    gamma_pm - (alpha_pm + alpha_mp)/2 under the conditional closure.  It is
+    the rate of ``decay_envelope_check`` and, required positive, the
+    hypothesis of ``check_continuation``."""
+    alpha_sum = p.alpha_pm + p.alpha_mp
+    kirk = ClosureKind(kind) is ClosureKind.KIRKWOOD
+    return p.gamma_pm - (alpha_sum if kirk else 0.5 * alpha_sum)
+
+
 @dataclass
 class EnvelopeReport:
     holds: bool
@@ -510,15 +512,12 @@ class EnvelopeReport:
 def decay_envelope_check(traj: ClosureTrajectory) -> EnvelopeReport:
     """Check f_pm(t) <= exp(-rate t) f_pm(0) (1 + 1e-9) at every sample.
 
-    rate = gamma_pm - (alpha_pm + alpha_mp)/2 under the conditional closure
-    and gamma_pm - (alpha_pm + alpha_mp) under Kirkwood, with the closure
-    kind and the rates that ``traj`` was integrated with.  The bounds assume
-    no cross-link creation (beta_pm = 0); a failure is reported, not raised.
+    rate is ``_cross_decay_rate`` of the rates and the closure kind that
+    ``traj`` was integrated with.  The bounds assume no cross-link creation
+    (beta_pm = 0); a failure is reported, not raised.
     """
-    p, kirk = traj.params, traj.kind is ClosureKind.KIRKWOOD
-    alpha_sum = p.alpha_pm + p.alpha_mp
-    rate = p.gamma_pm - (alpha_sum if kirk else 0.5 * alpha_sum)
-    if rate <= 0:
+    rate = _cross_decay_rate(traj.params, traj.kind)
+    if not rate > 0:
         raise ModelError("decay envelope requires a positive decay rate")
     t = traj.times - traj.times[0]
     f = traj.f_pm
@@ -584,7 +583,7 @@ def with_cross_creation(p: MinimalParams, eps: float) -> MinimalParams:
 def check_continuation(p: MinimalParams, rho_p: float, kind) -> None:
     """Raise unless continue_small_epsilon can start Newton at eps = p.beta_pm:
     rho_p in (0, 1) with rho_p (1 - rho_p) above the consensus threshold,
-    positive rates but beta_pm, the closure's hypothesis on gamma_pm
+    positive rates but beta_pm, a positive ``_cross_decay_rate``
     (ModelError otherwise) and an admissible seed g_pm (else
     ContinuationFailed)."""
     if not 0.0 < rho_p < 1.0:
@@ -595,11 +594,9 @@ def check_continuation(p: MinimalParams, rho_p: float, kind) -> None:
     for rate in fields(p):
         if rate.name != "beta_pm" and not getattr(p, rate.name) > 0:
             raise ModelError(f"continuation requires positive rate {rate.name}")
-    alpha_sum = p.alpha_pm + p.alpha_mp
-    if ClosureKind(kind) is ClosureKind.KIRKWOOD:
-        if not p.gamma_pm > alpha_sum:
+    if not _cross_decay_rate(p, kind) > 0:
+        if ClosureKind(kind) is ClosureKind.KIRKWOOD:
             raise ModelError("kirkwood continuation requires gamma_pm > alpha_pm + alpha_mp")
-    elif not 2 * p.gamma_pm > alpha_sum:
         raise ModelError("conditional continuation requires 2 gamma_pm > alpha_pm + alpha_mp")
     g_star = _phi_root_gpm(p, rho_p, 1.0 - rho_p)
     if g_star > min(rho_p, 1.0 - rho_p) + 1e-12:
@@ -674,7 +671,7 @@ def continue_small_epsilon(p: MinimalParams, rho_p: float, kind) -> StationaryBr
             raise ContinuationFailed(
                 f"branch at eps = {eps_val:g} left the admissible region: {y}")
         p_eps = with_cross_creation(p, eps_val)
-        resid = float(np.max(np.abs(closure_rhs_array(np.maximum(y, 0.0), p_eps, kind))))
+        resid = float(np.max(np.abs(closure_rhs(np.maximum(y, 0.0), p_eps, kind))))
         return np.maximum(y, 0.0), resid
 
     x, iters = solve_at(eps)

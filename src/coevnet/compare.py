@@ -123,6 +123,10 @@ def check_epsilon_sweep(eps_list, T: float, dt: float, reduced_dt: float | None)
     grid_steps(dt if reduced_dt is None else reduced_dt, T, 1, "reduced_dt")
 
 
+# run_comparison's init keys, with their defaults
+_INIT_DEFAULTS = {"rho_p": 0.5, "p_pp": 0.5, "p_mm": 0.5, "p_pm": 0.25}
+
+
 def run_comparison(
     p: MinimalParams,
     N: int,
@@ -136,7 +140,8 @@ def run_comparison(
 ) -> ComparisonReport:
     """Score ensemble-mean minimal-model moments against both closures.
 
-    ``init`` prescribes the generator (rho_p and per-type link densities);
+    ``init`` prescribes the generator (rho_p and per-type link densities,
+    each defaulting to ``_INIT_DEFAULTS``; any other key raises ModelError);
     replica k uses the seed stream (seed, k), and the replicas run on the
     ``_pool`` of ``workers`` forked processes (the CLI's usable CPUs; 1, or a
     call inside a pool's worker, keeps them here), with the same report for
@@ -146,8 +151,11 @@ def run_comparison(
     Monte-Carlo standard error.
     """
     check_comparison_grid(N, runs, T, dt, closure_dt)
-    init = {"rho_p": 0.5, "p_pp": 0.5, "p_mm": 0.5, "p_pm": 0.25, **(init or {})}
-    rho_p, p_pp, p_mm, p_pm = (float(init[k]) for k in ("rho_p", "p_pp", "p_mm", "p_pm"))
+    init = {**_INIT_DEFAULTS, **(init or {})}
+    unknown = set(init) - set(_INIT_DEFAULTS)
+    if unknown:
+        raise ModelError(f"unknown init key(s) {sorted(unknown)}, not among {list(_INIT_DEFAULTS)}")
+    rho_p, p_pp, p_mm, p_pm = (float(init[k]) for k in _INIT_DEFAULTS)
 
     def replica(k: int) -> np.ndarray:
         rng = np.random.default_rng((seed, k))

@@ -39,7 +39,7 @@ from typing import Callable
 import numpy as np
 
 from . import _native
-from .errors import InvariantViolation, ModelError
+from .errors import IntegrationError, InvariantViolation, ModelError
 from .models import MinimalParams
 from .stepping import rk4_step, run_grid, sample_times
 
@@ -630,7 +630,8 @@ def simulate_hybrid_bc(
     With r valued in [0, 1] the stationary link probability is exactly r, so
     tau -> 0 recovers bounded-confidence dynamics with w_ij = r(|s_i - s_j|);
     out-of-confidence links (r = 0) are removed at the full rate 1/tau.
-    A non-finite state raises IntegrationError.
+    A non-finite state or link rate raises IntegrationError naming the
+    time of its step.
     """
     if not (tau > 0 and dt > 0):   # NaN is not
         raise ModelError("tau and dt must be positive")
@@ -659,10 +660,12 @@ def simulate_hybrid_bc(
         diff = states[:, None, :] - states[None, :, :]
         dist = np.sqrt(np.sum(diff * diff, axis=-1))
         rvals = np.asarray(r(dist), dtype=float)
-        rate = np.where(W == 0, rvals, np.maximum(1.0 - rvals, 0.0)) / tau
+        rate = (np.where(W == 0, rvals, np.maximum(1.0 - rvals, 0.0)) / tau)[iu]
+        if not np.isfinite(rate).all():
+            raise IntegrationError(f"non-finite link rate in the step from t={t:.6g}")
         prob = 1.0 - np.exp(-rate * dt)
         draws = rng.random(size=iu[0].size)
-        fire = draws < prob[iu]
+        fire = draws < prob
         wi = W[iu]
         new_upper = np.where(fire, 1.0 - wi, wi)
         W[iu] = new_upper

@@ -515,13 +515,14 @@ def integrate_micro(
     """Integrate the microscopic system on the grid cfg.t + k dt.
 
     method is one of "rk4", "euler" (fixed step) or "rkf45" (adaptive
-    substeps between grid points, abs/rel tolerances 1e-8/1e-6).  Samples
-    are taken at k = 0, every sample_stride-th step and the last step; each
-    is stored (or, with store=False, kept only as the latest) and passed to
-    callback.  masses, if given, replaces the equal masses 1/N of the
-    interaction drift (see micro_rhs).  A non-finite force or state, or an
-    RKF45 substep that misses its tolerance at the minimum step size, raises
-    IntegrationError naming the time the failing step started from.
+    substeps between grid points, tolerances ``stepping.RKF45_ATOL`` and
+    ``RKF45_RTOL``).  Samples are taken at k = 0, every sample_stride-th
+    step and the last step; each is stored (or, with store=False, kept only
+    as the latest) and passed to callback.  masses, if given, replaces the
+    equal masses 1/N of the interaction drift (see micro_rhs).  A non-finite
+    force or state, or an RKF45 substep that misses its tolerance at the
+    minimum step size, raises IntegrationError naming the time the failing
+    step started from.
     """
     if method not in ("rk4", "euler", "rkf45"):
         raise ModelError(f"unknown method {method!r}")
@@ -772,11 +773,13 @@ def _nullcline_array(model: SmoothModel, si: np.ndarray, sj: np.ndarray) -> np.n
 
 def solve_weight_nullcline(model: SmoothModel, s, sigma) -> float:
     """Solve V(s, sigma, w) = 0 for w (see ``_nullcline_array``); s and
-    sigma must each hold the model's m values."""
+    sigma must each hold the model's m values, all finite."""
     si, sj = (np.asarray(x, dtype=float) for x in (s, sigma))
     if si.size != model.m or sj.size != model.m:
         raise ModelError(f"s and sigma must each hold the model's m={model.m} values, got "
                          f"{si.size} and {sj.size}")
+    if not (np.isfinite(si).all() and np.isfinite(sj).all()):
+        raise ModelError("non-finite entries in s or sigma")
     return float(_nullcline_array(model, si.reshape(1, model.m), sj.reshape(1, model.m))[0])
 
 

@@ -301,7 +301,8 @@ MODEL_SCHEMA = {
 
 
 def catalog(name: str, params: Mapping | None = None) -> SmoothModel:
-    """Construct a named catalog model from the parameters MODEL_SCHEMA lists.
+    """Construct a named catalog model from the parameters MODEL_SCHEMA lists;
+    a parameter it does not list raises ModelError.
 
     * ``kernel-relaxation``: U = -w K(s - sigma), V = eta(s - sigma) - kappa w;
       K odd, (..., m) -> (..., m), eta even and nonnegative, (..., m) -> (...).
@@ -313,6 +314,9 @@ def catalog(name: str, params: Mapping | None = None) -> SmoothModel:
         raise ModelError(f"unknown catalog model {name!r}")
     kernels, numbers = MODEL_SCHEMA[name]
     params = params or {}
+    unknown = set(params) - {*kernels, *numbers}
+    if unknown:
+        raise ModelError(f"catalog model {name!r} has no parameter(s) {sorted(unknown)}")
     for key in (*kernels, *(k for k, d in numbers.items() if d is None)):
         if key not in params:
             raise ModelError(f"catalog model {name!r} requires parameter {key!r}")

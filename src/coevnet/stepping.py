@@ -124,6 +124,9 @@ def run_grid(
     return y
 
 
+RKF45_ATOL = 1e-8    # rkf45_advance's tolerances: absolute,
+RKF45_RTOL = 1e-6    # and relative to max|y|
+
 # The weights of an RK4 stage (y + h k) and of the RK4 update (with h = dt / 6;
 # 1.0 k is k), and the Fehlberg 4(5) tableau.
 _ONE = (1.0,)
@@ -140,15 +143,15 @@ _RKF_B5 = (16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50, 2 / 55)
 _RKF_B4 = (25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0)
 
 
-def rk_sum(y: np.ndarray, h: float, a, k, out: np.ndarray | None = None) -> np.ndarray:
-    """y + h (a[0] k[0] + ... + a[n-1] k[n-1]), into out if given: the one
-    explicit Runge-Kutta sum, which every RK4 and Fehlberg stage and update
-    forms.  The terms are summed left to right from the first (not from 0),
-    as ``coevnet_rk_sum`` of ``_kernels.c`` sums them."""
+def rk_sum(y: np.ndarray, h: float, a, k) -> np.ndarray:
+    """y + h (a[0] k[0] + ... + a[n-1] k[n-1]): the one explicit Runge-Kutta
+    sum, which every RK4 and Fehlberg stage and update forms.  The terms are
+    summed left to right from the first (not from 0), as ``coevnet_rk_sum``
+    of ``_kernels.c`` sums them."""
     s = a[0] * k[0]
     for a_j, k_j in zip(a[1:], k[1:]):
         s = s + a_j * k_j
-    return np.add(y, h * s, out=out)
+    return np.add(y, h * s)
 
 
 def rk4_step(f: Rhs, y: np.ndarray, h: float) -> np.ndarray:
@@ -177,12 +180,11 @@ def rkf45_advance(
     f: Rhs,
     y: np.ndarray,
     span: float,
-    atol: float = 1e-8,
-    rtol: float = 1e-6,
     t0: float = 0.0,
     step: Callable[[Rhs, np.ndarray, float], tuple[np.ndarray, float]] = rkf45_step,
 ) -> np.ndarray:
-    """Advance y over one output interval with adaptive Fehlberg substeps.
+    """Advance y over one output interval with adaptive Fehlberg substeps,
+    each accepted when its error is at most RKF45_ATOL + RKF45_RTOL max|y|.
 
     A substep that misses the tolerance at h <= 1e-14 * span raises
     IntegrationError naming t0, the time the interval starts from, instead
@@ -199,7 +201,7 @@ def rkf45_advance(
         h = min(h, span - t)
         y_new, err = step(f, y, h)
         if scale is None:
-            scale = atol + rtol * float(np.max(np.abs(y))) if np.size(y) else atol
+            scale = RKF45_ATOL + (RKF45_RTOL * float(np.max(np.abs(y))) if np.size(y) else 0.0)
         accept = err <= scale     # False for a NaN error too
         if not accept and h <= 1e-14 * span:
             raise IntegrationError(

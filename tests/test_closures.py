@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,8 +8,8 @@ from coevnet import _native, closures
 from coevnet.closures import (
     ClosureKind,
     ClosureTrajectory,
+    check_continuation,
     closure_rhs,
-    closure_rhs_array,
     continue_small_epsilon,
     decay_envelope_check,
     finite_difference_jacobian,
@@ -107,15 +109,31 @@ class TestClosureRhs:
         m_arr = np.array([1.0 - 2e-11, 0.0, 0.0, 0.0, 1e-11, 0.0])
         p = MinimalParams(1, 1, 1, 1, 1, 1, 1, 1)
         with pytest.raises(ConsensusBoundary):
-            closure_rhs_array(m_arr, p, ClosureKind.CONDITIONAL)
+            closure_rhs(m_arr, p, ClosureKind.CONDITIONAL)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("j", [0, 2, 4], ids=["in-rho_p", "in-rho_m", "in-both"])
+    def test_a_nan_moment_is_a_consensus_boundary(self, kind, j):
+        y = np.full(6, 1.0 / 8)
+        y[j] = np.nan
+        with pytest.raises(ConsensusBoundary, match=r"^rho_\+ rho_- = nan at or below the "
+                                                    r"consensus threshold 1e-10$"):
+            closure_rhs(y, MinimalParams(*[1.0] * 8), kind)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("rho", [(np.nan, 0.5), (0.5, np.nan)], ids=["rho_p", "rho_m"])
+    def test_a_nan_density_override_is_a_consensus_boundary(self, kind, rho):
+        m = MinimalMoments(0.3, 0.2, 0.2, 0.1, 0.0, 0.1)
+        with pytest.raises(ConsensusBoundary, match="at or below the consensus threshold"):
+            weight_averaged_rhs(m, MinimalParams(*[1.0] * 8), kind, rho_override=rho)
 
     def test_a_denominator_below_the_float_range_is_closure_singular(self):
         # rho_+ rho_- = 1e-9 passes the consensus check, but rho_+^2 is 0
         y = [1e-170, 0.0, 1e161, 0.0, 0.0, 0.0]
         p = MinimalParams(*[1.0] * 8)
-        assert np.all(np.isfinite(closure_rhs_array(y, p, ClosureKind.CONDITIONAL)))
+        assert np.all(np.isfinite(closure_rhs(y, p, ClosureKind.CONDITIONAL)))
         with pytest.raises(ClosureSingular, match="a closure denominator is 0"):
-            closure_rhs_array(y, p, ClosureKind.KIRKWOOD)
+            closure_rhs(y, p, ClosureKind.KIRKWOOD)
 
     def test_matches_triplet_integral_assembly(self):
         # the alpha part of the pair equations is the particle-1 flip
@@ -151,7 +169,7 @@ class TestClosureRhs:
 
     @pytest.mark.parametrize("kind", KINDS)
     def test_python_floats_match_the_reference_loop_bitwise(self, kind):
-        # closure_rhs_array evaluates the statement on python floats, the
+        # closure_rhs evaluates the statement on python floats, the
         # reference loop on the float64 scalars of its state array
         rng = np.random.default_rng(17)
         p = random_params(rng)
@@ -167,7 +185,7 @@ class TestClosureRhs:
                 ys.append(ys[-1][[2, 3, 0, 1, 4, 5]])
         r, kirk = p.as_array(), int(kind is ClosureKind.KIRKWOOD)
         for y in ys:
-            got = closure_rhs_array(y, p, kind)
+            got = closure_rhs(y, p, kind)
             assert got.tobytes() == closures._rhs_arrays_py(y, r, kirk).tobytes()
 
     @pytest.mark.parametrize("y", [[0.2, 0.1, 0.2, 0.1, 0.1, 0.1, 5.0],
@@ -178,7 +196,7 @@ class TestClosureRhs:
         p = MinimalParams(*[1.0] * 8)
         for kind in KINDS:
             with pytest.raises(ModelError, match=r"a moment vector has shape \(6,\)"):
-                closure_rhs_array(y, p, kind)
+                closure_rhs(y, p, kind)
             with pytest.raises(ModelError, match=r"a moment vector has shape \(6,\)"):
                 weight_averaged_rhs(y, p, kind)
 
@@ -238,6 +256,32 @@ class TestIntegrate:
         with np.errstate(all="ignore"), pytest.raises(
                 IntegrationError, match=r"^non-finite state in the step from t=0$"):
             integrate_closure(m0, p, ClosureKind.CONDITIONAL, dt=1e-2, T=1.0)
+
+    NEGATIVE_P = MinimalParams(4.908, 3.783, 2.971, 2.696, 0.049, 3.919, 1.92, 0.533)
+    NEGATIVE_M0 = MinimalMoments(0.0491, 0.0009, 0.0813, 0.0057, 0.4296, 0.0019)
+    NEGATIVE_MESSAGE = ("closure integration produced a negative component beyond "
+                        "tolerance after 0 steps; reduce dt")
+
+    def test_a_negative_component_beyond_tolerance_raises(self, loop):
+        # the first Kirkwood step of 0.2 takes g_pp below -1e-9
+        with pytest.raises(IntegrationError, match=f"^{self.NEGATIVE_MESSAGE}$"):
+            integrate_closure(self.NEGATIVE_M0, self.NEGATIVE_P, ClosureKind.KIRKWOOD,
+                              dt=0.2, T=2.0)
+
+    def test_a_negative_component_beyond_tolerance_exits_3(self, tmp_path, capsys):
+        from coevnet.cli import main
+        cfg = {"kind": "closure", "kind_closure": "kirkwood", "seed": 1, "T": 2.0,
+               "dt": 0.2, "rates": dict(zip(
+                   ("alpha_pm", "alpha_mp", "beta_pp", "beta_mm", "beta_pm", "gamma_pp",
+                    "gamma_mm", "gamma_pm"), self.NEGATIVE_P.as_array().tolist())),
+               "init": {"moments": self.NEGATIVE_M0.as_array().tolist()}}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", str(path), "--out", str(tmp_path / "out")]) == 3
+        err = {"error": "IntegrationError", "exit_code": 3, "message": self.NEGATIVE_MESSAGE}
+        assert json.loads(capsys.readouterr().out) == err
+        assert json.loads((tmp_path / "out" / "error.json").read_text()) == err
+        assert not (tmp_path / "out" / "manifest.json").exists()
 
     def test_an_unknown_kind_is_a_model_error(self):
         m0 = MinimalMoments(0.1, 0.1, 0.1, 0.1, 0.15, 0.15)
@@ -588,6 +632,33 @@ class TestContinuation:
                           beta_mm=1.0, gamma_pp=1.0, gamma_mm=1.0, gamma_pm=1.0)
         with pytest.raises(ModelError):
             continue_small_epsilon(p, 0.5, ClosureKind.CONDITIONAL)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_both_checks_refuse_the_boundary_decay_rate(self, kind):
+        # alpha_pm + alpha_mp = 2: the cross-link decay rate is 0 at
+        # 2 gamma_pm = 2 (conditional) and at gamma_pm = 2 (Kirkwood)
+        kirk = kind is ClosureKind.KIRKWOOD
+        at = 2.0 if kirk else 1.0
+
+        def rates(gamma_pm):
+            return MinimalParams(alpha_pm=0.75, alpha_mp=1.25, beta_pp=1.0, beta_mm=1.0,
+                                 beta_pm=0.0, gamma_pp=1.0, gamma_mm=1.0, gamma_pm=gamma_pm)
+
+        def envelope(p):
+            traj = ClosureTrajectory(times=np.array([0.0, 1.0]), kind=kind, params=p,
+                                     moments=np.array([[0.2, 0.1, 0.2, 0.1, 0.1, 0.1],
+                                                       [0.2, 0.1, 0.2, 0.1, 0.05, 0.15]]))
+            return decay_envelope_check(traj)
+
+        with pytest.raises(ModelError, match="positive decay rate"):
+            envelope(rates(at))
+        with pytest.raises(ModelError, match=f"^{kind.value} continuation requires "
+                                             f"{'' if kirk else '2 '}gamma_pm > alpha_pm"):
+            check_continuation(rates(at), 0.5, kind)
+        above = rates(np.nextafter(at, np.inf))
+        rep = envelope(above)
+        assert rep.rate > 0 and rep.rate == above.gamma_pm - (2.0 if kirk else 0.5 * 2.0)
+        check_continuation(above, 0.5, kind)
 
     def test_dfdeps_matches_analytic_slope(self):
         # f' = g* / |lambda_pm| at eps = 0 from the factored cross equation

@@ -172,6 +172,11 @@ class TestRunComparison:
             run_comparison(self.P_EQUAL, N=20, runs=2, T=0.5, dt=0.25, seed=0,
                            closure_dt=closure_dt)
 
+    def test_an_unknown_init_key_is_refused(self):
+        with pytest.raises(ModelError, match=r"unknown init key\(s\) \['p_pn'\]"):
+            run_comparison(self.P_EQUAL, N=20, runs=2, T=0.5, dt=0.25, seed=0,
+                           init={"p_pn": 0.9})
+
     @pytest.mark.parametrize("T, last", [(2.0 - 5e-10, 2.0 - 5e-10), (2.0 + 5e-10, 2.0)])
     def test_a_horizon_on_the_grid_to_rounding_samples_the_grid_once(self, T, last):
         # T within grid_steps' tolerance of 2.0: no extra sample at T, and

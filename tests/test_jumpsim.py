@@ -306,6 +306,22 @@ class TestHybridBC:
             simulate_hybrid_bc(cfg, F=lambda s: s, r=lambda d: np.ones_like(d), tau=tau, dt=dt,
                                T=0.1, seed=0)
 
+    @pytest.mark.parametrize("bad, from_call, t", [(np.nan, 0, "0"), (np.inf, 0, "0"),
+                                                   (np.nan, 1, "0.01")])
+    def test_a_non_finite_link_rate_raises(self, bad, from_call, t):
+        # no links, so r is a creation rate: NaN never fires, inf always would
+        calls = []
+
+        def r(d):
+            calls.append(d)
+            return np.full(np.shape(d), bad if len(calls) > from_call else 0.5)
+
+        cfg = HybridConfiguration(states=np.array([[0.0], [1.0], [2.0]]),
+                                  weights=np.zeros((3, 3), dtype=np.int8))
+        with pytest.raises(IntegrationError,
+                           match=f"^non-finite link rate in the step from t={t}$"):
+            simulate_hybrid_bc(cfg, F=lambda s: s, r=r, tau=1.0, dt=0.01, T=0.02, seed=0)
+
     def test_dt_above_tau_warns(self):
         cfg = HybridConfiguration(states=np.array([[0.0], [1.0]]),
                                   weights=np.zeros((2, 2), dtype=np.int8))

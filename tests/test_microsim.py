@@ -252,8 +252,7 @@ class TestIntegrateMicro:
     def test_rkf45_step_missing_tolerance_at_minimum_step_raises(self):
         # the error estimate of this stiff RHS stays far above 0 down to h = 1e-14 * span
         with pytest.raises(IntegrationError, match="missed its tolerance"):
-            rkf45_advance(lambda y: 1e20 * np.sin(y), np.array([0.5, 1.0]), 0.5,
-                          atol=0.0, rtol=0.0)
+            rkf45_advance(lambda y: 1e20 * np.sin(y), np.array([0.5, 1.0]), 0.5)
 
     def test_rkf45_tolerance_failure_aborts_the_trajectory(self):
         model = SmoothModel(
@@ -452,6 +451,16 @@ class TestNullcline:
     def test_a_state_of_the_wrong_length_names_m(self, s, sigma):
         with pytest.raises(ModelError, match=r"s and sigma must each hold the model's m=1 values"):
             solve_weight_nullcline(weight_decay_model(), s, sigma)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("which", ["s", "sigma"])
+    def test_a_non_finite_state_is_refused(self, which, bad):
+        model = catalog("kernel-relaxation", {
+            "K": lambda x: x, "eta": lambda x: np.exp(-np.sum(x * x, axis=-1)), "kappa": 1.0,
+        })
+        s, sigma = ([bad], [0.0]) if which == "s" else ([0.0], [bad])
+        with pytest.raises(ModelError, match="^non-finite entries in s or sigma$"):
+            solve_weight_nullcline(model, s, sigma)
 
     def test_pure_decay(self):
         w = solve_weight_nullcline(weight_decay_model(), np.array([0.0]), np.array([1.0]))

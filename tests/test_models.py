@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -122,6 +124,16 @@ class TestCatalog:
             catalog("no-such-model", {})
         with pytest.raises(ModelError):
             catalog("kernel-relaxation", {"K": lambda x: x})
+
+    @pytest.mark.parametrize("name, params, unknown", [
+        ("boschi", {"g": np.tanh, "J0": 2.0, "gamma": 1.0, "sigma": 0.3}, "['sigma']"),
+        ("kernel-relaxation", {"K": lambda x: x, "eta": lambda x: np.exp(-np.sum(x * x, axis=-1)),
+                               "kappa": 1.0, "kapa": 5.0}, "['kapa']"),
+    ], ids=["boschi-sigma", "kernel-relaxation-kapa"])
+    def test_an_unknown_parameter_is_refused(self, name, params, unknown):
+        with pytest.raises(ModelError, match=re.escape(
+                f"catalog model {name!r} has no parameter(s) {unknown}")):
+            catalog(name, params)
 
 
 class TestInvariants:

@@ -42,8 +42,8 @@ def tanh_K(x):
 
 
 def smaller_K(x):
-    """The mean over the partner axis, (..., 1, m): U broadcasts it to the
-    pair grid, so the flow calls U and V as they are."""
+    """The mean over the partner axis, (..., 1, m), off the pair grid: the
+    pair mode broadcasts it to the grid through ``microsim._on_grid``."""
     return np.mean(x, axis=-2, keepdims=True)
 
 
